@@ -22,8 +22,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import AttributionError
-from .lexer import TokenStream, Vocabulary, encode
-from .semgraph import SemanticGraph
+from .lexer import TokenStream, Vocabulary
+from .semgraph import SemanticGraph, model_inputs
 
 #: Payload-size cap for exact coalition enumeration.
 ORACLE_MAX_TOKENS = 12
@@ -70,20 +70,11 @@ def _target_prob(model, ids: np.ndarray, adjacency: np.ndarray,
     return float(probs[target])
 
 
-def _cropped_inputs(stream: TokenStream, graph: SemanticGraph,
-                    vocab: Vocabulary):
-    active = stream.content_len
-    ids = np.asarray(encode(stream, vocab), dtype=np.int64)[:active]
-    adjacency = np.ascontiguousarray(graph.adjacency[:active, :active])
-    mask = np.ones(active, dtype=bool)
-    return ids, adjacency, mask
-
-
 def attribute_tokens(model, stream: TokenStream, graph: SemanticGraph,
                      vocab: Vocabulary, baseline: str = "pad") -> Attribution:
     """Occlusion score per payload token for the predicted class."""
     _check_frozen(model)
-    ids, adjacency, mask = _cropped_inputs(stream, graph, vocab)
+    ids, adjacency, mask = model_inputs(graph, vocab)
     probs = model.class_probabilities(ids, adjacency, mask)
     target = int(np.argmax(probs))
     full_prob = float(probs[target])
@@ -119,7 +110,7 @@ def shapley_oracle(model, stream: TokenStream, graph: SemanticGraph,
         raise AttributionError(
             f"oracle enumerates 2^n coalitions; {n} payload tokens exceed "
             f"the cap of {ORACLE_MAX_TOKENS}")
-    ids, adjacency, mask = _cropped_inputs(stream, graph, vocab)
+    ids, adjacency, mask = model_inputs(graph, vocab)
     target = int(np.argmax(model.class_probabilities(ids, adjacency, mask)))
 
     values: dict[int, float] = {}

@@ -16,15 +16,16 @@ from pathlib import Path
 
 from . import __version__
 from .attribution import attribute_tokens, attribution_dump, select_root_cause
-from .corpus import default_catalog, load_dataset, split
+from .corpus import load_dataset, split
 from .errors import ConfigError, DataError, VulnGraphError
 from .lexer import tokenize
 from .model import ModelConfig, denormalize_lines
-from .scanner import analyze, extract_functions, render_report, scan
-from .semgraph import build_graph
+from .scanner import (SOURCE_EXTENSIONS, analyze, file_functions,
+                      render_report, scan)
+from .semgraph import build_graph, model_inputs
 from .trainer import (TrainConfig, evaluate, format_sweep_table,
-                      load_checkpoint, parse_run_config, prepare_sample,
-                      save_checkpoint, sweep_ensemble, train, write_log)
+                      load_checkpoint, parse_run_config, save_checkpoint,
+                      sweep_ensemble, train, write_log)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -106,8 +107,8 @@ def _functions_from_file(path: str, function: str | None):
     source_path = Path(path)
     if not source_path.is_file():
         raise DataError(f"no such file: {path}")
-    records = extract_functions(source_path.parent)
-    records = [r for r in records if r.file == source_path.name]
+    records = (file_functions(source_path, source_path.name)
+               if source_path.suffix in SOURCE_EXTENSIONS else [])
     if function is not None:
         records = [r for r in records if r.id.endswith(f":{function}")]
         if not records:
@@ -165,9 +166,7 @@ def _cmd_attribute(args) -> int:
         stream = tokenize(record.source)
         graph = build_graph(stream)
         attribution = attribute_tokens(model, stream, graph, vocab)
-        sample = prepare_sample(record, vocab, model.config.num_classes,
-                                default_catalog())
-        output = model.forward(sample.ids, sample.adjacency, sample.mask)
+        output = model.forward(*model_inputs(graph, vocab))
         root_cause = None
         if output.predicted_class != 0:
             start, _ = denormalize_lines(output.loc_pred, record.line_count)

@@ -25,13 +25,13 @@ function length. ``denormalize_lines`` inverts that mapping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, DataError, ShapeError
 from . import tensor
 from .tensor import Matrix, Parameter
 
@@ -61,28 +61,6 @@ class ModelConfig:
             "vocab_size", "embed_dim", "gcn_dim", "gcn_layers",
             "num_classes", "embed_weight", "graph_weight")]
         return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "ModelConfig":
-        values: dict[str, str] = {}
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
-        try:
-            return cls(
-                vocab_size=int(values["vocab_size"]),
-                embed_dim=int(values["embed_dim"]),
-                gcn_dim=int(values["gcn_dim"]),
-                gcn_layers=int(values["gcn_layers"]),
-                num_classes=int(values["num_classes"]),
-                embed_weight=float(values["embed_weight"]),
-                graph_weight=float(values["graph_weight"]),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"model config missing key {exc}") from exc
 
 
 def _check_fusion(embed_weight: float, graph_weight: float) -> None:
@@ -288,11 +266,15 @@ class VulnModel:
         tensor.save_params(path, self.parameters())
 
     def load_values(self, arrays: dict[str, np.ndarray]) -> None:
+        unexpected = set(arrays) - {p.name for p in self.parameters()}
+        if unexpected:
+            raise DataError(
+                f"checkpoint has unexpected parameters {sorted(unexpected)}")
         for p in self.parameters():
             if p.name not in arrays:
-                raise ConfigError(f"checkpoint missing parameter {p.name!r}")
+                raise DataError(f"checkpoint missing parameter {p.name!r}")
             if arrays[p.name].shape != p.shape:
-                raise ConfigError(
+                raise DataError(
                     f"checkpoint parameter {p.name!r} has shape "
                     f"{arrays[p.name].shape}, expected {p.shape}"
                 )
@@ -303,21 +285,6 @@ class VulnModel:
         model = cls(config, seed=0)
         model.load_values(tensor.load_params(path))
         return model.freeze()
-
-    def with_fusion(self, embed_weight: float, graph_weight: float) -> "VulnModel":
-        """Same parameters, different mixing weights (shares storage)."""
-        clone = VulnModel.__new__(VulnModel)
-        clone.config = replace(self.config, embed_weight=embed_weight,
-                               graph_weight=graph_weight)
-        clone.frozen = self.frozen
-        clone.embedding = self.embedding
-        clone.input_proj = self.input_proj
-        clone.gcn_weights = self.gcn_weights
-        clone.cls_weight = self.cls_weight
-        clone.cls_bias = self.cls_bias
-        clone.loc_weight = self.loc_weight
-        clone.loc_bias = self.loc_bias
-        return clone
 
 
 def denormalize_lines(loc_pred: tuple[float, float],

@@ -27,8 +27,7 @@ from .corpus import (BINARY_VULNERABLE_LABEL, CweCatalog, FunctionRecord,
 from .errors import DataError, LexError
 from .lexer import Token, TokenKind, Vocabulary, lex, tokenize
 from .model import VulnModel, denormalize_lines
-from .semgraph import build_graph
-from .trainer import prepare_sample
+from .semgraph import build_graph, model_inputs
 
 logger = logging.getLogger(__name__)
 
@@ -95,18 +94,29 @@ def extract_functions(root: str | Path) -> list[FunctionRecord]:
     files = sorted(p for p in root.rglob("*")
                    if p.is_file() and p.suffix in SOURCE_EXTENSIONS)
     for path in files:
-        rel = path.relative_to(root).as_posix()
-        try:
-            text = path.read_text(encoding="utf-8", errors="replace")
-        except OSError as exc:
-            logger.warning("skipping unreadable file %s: %s", rel, exc)
-            continue
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-        try:
-            records.extend(_functions_in_file(text, rel))
-        except LexError as exc:
-            logger.warning("skipping unlexable file %s: %s", rel, exc)
+        records.extend(file_functions(path, path.relative_to(root).as_posix()))
     return records
+
+
+def file_functions(path: Path, rel_path: str) -> list[FunctionRecord]:
+    """Every function definition in one source file, ordered by start line.
+
+    ``rel_path`` names the file in function ids and reports. A file that
+    cannot be read or lexed is skipped with a warning.
+    """
+    try:
+        return _functions_in_file(_read_source(path), rel_path)
+    except OSError as exc:
+        logger.warning("skipping unreadable file %s: %s", rel_path, exc)
+    except LexError as exc:
+        logger.warning("skipping unlexable file %s: %s", rel_path, exc)
+    return []
+
+
+def _read_source(path: Path) -> str:
+    """A source file's text with CRLF and lone CR line endings made LF."""
+    text = path.read_text(encoding="utf-8", errors="replace")
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _functions_in_file(text: str, rel_path: str) -> list[FunctionRecord]:
@@ -208,11 +218,7 @@ def analyze(record: FunctionRecord, model: VulnModel, vocab: Vocabulary,
             predicted_cwe="none", confidence=0.0,
             description="unanalyzable", error=str(exc))
 
-    sample = prepare_sample(
-        FunctionRecord(id=record.id, source=record.source,
-                       language=record.language),
-        vocab, model.config.num_classes, catalog)
-    output = model.forward(sample.ids, sample.adjacency, sample.mask)
+    output = model.forward(*model_inputs(graph, vocab))
     probabilities = output.probabilities
     predicted = output.predicted_class
     report = AnalysisReport(
@@ -344,12 +350,10 @@ def scan(root: str | Path, model: VulnModel, vocab: Vocabulary,
 def _source_for(report: AnalysisReport, root: str | Path) -> str | None:
     if report.file is None:
         return None
-    path = Path(root) / report.file
     try:
-        text = path.read_text(encoding="utf-8", errors="replace")
+        lines = _read_source(Path(root) / report.file).split("\n")
     except OSError:
         return None
-    lines = text.replace("\r\n", "\n").split("\n")
     return "\n".join(lines[report.span[0] - 1:report.span[1]])
 
 

@@ -30,7 +30,8 @@ from enum import Enum
 import numpy as np
 
 from .errors import GraphBuildError
-from .lexer import STREAM_CAPACITY, Token, TokenKind, TokenStream
+from .lexer import (STREAM_CAPACITY, Token, TokenKind, TokenStream, Vocabulary,
+                    encode)
 
 
 class EdgeKind(Enum):
@@ -245,6 +246,19 @@ def build_graph(stream: TokenStream,
                           out=np.zeros_like(counts))
     return SemanticGraph(stream=stream, edges=tuple(edges), counts=counts,
                          adjacency=adjacency)
+
+
+def model_inputs(graph: SemanticGraph, vocab: Vocabulary
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Token ids, operator and mask, cropped to the non-PAD prefix.
+
+    The PAD suffix is inert, so the crop leaves model outputs unchanged.
+    """
+    active = graph.stream.content_len
+    ids = np.asarray(encode(graph.stream, vocab), dtype=np.int64)[:active]
+    adjacency = np.ascontiguousarray(graph.adjacency[:active, :active])
+    mask = np.ones(active, dtype=bool)
+    return ids, adjacency, mask
 
 
 def dump_edges(graph: SemanticGraph) -> str:

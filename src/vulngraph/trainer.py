@@ -14,7 +14,7 @@ is available as a toggle for gradient-audit tests.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -24,12 +24,12 @@ from . import tensor
 from .corpus import (BINARY_VULNERABLE_LABEL, CweCatalog, DatasetSplit,
                      FunctionRecord, default_catalog, select)
 from .errors import ConfigError, DataError, GradientError, TrainingError
-from .lexer import Vocabulary, build_vocab, encode, tokenize
+from .lexer import Vocabulary, build_vocab, tokenize
 from .model import (ModelConfig, VulnModel, denormalize_lines,
                     normalize_line_range)
 from .objectives import (FocalConfig, MetricsReport, classification_metrics,
                          focal_loss, iou_1d, mse_loss)
-from .semgraph import GraphConfig, build_graph
+from .semgraph import GraphConfig, build_graph, model_inputs
 from .tensor import Matrix
 
 
@@ -130,10 +130,8 @@ def label_index(record: FunctionRecord, num_classes: int,
 def prepare_sample(record: FunctionRecord, vocab: Vocabulary, num_classes: int,
                    catalog: CweCatalog,
                    graph_config: GraphConfig = GraphConfig()) -> EncodedSample:
-    stream = tokenize(record.source)
-    graph = build_graph(stream, graph_config)
-    full_ids = np.asarray(encode(stream, vocab), dtype=np.int64)
-    active = stream.content_len  # PAD suffix is inert; crop it away
+    graph = build_graph(tokenize(record.source), graph_config)
+    ids, adjacency, mask = model_inputs(graph, vocab)
     loc_target = None
     truth_range = None
     if record.is_vulnerable:
@@ -142,9 +140,7 @@ def prepare_sample(record: FunctionRecord, vocab: Vocabulary, num_classes: int,
                                           record.line_count)
     return EncodedSample(
         record_id=record.id,
-        ids=full_ids[:active],
-        adjacency=np.ascontiguousarray(graph.adjacency[:active, :active]),
-        mask=np.ones(active, dtype=bool),
+        ids=ids, adjacency=adjacency, mask=mask,
         label=label_index(record, num_classes, catalog),
         loc_target=loc_target,
         line_count=record.line_count,
@@ -345,12 +341,12 @@ def sweep_ensemble(records: Sequence[FunctionRecord], split: DatasetSplit,
     if train_cfg.sweep_mode == "shared":
         shared = train(records, split, model_cfg,
                        replace(train_cfg, checkpoint_dir=None), catalog=catalog)
+        test_samples = [prepare_sample(r, shared.vocab, model_cfg.num_classes,
+                                       catalog) for r in test_records]
 
     for embed_w, graph_w in ratios:
         if shared is not None:
-            samples = [prepare_sample(r, shared.vocab, model_cfg.num_classes,
-                                      catalog) for r in test_records]
-            report = evaluate_samples(shared.model, samples,
+            report = evaluate_samples(shared.model, test_samples,
                                       model_cfg.num_classes,
                                       fusion=(embed_w, graph_w))
         else:
@@ -404,12 +400,30 @@ def save_checkpoint(path: str | Path, model: VulnModel, vocab: Vocabulary,
 
 
 def load_checkpoint(path: str | Path) -> tuple[VulnModel, Vocabulary]:
+    """Read a directory written by ``save_checkpoint``.
+
+    Raises DataError when a file is missing or when config.txt, the
+    vocabulary and the parameters disagree.
+    """
     path = Path(path)
-    if not (path / "params.npz").exists():
-        raise DataError(f"no checkpoint at {path} (missing params.npz)")
-    config = ModelConfig.from_text(
-        (path / "config.txt").read_text(encoding="utf-8"))
+    for name in ("params.npz", "config.txt", "vocab.tsv"):
+        if not (path / name).is_file():
+            raise DataError(f"no checkpoint at {path} (missing {name})")
+    try:
+        model_kwargs, _ = parse_run_config(
+            (path / "config.txt").read_text(encoding="utf-8"))
+        missing = [f.name for f in fields(ModelConfig)
+                   if f.name not in model_kwargs]
+        if missing:
+            raise ConfigError(f"missing keys {', '.join(missing)}")
+        config = ModelConfig(**model_kwargs)
+    except ConfigError as exc:
+        raise DataError(f"{path / 'config.txt'}: {exc}") from exc
     vocab = Vocabulary.load(path / "vocab.tsv")
+    if len(vocab) != config.vocab_size:
+        raise DataError(
+            f"{path / 'vocab.tsv'} has {len(vocab)} entries, config.txt "
+            f"says vocab_size={config.vocab_size}")
     model = VulnModel.load_npz(path / "params.npz", config)
     return model, vocab
 
@@ -457,11 +471,17 @@ def parse_run_config(text: str) -> tuple[dict, dict]:
         key = key.strip()
         value = value.strip()
         if key in model_keys:
-            model_kwargs[key] = model_keys[key](value)
+            target, convert = model_kwargs, model_keys[key]
         elif key in train_keys:
-            train_kwargs[key] = train_keys[key](value)
+            target, convert = train_kwargs, train_keys[key]
         else:
             raise ConfigError(f"config line {lineno}: unknown key {key!r}")
+        try:
+            target[key] = convert(value)
+        except ValueError as exc:
+            raise ConfigError(
+                f"config line {lineno}: bad value for {key!r}: {value!r}"
+            ) from exc
     focal_alpha = train_kwargs.pop("focal_alpha", None)
     focal_delta = train_kwargs.pop("focal_delta", None)
     if focal_alpha is not None or focal_delta is not None:

@@ -1,4 +1,6 @@
 import json
+import logging
+import sys
 
 import pytest
 
@@ -16,6 +18,27 @@ learning_rate=1e-3
 batch_size=8
 seed=3
 """
+
+
+TWO_FUNCTIONS = ("int aa(void) {\n    return 1;\n}\n"
+                 "int bb(char *p) {\n    strcpy(p, \"x\");\n    return 2;\n}\n")
+
+
+def count_calls(monkeypatch, module, name):
+    """Replace every binding of vulngraph.<module>.<name>; count its calls."""
+    original = getattr(sys.modules[f"vulngraph.{module}"], name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for module_name, holder in list(sys.modules.items()):
+        if module_name == "vulngraph" or module_name.startswith("vulngraph."):
+            for binding, value in list(vars(holder).items()):
+                if value is original:
+                    monkeypatch.setattr(holder, binding, counting)
+    return calls
 
 
 @pytest.fixture()
@@ -49,6 +72,12 @@ class TestExitCodes:
         missing = tmp_path / "missing.jsonl"
         assert main(["train", "--config", str(config), "--data",
                      str(missing), "--out", str(tmp_path / "out")]) == 2
+
+    def test_bad_checkpoint_is_data_error(self, dataset, checkpoint, capsys):
+        (checkpoint / "config.txt").unlink()
+        assert main(["eval", "--checkpoint", str(checkpoint), "--data",
+                     str(dataset)]) == 2
+        assert "missing config.txt" in capsys.readouterr().err
 
     def test_config_error_is_one(self, tmp_path, dataset, capsys):
         bad = tmp_path / "bad.cfg"
@@ -122,6 +151,42 @@ class TestAnalyzeSurface:
                           encoding="utf-8")
         assert main(["analyze", "--checkpoint", str(checkpoint), "--file",
                      str(source), "--function", "zz"]) == 2
+
+    def test_analyze_reads_only_the_named_file(self, tmp_path, checkpoint,
+                                               caplog, capsys):
+        src = tmp_path / "src"
+        src.mkdir()
+        (src / "a.c").write_text(TWO_FUNCTIONS, encoding="utf-8")
+        (src / "b.c").write_text("int cc(void) {\n    /* never closed\n}\n",
+                                 encoding="utf-8")
+        with caplog.at_level(logging.WARNING, logger="vulngraph"):
+            assert main(["analyze", "--checkpoint", str(checkpoint),
+                         "--file", str(src / "a.c")]) == 0
+        assert [r.getMessage() for r in caplog.records
+                if "b.c" in r.getMessage()] == []
+        out = capsys.readouterr().out
+        assert "a.c:1:aa" in out and "a.c:4:bb" in out
+
+    @pytest.mark.parametrize("command", ["analyze", "attribute"])
+    def test_each_function_tokenized_and_graphed_once(
+            self, tmp_path, checkpoint, monkeypatch, command, capsys):
+        source = tmp_path / "two.c"
+        source.write_text(TWO_FUNCTIONS, encoding="utf-8")
+        tokenized = count_calls(monkeypatch, "lexer", "tokenize")
+        graphed = count_calls(monkeypatch, "semgraph", "build_graph")
+        assert main([command, "--checkpoint", str(checkpoint), "--file",
+                     str(source)]) == 0
+        assert (len(tokenized), len(graphed)) == (2, 2)
+
+    @pytest.mark.parametrize("name, text", [("notes.txt", TWO_FUNCTIONS),
+                                            ("empty.c", "")])
+    def test_file_without_functions_is_data_error(self, tmp_path, checkpoint,
+                                                  name, text, capsys):
+        source = tmp_path / name
+        source.write_text(text, encoding="utf-8")
+        assert main(["analyze", "--checkpoint", str(checkpoint), "--file",
+                     str(source)]) == 2
+        assert "no function definitions found" in capsys.readouterr().err
 
     def test_attribute_dumps_schema(self, tmp_path, checkpoint, toy_run,
                                     capsys):

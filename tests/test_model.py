@@ -6,8 +6,9 @@ from vulngraph.errors import ConfigError, ShapeError
 from vulngraph.lexer import STREAM_CAPACITY, build_vocab, encode, tokenize
 from vulngraph.model import (ModelConfig, VulnModel, denormalize_lines, fuse,
                              normalize_line_range)
-from vulngraph.semgraph import build_graph
+from vulngraph.semgraph import build_graph, model_inputs
 from vulngraph.tensor import Matrix
+from vulngraph.trainer import parse_run_config
 from conftest import tiny_model_inputs
 
 SOURCE = "int f(){int a;return a+1;}"
@@ -189,6 +190,23 @@ class TestMasking:
         np.testing.assert_array_equal(before.class_logits, after.class_logits)
         assert before.loc_pred == after.loc_pred
 
+    def test_cropped_model_inputs_match_full_stream(self):
+        vocab, ids, adjacency, mask = full_inputs()
+        cropped = model_inputs(build_graph(tokenize(SOURCE)), vocab)
+        active = int(mask.sum())
+        np.testing.assert_array_equal(cropped[0], ids[:active])
+        np.testing.assert_array_equal(cropped[1],
+                                      adjacency[:active, :active])
+        assert cropped[2].shape == (active,) and cropped[2].all()
+        model = VulnModel(ModelConfig(vocab_size=len(vocab), embed_dim=8,
+                                      gcn_dim=6), seed=3)
+        full = model.forward(ids, adjacency, mask)
+        crop = model.forward(*cropped)
+        np.testing.assert_allclose(crop.class_logits, full.class_logits,
+                                   rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(crop.loc_pred, full.loc_pred,
+                                   rtol=1e-12, atol=1e-12)
+
 
 class TestGradients:
     def test_full_model_gradient_check(self):
@@ -233,7 +251,9 @@ class TestConfigAndCheckpoint:
         cfg = ModelConfig(vocab_size=99, embed_dim=32, gcn_dim=16,
                           gcn_layers=3, num_classes=2, embed_weight=0.4,
                           graph_weight=0.6)
-        assert ModelConfig.from_text(cfg.to_text()) == cfg
+        model_kwargs, train_kwargs = parse_run_config(cfg.to_text())
+        assert ModelConfig(**model_kwargs) == cfg
+        assert train_kwargs == {}
 
     def test_invalid_configs(self):
         with pytest.raises(ConfigError):
@@ -253,10 +273,16 @@ class TestConfigAndCheckpoint:
 
     def test_with_fusion_shares_parameters(self):
         model, _, _, _, ids, adjacency, mask = tiny_model_inputs(SOURCE)
-        refused = model.with_fusion(1.0, 0.0)
-        out = refused.forward(ids, adjacency, mask)
+        out = model.forward(ids, adjacency, mask, fusion=(1.0, 0.0))
         np.testing.assert_array_equal(out.fused, out.pooled_embed)
-        assert refused.embedding is model.embedding
+        # the override re-fuses the model's own pooled features
+        configured = model.forward(ids, adjacency, mask)
+        np.testing.assert_array_equal(out.pooled_embed,
+                                      configured.pooled_embed)
+        np.testing.assert_array_equal(out.pooled_graph,
+                                      configured.pooled_graph)
+        assert (model.config.embed_weight, model.config.graph_weight) == (
+            0.5, 0.5)
 
     def test_binary_mode(self):
         model, _, _, _, ids, adjacency, mask = tiny_model_inputs(

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+import vulngraph.trainer as trainer_module
 from vulngraph import tensor
 from vulngraph.corpus import FunctionRecord, select, split
 from vulngraph.errors import ConfigError, DataError, TrainingError
+from vulngraph.lexer import build_vocab
 from vulngraph.model import ModelConfig, VulnModel
 from vulngraph.objectives import FocalConfig
 from vulngraph.synth import make_toy_corpus
@@ -18,6 +20,12 @@ TINY_MODEL = dict(embed_dim=16, gcn_dim=12, num_classes=11)
 def tiny_corpus():
     records, _ = make_toy_corpus(seed=1)
     return records, split(records, seed=2)
+
+
+def set_key(key, value):
+    """A config.txt edit that replaces one key's value."""
+    return lambda lines: [f"{key}={value}" if l.startswith(f"{key}=") else l
+                          for l in lines]
 
 
 def tiny_train_cfg(**overrides):
@@ -161,9 +169,39 @@ class TestCheckpoint:
         for pa, pb in zip(toy_run.model.parameters(), model.parameters()):
             assert np.array_equal(pa.data, pb.data)
 
-    def test_missing_checkpoint_is_data_error(self, tmp_path):
-        with pytest.raises(DataError, match="params.npz"):
-            load_checkpoint(tmp_path / "nowhere")
+    @pytest.mark.parametrize("name, edit, message", [
+        pytest.param(None, None, "missing params.npz", id="no-checkpoint"),
+        pytest.param("params.npz", None, "missing params.npz", id="no-params"),
+        pytest.param("config.txt", None, "missing config.txt", id="no-config"),
+        pytest.param("vocab.tsv", None, "missing vocab.tsv", id="no-vocab"),
+        pytest.param("vocab.tsv", lambda lines: lines[:len(lines) // 2],
+                     "vocab_size", id="short-vocab"),
+        pytest.param("config.txt", lambda lines: [
+            l for l in lines if not l.startswith("embed_weight=")],
+            "missing keys embed_weight", id="no-model-key"),
+        pytest.param("config.txt", set_key("gcn_dim", 7), "shape",
+                     id="wrong-shape"),
+        pytest.param("config.txt", set_key("gcn_layers", 1),
+                     "unexpected parameters", id="extra-parameter"),
+        pytest.param("config.txt", set_key("embed_dim", "wide"), "bad value",
+                     id="bad-value"),
+    ])
+    def test_missing_checkpoint_is_data_error(self, tmp_path, name, edit,
+                                              message):
+        ckpt = tmp_path / "nowhere"
+        if name is not None:
+            records, _ = tiny_corpus()
+            vocab = build_vocab(records)
+            model = VulnModel(ModelConfig(vocab_size=len(vocab), **TINY_MODEL))
+            save_checkpoint(ckpt, model, vocab)
+            if edit is None:
+                (ckpt / name).unlink()
+            else:
+                lines = (ckpt / name).read_text(encoding="utf-8").splitlines()
+                (ckpt / name).write_text("\n".join(edit(lines)) + "\n",
+                                         encoding="utf-8")
+        with pytest.raises(DataError, match=message):
+            load_checkpoint(ckpt)
 
     def test_per_epoch_and_best_checkpoints_written(self, tmp_path):
         records, ds = tiny_corpus()
@@ -200,12 +238,18 @@ class TestSweep:
         table = format_sweep_table(rows_a)
         assert len(table.splitlines()) == 7  # header + rule + 5 rows
 
-    def test_shared_mode_refuses_without_retraining(self):
+    def test_shared_mode_refuses_without_retraining(self, monkeypatch):
         records, ds = tiny_corpus()
+        prepared = []
+        original = trainer_module.prepare_sample
+        monkeypatch.setattr(trainer_module, "prepare_sample",
+                            lambda *args: prepared.append(1) or original(*args))
         cfg = ModelConfig(vocab_size=4, **TINY_MODEL)
         rows = sweep_ensemble(records, ds, [(0.5, 0.5), (0.0, 1.0)], cfg,
                               tiny_train_cfg(epochs=2, sweep_mode="shared"))
         assert len(rows) == 2
+        # one training run, and the test split prepared once for all ratios
+        assert len(prepared) == len(ds.train) + len(ds.val) + len(ds.test)
 
     def test_invalid_ratio_rejected(self):
         records, ds = tiny_corpus()
