@@ -6,6 +6,13 @@ padding embedding (occlusion with singleton subsets). Scores are summed
 per source line; the root cause is the highest-scoring line strictly
 before the predicted vulnerable range, never the declaration line.
 
+Occlusion is computed incrementally when the model offers
+``occluded_probabilities`` (``VulnModel`` does): one base pass, then per
+token only the rows within ``gcn_layers`` hops of it are recomputed, so
+``attribute_tokens`` runs two full forwards whatever the length. Other
+models get one full forward per token; that loop is also the oracle the
+incremental path is tested against (to 1e-12).
+
 ``shapley_oracle`` computes exact Shapley values by enumerating all
 present/occluded coalitions of payload tokens. It is test-scale only
 (at most 12 payload tokens) and exists to validate that the cheap
@@ -17,12 +24,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import AttributionError
 from .lexer import TokenStream, Vocabulary
+from .model import denormalize_lines
 from .semgraph import SemanticGraph, model_inputs
 
 #: Payload-size cap for exact coalition enumeration.
@@ -70,6 +79,15 @@ def _target_prob(model, ids: np.ndarray, adjacency: np.ndarray,
     return float(probs[target])
 
 
+def _occluded_by_forward(model, ids: np.ndarray, adjacency: np.ndarray,
+                        mask: np.ndarray, target: int,
+                        positions: Sequence[int], baseline: str) -> np.ndarray:
+    """One full forward per occluded position: the oracle of the fast path."""
+    return np.array([_target_prob(model, ids, adjacency, mask, target,
+                                  [position], baseline)
+                     for position in positions], dtype=np.float64)
+
+
 def attribute_tokens(model, stream: TokenStream, graph: SemanticGraph,
                      vocab: Vocabulary, baseline: str = "pad") -> Attribution:
     """Occlusion score per payload token for the predicted class."""
@@ -80,11 +98,12 @@ def attribute_tokens(model, stream: TokenStream, graph: SemanticGraph,
     full_prob = float(probs[target])
 
     payload = _payload_positions(stream)
+    occluded = getattr(model, "occluded_probabilities", None)
+    if occluded is None:
+        occluded = partial(_occluded_by_forward, model)
     token_scores = np.zeros(len(stream.tokens))
-    for position in payload:
-        occluded_prob = _target_prob(model, ids, adjacency, mask, target,
-                                     [position], baseline)
-        token_scores[position] = full_prob - occluded_prob
+    token_scores[payload] = full_prob - occluded(ids, adjacency, mask, target,
+                                                 payload, baseline)
     empty_prob = _target_prob(model, ids, adjacency, mask, target, payload,
                               baseline)
     return Attribution(
@@ -179,6 +198,30 @@ def select_root_cause(line_scores: Mapping[int, float], predicted_start: int,
             "no admissible root-cause line (all tokens on the declaration line)")
     line, score = best(fallback)
     return RootCause(line=line, score=score, fallback_used=True)
+
+
+@dataclass(frozen=True)
+class Localization:
+    """Predicted vulnerable lines and the root cause before them.
+
+    Lines are 1-based within the function. ``root_cause`` is None when
+    no line is admissible, and ``problem`` then says why.
+    """
+
+    vul_lines: tuple[int, int]
+    root_cause: RootCause | None
+    problem: str | None = None
+
+
+def localize(loc_pred: tuple[float, float], line_scores: Mapping[int, float],
+             line_count: int) -> Localization:
+    """Denormalize the predicted range and pick the root cause before it."""
+    start, end = denormalize_lines(loc_pred, line_count)
+    try:
+        root = select_root_cause(line_scores, start, line_count)
+    except AttributionError as exc:
+        return Localization((start, end), None, str(exc))
+    return Localization((start, end), root)
 
 
 def normalize_scores(line_scores: Mapping[int, float]) -> dict[int, float]:

@@ -15,11 +15,11 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .attribution import attribute_tokens, attribution_dump, select_root_cause
+from .attribution import attribute_tokens, attribution_dump, localize
 from .corpus import load_dataset, split
 from .errors import ConfigError, DataError, VulnGraphError
 from .lexer import tokenize
-from .model import ModelConfig, denormalize_lines
+from .model import ModelConfig
 from .scanner import (SOURCE_EXTENSIONS, analyze, file_functions,
                       render_report, scan)
 from .semgraph import build_graph, model_inputs
@@ -169,12 +169,8 @@ def _cmd_attribute(args) -> int:
         output = model.forward(*model_inputs(graph, vocab))
         root_cause = None
         if output.predicted_class != 0:
-            start, _ = denormalize_lines(output.loc_pred, record.line_count)
-            try:
-                root_cause = select_root_cause(attribution.line_scores, start,
-                                               record.line_count)
-            except VulnGraphError:
-                root_cause = None
+            root_cause = localize(output.loc_pred, attribution.line_scores,
+                                  record.line_count).root_cause
         payload = attribution_dump(attribution, root_cause)
         payload["function_id"] = record.id
         dumps.append(payload)

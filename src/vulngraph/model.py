@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError, ShapeError
+from .errors import AttributionError, ConfigError, DataError, ShapeError
 from . import tensor
 from .tensor import Matrix, Parameter
 
@@ -155,12 +155,15 @@ class VulnModel:
 
     def embed(self, ids: Sequence[int] | np.ndarray) -> Matrix:
         """Embedding rows for a sequence of token ids."""
+        return tensor.gather_rows(self.embedding.value, self._checked_ids(ids))
+
+    def _checked_ids(self, ids: Sequence[int] | np.ndarray) -> np.ndarray:
         ids = np.asarray(ids, dtype=np.int64)
         if ids.size and (ids.min() < 0 or ids.max() >= self.config.vocab_size):
             raise ShapeError(
                 f"token id out of range [0, {self.config.vocab_size})"
             )
-        return tensor.gather_rows(self.embedding.value, ids)
+        return ids
 
     def gcn_forward(self, token_embeddings: Matrix, adjacency: np.ndarray,
                     mask: np.ndarray) -> tuple[Matrix, Matrix]:
@@ -260,6 +263,83 @@ class VulnModel:
         return self.forward(ids, adjacency, mask, occlude=occlude,
                             occlusion_baseline=occlusion_baseline).probabilities
 
+    def occluded_probabilities(self, ids: np.ndarray, adjacency: np.ndarray,
+                               mask: np.ndarray, target: int,
+                               positions: Sequence[int],
+                               baseline: str = "pad") -> np.ndarray:
+        """Probability of ``target`` with each of ``positions`` occluded alone.
+
+        Entry k equals ``class_probabilities(..., occlude=[positions[k]])
+        [target]`` up to rounding; ``class_probabilities`` stays the
+        oracle. One tape-free base pass caches every layer's
+        pre-activation ``(A @ H_l) @ W_l``. Occluding position p changes
+        H0 in row p only, and each layer spreads a row change to the rows
+        that read it, so only the rows within ``gcn_layers`` hops of p
+        are recomputed; the pooled means then move by the summed row
+        changes over n. Needs the cropped all-ones mask of
+        ``model_inputs``.
+        """
+        ids = self._checked_ids(ids)
+        n = ids.size
+        adjacency = np.asarray(adjacency, dtype=np.float64)
+        mask = np.asarray(mask, dtype=bool)
+        if adjacency.shape != (n, n) or mask.shape != (n,) or not mask.all():
+            raise ShapeError(
+                "incremental occlusion needs cropped inputs with an "
+                "all-ones mask"
+            )
+        if baseline == "pad":
+            replacement = self.embedding.data[0]
+        elif baseline == "zero":
+            replacement = np.zeros(self.config.embed_dim)
+        else:
+            raise ConfigError(f"unknown occlusion baseline {baseline!r}")
+
+        w_in = self.input_proj.data
+        embeddings = self.embedding.data[ids]
+        h = embeddings @ w_in
+        mixed_per_layer = []
+        for weight in self.gcn_weights:
+            mixed = (adjacency @ h) @ weight.data
+            mixed_per_layer.append(mixed)
+            h = h + np.maximum(mixed, 0.0)
+        pooled_graph = h.mean(axis=0)
+        pooled_embed = embeddings.mean(axis=0) @ w_in
+        reads = adjacency != 0
+
+        positions = np.asarray(positions, dtype=np.int64)
+        input_deltas = (replacement - embeddings[positions]) @ w_in
+        graph_shifts = np.empty_like(input_deltas)
+        for k, position in enumerate(positions):
+            # rows: the sorted rows of H_l that differ; delta: by how much
+            rows, delta = position[None], input_deltas[k:k + 1]
+            for weight, mixed in zip(self.gcn_weights, mixed_per_layer):
+                readers = reads[:, rows].any(axis=1)
+                hit = np.flatnonzero(readers)
+                before = mixed[hit]
+                after = before + (
+                    adjacency[np.ix_(hit, rows)] @ delta) @ weight.data
+                readers[rows] = True  # the residual keeps every changed row
+                grown = np.flatnonzero(readers)
+                grown_delta = np.zeros((grown.size, delta.shape[1]))
+                grown_delta[np.searchsorted(grown, rows)] = delta
+                grown_delta[np.searchsorted(grown, hit)] += (
+                    np.maximum(after, 0.0) - np.maximum(before, 0.0))
+                rows, delta = grown, grown_delta
+            graph_shifts[k] = delta.sum(axis=0)
+
+        embed_w, graph_w = self.config.embed_weight, self.config.graph_weight
+        fused = (embed_w * (pooled_embed + input_deltas / n)
+                 + graph_w * (pooled_graph + graph_shifts / n))
+        logits = fused @ self.cls_weight.data + self.cls_bias.data
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
+        probabilities = e[:, target] / e.sum(axis=1)
+        if not np.isfinite(probabilities).all():
+            raise AttributionError(
+                "occluded probabilities are not finite; the parameters "
+                "hold non-finite or overflowing values")
+        return probabilities
+
     # -- persistence -----------------------------------------------------------
 
     def save_npz(self, path: str | Path) -> None:
@@ -278,6 +358,9 @@ class VulnModel:
                     f"checkpoint parameter {p.name!r} has shape "
                     f"{arrays[p.name].shape}, expected {p.shape}"
                 )
+            if not np.isfinite(arrays[p.name]).all():
+                raise DataError(
+                    f"checkpoint parameter {p.name!r} has non-finite values")
             p.value.data[...] = arrays[p.name]
 
     @classmethod

@@ -20,13 +20,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-from .attribution import (AttributionError, attribute_tokens, normalize_scores,
-                          select_root_cause)
+from .attribution import attribute_tokens, localize, normalize_scores
 from .corpus import (BINARY_VULNERABLE_LABEL, CweCatalog, FunctionRecord,
                      default_catalog)
 from .errors import DataError, LexError
 from .lexer import Token, TokenKind, Vocabulary, lex, tokenize
-from .model import VulnModel, denormalize_lines
+from .model import VulnModel
 from .semgraph import build_graph, model_inputs
 
 logger = logging.getLogger(__name__)
@@ -239,23 +238,22 @@ def analyze(record: FunctionRecord, model: VulnModel, vocab: Vocabulary,
         report.predicted_cwe = catalog.cwe_for_index(predicted)
         report.description = catalog.describe(report.predicted_cwe)
 
-    local_start, local_end = denormalize_lines(output.loc_pred,
-                                               record.line_count)
-    report.vul_lines = (offset + local_start, offset + local_end)
     attribution = attribute_tokens(model, stream, graph, vocab)
+    where = localize(output.loc_pred, attribution.line_scores,
+                     record.line_count)
+    local_start, local_end = where.vul_lines
+    report.vul_lines = (offset + local_start, offset + local_end)
     normalized = normalize_scores(attribution.line_scores)
     report.line_attributions = {offset + line: score
                                 for line, score in normalized.items()}
-    try:
-        root = select_root_cause(attribution.line_scores, local_start,
-                                 record.line_count)
-        report.root_cause_line = offset + root.line
-        if root.fallback_used:
-            report.warnings.append(
-                "no positively-scored line before the predicted range; "
-                "root cause fell back to the best line overall")
-    except AttributionError as exc:
-        report.warnings.append(f"root cause unavailable: {exc}")
+    if where.root_cause is None:
+        report.warnings.append(f"root cause unavailable: {where.problem}")
+        return report
+    report.root_cause_line = offset + where.root_cause.line
+    if where.root_cause.fallback_used:
+        report.warnings.append(
+            "no positively-scored line before the predicted range; "
+            "root cause fell back to the best line overall")
     return report
 
 

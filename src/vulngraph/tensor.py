@@ -13,13 +13,15 @@ mismatches raise ShapeError naming both shapes.
 from __future__ import annotations
 
 import math
+import zipfile
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import GradientError, ShapeError
+from .errors import DataError, GradientError, ShapeError
 
 CHECKPOINT_FORMAT_VERSION = 1
 
@@ -342,16 +344,31 @@ def save_params(path: str | Path, params: Iterable[Parameter]) -> None:
 
 
 def load_params(path: str | Path) -> dict[str, np.ndarray]:
-    with np.load(path) as archive:
-        version = int(archive["__format_version__"][0])
-        if version != CHECKPOINT_FORMAT_VERSION:
-            raise GradientError(
-                f"unsupported checkpoint format version {version}"
-            )
-        return {
-            name: archive[name].astype(np.float64)
-            for name in archive.files if name != "__format_version__"
-        }
+    """Read a container written by ``save_params``.
+
+    Raises DataError when the file is not one: not an .npz archive,
+    truncated or corrupt, without a supported format version, or holding
+    entries that are not numeric arrays.
+    """
+    # Own the handle: np.load leaks it when the zip directory is unreadable.
+    with open(path, "rb") as handle:
+        try:
+            archive = np.load(handle)
+            if not isinstance(archive, np.lib.npyio.NpzFile):
+                raise DataError(f"{path} is not an .npz parameter archive")
+            version = int(archive["__format_version__"][0])
+            if version != CHECKPOINT_FORMAT_VERSION:
+                raise DataError(
+                    f"unsupported checkpoint format version {version}"
+                )
+            return {
+                name: archive[name].astype(np.float64)
+                for name in archive.files if name != "__format_version__"
+            }
+        except (KeyError, IndexError, ValueError, OSError, EOFError,
+                zipfile.BadZipFile, zlib.error) as exc:
+            raise DataError(
+                f"unreadable parameter file {path}: {exc!r}") from exc
 
 
 # -- finite-difference gradient checking -------------------------------------

@@ -1,14 +1,23 @@
+import random
+
 import numpy as np
 import pytest
 
 from vulngraph.attribution import (ORACLE_MAX_TOKENS, aggregate_lines,
                                    attribute_tokens, attribution_dump,
-                                   normalize_scores, select_root_cause,
-                                   shapley_oracle)
-from vulngraph.errors import AttributionError
-from vulngraph.lexer import build_vocab, tokenize
+                                   localize, normalize_scores,
+                                   select_root_cause, shapley_oracle)
+from vulngraph.errors import AttributionError, ConfigError, ShapeError
+from vulngraph.lexer import build_vocab, lex, tokenize
+from vulngraph.model import ModelConfig, VulnModel
 from vulngraph.semgraph import build_graph
-from conftest import spearman, tiny_model_inputs
+from conftest import fuzz_snippet, spearman, tiny_model_inputs
+
+#: Over 600 tokens, so the stream is truncated to the 512-token window.
+LONG_SOURCE = ("int fill(char *buf, int n) {\n"
+               + "".join(f"    buf[{i}] = n + {i} * buf[n];\n"
+                         for i in range(60))
+               + "    return n;\n}")
 
 
 class AdditiveStub:
@@ -33,6 +42,16 @@ class AdditiveStub:
             present -= set(int(i) for i in occlude)
         p = self.base + sum(self.weights.get(i, 0.0) for i in present)
         return np.array([p, 1.0 - p])
+
+
+class ForwardLoop:
+    """A model view without ``occluded_probabilities``: attribution then
+    runs one full forward per occluded position, the fast path's oracle."""
+
+    frozen = True
+
+    def __init__(self, model):
+        self.class_probabilities = model.class_probabilities
 
 
 def stub_setup(source="a = b + c;"):
@@ -92,6 +111,83 @@ class TestOcclusion:
         attribution = attribute_tokens(model, stream, graph, vocab,
                                        baseline="zero")
         assert attribution.token_scores.shape[0] == len(stream.tokens)
+
+
+class TestIncrementalOcclusion:
+    @staticmethod
+    def model_for(sources, gcn_layers, num_classes, fusion):
+        vocab = build_vocab(sources)
+        config = ModelConfig(vocab_size=len(vocab), embed_dim=10, gcn_dim=8,
+                             gcn_layers=gcn_layers, num_classes=num_classes,
+                             embed_weight=fusion[0], graph_weight=fusion[1])
+        return VulnModel(config, seed=gcn_layers + num_classes).freeze(), vocab
+
+    @staticmethod
+    def assert_matches_loop(model, vocab, source, baseline):
+        stream = tokenize(source)
+        graph = build_graph(stream)
+        fast = attribute_tokens(model, stream, graph, vocab, baseline=baseline)
+        loop = attribute_tokens(ForwardLoop(model), stream, graph, vocab,
+                                baseline=baseline)
+        assert fast.target_class == loop.target_class
+        assert fast.baseline == loop.baseline
+        np.testing.assert_allclose(fast.token_scores, loop.token_scores,
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("fusion", [(1.0, 0.0), (0.0, 1.0)])
+    @pytest.mark.parametrize("num_classes", [2, 11])
+    @pytest.mark.parametrize("gcn_layers", [1, 2, 3])
+    def test_matches_forward_loop_on_fuzz_corpus(self, gcn_layers,
+                                                 num_classes, fusion):
+        rng = random.Random(gcn_layers * 100 + num_classes)
+        sources = [fuzz_snippet(rng) for _ in range(3)]
+        model, vocab = self.model_for(sources, gcn_layers, num_classes,
+                                      fusion)
+        for source in sources:
+            for baseline in ("pad", "zero"):
+                self.assert_matches_loop(model, vocab, source, baseline)
+
+    @pytest.mark.parametrize("baseline", ["pad", "zero"])
+    def test_matches_forward_loop_on_truncated_function(self, baseline):
+        assert len(lex(LONG_SOURCE)) > 600
+        assert tokenize(LONG_SOURCE).truncated
+        model, vocab = self.model_for([LONG_SOURCE], 3, 11, (0.5, 0.5))
+        self.assert_matches_loop(model, vocab, LONG_SOURCE, baseline)
+
+    def test_two_forwards_whatever_the_length(self, monkeypatch):
+        model, vocab = self.model_for([LONG_SOURCE], 2, 11, (0.5, 0.5))
+        forward = VulnModel.forward
+        calls = []
+
+        def counting(self, *args, **kwargs):
+            calls.append(1)
+            return forward(self, *args, **kwargs)
+
+        monkeypatch.setattr(VulnModel, "forward", counting)
+        for source in ("a = b;", LONG_SOURCE):
+            stream = tokenize(source)
+            calls.clear()
+            attribute_tokens(model, stream, build_graph(stream), vocab)
+            assert len(calls) <= 2
+
+    def test_unknown_baseline_is_config_error(self):
+        model, stream, graph, vocab, *_ = tiny_model_inputs("a = b;")
+        with pytest.raises(ConfigError, match="baseline"):
+            attribute_tokens(model, stream, graph, vocab, baseline="mean")
+
+    def test_non_finite_probability_is_attribution_error(self):
+        model, stream, graph, vocab, ids, adjacency, mask = \
+            tiny_model_inputs("a = b;")
+        model.gcn_weights[0].data[0, 0] = np.nan
+        with pytest.raises(AttributionError, match="not finite"):
+            model.occluded_probabilities(ids, adjacency, mask, 0, [1, 2])
+
+    def test_requires_all_ones_mask(self):
+        model, stream, graph, vocab, ids, adjacency, mask = \
+            tiny_model_inputs("a = b;")
+        mask[-1] = False
+        with pytest.raises(ShapeError, match="mask"):
+            model.occluded_probabilities(ids, adjacency, mask, 0, [1, 2])
 
 
 class TestShapleyOracle:
@@ -207,6 +303,20 @@ class TestRootCause:
     def test_only_declaration_tokens_rejected(self):
         with pytest.raises(AttributionError, match="declaration"):
             select_root_cause({1: 1.0}, predicted_start=2, line_count=3)
+
+
+class TestLocalize:
+    def test_range_and_root_cause(self):
+        where = localize((0.5 / 4, 2.5 / 4), {2: 0.4, 3: 0.1}, line_count=4)
+        assert where.vul_lines == (1, 3)
+        assert where.root_cause.line == 2
+        assert where.problem is None
+
+    def test_unavailable_root_cause_says_why(self):
+        where = localize((0.5, 0.5), {1: 1.0}, line_count=1)
+        assert where.vul_lines == (1, 1)
+        assert where.root_cause is None
+        assert "single-line" in where.problem
 
 
 class TestNormalize:

@@ -22,10 +22,33 @@ def tiny_corpus():
     return records, split(records, seed=2)
 
 
+def edit_lines(edit):
+    """A checkpoint-file edit applied to the file's lines."""
+    def apply(path):
+        lines = path.read_text(encoding="utf-8").splitlines()
+        path.write_text("\n".join(edit(lines)) + "\n", encoding="utf-8")
+    return apply
+
+
 def set_key(key, value):
     """A config.txt edit that replaces one key's value."""
-    return lambda lines: [f"{key}={value}" if l.startswith(f"{key}=") else l
-                          for l in lines]
+    return edit_lines(lambda lines: [
+        f"{key}={value}" if l.startswith(f"{key}=") else l for l in lines])
+
+
+def set_entry(name, value):
+    """A params.npz edit that overwrites the first element of one entry."""
+    def apply(path):
+        with np.load(path) as archive:
+            arrays = {key: archive[key] for key in archive.files}
+        arrays[name] = arrays[name].copy()
+        arrays[name].flat[0] = value
+        np.savez(path, **arrays)
+    return apply
+
+
+def truncate(path):
+    path.write_bytes(path.read_bytes()[:path.stat().st_size // 2])
 
 
 def tiny_train_cfg(**overrides):
@@ -174,10 +197,11 @@ class TestCheckpoint:
         pytest.param("params.npz", None, "missing params.npz", id="no-params"),
         pytest.param("config.txt", None, "missing config.txt", id="no-config"),
         pytest.param("vocab.tsv", None, "missing vocab.tsv", id="no-vocab"),
-        pytest.param("vocab.tsv", lambda lines: lines[:len(lines) // 2],
+        pytest.param("vocab.tsv",
+                     edit_lines(lambda lines: lines[:len(lines) // 2]),
                      "vocab_size", id="short-vocab"),
-        pytest.param("config.txt", lambda lines: [
-            l for l in lines if not l.startswith("embed_weight=")],
+        pytest.param("config.txt", edit_lines(lambda lines: [
+            l for l in lines if not l.startswith("embed_weight=")]),
             "missing keys embed_weight", id="no-model-key"),
         pytest.param("config.txt", set_key("gcn_dim", 7), "shape",
                      id="wrong-shape"),
@@ -185,6 +209,16 @@ class TestCheckpoint:
                      "unexpected parameters", id="extra-parameter"),
         pytest.param("config.txt", set_key("embed_dim", "wide"), "bad value",
                      id="bad-value"),
+        pytest.param("params.npz", set_entry("gcn_0", np.nan), "non-finite",
+                     id="nan-weight"),
+        pytest.param("params.npz", set_entry("embedding", np.inf),
+                     "non-finite", id="inf-embedding"),
+        pytest.param("params.npz", truncate, "unreadable", id="truncated"),
+        pytest.param("params.npz",
+                     lambda path: path.write_bytes(b"not an archive\n" * 8),
+                     "unreadable", id="not-zip"),
+        pytest.param("params.npz", set_entry("__format_version__", 2),
+                     "format version 2", id="format-version-2"),
     ])
     def test_missing_checkpoint_is_data_error(self, tmp_path, name, edit,
                                               message):
@@ -197,9 +231,7 @@ class TestCheckpoint:
             if edit is None:
                 (ckpt / name).unlink()
             else:
-                lines = (ckpt / name).read_text(encoding="utf-8").splitlines()
-                (ckpt / name).write_text("\n".join(edit(lines)) + "\n",
-                                         encoding="utf-8")
+                edit(ckpt / name)
         with pytest.raises(DataError, match=message):
             load_checkpoint(ckpt)
 
