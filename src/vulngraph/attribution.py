@@ -9,9 +9,9 @@ before the predicted vulnerable range, never the declaration line.
 Occlusion is computed incrementally when the model offers
 ``occluded_probabilities`` (``VulnModel`` does): one base pass, then per
 token only the rows within ``gcn_layers`` hops of it are recomputed, so
-``attribute_tokens`` runs two full forwards whatever the length. Other
-models get one full forward per token; that loop is also the oracle the
-incremental path is tested against (to 1e-12).
+``attribute_tokens`` runs one full forward whatever the length, besides
+the caller's base pass. Other models get one full forward per token;
+that loop is also the oracle the incremental path is tested against.
 
 ``shapley_oracle`` computes exact Shapley values by enumerating all
 present/occluded coalitions of payload tokens. It is test-scale only
@@ -24,14 +24,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import AttributionError
 from .lexer import TokenStream, Vocabulary
-from .model import denormalize_lines
+from .model import ForwardOutput, denormalize_lines
 from .semgraph import SemanticGraph, model_inputs
 
 #: Payload-size cap for exact coalition enumeration.
@@ -70,42 +69,38 @@ def _check_frozen(model) -> None:
             "attribution requires a frozen model; call model.freeze() first")
 
 
-def _target_prob(model, ids: np.ndarray, adjacency: np.ndarray,
-                 mask: np.ndarray, target: int,
-                 occlude: Sequence[int] | None,
+def _target_prob(model, inputs: tuple[np.ndarray, np.ndarray, np.ndarray],
+                 target: int, occlude: Sequence[int] | None,
                  baseline: str) -> float:
-    probs = model.class_probabilities(ids, adjacency, mask, occlude=occlude,
-                                      occlusion_baseline=baseline)
-    return float(probs[target])
+    output = model.forward(*inputs, occlude=occlude,
+                           occlusion_baseline=baseline)
+    return float(output.probabilities[target])
 
 
-def _occluded_by_forward(model, ids: np.ndarray, adjacency: np.ndarray,
-                        mask: np.ndarray, target: int,
-                        positions: Sequence[int], baseline: str) -> np.ndarray:
-    """One full forward per occluded position: the oracle of the fast path."""
-    return np.array([_target_prob(model, ids, adjacency, mask, target,
-                                  [position], baseline)
-                     for position in positions], dtype=np.float64)
+def attribute_tokens(model, stream: TokenStream,
+                     inputs: tuple[np.ndarray, np.ndarray, np.ndarray],
+                     base: ForwardOutput,
+                     baseline: str = "pad") -> Attribution:
+    """Occlusion score per payload token for the predicted class.
 
-
-def attribute_tokens(model, stream: TokenStream, graph: SemanticGraph,
-                     vocab: Vocabulary, baseline: str = "pad") -> Attribution:
-    """Occlusion score per payload token for the predicted class."""
+    ``base`` is the model's ``forward`` on ``inputs``, the stream's
+    ``model_inputs``.
+    """
     _check_frozen(model)
-    ids, adjacency, mask = model_inputs(graph, vocab)
-    probs = model.class_probabilities(ids, adjacency, mask)
+    probs = base.probabilities
     target = int(np.argmax(probs))
     full_prob = float(probs[target])
 
     payload = _payload_positions(stream)
-    occluded = getattr(model, "occluded_probabilities", None)
-    if occluded is None:
-        occluded = partial(_occluded_by_forward, model)
+    if hasattr(model, "occluded_probabilities"):
+        occluded = model.occluded_probabilities(*inputs, target, payload,
+                                                baseline)
+    else:  # one full forward per position: the oracle of the fast path
+        occluded = np.array([_target_prob(model, inputs, target, [position],
+                                          baseline) for position in payload])
     token_scores = np.zeros(len(stream.tokens))
-    token_scores[payload] = full_prob - occluded(ids, adjacency, mask, target,
-                                                 payload, baseline)
-    empty_prob = _target_prob(model, ids, adjacency, mask, target, payload,
-                              baseline)
+    token_scores[payload] = full_prob - occluded
+    empty_prob = _target_prob(model, inputs, target, payload, baseline)
     return Attribution(
         token_scores=token_scores,
         line_scores=aggregate_lines(token_scores, stream),
@@ -129,14 +124,14 @@ def shapley_oracle(model, stream: TokenStream, graph: SemanticGraph,
         raise AttributionError(
             f"oracle enumerates 2^n coalitions; {n} payload tokens exceed "
             f"the cap of {ORACLE_MAX_TOKENS}")
-    ids, adjacency, mask = model_inputs(graph, vocab)
-    target = int(np.argmax(model.class_probabilities(ids, adjacency, mask)))
+    inputs = model_inputs(graph, vocab)
+    target = int(np.argmax(model.forward(*inputs).probabilities))
 
     values: dict[int, float] = {}
     for subset in range(1 << n):
         occlude = [payload[i] for i in range(n) if not subset & (1 << i)]
-        values[subset] = _target_prob(model, ids, adjacency, mask, target,
-                                      occlude or None, baseline)
+        values[subset] = _target_prob(model, inputs, target, occlude or None,
+                                      baseline)
 
     # weight[k] = k! (n-k-1)! / n! for a coalition of size k not containing i
     weights = [

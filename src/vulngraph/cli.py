@@ -164,9 +164,9 @@ def _cmd_attribute(args) -> int:
     dumps = []
     for record in _functions_from_file(args.file, args.function):
         stream = tokenize(record.source)
-        graph = build_graph(stream)
-        attribution = attribute_tokens(model, stream, graph, vocab)
-        output = model.forward(*model_inputs(graph, vocab))
+        inputs = model_inputs(build_graph(stream), vocab)
+        output = model.forward(*inputs)
+        attribution = attribute_tokens(model, stream, inputs, output)
         root_cause = None
         if output.predicted_class != 0:
             root_cause = localize(output.loc_pred, attribution.line_scores,

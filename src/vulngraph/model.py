@@ -18,6 +18,11 @@ first graph layer. The embedding table is a trainable stand-in for a
 pretrained encoder; since ``pooled_embed`` is a masked mean it is
 order-invariant over the payload, an accepted desk-scale limitation.
 
+``forward`` is the inference pass: plain numpy, no autodiff tape, each
+layer checked for non-finite values; its layer loop is also the base pass
+of ``occluded_probabilities``. ``forward_nodes`` runs the same layers on
+the ``tensor`` tape for training and is ``forward``'s bit-exact oracle.
+
 ``loc_pred`` regresses normalized line fractions: the target for line L
 in an N-line function is (L - 0.5) / N, so the loss does not scale with
 function length. ``denormalize_lines`` inverts that mapping.
@@ -31,7 +36,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import AttributionError, ConfigError, DataError, ShapeError
+from .errors import (AttributionError, ConfigError, DataError, GradientError,
+                     ShapeError)
 from . import tensor
 from .tensor import Matrix, Parameter
 
@@ -73,6 +79,11 @@ def _check_fusion(embed_weight: float, graph_weight: float) -> None:
         )
 
 
+def _require_finite(where: str, *values: np.ndarray) -> None:
+    if not all(np.isfinite(v).all() for v in values):
+        raise GradientError(f"non-finite values in the {where}")
+
+
 def fuse(pooled_embed: Matrix, pooled_graph: Matrix,
          embed_weight: float, graph_weight: float) -> Matrix:
     """Convex combination of the two pooled feature paths."""
@@ -87,9 +98,6 @@ class Forward:
 
     class_logits: Matrix
     loc_pred: Matrix
-    pooled_embed: Matrix
-    pooled_graph: Matrix
-    fused: Matrix
 
 
 @dataclass(frozen=True)
@@ -205,106 +213,116 @@ class VulnModel:
     # -- full passes ----------------------------------------------------------
 
     def forward_nodes(self, ids: np.ndarray, adjacency: np.ndarray,
-                      mask: np.ndarray,
-                      occlude: Sequence[int] | None = None,
-                      occlusion_baseline: str = "pad",
-                      fusion: tuple[float, float] | None = None) -> Forward:
-        """One forward pass returning live graph nodes.
+                      mask: np.ndarray) -> Forward:
+        """One forward pass on the tape, for training and gradient checks."""
+        mask = np.asarray(mask, dtype=bool)
+        token_embeddings = self.embed(ids)
+        _, pooled_graph = self.gcn_forward(token_embeddings, adjacency, mask)
+        pooled_embed = self.pooled_embedding(token_embeddings, mask)
+        fused = fuse(pooled_embed, pooled_graph, self.config.embed_weight,
+                     self.config.graph_weight)
+        class_logits, loc_pred = self.heads(fused)
+        return Forward(class_logits=class_logits, loc_pred=loc_pred)
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def forward(self, ids: np.ndarray, adjacency: np.ndarray, mask: np.ndarray,
+                occlude: Sequence[int] | None = None,
+                occlusion_baseline: str = "pad",
+                fusion: tuple[float, float] | None = None) -> ForwardOutput:
+        """Inference pass in plain numpy; equals ``forward_nodes`` bit for bit.
 
         ``occlude`` replaces the listed positions' embedding inputs with
         the padding embedding (baseline "pad") or with zeros ("zero").
         ``fusion`` overrides the configured mixing weights.
         """
-        ids = np.asarray(ids, dtype=np.int64)
-        mask = np.asarray(mask, dtype=bool)
-        if occlude is not None and occlusion_baseline == "pad":
-            ids = ids.copy()
-            ids[np.asarray(occlude, dtype=np.int64)] = 0
-        token_embeddings = self.embed(ids)
-        if occlude is not None and occlusion_baseline == "zero":
-            keep = np.ones((ids.size, self.config.embed_dim))
-            keep[np.asarray(occlude, dtype=np.int64), :] = 0.0
-            token_embeddings = tensor.mul(token_embeddings, Matrix(keep))
-        elif occlude is not None and occlusion_baseline != "pad":
-            raise ConfigError(
-                f"unknown occlusion baseline {occlusion_baseline!r}"
-            )
-        _, pooled_graph = self.gcn_forward(token_embeddings, adjacency, mask)
-        pooled_embed = self.pooled_embedding(token_embeddings, mask)
+        embeddings = self.embedding.data[self._checked_ids(ids)]
+        if occlude is not None:
+            embeddings[list(occlude)] = self._replacement(occlusion_baseline)
+        pooled_embed, pooled_graph, _ = self._graph_pass(
+            embeddings, adjacency, mask)
         embed_w, graph_w = fusion if fusion is not None else (
             self.config.embed_weight, self.config.graph_weight)
-        fused = fuse(pooled_embed, pooled_graph, embed_w, graph_w)
-        class_logits, loc_pred = self.heads(fused)
-        return Forward(class_logits=class_logits, loc_pred=loc_pred,
-                       pooled_embed=pooled_embed, pooled_graph=pooled_graph,
-                       fused=fused)
-
-    def forward(self, ids: np.ndarray, adjacency: np.ndarray, mask: np.ndarray,
-                occlude: Sequence[int] | None = None,
-                occlusion_baseline: str = "pad",
-                fusion: tuple[float, float] | None = None) -> ForwardOutput:
-        """Inference pass with detached outputs."""
-        nodes = self.forward_nodes(ids, adjacency, mask, occlude=occlude,
-                                   occlusion_baseline=occlusion_baseline,
-                                   fusion=fusion)
+        _check_fusion(embed_w, graph_w)
+        fused = embed_w * pooled_embed + graph_w * pooled_graph
+        class_logits = fused @ self.cls_weight.data + self.cls_bias.data
+        loc_pred = tensor.logistic(
+            fused @ self.loc_weight.data + self.loc_bias.data)
+        _require_finite("heads", class_logits, loc_pred)
         return ForwardOutput(
-            class_logits=nodes.class_logits.data[0].copy(),
-            loc_pred=(float(nodes.loc_pred.data[0, 0]),
-                      float(nodes.loc_pred.data[0, 1])),
-            pooled_embed=nodes.pooled_embed.data[0].copy(),
-            pooled_graph=nodes.pooled_graph.data[0].copy(),
-            fused=nodes.fused.data[0].copy(),
+            class_logits=class_logits[0],
+            loc_pred=(float(loc_pred[0, 0]), float(loc_pred[0, 1])),
+            pooled_embed=pooled_embed,
+            pooled_graph=pooled_graph,
+            fused=fused,
         )
 
-    def class_probabilities(self, ids: np.ndarray, adjacency: np.ndarray,
-                            mask: np.ndarray,
-                            occlude: Sequence[int] | None = None,
-                            occlusion_baseline: str = "pad") -> np.ndarray:
-        return self.forward(ids, adjacency, mask, occlude=occlude,
-                            occlusion_baseline=occlusion_baseline).probabilities
+    def _replacement(self, baseline: str) -> np.ndarray:
+        if baseline == "pad":
+            return self.embedding.data[0]
+        if baseline == "zero":
+            return np.zeros(self.config.embed_dim)
+        raise ConfigError(f"unknown occlusion baseline {baseline!r}")
 
+    def _graph_pass(self, embeddings: np.ndarray, adjacency: np.ndarray,
+                    mask: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+        """Pooled embedding and graph features, and each layer's ``A @ H @ W``.
+
+        Callers silence numpy's overflow and invalid-value warnings: the
+        results are checked here and raise ``GradientError`` instead.
+        ``np.maximum`` keeps a NaN that the tape's ``relu`` would zero.
+        """
+        n = embeddings.shape[0]
+        adjacency = np.asarray(adjacency, dtype=np.float64)
+        mask = np.asarray(mask, dtype=bool)
+        if adjacency.shape != (n, n) or mask.shape != (n,) or not mask.any():
+            raise ShapeError(f"adjacency {adjacency.shape} or mask "
+                             f"{mask.shape} does not fit {n} tokens")
+        w_in = self.input_proj.data
+        h = embeddings @ w_in
+        _require_finite("input projection", h)
+        mixed_per_layer = []
+        for layer, weight in enumerate(self.gcn_weights):
+            mixed = (adjacency @ h) @ weight.data
+            mixed_per_layer.append(mixed)
+            h = h + np.maximum(mixed, 0.0)
+            _require_finite(f"layer gcn_{layer}", h)
+        pooled_embed = embeddings[mask].mean(axis=0) @ w_in
+        pooled_graph = h[mask].mean(axis=0)
+        _require_finite("pooled features", pooled_embed, pooled_graph)
+        return pooled_embed, pooled_graph, mixed_per_layer
+
+    @np.errstate(over="ignore", invalid="ignore")
     def occluded_probabilities(self, ids: np.ndarray, adjacency: np.ndarray,
                                mask: np.ndarray, target: int,
                                positions: Sequence[int],
                                baseline: str = "pad") -> np.ndarray:
         """Probability of ``target`` with each of ``positions`` occluded alone.
 
-        Entry k equals ``class_probabilities(..., occlude=[positions[k]])
-        [target]`` up to rounding; ``class_probabilities`` stays the
-        oracle. One tape-free base pass caches every layer's
-        pre-activation ``(A @ H_l) @ W_l``. Occluding position p changes
-        H0 in row p only, and each layer spreads a row change to the rows
-        that read it, so only the rows within ``gcn_layers`` hops of p
-        are recomputed; the pooled means then move by the summed row
-        changes over n. Needs the cropped all-ones mask of
-        ``model_inputs``.
+        Entry k equals ``forward(..., occlude=[positions[k]]).probabilities
+        [target]`` up to rounding; ``forward`` stays the oracle. The base
+        pass keeps every layer's pre-activation ``(A @ H_l) @ W_l``.
+        Occluding position p changes H0 in row p only, and each layer
+        spreads a row change to the rows that read it, so only the rows
+        within ``gcn_layers`` hops of p are recomputed; the pooled means
+        then move by the summed row changes over n. Needs the cropped
+        all-ones mask of ``model_inputs``.
         """
         ids = self._checked_ids(ids)
         n = ids.size
         adjacency = np.asarray(adjacency, dtype=np.float64)
-        mask = np.asarray(mask, dtype=bool)
-        if adjacency.shape != (n, n) or mask.shape != (n,) or not mask.all():
-            raise ShapeError(
-                "incremental occlusion needs cropped inputs with an "
-                "all-ones mask"
-            )
-        if baseline == "pad":
-            replacement = self.embedding.data[0]
-        elif baseline == "zero":
-            replacement = np.zeros(self.config.embed_dim)
-        else:
-            raise ConfigError(f"unknown occlusion baseline {baseline!r}")
-
+        if not np.all(mask):
+            raise ShapeError("incremental occlusion needs the all-ones mask "
+                             "of cropped inputs")
+        replacement = self._replacement(baseline)
         w_in = self.input_proj.data
         embeddings = self.embedding.data[ids]
-        h = embeddings @ w_in
-        mixed_per_layer = []
-        for weight in self.gcn_weights:
-            mixed = (adjacency @ h) @ weight.data
-            mixed_per_layer.append(mixed)
-            h = h + np.maximum(mixed, 0.0)
-        pooled_graph = h.mean(axis=0)
-        pooled_embed = embeddings.mean(axis=0) @ w_in
+        try:
+            pooled_embed, pooled_graph, mixed_per_layer = self._graph_pass(
+                embeddings, adjacency, mask)
+        except GradientError as exc:
+            raise AttributionError(
+                f"occluded probabilities are not finite: {exc}") from exc
         reads = adjacency != 0
 
         positions = np.asarray(positions, dtype=np.int64)

@@ -217,7 +217,8 @@ def analyze(record: FunctionRecord, model: VulnModel, vocab: Vocabulary,
             predicted_cwe="none", confidence=0.0,
             description="unanalyzable", error=str(exc))
 
-    output = model.forward(*model_inputs(graph, vocab))
+    inputs = model_inputs(graph, vocab)
+    output = model.forward(*inputs)
     probabilities = output.probabilities
     predicted = output.predicted_class
     report = AnalysisReport(
@@ -238,14 +239,15 @@ def analyze(record: FunctionRecord, model: VulnModel, vocab: Vocabulary,
         report.predicted_cwe = catalog.cwe_for_index(predicted)
         report.description = catalog.describe(report.predicted_cwe)
 
-    attribution = attribute_tokens(model, stream, graph, vocab)
+    attribution = attribute_tokens(model, stream, inputs, output)
     where = localize(output.loc_pred, attribution.line_scores,
                      record.line_count)
     local_start, local_end = where.vul_lines
     report.vul_lines = (offset + local_start, offset + local_end)
-    normalized = normalize_scores(attribution.line_scores)
-    report.line_attributions = {offset + line: score
-                                for line, score in normalized.items()}
+    if attribution.line_scores:  # empty for a source without tokens
+        normalized = normalize_scores(attribution.line_scores)
+        report.line_attributions = {offset + line: score
+                                    for line, score in normalized.items()}
     if where.root_cause is None:
         report.warnings.append(f"root cause unavailable: {where.problem}")
         return report

@@ -161,10 +161,14 @@ def relu(a: Matrix) -> Matrix:
     return from_op(np.where(mask, a.data, 0.0), (a,), push)
 
 
+def logistic(x: np.ndarray) -> np.ndarray:
+    """Elementwise 1 / (1 + exp(-x)); exp only sees -|x|, so cannot overflow."""
+    return np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
+                    np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+
+
 def sigmoid(a: Matrix) -> Matrix:
-    x = a.data
-    out = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                   np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    out = logistic(a.data)
 
     def push(g: np.ndarray) -> None:
         if a.wants_grad:

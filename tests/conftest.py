@@ -5,16 +5,23 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from vulngraph.attribution import attribute_tokens
 from vulngraph.corpus import default_catalog, split
 from vulngraph.lexer import Vocabulary, build_vocab, tokenize
 from vulngraph.model import ModelConfig, VulnModel
 from vulngraph.objectives import FocalConfig
-from vulngraph.semgraph import build_graph
+from vulngraph.semgraph import build_graph, model_inputs
 from vulngraph.synth import PlantedTruth, make_toy_corpus
 from vulngraph.trainer import TrainConfig, train
 
 DESK_MODEL = dict(embed_dim=64, gcn_dim=48, gcn_layers=2, num_classes=11)
 DESK_TRAIN = dict(epochs=200, learning_rate=1e-3, batch_size=8, seed=7)
+
+#: Over 600 tokens, so the stream is truncated to the 512-token window.
+LONG_SOURCE = ("int fill(char *buf, int n) {\n"
+               + "".join(f"    buf[{i}] = n + {i} * buf[n];\n"
+                         for i in range(60))
+               + "    return n;\n}")
 
 
 def spearman(x, y) -> float:
@@ -86,6 +93,22 @@ def tiny_model_inputs(source: str, seed: int = 0, num_classes: int = 5,
                          gcn_dim=gcn_dim, num_classes=num_classes)
     model = VulnModel(config, seed=seed).freeze()
     return model, stream, graph, vocab, ids, adjacency, mask
+
+
+def poison(model, damage):
+    """A NaN weight, or weights whose products overflow to inf."""
+    if damage == "nan":
+        model.gcn_weights[0].data[0, 0] = np.nan
+    else:
+        model.input_proj.data[...] = 1e308
+        model.gcn_weights[0].data[...] = 1e308
+
+
+def attribute(model, stream, graph, vocab, baseline="pad"):
+    """``attribute_tokens`` on the stream's inputs and base forward."""
+    inputs = model_inputs(graph, vocab)
+    return attribute_tokens(model, stream, inputs, model.forward(*inputs),
+                            baseline)
 
 
 @dataclass

@@ -23,7 +23,7 @@ from vulngraph.synth import make_toy_corpus
 from vulngraph.tensor import Matrix
 from vulngraph.trainer import (TrainConfig, evaluate, prepare_sample,
                                save_checkpoint, sweep_ensemble)
-from conftest import fuzz_snippet, spearman, tiny_model_inputs
+from conftest import attribute, fuzz_snippet, spearman, tiny_model_inputs
 
 
 def report(number: int, name: str, ok: bool, detail: str) -> None:
@@ -132,13 +132,14 @@ def test_criterion_5_attribution_soundness():
         payload = list(range(1, stream.content_len - 1))
         assert len(payload) <= 10
         values = shapley_oracle(model, stream, graph, vocab)
-        target = int(np.argmax(model.class_probabilities(ids, adjacency, mask)))
-        full = model.class_probabilities(ids, adjacency, mask)[target]
-        empty = model.class_probabilities(ids, adjacency, mask,
-                                          occlude=payload)[target]
+        probabilities = model.forward(ids, adjacency, mask).probabilities
+        target = int(np.argmax(probabilities))
+        full = probabilities[target]
+        empty = model.forward(ids, adjacency, mask,
+                              occlude=payload).probabilities[target]
         worst_efficiency = max(worst_efficiency,
                                abs(values.sum() - (full - empty)))
-        occlusion = attribute_tokens(model, stream, graph, vocab)
+        occlusion = attribute(model, stream, graph, vocab)
         window = slice(1, stream.content_len - 1)
         correlations.append(spearman(occlusion.token_scores[window],
                                      values[window]))
@@ -152,7 +153,7 @@ def test_criterion_5_attribution_soundness():
     coefficients = {i: 0.01 * (i + 1)
                     for i in range(1, stream.content_len - 1)}
     stub = AdditiveStub(stream, coefficients)
-    recovered = attribute_tokens(stub, stream, graph, vocab)
+    recovered = attribute(stub, stream, graph, vocab)
     linear_ok = all(
         abs(recovered.token_scores[i] - coefficients[i]) < 1e-12
         for i in coefficients)
@@ -171,14 +172,13 @@ def test_criterion_6_overfit_sanity(toy_run):
     hits = 0
     for record in vulnerable:
         stream = tokenize(record.source)
-        graph = build_graph(stream)
         sample = prepare_sample(record, toy_run.vocab, 11,
                                 _catalog())
-        out = toy_run.model.forward(sample.ids, sample.adjacency, sample.mask)
+        inputs = (sample.ids, sample.adjacency, sample.mask)
+        out = toy_run.model.forward(*inputs)
         predicted_start, _ = denormalize_lines(out.loc_pred,
                                                record.line_count)
-        attribution = attribute_tokens(toy_run.model, stream, graph,
-                                       toy_run.vocab)
+        attribution = attribute_tokens(toy_run.model, stream, inputs, out)
         root = select_root_cause(attribution.line_scores, predicted_start,
                                  record.line_count)
         hits += root.line == toy_run.truth[record.id].root_line

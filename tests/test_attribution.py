@@ -1,4 +1,5 @@
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,14 +11,9 @@ from vulngraph.attribution import (ORACLE_MAX_TOKENS, aggregate_lines,
 from vulngraph.errors import AttributionError, ConfigError, ShapeError
 from vulngraph.lexer import build_vocab, lex, tokenize
 from vulngraph.model import ModelConfig, VulnModel
-from vulngraph.semgraph import build_graph
-from conftest import fuzz_snippet, spearman, tiny_model_inputs
-
-#: Over 600 tokens, so the stream is truncated to the 512-token window.
-LONG_SOURCE = ("int fill(char *buf, int n) {\n"
-               + "".join(f"    buf[{i}] = n + {i} * buf[n];\n"
-                         for i in range(60))
-               + "    return n;\n}")
+from vulngraph.semgraph import build_graph, model_inputs
+from conftest import (LONG_SOURCE, attribute, fuzz_snippet, spearman,
+                      tiny_model_inputs)
 
 
 class AdditiveStub:
@@ -35,13 +31,13 @@ class AdditiveStub:
         self.weights = weights
         self.base = base
 
-    def class_probabilities(self, ids, adjacency, mask, occlude=None,
-                            occlusion_baseline="pad"):
+    def forward(self, ids, adjacency, mask, occlude=None,
+                occlusion_baseline="pad"):
         present = set(range(1, self.stream.content_len - 1))
         if occlude is not None:
             present -= set(int(i) for i in occlude)
         p = self.base + sum(self.weights.get(i, 0.0) for i in present)
-        return np.array([p, 1.0 - p])
+        return SimpleNamespace(probabilities=np.array([p, 1.0 - p]))
 
 
 class ForwardLoop:
@@ -51,7 +47,7 @@ class ForwardLoop:
     frozen = True
 
     def __init__(self, model):
-        self.class_probabilities = model.class_probabilities
+        self.forward = model.forward
 
 
 def stub_setup(source="a = b + c;"):
@@ -66,7 +62,7 @@ class TestOcclusion:
         model, stream, graph, vocab, *_ = tiny_model_inputs("a = b + 1;")
         for p in model.parameters():
             p.value.data[...] = 0.0
-        attribution = attribute_tokens(model, stream, graph, vocab)
+        attribution = attribute(model, stream, graph, vocab)
         assert np.array_equal(attribution.token_scores,
                               np.zeros_like(attribution.token_scores))
         assert attribution.baseline == pytest.approx(
@@ -77,7 +73,7 @@ class TestOcclusion:
         payload = range(1, stream.content_len - 1)
         weights = {i: 0.01 * (i + 1) for i in payload}
         stub = AdditiveStub(stream, weights)
-        attribution = attribute_tokens(stub, stream, graph, vocab)
+        attribution = attribute(stub, stream, graph, vocab)
         for i in payload:
             assert attribution.token_scores[i] == pytest.approx(
                 weights[i], abs=1e-12)
@@ -87,16 +83,15 @@ class TestOcclusion:
         record = next(r for r in toy_run.records if r.is_vulnerable)
         stream = tokenize(record.source)
         graph = build_graph(stream)
-        attribution = attribute_tokens(toy_run.model, stream, graph,
-                                       toy_run.vocab)
+        attribution = attribute(toy_run.model, stream, graph, toy_run.vocab)
         assert attribution.token_scores[0] == 0.0
         assert attribution.token_scores[stream.content_len - 1] == 0.0
         assert np.all(attribution.token_scores[stream.content_len:] == 0.0)
 
     def test_deterministic(self):
         model, stream, graph, vocab, *_ = tiny_model_inputs("x = y; y = x;")
-        a = attribute_tokens(model, stream, graph, vocab)
-        b = attribute_tokens(model, stream, graph, vocab)
+        a = attribute(model, stream, graph, vocab)
+        b = attribute(model, stream, graph, vocab)
         assert np.array_equal(a.token_scores, b.token_scores)
         assert a.line_scores == b.line_scores
 
@@ -104,12 +99,12 @@ class TestOcclusion:
         model, stream, graph, vocab, *_ = tiny_model_inputs("a;")
         model.frozen = False
         with pytest.raises(AttributionError, match="frozen"):
-            attribute_tokens(model, stream, graph, vocab)
+            attribute(model, stream, graph, vocab)
 
     def test_zero_baseline_config(self):
         model, stream, graph, vocab, *_ = tiny_model_inputs("a = b;")
-        attribution = attribute_tokens(model, stream, graph, vocab,
-                                       baseline="zero")
+        attribution = attribute(model, stream, graph, vocab,
+                                baseline="zero")
         assert attribution.token_scores.shape[0] == len(stream.tokens)
 
 
@@ -126,9 +121,9 @@ class TestIncrementalOcclusion:
     def assert_matches_loop(model, vocab, source, baseline):
         stream = tokenize(source)
         graph = build_graph(stream)
-        fast = attribute_tokens(model, stream, graph, vocab, baseline=baseline)
-        loop = attribute_tokens(ForwardLoop(model), stream, graph, vocab,
-                                baseline=baseline)
+        fast = attribute(model, stream, graph, vocab, baseline=baseline)
+        loop = attribute(ForwardLoop(model), stream, graph, vocab,
+                         baseline=baseline)
         assert fast.target_class == loop.target_class
         assert fast.baseline == loop.baseline
         np.testing.assert_allclose(fast.token_scores, loop.token_scores,
@@ -155,6 +150,7 @@ class TestIncrementalOcclusion:
         self.assert_matches_loop(model, vocab, LONG_SOURCE, baseline)
 
     def test_two_forwards_whatever_the_length(self, monkeypatch):
+        """The caller's base pass plus at most one inside attribution."""
         model, vocab = self.model_for([LONG_SOURCE], 2, 11, (0.5, 0.5))
         forward = VulnModel.forward
         calls = []
@@ -166,14 +162,16 @@ class TestIncrementalOcclusion:
         monkeypatch.setattr(VulnModel, "forward", counting)
         for source in ("a = b;", LONG_SOURCE):
             stream = tokenize(source)
+            inputs = model_inputs(build_graph(stream), vocab)
+            base = model.forward(*inputs)
             calls.clear()
-            attribute_tokens(model, stream, build_graph(stream), vocab)
-            assert len(calls) <= 2
+            attribute_tokens(model, stream, inputs, base)
+            assert len(calls) <= 1
 
     def test_unknown_baseline_is_config_error(self):
         model, stream, graph, vocab, *_ = tiny_model_inputs("a = b;")
         with pytest.raises(ConfigError, match="baseline"):
-            attribute_tokens(model, stream, graph, vocab, baseline="mean")
+            attribute(model, stream, graph, vocab, baseline="mean")
 
     def test_non_finite_probability_is_attribution_error(self):
         model, stream, graph, vocab, ids, adjacency, mask = \
@@ -211,18 +209,19 @@ class TestShapleyOracle:
         weights = {i: 0.02 * i for i in range(1, stream.content_len - 1)}
         stub = AdditiveStub(stream, weights)
         values = shapley_oracle(stub, stream, graph, vocab)
-        occlusion = attribute_tokens(stub, stream, graph, vocab)
+        occlusion = attribute(stub, stream, graph, vocab)
         np.testing.assert_allclose(values, occlusion.token_scores, atol=1e-12)
 
     def test_efficiency_on_real_model(self):
         model, stream, graph, vocab, ids, adjacency, mask = tiny_model_inputs(
             "p->q = r;", seed=8)
         values = shapley_oracle(model, stream, graph, vocab)
-        target = int(np.argmax(model.class_probabilities(ids, adjacency, mask)))
-        full = model.class_probabilities(ids, adjacency, mask)[target]
+        probabilities = model.forward(ids, adjacency, mask).probabilities
+        target = int(np.argmax(probabilities))
+        full = probabilities[target]
         payload = list(range(1, stream.content_len - 1))
-        empty = model.class_probabilities(ids, adjacency, mask,
-                                          occlude=payload)[target]
+        empty = model.forward(ids, adjacency, mask,
+                              occlude=payload).probabilities[target]
         assert values.sum() == pytest.approx(full - empty, abs=1e-9)
 
     def test_payload_cap(self):
@@ -238,7 +237,7 @@ class TestShapleyOracle:
         for seed in range(6):
             model, stream, graph, vocab, *_ = tiny_model_inputs(
                 "buf[i] = c;", seed=seed)
-            occlusion = attribute_tokens(model, stream, graph, vocab)
+            occlusion = attribute(model, stream, graph, vocab)
             oracle = shapley_oracle(model, stream, graph, vocab)
             payload = slice(1, stream.content_len - 1)
             correlations.append(spearman(occlusion.token_scores[payload],
@@ -339,7 +338,7 @@ class TestNormalize:
 class TestDump:
     def test_dump_schema(self):
         model, stream, graph, vocab, *_ = tiny_model_inputs("a = b;\nb = 1;")
-        attribution = attribute_tokens(model, stream, graph, vocab)
+        attribution = attribute(model, stream, graph, vocab)
         rc = select_root_cause(attribution.line_scores,
                                predicted_start=3, line_count=2)
         payload = attribution_dump(attribution, rc)

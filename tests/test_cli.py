@@ -5,9 +5,11 @@ import sys
 import pytest
 
 from vulngraph.cli import main
-from vulngraph.corpus import save_dataset, select
+from vulngraph.corpus import default_catalog, save_dataset, select
+from vulngraph.model import VulnModel
 from vulngraph.synth import make_toy_corpus
-from vulngraph.trainer import save_checkpoint
+from vulngraph.trainer import (evaluate_samples, load_checkpoint,
+                               prepare_sample, save_checkpoint)
 
 TINY_CONFIG = """\
 embed_dim=16
@@ -213,6 +215,84 @@ class TestAnalyzeSurface:
                      str(src), "--out", str(tmp_path / "reports")]) == 0
         summary = json.loads(capsys.readouterr().out)
         assert summary["n_functions"] == 2
+
+
+def count_forwards(monkeypatch):
+    """Count calls of ``VulnModel.forward``."""
+    forward = VulnModel.forward
+    calls = []
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        return forward(self, *args, **kwargs)
+
+    monkeypatch.setattr(VulnModel, "forward", counting)
+    return calls
+
+
+@pytest.fixture()
+def vulnerable_file(tmp_path, toy_run):
+    vuln = next(r for r in select(toy_run.records, toy_run.split.train)
+                if r.is_vulnerable)
+    path = tmp_path / "tree" / "one.c"
+    path.parent.mkdir()
+    path.write_text(vuln.source + "\n", encoding="utf-8")
+    return path
+
+
+class TestInferenceCost:
+    """Encodes, full forwards and tape nodes per analyzed function."""
+
+    def test_analyze_vulnerable_function(self, vulnerable_file, checkpoint,
+                                         monkeypatch, capsys):
+        encoded = count_calls(monkeypatch, "lexer", "encode")
+        forwards = count_forwards(monkeypatch)
+        assert main(["analyze", "--checkpoint", str(checkpoint), "--file",
+                     str(vulnerable_file)]) == 0
+        assert "Classification:  none" not in capsys.readouterr().out
+        assert (len(encoded), len(forwards)) == (1, 2)
+
+    def test_attribute_per_function(self, tmp_path, checkpoint, monkeypatch,
+                                    capsys):
+        source = tmp_path / "two.c"
+        source.write_text(TWO_FUNCTIONS, encoding="utf-8")
+        encoded = count_calls(monkeypatch, "lexer", "encode")
+        forwards = count_forwards(monkeypatch)
+        assert main(["attribute", "--checkpoint", str(checkpoint), "--file",
+                     str(source)]) == 0
+        assert (len(encoded), len(forwards)) == (2, 4)
+
+    @pytest.mark.parametrize("command", ["analyze", "attribute", "scan"])
+    def test_no_tape_at_inference(self, tmp_path, vulnerable_file, checkpoint,
+                                  monkeypatch, command, capsys):
+        (vulnerable_file.parent / "two.c").write_text(TWO_FUNCTIONS,
+                                                      encoding="utf-8")
+        target = (["--root", str(vulnerable_file.parent), "--out",
+                   str(tmp_path / "reports")] if command == "scan"
+                  else ["--file", str(vulnerable_file)])
+        taped = count_calls(monkeypatch, "tensor", "from_op")
+        assert main([command, "--checkpoint", str(checkpoint)] + target) == 0
+        assert taped == []
+
+    def test_no_tape_in_evaluation(self, toy_run, monkeypatch):
+        samples = [prepare_sample(r, toy_run.vocab, 11, default_catalog())
+                   for r in toy_run.records[:6]]
+        taped = count_calls(monkeypatch, "tensor", "from_op")
+        evaluate_samples(toy_run.model, samples, 11)
+        assert taped == []
+        toy_run.model.forward_nodes(samples[0].ids, samples[0].adjacency,
+                                    samples[0].mask)
+        assert taped  # training still runs on the tape
+
+    def test_overflowing_weights_exit_three(self, vulnerable_file, checkpoint,
+                                            capsys):
+        model, vocab = load_checkpoint(checkpoint)
+        model.input_proj.data[...] = 1e308
+        model.gcn_weights[0].data[...] = 1e308
+        save_checkpoint(checkpoint, model, vocab)
+        assert main(["analyze", "--checkpoint", str(checkpoint), "--file",
+                     str(vulnerable_file)]) == 3
+        assert "non-finite" in capsys.readouterr().err
 
 
 class TestSweepCommand:

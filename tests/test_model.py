@@ -1,15 +1,17 @@
+import random
+
 import numpy as np
 import pytest
 
 from vulngraph import tensor
-from vulngraph.errors import ConfigError, ShapeError
+from vulngraph.errors import ConfigError, GradientError, ShapeError
 from vulngraph.lexer import STREAM_CAPACITY, build_vocab, encode, tokenize
 from vulngraph.model import (ModelConfig, VulnModel, denormalize_lines, fuse,
                              normalize_line_range)
 from vulngraph.semgraph import build_graph, model_inputs
 from vulngraph.tensor import Matrix
 from vulngraph.trainer import parse_run_config
-from conftest import tiny_model_inputs
+from conftest import LONG_SOURCE, fuzz_snippet, poison, tiny_model_inputs
 
 SOURCE = "int f(){int a;return a+1;}"
 
@@ -226,6 +228,132 @@ class TestGradients:
                                    max_coords_per_param=30,
                                    rng=np.random.default_rng(0))
         assert report.passed, report
+
+
+def tape_outputs(model, ids, adjacency, mask):
+    """``forward``'s fields as the tape computes them."""
+    h0 = model.embed(ids)
+    _, pooled_graph = model.gcn_forward(h0, adjacency, mask)
+    pooled_embed = model.pooled_embedding(h0, mask)
+    fused = fuse(pooled_embed, pooled_graph, model.config.embed_weight,
+                 model.config.graph_weight)
+    nodes = model.forward_nodes(ids, adjacency, mask)
+    return {"class_logits": nodes.class_logits.data[0],
+            "loc_pred": nodes.loc_pred.data[0],
+            "pooled_embed": pooled_embed.data[0],
+            "pooled_graph": pooled_graph.data[0],
+            "fused": fused.data[0]}
+
+
+def occluded_tape_outputs(model, ids, adjacency, mask, positions, baseline):
+    """The tape on occluded inputs: PAD ids, and for "zero" a PAD row of 0.
+
+    Cropped inputs hold no PAD, so zeroing the PAD row of a copy touches
+    the occluded positions only.
+    """
+    ids = ids.copy()
+    ids[positions] = 0
+    if baseline == "zero":
+        clone = VulnModel(model.config)
+        clone.load_values({p.name: p.data for p in model.parameters()})
+        clone.embedding.data[0] = 0.0
+        model = clone
+    return tape_outputs(model, ids, adjacency, mask)
+
+
+def assert_matches_tape(out, tape):
+    for name, expected in tape.items():
+        assert np.array_equal(np.asarray(getattr(out, name)), expected), name
+
+
+class TestTapeFreeForward:
+    """``forward`` against its oracle, the tape of ``forward_nodes``."""
+
+    @staticmethod
+    def check(model, ids, adjacency, mask, rng):
+        assert_matches_tape(model.forward(ids, adjacency, mask),
+                            tape_outputs(model, ids, adjacency, mask))
+        payload = list(range(1, len(ids) - 1))
+        some = rng.sample(payload, min(3, len(payload)))
+        for positions in ([payload[0]], some, payload):
+            for baseline in ("pad", "zero"):
+                out = model.forward(ids, adjacency, mask, occlude=positions,
+                                    occlusion_baseline=baseline)
+                assert_matches_tape(out, occluded_tape_outputs(
+                    model, ids, adjacency, mask, positions, baseline))
+
+    @staticmethod
+    def model_for(sources, gcn_layers, num_classes, fusion):
+        vocab = build_vocab(sources)
+        config = ModelConfig(vocab_size=len(vocab), embed_dim=10, gcn_dim=8,
+                             gcn_layers=gcn_layers, num_classes=num_classes,
+                             embed_weight=fusion[0], graph_weight=fusion[1])
+        return VulnModel(config, seed=gcn_layers + num_classes).freeze(), vocab
+
+    @pytest.mark.parametrize("fusion", [(1.0, 0.0), (0.0, 1.0), (0.5, 0.5)])
+    @pytest.mark.parametrize("num_classes", [2, 11])
+    @pytest.mark.parametrize("gcn_layers", [1, 2, 3])
+    def test_bit_equal_on_fuzz_corpus(self, gcn_layers, num_classes, fusion):
+        rng = random.Random(gcn_layers * 100 + num_classes)
+        sources = [fuzz_snippet(rng) for _ in range(3)]
+        model, vocab = self.model_for(sources, gcn_layers, num_classes,
+                                      fusion)
+        for source in sources:
+            inputs = model_inputs(build_graph(tokenize(source)), vocab)
+            self.check(model, *inputs, rng)
+
+    def test_bit_equal_on_truncated_function(self):
+        assert tokenize(LONG_SOURCE).truncated
+        model, vocab = self.model_for([LONG_SOURCE], 3, 11, (0.5, 0.5))
+        inputs = model_inputs(build_graph(tokenize(LONG_SOURCE)), vocab)
+        assert len(inputs[0]) == STREAM_CAPACITY
+        self.check(model, *inputs, random.Random(0))
+
+    def test_bit_equal_on_masked_full_stream(self):
+        vocab, ids, adjacency, mask = full_inputs()
+        model = VulnModel(ModelConfig(vocab_size=len(vocab), embed_dim=8,
+                                      gcn_dim=6), seed=3)
+        assert_matches_tape(model.forward(ids, adjacency, mask),
+                            tape_outputs(model, ids, adjacency, mask))
+
+    def test_fusion_override_matches_configured_model(self):
+        model, _, _, _, ids, adjacency, mask = tiny_model_inputs(SOURCE)
+        twin = VulnModel(ModelConfig(**{**vars(model.config),
+                                        "embed_weight": 0.2,
+                                        "graph_weight": 0.8}))
+        twin.load_values({p.name: p.data for p in model.parameters()})
+        out = model.forward(ids, adjacency, mask, fusion=(0.2, 0.8))
+        assert_matches_tape(out, tape_outputs(twin, ids, adjacency, mask))
+        with pytest.raises(ConfigError):
+            model.forward(ids, adjacency, mask, fusion=(0.5, 0.6))
+
+    def test_shape_errors(self):
+        model, _, _, _, ids, adjacency, mask = tiny_model_inputs(SOURCE)
+        with pytest.raises(ShapeError):
+            model.forward(ids, adjacency[:3, :3], mask)
+        with pytest.raises(ShapeError):
+            model.forward(ids, adjacency, np.zeros_like(mask))
+        with pytest.raises(ConfigError, match="baseline"):
+            model.forward(ids, adjacency, mask, occlude=[1],
+                          occlusion_baseline="mean")
+
+
+class TestNonFiniteForward:
+    @pytest.mark.parametrize("damage", ["nan", "overflow"])
+    def test_forward_raises_gradient_error(self, damage):
+        model, _, _, _, ids, adjacency, mask = tiny_model_inputs(SOURCE)
+        poison(model, damage)
+        with pytest.raises(GradientError, match="non-finite"):
+            model.forward(ids, adjacency, mask)
+
+    def test_nan_is_not_cut_by_relu(self):
+        # the tape's relu maps NaN to 0; the check must still see it
+        model, _, _, _, ids, adjacency, mask = tiny_model_inputs(SOURCE)
+        for w in model.gcn_weights:
+            w.data[...] = -1.0
+        model.gcn_weights[-1].data[0, 0] = np.nan
+        with pytest.raises(GradientError, match="gcn_1"):
+            model.forward(ids, adjacency, mask)
 
 
 class TestDenormalize:

@@ -1,12 +1,17 @@
 import json
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from vulngraph.corpus import select
+from vulngraph.corpus import FunctionRecord, select
 from vulngraph.errors import DataError
+from vulngraph.model import VulnModel
 from vulngraph.scanner import (AnalysisReport, analyze, extract_functions,
                                render_report, scan)
+from conftest import poison, tiny_model_inputs
 
 TWO_FUNCTIONS = """\
 #include <stdio.h>
@@ -38,6 +43,57 @@ int after(int x) {
     return x;
 }
 """
+
+#: Pieces of C, so generated text reaches past the lexer more often.
+C_PIECES = ["{", "}", "(", ")", ";", ",", "=", "+", "*", "->", "[", "]",
+            "if", "for", "while", "else", "return", "int", "char *p", "x",
+            "f", "buf[i]", "malloc(", "free(", "/*", "*/", "//", '"', "'",
+            "\\", "#define X 1", "#include <a.h>", "0x1F", " ", "\n", "\t"]
+
+SOURCES = st.text() | st.lists(st.sampled_from(C_PIECES) | st.text(max_size=3),
+                               max_size=80).map("".join)
+
+
+@pytest.fixture(scope="module")
+def vulnerable_model(toy_run):
+    """The toy model biased so that every function is predicted vulnerable."""
+    model = VulnModel(toy_run.model.config)
+    model.load_values({p.name: p.data for p in toy_run.model.parameters()})
+    model.cls_bias.data[0, 3] += 1e3
+    return model.freeze()
+
+
+class TestArbitraryText:
+    @settings(max_examples=150, deadline=None)
+    @given(text=SOURCES)
+    def test_extraction_raises_only_data_error(self, text):
+        with tempfile.TemporaryDirectory() as root:
+            path = Path(root) / "fuzz.c"
+            path.write_bytes(text.encode("utf-8", "surrogatepass"))
+            try:
+                records = extract_functions(root)
+            except DataError:
+                return
+        assert all(r.file == "fuzz.c" for r in records)
+
+    @settings(max_examples=150, deadline=None)
+    @given(text=SOURCES)
+    def test_analyze_never_raises(self, text, toy_run, vulnerable_model):
+        record = FunctionRecord(id="fuzz", source=text, language="c")
+        for model in (toy_run.model, vulnerable_model):
+            report = analyze(record, model, toy_run.vocab)
+            assert isinstance(report, AnalysisReport)
+            assert report.unanalyzable or 0.0 < report.confidence <= 1.0
+
+    def test_vulnerable_source_without_tokens(self, toy_run,
+                                              vulnerable_model):
+        record = FunctionRecord(id="c", source="/* only */\n\n",
+                                language="c")
+        report = analyze(record, vulnerable_model, toy_run.vocab)
+        assert report.predicted_cwe != "none"
+        assert report.line_attributions is None
+        assert report.root_cause_line is None
+        assert any("no line scores" in w for w in report.warnings)
 
 
 class TestExtract:
@@ -239,6 +295,21 @@ class TestScan:
             assert block in content
         table = (tmp_path / "out" / "summary.txt").read_text(encoding="utf-8")
         assert "Count" in table and "total" in table
+
+    @pytest.mark.parametrize("damage", ["nan", "overflow"])
+    def test_non_finite_model_gives_unanalyzable_report(self, tmp_path,
+                                                         damage):
+        source = "int f(){int a;return a+1;}"
+        model, _, _, vocab, *_ = tiny_model_inputs(source)
+        poison(model, damage)
+        (tmp_path / "src").mkdir()
+        (tmp_path / "src" / "f.c").write_text(source + "\n", encoding="utf-8")
+        summary = scan(tmp_path / "src", model, vocab, tmp_path / "out")
+        assert summary.counts == {"none": 1}
+        report = json.loads((tmp_path / "out" / "f.c__L1.json").read_text(
+            encoding="utf-8"))
+        assert report["description"] == "unanalyzable"
+        assert report["error"].startswith("GradientError: non-finite")
 
     def test_unknown_format_rejected(self, tmp_path, toy_run):
         with pytest.raises(DataError):
