@@ -69,7 +69,7 @@ def _check_frozen(model) -> None:
             "attribution requires a frozen model; call model.freeze() first")
 
 
-def _target_prob(model, inputs: tuple[np.ndarray, np.ndarray, np.ndarray],
+def _target_prob(model, inputs: tuple[np.ndarray, np.ndarray],
                  target: int, occlude: Sequence[int] | None,
                  baseline: str) -> float:
     output = model.forward(*inputs, occlude=occlude,
@@ -78,7 +78,7 @@ def _target_prob(model, inputs: tuple[np.ndarray, np.ndarray, np.ndarray],
 
 
 def attribute_tokens(model, stream: TokenStream,
-                     inputs: tuple[np.ndarray, np.ndarray, np.ndarray],
+                     inputs: tuple[np.ndarray, np.ndarray],
                      base: ForwardOutput,
                      baseline: str = "pad") -> Attribution:
     """Occlusion score per payload token for the predicted class.

@@ -1,13 +1,13 @@
 """The network: token embedding, residual graph convolution, fused heads.
 
-Layout per forward pass (n = number of non-PAD positions when callers
-crop to the active block, or the full 512 otherwise):
+Layout per forward pass (n = number of non-PAD positions, A_hat the
+n x n operator of ``semgraph.build_graph``):
 
     ids (n,)            -> embedding lookup       -> H0 (n x embed_dim)
     H0 @ W_in                                     -> H  (n x gcn_dim)
     per layer:  H <- H + relu(A_hat @ H @ W_layer)        (residual)
-    pooled_graph = masked mean of final H                  (1 x gcn_dim)
-    pooled_embed = masked mean of H0, projected by W_in    (1 x gcn_dim)
+    pooled_graph = mean of final H over its n rows         (1 x gcn_dim)
+    pooled_embed = mean of H0, projected by W_in           (1 x gcn_dim)
     fused = embed_weight * pooled_embed + graph_weight * pooled_graph
     class_logits = fused @ W_cls + b_cls                   (1 x classes)
     loc_pred     = sigmoid(fused @ W_loc + b_loc)          (1 x 2)
@@ -15,7 +15,7 @@ crop to the active block, or the full 512 otherwise):
 The residual is identity-shaped because the only dimension change
 (embed_dim -> gcn_dim) happens in a single input projection before the
 first graph layer. The embedding table is a trainable stand-in for a
-pretrained encoder; since ``pooled_embed`` is a masked mean it is
+pretrained encoder; since ``pooled_embed`` is a mean over tokens it is
 order-invariant over the payload, an accepted desk-scale limitation.
 
 ``forward`` is the inference pass: plain numpy, no autodiff tape, each
@@ -173,9 +173,9 @@ class VulnModel:
             )
         return ids
 
-    def gcn_forward(self, token_embeddings: Matrix, adjacency: np.ndarray,
-                    mask: np.ndarray) -> tuple[Matrix, Matrix]:
-        """Project, run the residual graph layers, pool the non-PAD rows.
+    def gcn_forward(self, token_embeddings: Matrix, adjacency: np.ndarray
+                    ) -> tuple[Matrix, Matrix]:
+        """Project, run the residual graph layers, pool the rows.
 
         Returns (final per-token features, pooled graph feature row).
         """
@@ -190,16 +190,15 @@ class VulnModel:
         for weight in self.gcn_weights:
             mixed = tensor.matmul(tensor.matmul(operator, h), weight.value)
             h = tensor.add(h, tensor.relu(mixed))
-        return h, tensor.mean_rows(h, mask)
+        return h, tensor.mean_rows(h)
 
-    def pooled_embedding(self, token_embeddings: Matrix,
-                         mask: np.ndarray) -> Matrix:
-        """Masked mean of the raw embeddings, projected into graph space.
+    def pooled_embedding(self, token_embeddings: Matrix) -> Matrix:
+        """Mean of the raw embeddings, projected into graph space.
 
         Shares the input projection with the graph path so both pooled
         features live in the same space.
         """
-        return tensor.matmul(tensor.mean_rows(token_embeddings, mask),
+        return tensor.matmul(tensor.mean_rows(token_embeddings),
                              self.input_proj.value)
 
     def heads(self, fused: Matrix) -> tuple[Matrix, Matrix]:
@@ -212,20 +211,18 @@ class VulnModel:
 
     # -- full passes ----------------------------------------------------------
 
-    def forward_nodes(self, ids: np.ndarray, adjacency: np.ndarray,
-                      mask: np.ndarray) -> Forward:
+    def forward_nodes(self, ids: np.ndarray, adjacency: np.ndarray) -> Forward:
         """One forward pass on the tape, for training and gradient checks."""
-        mask = np.asarray(mask, dtype=bool)
         token_embeddings = self.embed(ids)
-        _, pooled_graph = self.gcn_forward(token_embeddings, adjacency, mask)
-        pooled_embed = self.pooled_embedding(token_embeddings, mask)
+        _, pooled_graph = self.gcn_forward(token_embeddings, adjacency)
+        pooled_embed = self.pooled_embedding(token_embeddings)
         fused = fuse(pooled_embed, pooled_graph, self.config.embed_weight,
                      self.config.graph_weight)
         class_logits, loc_pred = self.heads(fused)
         return Forward(class_logits=class_logits, loc_pred=loc_pred)
 
     @np.errstate(over="ignore", invalid="ignore")
-    def forward(self, ids: np.ndarray, adjacency: np.ndarray, mask: np.ndarray,
+    def forward(self, ids: np.ndarray, adjacency: np.ndarray,
                 occlude: Sequence[int] | None = None,
                 occlusion_baseline: str = "pad",
                 fusion: tuple[float, float] | None = None) -> ForwardOutput:
@@ -238,8 +235,7 @@ class VulnModel:
         embeddings = self.embedding.data[self._checked_ids(ids)]
         if occlude is not None:
             embeddings[list(occlude)] = self._replacement(occlusion_baseline)
-        pooled_embed, pooled_graph, _ = self._graph_pass(
-            embeddings, adjacency, mask)
+        pooled_embed, pooled_graph, _ = self._graph_pass(embeddings, adjacency)
         embed_w, graph_w = fusion if fusion is not None else (
             self.config.embed_weight, self.config.graph_weight)
         _check_fusion(embed_w, graph_w)
@@ -263,8 +259,7 @@ class VulnModel:
             return np.zeros(self.config.embed_dim)
         raise ConfigError(f"unknown occlusion baseline {baseline!r}")
 
-    def _graph_pass(self, embeddings: np.ndarray, adjacency: np.ndarray,
-                    mask: np.ndarray
+    def _graph_pass(self, embeddings: np.ndarray, adjacency: np.ndarray
                     ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
         """Pooled embedding and graph features, and each layer's ``A @ H @ W``.
 
@@ -274,10 +269,9 @@ class VulnModel:
         """
         n = embeddings.shape[0]
         adjacency = np.asarray(adjacency, dtype=np.float64)
-        mask = np.asarray(mask, dtype=bool)
-        if adjacency.shape != (n, n) or mask.shape != (n,) or not mask.any():
-            raise ShapeError(f"adjacency {adjacency.shape} or mask "
-                             f"{mask.shape} does not fit {n} tokens")
+        if n == 0 or adjacency.shape != (n, n):
+            raise ShapeError(
+                f"adjacency {adjacency.shape} does not fit {n} tokens")
         w_in = self.input_proj.data
         h = embeddings @ w_in
         _require_finite("input projection", h)
@@ -287,15 +281,14 @@ class VulnModel:
             mixed_per_layer.append(mixed)
             h = h + np.maximum(mixed, 0.0)
             _require_finite(f"layer gcn_{layer}", h)
-        pooled_embed = embeddings[mask].mean(axis=0) @ w_in
-        pooled_graph = h[mask].mean(axis=0)
+        pooled_embed = embeddings.mean(axis=0) @ w_in
+        pooled_graph = h.mean(axis=0)
         _require_finite("pooled features", pooled_embed, pooled_graph)
         return pooled_embed, pooled_graph, mixed_per_layer
 
     @np.errstate(over="ignore", invalid="ignore")
     def occluded_probabilities(self, ids: np.ndarray, adjacency: np.ndarray,
-                               mask: np.ndarray, target: int,
-                               positions: Sequence[int],
+                               target: int, positions: Sequence[int],
                                baseline: str = "pad") -> np.ndarray:
         """Probability of ``target`` with each of ``positions`` occluded alone.
 
@@ -305,21 +298,17 @@ class VulnModel:
         Occluding position p changes H0 in row p only, and each layer
         spreads a row change to the rows that read it, so only the rows
         within ``gcn_layers`` hops of p are recomputed; the pooled means
-        then move by the summed row changes over n. Needs the cropped
-        all-ones mask of ``model_inputs``.
+        then move by the summed row changes over n.
         """
         ids = self._checked_ids(ids)
         n = ids.size
         adjacency = np.asarray(adjacency, dtype=np.float64)
-        if not np.all(mask):
-            raise ShapeError("incremental occlusion needs the all-ones mask "
-                             "of cropped inputs")
         replacement = self._replacement(baseline)
         w_in = self.input_proj.data
         embeddings = self.embedding.data[ids]
         try:
             pooled_embed, pooled_graph, mixed_per_layer = self._graph_pass(
-                embeddings, adjacency, mask)
+                embeddings, adjacency)
         except GradientError as exc:
             raise AttributionError(
                 f"occluded probabilities are not finite: {exc}") from exc

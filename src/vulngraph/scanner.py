@@ -123,6 +123,8 @@ def _functions_in_file(text: str, rel_path: str) -> list[FunctionRecord]:
     lines = text.split("\n")
     language = "cpp" if Path(rel_path).suffix in _CPP_EXTENSIONS else "c"
     directive_lines = _directive_lines(tokens)
+    parens = _closers(tokens, "(", ")")
+    braces = _closers(tokens, "{", "}")
     records: list[FunctionRecord] = []
     depth = 0
     i = 0
@@ -132,10 +134,10 @@ def _functions_in_file(text: str, rel_path: str) -> list[FunctionRecord]:
         if depth == 0 and tok.kind is TokenKind.IDENTIFIER \
                 and tok.line not in directive_lines \
                 and i + 1 < n and tokens[i + 1].text == "(":
-            close = _match_tokens(tokens, i + 1, "(", ")")
+            close = parens.get(i + 1)
             if close is not None and close + 1 < n \
                     and tokens[close + 1].text == "{":
-                end = _match_tokens(tokens, close + 1, "{", "}")
+                end = braces.get(close + 1)
                 if end is None:
                     logger.warning(
                         "skipping %s: unbalanced braces after line %d",
@@ -169,17 +171,20 @@ def _directive_lines(tokens: Sequence[Token]) -> set[int]:
     return {line for line, text in first_on_line.items() if text == "#"}
 
 
-def _match_tokens(tokens: Sequence[Token], open_pos: int, open_text: str,
-                  close_text: str) -> int | None:
-    depth = 0
-    for i in range(open_pos, len(tokens)):
-        if tokens[i].text == open_text:
-            depth += 1
-        elif tokens[i].text == close_text:
-            depth -= 1
-            if depth == 0:
-                return i
-    return None
+def _closers(tokens: Sequence[Token], open_text: str,
+             close_text: str) -> dict[int, int]:
+    """Position of the token balancing each ``open_text`` token that has one.
+
+    One stack pass, so extraction stays linear in the file's length.
+    """
+    closers: dict[int, int] = {}
+    stack: list[int] = []
+    for i, tok in enumerate(tokens):
+        if tok.text == open_text:
+            stack.append(i)
+        elif tok.text == close_text and stack:
+            closers[stack.pop()] = i
+    return closers
 
 
 def _declaration_start(tokens: Sequence[Token], name_pos: int,

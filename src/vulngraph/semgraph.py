@@ -1,6 +1,7 @@
 """Token-level semantic graph: four edge families over a token stream.
 
-The graph connects stream positions (0..511) with typed edges:
+The graph connects the non-PAD stream positions (0..content_len-1) with
+typed edges:
 
 * sequential — each non-PAD token to its successor, BOS/EOS included;
 * control   — control keywords to the first token of the lexically
@@ -15,11 +16,11 @@ These are explicit lexical surrogates: deterministic and computable
 without a parser, not a reproduction of any parser-based construction.
 Each family can be toggled off for ablations.
 
-The edge multiset becomes a dense operator in two steps: multiplicity
-counts are symmetrized (elementwise max with the transpose) and given
-self-loops at non-PAD positions, then each non-PAD row is normalized to
-sum to 1. Rows and columns at PAD positions stay identically zero, so
-the operator never mixes padding into token features.
+The edge multiset becomes a dense n x n operator over the n non-PAD
+positions (``content_len``) in two steps: multiplicity counts are
+symmetrized (elementwise max with the transpose) and given self-loops,
+then each row is normalized to sum to 1. PAD positions have no rows or
+columns, so the operator never mixes padding into token features.
 """
 
 from __future__ import annotations
@@ -30,8 +31,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import GraphBuildError
-from .lexer import (STREAM_CAPACITY, Token, TokenKind, TokenStream, Vocabulary,
-                    encode)
+from .lexer import Token, TokenKind, TokenStream, Vocabulary, encode
 
 
 class EdgeKind(Enum):
@@ -60,9 +60,10 @@ class GraphConfig:
 class SemanticGraph:
     """A stream, its typed edges, and the derived dense operators.
 
-    ``counts`` is the symmetrized multiplicity matrix with self-loops
-    (symmetric by construction); ``adjacency`` is its row-normalized
-    form, row-stochastic on non-PAD rows and zero elsewhere.
+    Both operators are ``content_len`` x ``content_len``: ``counts`` is
+    the symmetrized multiplicity matrix with self-loops (symmetric by
+    construction); ``adjacency`` is its row-normalized, row-stochastic
+    form.
     """
 
     stream: TokenStream
@@ -235,30 +236,23 @@ def build_graph(stream: TokenStream,
     feeds normalization, so overlapping evidence weighs more.
     """
     edges = collect_edges(stream, config)
-    counts = np.zeros((STREAM_CAPACITY, STREAM_CAPACITY), dtype=np.float64)
+    active = stream.content_len
+    counts = np.zeros((active, active), dtype=np.float64)
     for edge in edges:
         counts[edge.src, edge.dst] += 1.0
     counts = np.maximum(counts, counts.T)
-    active = stream.content_len
     counts[np.arange(active), np.arange(active)] += 1.0
-    row_sums = counts.sum(axis=1, keepdims=True)
-    adjacency = np.divide(counts, row_sums, where=row_sums > 0,
-                          out=np.zeros_like(counts))
+    adjacency = counts / counts.sum(axis=1, keepdims=True)
     return SemanticGraph(stream=stream, edges=tuple(edges), counts=counts,
                          adjacency=adjacency)
 
 
 def model_inputs(graph: SemanticGraph, vocab: Vocabulary
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Token ids, operator and mask, cropped to the non-PAD prefix.
-
-    The PAD suffix is inert, so the crop leaves model outputs unchanged.
-    """
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Token ids of the non-PAD prefix and the operator over them."""
     active = graph.stream.content_len
     ids = np.asarray(encode(graph.stream, vocab), dtype=np.int64)[:active]
-    adjacency = np.ascontiguousarray(graph.adjacency[:active, :active])
-    mask = np.ones(active, dtype=bool)
-    return ids, adjacency, mask
+    return ids, graph.adjacency
 
 
 def dump_edges(graph: SemanticGraph) -> str:
@@ -268,7 +262,6 @@ def dump_edges(graph: SemanticGraph) -> str:
 
 
 def dump_adjacency_csv(graph: SemanticGraph) -> str:
-    """Dense CSV of the active adjacency block (repr-exact floats)."""
-    active = graph.stream.content_len
-    rows = graph.adjacency[:active, :active]
-    return "\n".join(",".join(repr(v) for v in row) for row in rows) + "\n"
+    """Dense CSV of the adjacency (repr-exact floats)."""
+    return "\n".join(",".join(repr(v) for v in row)
+                     for row in graph.adjacency) + "\n"

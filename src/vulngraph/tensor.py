@@ -177,37 +177,16 @@ def sigmoid(a: Matrix) -> Matrix:
     return from_op(out, (a,), push)
 
 
-def row_softmax(a: Matrix) -> Matrix:
-    shifted = a.data - a.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=1, keepdims=True)
+def mean_rows(a: Matrix) -> Matrix:
+    """Mean over all rows; result is 1 x cols."""
+    if a.rows == 0:
+        raise ShapeError("mean_rows: no rows to average")
 
     def push(g: np.ndarray) -> None:
         if a.wants_grad:
-            inner = (g * s).sum(axis=1, keepdims=True)
-            a._accumulate(s * (g - inner))
+            a._accumulate(np.broadcast_to(g / a.rows, a.shape))
 
-    return from_op(s, (a,), push)
-
-
-def mean_rows(a: Matrix, mask: np.ndarray) -> Matrix:
-    """Mean over the rows selected by a boolean mask; result is 1 x cols."""
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != (a.rows,):
-        raise ShapeError(
-            f"mean_rows: mask shape {mask.shape} does not match {a.rows} rows"
-        )
-    k = int(mask.sum())
-    if k == 0:
-        raise ShapeError("mean_rows: mask selects no rows")
-
-    def push(g: np.ndarray) -> None:
-        if a.wants_grad:
-            spread = np.zeros_like(a.data)
-            spread[mask] = g / k
-            a._accumulate(spread)
-
-    return from_op(a.data[mask].mean(axis=0, keepdims=True), (a,), push)
+    return from_op(a.data.mean(axis=0, keepdims=True), (a,), push)
 
 
 def sum_all(a: Matrix) -> Matrix:

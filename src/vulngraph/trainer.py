@@ -100,12 +100,11 @@ class Sgd:
 
 @dataclass(frozen=True)
 class EncodedSample:
-    """A record made model-ready, cropped to its non-PAD prefix."""
+    """A record made model-ready: non-PAD token ids and their operator."""
 
     record_id: str
     ids: np.ndarray
     adjacency: np.ndarray
-    mask: np.ndarray
     label: int
     loc_target: tuple[float, float] | None
     line_count: int
@@ -131,7 +130,7 @@ def prepare_sample(record: FunctionRecord, vocab: Vocabulary, num_classes: int,
                    catalog: CweCatalog,
                    graph_config: GraphConfig = GraphConfig()) -> EncodedSample:
     graph = build_graph(tokenize(record.source), graph_config)
-    ids, adjacency, mask = model_inputs(graph, vocab)
+    ids, adjacency = model_inputs(graph, vocab)
     loc_target = None
     truth_range = None
     if record.is_vulnerable:
@@ -140,7 +139,7 @@ def prepare_sample(record: FunctionRecord, vocab: Vocabulary, num_classes: int,
                                           record.line_count)
     return EncodedSample(
         record_id=record.id,
-        ids=ids, adjacency=adjacency, mask=mask,
+        ids=ids, adjacency=adjacency,
         label=label_index(record, num_classes, catalog),
         loc_target=loc_target,
         line_count=record.line_count,
@@ -150,7 +149,7 @@ def prepare_sample(record: FunctionRecord, vocab: Vocabulary, num_classes: int,
 
 def _sample_loss(model: VulnModel, sample: EncodedSample,
                  cfg: TrainConfig) -> Matrix:
-    nodes = model.forward_nodes(sample.ids, sample.adjacency, sample.mask)
+    nodes = model.forward_nodes(sample.ids, sample.adjacency)
     loss = tensor.scale(
         focal_loss(nodes.class_logits, sample.label, cfg.focal), cfg.w_cls)
     if sample.loc_target is not None:
@@ -283,8 +282,7 @@ def evaluate_samples(model: VulnModel, samples: Sequence[EncodedSample],
     tp_ious: list[float] = []
     vulnerable_ious: list[float] = []
     for sample in samples:
-        out = model.forward(sample.ids, sample.adjacency, sample.mask,
-                            fusion=fusion)
+        out = model.forward(sample.ids, sample.adjacency, fusion=fusion)
         pred = out.predicted_class
         preds.append(pred)
         truths.append(sample.label)

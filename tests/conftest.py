@@ -79,20 +79,15 @@ def fuzz_snippet(rng: random.Random) -> str:
 
 def tiny_model_inputs(source: str, seed: int = 0, num_classes: int = 5,
                       embed_dim: int = 10, gcn_dim: int = 8):
-    """A frozen fresh model plus cropped model inputs for one snippet."""
-    from vulngraph.lexer import encode
-
+    """A frozen fresh model plus the model inputs of one snippet."""
     stream = tokenize(source)
     vocab = build_vocab([source])
     graph = build_graph(stream)
-    active = stream.content_len
-    ids = np.asarray(encode(stream, vocab), dtype=np.int64)[:active]
-    adjacency = graph.adjacency[:active, :active].copy()
-    mask = np.ones(active, dtype=bool)
+    ids, adjacency = model_inputs(graph, vocab)
     config = ModelConfig(vocab_size=len(vocab), embed_dim=embed_dim,
                          gcn_dim=gcn_dim, num_classes=num_classes)
     model = VulnModel(config, seed=seed).freeze()
-    return model, stream, graph, vocab, ids, adjacency, mask
+    return model, stream, graph, vocab, ids, adjacency
 
 
 def poison(model, damage):

@@ -8,7 +8,7 @@ from vulngraph.attribution import (ORACLE_MAX_TOKENS, aggregate_lines,
                                    attribute_tokens, attribution_dump,
                                    localize, normalize_scores,
                                    select_root_cause, shapley_oracle)
-from vulngraph.errors import AttributionError, ConfigError, ShapeError
+from vulngraph.errors import AttributionError, ConfigError
 from vulngraph.lexer import build_vocab, lex, tokenize
 from vulngraph.model import ModelConfig, VulnModel
 from vulngraph.semgraph import build_graph, model_inputs
@@ -31,7 +31,7 @@ class AdditiveStub:
         self.weights = weights
         self.base = base
 
-    def forward(self, ids, adjacency, mask, occlude=None,
+    def forward(self, ids, adjacency, occlude=None,
                 occlusion_baseline="pad"):
         present = set(range(1, self.stream.content_len - 1))
         if occlude is not None:
@@ -174,18 +174,11 @@ class TestIncrementalOcclusion:
             attribute(model, stream, graph, vocab, baseline="mean")
 
     def test_non_finite_probability_is_attribution_error(self):
-        model, stream, graph, vocab, ids, adjacency, mask = \
+        model, stream, graph, vocab, ids, adjacency = \
             tiny_model_inputs("a = b;")
         model.gcn_weights[0].data[0, 0] = np.nan
         with pytest.raises(AttributionError, match="not finite"):
-            model.occluded_probabilities(ids, adjacency, mask, 0, [1, 2])
-
-    def test_requires_all_ones_mask(self):
-        model, stream, graph, vocab, ids, adjacency, mask = \
-            tiny_model_inputs("a = b;")
-        mask[-1] = False
-        with pytest.raises(ShapeError, match="mask"):
-            model.occluded_probabilities(ids, adjacency, mask, 0, [1, 2])
+            model.occluded_probabilities(ids, adjacency, 0, [1, 2])
 
 
 class TestShapleyOracle:
@@ -213,14 +206,14 @@ class TestShapleyOracle:
         np.testing.assert_allclose(values, occlusion.token_scores, atol=1e-12)
 
     def test_efficiency_on_real_model(self):
-        model, stream, graph, vocab, ids, adjacency, mask = tiny_model_inputs(
+        model, stream, graph, vocab, ids, adjacency = tiny_model_inputs(
             "p->q = r;", seed=8)
         values = shapley_oracle(model, stream, graph, vocab)
-        probabilities = model.forward(ids, adjacency, mask).probabilities
+        probabilities = model.forward(ids, adjacency).probabilities
         target = int(np.argmax(probabilities))
         full = probabilities[target]
         payload = list(range(1, stream.content_len - 1))
-        empty = model.forward(ids, adjacency, mask,
+        empty = model.forward(ids, adjacency,
                               occlude=payload).probabilities[target]
         assert values.sum() == pytest.approx(full - empty, abs=1e-9)
 

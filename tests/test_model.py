@@ -16,24 +16,21 @@ from conftest import LONG_SOURCE, fuzz_snippet, poison, tiny_model_inputs
 SOURCE = "int f(){int a;return a+1;}"
 
 
-def full_inputs(source=SOURCE):
-    stream = tokenize(source)
+def full_stream_ids(source=SOURCE):
+    """The vocabulary and the ids of all 512 stream positions, PAD included."""
     vocab = build_vocab([source])
-    graph = build_graph(stream)
-    ids = np.asarray(encode(stream, vocab), dtype=np.int64)
-    mask = np.array([i < stream.content_len for i in range(STREAM_CAPACITY)])
-    return vocab, ids, graph.adjacency, mask
+    return vocab, np.asarray(encode(tokenize(source), vocab), dtype=np.int64)
 
 
 class TestEmbed:
     def test_default_config_shape(self):
-        vocab, ids, _, _ = full_inputs()
+        vocab, ids = full_stream_ids()
         model = VulnModel(ModelConfig(vocab_size=len(vocab)), seed=0)
         h0 = model.embed(ids)
         assert h0.shape == (512, 768)
 
     def test_single_token_difference_changes_one_row(self):
-        vocab, ids, _, _ = full_inputs()
+        vocab, ids = full_stream_ids()
         model = VulnModel(ModelConfig(vocab_size=len(vocab), embed_dim=8,
                                       gcn_dim=6), seed=0)
         other = ids.copy()
@@ -42,7 +39,7 @@ class TestEmbed:
         assert set(np.nonzero(delta.any(axis=1))[0]) == {3}
 
     def test_pad_tail_repeats_pad_embedding(self):
-        vocab, ids, _, _ = full_inputs()
+        vocab, ids = full_stream_ids()
         model = VulnModel(ModelConfig(vocab_size=len(vocab), embed_dim=8,
                                       gcn_dim=6), seed=0)
         h0 = model.embed(ids).data
@@ -51,7 +48,7 @@ class TestEmbed:
         np.testing.assert_array_equal(h0[-100], pad_row)
 
     def test_out_of_range_id(self):
-        vocab, ids, _, _ = full_inputs()
+        vocab, ids = full_stream_ids()
         model = VulnModel(ModelConfig(vocab_size=len(vocab), embed_dim=8,
                                       gcn_dim=6), seed=0)
         bad = ids.copy()
@@ -62,19 +59,19 @@ class TestEmbed:
 
 class TestGcn:
     def test_residual_identity_with_zero_weights(self):
-        model, _, _, _, ids, adjacency, mask = tiny_model_inputs(SOURCE)
+        model, _, _, _, ids, adjacency = tiny_model_inputs(SOURCE)
         for w in model.gcn_weights:
             w.value.data[...] = 0.0
         h0 = model.embed(ids)
-        h_n, _ = model.gcn_forward(h0, adjacency, mask)
+        h_n, _ = model.gcn_forward(h0, adjacency)
         projected = tensor.matmul(h0, model.input_proj.value)
         assert np.array_equal(h_n.data, projected.data)
 
     def test_identity_adjacency_acts_per_token(self):
-        model, _, _, _, ids, adjacency, mask = tiny_model_inputs(SOURCE)
+        model, _, _, _, ids, adjacency = tiny_model_inputs(SOURCE)
         eye = np.eye(len(ids))
         h0 = model.embed(ids)
-        h_n, _ = model.gcn_forward(h0, eye, mask)
+        h_n, _ = model.gcn_forward(h0, eye)
         # reference: H <- H + relu(H @ W) per layer, no cross-token mixing
         ref = h0.data @ model.input_proj.data
         for w in model.gcn_weights:
@@ -84,16 +81,16 @@ class TestGcn:
     def test_deterministic_across_runs(self):
         out = []
         for _ in range(2):
-            model, _, _, _, ids, adjacency, mask = tiny_model_inputs(
+            model, _, _, _, ids, adjacency = tiny_model_inputs(
                 SOURCE, seed=5)
-            _, pooled = model.gcn_forward(model.embed(ids), adjacency, mask)
+            _, pooled = model.gcn_forward(model.embed(ids), adjacency)
             out.append(pooled.data.copy())
         assert np.array_equal(out[0], out[1])
 
     def test_adjacency_shape_mismatch(self):
-        model, _, _, _, ids, adjacency, mask = tiny_model_inputs(SOURCE)
+        model, _, _, _, ids, adjacency = tiny_model_inputs(SOURCE)
         with pytest.raises(ShapeError):
-            model.gcn_forward(model.embed(ids), adjacency[:3, :3], mask)
+            model.gcn_forward(model.embed(ids), adjacency[:3, :3])
 
 
 class TestFuse:
@@ -125,27 +122,27 @@ class TestFuse:
 
 class TestHeads:
     def test_zero_weights_give_uniform_and_centered(self):
-        model, _, _, _, ids, adjacency, mask = tiny_model_inputs(SOURCE)
+        model, _, _, _, ids, adjacency = tiny_model_inputs(SOURCE)
         for p in (model.cls_weight, model.cls_bias, model.loc_weight,
                   model.loc_bias):
             p.value.data[...] = 0.0
-        out = model.forward(ids, adjacency, mask)
+        out = model.forward(ids, adjacency)
         np.testing.assert_allclose(
             out.probabilities, np.full(model.config.num_classes,
                                        1.0 / model.config.num_classes))
         assert out.loc_pred == (0.5, 0.5)
 
     def test_benign_is_class_zero(self):
-        model, _, _, _, ids, adjacency, mask = tiny_model_inputs(SOURCE)
+        model, _, _, _, ids, adjacency = tiny_model_inputs(SOURCE)
         model.cls_bias.value.data[0, 0] = 50.0
-        out = model.forward(ids, adjacency, mask)
+        out = model.forward(ids, adjacency)
         assert out.predicted_class == 0
 
     def test_loc_pred_in_open_unit_interval(self):
         for seed in range(3):
-            model, _, _, _, ids, adjacency, mask = tiny_model_inputs(
+            model, _, _, _, ids, adjacency = tiny_model_inputs(
                 SOURCE, seed=seed)
-            out = model.forward(ids, adjacency, mask)
+            out = model.forward(ids, adjacency)
             assert 0.0 < out.loc_pred[0] < 1.0
             assert 0.0 < out.loc_pred[1] < 1.0
 
@@ -163,8 +160,7 @@ class TestPooledEmbedding:
         for source in (first, second):
             stream = tokenize(source)
             ids = np.asarray(encode(stream, vocab))[:stream.content_len]
-            mask = np.ones(stream.content_len, dtype=bool)
-            pooled.append(model.pooled_embedding(model.embed(ids), mask).data)
+            pooled.append(model.pooled_embedding(model.embed(ids)).data)
         np.testing.assert_allclose(pooled[0], pooled[1], atol=1e-15)
 
     def test_single_payload_token_is_its_projection(self):
@@ -174,53 +170,35 @@ class TestPooledEmbedding:
                                       gcn_dim=6), seed=0)
         stream = tokenize(source)
         ids = np.asarray(encode(stream, vocab))[:stream.content_len]
-        h0 = model.embed(ids)
-        only_payload = np.array([False, True, False])
-        pooled = model.pooled_embedding(h0, only_payload)
-        expected = h0.data[1:2] @ model.input_proj.data
+        pooled = model.pooled_embedding(model.embed(ids[1:2]))
+        expected = model.embed(ids).data[1:2] @ model.input_proj.data
         np.testing.assert_allclose(pooled.data, expected, atol=1e-15)
 
 
 class TestMasking:
     def test_pad_embedding_never_changes_outputs(self):
-        vocab, ids, adjacency, mask = full_inputs()
+        vocab = build_vocab([SOURCE])
+        inputs = model_inputs(build_graph(tokenize(SOURCE)), vocab)
         model = VulnModel(ModelConfig(vocab_size=len(vocab), embed_dim=8,
                                       gcn_dim=6), seed=3)
-        before = model.forward(ids, adjacency, mask)
+        before = model.forward(*inputs)
         model.embedding.value.data[0, :] += 100.0  # the <PAD> row
-        after = model.forward(ids, adjacency, mask)
+        after = model.forward(*inputs)
         np.testing.assert_array_equal(before.class_logits, after.class_logits)
         assert before.loc_pred == after.loc_pred
-
-    def test_cropped_model_inputs_match_full_stream(self):
-        vocab, ids, adjacency, mask = full_inputs()
-        cropped = model_inputs(build_graph(tokenize(SOURCE)), vocab)
-        active = int(mask.sum())
-        np.testing.assert_array_equal(cropped[0], ids[:active])
-        np.testing.assert_array_equal(cropped[1],
-                                      adjacency[:active, :active])
-        assert cropped[2].shape == (active,) and cropped[2].all()
-        model = VulnModel(ModelConfig(vocab_size=len(vocab), embed_dim=8,
-                                      gcn_dim=6), seed=3)
-        full = model.forward(ids, adjacency, mask)
-        crop = model.forward(*cropped)
-        np.testing.assert_allclose(crop.class_logits, full.class_logits,
-                                   rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(crop.loc_pred, full.loc_pred,
-                                   rtol=1e-12, atol=1e-12)
 
 
 class TestGradients:
     def test_full_model_gradient_check(self):
         from vulngraph.objectives import FocalConfig, focal_loss, mse_loss
 
-        model, _, _, _, ids, adjacency, mask = tiny_model_inputs(
+        model, _, _, _, ids, adjacency = tiny_model_inputs(
             SOURCE, num_classes=11, embed_dim=8, gcn_dim=6)
         assert len(ids) == 16
         cfg = FocalConfig(alpha=0.25, delta=2.0)
 
         def f():
-            nodes = model.forward_nodes(ids, adjacency, mask)
+            nodes = model.forward_nodes(ids, adjacency)
             loss = focal_loss(nodes.class_logits, 3, cfg)
             return tensor.add(loss, mse_loss(nodes.loc_pred, (0.3, 0.7)))
 
@@ -230,14 +208,14 @@ class TestGradients:
         assert report.passed, report
 
 
-def tape_outputs(model, ids, adjacency, mask):
+def tape_outputs(model, ids, adjacency):
     """``forward``'s fields as the tape computes them."""
     h0 = model.embed(ids)
-    _, pooled_graph = model.gcn_forward(h0, adjacency, mask)
-    pooled_embed = model.pooled_embedding(h0, mask)
+    _, pooled_graph = model.gcn_forward(h0, adjacency)
+    pooled_embed = model.pooled_embedding(h0)
     fused = fuse(pooled_embed, pooled_graph, model.config.embed_weight,
                  model.config.graph_weight)
-    nodes = model.forward_nodes(ids, adjacency, mask)
+    nodes = model.forward_nodes(ids, adjacency)
     return {"class_logits": nodes.class_logits.data[0],
             "loc_pred": nodes.loc_pred.data[0],
             "pooled_embed": pooled_embed.data[0],
@@ -245,10 +223,10 @@ def tape_outputs(model, ids, adjacency, mask):
             "fused": fused.data[0]}
 
 
-def occluded_tape_outputs(model, ids, adjacency, mask, positions, baseline):
+def occluded_tape_outputs(model, ids, adjacency, positions, baseline):
     """The tape on occluded inputs: PAD ids, and for "zero" a PAD row of 0.
 
-    Cropped inputs hold no PAD, so zeroing the PAD row of a copy touches
+    Model inputs hold no PAD, so zeroing the PAD row of a copy touches
     the occluded positions only.
     """
     ids = ids.copy()
@@ -258,7 +236,7 @@ def occluded_tape_outputs(model, ids, adjacency, mask, positions, baseline):
         clone.load_values({p.name: p.data for p in model.parameters()})
         clone.embedding.data[0] = 0.0
         model = clone
-    return tape_outputs(model, ids, adjacency, mask)
+    return tape_outputs(model, ids, adjacency)
 
 
 def assert_matches_tape(out, tape):
@@ -270,17 +248,17 @@ class TestTapeFreeForward:
     """``forward`` against its oracle, the tape of ``forward_nodes``."""
 
     @staticmethod
-    def check(model, ids, adjacency, mask, rng):
-        assert_matches_tape(model.forward(ids, adjacency, mask),
-                            tape_outputs(model, ids, adjacency, mask))
+    def check(model, ids, adjacency, rng):
+        assert_matches_tape(model.forward(ids, adjacency),
+                            tape_outputs(model, ids, adjacency))
         payload = list(range(1, len(ids) - 1))
         some = rng.sample(payload, min(3, len(payload)))
         for positions in ([payload[0]], some, payload):
             for baseline in ("pad", "zero"):
-                out = model.forward(ids, adjacency, mask, occlude=positions,
+                out = model.forward(ids, adjacency, occlude=positions,
                                     occlusion_baseline=baseline)
                 assert_matches_tape(out, occluded_tape_outputs(
-                    model, ids, adjacency, mask, positions, baseline))
+                    model, ids, adjacency, positions, baseline))
 
     @staticmethod
     def model_for(sources, gcn_layers, num_classes, fusion):
@@ -309,51 +287,44 @@ class TestTapeFreeForward:
         assert len(inputs[0]) == STREAM_CAPACITY
         self.check(model, *inputs, random.Random(0))
 
-    def test_bit_equal_on_masked_full_stream(self):
-        vocab, ids, adjacency, mask = full_inputs()
-        model = VulnModel(ModelConfig(vocab_size=len(vocab), embed_dim=8,
-                                      gcn_dim=6), seed=3)
-        assert_matches_tape(model.forward(ids, adjacency, mask),
-                            tape_outputs(model, ids, adjacency, mask))
-
     def test_fusion_override_matches_configured_model(self):
-        model, _, _, _, ids, adjacency, mask = tiny_model_inputs(SOURCE)
+        model, _, _, _, ids, adjacency = tiny_model_inputs(SOURCE)
         twin = VulnModel(ModelConfig(**{**vars(model.config),
                                         "embed_weight": 0.2,
                                         "graph_weight": 0.8}))
         twin.load_values({p.name: p.data for p in model.parameters()})
-        out = model.forward(ids, adjacency, mask, fusion=(0.2, 0.8))
-        assert_matches_tape(out, tape_outputs(twin, ids, adjacency, mask))
+        out = model.forward(ids, adjacency, fusion=(0.2, 0.8))
+        assert_matches_tape(out, tape_outputs(twin, ids, adjacency))
         with pytest.raises(ConfigError):
-            model.forward(ids, adjacency, mask, fusion=(0.5, 0.6))
+            model.forward(ids, adjacency, fusion=(0.5, 0.6))
 
     def test_shape_errors(self):
-        model, _, _, _, ids, adjacency, mask = tiny_model_inputs(SOURCE)
+        model, _, _, _, ids, adjacency = tiny_model_inputs(SOURCE)
         with pytest.raises(ShapeError):
-            model.forward(ids, adjacency[:3, :3], mask)
+            model.forward(ids, adjacency[:3, :3])
         with pytest.raises(ShapeError):
-            model.forward(ids, adjacency, np.zeros_like(mask))
+            model.forward(ids[:0], adjacency[:0, :0])
         with pytest.raises(ConfigError, match="baseline"):
-            model.forward(ids, adjacency, mask, occlude=[1],
+            model.forward(ids, adjacency, occlude=[1],
                           occlusion_baseline="mean")
 
 
 class TestNonFiniteForward:
     @pytest.mark.parametrize("damage", ["nan", "overflow"])
     def test_forward_raises_gradient_error(self, damage):
-        model, _, _, _, ids, adjacency, mask = tiny_model_inputs(SOURCE)
+        model, _, _, _, ids, adjacency = tiny_model_inputs(SOURCE)
         poison(model, damage)
         with pytest.raises(GradientError, match="non-finite"):
-            model.forward(ids, adjacency, mask)
+            model.forward(ids, adjacency)
 
     def test_nan_is_not_cut_by_relu(self):
         # the tape's relu maps NaN to 0; the check must still see it
-        model, _, _, _, ids, adjacency, mask = tiny_model_inputs(SOURCE)
+        model, _, _, _, ids, adjacency = tiny_model_inputs(SOURCE)
         for w in model.gcn_weights:
             w.data[...] = -1.0
         model.gcn_weights[-1].data[0, 0] = np.nan
         with pytest.raises(GradientError, match="gcn_1"):
-            model.forward(ids, adjacency, mask)
+            model.forward(ids, adjacency)
 
 
 class TestDenormalize:
@@ -390,21 +361,21 @@ class TestConfigAndCheckpoint:
             ModelConfig(vocab_size=10, embed_weight=0.7, graph_weight=0.7)
 
     def test_npz_round_trip_reproduces_outputs(self, tmp_path):
-        model, _, _, _, ids, adjacency, mask = tiny_model_inputs(SOURCE, seed=2)
+        model, _, _, _, ids, adjacency = tiny_model_inputs(SOURCE, seed=2)
         path = tmp_path / "m.npz"
         model.save_npz(path)
         restored = VulnModel.load_npz(path, model.config)
-        a = model.forward(ids, adjacency, mask)
-        b = restored.forward(ids, adjacency, mask)
+        a = model.forward(ids, adjacency)
+        b = restored.forward(ids, adjacency)
         assert np.array_equal(a.class_logits, b.class_logits)
         assert a.loc_pred == b.loc_pred
 
     def test_with_fusion_shares_parameters(self):
-        model, _, _, _, ids, adjacency, mask = tiny_model_inputs(SOURCE)
-        out = model.forward(ids, adjacency, mask, fusion=(1.0, 0.0))
+        model, _, _, _, ids, adjacency = tiny_model_inputs(SOURCE)
+        out = model.forward(ids, adjacency, fusion=(1.0, 0.0))
         np.testing.assert_array_equal(out.fused, out.pooled_embed)
         # the override re-fuses the model's own pooled features
-        configured = model.forward(ids, adjacency, mask)
+        configured = model.forward(ids, adjacency)
         np.testing.assert_array_equal(out.pooled_embed,
                                       configured.pooled_embed)
         np.testing.assert_array_equal(out.pooled_graph,
@@ -413,7 +384,7 @@ class TestConfigAndCheckpoint:
             0.5, 0.5)
 
     def test_binary_mode(self):
-        model, _, _, _, ids, adjacency, mask = tiny_model_inputs(
+        model, _, _, _, ids, adjacency = tiny_model_inputs(
             SOURCE, num_classes=2)
-        out = model.forward(ids, adjacency, mask)
+        out = model.forward(ids, adjacency)
         assert out.class_logits.shape == (2,)

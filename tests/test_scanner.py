@@ -1,5 +1,6 @@
 import json
 import tempfile
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -8,9 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 from vulngraph.corpus import FunctionRecord, select
 from vulngraph.errors import DataError
+from vulngraph.lexer import lex
 from vulngraph.model import VulnModel
-from vulngraph.scanner import (AnalysisReport, analyze, extract_functions,
-                               render_report, scan)
+from vulngraph.scanner import (AnalysisReport, _closers, analyze,
+                               extract_functions, render_report, scan)
 from conftest import poison, tiny_model_inputs
 
 TWO_FUNCTIONS = """\
@@ -153,6 +155,40 @@ class TestExtract:
     def test_missing_root_rejected(self, tmp_path):
         with pytest.raises(DataError):
             extract_functions(tmp_path / "missing")
+
+    @settings(max_examples=150, deadline=None)
+    @given(pieces=st.lists(st.sampled_from(["(", ")", "{", "}", "x", ";"]),
+                           max_size=60))
+    def test_closers_match_depth_scan(self, pieces):
+        tokens = lex(" ".join(pieces))
+
+        def depth_scan(open_pos, open_text, close_text):
+            depth = 0
+            for i in range(open_pos, len(tokens)):
+                if tokens[i].text == open_text:
+                    depth += 1
+                elif tokens[i].text == close_text:
+                    depth -= 1
+                    if depth == 0:
+                        return i
+            return None
+
+        for open_text, close_text in (("(", ")"), ("{", "}")):
+            scanned = {i: depth_scan(i, open_text, close_text)
+                       for i, tok in enumerate(tokens) if tok.text == open_text}
+            assert _closers(tokens, open_text, close_text) == {
+                i: j for i, j in scanned.items() if j is not None}
+
+    @pytest.mark.parametrize("source", [
+        "int x = " + "a(" * 20000 + ")" * 20000 + ";",
+        "a(" * 20000,
+    ], ids=["nested-calls", "unclosed-calls"])
+    def test_many_calls_extract_in_linear_time(self, tmp_path, source):
+        # each top-level "a(" looks for its ")": quadratic if each scans ahead
+        (tmp_path / "calls.c").write_text(source, encoding="utf-8")
+        started = time.perf_counter()
+        assert extract_functions(tmp_path) == []
+        assert time.perf_counter() - started < 2.0
 
 
 class TestAnalyze:

@@ -112,9 +112,8 @@ class TestPoacher:
 class TestBuildGraph:
     def test_two_token_active_block(self):
         graph = build_graph(tokenize("/*x*/"))
-        active = graph.adjacency[:2, :2]
-        np.testing.assert_allclose(active.sum(axis=1), [1.0, 1.0])
-        assert graph.adjacency[2:].sum() == 0.0
+        assert graph.adjacency.shape == (2, 2)
+        np.testing.assert_allclose(graph.adjacency.sum(axis=1), [1.0, 1.0])
 
     def test_counts_symmetric(self):
         rng = random.Random(3)
@@ -125,19 +124,30 @@ class TestBuildGraph:
     def test_row_sums_on_example(self):
         graph = build_graph(tokenize("int f(){return 0;}"))
         active = graph.stream.content_len
-        sums = graph.adjacency[:active].sum(axis=1)
+        sums = graph.adjacency.sum(axis=1)
         np.testing.assert_allclose(sums, np.ones(active), atol=1e-12)
 
     def test_pad_rows_and_columns_zero(self):
+        # PAD positions get no row or column at all
         graph = build_graph(tokenize("a=b;"))
         active = graph.stream.content_len
-        assert graph.adjacency[active:].sum() == 0.0
-        assert graph.adjacency[:, active:].sum() == 0.0
+        assert active < STREAM_CAPACITY
+        assert graph.counts.shape == graph.adjacency.shape == (active, active)
+
+    @pytest.mark.parametrize("source, active", [
+        ("/* no tokens */", 2),
+        ("int f(){return 0;}", 11),
+        ("void f() {\n" + "x = 1;\n" * 200 + "}", STREAM_CAPACITY),
+    ], ids=["empty", "short", "truncated"])
+    def test_operator_is_content_len_square(self, source, active):
+        stream = tokenize(source)
+        assert stream.content_len == active
+        graph = build_graph(stream)
+        assert graph.counts.shape == graph.adjacency.shape == (active, active)
 
     def test_self_loops_positive_on_diagonal(self):
         graph = build_graph(tokenize("a=b;"))
-        active = graph.stream.content_len
-        assert (np.diag(graph.adjacency)[:active] > 0).all()
+        assert (np.diag(graph.adjacency) > 0).all()
 
     def test_edges_never_touch_pad(self):
         rng = random.Random(9)

@@ -16,25 +16,18 @@ class TestOps:
         out = tensor.relu(Matrix([[-1.0, 2.0]]))
         np.testing.assert_array_equal(out.data, [[0.0, 2.0]])
 
-    def test_row_softmax_symmetry(self):
-        out = tensor.row_softmax(Matrix([[0.0, 0.0]]))
-        np.testing.assert_allclose(out.data, [[0.5, 0.5]])
-
-    def test_row_softmax_rows_sum_to_one(self):
-        rng = np.random.default_rng(0)
-        out = tensor.row_softmax(Matrix(rng.normal(size=(4, 7)) * 50))
-        np.testing.assert_allclose(out.data.sum(axis=1), np.ones(4))
-
     def test_shape_mismatch_names_both_shapes(self):
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(3, 3\)"):
             tensor.add(Matrix(np.zeros((2, 3))), Matrix(np.zeros((3, 3))))
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 3\)"):
             tensor.matmul(Matrix(np.zeros((2, 3))), Matrix(np.zeros((2, 3))))
 
-    def test_mean_rows_uses_mask(self):
-        m = Matrix([[1.0, 2.0], [3.0, 4.0], [100.0, 100.0]])
-        out = tensor.mean_rows(m, np.array([True, True, False]))
-        np.testing.assert_allclose(out.data, [[2.0, 3.0]])
+    def test_mean_rows_averages_every_row(self):
+        m = Matrix([[1.0, 2.0], [3.0, 4.0], [101.0, 102.0]])
+        out = tensor.mean_rows(m)
+        np.testing.assert_allclose(out.data, [[35.0, 36.0]])
+        with pytest.raises(ShapeError, match="no rows"):
+            tensor.mean_rows(Matrix(np.zeros((0, 2))))
 
     def test_gather_rows_bounds(self):
         table = Matrix(np.arange(6.0).reshape(3, 2))
@@ -87,7 +80,7 @@ class TestBackward:
         def f():
             h = tensor.relu(tensor.matmul(x, w1.value))
             h = tensor.relu(tensor.matmul(h, w2.value))
-            out = tensor.row_softmax(tensor.matmul(h, w3.value))
+            out = tensor.sigmoid(tensor.matmul(h, w3.value))
             return tensor.mean_all(tensor.mul(out, out))
 
         report = tensor.grad_check(f, [w1, w2, w3], h=1e-5, tol=1e-4)
@@ -99,9 +92,7 @@ class TestBackward:
         rng2 = np.random.default_rng(9)
         a1 = tensor.glorot_uniform(6, 6, rng1)
         a2 = tensor.glorot_uniform(6, 6, rng2)
-        out1 = tensor.row_softmax(Matrix(a1))
-        out2 = tensor.row_softmax(Matrix(a2))
-        assert np.array_equal(out1.data, out2.data)
+        assert np.array_equal(a1, a2)
 
 
 class TestGradCheck:
