@@ -29,7 +29,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import AttributionError
-from .lexer import TokenStream, Vocabulary
+from .lexer import STREAM_CAPACITY, TokenStream, Vocabulary
 from .model import ForwardOutput, denormalize_lines
 from .semgraph import SemanticGraph, model_inputs
 
@@ -43,7 +43,7 @@ class Attribution:
 
     ``baseline`` is the predicted class's probability with every payload
     token occluded (the model's output on an empty function, serialized
-    as "phi0" in dumps). Special positions always score 0.
+    as "phi0" in dumps). One score per stream position; specials score 0.
     """
 
     token_scores: np.ndarray
@@ -233,9 +233,10 @@ def normalize_scores(line_scores: Mapping[int, float]) -> dict[int, float]:
 
 def attribution_dump(attribution: Attribution,
                      root_cause: RootCause | None) -> dict:
-    """JSON-ready dump: token_scores, line_scores, root_cause, phi0."""
+    """JSON-ready dump; token_scores are zero-padded to STREAM_CAPACITY."""
+    scores = [float(s) for s in attribution.token_scores]
     return {
-        "token_scores": [float(s) for s in attribution.token_scores],
+        "token_scores": scores + [0.0] * (STREAM_CAPACITY - len(scores)),
         "line_scores": {str(line): score
                         for line, score in sorted(attribution.line_scores.items())},
         "root_cause": None if root_cause is None else {

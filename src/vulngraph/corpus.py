@@ -200,7 +200,8 @@ def load_dataset(path: str | Path,
     seen_ids: set[str] = set()
     path = Path(path)
     try:
-        lines = path.read_text(encoding="utf-8").splitlines()
+        # not splitlines(): save_dataset leaves U+2028 and U+0085 raw
+        lines = path.read_text(encoding="utf-8").split("\n")
     except OSError as exc:
         raise DataError(f"cannot read dataset {path}: {exc}") from exc
     for lineno, line in enumerate(lines, start=1):

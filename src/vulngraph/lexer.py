@@ -1,11 +1,12 @@
 """Word-level C/C++ lexer with exact token-to-line provenance.
 
-Functions are turned into fixed-capacity streams of 512 tokens: a <BOS>
-marker, at most 510 payload tokens, an <EOS> marker, then <PAD> up to
-capacity. Every payload token remembers the 1-based source line of its
-first character; the localization and root-cause machinery depend on
-that map being exact, which is why this is a deterministic lexer rather
-than a sub-word tokenizer.
+A function becomes <BOS>, at most 510 payload tokens and <EOS>, with no
+padding. Lexing stops at the 511th payload token, which only marks the
+stream truncated: text after it is never lexed, so it cannot raise.
+Every payload token remembers the 1-based source line of its first
+character; localization and root cause depend on that map being exact,
+which is why this is a deterministic lexer rather than a sub-word
+tokenizer.
 
 Preprocessor directives are lexed as ordinary tokens ('#' is
 punctuation, directive words are identifiers); comments are skipped;
@@ -18,12 +19,13 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DataError, LexError
 
-#: Fixed stream capacity, including <BOS> and <EOS>.
+#: Largest stream length, including <BOS> and <EOS>.
 STREAM_CAPACITY = 512
 #: Payload tokens that fit alongside the two markers.
 MAX_PAYLOAD = STREAM_CAPACITY - 2
@@ -55,7 +57,7 @@ class TokenKind(Enum):
 class Token:
     text: str
     kind: TokenKind
-    line: int  # 1-based source line; 0 for <BOS>/<EOS>/<PAD>
+    line: int  # 1-based source line; 0 for <BOS>/<EOS>
 
     @property
     def is_special(self) -> bool:
@@ -64,20 +66,22 @@ class Token:
 
 _BOS_TOKEN = Token(BOS, TokenKind.SPECIAL, 0)
 _EOS_TOKEN = Token(EOS, TokenKind.SPECIAL, 0)
-_PAD_TOKEN = Token(PAD, TokenKind.SPECIAL, 0)
 
 
 @dataclass(frozen=True)
 class TokenStream:
-    """Exactly ``STREAM_CAPACITY`` tokens: <BOS>, payload, <EOS>, <PAD>*."""
+    """<BOS>, at most ``MAX_PAYLOAD`` payload tokens, <EOS>; no padding."""
 
     tokens: tuple[Token, ...]
-    content_len: int  # number of non-PAD tokens
     truncated: bool
+
+    @property
+    def content_len(self) -> int:  # the two markers included
+        return len(self.tokens)
 
     def payload(self) -> tuple[Token, ...]:
         """The tokens between <BOS> and <EOS>."""
-        return self.tokens[1:self.content_len - 1]
+        return self.tokens[1:-1]
 
 
 KEYWORDS = frozenset("""
@@ -113,11 +117,15 @@ def _is_ident_part(ch: str) -> bool:
 def lex(source: str) -> list[Token]:
     """Lex an arbitrary amount of C/C++ text into raw tokens.
 
-    No capacity limit and no special markers; this is the primitive
-    both ``tokenize`` and the repo scanner's function extractor build on.
-    Raises LexError for unterminated strings, chars, or block comments.
+    No capacity limit and no special markers; the repo scanner's function
+    extractor builds on it. Raises LexError for unterminated strings,
+    chars, or block comments.
     """
-    tokens: list[Token] = []
+    return list(_lex_tokens(source))
+
+
+def _lex_tokens(source: str) -> Iterator[Token]:
+    """The tokens of ``lex``, produced lazily so a caller can stop early."""
     i = 0
     line = 1
     n = len(source)
@@ -144,7 +152,7 @@ def lex(source: str) -> list[Token]:
         if ch == '"' or ch == "'":
             text, i = _scan_quoted(source, i, line)
             kind = TokenKind.STRING_LIT if ch == '"' else TokenKind.CHAR_LIT
-            tokens.append(Token(text, kind, line))
+            yield Token(text, kind, line)
             line += text.count("\n")
             continue
         if _is_ident_start(ch):
@@ -153,7 +161,7 @@ def lex(source: str) -> list[Token]:
                 j += 1
             text = source[i:j]
             kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENTIFIER
-            tokens.append(Token(text, kind, line))
+            yield Token(text, kind, line)
             i = j
             continue
         if ch.isdigit() or (ch == "." and i + 1 < n and source[i + 1].isdigit()):
@@ -166,21 +174,20 @@ def lex(source: str) -> list[Token]:
                     j += 1
                 else:
                     break
-            tokens.append(Token(source[i:j], TokenKind.NUMBER, line))
+            yield Token(source[i:j], TokenKind.NUMBER, line)
             i = j
             continue
         op = _match_operator(source, i)
         if op is not None:
             kind = (TokenKind.PUNCTUATION if op in _PUNCTUATION
                     else TokenKind.OPERATOR)
-            tokens.append(Token(op, kind, line))
+            yield Token(op, kind, line)
             i += len(op)
             continue
         # Anything else (stray backslash, unicode symbol) passes through
         # as a single-character operator token.
-        tokens.append(Token(ch, TokenKind.OPERATOR, line))
+        yield Token(ch, TokenKind.OPERATOR, line)
         i += 1
-    return tokens
 
 
 def _scan_quoted(source: str, start: int, line: int) -> tuple[str, int]:
@@ -215,22 +222,16 @@ def _match_operator(source: str, i: int) -> str | None:
 
 
 def tokenize(source: str) -> TokenStream:
-    """Lex a function into a fixed 512-token stream.
+    """Lex a function into a stream of at most 512 tokens.
 
-    Payload beyond 510 tokens is dropped and the stream marked truncated;
-    lines past the truncation point can never be localized, so reports
-    propagate the flag.
+    Lexing stops after ``MAX_PAYLOAD + 1`` tokens, the last only marking
+    the stream truncated; reports propagate the flag.
     """
     if not source:
         raise DataError("cannot tokenize empty source")
-    payload = lex(source)
+    payload = list(islice(_lex_tokens(source), MAX_PAYLOAD + 1))
     truncated = len(payload) > MAX_PAYLOAD
-    if truncated:
-        payload = payload[:MAX_PAYLOAD]
-    tokens = [_BOS_TOKEN, *payload, _EOS_TOKEN]
-    content_len = len(tokens)
-    tokens.extend([_PAD_TOKEN] * (STREAM_CAPACITY - content_len))
-    return TokenStream(tokens=tuple(tokens), content_len=content_len,
+    return TokenStream(tokens=(_BOS_TOKEN, *payload[:MAX_PAYLOAD], _EOS_TOKEN),
                        truncated=truncated)
 
 
@@ -239,7 +240,8 @@ class Vocabulary:
 
     Ids 0..3 are <PAD>, <BOS>, <EOS>, <UNK>; corpus tokens start at 4,
     ordered by descending count then ascending text so the mapping is
-    deterministic for a fixed corpus.
+    deterministic for a fixed corpus. <PAD> is in no stream: its embedding
+    row is the "pad" occlusion baseline. No entry holds a newline.
     """
 
     def __init__(self, corpus_tokens: Sequence[str]):
@@ -247,6 +249,8 @@ class Vocabulary:
         for offset, text in enumerate(corpus_tokens):
             if text in self._ids:
                 raise DataError(f"duplicate vocabulary entry {text!r}")
+            if "\n" in text:
+                raise DataError(f"vocabulary entry {text!r} holds a newline")
             self._ids[text] = len(RESERVED) + offset
 
     def __len__(self) -> int:
@@ -270,9 +274,10 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":
+        # bytes, split on "\n" only: token texts may hold "\r", "\x85"...
+        text = Path(path).read_bytes().decode("utf-8")
         entries: list[str] = []
-        for lineno, line in enumerate(
-                Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+        for lineno, line in enumerate(text.split("\n"), start=1):
             if not line:
                 continue
             try:
@@ -302,23 +307,20 @@ def build_vocab(records: Iterable, min_count: int = 1) -> Vocabulary:
     """Count payload tokens over a corpus and keep those seen often enough.
 
     ``records`` may be FunctionRecords (their ``source`` is lexed) or
-    plain strings. Tokens below ``min_count`` fall back to <UNK> at
-    encode time.
+    plain strings. Tokens below ``min_count`` or holding a newline
+    (spliced literals) fall back to <UNK> at encode time.
     """
     counts: Counter[str] = Counter()
     for record in records:
         source = record if isinstance(record, str) else record.source
         for token in tokenize(source).payload():
             counts[token.text] += 1
-    kept = [t for t, c in counts.items() if c >= min_count]
+    kept = [t for t, c in counts.items() if c >= min_count and "\n" not in t]
     kept.sort(key=lambda t: (-counts[t], t))
     return Vocabulary(kept)
 
 
 def encode(stream: TokenStream, vocab: Vocabulary) -> list[int]:
-    """Integer ids for a stream; unknown payload tokens map to <UNK>."""
-    special = {PAD: PAD_ID, BOS: BOS_ID, EOS: EOS_ID}
-    return [
-        special[t.text] if t.is_special else vocab.id_for(t.text)
-        for t in stream.tokens
-    ]
+    """Id per stream position: the markers are reserved entries, unknown
+    payload tokens map to <UNK> (no payload token reads "<BOS>")."""
+    return [vocab.id_for(t.text) for t in stream.tokens]

@@ -1,7 +1,7 @@
 """The network: token embedding, residual graph convolution, fused heads.
 
-Layout per forward pass (n = number of non-PAD positions, A_hat the
-n x n operator of ``semgraph.build_graph``):
+Layout per forward pass (n = number of stream positions, at most 512;
+A_hat the n x n operator of ``semgraph.build_graph``):
 
     ids (n,)            -> embedding lookup       -> H0 (n x embed_dim)
     H0 @ W_in                                     -> H  (n x gcn_dim)

@@ -1,9 +1,9 @@
 """Token-level semantic graph: four edge families over a token stream.
 
-The graph connects the non-PAD stream positions (0..content_len-1) with
-typed edges:
+The graph connects the n positions of a token stream (<BOS>, at most
+510 payload tokens, <EOS>; n = ``content_len``) with typed edges:
 
-* sequential — each non-PAD token to its successor, BOS/EOS included;
+* sequential — each token to its successor, BOS/EOS included;
 * control   — control keywords to the first token of the lexically
   next statement, plus if/else pairing;
 * data      — consecutive occurrences of the same identifier (def-use
@@ -16,11 +16,11 @@ These are explicit lexical surrogates: deterministic and computable
 without a parser, not a reproduction of any parser-based construction.
 Each family can be toggled off for ablations.
 
-The edge multiset becomes a dense n x n operator over the n non-PAD
-positions (``content_len``) in two steps: multiplicity counts are
-symmetrized (elementwise max with the transpose) and given self-loops,
-then each row is normalized to sum to 1. PAD positions have no rows or
-columns, so the operator never mixes padding into token features.
+The edge multiset becomes a dense n x n operator over the stream's n
+positions in two steps: multiplicity counts are symmetrized (elementwise
+max with the transpose) and given self-loops, then each row is
+normalized to sum to 1. Streams carry no padding, so the operator only
+ever mixes the function's own tokens.
 """
 
 from __future__ import annotations
@@ -88,7 +88,7 @@ RISK_CALLS = frozenset({
 
 
 def sequential_edges(stream: TokenStream) -> list[TypedEdge]:
-    """Chain every non-PAD token to its successor."""
+    """Chain every token to its successor."""
     return [
         TypedEdge(i, i + 1, EdgeKind.SEQUENTIAL)
         for i in range(stream.content_len - 1)
@@ -249,19 +249,6 @@ def build_graph(stream: TokenStream,
 
 def model_inputs(graph: SemanticGraph, vocab: Vocabulary
                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Token ids of the non-PAD prefix and the operator over them."""
-    active = graph.stream.content_len
-    ids = np.asarray(encode(graph.stream, vocab), dtype=np.int64)[:active]
+    """Token ids of the stream and the operator over them."""
+    ids = np.asarray(encode(graph.stream, vocab), dtype=np.int64)
     return ids, graph.adjacency
-
-
-def dump_edges(graph: SemanticGraph) -> str:
-    """Edge list as "kind src dst" lines, for golden-file comparisons."""
-    return "\n".join(f"{e.kind.value} {e.src} {e.dst}"
-                     for e in graph.edges) + "\n"
-
-
-def dump_adjacency_csv(graph: SemanticGraph) -> str:
-    """Dense CSV of the adjacency (repr-exact floats)."""
-    return "\n".join(",".join(repr(v) for v in row)
-                     for row in graph.adjacency) + "\n"

@@ -100,7 +100,7 @@ class Sgd:
 
 @dataclass(frozen=True)
 class EncodedSample:
-    """A record made model-ready: non-PAD token ids and their operator."""
+    """A record made model-ready: its stream's n ids, their n x n operator."""
 
     record_id: str
     ids: np.ndarray

@@ -9,7 +9,7 @@ from vulngraph.attribution import (ORACLE_MAX_TOKENS, aggregate_lines,
                                    localize, normalize_scores,
                                    select_root_cause, shapley_oracle)
 from vulngraph.errors import AttributionError, ConfigError
-from vulngraph.lexer import build_vocab, lex, tokenize
+from vulngraph.lexer import STREAM_CAPACITY, build_vocab, lex, tokenize
 from vulngraph.model import ModelConfig, VulnModel
 from vulngraph.semgraph import build_graph, model_inputs
 from conftest import (LONG_SOURCE, attribute, fuzz_snippet, spearman,
@@ -86,7 +86,7 @@ class TestOcclusion:
         attribution = attribute(toy_run.model, stream, graph, toy_run.vocab)
         assert attribution.token_scores[0] == 0.0
         assert attribution.token_scores[stream.content_len - 1] == 0.0
-        assert np.all(attribution.token_scores[stream.content_len:] == 0.0)
+        assert attribution.token_scores.shape == (stream.content_len,)
 
     def test_deterministic(self):
         model, stream, graph, vocab, *_ = tiny_model_inputs("x = y; y = x;")
@@ -338,4 +338,8 @@ class TestDump:
         assert set(payload) == {"token_scores", "line_scores", "root_cause",
                                 "phi0", "target_class"}
         assert isinstance(payload["token_scores"], list)
+        assert len(payload["token_scores"]) == STREAM_CAPACITY
+        n = stream.content_len
+        assert payload["token_scores"][:n] == list(attribution.token_scores)
+        assert payload["token_scores"][n:] == [0.0] * (STREAM_CAPACITY - n)
         assert set(payload["root_cause"]) == {"line", "score", "fallback_used"}

@@ -112,6 +112,16 @@ class TestLoad:
         save_dataset(records, out)
         assert load_dataset(out) == records
 
+    @pytest.mark.parametrize("char", ["\u2028", "\u2029", "\x85"])
+    def test_round_trip_keeps_line_break_characters(self, tmp_path, char):
+        records = [FunctionRecord(id=f"a{char}", language="c",
+                                  source=f'int f(){{\nchar *s = "{char}";\n}}'),
+                   FunctionRecord(id="b", language="c", source="void g(){}")]
+        path = tmp_path / "d.jsonl"
+        save_dataset(records, path)
+        assert char in path.read_text(encoding="utf-8")
+        assert load_dataset(path) == records
+
 
 class TestSplit:
     def test_even_division(self):

@@ -1,29 +1,46 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from vulngraph.errors import DataError, LexError
-from vulngraph.lexer import (BOS, EOS, PAD, STREAM_CAPACITY, TokenKind,
+from vulngraph.lexer import (BOS, BOS_ID, EOS, EOS_ID, MAX_PAYLOAD, PAD,
+                             PAD_ID, STREAM_CAPACITY, UNK_ID, Token, TokenKind,
                              Vocabulary, build_vocab, encode, lex, tokenize)
 from conftest import fuzz_snippet
+
+#: C-ish pieces, some repeated hundreds of times so that streams both
+#: fit the window and overflow it.
+C_PIECES = st.sampled_from([
+    "int ", "x", " = ", "1", ";", "\n", "(", ")", "{", "}", "a->b", "<<=",
+    '"s"', "'c'", "// c\n", "/* c */", "\\", "\u2028", "\x85", "\r",
+])
+C_TEXT = st.lists(st.tuples(C_PIECES, st.integers(1, 400)), max_size=8).map(
+    lambda parts: "".join(piece * count for piece, count in parts))
+
+
+def lexes(source):
+    try:
+        return lex(source)
+    except LexError:
+        return None
 
 
 class TestTokenize:
     def test_hand_lexed_example(self):
         stream = tokenize("int f(){\nreturn 0;\n}")
-        texts = [(t.text, t.line) for t in stream.tokens[:stream.content_len]]
+        texts = [(t.text, t.line) for t in stream.tokens]
         assert texts == [
             (BOS, 0), ("int", 1), ("f", 1), ("(", 1), (")", 1), ("{", 1),
             ("return", 2), ("0", 2), (";", 2), ("}", 3), (EOS, 0),
         ]
-        assert stream.content_len == 11
+        assert stream.content_len == len(stream.tokens) == 11
         assert not stream.truncated
-        assert all(t.text == PAD for t in stream.tokens[stream.content_len:])
 
     def test_comment_only_source(self):
         stream = tokenize("/*x*/")
         assert stream.content_len == 2
-        assert [t.text for t in stream.tokens[:2]] == [BOS, EOS]
+        assert [t.text for t in stream.tokens] == [BOS, EOS]
 
     def test_truncation_at_capacity(self):
         source = "int f() {\n" + "\n".join(f"x{i} = {i};" for i in range(200)) + "\n}"
@@ -31,17 +48,38 @@ class TestTokenize:
         assert len(stream.tokens) == STREAM_CAPACITY
         assert stream.content_len == STREAM_CAPACITY
         assert stream.truncated
-        assert stream.tokens[STREAM_CAPACITY - 1].text == EOS
+        assert stream.tokens[-1].text == EOS
+        assert stream.payload() == tuple(lex(source)[:MAX_PAYLOAD])
 
-    def test_capacity_always_exact(self):
-        rng = random.Random(5)
-        for _ in range(25):
-            stream = tokenize(fuzz_snippet(rng))
-            assert len(stream.tokens) == STREAM_CAPACITY
-            assert stream.tokens[0].text == BOS
-            assert stream.tokens[stream.content_len - 1].text == EOS
-            pad_tail = stream.tokens[stream.content_len:]
-            assert all(t.text == PAD for t in pad_tail)
+    @pytest.mark.parametrize("extra,truncated", [(0, False), (1, True)])
+    def test_truncated_exactly_past_the_window(self, extra, truncated):
+        source = "x " * (MAX_PAYLOAD + extra)
+        stream = tokenize(source)
+        assert stream.truncated is truncated
+        assert stream.content_len == STREAM_CAPACITY
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(st.text(), C_TEXT))
+    def test_stream_is_the_window_of_lex(self, source):
+        """``lex`` (uncapped) is the oracle of the early-stopping stream."""
+        tokens = lexes(source)
+        assume(source and tokens is not None)
+        stream = tokenize(source)
+        assert stream.tokens == (Token(BOS, TokenKind.SPECIAL, 0),
+                                 *tokens[:MAX_PAYLOAD],
+                                 Token(EOS, TokenKind.SPECIAL, 0))
+        assert stream.truncated == (len(tokens) > MAX_PAYLOAD)
+
+    @pytest.mark.parametrize("tail", [
+        '"never closed', "'x", "/* never closed", 'ok; "never closed',
+    ])
+    def test_text_past_the_window_is_not_lexed(self, tail):
+        source = "x " * (MAX_PAYLOAD + 1) + tail
+        with pytest.raises(LexError):
+            lex(source)
+        stream = tokenize(source)
+        assert stream.truncated
+        assert stream.content_len == STREAM_CAPACITY
 
     def test_multichar_operators_are_single_tokens(self):
         stream = tokenize("p->next <= q += 1; a <<= 2;")
@@ -132,14 +170,44 @@ class TestVocabulary:
         first = path.read_text(encoding="utf-8").splitlines()[0]
         assert first == "<PAD>\t0"
 
+    @pytest.mark.parametrize("source", [
+        's = "a\fb";', 's = "a\u2028b";', 's = "a\rb";', 's = "a\\\nb";',
+        "a \x85 b;", "a \x1c\x1d\x1e\v b;", 's = "\u2029";',
+    ])
+    def test_round_trip_keeps_line_break_characters(self, tmp_path, source):
+        vocab = build_vocab([source])
+        vocab.save(tmp_path / "vocab.tsv")
+        assert Vocabulary.load(tmp_path / "vocab.tsv") == vocab
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.one_of(st.text(), C_TEXT), min_size=1, max_size=3))
+    def test_round_trip_on_arbitrary_text(self, tmp_path_factory, sources):
+        sources = [s for s in sources if s and lexes(s) is not None]
+        vocab = build_vocab(sources)
+        path = tmp_path_factory.mktemp("vocab") / "vocab.tsv"
+        vocab.save(path)
+        assert Vocabulary.load(path) == vocab
+
+    def test_spliced_literal_encodes_as_unknown(self):
+        source = 's = "a\\\nb";'
+        vocab = build_vocab([source])
+        literal = tokenize(source).payload()[2]
+        assert "\n" in literal.text and literal.text not in vocab
+        assert encode(tokenize(source), vocab)[3] == UNK_ID
+        assert len(vocab) == 4 + 3  # s, =, ;
+
+    def test_newline_entry_rejected(self):
+        with pytest.raises(DataError, match="newline"):
+            Vocabulary(['"a\\\nb"'])
+
 
 class TestEncode:
     def test_reserved_ids(self):
         stream = tokenize("/*x*/")
         vocab = build_vocab([])
-        ids = encode(stream, vocab)
-        assert ids[:3] == [1, 2, 0]
-        assert set(ids[2:]) == {0}
+        assert encode(stream, vocab) == [BOS_ID, EOS_ID] == [1, 2]
+        assert vocab.id_for(PAD) == PAD_ID == 0
+        assert PAD_ID not in encode(tokenize("int f(){return 0;}"), vocab)
 
     def test_unknown_token_maps_to_unk(self):
         stream = tokenize("mystery_name;")

@@ -16,21 +16,21 @@ from conftest import LONG_SOURCE, fuzz_snippet, poison, tiny_model_inputs
 SOURCE = "int f(){int a;return a+1;}"
 
 
-def full_stream_ids(source=SOURCE):
-    """The vocabulary and the ids of all 512 stream positions, PAD included."""
+def stream_ids(source=SOURCE):
+    """The vocabulary and the ids of every stream position."""
     vocab = build_vocab([source])
     return vocab, np.asarray(encode(tokenize(source), vocab), dtype=np.int64)
 
 
 class TestEmbed:
     def test_default_config_shape(self):
-        vocab, ids = full_stream_ids()
+        vocab, ids = stream_ids()
         model = VulnModel(ModelConfig(vocab_size=len(vocab)), seed=0)
         h0 = model.embed(ids)
-        assert h0.shape == (512, 768)
+        assert h0.shape == (len(tokenize(SOURCE).tokens), 768) == (16, 768)
 
     def test_single_token_difference_changes_one_row(self):
-        vocab, ids = full_stream_ids()
+        vocab, ids = stream_ids()
         model = VulnModel(ModelConfig(vocab_size=len(vocab), embed_dim=8,
                                       gcn_dim=6), seed=0)
         other = ids.copy()
@@ -38,17 +38,8 @@ class TestEmbed:
         delta = model.embed(ids).data != model.embed(other).data
         assert set(np.nonzero(delta.any(axis=1))[0]) == {3}
 
-    def test_pad_tail_repeats_pad_embedding(self):
-        vocab, ids = full_stream_ids()
-        model = VulnModel(ModelConfig(vocab_size=len(vocab), embed_dim=8,
-                                      gcn_dim=6), seed=0)
-        h0 = model.embed(ids).data
-        pad_row = model.embedding.data[0]
-        np.testing.assert_array_equal(h0[-1], pad_row)
-        np.testing.assert_array_equal(h0[-100], pad_row)
-
     def test_out_of_range_id(self):
-        vocab, ids = full_stream_ids()
+        vocab, ids = stream_ids()
         model = VulnModel(ModelConfig(vocab_size=len(vocab), embed_dim=8,
                                       gcn_dim=6), seed=0)
         bad = ids.copy()
@@ -159,7 +150,7 @@ class TestPooledEmbedding:
         pooled = []
         for source in (first, second):
             stream = tokenize(source)
-            ids = np.asarray(encode(stream, vocab))[:stream.content_len]
+            ids = np.asarray(encode(stream, vocab))
             pooled.append(model.pooled_embedding(model.embed(ids)).data)
         np.testing.assert_allclose(pooled[0], pooled[1], atol=1e-15)
 
@@ -169,7 +160,7 @@ class TestPooledEmbedding:
         model = VulnModel(ModelConfig(vocab_size=len(vocab), embed_dim=8,
                                       gcn_dim=6), seed=0)
         stream = tokenize(source)
-        ids = np.asarray(encode(stream, vocab))[:stream.content_len]
+        ids = np.asarray(encode(stream, vocab))
         pooled = model.pooled_embedding(model.embed(ids[1:2]))
         expected = model.embed(ids).data[1:2] @ model.input_proj.data
         np.testing.assert_allclose(pooled.data, expected, atol=1e-15)

@@ -243,6 +243,15 @@ class TestAnalyze:
         assert report.truncated
         assert any("512" in w for w in report.warnings)
 
+    def test_huge_function_lexes_only_the_window(self, toy_run):
+        # 1 MB on one line, about 90,000 statements; the window holds 510
+        source = "void f(int y) { " + "x = y + 1; " * 90000 + "}"
+        record = FunctionRecord(id="huge", source=source, language="c")
+        started = time.perf_counter()
+        report = analyze(record, toy_run.model, toy_run.vocab)
+        assert time.perf_counter() - started < 0.1
+        assert report.truncated and not report.unanalyzable
+
 
 class TestScan:
     def test_empty_directory(self, tmp_path, toy_run):

@@ -83,6 +83,16 @@ class TestLabelIndex:
             label_index(record, 11, catalog)
 
 
+class TestPrepareSample:
+    def test_unlexable_text_past_the_window_is_truncated(self, catalog):
+        # the unterminated literal lies past the window, so it is never lexed
+        record = FunctionRecord(id="long", language="c", source=(
+            "void f() {\n" + "x = 1;\n" * 200 + 'y = "never closed;\n}'))
+        sample = prepare_sample(record, build_vocab([]), 11, catalog)
+        assert sample.ids.shape == (512,)
+        assert sample.adjacency.shape == (512, 512)
+
+
 class TestTrain:
     def test_zero_learning_rate_is_identity(self):
         records, ds = tiny_corpus()
