@@ -7,11 +7,12 @@ per source line; the root cause is the highest-scoring line strictly
 before the predicted vulnerable range, never the declaration line.
 
 Occlusion is computed incrementally when the model offers
-``occluded_probabilities`` (``VulnModel`` does): one base pass, then per
-token only the rows within ``gcn_layers`` hops of it are recomputed, so
-``attribute_tokens`` runs one full forward whatever the length, besides
-the caller's base pass. Other models get one full forward per token;
-that loop is also the oracle the incremental path is tested against.
+``occluded_probabilities`` (``VulnModel`` does): it starts from the
+caller's base pass, and per token only the rows within ``gcn_layers``
+hops of it are recomputed, so ``attribute_tokens`` runs one full forward
+(all tokens occluded) whatever the length, besides the caller's base
+pass. Other models get one full forward per token; that loop is also the
+oracle the incremental path is tested against.
 
 ``shapley_oracle`` computes exact Shapley values by enumerating all
 present/occluded coalitions of payload tokens. It is test-scale only
@@ -94,7 +95,7 @@ def attribute_tokens(model, stream: TokenStream,
     payload = _payload_positions(stream)
     if hasattr(model, "occluded_probabilities"):
         occluded = model.occluded_probabilities(*inputs, target, payload,
-                                                baseline)
+                                                baseline, base)
     else:  # one full forward per position: the oracle of the fast path
         occluded = np.array([_target_prob(model, inputs, target, [position],
                                           baseline) for position in payload])

@@ -19,9 +19,10 @@ pretrained encoder; since ``pooled_embed`` is a mean over tokens it is
 order-invariant over the payload, an accepted desk-scale limitation.
 
 ``forward`` is the inference pass: plain numpy, no autodiff tape, each
-layer checked for non-finite values; its layer loop is also the base pass
-of ``occluded_probabilities``. ``forward_nodes`` runs the same layers on
-the ``tensor`` tape for training and is ``forward``'s bit-exact oracle.
+layer checked for non-finite values; its per-layer results are the base
+pass that ``occluded_probabilities`` builds on. ``forward_nodes`` runs the
+same layers on the ``tensor`` tape for training and is ``forward``'s
+bit-exact oracle.
 
 ``loc_pred`` regresses normalized line fractions: the target for line L
 in an N-line function is (L - 0.5) / N, so the loss does not scale with
@@ -30,7 +31,7 @@ function length. ``denormalize_lines`` inverts that mapping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -109,6 +110,9 @@ class ForwardOutput:
     pooled_embed: np.ndarray
     pooled_graph: np.ndarray
     fused: np.ndarray
+    # each layer's (A @ H) @ W of an unoccluded pass, for occlusion to reuse
+    _mixed: list[np.ndarray] | None = field(default=None, compare=False,
+                                            repr=False)
 
     @property
     def probabilities(self) -> np.ndarray:
@@ -235,7 +239,8 @@ class VulnModel:
         embeddings = self.embedding.data[self._checked_ids(ids)]
         if occlude is not None:
             embeddings[list(occlude)] = self._replacement(occlusion_baseline)
-        pooled_embed, pooled_graph, _ = self._graph_pass(embeddings, adjacency)
+        pooled_embed, pooled_graph, mixed = self._graph_pass(embeddings,
+                                                             adjacency)
         embed_w, graph_w = fusion if fusion is not None else (
             self.config.embed_weight, self.config.graph_weight)
         _check_fusion(embed_w, graph_w)
@@ -250,6 +255,7 @@ class VulnModel:
             pooled_embed=pooled_embed,
             pooled_graph=pooled_graph,
             fused=fused,
+            _mixed=mixed if occlude is None else None,
         )
 
     def _replacement(self, baseline: str) -> np.ndarray:
@@ -289,12 +295,16 @@ class VulnModel:
     @np.errstate(over="ignore", invalid="ignore")
     def occluded_probabilities(self, ids: np.ndarray, adjacency: np.ndarray,
                                target: int, positions: Sequence[int],
-                               baseline: str = "pad") -> np.ndarray:
+                               baseline: str = "pad",
+                               base: ForwardOutput | None = None
+                               ) -> np.ndarray:
         """Probability of ``target`` with each of ``positions`` occluded alone.
 
         Entry k equals ``forward(..., occlude=[positions[k]]).probabilities
         [target]`` up to rounding; ``forward`` stays the oracle. The base
-        pass keeps every layer's pre-activation ``(A @ H_l) @ W_l``.
+        pass keeps every layer's pre-activation ``(A @ H_l) @ W_l``; it is
+        taken from ``base``, this model's unoccluded ``forward`` on the
+        same inputs, when given, and run here otherwise.
         Occluding position p changes H0 in row p only, and each layer
         spreads a row change to the rows that read it, so only the rows
         within ``gcn_layers`` hops of p are recomputed; the pooled means
@@ -306,12 +316,16 @@ class VulnModel:
         replacement = self._replacement(baseline)
         w_in = self.input_proj.data
         embeddings = self.embedding.data[ids]
-        try:
-            pooled_embed, pooled_graph, mixed_per_layer = self._graph_pass(
-                embeddings, adjacency)
-        except GradientError as exc:
-            raise AttributionError(
-                f"occluded probabilities are not finite: {exc}") from exc
+        if base is not None and base._mixed is not None:
+            pooled_embed, pooled_graph, mixed_per_layer = (
+                base.pooled_embed, base.pooled_graph, base._mixed)
+        else:
+            try:
+                pooled_embed, pooled_graph, mixed_per_layer = \
+                    self._graph_pass(embeddings, adjacency)
+            except GradientError as exc:
+                raise AttributionError(
+                    f"occluded probabilities are not finite: {exc}") from exc
         reads = adjacency != 0
 
         positions = np.asarray(positions, dtype=np.int64)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import logging
-from concurrent.futures import ThreadPoolExecutor
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -23,7 +23,7 @@ from typing import Sequence
 from .attribution import attribute_tokens, localize, normalize_scores
 from .corpus import (BINARY_VULNERABLE_LABEL, CweCatalog, FunctionRecord,
                      default_catalog)
-from .errors import DataError, LexError
+from .errors import ConfigError, DataError, LexError, VulnGraphError
 from .lexer import Token, TokenKind, Vocabulary, lex, tokenize
 from .model import VulnModel
 from .semgraph import build_graph, model_inputs
@@ -299,33 +299,26 @@ def scan(root: str | Path, model: VulnModel, vocab: Vocabulary,
     """Analyze every function under ``root`` and write one report each.
 
     Reports land in ``out`` ordered by (path, start line), together with
-    summary.json counting functions per predicted class. Output is
+    summary.json counting functions per predicted class. ``jobs`` > 1
+    analyzes in worker processes started by fork, at most one per CPU;
+    where fork is unavailable the scan warns and runs serially. Output is
     deterministic: rerunning on an unchanged tree with the same frozen
     model reproduces byte-identical files regardless of ``jobs``.
     """
     if fmt not in ("json", "text"):
         raise DataError(f"unknown report format {fmt!r}")
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
     catalog = catalog or default_catalog()
     records = extract_functions(root)
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
 
-    def run(record: FunctionRecord) -> AnalysisReport:
-        try:
-            return analyze(record, model, vocab, catalog)
-        except Exception as exc:  # crash isolation: report, keep scanning
-            offset = (record.file_start_line or 1) - 1
-            return AnalysisReport(
-                function_id=record.id, file=record.file,
-                span=(offset + 1, offset + record.line_count),
-                predicted_cwe="none", confidence=0.0,
-                description="unanalyzable", error=f"{type(exc).__name__}: {exc}")
-
-    if jobs > 1 and len(records) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(run, records))
+    workers = _worker_count(jobs, len(records)) if jobs > 1 else 1
+    if workers > 1:
+        reports = _analyze_in_workers(records, workers, model, vocab, catalog)
     else:
-        reports = [run(record) for record in records]
+        reports = [_run(record, model, vocab, catalog) for record in records]
 
     counts: dict[str, int] = {}
     for report in reports:
@@ -350,6 +343,67 @@ def scan(root: str | Path, model: VulnModel, vocab: Vocabulary,
         encoding="utf-8")
     (out / "summary.txt").write_text(summary.to_table(), encoding="utf-8")
     return summary
+
+
+def _run(record: FunctionRecord, model: VulnModel, vocab: Vocabulary,
+         catalog: CweCatalog) -> AnalysisReport:
+    """``analyze`` with crash isolation: an exception becomes the report."""
+    try:
+        return analyze(record, model, vocab, catalog)
+    except Exception as exc:  # crash isolation: report, keep scanning
+        offset = (record.file_start_line or 1) - 1
+        return AnalysisReport(
+            function_id=record.id, file=record.file,
+            span=(offset + 1, offset + record.line_count),
+            predicted_cwe="none", confidence=0.0,
+            description="unanalyzable", error=f"{type(exc).__name__}: {exc}")
+
+
+#: (model, vocab, catalog) of a scan worker, set once by ``_init_worker``.
+_worker_state: tuple[VulnModel, Vocabulary, CweCatalog] | None = None
+
+
+def _init_worker(model: VulnModel, vocab: Vocabulary,
+                 catalog: CweCatalog) -> None:
+    global _worker_state
+    _worker_state = (model, vocab, catalog)
+
+
+def _run_in_worker(record: FunctionRecord) -> AnalysisReport:
+    return _run(record, *_worker_state)
+
+
+def _worker_count(jobs: int, n_records: int) -> int:
+    """Processes a scan may fork: one per CPU and record at most, or 1
+    (serial) where the platform cannot fork."""
+    import multiprocessing
+    if "fork" not in multiprocessing.get_all_start_methods():
+        logger.warning("scan --jobs needs the fork start method, which "
+                       "this platform lacks; analyzing serially")
+        return 1
+    return min(jobs, os.cpu_count() or 1, n_records)
+
+
+def _analyze_in_workers(records: list[FunctionRecord], workers: int,
+                        model: VulnModel, vocab: Vocabulary,
+                        catalog: CweCatalog) -> list[AnalysisReport]:
+    """Reports in record order, from ``workers`` forked processes.
+
+    Forked workers inherit the model, vocabulary and catalog through the
+    initializer's arguments, so only records and reports are pickled.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+    try:
+        with ProcessPoolExecutor(
+                max_workers=workers,
+                mp_context=multiprocessing.get_context("fork"),
+                initializer=_init_worker,
+                initargs=(model, vocab, catalog)) as pool:
+            return list(pool.map(_run_in_worker, records, chunksize=32))
+    except BrokenProcessPool as exc:
+        raise VulnGraphError(f"a scan worker process died: {exc}") from exc
 
 
 def _source_for(report: AnalysisReport, root: str | Path) -> str | None:

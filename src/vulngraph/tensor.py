@@ -68,8 +68,9 @@ class Matrix:
 
     def _accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = g.copy()
+        else:
+            self.grad += g
 
 
 def from_op(data: np.ndarray, parents: Sequence[Matrix],

@@ -263,4 +263,4 @@ def test_criterion_9_scan_determinism(tmp_path, toy_run):
     identical = runs[0] == runs[1] == runs[2]
     report(9, "scan determinism", identical,
            f"{len(runs[0])} output files byte-identical across two runs "
-           "and thread counts 1 and 4")
+           "and worker counts 1 and 4")

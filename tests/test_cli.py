@@ -216,6 +216,16 @@ class TestAnalyzeSurface:
         summary = json.loads(capsys.readouterr().out)
         assert summary["n_functions"] == 2
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_scan_jobs_below_one_is_usage_error(self, tmp_path, checkpoint,
+                                                capsys, jobs):
+        (tmp_path / "tree").mkdir()
+        assert main(["scan", "--checkpoint", str(checkpoint), "--root",
+                     str(tmp_path / "tree"), "--out", str(tmp_path / "out"),
+                     "--jobs", jobs]) == 1
+        err = capsys.readouterr().err
+        assert err == f"vulngraph: config error: jobs must be >= 1, got {jobs}\n"
+
 
 def count_forwards(monkeypatch):
     """Count calls of ``VulnModel.forward``."""

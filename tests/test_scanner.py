@@ -1,5 +1,11 @@
 import json
+import logging
+import multiprocessing
+import os
+import subprocess
+import sys
 import tempfile
+import textwrap
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -8,11 +14,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vulngraph.corpus import FunctionRecord, select
-from vulngraph.errors import DataError
+from vulngraph.errors import ConfigError, DataError
 from vulngraph.lexer import lex
+from vulngraph import scanner
 from vulngraph.model import VulnModel
 from vulngraph.scanner import (AnalysisReport, _closers, analyze,
                                extract_functions, render_report, scan)
+from vulngraph.trainer import save_checkpoint
 from conftest import poison, tiny_model_inputs
 
 TWO_FUNCTIONS = """\
@@ -54,6 +62,28 @@ C_PIECES = ["{", "}", "(", ")", ";", ",", "=", "+", "*", "->", "[", "]",
 
 SOURCES = st.text() | st.lists(st.sampled_from(C_PIECES) | st.text(max_size=3),
                                max_size=80).map("".join)
+
+
+@pytest.fixture()
+def two_cpus(monkeypatch):
+    """Cap worker scans at two processes, and fork them on one core too."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+
+def write_tree(root: Path, records) -> Path:
+    """One ``f<i>.c`` file per record under ``root/src``."""
+    src = root / "src"
+    src.mkdir()
+    for i, record in enumerate(records):
+        (src / f"f{i}.c").write_text(record.source + "\n", encoding="utf-8")
+    return src
+
+
+def scan_bytes(src: Path, toy_run, out: Path, **kwargs) -> dict[str, bytes]:
+    """Every file a scan of ``src`` writes, by name."""
+    scan(src, toy_run.model, toy_run.vocab, out, **kwargs)
+    return {p.name: p.read_bytes() for p in sorted(out.glob("*"))
+            if p.is_file()}
 
 
 @pytest.fixture(scope="module")
@@ -216,6 +246,23 @@ class TestAnalyze:
         assert report.line_attributions
         assert all(0.0 <= v <= 1.0 for v in report.line_attributions.values())
 
+    def test_attribution_reuses_the_base_graph_pass(self, toy_run,
+                                                    vulnerable_model,
+                                                    monkeypatch):
+        """The base forward and the all-occluded forward, nothing more."""
+        graph_pass = VulnModel._graph_pass
+        calls = []
+
+        def counting(self, *args):
+            calls.append(1)
+            return graph_pass(self, *args)
+
+        monkeypatch.setattr(VulnModel, "_graph_pass", counting)
+        record = next(r for r in toy_run.records if r.is_vulnerable)
+        report = analyze(record, vulnerable_model, toy_run.vocab)
+        assert report.predicted_cwe != "none" and report.line_attributions
+        assert len(calls) == 2
+
     def test_file_offset_arithmetic(self, toy_run):
         train_vuln = [r for r in select(toy_run.records, toy_run.split.train)
                       if r.is_vulnerable]
@@ -297,33 +344,15 @@ class TestScan:
 
     def test_rerun_is_byte_identical(self, tmp_path, toy_run):
         train = select(toy_run.records, toy_run.split.train)
-        src = tmp_path / "src"
-        src.mkdir()
-        for i, record in enumerate(train[:4]):
-            (src / f"f{i}.c").write_text(record.source + "\n", encoding="utf-8")
+        src = write_tree(tmp_path, train[:4])
+        assert scan_bytes(src, toy_run, tmp_path / "out1") == \
+            scan_bytes(src, toy_run, tmp_path / "out2")
 
-        def run(out):
-            scan(src, toy_run.model, toy_run.vocab, out)
-            return {p.name: p.read_bytes()
-                    for p in sorted(out.glob("*")) if p.is_file()}
-
-        first = run(tmp_path / "out1")
-        second = run(tmp_path / "out2")
-        assert first == second
-
-    def test_thread_counts_agree(self, tmp_path, toy_run):
+    def test_worker_counts_agree(self, tmp_path, toy_run, two_cpus):
         train = select(toy_run.records, toy_run.split.train)
-        src = tmp_path / "src"
-        src.mkdir()
-        for i, record in enumerate(train[:4]):
-            (src / f"f{i}.c").write_text(record.source + "\n", encoding="utf-8")
-
-        def run(out, jobs):
-            scan(src, toy_run.model, toy_run.vocab, out, jobs=jobs)
-            return {p.name: p.read_bytes()
-                    for p in sorted(out.glob("*")) if p.is_file()}
-
-        assert run(tmp_path / "o1", 1) == run(tmp_path / "o4", 4)
+        src = write_tree(tmp_path, train[:4])
+        assert scan_bytes(src, toy_run, tmp_path / "o1", jobs=1) == \
+            scan_bytes(src, toy_run, tmp_path / "o4", jobs=4)
 
     def test_text_format(self, tmp_path, toy_run):
         vuln = next(r for r in select(toy_run.records, toy_run.split.train)
@@ -360,6 +389,85 @@ class TestScan:
         with pytest.raises(DataError):
             scan(tmp_path, toy_run.model, toy_run.vocab, tmp_path / "o",
                  fmt="xml")
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_rejected(self, tmp_path, toy_run, jobs):
+        with pytest.raises(ConfigError, match="jobs"):
+            scan(tmp_path, toy_run.model, toy_run.vocab, tmp_path / "o",
+                 jobs=jobs)
+
+
+class TestWorkers:
+    """``scan`` with ``jobs`` > 1: forked workers, at most two here."""
+
+    @pytest.fixture()
+    def src(self, tmp_path, toy_run):
+        train = select(toy_run.records, toy_run.split.train)
+        return write_tree(tmp_path, [r for r in train if r.is_vulnerable][:3]
+                          + [r for r in train if not r.is_vulnerable][:3])
+
+    def test_raising_function_is_unanalyzable_in_a_worker(
+            self, tmp_path, toy_run, src, two_cpus, monkeypatch):
+        serial = scan_bytes(src, toy_run, tmp_path / "o1", jobs=1)
+        analyze_one = scanner.analyze
+
+        def failing(record, *args):
+            if record.file == "f2.c":
+                raise RuntimeError(f"boom in process {os.getpid()}")
+            return analyze_one(record, *args)
+
+        monkeypatch.setattr(scanner, "analyze", failing)
+        parallel = scan_bytes(src, toy_run, tmp_path / "o2", jobs=2)
+        assert parallel.keys() == serial.keys()
+        failed = next(name for name in parallel if name.startswith("f2.c"))
+        payload = json.loads(parallel[failed])
+        assert payload["description"] == "unanalyzable"
+        error = payload["error"]
+        assert error.startswith("RuntimeError: boom in process ")
+        assert error != f"RuntimeError: boom in process {os.getpid()}"
+        for name in set(serial) - {failed, "summary.json", "summary.txt"}:
+            assert parallel[name] == serial[name], name
+
+    def test_dead_worker_exits_three_without_traceback(self, tmp_path,
+                                                       toy_run, src):
+        checkpoint = tmp_path / "ckpt"
+        save_checkpoint(checkpoint, toy_run.model, toy_run.vocab)
+        script = textwrap.dedent("""\
+            import os, sys
+            from vulngraph import cli, scanner
+            os.cpu_count = lambda: 2
+            scanner.analyze = lambda *args: os._exit(7)
+            sys.exit(cli.main(sys.argv[1:]))
+            """)
+        package_root = Path(scanner.__file__).parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(package_root), os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-c", script, "scan", "--checkpoint",
+             str(checkpoint), "--root", str(src), "--out",
+             str(tmp_path / "out"), "--jobs", "2"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 3, done.stderr
+        assert done.stderr.startswith("vulngraph: error: a scan worker "
+                                      "process died")
+        assert len(done.stderr.splitlines()) == 1, done.stderr
+
+    def test_without_fork_scans_serially(self, tmp_path, toy_run, src,
+                                         two_cpus, monkeypatch, caplog):
+        serial = scan_bytes(src, toy_run, tmp_path / "o1", jobs=1)
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                            lambda: ["spawn"])
+        with caplog.at_level(logging.WARNING, logger="vulngraph.scanner"):
+            fallback = scan_bytes(src, toy_run, tmp_path / "o2", jobs=2)
+        assert fallback == serial
+        assert [r.getMessage() for r in caplog.records] == [
+            "scan --jobs needs the fork start method, which this platform "
+            "lacks; analyzing serially"]
+
+    def test_text_format_agrees(self, tmp_path, toy_run, src, two_cpus):
+        assert scan_bytes(src, toy_run, tmp_path / "o1", fmt="text",
+                          jobs=1) == \
+            scan_bytes(src, toy_run, tmp_path / "o2", fmt="text", jobs=2)
 
 
 class TestRender:
