@@ -1,10 +1,11 @@
 """Token attribution over a frozen model, and root-cause line selection.
 
 A token's score is the drop in the predicted class's probability when
-that token is occluded, i.e. its embedding input is replaced by the
-padding embedding (occlusion with singleton subsets). Scores are summed
-per source line; the root cause is the highest-scoring line strictly
-before the predicted vulnerable range, never the declaration line.
+that token is occluded, i.e. its id is replaced by the ``<PAD>`` id,
+which no stream holds (occlusion with singleton subsets). Scores are
+summed per source line; the root cause is the highest-scoring line
+strictly before the predicted vulnerable range, never the declaration
+line.
 
 Occlusion is computed incrementally when the model offers
 ``occluded_probabilities`` (``VulnModel`` does): it starts from the
@@ -30,7 +31,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import AttributionError
-from .lexer import STREAM_CAPACITY, TokenStream, Vocabulary
+from .lexer import PAD_ID, STREAM_CAPACITY, TokenStream, Vocabulary
 from .model import ForwardOutput, denormalize_lines
 from .semgraph import SemanticGraph, model_inputs
 
@@ -70,18 +71,23 @@ def _check_frozen(model) -> None:
             "attribution requires a frozen model; call model.freeze() first")
 
 
+def _occluded(ids: np.ndarray, positions: Sequence[int]) -> np.ndarray:
+    """A copy of ``ids`` with ``positions`` set to ``PAD_ID``."""
+    ids = np.array(ids)
+    ids[list(positions)] = PAD_ID
+    return ids
+
+
 def _target_prob(model, inputs: tuple[np.ndarray, np.ndarray],
-                 target: int, occlude: Sequence[int] | None,
-                 baseline: str) -> float:
-    output = model.forward(*inputs, occlude=occlude,
-                           occlusion_baseline=baseline)
+                 target: int, occlude: Sequence[int]) -> float:
+    ids, adjacency = inputs
+    output = model.forward(_occluded(ids, occlude), adjacency)
     return float(output.probabilities[target])
 
 
 def attribute_tokens(model, stream: TokenStream,
                      inputs: tuple[np.ndarray, np.ndarray],
-                     base: ForwardOutput,
-                     baseline: str = "pad") -> Attribution:
+                     base: ForwardOutput) -> Attribution:
     """Occlusion score per payload token for the predicted class.
 
     ``base`` is the model's ``forward`` on ``inputs``, the stream's
@@ -95,13 +101,13 @@ def attribute_tokens(model, stream: TokenStream,
     payload = _payload_positions(stream)
     if hasattr(model, "occluded_probabilities"):
         occluded = model.occluded_probabilities(*inputs, target, payload,
-                                                baseline, base)
+                                                base)
     else:  # one full forward per position: the oracle of the fast path
-        occluded = np.array([_target_prob(model, inputs, target, [position],
-                                          baseline) for position in payload])
+        occluded = np.array([_target_prob(model, inputs, target, [position])
+                             for position in payload])
     token_scores = np.zeros(len(stream.tokens))
     token_scores[payload] = full_prob - occluded
-    empty_prob = _target_prob(model, inputs, target, payload, baseline)
+    empty_prob = _target_prob(model, inputs, target, payload)
     return Attribution(
         token_scores=token_scores,
         line_scores=aggregate_lines(token_scores, stream),
@@ -111,7 +117,7 @@ def attribute_tokens(model, stream: TokenStream,
 
 
 def shapley_oracle(model, stream: TokenStream, graph: SemanticGraph,
-                   vocab: Vocabulary, baseline: str = "pad") -> np.ndarray:
+                   vocab: Vocabulary) -> np.ndarray:
     """Exact Shapley value per payload token (test-scale only).
 
     The coalition value is the predicted class's probability with the
@@ -131,8 +137,7 @@ def shapley_oracle(model, stream: TokenStream, graph: SemanticGraph,
     values: dict[int, float] = {}
     for subset in range(1 << n):
         occlude = [payload[i] for i in range(n) if not subset & (1 << i)]
-        values[subset] = _target_prob(model, inputs, target, occlude or None,
-                                      baseline)
+        values[subset] = _target_prob(model, inputs, target, occlude)
 
     # weight[k] = k! (n-k-1)! / n! for a coalition of size k not containing i
     weights = [

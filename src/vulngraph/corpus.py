@@ -32,6 +32,14 @@ def line_count(source: str) -> int:
     return source.count("\n") + 1
 
 
+#: Record field -> (type, whether null is allowed); bool is no int here.
+_FIELD_TYPES = {
+    "id": (str, False), "source": (str, False), "language": (str, False),
+    "cwe": (str, True), "file": (str, True), "vul_start": (int, True),
+    "vul_end": (int, True), "file_start_line": (int, True),
+}
+
+
 @dataclass(frozen=True)
 class FunctionRecord:
     """One C/C++ function with optional vulnerability labels.
@@ -60,6 +68,15 @@ class FunctionRecord:
 
     def validate(self, catalog: "CweCatalog | None" = None) -> None:
         """Check the record invariants, raising DataError on violation."""
+        for name, (kind, nullable) in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            if value is None and nullable:
+                continue
+            if isinstance(value, bool) or not isinstance(value, kind):
+                expected = "a string" if kind is str else "an integer"
+                raise DataError(
+                    f"record {self.id!r}: {name} must be {expected}"
+                    f"{' or null' if nullable else ''}, got {value!r}")
         if not self.id:
             raise DataError("record with empty id")
         if not self.source.strip():
@@ -221,7 +238,9 @@ def load_dataset(path: str | Path,
         try:
             record = FunctionRecord(
                 id=raw["id"],
-                source=_normalize_newlines(raw["source"]),
+                # validate rejects a source that is not a string
+                source=(_normalize_newlines(raw["source"])
+                        if isinstance(raw["source"], str) else raw["source"]),
                 language=raw["language"],
                 cwe=raw.get("cwe"),
                 vul_start=raw.get("vul_start"),

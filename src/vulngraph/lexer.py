@@ -240,8 +240,8 @@ class Vocabulary:
 
     Ids 0..3 are <PAD>, <BOS>, <EOS>, <UNK>; corpus tokens start at 4,
     ordered by descending count then ascending text so the mapping is
-    deterministic for a fixed corpus. <PAD> is in no stream: its embedding
-    row is the "pad" occlusion baseline. No entry holds a newline.
+    deterministic for a fixed corpus. <PAD> is in no stream: attribution
+    occludes a token by giving it the <PAD> id. No entry holds a newline.
     """
 
     def __init__(self, corpus_tokens: Sequence[str]):

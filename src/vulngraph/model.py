@@ -24,6 +24,9 @@ pass that ``occluded_probabilities`` builds on. ``forward_nodes`` runs the
 same layers on the ``tensor`` tape for training and is ``forward``'s
 bit-exact oracle.
 
+Occlusion is an input, not a mode: occluding a position means giving it
+the ``<PAD>`` id, which no stream holds, and running the ordinary pass.
+
 ``loc_pred`` regresses normalized line fractions: the target for line L
 in an N-line function is (L - 0.5) / N, so the loss does not scale with
 function length. ``denormalize_lines`` inverts that mapping.
@@ -40,6 +43,7 @@ import numpy as np
 from .errors import (AttributionError, ConfigError, DataError, GradientError,
                      ShapeError)
 from . import tensor
+from .lexer import PAD_ID
 from .tensor import Matrix, Parameter
 
 
@@ -71,8 +75,9 @@ class ModelConfig:
 
 
 def _check_fusion(embed_weight: float, graph_weight: float) -> None:
-    if embed_weight < 0.0 or graph_weight < 0.0:
-        raise ConfigError("fusion weights must be non-negative")
+    if not (embed_weight >= 0.0 and graph_weight >= 0.0):  # NaN fails too
+        raise ConfigError(f"fusion weights must be non-negative, got "
+                          f"{embed_weight} and {graph_weight}")
     if abs(embed_weight + graph_weight - 1.0) > 1e-9:
         raise ConfigError(
             f"fusion weights must sum to 1, got "
@@ -110,9 +115,8 @@ class ForwardOutput:
     pooled_embed: np.ndarray
     pooled_graph: np.ndarray
     fused: np.ndarray
-    # each layer's (A @ H) @ W of an unoccluded pass, for occlusion to reuse
-    _mixed: list[np.ndarray] | None = field(default=None, compare=False,
-                                            repr=False)
+    # each layer's (A @ H) @ W, for occlusion to reuse
+    _mixed: list[np.ndarray] = field(compare=False, repr=False)
 
     @property
     def probabilities(self) -> np.ndarray:
@@ -227,18 +231,12 @@ class VulnModel:
 
     @np.errstate(over="ignore", invalid="ignore")
     def forward(self, ids: np.ndarray, adjacency: np.ndarray,
-                occlude: Sequence[int] | None = None,
-                occlusion_baseline: str = "pad",
                 fusion: tuple[float, float] | None = None) -> ForwardOutput:
         """Inference pass in plain numpy; equals ``forward_nodes`` bit for bit.
 
-        ``occlude`` replaces the listed positions' embedding inputs with
-        the padding embedding (baseline "pad") or with zeros ("zero").
         ``fusion`` overrides the configured mixing weights.
         """
         embeddings = self.embedding.data[self._checked_ids(ids)]
-        if occlude is not None:
-            embeddings[list(occlude)] = self._replacement(occlusion_baseline)
         pooled_embed, pooled_graph, mixed = self._graph_pass(embeddings,
                                                              adjacency)
         embed_w, graph_w = fusion if fusion is not None else (
@@ -255,15 +253,8 @@ class VulnModel:
             pooled_embed=pooled_embed,
             pooled_graph=pooled_graph,
             fused=fused,
-            _mixed=mixed if occlude is None else None,
+            _mixed=mixed,
         )
-
-    def _replacement(self, baseline: str) -> np.ndarray:
-        if baseline == "pad":
-            return self.embedding.data[0]
-        if baseline == "zero":
-            return np.zeros(self.config.embed_dim)
-        raise ConfigError(f"unknown occlusion baseline {baseline!r}")
 
     def _graph_pass(self, embeddings: np.ndarray, adjacency: np.ndarray
                     ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
@@ -295,46 +286,32 @@ class VulnModel:
     @np.errstate(over="ignore", invalid="ignore")
     def occluded_probabilities(self, ids: np.ndarray, adjacency: np.ndarray,
                                target: int, positions: Sequence[int],
-                               baseline: str = "pad",
-                               base: ForwardOutput | None = None
-                               ) -> np.ndarray:
+                               base: ForwardOutput) -> np.ndarray:
         """Probability of ``target`` with each of ``positions`` occluded alone.
 
-        Entry k equals ``forward(..., occlude=[positions[k]]).probabilities
-        [target]`` up to rounding; ``forward`` stays the oracle. The base
-        pass keeps every layer's pre-activation ``(A @ H_l) @ W_l``; it is
-        taken from ``base``, this model's unoccluded ``forward`` on the
-        same inputs, when given, and run here otherwise.
-        Occluding position p changes H0 in row p only, and each layer
-        spreads a row change to the rows that read it, so only the rows
-        within ``gcn_layers`` hops of p are recomputed; the pooled means
-        then move by the summed row changes over n.
+        Entry k equals ``forward`` on ``ids`` with ``positions[k]`` set to
+        ``PAD_ID``, up to rounding; ``forward`` stays the oracle. ``base``
+        is this model's ``forward`` on ``ids`` and ``adjacency``; its
+        per-layer pre-activations ``(A @ H_l) @ W_l`` are the starting
+        point. Occluding position p changes H0 in row p only, and each
+        layer spreads a row change to the rows that read it, so only the
+        rows within ``gcn_layers`` hops of p are recomputed; the pooled
+        means then move by the summed row changes over n.
         """
         ids = self._checked_ids(ids)
         n = ids.size
         adjacency = np.asarray(adjacency, dtype=np.float64)
-        replacement = self._replacement(baseline)
-        w_in = self.input_proj.data
-        embeddings = self.embedding.data[ids]
-        if base is not None and base._mixed is not None:
-            pooled_embed, pooled_graph, mixed_per_layer = (
-                base.pooled_embed, base.pooled_graph, base._mixed)
-        else:
-            try:
-                pooled_embed, pooled_graph, mixed_per_layer = \
-                    self._graph_pass(embeddings, adjacency)
-            except GradientError as exc:
-                raise AttributionError(
-                    f"occluded probabilities are not finite: {exc}") from exc
         reads = adjacency != 0
 
         positions = np.asarray(positions, dtype=np.int64)
-        input_deltas = (replacement - embeddings[positions]) @ w_in
+        table = self.embedding.data
+        input_deltas = (table[PAD_ID] - table[ids[positions]]
+                        ) @ self.input_proj.data
         graph_shifts = np.empty_like(input_deltas)
         for k, position in enumerate(positions):
             # rows: the sorted rows of H_l that differ; delta: by how much
             rows, delta = position[None], input_deltas[k:k + 1]
-            for weight, mixed in zip(self.gcn_weights, mixed_per_layer):
+            for weight, mixed in zip(self.gcn_weights, base._mixed):
                 readers = reads[:, rows].any(axis=1)
                 hit = np.flatnonzero(readers)
                 before = mixed[hit]
@@ -350,8 +327,8 @@ class VulnModel:
             graph_shifts[k] = delta.sum(axis=0)
 
         embed_w, graph_w = self.config.embed_weight, self.config.graph_weight
-        fused = (embed_w * (pooled_embed + input_deltas / n)
-                 + graph_w * (pooled_graph + graph_shifts / n))
+        fused = (embed_w * (base.pooled_embed + input_deltas / n)
+                 + graph_w * (base.pooled_graph + graph_shifts / n))
         logits = fused @ self.cls_weight.data + self.cls_bias.data
         e = np.exp(logits - logits.max(axis=1, keepdims=True))
         probabilities = e[:, target] / e.sum(axis=1)

@@ -12,6 +12,7 @@ inclusive integer line ranges.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -32,8 +33,9 @@ class FocalConfig:
     def __post_init__(self) -> None:
         if not (0.0 < self.alpha <= 1.0):
             raise ConfigError(f"focal alpha must be in (0, 1], got {self.alpha}")
-        if self.delta < 0.0:
-            raise ConfigError(f"focal delta must be >= 0, got {self.delta}")
+        if not 0.0 <= self.delta < math.inf:  # NaN fails too
+            raise ConfigError(
+                f"focal delta must be finite and >= 0, got {self.delta}")
 
 
 def focal_loss(class_logits: Matrix, true_class: int,

@@ -384,6 +384,12 @@ def _worker_count(jobs: int, n_records: int) -> int:
     return min(jobs, os.cpu_count() or 1, n_records)
 
 
+def _chunk_size(n_records: int, workers: int) -> int:
+    """Records per task: 32, or fewer so that a small tree still reaches
+    every worker."""
+    return min(32, -(-n_records // workers))
+
+
 def _analyze_in_workers(records: list[FunctionRecord], workers: int,
                         model: VulnModel, vocab: Vocabulary,
                         catalog: CweCatalog) -> list[AnalysisReport]:
@@ -401,7 +407,8 @@ def _analyze_in_workers(records: list[FunctionRecord], workers: int,
                 mp_context=multiprocessing.get_context("fork"),
                 initializer=_init_worker,
                 initargs=(model, vocab, catalog)) as pool:
-            return list(pool.map(_run_in_worker, records, chunksize=32))
+            return list(pool.map(_run_in_worker, records,
+                                 chunksize=_chunk_size(len(records), workers)))
     except BrokenProcessPool as exc:
         raise VulnGraphError(f"a scan worker process died: {exc}") from exc
 

@@ -14,7 +14,6 @@ The graph connects the n positions of a token stream (<BOS>, at most
 
 These are explicit lexical surrogates: deterministic and computable
 without a parser, not a reproduction of any parser-based construction.
-Each family can be toggled off for ablations.
 
 The edge multiset becomes a dense n x n operator over the stream's n
 positions in two steps: multiplicity counts are symmetrized (elementwise
@@ -46,14 +45,6 @@ class TypedEdge:
     src: int
     dst: int
     kind: EdgeKind
-
-
-@dataclass(frozen=True)
-class GraphConfig:
-    sequential: bool = True
-    control: bool = True
-    data: bool = True
-    poacher: bool = True
 
 
 @dataclass(frozen=True)
@@ -214,28 +205,14 @@ def poacher_edges(stream: TokenStream) -> list[TypedEdge]:
     return edges
 
 
-def collect_edges(stream: TokenStream,
-                  config: GraphConfig = GraphConfig()) -> list[TypedEdge]:
-    edges: list[TypedEdge] = []
-    if config.sequential:
-        edges.extend(sequential_edges(stream))
-    if config.control:
-        edges.extend(control_edges(stream))
-    if config.data:
-        edges.extend(data_edges(stream))
-    if config.poacher:
-        edges.extend(poacher_edges(stream))
-    return edges
-
-
-def build_graph(stream: TokenStream,
-                config: GraphConfig = GraphConfig()) -> SemanticGraph:
-    """Union the enabled edge families and derive the dense operators.
+def build_graph(stream: TokenStream) -> SemanticGraph:
+    """Union the four edge families and derive the dense operators.
 
     Multi-edges from different families stack: the multiplicity count
     feeds normalization, so overlapping evidence weighs more.
     """
-    edges = collect_edges(stream, config)
+    edges = (sequential_edges(stream) + control_edges(stream)
+             + data_edges(stream) + poacher_edges(stream))
     active = stream.content_len
     counts = np.zeros((active, active), dtype=np.float64)
     for edge in edges:

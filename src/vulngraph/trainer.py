@@ -14,6 +14,7 @@ is available as a toggle for gradient-audit tests.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Sequence
@@ -29,7 +30,7 @@ from .model import (ModelConfig, VulnModel, denormalize_lines,
                     normalize_line_range)
 from .objectives import (FocalConfig, MetricsReport, classification_metrics,
                          focal_loss, iou_1d, mse_loss)
-from .semgraph import GraphConfig, build_graph, model_inputs
+from .semgraph import build_graph, model_inputs
 from .tensor import Matrix
 
 
@@ -51,12 +52,18 @@ class TrainConfig:
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
         # 0 is allowed so a no-op run can serve as a determinism probe.
-        if self.learning_rate < 0.0:
-            raise ConfigError("learning_rate must be >= 0")
+        if not 0.0 <= self.learning_rate < math.inf:  # NaN fails too
+            raise ConfigError(
+                f"learning_rate must be finite and >= 0, got "
+                f"{self.learning_rate}")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
-        if self.w_cls < 0.0 or self.w_loc < 0.0:
-            raise ConfigError("loss weights must be >= 0")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if not (0.0 <= self.w_cls < math.inf and 0.0 <= self.w_loc < math.inf):
+            raise ConfigError(
+                f"loss weights must be finite and >= 0, got w_cls="
+                f"{self.w_cls}, w_loc={self.w_loc}")
         if self.optimizer not in ("adam", "sgd"):
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
         if self.sweep_mode not in ("retrain", "shared"):
@@ -127,9 +134,8 @@ def label_index(record: FunctionRecord, num_classes: int,
 
 
 def prepare_sample(record: FunctionRecord, vocab: Vocabulary, num_classes: int,
-                   catalog: CweCatalog,
-                   graph_config: GraphConfig = GraphConfig()) -> EncodedSample:
-    graph = build_graph(tokenize(record.source), graph_config)
+                   catalog: CweCatalog) -> EncodedSample:
+    graph = build_graph(tokenize(record.source))
     ids, adjacency = model_inputs(graph, vocab)
     loc_target = None
     truth_range = None
@@ -184,8 +190,7 @@ class TrainResult:
 def train(records: Sequence[FunctionRecord], split: DatasetSplit,
           model_cfg: ModelConfig, train_cfg: TrainConfig,
           vocab: Vocabulary | None = None,
-          catalog: CweCatalog | None = None,
-          graph_config: GraphConfig = GraphConfig()) -> TrainResult:
+          catalog: CweCatalog | None = None) -> TrainResult:
     """Train on the split's train ids, tracking loss/metrics on val.
 
     The vocabulary is built from the train split only unless one is
@@ -202,10 +207,10 @@ def train(records: Sequence[FunctionRecord], split: DatasetSplit,
     if len(vocab) != model_cfg.vocab_size:
         model_cfg = replace(model_cfg, vocab_size=len(vocab))
 
-    samples = [prepare_sample(r, vocab, model_cfg.num_classes, catalog,
-                              graph_config) for r in train_records]
-    val_samples = [prepare_sample(r, vocab, model_cfg.num_classes, catalog,
-                                  graph_config) for r in val_records]
+    samples = [prepare_sample(r, vocab, model_cfg.num_classes, catalog)
+               for r in train_records]
+    val_samples = [prepare_sample(r, vocab, model_cfg.num_classes, catalog)
+                   for r in val_records]
 
     model = VulnModel(model_cfg, seed=train_cfg.seed)
     params = model.parameters()
@@ -300,8 +305,8 @@ def evaluate_samples(model: VulnModel, samples: Sequence[EncodedSample],
 
 
 def evaluate(model: VulnModel, records: Sequence[FunctionRecord],
-             vocab: Vocabulary, catalog: CweCatalog | None = None,
-             graph_config: GraphConfig = GraphConfig()) -> MetricsReport:
+             vocab: Vocabulary, catalog: CweCatalog | None = None
+             ) -> MetricsReport:
     """Classification metrics over records, plus localization IoU.
 
     ``mean_iou`` averages over records that are truly vulnerable and
@@ -310,7 +315,7 @@ def evaluate(model: VulnModel, records: Sequence[FunctionRecord],
     """
     catalog = catalog or default_catalog()
     num_classes = model.config.num_classes
-    samples = [prepare_sample(r, vocab, num_classes, catalog, graph_config)
+    samples = [prepare_sample(r, vocab, num_classes, catalog)
                for r in records]
     return evaluate_samples(model, samples, num_classes)
 

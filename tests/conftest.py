@@ -99,11 +99,10 @@ def poison(model, damage):
         model.gcn_weights[0].data[...] = 1e308
 
 
-def attribute(model, stream, graph, vocab, baseline="pad"):
+def attribute(model, stream, graph, vocab):
     """``attribute_tokens`` on the stream's inputs and base forward."""
     inputs = model_inputs(graph, vocab)
-    return attribute_tokens(model, stream, inputs, model.forward(*inputs),
-                            baseline)
+    return attribute_tokens(model, stream, inputs, model.forward(*inputs))
 
 
 @dataclass

@@ -14,7 +14,7 @@ from vulngraph import tensor
 from vulngraph.attribution import attribute_tokens, select_root_cause, \
     shapley_oracle
 from vulngraph.corpus import select, split
-from vulngraph.lexer import build_vocab, tokenize
+from vulngraph.lexer import PAD_ID, build_vocab, tokenize
 from vulngraph.model import ModelConfig, denormalize_lines, fuse
 from vulngraph.objectives import (FocalConfig, focal_loss, iou_1d, mse_loss)
 from vulngraph.scanner import scan
@@ -135,8 +135,9 @@ def test_criterion_5_attribution_soundness():
         probabilities = model.forward(ids, adjacency).probabilities
         target = int(np.argmax(probabilities))
         full = probabilities[target]
-        empty = model.forward(ids, adjacency,
-                              occlude=payload).probabilities[target]
+        occluded = ids.copy()
+        occluded[payload] = PAD_ID
+        empty = model.forward(occluded, adjacency).probabilities[target]
         worst_efficiency = max(worst_efficiency,
                                abs(values.sum() - (full - empty)))
         occlusion = attribute(model, stream, graph, vocab)

@@ -8,8 +8,8 @@ from vulngraph.attribution import (ORACLE_MAX_TOKENS, aggregate_lines,
                                    attribute_tokens, attribution_dump,
                                    localize, normalize_scores,
                                    select_root_cause, shapley_oracle)
-from vulngraph.errors import AttributionError, ConfigError
-from vulngraph.lexer import STREAM_CAPACITY, build_vocab, lex, tokenize
+from vulngraph.errors import AttributionError
+from vulngraph.lexer import PAD_ID, STREAM_CAPACITY, build_vocab, lex, tokenize
 from vulngraph.model import ModelConfig, VulnModel
 from vulngraph.semgraph import build_graph, model_inputs
 from conftest import (LONG_SOURCE, attribute, fuzz_snippet, spearman,
@@ -19,9 +19,9 @@ from conftest import (LONG_SOURCE, attribute, fuzz_snippet, spearman,
 class AdditiveStub:
     """Model whose target probability is linear in token presence.
 
-    p(class 0) = base + sum of per-position weights of the non-occluded
-    payload positions; class 0 stays the argmax so the predicted class
-    is stable under occlusion.
+    p(class 0) = base + sum of per-position weights of the payload
+    positions that do not hold PAD_ID (occluded ones do); class 0 stays
+    the argmax so the predicted class is stable under occlusion.
     """
 
     frozen = True
@@ -31,11 +31,9 @@ class AdditiveStub:
         self.weights = weights
         self.base = base
 
-    def forward(self, ids, adjacency, occlude=None,
-                occlusion_baseline="pad"):
-        present = set(range(1, self.stream.content_len - 1))
-        if occlude is not None:
-            present -= set(int(i) for i in occlude)
+    def forward(self, ids, adjacency):
+        present = [i for i in range(1, self.stream.content_len - 1)
+                   if ids[i] != PAD_ID]
         p = self.base + sum(self.weights.get(i, 0.0) for i in present)
         return SimpleNamespace(probabilities=np.array([p, 1.0 - p]))
 
@@ -101,12 +99,6 @@ class TestOcclusion:
         with pytest.raises(AttributionError, match="frozen"):
             attribute(model, stream, graph, vocab)
 
-    def test_zero_baseline_config(self):
-        model, stream, graph, vocab, *_ = tiny_model_inputs("a = b;")
-        attribution = attribute(model, stream, graph, vocab,
-                                baseline="zero")
-        assert attribution.token_scores.shape[0] == len(stream.tokens)
-
 
 class TestIncrementalOcclusion:
     @staticmethod
@@ -118,12 +110,11 @@ class TestIncrementalOcclusion:
         return VulnModel(config, seed=gcn_layers + num_classes).freeze(), vocab
 
     @staticmethod
-    def assert_matches_loop(model, vocab, source, baseline):
+    def assert_matches_loop(model, vocab, source):
         stream = tokenize(source)
         graph = build_graph(stream)
-        fast = attribute(model, stream, graph, vocab, baseline=baseline)
-        loop = attribute(ForwardLoop(model), stream, graph, vocab,
-                         baseline=baseline)
+        fast = attribute(model, stream, graph, vocab)
+        loop = attribute(ForwardLoop(model), stream, graph, vocab)
         assert fast.target_class == loop.target_class
         assert fast.baseline == loop.baseline
         np.testing.assert_allclose(fast.token_scores, loop.token_scores,
@@ -139,15 +130,13 @@ class TestIncrementalOcclusion:
         model, vocab = self.model_for(sources, gcn_layers, num_classes,
                                       fusion)
         for source in sources:
-            for baseline in ("pad", "zero"):
-                self.assert_matches_loop(model, vocab, source, baseline)
+            self.assert_matches_loop(model, vocab, source)
 
-    @pytest.mark.parametrize("baseline", ["pad", "zero"])
-    def test_matches_forward_loop_on_truncated_function(self, baseline):
+    def test_matches_forward_loop_on_truncated_function(self):
         assert len(lex(LONG_SOURCE)) > 600
         assert tokenize(LONG_SOURCE).truncated
         model, vocab = self.model_for([LONG_SOURCE], 3, 11, (0.5, 0.5))
-        self.assert_matches_loop(model, vocab, LONG_SOURCE, baseline)
+        self.assert_matches_loop(model, vocab, LONG_SOURCE)
 
     def test_two_forwards_whatever_the_length(self, monkeypatch):
         """The caller's base pass plus at most one inside attribution."""
@@ -168,17 +157,13 @@ class TestIncrementalOcclusion:
             attribute_tokens(model, stream, inputs, base)
             assert len(calls) <= 1
 
-    def test_unknown_baseline_is_config_error(self):
-        model, stream, graph, vocab, *_ = tiny_model_inputs("a = b;")
-        with pytest.raises(ConfigError, match="baseline"):
-            attribute(model, stream, graph, vocab, baseline="mean")
-
     def test_non_finite_probability_is_attribution_error(self):
         model, stream, graph, vocab, ids, adjacency = \
             tiny_model_inputs("a = b;")
+        base = model.forward(ids, adjacency)
         model.gcn_weights[0].data[0, 0] = np.nan
         with pytest.raises(AttributionError, match="not finite"):
-            model.occluded_probabilities(ids, adjacency, 0, [1, 2])
+            model.occluded_probabilities(ids, adjacency, 0, [1, 2], base)
 
 
 class TestShapleyOracle:
@@ -212,9 +197,9 @@ class TestShapleyOracle:
         probabilities = model.forward(ids, adjacency).probabilities
         target = int(np.argmax(probabilities))
         full = probabilities[target]
-        payload = list(range(1, stream.content_len - 1))
-        empty = model.forward(ids, adjacency,
-                              occlude=payload).probabilities[target]
+        occluded = ids.copy()
+        occluded[1:stream.content_len - 1] = PAD_ID
+        empty = model.forward(occluded, adjacency).probabilities[target]
         assert values.sum() == pytest.approx(full - empty, abs=1e-9)
 
     def test_payload_cap(self):

@@ -5,7 +5,8 @@ import sys
 import pytest
 
 from vulngraph.cli import main
-from vulngraph.corpus import default_catalog, save_dataset, select
+from vulngraph.corpus import (default_catalog, record_to_json,
+                             save_dataset, select)
 from vulngraph.model import VulnModel
 from vulngraph.synth import make_toy_corpus
 from vulngraph.trainer import (evaluate_samples, load_checkpoint,
@@ -86,6 +87,42 @@ class TestExitCodes:
         bad.write_text("unknown_key=1\n", encoding="utf-8")
         assert main(["train", "--config", str(bad), "--data", str(dataset),
                      "--out", str(tmp_path / "out")]) == 1
+
+    @pytest.mark.parametrize("field, value", [
+        ("source", 5), ("vul_start", "1"), ("id", 7), ("vul_start", True),
+        ("language", None), ("cwe", 119), ("file", ["a.c"]),
+        ("vul_end", 2.0), ("file_start_line", False)])
+    def test_bad_field_type_is_data_error(self, tmp_path, checkpoint, field,
+                                          value, capsys):
+        records, _ = make_toy_corpus(seed=3)
+        row = record_to_json(next(r for r in records if r.is_vulnerable))
+        row[field] = value
+        data = tmp_path / "bad.jsonl"
+        data.write_text(json.dumps(row) + "\n", encoding="utf-8")
+        assert main(["eval", "--checkpoint", str(checkpoint), "--data",
+                     str(data)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("vulngraph: data error: ")
+        assert f"{field} must be" in err
+
+    @pytest.mark.parametrize("setting", [
+        "learning_rate=nan", "learning_rate=inf", "embed_weight=nan",
+        "w_cls=nan", "w_loc=inf", "seed=-1", "focal_delta=nan",
+        "focal_delta=inf"])
+    def test_non_finite_or_negative_setting_is_config_error(
+            self, tmp_path, dataset, setting, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(TINY_CONFIG + setting + "\n", encoding="utf-8")
+        assert main(["train", "--config", str(bad), "--data", str(dataset),
+                     "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith("vulngraph: config error: ")
+
+    def test_negative_seed_env_is_config_error(self, tmp_path, dataset,
+                                                config, monkeypatch, capsys):
+        monkeypatch.setenv("VULNGRAPH_SEED", "-1")
+        assert main(["train", "--config", str(config), "--data", str(dataset),
+                     "--out", str(tmp_path / "out")]) == 1
+        assert "seed must be >= 0" in capsys.readouterr().err
 
 
 class TestTrainEval:

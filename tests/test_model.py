@@ -5,7 +5,8 @@ import pytest
 
 from vulngraph import tensor
 from vulngraph.errors import ConfigError, GradientError, ShapeError
-from vulngraph.lexer import STREAM_CAPACITY, build_vocab, encode, tokenize
+from vulngraph.lexer import (PAD_ID, STREAM_CAPACITY, build_vocab, encode,
+                             tokenize)
 from vulngraph.model import (ModelConfig, VulnModel, denormalize_lines, fuse,
                              normalize_line_range)
 from vulngraph.semgraph import build_graph, model_inputs
@@ -214,22 +215,6 @@ def tape_outputs(model, ids, adjacency):
             "fused": fused.data[0]}
 
 
-def occluded_tape_outputs(model, ids, adjacency, positions, baseline):
-    """The tape on occluded inputs: PAD ids, and for "zero" a PAD row of 0.
-
-    Model inputs hold no PAD, so zeroing the PAD row of a copy touches
-    the occluded positions only.
-    """
-    ids = ids.copy()
-    ids[positions] = 0
-    if baseline == "zero":
-        clone = VulnModel(model.config)
-        clone.load_values({p.name: p.data for p in model.parameters()})
-        clone.embedding.data[0] = 0.0
-        model = clone
-    return tape_outputs(model, ids, adjacency)
-
-
 def assert_matches_tape(out, tape):
     for name, expected in tape.items():
         assert np.array_equal(np.asarray(getattr(out, name)), expected), name
@@ -245,11 +230,10 @@ class TestTapeFreeForward:
         payload = list(range(1, len(ids) - 1))
         some = rng.sample(payload, min(3, len(payload)))
         for positions in ([payload[0]], some, payload):
-            for baseline in ("pad", "zero"):
-                out = model.forward(ids, adjacency, occlude=positions,
-                                    occlusion_baseline=baseline)
-                assert_matches_tape(out, occluded_tape_outputs(
-                    model, ids, adjacency, positions, baseline))
+            occluded = ids.copy()
+            occluded[positions] = PAD_ID
+            assert_matches_tape(model.forward(occluded, adjacency),
+                                tape_outputs(model, occluded, adjacency))
 
     @staticmethod
     def model_for(sources, gcn_layers, num_classes, fusion):
@@ -295,9 +279,6 @@ class TestTapeFreeForward:
             model.forward(ids, adjacency[:3, :3])
         with pytest.raises(ShapeError):
             model.forward(ids[:0], adjacency[:0, :0])
-        with pytest.raises(ConfigError, match="baseline"):
-            model.forward(ids, adjacency, occlude=[1],
-                          occlusion_baseline="mean")
 
 
 class TestNonFiniteForward:

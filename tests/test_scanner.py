@@ -18,8 +18,9 @@ from vulngraph.errors import ConfigError, DataError
 from vulngraph.lexer import lex
 from vulngraph import scanner
 from vulngraph.model import VulnModel
-from vulngraph.scanner import (AnalysisReport, _closers, analyze,
-                               extract_functions, render_report, scan)
+from vulngraph.scanner import (AnalysisReport, _chunk_size, _closers,
+                               analyze, extract_functions, render_report,
+                               scan)
 from vulngraph.trainer import save_checkpoint
 from conftest import poison, tiny_model_inputs
 
@@ -468,6 +469,11 @@ class TestWorkers:
         assert scan_bytes(src, toy_run, tmp_path / "o1", fmt="text",
                           jobs=1) == \
             scan_bytes(src, toy_run, tmp_path / "o2", fmt="text", jobs=2)
+
+    @pytest.mark.parametrize("n_records, workers, size", [
+        (32, 2, 16), (768, 2, 32), (33, 2, 17), (1, 1, 1)])
+    def test_chunk_size_spreads_small_trees(self, n_records, workers, size):
+        assert _chunk_size(n_records, workers) == size
 
 
 class TestRender:

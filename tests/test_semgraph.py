@@ -5,7 +5,7 @@ import pytest
 
 from vulngraph.errors import GraphBuildError
 from vulngraph.lexer import STREAM_CAPACITY, tokenize
-from vulngraph.semgraph import (EdgeKind, GraphConfig, TypedEdge, build_graph,
+from vulngraph.semgraph import (EdgeKind, TypedEdge, build_graph,
                                 control_edges, data_edges, poacher_edges,
                                 sequential_edges)
 from conftest import fuzz_snippet
@@ -168,21 +168,25 @@ class TestBuildGraph:
     def test_monotone_composition(self):
         source = "if(a){strcpy(buf,src); buf[i]=0;} a=a+1;"
         stream = tokenize(source)
-        base = build_graph(stream, GraphConfig(control=False, data=False,
-                                               poacher=False))
-        full = build_graph(stream)
-        base_nonzero = base.adjacency != 0
-        full_nonzero = full.adjacency != 0
-        assert np.all(full_nonzero[base_nonzero])
+        full_nonzero = build_graph(stream).adjacency != 0
+        assert np.all(np.diag(full_nonzero))
+        for family in (sequential_edges, control_edges, data_edges,
+                       poacher_edges):
+            for edge in family(stream):
+                assert full_nonzero[edge.src, edge.dst]
+                assert full_nonzero[edge.dst, edge.src]
 
     def test_family_toggles(self):
         stream = tokenize("if(a){strcpy(buf,src);} a=a+1;")
-        only_seq = build_graph(stream, GraphConfig(control=False, data=False,
-                                                   poacher=False))
-        kinds = {e.kind for e in only_seq.edges}
-        assert kinds == {EdgeKind.SEQUENTIAL}
-        no_seq = build_graph(stream, GraphConfig(sequential=False))
-        assert EdgeKind.SEQUENTIAL not in {e.kind for e in no_seq.edges}
+        families = {EdgeKind.SEQUENTIAL: sequential_edges(stream),
+                    EdgeKind.CONTROL: control_edges(stream),
+                    EdgeKind.DATA: data_edges(stream),
+                    EdgeKind.POACHER: poacher_edges(stream)}
+        for kind, edges in families.items():
+            assert edges and {e.kind for e in edges} == {kind}
+        # the graph is the four families in this order
+        assert build_graph(stream).edges == tuple(
+            edge for edges in families.values() for edge in edges)
 
     def test_edges_are_stable(self):
         graph = build_graph(tokenize("if(x){y=1;}"))
