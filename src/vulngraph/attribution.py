@@ -10,7 +10,8 @@ line.
 Occlusion is computed incrementally when the model offers
 ``occluded_probabilities`` (``VulnModel`` does): it starts from the
 caller's base pass, and per token only the rows within ``gcn_layers``
-hops of it are recomputed, so ``attribute_tokens`` runs one full forward
+hops of it are recomputed, for a chunk of tokens at a time as arrays of
+(token, row) pairs. ``attribute_tokens`` then runs one full forward
 (all tokens occluded) whatever the length, besides the caller's base
 pass. Other models get one full forward per token; that loop is also the
 oracle the incremental path is tested against.

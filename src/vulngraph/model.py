@@ -26,6 +26,10 @@ bit-exact oracle.
 
 Occlusion is an input, not a mode: occluding a position means giving it
 the ``<PAD>`` id, which no stream holds, and running the ordinary pass.
+``occluded_probabilities`` reaches the same probabilities without a pass
+per position: starting from the base pass, it follows each position's
+row change through the layers as arrays of (position, row) pairs, for a
+chunk of positions at a time.
 
 ``loc_pred`` regresses normalized line fractions: the target for line L
 in an N-line function is (L - 0.5) / N, so the loss does not scale with
@@ -88,6 +92,103 @@ def _check_fusion(embed_weight: float, graph_weight: float) -> None:
 def _require_finite(where: str, *values: np.ndarray) -> None:
     if not all(np.isfinite(v).all() for v in values):
         raise GradientError(f"non-finite values in the {where}")
+
+
+#: Work per chunk of ``occluded_probabilities``. Positions are grouped so
+#: that each group expands to about this many (position, row) pairs at the
+#: last layer, counted as walks. The pair arrays then stay cache-sized on
+#: long functions and small on hub functions, whose positions each reach
+#: most rows.
+OCCLUSION_CHUNK_PAIRS = 2048
+
+
+def _reader_lists(adjacency: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Column lists of ``adjacency`` as a (start, rows, weights) triple.
+
+    ``rows[start[s]:start[s + 1]]`` are the rows r with A[r, s] != 0 in
+    ascending order, the rows that read row s, and ``weights`` holds
+    their A[r, s].
+    """
+    n = adjacency.shape[0]
+    flat = np.flatnonzero(adjacency != 0)
+    column = flat % n
+    start = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(column, minlength=n), out=start[1:])
+    flat = flat[np.argsort(column, kind="stable")]
+    return start, flat // n, adjacency.ravel()[flat]
+
+
+def _walk_counts(readers: tuple[np.ndarray, np.ndarray, np.ndarray],
+                 length: int) -> np.ndarray:
+    """Per row s, the number of ``length``-step walks from s that step
+    from a row to one of its readers: an upper bound on the pairs that
+    occluding s expands to at the last of ``length`` layers."""
+    start, reader_rows, _ = readers
+    n = start.size - 1
+    columns = np.repeat(np.arange(n), np.diff(start))
+    walks = np.ones(n)
+    for _ in range(length):
+        walks = np.bincount(columns, weights=walks[reader_rows], minlength=n)
+    return walks
+
+
+def _pooled_shifts(positions: np.ndarray, input_deltas: np.ndarray,
+                   readers: tuple[np.ndarray, np.ndarray, np.ndarray],
+                   layers: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
+                   ) -> np.ndarray:
+    """Summed change of the final H's rows for each position occluded alone.
+
+    The changed rows are (position, row) pairs, held as sorted keys
+    k * n + row with one delta row each; at H0 that is one pair per
+    position. A layer expands each pair (k, s) to every reader r of s,
+    weighs its delta by A[r, s] and sums by (k, r), then applies W_l
+    and the relu difference against the base pre-activations. The new
+    pairs include the old ones, and the residual adds each old pair's
+    delta to its new self. ``layers`` holds each layer's (W_l, base
+    pre-activation, its relu).
+    """
+    start, reader_rows, reader_weights = readers
+    n = start.size - 1
+    k = positions.size
+    keys = np.arange(k) * n + positions
+    delta = input_deltas
+    seen = np.zeros(k * n, dtype=bool)
+    index = np.empty(k * n, dtype=np.intp)  # key -> its place in the keys
+    for weight, mixed, relu_mixed in layers:
+        rows = keys % n
+        count = start[rows + 1] - start[rows]
+        ends = np.cumsum(count)
+        edges = (np.repeat(start[rows] - ends + count, count)
+                 + np.arange(ends[-1]))
+        read_keys = np.repeat(keys - rows, count) + reader_rows[edges]
+        # the residual keeps every changed row, also one without the
+        # self-loop that ``build_graph`` gives every row
+        seen[keys] = True
+        seen[read_keys] = True
+        grown = np.flatnonzero(seen)
+        seen[grown] = False
+        index[grown] = np.arange(grown.size)
+
+        spread = delta[np.repeat(np.arange(keys.size), count)]
+        spread *= reader_weights[edges, None]
+        after = _segment_sum(spread, index[read_keys], grown.size) @ weight
+        grown_rows = grown % n
+        after += mixed[grown_rows]
+        grown_delta = np.maximum(after, 0.0, out=after)
+        grown_delta -= relu_mixed[grown_rows]
+        grown_delta[index[keys]] += delta
+        keys, delta = grown, grown_delta
+    return _segment_sum(delta, keys // n, k)
+
+
+def _segment_sum(values: np.ndarray, segments: np.ndarray,
+                 count: int) -> np.ndarray:
+    """Sums of the rows of ``values`` that share a segment id, in id order."""
+    width = values.shape[1]
+    flat = (segments[:, None] * width + np.arange(width)).ravel()
+    return np.bincount(flat, weights=values.ravel(),
+                       minlength=count * width).reshape(count, width)
 
 
 def fuse(pooled_embed: Matrix, pooled_graph: Matrix,
@@ -296,35 +397,29 @@ class VulnModel:
         point. Occluding position p changes H0 in row p only, and each
         layer spreads a row change to the rows that read it, so only the
         rows within ``gcn_layers`` hops of p are recomputed; the pooled
-        means then move by the summed row changes over n.
+        means then move by the summed row changes over n. Positions go
+        through in chunks of about ``OCCLUSION_CHUNK_PAIRS`` changed
+        (position, row) pairs, held as arrays, with no Python loop per
+        position.
         """
         ids = self._checked_ids(ids)
         n = ids.size
         adjacency = np.asarray(adjacency, dtype=np.float64)
-        reads = adjacency != 0
+        readers = _reader_lists(adjacency)
 
         positions = np.asarray(positions, dtype=np.int64)
         table = self.embedding.data
         input_deltas = (table[PAD_ID] - table[ids[positions]]
                         ) @ self.input_proj.data
+        layers = [(weight.data, mixed, np.maximum(mixed, 0.0))
+                  for weight, mixed in zip(self.gcn_weights, base._mixed)]
         graph_shifts = np.empty_like(input_deltas)
-        for k, position in enumerate(positions):
-            # rows: the sorted rows of H_l that differ; delta: by how much
-            rows, delta = position[None], input_deltas[k:k + 1]
-            for weight, mixed in zip(self.gcn_weights, base._mixed):
-                readers = reads[:, rows].any(axis=1)
-                hit = np.flatnonzero(readers)
-                before = mixed[hit]
-                after = before + (
-                    adjacency[np.ix_(hit, rows)] @ delta) @ weight.data
-                readers[rows] = True  # the residual keeps every changed row
-                grown = np.flatnonzero(readers)
-                grown_delta = np.zeros((grown.size, delta.shape[1]))
-                grown_delta[np.searchsorted(grown, rows)] = delta
-                grown_delta[np.searchsorted(grown, hit)] += (
-                    np.maximum(after, 0.0) - np.maximum(before, 0.0))
-                rows, delta = grown, grown_delta
-            graph_shifts[k] = delta.sum(axis=0)
+        work = np.cumsum(_walk_counts(readers, len(layers))[positions])
+        starts = np.flatnonzero(np.diff(work // OCCLUSION_CHUNK_PAIRS,
+                                        prepend=-1))
+        for lo, hi in zip(starts, [*starts[1:], positions.size]):
+            graph_shifts[lo:hi] = _pooled_shifts(
+                positions[lo:hi], input_deltas[lo:hi], readers, layers)
 
         embed_w, graph_w = self.config.embed_weight, self.config.graph_weight
         fused = (embed_w * (base.pooled_embed + input_deltas / n)

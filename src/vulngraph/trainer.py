@@ -25,7 +25,7 @@ from . import tensor
 from .corpus import (BINARY_VULNERABLE_LABEL, CweCatalog, DatasetSplit,
                      FunctionRecord, default_catalog, select)
 from .errors import ConfigError, DataError, GradientError, TrainingError
-from .lexer import Vocabulary, build_vocab, tokenize
+from .lexer import TokenStream, Vocabulary, build_vocab, tokenize
 from .model import (ModelConfig, VulnModel, denormalize_lines,
                     normalize_line_range)
 from .objectives import (FocalConfig, MetricsReport, classification_metrics,
@@ -134,8 +134,11 @@ def label_index(record: FunctionRecord, num_classes: int,
 
 
 def prepare_sample(record: FunctionRecord, vocab: Vocabulary, num_classes: int,
-                   catalog: CweCatalog) -> EncodedSample:
-    graph = build_graph(tokenize(record.source))
+                   catalog: CweCatalog,
+                   stream: TokenStream | None = None) -> EncodedSample:
+    """Encode a record; ``stream`` is its token stream, when already made."""
+    graph = build_graph(stream if stream is not None
+                        else tokenize(record.source))
     ids, adjacency = model_inputs(graph, vocab)
     loc_target = None
     truth_range = None
@@ -187,6 +190,7 @@ class TrainResult:
     log: list[dict]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def train(records: Sequence[FunctionRecord], split: DatasetSplit,
           model_cfg: ModelConfig, train_cfg: TrainConfig,
           vocab: Vocabulary | None = None,
@@ -194,21 +198,26 @@ def train(records: Sequence[FunctionRecord], split: DatasetSplit,
     """Train on the split's train ids, tracking loss/metrics on val.
 
     The vocabulary is built from the train split only unless one is
-    passed in. Writes per-epoch and best-validation checkpoints when
-    ``train_cfg.checkpoint_dir`` is set.
+    passed in. Each record is tokenized once. Writes per-epoch and
+    best-validation checkpoints when ``train_cfg.checkpoint_dir`` is set.
+
+    numpy does not warn about overflow here: it ends in non-finite
+    values, which the tape, the loss check and ``forward`` reject, and
+    training stops with a TrainingError.
     """
     catalog = catalog or default_catalog()
     train_records = select(records, split.train)
     val_records = select(records, split.val)
     if not train_records:
         raise TrainingError("empty train split")
+    streams = [tokenize(r.source) for r in train_records]
     if vocab is None:
-        vocab = build_vocab(train_records, min_count=train_cfg.min_count)
+        vocab = build_vocab(streams, min_count=train_cfg.min_count)
     if len(vocab) != model_cfg.vocab_size:
         model_cfg = replace(model_cfg, vocab_size=len(vocab))
 
-    samples = [prepare_sample(r, vocab, model_cfg.num_classes, catalog)
-               for r in train_records]
+    samples = [prepare_sample(r, vocab, model_cfg.num_classes, catalog, s)
+               for r, s in zip(train_records, streams)]
     val_samples = [prepare_sample(r, vocab, model_cfg.num_classes, catalog)
                    for r in val_records]
 
@@ -252,9 +261,17 @@ def train(records: Sequence[FunctionRecord], split: DatasetSplit,
         val_f1 = None
         val_iou = None
         if val_samples:
-            val_loss = float(np.mean([
-                _sample_loss(model, s, train_cfg).item() for s in val_samples]))
-            report = evaluate_samples(model, val_samples, model_cfg.num_classes)
+            try:
+                val_loss = float(np.mean([
+                    _sample_loss(model, s, train_cfg).item()
+                    for s in val_samples]))
+                report = evaluate_samples(model, val_samples,
+                                          model_cfg.num_classes)
+            except GradientError as exc:
+                # the last step overflowed and only validation saw it
+                raise TrainingError(
+                    f"non-finite values in validation ({exc}); "
+                    + _diagnostics(model, epoch, batch_idx)) from exc
             val_f1 = report.f1
             val_iou = report.mean_iou
         entry = {

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,10 +11,17 @@ from vulngraph.attribution import (ORACLE_MAX_TOKENS, aggregate_lines,
                                    select_root_cause, shapley_oracle)
 from vulngraph.errors import AttributionError
 from vulngraph.lexer import PAD_ID, STREAM_CAPACITY, build_vocab, lex, tokenize
+import vulngraph.model as model_module
 from vulngraph.model import ModelConfig, VulnModel
 from vulngraph.semgraph import build_graph, model_inputs
 from conftest import (LONG_SOURCE, attribute, fuzz_snippet, spearman,
                       tiny_model_inputs)
+
+
+#: A hub: the call reads all 250 arguments and each argument reads the
+#: call, so every occluded argument reaches about 250 rows in two layers.
+HUB_SOURCE = ("void hub(void) {\n    memcpy("
+              + ", ".join(f"a{i}" for i in range(250)) + ");\n}")
 
 
 class AdditiveStub:
@@ -137,6 +145,86 @@ class TestIncrementalOcclusion:
         assert tokenize(LONG_SOURCE).truncated
         model, vocab = self.model_for([LONG_SOURCE], 3, 11, (0.5, 0.5))
         self.assert_matches_loop(model, vocab, LONG_SOURCE)
+
+    @pytest.mark.parametrize("gcn_layers", [1, 2, 3])
+    def test_matches_forward_loop_on_one_token(self, gcn_layers):
+        model, vocab = self.model_for(["x"], gcn_layers, 11, (0.5, 0.5))
+        assert tokenize("x").content_len == 3
+        self.assert_matches_loop(model, vocab, "x")
+
+    @pytest.mark.parametrize("gcn_layers", [1, 2, 3])
+    def test_matches_forward_loop_on_hub(self, gcn_layers):
+        model, vocab = self.model_for([HUB_SOURCE], gcn_layers, 11,
+                                      (0.5, 0.5))
+        stream = tokenize(HUB_SOURCE)
+        assert not stream.truncated and stream.content_len > 500
+        self.assert_matches_loop(model, vocab, HUB_SOURCE)
+
+    @pytest.mark.parametrize("gcn_layers", [1, 2, 3])
+    def test_chunk_size_does_not_change_the_result(self, gcn_layers,
+                                                    monkeypatch):
+        # a 60-argument hub ahead of sparse code, inside the window
+        source = ("int mixed(char *buf, int n) {\n    memcpy("
+                  + ", ".join(f"a{i}" for i in range(60)) + ");\n"
+                  + "".join(f"    buf[{i}] = n + {i} * buf[n];\n"
+                            for i in range(25))
+                  + "    return n;\n}")
+        model, vocab = self.model_for([source], gcn_layers, 11, (0.5, 0.5))
+        stream = tokenize(source)
+        assert not stream.truncated
+        graph = build_graph(stream)
+        loop = attribute(ForwardLoop(model), stream, graph, vocab)
+        payload = stream.content_len - 2
+        pooled_shifts = model_module._pooled_shifts
+        chunks = []
+
+        def counting(*args):
+            chunks.append(1)
+            return pooled_shifts(*args)
+
+        monkeypatch.setattr(model_module, "_pooled_shifts", counting)
+        for budget, expected_chunks in ((1, payload), (10**6, 1)):
+            monkeypatch.setattr(model_module, "OCCLUSION_CHUNK_PAIRS", budget)
+            chunks.clear()
+            fast = attribute(model, stream, graph, vocab)
+            assert len(chunks) == expected_chunks
+            np.testing.assert_allclose(fast.token_scores, loop.token_scores,
+                                       rtol=0, atol=1e-12)
+
+    def test_matches_forward_without_self_loops(self):
+        model, stream, graph, vocab, ids, _ = tiny_model_inputs(
+            "a = b + c; d = a;")
+        n = ids.size
+        rng = np.random.default_rng(5)
+        adjacency = rng.random((n, n)) * (rng.random((n, n)) < 0.2)
+        np.fill_diagonal(adjacency, 0.0)
+        base = model.forward(ids, adjacency)
+        target = int(np.argmax(base.probabilities))
+        payload = list(range(1, n - 1))
+        fast = model.occluded_probabilities(ids, adjacency, target, payload,
+                                            base)
+        loop = [model.forward(np.where(np.arange(n) == p, PAD_ID, ids),
+                              adjacency).probabilities[target]
+                for p in payload]
+        np.testing.assert_allclose(fast, loop, rtol=0, atol=1e-12)
+
+    def test_hub_memory_is_bounded(self):
+        """As one chunk this call peaks at about 520 MiB; chunked, at 4."""
+        vocab = build_vocab([HUB_SOURCE])
+        config = ModelConfig(vocab_size=len(vocab), embed_dim=16, gcn_dim=64,
+                             gcn_layers=3)
+        model = VulnModel(config, seed=1).freeze()
+        stream = tokenize(HUB_SOURCE)
+        inputs = model_inputs(build_graph(stream), vocab)
+        base = model.forward(*inputs)
+        payload = range(1, stream.content_len - 1)
+        tracemalloc.start()
+        try:
+            model.occluded_probabilities(*inputs, 0, payload, base)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_two_forwards_whatever_the_length(self, monkeypatch):
         """The caller's base pass plus at most one inside attribution."""

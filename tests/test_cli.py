@@ -1,6 +1,7 @@
 import json
 import logging
 import sys
+import warnings
 
 import pytest
 
@@ -116,6 +117,24 @@ class TestExitCodes:
         assert main(["train", "--config", str(bad), "--data", str(dataset),
                      "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err.startswith("vulngraph: config error: ")
+
+    @pytest.mark.parametrize("settings", [
+        "learning_rate=1e300\n",
+        # one batch per epoch: only the validation pass sees the overflow
+        "learning_rate=1e300\nepochs=1\nbatch_size=64\n"])
+    def test_diverging_run_exits_three_on_one_line(self, tmp_path, dataset,
+                                                    settings, capsys):
+        diverging = tmp_path / "diverging.cfg"
+        diverging.write_text(TINY_CONFIG + settings, encoding="utf-8")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["train", "--config", str(diverging), "--data",
+                         str(dataset), "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err
+        assert err.startswith("vulngraph: error: non-finite values")
+        assert len(err.splitlines()) == 1
 
     def test_negative_seed_env_is_config_error(self, tmp_path, dataset,
                                                 config, monkeypatch, capsys):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import vulngraph.lexer as lexer_module
 import vulngraph.trainer as trainer_module
 from vulngraph import tensor
 from vulngraph.corpus import FunctionRecord, select, split
@@ -147,6 +148,23 @@ class TestTrain:
             with pytest.raises(TrainingError, match="epoch"):
                 train(records, ds, cfg, tiny_train_cfg(
                     epochs=6, learning_rate=1e160))
+
+    def test_tokenizes_each_record_once(self, monkeypatch):
+        records, ds = tiny_corpus()
+        tokenize = lexer_module.tokenize
+        tokenized = []
+
+        def counting(source):
+            tokenized.append(source)
+            return tokenize(source)
+
+        monkeypatch.setattr(lexer_module, "tokenize", counting)
+        monkeypatch.setattr(trainer_module, "tokenize", counting)
+        cfg = ModelConfig(vocab_size=4, **TINY_MODEL)
+        result = train(records, ds, cfg, tiny_train_cfg(epochs=1))
+        used = select(records, ds.train) + select(records, ds.val)
+        assert sorted(tokenized) == sorted(r.source for r in used)
+        assert result.vocab == build_vocab(select(records, ds.train))
 
     def test_log_schema(self):
         records, ds = tiny_corpus()
