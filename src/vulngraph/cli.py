@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -122,7 +121,6 @@ def _cmd_train(args) -> int:
     model_cfg, train_cfg = _load_configs(args.config)
     records = load_dataset(args.data)
     dataset_split = split(records, train_cfg.seed)
-    train_cfg = replace(train_cfg, checkpoint_dir=None)
     result = train(records, dataset_split, model_cfg, train_cfg)
     out = Path(args.out)
     save_checkpoint(out, result.model, result.vocab, train_cfg)

@@ -66,7 +66,7 @@ class FunctionRecord:
     def line_count(self) -> int:
         return line_count(self.source)
 
-    def validate(self, catalog: "CweCatalog | None" = None) -> None:
+    def validate(self) -> None:
         """Check the record invariants, raising DataError on violation."""
         for name, (kind, nullable) in _FIELD_TYPES.items():
             value = getattr(self, name)
@@ -103,13 +103,13 @@ class FunctionRecord:
                 f"[{self.vul_start}, {self.vul_end}] for a "
                 f"{self.line_count}-line function"
             )
-        if catalog is not None and self.cwe != BINARY_VULNERABLE_LABEL:
-            if self.cwe not in catalog:
-                raise DataError(
-                    f"record {self.id!r}: unknown label {self.cwe!r}; "
-                    f"expected one of {sorted(catalog.ids())} or "
-                    f"{BINARY_VULNERABLE_LABEL!r}"
-                )
+        catalog = default_catalog()
+        if self.cwe != BINARY_VULNERABLE_LABEL and self.cwe not in catalog:
+            raise DataError(
+                f"record {self.id!r}: unknown label {self.cwe!r}; "
+                f"expected one of {sorted(catalog.ids())} or "
+                f"{BINARY_VULNERABLE_LABEL!r}"
+            )
 
 
 class CweCatalog:
@@ -209,10 +209,8 @@ def _normalize_newlines(text: str) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
-def load_dataset(path: str | Path,
-                 catalog: CweCatalog | None = None) -> list[FunctionRecord]:
+def load_dataset(path: str | Path) -> list[FunctionRecord]:
     """Load and validate a JSONL dataset, preserving record order."""
-    catalog = catalog or _DEFAULT_CATALOG
     records: list[FunctionRecord] = []
     seen_ids: set[str] = set()
     path = Path(path)
@@ -250,7 +248,7 @@ def load_dataset(path: str | Path,
             )
         except KeyError as exc:
             raise DataError(f"{path}:{lineno}: missing field {exc}") from exc
-        record.validate(catalog)
+        record.validate()
         if record.id in seen_ids:
             raise DataError(f"{path}:{lineno}: duplicate id {record.id!r}")
         seen_ids.add(record.id)

@@ -331,19 +331,13 @@ class VulnModel:
         return Forward(class_logits=class_logits, loc_pred=loc_pred)
 
     @np.errstate(over="ignore", invalid="ignore")
-    def forward(self, ids: np.ndarray, adjacency: np.ndarray,
-                fusion: tuple[float, float] | None = None) -> ForwardOutput:
-        """Inference pass in plain numpy; equals ``forward_nodes`` bit for bit.
-
-        ``fusion`` overrides the configured mixing weights.
-        """
+    def forward(self, ids: np.ndarray, adjacency: np.ndarray) -> ForwardOutput:
+        """Inference pass in plain numpy; equals ``forward_nodes`` bit for bit."""
         embeddings = self.embedding.data[self._checked_ids(ids)]
         pooled_embed, pooled_graph, mixed = self._graph_pass(embeddings,
                                                              adjacency)
-        embed_w, graph_w = fusion if fusion is not None else (
-            self.config.embed_weight, self.config.graph_weight)
-        _check_fusion(embed_w, graph_w)
-        fused = embed_w * pooled_embed + graph_w * pooled_graph
+        fused = (self.config.embed_weight * pooled_embed
+                 + self.config.graph_weight * pooled_graph)
         class_logits = fused @ self.cls_weight.data + self.cls_bias.data
         loc_pred = tensor.logistic(
             fused @ self.loc_weight.data + self.loc_bias.data)

@@ -21,8 +21,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .attribution import attribute_tokens, localize, normalize_scores
-from .corpus import (BINARY_VULNERABLE_LABEL, CweCatalog, FunctionRecord,
-                     default_catalog)
+from .corpus import BINARY_VULNERABLE_LABEL, FunctionRecord, default_catalog
 from .errors import ConfigError, DataError, LexError, VulnGraphError
 from .lexer import Token, TokenKind, Vocabulary, lex, tokenize
 from .model import VulnModel
@@ -203,24 +202,33 @@ def _declaration_start(tokens: Sequence[Token], name_pos: int,
     return tokens[start].line
 
 
-def analyze(record: FunctionRecord, model: VulnModel, vocab: Vocabulary,
-            catalog: CweCatalog | None = None) -> AnalysisReport:
+def _span(record: FunctionRecord) -> tuple[int, int]:
+    """First and last line of the function in file coordinates."""
+    first = record.file_start_line or 1
+    return first, first + record.line_count - 1
+
+
+def _unanalyzable(record: FunctionRecord, error: str) -> AnalysisReport:
+    return AnalysisReport(
+        function_id=record.id, file=record.file, span=_span(record),
+        predicted_cwe="none", confidence=0.0,
+        description="unanalyzable", error=error)
+
+
+def analyze(record: FunctionRecord, model: VulnModel,
+            vocab: Vocabulary) -> AnalysisReport:
     """Run the full pipeline on one function.
 
     Lexing failures produce a report marked unanalyzable instead of
     raising, so a single pathological function cannot stop a scan.
     """
-    catalog = catalog or default_catalog()
-    offset = (record.file_start_line - 1) if record.file_start_line else 0
-    span = (offset + 1, offset + record.line_count)
+    span = _span(record)
+    offset = span[0] - 1
     try:
         stream = tokenize(record.source)
         graph = build_graph(stream)
     except (LexError, DataError) as exc:
-        return AnalysisReport(
-            function_id=record.id, file=record.file, span=span,
-            predicted_cwe="none", confidence=0.0,
-            description="unanalyzable", error=str(exc))
+        return _unanalyzable(record, str(exc))
 
     inputs = model_inputs(graph, vocab)
     output = model.forward(*inputs)
@@ -241,6 +249,7 @@ def analyze(record: FunctionRecord, model: VulnModel, vocab: Vocabulary,
         report.predicted_cwe = BINARY_VULNERABLE_LABEL
         report.description = _BINARY_DESCRIPTION
     else:
+        catalog = default_catalog()
         report.predicted_cwe = catalog.cwe_for_index(predicted)
         report.description = catalog.describe(report.predicted_cwe)
 
@@ -294,8 +303,7 @@ def _report_filename(report: AnalysisReport, suffix: str) -> str:
 
 
 def scan(root: str | Path, model: VulnModel, vocab: Vocabulary,
-         out: str | Path, fmt: str = "json", jobs: int = 1,
-         catalog: CweCatalog | None = None) -> ScanSummary:
+         out: str | Path, fmt: str = "json", jobs: int = 1) -> ScanSummary:
     """Analyze every function under ``root`` and write one report each.
 
     Reports land in ``out`` ordered by (path, start line), together with
@@ -309,19 +317,18 @@ def scan(root: str | Path, model: VulnModel, vocab: Vocabulary,
         raise DataError(f"unknown report format {fmt!r}")
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
-    catalog = catalog or default_catalog()
     records = extract_functions(root)
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
 
     workers = _worker_count(jobs, len(records)) if jobs > 1 else 1
     if workers > 1:
-        reports = _analyze_in_workers(records, workers, model, vocab, catalog)
+        reports = _analyze_in_workers(records, workers, model, vocab)
     else:
-        reports = [_run(record, model, vocab, catalog) for record in records]
+        reports = [_run(record, model, vocab) for record in records]
 
     counts: dict[str, int] = {}
-    for report in reports:
+    for record, report in zip(records, reports):
         counts[report.predicted_cwe] = counts.get(report.predicted_cwe, 0) + 1
         if fmt == "json":
             payload = json.dumps(report.to_json_dict(), indent=2,
@@ -330,7 +337,7 @@ def scan(root: str | Path, model: VulnModel, vocab: Vocabulary,
                 payload + "\n", encoding="utf-8")
         else:
             (out / _report_filename(report, ".txt")).write_text(
-                render_report(report, _source_for(report, root)),
+                render_report(report, record.source),
                 encoding="utf-8")
 
     summary = ScanSummary(
@@ -345,28 +352,22 @@ def scan(root: str | Path, model: VulnModel, vocab: Vocabulary,
     return summary
 
 
-def _run(record: FunctionRecord, model: VulnModel, vocab: Vocabulary,
-         catalog: CweCatalog) -> AnalysisReport:
+def _run(record: FunctionRecord, model: VulnModel,
+         vocab: Vocabulary) -> AnalysisReport:
     """``analyze`` with crash isolation: an exception becomes the report."""
     try:
-        return analyze(record, model, vocab, catalog)
+        return analyze(record, model, vocab)
     except Exception as exc:  # crash isolation: report, keep scanning
-        offset = (record.file_start_line or 1) - 1
-        return AnalysisReport(
-            function_id=record.id, file=record.file,
-            span=(offset + 1, offset + record.line_count),
-            predicted_cwe="none", confidence=0.0,
-            description="unanalyzable", error=f"{type(exc).__name__}: {exc}")
+        return _unanalyzable(record, f"{type(exc).__name__}: {exc}")
 
 
-#: (model, vocab, catalog) of a scan worker, set once by ``_init_worker``.
-_worker_state: tuple[VulnModel, Vocabulary, CweCatalog] | None = None
+#: (model, vocab) of a scan worker, set once by ``_init_worker``.
+_worker_state: tuple[VulnModel, Vocabulary] | None = None
 
 
-def _init_worker(model: VulnModel, vocab: Vocabulary,
-                 catalog: CweCatalog) -> None:
+def _init_worker(model: VulnModel, vocab: Vocabulary) -> None:
     global _worker_state
-    _worker_state = (model, vocab, catalog)
+    _worker_state = (model, vocab)
 
 
 def _run_in_worker(record: FunctionRecord) -> AnalysisReport:
@@ -391,11 +392,11 @@ def _chunk_size(n_records: int, workers: int) -> int:
 
 
 def _analyze_in_workers(records: list[FunctionRecord], workers: int,
-                        model: VulnModel, vocab: Vocabulary,
-                        catalog: CweCatalog) -> list[AnalysisReport]:
+                        model: VulnModel, vocab: Vocabulary
+                        ) -> list[AnalysisReport]:
     """Reports in record order, from ``workers`` forked processes.
 
-    Forked workers inherit the model, vocabulary and catalog through the
+    Forked workers inherit the model and vocabulary through the
     initializer's arguments, so only records and reports are pickled.
     """
     import multiprocessing
@@ -406,21 +407,11 @@ def _analyze_in_workers(records: list[FunctionRecord], workers: int,
                 max_workers=workers,
                 mp_context=multiprocessing.get_context("fork"),
                 initializer=_init_worker,
-                initargs=(model, vocab, catalog)) as pool:
+                initargs=(model, vocab)) as pool:
             return list(pool.map(_run_in_worker, records,
                                  chunksize=_chunk_size(len(records), workers)))
     except BrokenProcessPool as exc:
         raise VulnGraphError(f"a scan worker process died: {exc}") from exc
-
-
-def _source_for(report: AnalysisReport, root: str | Path) -> str | None:
-    if report.file is None:
-        return None
-    try:
-        lines = _read_source(Path(root) / report.file).split("\n")
-    except OSError:
-        return None
-    return "\n".join(lines[report.span[0] - 1:report.span[1]])
 
 
 def render_report(report: AnalysisReport, source: str | None = None) -> str:

@@ -7,8 +7,7 @@ localization head). Batches are shuffled per epoch from the run seed and
 processed in a fixed order, so a (config, seed) pair reproduces the same
 parameter trajectory bit for bit.
 
-The optimizer is an adaptive (Adam-style) update by default; plain SGD
-is available as a toggle for gradient-audit tests.
+The optimizer is Adam. A fusion-ratio sweep trains one model per ratio.
 """
 
 from __future__ import annotations
@@ -22,8 +21,8 @@ from typing import Sequence
 import numpy as np
 
 from . import tensor
-from .corpus import (BINARY_VULNERABLE_LABEL, CweCatalog, DatasetSplit,
-                     FunctionRecord, default_catalog, select)
+from .corpus import (BINARY_VULNERABLE_LABEL, DatasetSplit, FunctionRecord,
+                     default_catalog, select)
 from .errors import ConfigError, DataError, GradientError, TrainingError
 from .lexer import TokenStream, Vocabulary, build_vocab, tokenize
 from .model import (ModelConfig, VulnModel, denormalize_lines,
@@ -43,10 +42,8 @@ class TrainConfig:
     w_cls: float = 1.0
     w_loc: float = 1.0
     focal: FocalConfig = field(default_factory=FocalConfig)
-    optimizer: str = "adam"  # "adam" or "sgd"
+    optimizer: str = "adam"  # the only optimizer; configs name it
     min_count: int = 1  # vocabulary threshold
-    checkpoint_dir: str | None = None
-    sweep_mode: str = "retrain"  # "retrain" or "shared"
 
     def __post_init__(self) -> None:
         if self.epochs < 1:
@@ -64,10 +61,8 @@ class TrainConfig:
             raise ConfigError(
                 f"loss weights must be finite and >= 0, got w_cls="
                 f"{self.w_cls}, w_loc={self.w_loc}")
-        if self.optimizer not in ("adam", "sgd"):
+        if self.optimizer != "adam":
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
-        if self.sweep_mode not in ("retrain", "shared"):
-            raise ConfigError(f"unknown sweep_mode {self.sweep_mode!r}")
 
 
 class Adam:
@@ -95,16 +90,6 @@ class Adam:
             p.value.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
-class Sgd:
-    def __init__(self, params: Sequence[tensor.Parameter], lr: float):
-        self.params = list(params)
-        self.lr = lr
-
-    def step(self) -> None:
-        for p in self.params:
-            p.value.data -= self.lr * p.grad
-
-
 @dataclass(frozen=True)
 class EncodedSample:
     """A record made model-ready: its stream's n ids, their n x n operator."""
@@ -118,8 +103,7 @@ class EncodedSample:
     truth_range: tuple[int, int] | None
 
 
-def label_index(record: FunctionRecord, num_classes: int,
-                catalog: CweCatalog) -> int:
+def label_index(record: FunctionRecord, num_classes: int) -> int:
     """Class index for a record: 0 benign, 1..10 by catalog, 1 in binary mode."""
     if record.cwe is None:
         return 0
@@ -130,11 +114,10 @@ def label_index(record: FunctionRecord, num_classes: int,
             f"record {record.id!r} carries the class-free label "
             f"{BINARY_VULNERABLE_LABEL!r}; use a binary (num_classes=2) model"
         )
-    return catalog.class_index(record.cwe)
+    return default_catalog().class_index(record.cwe)
 
 
 def prepare_sample(record: FunctionRecord, vocab: Vocabulary, num_classes: int,
-                   catalog: CweCatalog,
                    stream: TokenStream | None = None) -> EncodedSample:
     """Encode a record; ``stream`` is its token stream, when already made."""
     graph = build_graph(stream if stream is not None
@@ -149,7 +132,7 @@ def prepare_sample(record: FunctionRecord, vocab: Vocabulary, num_classes: int,
     return EncodedSample(
         record_id=record.id,
         ids=ids, adjacency=adjacency,
-        label=label_index(record, num_classes, catalog),
+        label=label_index(record, num_classes),
         loc_target=loc_target,
         line_count=record.line_count,
         truth_range=truth_range,
@@ -192,45 +175,34 @@ class TrainResult:
 
 @np.errstate(over="ignore", invalid="ignore")
 def train(records: Sequence[FunctionRecord], split: DatasetSplit,
-          model_cfg: ModelConfig, train_cfg: TrainConfig,
-          vocab: Vocabulary | None = None,
-          catalog: CweCatalog | None = None) -> TrainResult:
+          model_cfg: ModelConfig, train_cfg: TrainConfig) -> TrainResult:
     """Train on the split's train ids, tracking loss/metrics on val.
 
-    The vocabulary is built from the train split only unless one is
-    passed in. Each record is tokenized once. Writes per-epoch and
-    best-validation checkpoints when ``train_cfg.checkpoint_dir`` is set.
+    The vocabulary is built from the train split only, and each record
+    is tokenized once. The caller saves the returned model.
 
     numpy does not warn about overflow here: it ends in non-finite
     values, which the tape, the loss check and ``forward`` reject, and
     training stops with a TrainingError.
     """
-    catalog = catalog or default_catalog()
     train_records = select(records, split.train)
     val_records = select(records, split.val)
     if not train_records:
         raise TrainingError("empty train split")
     streams = [tokenize(r.source) for r in train_records]
-    if vocab is None:
-        vocab = build_vocab(streams, min_count=train_cfg.min_count)
+    vocab = build_vocab(streams, min_count=train_cfg.min_count)
     if len(vocab) != model_cfg.vocab_size:
         model_cfg = replace(model_cfg, vocab_size=len(vocab))
 
-    samples = [prepare_sample(r, vocab, model_cfg.num_classes, catalog, s)
+    samples = [prepare_sample(r, vocab, model_cfg.num_classes, s)
                for r, s in zip(train_records, streams)]
-    val_samples = [prepare_sample(r, vocab, model_cfg.num_classes, catalog)
+    val_samples = [prepare_sample(r, vocab, model_cfg.num_classes)
                    for r in val_records]
 
     model = VulnModel(model_cfg, seed=train_cfg.seed)
-    params = model.parameters()
-    optimizer = (Adam(params, train_cfg.learning_rate)
-                 if train_cfg.optimizer == "adam"
-                 else Sgd(params, train_cfg.learning_rate))
+    optimizer = Adam(model.parameters(), train_cfg.learning_rate)
     rng = np.random.default_rng(train_cfg.seed)
 
-    checkpoint_dir = (Path(train_cfg.checkpoint_dir)
-                      if train_cfg.checkpoint_dir else None)
-    best_val = float("inf")
     log: list[dict] = []
     order = np.arange(len(samples))
 
@@ -283,20 +255,12 @@ def train(records: Sequence[FunctionRecord], split: DatasetSplit,
         }
         log.append(entry)
 
-        if checkpoint_dir is not None:
-            save_checkpoint(checkpoint_dir / f"epoch_{epoch:03d}", model, vocab,
-                            train_cfg)
-            if val_loss is not None and val_loss < best_val:
-                best_val = val_loss
-                save_checkpoint(checkpoint_dir / "best", model, vocab, train_cfg)
-
     model.freeze()
     return TrainResult(model=model, vocab=vocab, log=log)
 
 
 def evaluate_samples(model: VulnModel, samples: Sequence[EncodedSample],
-                     num_classes: int,
-                     fusion: tuple[float, float] | None = None) -> MetricsReport:
+                     num_classes: int) -> MetricsReport:
     if not samples:
         raise DataError("evaluate: empty split")
     preds: list[int] = []
@@ -304,7 +268,7 @@ def evaluate_samples(model: VulnModel, samples: Sequence[EncodedSample],
     tp_ious: list[float] = []
     vulnerable_ious: list[float] = []
     for sample in samples:
-        out = model.forward(sample.ids, sample.adjacency, fusion=fusion)
+        out = model.forward(sample.ids, sample.adjacency)
         pred = out.predicted_class
         preds.append(pred)
         truths.append(sample.label)
@@ -322,32 +286,27 @@ def evaluate_samples(model: VulnModel, samples: Sequence[EncodedSample],
 
 
 def evaluate(model: VulnModel, records: Sequence[FunctionRecord],
-             vocab: Vocabulary, catalog: CweCatalog | None = None
-             ) -> MetricsReport:
+             vocab: Vocabulary) -> MetricsReport:
     """Classification metrics over records, plus localization IoU.
 
     ``mean_iou`` averages over records that are truly vulnerable and
     predicted vulnerable; ``mean_iou_vulnerable`` over all truly
     vulnerable records regardless of the predicted class.
     """
-    catalog = catalog or default_catalog()
     num_classes = model.config.num_classes
-    samples = [prepare_sample(r, vocab, num_classes, catalog)
-               for r in records]
+    samples = [prepare_sample(r, vocab, num_classes) for r in records]
     return evaluate_samples(model, samples, num_classes)
 
 
 def sweep_ensemble(records: Sequence[FunctionRecord], split: DatasetSplit,
                    ratios: Sequence[tuple[float, float]],
-                   model_cfg: ModelConfig, train_cfg: TrainConfig,
-                   catalog: CweCatalog | None = None) -> list[dict]:
-    """Metrics per fusion ratio, shaped one row per (embed, graph) pair.
+                   model_cfg: ModelConfig, train_cfg: TrainConfig
+                   ) -> list[dict]:
+    """Test-split metrics per fusion ratio, one row per (embed, graph) pair.
 
-    In "retrain" mode every ratio trains a fresh model from the same
-    seed; in "shared" mode one model is trained at the base config and
-    re-fused per ratio at evaluation time.
+    Every ratio trains a fresh model from the same seed and config, so
+    the rows differ only in the ratio the model was trained at.
     """
-    catalog = catalog or default_catalog()
     for embed_w, graph_w in ratios:
         if abs(embed_w + graph_w - 1.0) > 1e-9:
             raise ConfigError(
@@ -357,24 +316,10 @@ def sweep_ensemble(records: Sequence[FunctionRecord], split: DatasetSplit,
         raise DataError("sweep: empty test split")
 
     rows: list[dict] = []
-    shared: TrainResult | None = None
-    if train_cfg.sweep_mode == "shared":
-        shared = train(records, split, model_cfg,
-                       replace(train_cfg, checkpoint_dir=None), catalog=catalog)
-        test_samples = [prepare_sample(r, shared.vocab, model_cfg.num_classes,
-                                       catalog) for r in test_records]
-
     for embed_w, graph_w in ratios:
-        if shared is not None:
-            report = evaluate_samples(shared.model, test_samples,
-                                      model_cfg.num_classes,
-                                      fusion=(embed_w, graph_w))
-        else:
-            cfg = replace(model_cfg, embed_weight=embed_w, graph_weight=graph_w)
-            result = train(records, split, cfg,
-                           replace(train_cfg, checkpoint_dir=None),
-                           catalog=catalog)
-            report = evaluate(result.model, test_records, result.vocab, catalog)
+        cfg = replace(model_cfg, embed_weight=embed_w, graph_weight=graph_w)
+        result = train(records, split, cfg, train_cfg)
+        report = evaluate(result.model, test_records, result.vocab)
         rows.append({
             "embed_weight": embed_w,
             "graph_weight": graph_w,
@@ -407,7 +352,9 @@ def save_checkpoint(path: str | Path, model: VulnModel, vocab: Vocabulary,
     """Write a self-describing checkpoint directory.
 
     Contents: params.npz (bit-exact parameter values), config.txt
-    (model and training settings as key=value text), vocab.tsv.
+    (model and training settings as key=value text), vocab.tsv. The
+    training settings are a record of the run; ``load_checkpoint`` reads
+    only the model settings back.
     """
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
@@ -422,18 +369,19 @@ def save_checkpoint(path: str | Path, model: VulnModel, vocab: Vocabulary,
 def load_checkpoint(path: str | Path) -> tuple[VulnModel, Vocabulary]:
     """Read a directory written by ``save_checkpoint``.
 
-    Raises DataError when a file is missing or when config.txt, the
-    vocabulary and the parameters disagree.
+    Raises DataError when a file is missing, when config.txt lacks a
+    model key or holds a bad value, or when config.txt, the vocabulary
+    and the parameters disagree. Other keys in config.txt are not read.
     """
     path = Path(path)
     for name in ("params.npz", "config.txt", "vocab.tsv"):
         if not (path / name).is_file():
             raise DataError(f"no checkpoint at {path} (missing {name})")
     try:
-        model_kwargs, _ = parse_run_config(
-            (path / "config.txt").read_text(encoding="utf-8"))
-        missing = [f.name for f in fields(ModelConfig)
-                   if f.name not in model_kwargs]
+        model_kwargs = _typed(
+            _settings((path / "config.txt").read_text(encoding="utf-8")),
+            _MODEL_KEYS)
+        missing = [key for key in _MODEL_KEYS if key not in model_kwargs]
         if missing:
             raise ConfigError(f"missing keys {', '.join(missing)}")
         config = ModelConfig(**model_kwargs)
@@ -448,17 +396,54 @@ def load_checkpoint(path: str | Path) -> tuple[VulnModel, Vocabulary]:
     return model, vocab
 
 
-_TRAIN_KEYS = ("epochs", "learning_rate", "batch_size", "seed", "w_cls",
-               "w_loc", "optimizer", "min_count", "sweep_mode")
+_MODEL_KEYS = {
+    "vocab_size": int, "embed_dim": int, "gcn_dim": int,
+    "gcn_layers": int, "num_classes": int,
+    "embed_weight": float, "graph_weight": float,
+}
+_TRAIN_KEYS = {
+    "epochs": int, "learning_rate": float, "batch_size": int,
+    "seed": int, "w_cls": float, "w_loc": float,
+    "focal_alpha": float, "focal_delta": float,
+    "optimizer": str, "min_count": int,
+}
 
 
 def train_config_to_text(cfg: TrainConfig) -> str:
-    lines = [f"{key}={getattr(cfg, key)}" for key in _TRAIN_KEYS]
-    lines.append(f"focal_alpha={cfg.focal.alpha}")
-    lines.append(f"focal_delta={cfg.focal.delta}")
-    if cfg.checkpoint_dir:
-        lines.append(f"checkpoint_dir={cfg.checkpoint_dir}")
-    return "\n".join(lines) + "\n"
+    settings = {f.name: getattr(cfg, f.name) for f in fields(cfg)
+                if f.name != "focal"}
+    settings.update(focal_alpha=cfg.focal.alpha, focal_delta=cfg.focal.delta)
+    return "".join(f"{key}={value}\n" for key, value in settings.items())
+
+
+def _settings(text: str) -> dict[str, tuple[int, str]]:
+    """Each key of flat key=value text, with its line number and raw value."""
+    settings: dict[str, tuple[int, str]] = {}
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise ConfigError(f"config line {lineno}: expected key=value")
+        settings[key.strip()] = (lineno, value.strip())
+    return settings
+
+
+def _typed(settings: dict[str, tuple[int, str]], types: dict) -> dict:
+    """The settings that ``types`` names, each converted to its type."""
+    typed = {}
+    for key, convert in types.items():
+        if key not in settings:
+            continue
+        lineno, value = settings[key]
+        try:
+            typed[key] = convert(value)
+        except ValueError as exc:
+            raise ConfigError(
+                f"config line {lineno}: bad value for {key!r}: {value!r}"
+            ) from exc
+    return typed
 
 
 def parse_run_config(text: str) -> tuple[dict, dict]:
@@ -467,41 +452,12 @@ def parse_run_config(text: str) -> tuple[dict, dict]:
     Returns (model_kwargs, train_kwargs); unknown keys raise ConfigError
     so typos in config files fail loudly.
     """
-    model_keys = {
-        "vocab_size": int, "embed_dim": int, "gcn_dim": int,
-        "gcn_layers": int, "num_classes": int,
-        "embed_weight": float, "graph_weight": float,
-    }
-    train_keys = {
-        "epochs": int, "learning_rate": float, "batch_size": int,
-        "seed": int, "w_cls": float, "w_loc": float,
-        "focal_alpha": float, "focal_delta": float,
-        "optimizer": str, "min_count": int, "checkpoint_dir": str,
-        "sweep_mode": str,
-    }
-    model_kwargs: dict = {}
-    train_kwargs: dict = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise ConfigError(f"config line {lineno}: expected key=value")
-        key = key.strip()
-        value = value.strip()
-        if key in model_keys:
-            target, convert = model_kwargs, model_keys[key]
-        elif key in train_keys:
-            target, convert = train_kwargs, train_keys[key]
-        else:
+    settings = _settings(text)
+    for key, (lineno, _) in settings.items():
+        if key not in _MODEL_KEYS and key not in _TRAIN_KEYS:
             raise ConfigError(f"config line {lineno}: unknown key {key!r}")
-        try:
-            target[key] = convert(value)
-        except ValueError as exc:
-            raise ConfigError(
-                f"config line {lineno}: bad value for {key!r}: {value!r}"
-            ) from exc
+    model_kwargs = _typed(settings, _MODEL_KEYS)
+    train_kwargs = _typed(settings, _TRAIN_KEYS)
     focal_alpha = train_kwargs.pop("focal_alpha", None)
     focal_delta = train_kwargs.pop("focal_delta", None)
     if focal_alpha is not None or focal_delta is not None:

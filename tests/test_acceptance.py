@@ -173,8 +173,7 @@ def test_criterion_6_overfit_sanity(toy_run):
     hits = 0
     for record in vulnerable:
         stream = tokenize(record.source)
-        sample = prepare_sample(record, toy_run.vocab, 11,
-                                _catalog())
+        sample = prepare_sample(record, toy_run.vocab, 11)
         inputs = (sample.ids, sample.adjacency)
         out = toy_run.model.forward(*inputs)
         predicted_start, _ = denormalize_lines(out.loc_pred,
@@ -195,11 +194,6 @@ def test_criterion_6_overfit_sanity(toy_run):
            f"{metrics.mean_iou:.3f}, trained in "
            f"{toy_run.elapsed_seconds:.1f}s (200 epochs), root-cause match "
            f"{hits}/{len(vulnerable)} = {root_rate:.2f}")
-
-
-def _catalog():
-    from vulngraph.corpus import default_catalog
-    return default_catalog()
 
 
 def test_criterion_7_sweep_mechanics():

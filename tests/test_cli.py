@@ -6,8 +6,7 @@ import warnings
 import pytest
 
 from vulngraph.cli import main
-from vulngraph.corpus import (default_catalog, record_to_json,
-                             save_dataset, select)
+from vulngraph.corpus import record_to_json, save_dataset, select
 from vulngraph.model import VulnModel
 from vulngraph.synth import make_toy_corpus
 from vulngraph.trainer import (evaluate_samples, load_checkpoint,
@@ -117,6 +116,20 @@ class TestExitCodes:
         assert main(["train", "--config", str(bad), "--data", str(dataset),
                      "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err.startswith("vulngraph: config error: ")
+
+    @pytest.mark.parametrize("setting", [
+        "checkpoint_dir=runs", "sweep_mode=shared", "optimizer=sgd"])
+    def test_retired_run_config_key_is_usage_error(self, tmp_path, dataset,
+                                                    setting, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(TINY_CONFIG + setting + "\n", encoding="utf-8")
+        assert main(["train", "--config", str(bad), "--data", str(dataset),
+                     "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("vulngraph: config error: ")
+        assert setting.partition("=")[0] in err
+        assert not (tmp_path / "out").exists()
+        assert not (tmp_path / "runs").exists()
 
     @pytest.mark.parametrize("settings", [
         "learning_rate=1e300\n",
@@ -341,7 +354,7 @@ class TestInferenceCost:
         assert taped == []
 
     def test_no_tape_in_evaluation(self, toy_run, monkeypatch):
-        samples = [prepare_sample(r, toy_run.vocab, 11, default_catalog())
+        samples = [prepare_sample(r, toy_run.vocab, 11)
                    for r in toy_run.records[:6]]
         taped = count_calls(monkeypatch, "tensor", "from_op")
         evaluate_samples(toy_run.model, samples, 11)

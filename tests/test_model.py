@@ -262,17 +262,6 @@ class TestTapeFreeForward:
         assert len(inputs[0]) == STREAM_CAPACITY
         self.check(model, *inputs, random.Random(0))
 
-    def test_fusion_override_matches_configured_model(self):
-        model, _, _, _, ids, adjacency = tiny_model_inputs(SOURCE)
-        twin = VulnModel(ModelConfig(**{**vars(model.config),
-                                        "embed_weight": 0.2,
-                                        "graph_weight": 0.8}))
-        twin.load_values({p.name: p.data for p in model.parameters()})
-        out = model.forward(ids, adjacency, fusion=(0.2, 0.8))
-        assert_matches_tape(out, tape_outputs(twin, ids, adjacency))
-        with pytest.raises(ConfigError):
-            model.forward(ids, adjacency, fusion=(0.5, 0.6))
-
     def test_shape_errors(self):
         model, _, _, _, ids, adjacency = tiny_model_inputs(SOURCE)
         with pytest.raises(ShapeError):
@@ -341,19 +330,6 @@ class TestConfigAndCheckpoint:
         b = restored.forward(ids, adjacency)
         assert np.array_equal(a.class_logits, b.class_logits)
         assert a.loc_pred == b.loc_pred
-
-    def test_with_fusion_shares_parameters(self):
-        model, _, _, _, ids, adjacency = tiny_model_inputs(SOURCE)
-        out = model.forward(ids, adjacency, fusion=(1.0, 0.0))
-        np.testing.assert_array_equal(out.fused, out.pooled_embed)
-        # the override re-fuses the model's own pooled features
-        configured = model.forward(ids, adjacency)
-        np.testing.assert_array_equal(out.pooled_embed,
-                                      configured.pooled_embed)
-        np.testing.assert_array_equal(out.pooled_graph,
-                                      configured.pooled_graph)
-        assert (model.config.embed_weight, model.config.graph_weight) == (
-            0.5, 0.5)
 
     def test_binary_mode(self):
         model, _, _, _, ids, adjacency = tiny_model_inputs(

@@ -371,6 +371,25 @@ class TestScan:
         table = (tmp_path / "out" / "summary.txt").read_text(encoding="utf-8")
         assert "Count" in table and "total" in table
 
+    def test_text_excerpt_is_the_analyzed_source(self, tmp_path, toy_run,
+                                                 monkeypatch):
+        record = select(toy_run.records, toy_run.split.train)[0]
+        src = write_tree(tmp_path, [record])
+        extract = scanner.extract_functions
+
+        def extract_then_edit(root):
+            records = extract(root)
+            (src / "f0.c").write_text("int edited(void) {\n}\n",
+                                      encoding="utf-8")
+            return records
+
+        monkeypatch.setattr(scanner, "extract_functions", extract_then_edit)
+        scan(src, toy_run.model, toy_run.vocab, tmp_path / "out", fmt="text")
+        excerpt = (tmp_path / "out" / "f0.c__L1.txt").read_text(
+            encoding="utf-8").split("\n\n", 1)[1]
+        assert [line.split(" | ", 1)[1] for line in excerpt.splitlines()] \
+            == record.source.split("\n")
+
     @pytest.mark.parametrize("damage", ["nan", "overflow"])
     def test_non_finite_model_gives_unanalyzable_report(self, tmp_path,
                                                          damage):

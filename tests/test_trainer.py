@@ -11,11 +11,28 @@ from vulngraph.model import ModelConfig, VulnModel
 from vulngraph.objectives import FocalConfig
 from vulngraph.synth import make_toy_corpus
 from vulngraph.trainer import (TrainConfig, evaluate, label_index,
-                               load_checkpoint, prepare_sample, save_checkpoint,
-                               sweep_ensemble, train, _batch_loss,
+                               load_checkpoint, parse_run_config,
+                               prepare_sample, save_checkpoint, sweep_ensemble,
+                               train, train_config_to_text, _batch_loss,
                                format_sweep_table)
 
 TINY_MODEL = dict(embed_dim=16, gcn_dim=12, num_classes=11)
+
+#: The training lines of a config.txt written by earlier releases, which
+#: still carried the retired sweep_mode key.
+EARLIER_TRAIN_LINES = """\
+epochs=200
+learning_rate=0.001
+batch_size=8
+seed=7
+w_cls=1.0
+w_loc=1.0
+optimizer=adam
+min_count=1
+sweep_mode=retrain
+focal_alpha=0.25
+focal_delta=2.0
+"""
 
 
 def tiny_corpus():
@@ -60,36 +77,36 @@ def tiny_train_cfg(**overrides):
 
 
 class TestLabelIndex:
-    def test_benign_is_zero(self, catalog):
+    def test_benign_is_zero(self):
         record = FunctionRecord(id="b", source="x;", language="c")
-        assert label_index(record, 11, catalog) == 0
+        assert label_index(record, 11) == 0
 
-    def test_multiclass_uses_catalog(self, catalog):
+    def test_multiclass_uses_catalog(self):
         record = FunctionRecord(id="v", source="x;", language="c",
                                 cwe="CWE-119", vul_start=1, vul_end=1)
-        assert label_index(record, 11, catalog) == 1
+        assert label_index(record, 11) == 1
         record = FunctionRecord(id="v2", source="x;", language="c",
                                 cwe="CWE-190", vul_start=1, vul_end=1)
-        assert label_index(record, 11, catalog) == 10
+        assert label_index(record, 11) == 10
 
-    def test_binary_mode_collapses_labels(self, catalog):
+    def test_binary_mode_collapses_labels(self):
         record = FunctionRecord(id="v", source="x;", language="c",
                                 cwe="VULN", vul_start=1, vul_end=1)
-        assert label_index(record, 2, catalog) == 1
+        assert label_index(record, 2) == 1
 
-    def test_classfree_label_needs_binary_model(self, catalog):
+    def test_classfree_label_needs_binary_model(self):
         record = FunctionRecord(id="v", source="x;", language="c",
                                 cwe="VULN", vul_start=1, vul_end=1)
         with pytest.raises(DataError, match="binary"):
-            label_index(record, 11, catalog)
+            label_index(record, 11)
 
 
 class TestPrepareSample:
-    def test_unlexable_text_past_the_window_is_truncated(self, catalog):
+    def test_unlexable_text_past_the_window_is_truncated(self):
         # the unterminated literal lies past the window, so it is never lexed
         record = FunctionRecord(id="long", language="c", source=(
             "void f() {\n" + "x = 1;\n" * 200 + 'y = "never closed;\n}'))
-        sample = prepare_sample(record, build_vocab([]), 11, catalog)
+        sample = prepare_sample(record, build_vocab([]), 11)
         assert sample.ids.shape == (512,)
         assert sample.adjacency.shape == (512, 512)
 
@@ -118,13 +135,13 @@ class TestTrain:
     def test_loss_decreases_on_toy_corpus(self, toy_run):
         assert toy_run.log[-1]["train_loss"] < toy_run.log[0]["train_loss"]
 
-    def test_benign_batch_gives_zero_localization_gradient(self, catalog):
+    def test_benign_batch_gives_zero_localization_gradient(self):
         records, ds = tiny_corpus()
         benign = [r for r in records if not r.is_vulnerable][:4]
         cfg = ModelConfig(vocab_size=4, **TINY_MODEL)
         result = train(records, ds, cfg, tiny_train_cfg(epochs=1))
         model, vocab = result.model, result.vocab
-        samples = [prepare_sample(r, vocab, 11, catalog) for r in benign]
+        samples = [prepare_sample(r, vocab, 11) for r in benign]
         model.zero_grad()
         loss = _batch_loss(model, samples, tiny_train_cfg())
         tensor.backward(loss)
@@ -133,13 +150,6 @@ class TestTrain:
         assert np.array_equal(model.loc_bias.grad,
                               np.zeros_like(model.loc_bias.grad))
         assert np.abs(model.cls_weight.grad).sum() > 0
-
-    def test_sgd_toggle_runs(self):
-        records, ds = tiny_corpus()
-        cfg = ModelConfig(vocab_size=4, **TINY_MODEL)
-        result = train(records, ds, cfg, tiny_train_cfg(
-            epochs=1, optimizer="sgd"))
-        assert len(result.log) == 1
 
     def test_divergence_aborts_with_diagnostics(self):
         records, ds = tiny_corpus()
@@ -183,6 +193,18 @@ class TestTrain:
         with pytest.raises(ConfigError):
             TrainConfig(learning_rate=-1.0)
 
+    @pytest.mark.parametrize("cfg", [
+        TrainConfig(),
+        TrainConfig(epochs=7, learning_rate=2.5e-4, batch_size=3, seed=11,
+                    w_cls=0.7, w_loc=1.3, focal=FocalConfig(0.4, 1.5),
+                    min_count=2),
+    ], ids=["default", "custom"])
+    def test_config_text_round_trip(self, cfg):
+        model_kwargs, train_kwargs = parse_run_config(
+            train_config_to_text(cfg))
+        assert model_kwargs == {}
+        assert TrainConfig(**train_kwargs) == cfg
+
 
 class TestEvaluate:
     def test_overfit_toy_model_scores_high(self, toy_run):
@@ -220,6 +242,21 @@ class TestCheckpoint:
         for pa, pb in zip(toy_run.model.parameters(), model.parameters()):
             assert np.array_equal(pa.data, pb.data)
 
+    def test_earlier_config_format_loads(self, tmp_path, toy_run):
+        records = select(toy_run.records, toy_run.split.train)[:8]
+        ckpt = tmp_path / "ckpt"
+        save_checkpoint(ckpt, toy_run.model, toy_run.vocab)
+        config = ckpt / "config.txt"
+        config.write_text(config.read_text(encoding="utf-8")
+                          + EARLIER_TRAIN_LINES, encoding="utf-8")
+        model, vocab = load_checkpoint(ckpt)
+        assert model.config == toy_run.model.config
+        assert vocab == toy_run.vocab
+        for pa, pb in zip(toy_run.model.parameters(), model.parameters()):
+            assert np.array_equal(pa.data, pb.data)
+        assert evaluate(model, records, vocab).to_json() == evaluate(
+            toy_run.model, records, toy_run.vocab).to_json()
+
     @pytest.mark.parametrize("name, edit, message", [
         pytest.param(None, None, "missing params.npz", id="no-checkpoint"),
         pytest.param("params.npz", None, "missing params.npz", id="no-params"),
@@ -256,21 +293,15 @@ class TestCheckpoint:
             vocab = build_vocab(records)
             model = VulnModel(ModelConfig(vocab_size=len(vocab), **TINY_MODEL))
             save_checkpoint(ckpt, model, vocab)
+            # in the earlier format, so its extra keys cannot mask damage
+            with (ckpt / "config.txt").open("a", encoding="utf-8") as fh:
+                fh.write(EARLIER_TRAIN_LINES)
             if edit is None:
                 (ckpt / name).unlink()
             else:
                 edit(ckpt / name)
         with pytest.raises(DataError, match=message):
             load_checkpoint(ckpt)
-
-    def test_per_epoch_and_best_checkpoints_written(self, tmp_path):
-        records, ds = tiny_corpus()
-        cfg = ModelConfig(vocab_size=4, **TINY_MODEL)
-        train(records, ds, cfg,
-              tiny_train_cfg(epochs=2, checkpoint_dir=str(tmp_path / "run")))
-        assert (tmp_path / "run" / "epoch_001" / "params.npz").exists()
-        assert (tmp_path / "run" / "epoch_002" / "params.npz").exists()
-        assert (tmp_path / "run" / "best" / "params.npz").exists()
 
 
 class TestSweep:
@@ -297,19 +328,6 @@ class TestSweep:
                                 "accuracy", "f1", "precision", "recall"}
         table = format_sweep_table(rows_a)
         assert len(table.splitlines()) == 7  # header + rule + 5 rows
-
-    def test_shared_mode_refuses_without_retraining(self, monkeypatch):
-        records, ds = tiny_corpus()
-        prepared = []
-        original = trainer_module.prepare_sample
-        monkeypatch.setattr(trainer_module, "prepare_sample",
-                            lambda *args: prepared.append(1) or original(*args))
-        cfg = ModelConfig(vocab_size=4, **TINY_MODEL)
-        rows = sweep_ensemble(records, ds, [(0.5, 0.5), (0.0, 1.0)], cfg,
-                              tiny_train_cfg(epochs=2, sweep_mode="shared"))
-        assert len(rows) == 2
-        # one training run, and the test split prepared once for all ratios
-        assert len(prepared) == len(ds.train) + len(ds.val) + len(ds.test)
 
     def test_invalid_ratio_rejected(self):
         records, ds = tiny_corpus()
