@@ -205,7 +205,8 @@ _RECORD_KEYS = {
 }
 
 
-def _normalize_newlines(text: str) -> str:
+def normalize_newlines(text: str) -> str:
+    """``text`` with CRLF and lone CR line endings made LF."""
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
@@ -237,7 +238,7 @@ def load_dataset(path: str | Path) -> list[FunctionRecord]:
             record = FunctionRecord(
                 id=raw["id"],
                 # validate rejects a source that is not a string
-                source=(_normalize_newlines(raw["source"])
+                source=(normalize_newlines(raw["source"])
                         if isinstance(raw["source"], str) else raw["source"]),
                 language=raw["language"],
                 cwe=raw.get("cwe"),

@@ -21,7 +21,8 @@ from pathlib import Path
 from typing import Sequence
 
 from .attribution import attribute_tokens, localize, normalize_scores
-from .corpus import BINARY_VULNERABLE_LABEL, FunctionRecord, default_catalog
+from .corpus import (BINARY_VULNERABLE_LABEL, FunctionRecord, default_catalog,
+                     normalize_newlines)
 from .errors import ConfigError, DataError, LexError, VulnGraphError
 from .lexer import Token, TokenKind, Vocabulary, lex, tokenize
 from .model import VulnModel
@@ -99,22 +100,18 @@ def extract_functions(root: str | Path) -> list[FunctionRecord]:
 def file_functions(path: Path, rel_path: str) -> list[FunctionRecord]:
     """Every function definition in one source file, ordered by start line.
 
-    ``rel_path`` names the file in function ids and reports. A file that
-    cannot be read or lexed is skipped with a warning.
+    ``rel_path`` names the file in function ids and reports. CRLF and
+    lone CR line endings read as LF. A file that cannot be read or lexed
+    is skipped with a warning.
     """
     try:
-        return _functions_in_file(_read_source(path), rel_path)
+        text = path.read_text(encoding="utf-8", errors="replace")
+        return _functions_in_file(normalize_newlines(text), rel_path)
     except OSError as exc:
         logger.warning("skipping unreadable file %s: %s", rel_path, exc)
     except LexError as exc:
         logger.warning("skipping unlexable file %s: %s", rel_path, exc)
     return []
-
-
-def _read_source(path: Path) -> str:
-    """A source file's text with CRLF and lone CR line endings made LF."""
-    text = path.read_text(encoding="utf-8", errors="replace")
-    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _functions_in_file(text: str, rel_path: str) -> list[FunctionRecord]:

@@ -7,7 +7,13 @@ localization head). Batches are shuffled per epoch from the run seed and
 processed in a fixed order, so a (config, seed) pair reproduces the same
 parameter trajectory bit for bit.
 
-The optimizer is Adam. A fusion-ratio sweep trains one model per ratio.
+A batch's loss is the mean of its samples' losses. Each sample's share
+is backpropagated right after its own forward pass, and the parameter
+gradients accumulate across the calls, so one sample's tape is alive at
+a time; Adam then steps once per batch. Validation runs the tape-free
+``VulnModel.forward`` once per sample, and its loss and metrics both
+read that output. A fusion-ratio sweep prepares the samples once and
+trains one model per ratio from them.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from .corpus import (BINARY_VULNERABLE_LABEL, DatasetSplit, FunctionRecord,
                      default_catalog, select)
 from .errors import ConfigError, DataError, GradientError, TrainingError
 from .lexer import TokenStream, Vocabulary, build_vocab, tokenize
-from .model import (ModelConfig, VulnModel, denormalize_lines,
+from .model import (ForwardOutput, ModelConfig, VulnModel, denormalize_lines,
                     normalize_line_range)
 from .objectives import (FocalConfig, MetricsReport, classification_metrics,
                          focal_loss, iou_1d, mse_loss)
@@ -94,11 +100,9 @@ class Adam:
 class EncodedSample:
     """A record made model-ready: its stream's n ids, their n x n operator."""
 
-    record_id: str
     ids: np.ndarray
     adjacency: np.ndarray
     label: int
-    loc_target: tuple[float, float] | None
     line_count: int
     truth_range: tuple[int, int] | None
 
@@ -123,41 +127,43 @@ def prepare_sample(record: FunctionRecord, vocab: Vocabulary, num_classes: int,
     graph = build_graph(stream if stream is not None
                         else tokenize(record.source))
     ids, adjacency = model_inputs(graph, vocab)
-    loc_target = None
-    truth_range = None
-    if record.is_vulnerable:
-        truth_range = (record.vul_start, record.vul_end)
-        loc_target = normalize_line_range(record.vul_start, record.vul_end,
-                                          record.line_count)
     return EncodedSample(
-        record_id=record.id,
         ids=ids, adjacency=adjacency,
         label=label_index(record, num_classes),
-        loc_target=loc_target,
         line_count=record.line_count,
-        truth_range=truth_range,
+        truth_range=((record.vul_start, record.vul_end)
+                     if record.is_vulnerable else None),
     )
 
 
-def _sample_loss(model: VulnModel, sample: EncodedSample,
-                 cfg: TrainConfig) -> Matrix:
-    nodes = model.forward_nodes(sample.ids, sample.adjacency)
+def _sample_loss(class_logits: Matrix, loc_pred: Matrix,
+                 sample: EncodedSample, cfg: TrainConfig) -> Matrix:
+    """The sample's loss; on the tape only when its inputs are."""
     loss = tensor.scale(
-        focal_loss(nodes.class_logits, sample.label, cfg.focal), cfg.w_cls)
-    if sample.loc_target is not None:
+        focal_loss(class_logits, sample.label, cfg.focal), cfg.w_cls)
+    if sample.truth_range is not None:
+        target = normalize_line_range(*sample.truth_range, sample.line_count)
         loss = tensor.add(
-            loss, tensor.scale(mse_loss(nodes.loc_pred, sample.loc_target),
-                               cfg.w_loc))
+            loss, tensor.scale(mse_loss(loc_pred, target), cfg.w_loc))
     return loss
 
 
-def _batch_loss(model: VulnModel, batch: Sequence[EncodedSample],
-                cfg: TrainConfig) -> Matrix:
-    total = None
+def _backward_batch(model: VulnModel, batch: Sequence[EncodedSample],
+                    cfg: TrainConfig) -> float:
+    """Add the gradients of the batch's mean loss; return that loss.
+
+    Each sample's loss, scaled by 1/len(batch), is walked right after its
+    own forward pass. One tape over the whole batch would push the same
+    values and add them to the parameters in the same sample order, so
+    the gradients are equal bit for bit.
+    """
+    total = 0.0
     for sample in batch:
-        loss = _sample_loss(model, sample, cfg)
-        total = loss if total is None else tensor.add(total, loss)
-    return tensor.scale(total, 1.0 / len(batch))
+        nodes = model.forward_nodes(sample.ids, sample.adjacency)
+        loss = _sample_loss(nodes.class_logits, nodes.loc_pred, sample, cfg)
+        total += loss.item()
+        tensor.backward(tensor.scale(loss, 1.0 / len(batch)))
+    return total * (1.0 / len(batch))
 
 
 def _diagnostics(model: VulnModel, epoch: int, batch_idx: int) -> str:
@@ -173,32 +179,46 @@ class TrainResult:
     log: list[dict]
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def train(records: Sequence[FunctionRecord], split: DatasetSplit,
-          model_cfg: ModelConfig, train_cfg: TrainConfig) -> TrainResult:
-    """Train on the split's train ids, tracking loss/metrics on val.
-
-    The vocabulary is built from the train split only, and each record
-    is tokenized once. The caller saves the returned model.
-
-    numpy does not warn about overflow here: it ends in non-finite
-    values, which the tape, the loss check and ``forward`` reject, and
-    training stops with a TrainingError.
-    """
+def _prepare(records: Sequence[FunctionRecord], split: DatasetSplit,
+             num_classes: int, min_count: int
+             ) -> tuple[Vocabulary, list[EncodedSample], list[EncodedSample]]:
+    """The train split's vocabulary, and the train and val samples."""
     train_records = select(records, split.train)
     val_records = select(records, split.val)
     if not train_records:
         raise TrainingError("empty train split")
     streams = [tokenize(r.source) for r in train_records]
-    vocab = build_vocab(streams, min_count=train_cfg.min_count)
-    if len(vocab) != model_cfg.vocab_size:
-        model_cfg = replace(model_cfg, vocab_size=len(vocab))
-
-    samples = [prepare_sample(r, vocab, model_cfg.num_classes, s)
+    vocab = build_vocab(streams, min_count=min_count)
+    samples = [prepare_sample(r, vocab, num_classes, s)
                for r, s in zip(train_records, streams)]
-    val_samples = [prepare_sample(r, vocab, model_cfg.num_classes)
-                   for r in val_records]
+    val_samples = [prepare_sample(r, vocab, num_classes) for r in val_records]
+    return vocab, samples, val_samples
 
+
+def train(records: Sequence[FunctionRecord], split: DatasetSplit,
+          model_cfg: ModelConfig, train_cfg: TrainConfig) -> TrainResult:
+    """Train on the split's train ids, tracking loss/metrics on val.
+
+    The vocabulary is built from the train split only, and each record
+    is tokenized once. One sample's tape is alive at a time, and
+    validation records none. The caller saves the returned model.
+    """
+    vocab, samples, val_samples = _prepare(
+        records, split, model_cfg.num_classes, train_cfg.min_count)
+    return _fit(vocab, samples, val_samples, model_cfg, train_cfg)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _fit(vocab: Vocabulary, samples: Sequence[EncodedSample],
+         val_samples: Sequence[EncodedSample], model_cfg: ModelConfig,
+         train_cfg: TrainConfig) -> TrainResult:
+    """A model trained on ``samples`` at the vocabulary's size.
+
+    numpy does not warn about overflow here: it ends in non-finite
+    values, which the tape, the loss check and ``forward`` reject, and
+    training stops with a TrainingError.
+    """
+    model_cfg = replace(model_cfg, vocab_size=len(vocab))
     model = VulnModel(model_cfg, seed=train_cfg.seed)
     optimizer = Adam(model.parameters(), train_cfg.learning_rate)
     rng = np.random.default_rng(train_cfg.seed)
@@ -213,8 +233,7 @@ def train(records: Sequence[FunctionRecord], split: DatasetSplit,
                 range(0, len(order), train_cfg.batch_size)):
             batch = [samples[i] for i in order[start:start + train_cfg.batch_size]]
             try:
-                loss = _batch_loss(model, batch, train_cfg)
-                value = loss.item()
+                value = _backward_batch(model, batch, train_cfg)
             except GradientError as exc:
                 # Overflow inside the forward pass surfaces here: the
                 # matrix layer rejects non-finite values eagerly.
@@ -224,51 +243,54 @@ def train(records: Sequence[FunctionRecord], split: DatasetSplit,
             if not np.isfinite(value):
                 raise TrainingError(
                     "non-finite loss; " + _diagnostics(model, epoch, batch_idx))
-            tensor.backward(loss)
             optimizer.step()
             model.zero_grad()
             epoch_losses.append(value)
 
-        val_loss = None
-        val_f1 = None
-        val_iou = None
+        val_loss = val_f1 = val_iou = None
         if val_samples:
             try:
-                val_loss = float(np.mean([
-                    _sample_loss(model, s, train_cfg).item()
-                    for s in val_samples]))
-                report = evaluate_samples(model, val_samples,
-                                          model_cfg.num_classes)
+                pairs = [(s, model.forward(s.ids, s.adjacency))
+                         for s in val_samples]
             except GradientError as exc:
                 # the last step overflowed and only validation saw it
                 raise TrainingError(
                     f"non-finite values in validation ({exc}); "
                     + _diagnostics(model, epoch, batch_idx)) from exc
+            val_loss = float(np.mean([
+                _sample_loss(Matrix(out.class_logits), Matrix(out.loc_pred),
+                             s, train_cfg).item()
+                for s, out in pairs]))
+            report = _metrics(pairs, model_cfg.num_classes)
             val_f1 = report.f1
             val_iou = report.mean_iou
-        entry = {
+        log.append({
             "epoch": epoch,
             "train_loss": float(np.mean(epoch_losses)),
             "val_loss": val_loss,
             "val_f1": val_f1,
             "val_iou": val_iou,
-        }
-        log.append(entry)
+        })
 
-    model.freeze()
-    return TrainResult(model=model, vocab=vocab, log=log)
+    return TrainResult(model=model.freeze(), vocab=vocab, log=log)
 
 
 def evaluate_samples(model: VulnModel, samples: Sequence[EncodedSample],
                      num_classes: int) -> MetricsReport:
-    if not samples:
+    return _metrics([(s, model.forward(s.ids, s.adjacency)) for s in samples],
+                    num_classes)
+
+
+def _metrics(pairs: Sequence[tuple[EncodedSample, ForwardOutput]],
+             num_classes: int) -> MetricsReport:
+    """Classification and localization metrics of (sample, output) pairs."""
+    if not pairs:
         raise DataError("evaluate: empty split")
     preds: list[int] = []
     truths: list[int] = []
     tp_ious: list[float] = []
     vulnerable_ious: list[float] = []
-    for sample in samples:
-        out = model.forward(sample.ids, sample.adjacency)
+    for sample, out in pairs:
         pred = out.predicted_class
         preds.append(pred)
         truths.append(sample.label)
@@ -304,25 +326,29 @@ def sweep_ensemble(records: Sequence[FunctionRecord], split: DatasetSplit,
                    ) -> list[dict]:
     """Test-split metrics per fusion ratio, one row per (embed, graph) pair.
 
-    Every ratio trains a fresh model from the same seed and config, so
-    the rows differ only in the ratio the model was trained at.
+    Every ratio's model configuration is checked before any record is
+    prepared. The vocabulary and the train, val and test samples are
+    prepared once; each ratio then trains a fresh model on them from the
+    same seed and config, so the rows differ only in the ratio the model
+    was trained at.
     """
-    for embed_w, graph_w in ratios:
-        if abs(embed_w + graph_w - 1.0) > 1e-9:
-            raise ConfigError(
-                f"sweep ratio ({embed_w}, {graph_w}) does not sum to 1")
+    configs = [replace(model_cfg, embed_weight=embed_w, graph_weight=graph_w)
+               for embed_w, graph_w in ratios]
     test_records = select(records, split.test)
     if not test_records:
         raise DataError("sweep: empty test split")
+    vocab, samples, val_samples = _prepare(
+        records, split, model_cfg.num_classes, train_cfg.min_count)
+    test_samples = [prepare_sample(r, vocab, model_cfg.num_classes)
+                    for r in test_records]
 
     rows: list[dict] = []
-    for embed_w, graph_w in ratios:
-        cfg = replace(model_cfg, embed_weight=embed_w, graph_weight=graph_w)
-        result = train(records, split, cfg, train_cfg)
-        report = evaluate(result.model, test_records, result.vocab)
+    for cfg in configs:
+        model = _fit(vocab, samples, val_samples, cfg, train_cfg).model
+        report = evaluate_samples(model, test_samples, cfg.num_classes)
         rows.append({
-            "embed_weight": embed_w,
-            "graph_weight": graph_w,
+            "embed_weight": cfg.embed_weight,
+            "graph_weight": cfg.graph_weight,
             "iou": report.mean_iou,
             "accuracy": report.accuracy,
             "f1": report.f1,

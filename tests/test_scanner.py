@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vulngraph.corpus import FunctionRecord, select
+from vulngraph.corpus import FunctionRecord, load_dataset, select
 from vulngraph.errors import ConfigError, DataError
 from vulngraph.lexer import lex
 from vulngraph import scanner
@@ -389,6 +389,36 @@ class TestScan:
             encoding="utf-8").split("\n\n", 1)[1]
         assert [line.split(" | ", 1)[1] for line in excerpt.splitlines()] \
             == record.source.split("\n")
+
+    def test_crlf_and_cr_line_endings_read_as_lf(self, tmp_path, toy_run,
+                                                 vulnerable_model):
+        vulnerable = [r for r in toy_run.records if r.is_vulnerable][:2]
+        text = TWO_FUNCTIONS + "".join(r.source + "\n" for r in vulnerable)
+        record = vulnerable[0]
+        seen = {}
+        for name, ending in (("lf", "\n"), ("crlf", "\r\n"), ("cr", "\r")):
+            src = tmp_path / name / "src"
+            src.mkdir(parents=True)
+            (src / "f.c").write_bytes(text.replace("\n", ending).encode())
+            scan(src, vulnerable_model, toy_run.vocab, tmp_path / name / "out")
+            reports = [json.loads(p.read_text(encoding="utf-8")) for p in
+                       sorted((tmp_path / name / "out").glob("*__L*.json"))]
+            data = tmp_path / name / "data.jsonl"
+            data.write_text(json.dumps({
+                "id": record.id, "language": "c", "cwe": record.cwe,
+                "source": record.source.replace("\n", ending),
+                "vul_start": record.vul_start, "vul_end": record.vul_end,
+            }) + "\n", encoding="utf-8")
+            seen[name] = (
+                [(r["span"], r["vul_lines"]) for r in reports],
+                [(r.file_start_line, r.line_count, r.source)
+                 for r in extract_functions(src)],
+                [(r.source, r.line_count, r.vul_start, r.vul_end)
+                 for r in load_dataset(data)])
+        assert len(seen["lf"][0]) == 4
+        assert all(vul_lines is not None for _, vul_lines in seen["lf"][0])
+        assert seen["crlf"] == seen["lf"]
+        assert seen["cr"] == seen["lf"]
 
     @pytest.mark.parametrize("damage", ["nan", "overflow"])
     def test_non_finite_model_gives_unanalyzable_report(self, tmp_path,

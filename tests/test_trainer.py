@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,8 +16,8 @@ from vulngraph.synth import make_toy_corpus
 from vulngraph.trainer import (TrainConfig, evaluate, label_index,
                                load_checkpoint, parse_run_config,
                                prepare_sample, save_checkpoint, sweep_ensemble,
-                               train, train_config_to_text, _batch_loss,
-                               format_sweep_table)
+                               train, train_config_to_text, _backward_batch,
+                               _sample_loss, format_sweep_table)
 
 TINY_MODEL = dict(embed_dim=16, gcn_dim=12, num_classes=11)
 
@@ -67,6 +70,47 @@ def set_entry(name, value):
 
 def truncate(path):
     path.write_bytes(path.read_bytes()[:path.stat().st_size // 2])
+
+
+def one_tape_batch_loss(model, batch, cfg):
+    """The batch's mean loss on one tape over every sample.
+
+    The oracle for ``_backward_batch``, which walks one sample's tape at a
+    time.
+    """
+    total = None
+    for sample in batch:
+        nodes = model.forward_nodes(sample.ids, sample.adjacency)
+        loss = _sample_loss(nodes.class_logits, nodes.loc_pred, sample, cfg)
+        total = loss if total is None else tensor.add(total, loss)
+    return tensor.scale(total, 1.0 / len(batch))
+
+
+def count_tokenized(monkeypatch):
+    """Every source that ``tokenize`` is called on, in call order."""
+    tokenize = lexer_module.tokenize
+    tokenized = []
+
+    def counting(source):
+        tokenized.append(source)
+        return tokenize(source)
+
+    monkeypatch.setattr(lexer_module, "tokenize", counting)
+    monkeypatch.setattr(trainer_module, "tokenize", counting)
+    return tokenized
+
+
+def count_forward_nodes(monkeypatch):
+    """A list that grows by one on each ``VulnModel.forward_nodes`` call."""
+    forward_nodes = VulnModel.forward_nodes
+    calls = []
+
+    def counting(self, *args):
+        calls.append(1)
+        return forward_nodes(self, *args)
+
+    monkeypatch.setattr(VulnModel, "forward_nodes", counting)
+    return calls
 
 
 def tiny_train_cfg(**overrides):
@@ -143,8 +187,7 @@ class TestTrain:
         model, vocab = result.model, result.vocab
         samples = [prepare_sample(r, vocab, 11) for r in benign]
         model.zero_grad()
-        loss = _batch_loss(model, samples, tiny_train_cfg())
-        tensor.backward(loss)
+        _backward_batch(model, samples, tiny_train_cfg())
         assert np.array_equal(model.loc_weight.grad,
                               np.zeros_like(model.loc_weight.grad))
         assert np.array_equal(model.loc_bias.grad,
@@ -159,22 +202,59 @@ class TestTrain:
                 train(records, ds, cfg, tiny_train_cfg(
                     epochs=6, learning_rate=1e160))
 
+    def test_batch_gradients_equal_one_tape_oracle(self):
+        records, ds = tiny_corpus()
+        cfg = ModelConfig(vocab_size=4, **TINY_MODEL)
+        result = train(records, ds, cfg, tiny_train_cfg(epochs=1))
+        model, vocab = result.model, result.vocab
+        benign = [r for r in records if not r.is_vulnerable][:4]
+        vulnerable = [r for r in records if r.is_vulnerable][:4]
+        batch = [prepare_sample(r, vocab, 11)
+                 for pair in zip(benign, vulnerable) for r in pair]
+        assert len(batch) == 8
+        model.zero_grad()
+        loss = one_tape_batch_loss(model, batch, tiny_train_cfg())
+        tensor.backward(loss)
+        expected = [p.grad.copy() for p in model.parameters()]
+        model.zero_grad()
+        value = _backward_batch(model, batch, tiny_train_cfg())
+        assert value == loss.item()
+        for p, grad in zip(model.parameters(), expected):
+            assert np.array_equal(p.grad, grad), p.name
+        assert np.abs(model.loc_weight.grad).sum() > 0
+
+    def test_batch_keeps_one_tape_alive(self):
+        records, ds = tiny_corpus()
+        cfg = ModelConfig(vocab_size=4, embed_dim=64, gcn_dim=48,
+                          num_classes=11)
+        train(records, ds, cfg, tiny_train_cfg(epochs=1))  # warm caches
+        peaks = {}
+        for batch_size in (1, 8):
+            tracemalloc.start()
+            try:
+                train(records, ds, cfg,
+                      tiny_train_cfg(epochs=1, batch_size=batch_size))
+                peaks[batch_size] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[8] <= 1.25 * peaks[1], peaks
+
     def test_tokenizes_each_record_once(self, monkeypatch):
         records, ds = tiny_corpus()
-        tokenize = lexer_module.tokenize
-        tokenized = []
-
-        def counting(source):
-            tokenized.append(source)
-            return tokenize(source)
-
-        monkeypatch.setattr(lexer_module, "tokenize", counting)
-        monkeypatch.setattr(trainer_module, "tokenize", counting)
+        tokenized = count_tokenized(monkeypatch)
         cfg = ModelConfig(vocab_size=4, **TINY_MODEL)
         result = train(records, ds, cfg, tiny_train_cfg(epochs=1))
         used = select(records, ds.train) + select(records, ds.val)
         assert sorted(tokenized) == sorted(r.source for r in used)
         assert result.vocab == build_vocab(select(records, ds.train))
+
+    def test_validation_records_no_tape(self, monkeypatch):
+        records, ds = tiny_corpus()
+        assert ds.val
+        taped = count_forward_nodes(monkeypatch)
+        cfg = ModelConfig(vocab_size=4, **TINY_MODEL)
+        train(records, ds, cfg, tiny_train_cfg(epochs=1))
+        assert len(taped) == len(ds.train)
 
     def test_log_schema(self):
         records, ds = tiny_corpus()
@@ -334,3 +414,25 @@ class TestSweep:
         cfg = ModelConfig(vocab_size=4, **TINY_MODEL)
         with pytest.raises(ConfigError, match="sum to 1"):
             sweep_ensemble(records, ds, [(0.5, 0.6)], cfg, tiny_train_cfg())
+
+    def test_tokenizes_each_record_once(self, monkeypatch):
+        records, ds = tiny_corpus()
+        tokenized = count_tokenized(monkeypatch)
+        cfg = ModelConfig(vocab_size=4, **TINY_MODEL)
+        sweep_ensemble(records, ds, [(0.2, 0.8), (0.5, 0.5), (0.8, 0.2)], cfg,
+                       tiny_train_cfg(epochs=1))
+        used = (select(records, ds.train) + select(records, ds.val)
+                + select(records, ds.test))
+        assert sorted(tokenized) == sorted(r.source for r in used)
+
+    @pytest.mark.parametrize("bad", [(1.5, -0.5), (math.nan, math.nan)],
+                             ids=["negative", "nan"])
+    def test_bad_ratio_rejected_before_any_work(self, monkeypatch, bad):
+        records, ds = tiny_corpus()
+        tokenized = count_tokenized(monkeypatch)
+        taped = count_forward_nodes(monkeypatch)
+        cfg = ModelConfig(vocab_size=4, **TINY_MODEL)
+        with pytest.raises(ConfigError, match="non-negative"):
+            sweep_ensemble(records, ds, [(0.5, 0.5), bad], cfg,
+                           tiny_train_cfg())
+        assert (tokenized, taped) == ([], [])
