@@ -117,12 +117,25 @@ def _functions_from_file(path: str, function: str | None):
     return records
 
 
+def _output_dir(path: str) -> Path:
+    """``--out`` as a directory that can be made, checked before any work:
+    no file may stand at it or at one of its parents."""
+    out = Path(path)
+    for at in (out, *out.parents):
+        if at.exists():
+            if not at.is_dir():
+                raise ConfigError(
+                    f"cannot make --out {path}: {at} is not a directory")
+            break
+    return out
+
+
 def _cmd_train(args) -> int:
+    out = _output_dir(args.out)
     model_cfg, train_cfg = _load_configs(args.config)
     records = load_dataset(args.data)
     dataset_split = split(records, train_cfg.seed)
     result = train(records, dataset_split, model_cfg, train_cfg)
-    out = Path(args.out)
     save_checkpoint(out, result.model, result.vocab, train_cfg)
     write_log(result.log, out / "log.jsonl")
     final = result.log[-1]
@@ -150,8 +163,9 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_scan(args) -> int:
+    out = _output_dir(args.out)
     model, vocab = load_checkpoint(args.checkpoint)
-    summary = scan(args.root, model, vocab, args.out, fmt=args.format,
+    summary = scan(args.root, model, vocab, out, fmt=args.format,
                    jobs=args.jobs)
     print(json.dumps(summary.to_json_dict(), indent=2, sort_keys=True))
     return EXIT_OK

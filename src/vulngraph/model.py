@@ -3,20 +3,24 @@
 Layout per forward pass (n = number of stream positions, at most 512;
 A_hat the n x n operator of ``semgraph.build_graph``):
 
-    ids (n,)            -> embedding lookup       -> H0 (n x embed_dim)
-    H0 @ W_in                                     -> H  (n x gcn_dim)
-    per layer:  H <- H + relu(A_hat @ H @ W_layer)        (residual)
+    u, inverse = unique ids (n,)                  (u: the d distinct ids)
+    (E[u] @ W_in)[inverse]                        -> H0 (n x gcn_dim)
+    per layer:  H <- H + relu(A_hat @ H @ W_layer)   (residual, from H = H0)
     pooled_graph = mean of final H over its n rows         (1 x gcn_dim)
-    pooled_embed = mean of H0, projected by W_in           (1 x gcn_dim)
+    pooled_embed = mean of H0                              (1 x gcn_dim)
     fused = embed_weight * pooled_embed + graph_weight * pooled_graph
     class_logits = fused @ W_cls + b_cls                   (1 x classes)
     loc_pred     = sigmoid(fused @ W_loc + b_loc)          (1 x 2)
 
 The residual is identity-shaped because the only dimension change
 (embed_dim -> gcn_dim) happens in a single input projection before the
-first graph layer. The embedding table is a trainable stand-in for a
-pretrained encoder; since ``pooled_embed`` is a mean over tokens it is
-order-invariant over the payload, an accepted desk-scale limitation.
+first graph layer. A stream repeats few ids (about 64 distinct in 400
+positions), so the projection runs over the distinct rows of the
+embedding table E and is gathered back per position. By linearity
+``pooled_embed`` equals the mean embedding projected by W_in. The
+embedding table is a trainable stand-in for a pretrained encoder; since
+``pooled_embed`` is a mean over tokens it is order-invariant over the
+payload, an accepted desk-scale limitation.
 
 ``forward`` is the inference pass: plain numpy, no autodiff tape, each
 layer checked for non-finite values; its per-layer results are the base
@@ -172,23 +176,15 @@ def _pooled_shifts(positions: np.ndarray, input_deltas: np.ndarray,
 
         spread = delta[np.repeat(np.arange(keys.size), count)]
         spread *= reader_weights[edges, None]
-        after = _segment_sum(spread, index[read_keys], grown.size) @ weight
+        after = tensor.segment_sum(spread, index[read_keys],
+                                   grown.size) @ weight
         grown_rows = grown % n
         after += mixed[grown_rows]
         grown_delta = np.maximum(after, 0.0, out=after)
         grown_delta -= relu_mixed[grown_rows]
         grown_delta[index[keys]] += delta
         keys, delta = grown, grown_delta
-    return _segment_sum(delta, keys // n, k)
-
-
-def _segment_sum(values: np.ndarray, segments: np.ndarray,
-                 count: int) -> np.ndarray:
-    """Sums of the rows of ``values`` that share a segment id, in id order."""
-    width = values.shape[1]
-    flat = (segments[:, None] * width + np.arange(width)).ravel()
-    return np.bincount(flat, weights=values.ravel(),
-                       minlength=count * width).reshape(count, width)
+    return tensor.segment_sum(delta, keys // n, k)
 
 
 def fuse(pooled_embed: Matrix, pooled_graph: Matrix,
@@ -271,8 +267,17 @@ class VulnModel:
     # -- forward pieces ------------------------------------------------------
 
     def embed(self, ids: Sequence[int] | np.ndarray) -> Matrix:
-        """Embedding rows for a sequence of token ids."""
-        return tensor.gather_rows(self.embedding.value, self._checked_ids(ids))
+        """The stream's rows in graph space: row i is ``E[ids[i]] @ W_in``.
+
+        Each distinct id is projected once, and its row is gathered back
+        to every position that holds it.
+        """
+        distinct, inverse = np.unique(self._checked_ids(ids),
+                                      return_inverse=True)
+        projected = tensor.matmul(
+            tensor.gather_rows(self.embedding.value, distinct),
+            self.input_proj.value)
+        return tensor.gather_rows(projected, inverse)
 
     def _checked_ids(self, ids: Sequence[int] | np.ndarray) -> np.ndarray:
         ids = np.asarray(ids, dtype=np.int64)
@@ -282,33 +287,32 @@ class VulnModel:
             )
         return ids
 
-    def gcn_forward(self, token_embeddings: Matrix, adjacency: np.ndarray
+    def gcn_forward(self, h0: Matrix, adjacency: np.ndarray
                     ) -> tuple[Matrix, Matrix]:
-        """Project, run the residual graph layers, pool the rows.
+        """Run the residual graph layers on ``embed``'s rows, pool them.
 
         Returns (final per-token features, pooled graph feature row).
         """
-        n = token_embeddings.rows
+        n = h0.rows
         adjacency = np.asarray(adjacency, dtype=np.float64)
         if adjacency.shape != (n, n):
             raise ShapeError(
                 f"adjacency {adjacency.shape} does not match {n} tokens"
             )
         operator = Matrix(adjacency)
-        h = tensor.matmul(token_embeddings, self.input_proj.value)
+        h = h0
         for weight in self.gcn_weights:
             mixed = tensor.matmul(tensor.matmul(operator, h), weight.value)
             h = tensor.add(h, tensor.relu(mixed))
         return h, tensor.mean_rows(h)
 
-    def pooled_embedding(self, token_embeddings: Matrix) -> Matrix:
-        """Mean of the raw embeddings, projected into graph space.
+    def pooled_embedding(self, h0: Matrix) -> Matrix:
+        """Mean of ``embed``'s rows: the mean embedding, projected.
 
-        Shares the input projection with the graph path so both pooled
-        features live in the same space.
+        By linearity this is ``mean(E[ids]) @ W_in``, so both pooled
+        features live in graph space.
         """
-        return tensor.matmul(tensor.mean_rows(token_embeddings),
-                             self.input_proj.value)
+        return tensor.mean_rows(h0)
 
     def heads(self, fused: Matrix) -> tuple[Matrix, Matrix]:
         """Class logits (index 0 = benign) and sigmoid line fractions."""
@@ -322,9 +326,9 @@ class VulnModel:
 
     def forward_nodes(self, ids: np.ndarray, adjacency: np.ndarray) -> Forward:
         """One forward pass on the tape, for training and gradient checks."""
-        token_embeddings = self.embed(ids)
-        _, pooled_graph = self.gcn_forward(token_embeddings, adjacency)
-        pooled_embed = self.pooled_embedding(token_embeddings)
+        h0 = self.embed(ids)
+        _, pooled_graph = self.gcn_forward(h0, adjacency)
+        pooled_embed = self.pooled_embedding(h0)
         fused = fuse(pooled_embed, pooled_graph, self.config.embed_weight,
                      self.config.graph_weight)
         class_logits, loc_pred = self.heads(fused)
@@ -333,9 +337,10 @@ class VulnModel:
     @np.errstate(over="ignore", invalid="ignore")
     def forward(self, ids: np.ndarray, adjacency: np.ndarray) -> ForwardOutput:
         """Inference pass in plain numpy; equals ``forward_nodes`` bit for bit."""
-        embeddings = self.embedding.data[self._checked_ids(ids)]
-        pooled_embed, pooled_graph, mixed = self._graph_pass(embeddings,
-                                                             adjacency)
+        distinct, inverse = np.unique(self._checked_ids(ids),
+                                      return_inverse=True)
+        h0 = (self.embedding.data[distinct] @ self.input_proj.data)[inverse]
+        pooled_embed, pooled_graph, mixed = self._graph_pass(h0, adjacency)
         fused = (self.config.embed_weight * pooled_embed
                  + self.config.graph_weight * pooled_graph)
         class_logits = fused @ self.cls_weight.data + self.cls_bias.data
@@ -351,29 +356,28 @@ class VulnModel:
             _mixed=mixed,
         )
 
-    def _graph_pass(self, embeddings: np.ndarray, adjacency: np.ndarray
+    def _graph_pass(self, h0: np.ndarray, adjacency: np.ndarray
                     ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
         """Pooled embedding and graph features, and each layer's ``A @ H @ W``.
 
+        ``h0`` holds the projected rows that ``embed`` puts on the tape.
         Callers silence numpy's overflow and invalid-value warnings: the
         results are checked here and raise ``GradientError`` instead.
-        ``np.maximum`` keeps a NaN that the tape's ``relu`` would zero.
         """
-        n = embeddings.shape[0]
+        n = h0.shape[0]
         adjacency = np.asarray(adjacency, dtype=np.float64)
         if n == 0 or adjacency.shape != (n, n):
             raise ShapeError(
                 f"adjacency {adjacency.shape} does not fit {n} tokens")
-        w_in = self.input_proj.data
-        h = embeddings @ w_in
-        _require_finite("input projection", h)
+        _require_finite("input projection", h0)
+        h = h0
         mixed_per_layer = []
         for layer, weight in enumerate(self.gcn_weights):
             mixed = (adjacency @ h) @ weight.data
             mixed_per_layer.append(mixed)
             h = h + np.maximum(mixed, 0.0)
             _require_finite(f"layer gcn_{layer}", h)
-        pooled_embed = embeddings.mean(axis=0) @ w_in
+        pooled_embed = h0.mean(axis=0)
         pooled_graph = h.mean(axis=0)
         _require_finite("pooled features", pooled_embed, pooled_graph)
         return pooled_embed, pooled_graph, mixed_per_layer

@@ -8,6 +8,14 @@ is fast, and float64 keeps the finite-difference checks tight.
 
 Shapes are never broadcast: operands must conform exactly, and shape
 mismatches raise ShapeError naming both shapes.
+
+Gradients are not copied on the way back. A node keeps the first array
+pushed to it as its ``grad``, and that array may also be another node's
+gradient (``add`` pushes one array to both parents) or a read-only view
+(``mean_rows`` pushes a broadcast row). So no code writes in place into
+a gradient array that its node did not allocate: a second contribution
+makes a new sum, which the node then owns and may add into. Parameters
+own their gradient buffers from the start.
 """
 
 from __future__ import annotations
@@ -29,7 +37,8 @@ CHECKPOINT_FORMAT_VERSION = 1
 class Matrix:
     """A 2-D float64 value, optionally part of a computation graph."""
 
-    __slots__ = ("data", "grad", "_parents", "_push", "wants_grad", "_consumed")
+    __slots__ = ("data", "grad", "_parents", "_push", "wants_grad",
+                 "_consumed", "_owns_grad")
 
     def __init__(self, data, *, wants_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -45,6 +54,7 @@ class Matrix:
         self._push: Callable[[np.ndarray], None] | None = None
         self.wants_grad = wants_grad
         self._consumed = False
+        self._owns_grad = False  # may ``grad`` be written in place
 
     @property
     def rows(self) -> int:
@@ -68,9 +78,11 @@ class Matrix:
 
     def _accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = g.copy()
-        else:
+            self.grad, self._owns_grad = g, False
+        elif self._owns_grad:
             self.grad += g
+        else:
+            self.grad, self._owns_grad = self.grad + g, True
 
 
 def from_op(data: np.ndarray, parents: Sequence[Matrix],
@@ -159,7 +171,7 @@ def relu(a: Matrix) -> Matrix:
         if a.wants_grad:
             a._accumulate(g * mask)
 
-    return from_op(np.where(mask, a.data, 0.0), (a,), push)
+    return from_op(np.maximum(a.data, 0.0), (a,), push)
 
 
 def logistic(x: np.ndarray) -> np.ndarray:
@@ -220,12 +232,30 @@ def gather_rows(table: Matrix, ids: np.ndarray) -> Matrix:
         )
 
     def push(g: np.ndarray) -> None:
-        if table.wants_grad:
-            if table.grad is None:
-                table.grad = np.zeros_like(table.data)
+        if not table.wants_grad:
+            return
+        if table.grad is None:
+            table.grad = segment_sum(g, ids, table.rows)
+        else:
+            if not table._owns_grad:
+                table.grad = table.grad.copy()
             np.add.at(table.grad, ids, g)
+        table._owns_grad = True
 
     return from_op(table.data[ids], (table,), push)
+
+
+def segment_sum(values: np.ndarray, segments: np.ndarray,
+                count: int) -> np.ndarray:
+    """Sums of the rows of ``values`` that share a segment id, in id order.
+
+    Row s of the result adds the rows with segment s in their order, from
+    zero, as ``np.add.at`` into zeros does.
+    """
+    width = values.shape[1]
+    flat = (segments[:, None] * width + np.arange(width)).ravel()
+    return np.bincount(flat, weights=values.ravel(),
+                       minlength=count * width).reshape(count, width)
 
 
 def backward(loss: Matrix) -> None:
@@ -278,6 +308,7 @@ class Parameter:
         self.value = value if isinstance(value, Matrix) else Matrix(value)
         self.value.wants_grad = True
         self.value.grad = np.zeros_like(self.value.data)
+        self.value._owns_grad = True
         self.name = name
 
     @property

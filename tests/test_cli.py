@@ -149,6 +149,33 @@ class TestExitCodes:
         assert err.startswith("vulngraph: error: non-finite values")
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("under", [False, True],
+                             ids=["file", "under-file"])
+    @pytest.mark.parametrize("command, module, work", [
+        ("train", "trainer", "train"),
+        ("scan", "scanner", "extract_functions")])
+    def test_out_at_a_file_fails_before_any_work(self, tmp_path, dataset,
+                                                 config, checkpoint,
+                                                 monkeypatch, command, module,
+                                                 work, under, capsys):
+        blocker = tmp_path / "taken"
+        blocker.write_text("keep\n", encoding="utf-8")
+        out = blocker / "run" if under else blocker
+        (tmp_path / "tree").mkdir()
+        (tmp_path / "tree" / "one.c").write_text(TWO_FUNCTIONS,
+                                                 encoding="utf-8")
+        args = (["--config", str(config), "--data", str(dataset)]
+                if command == "train" else
+                ["--checkpoint", str(checkpoint), "--root",
+                 str(tmp_path / "tree")])
+        calls = count_calls(monkeypatch, module, work)
+        assert main([command, *args, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"vulngraph: config error: cannot make --out {out}: "
+                       f"{blocker} is not a directory\n")
+        assert calls == []
+        assert blocker.read_text(encoding="utf-8") == "keep\n"
+
     def test_negative_seed_env_is_config_error(self, tmp_path, dataset,
                                                 config, monkeypatch, capsys):
         monkeypatch.setenv("VULNGRAPH_SEED", "-1")

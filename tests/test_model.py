@@ -11,7 +11,8 @@ from vulngraph.model import (ModelConfig, VulnModel, denormalize_lines, fuse,
                              normalize_line_range)
 from vulngraph.semgraph import build_graph, model_inputs
 from vulngraph.tensor import Matrix
-from vulngraph.trainer import parse_run_config
+from vulngraph.trainer import (EncodedSample, TrainConfig, _backward_batch,
+                               _sample_loss, parse_run_config)
 from conftest import LONG_SOURCE, fuzz_snippet, poison, tiny_model_inputs
 
 SOURCE = "int f(){int a;return a+1;}"
@@ -28,7 +29,7 @@ class TestEmbed:
         vocab, ids = stream_ids()
         model = VulnModel(ModelConfig(vocab_size=len(vocab)), seed=0)
         h0 = model.embed(ids)
-        assert h0.shape == (len(tokenize(SOURCE).tokens), 768) == (16, 768)
+        assert h0.shape == (len(tokenize(SOURCE).tokens), 512) == (16, 512)
 
     def test_single_token_difference_changes_one_row(self):
         vocab, ids = stream_ids()
@@ -56,8 +57,7 @@ class TestGcn:
             w.value.data[...] = 0.0
         h0 = model.embed(ids)
         h_n, _ = model.gcn_forward(h0, adjacency)
-        projected = tensor.matmul(h0, model.input_proj.value)
-        assert np.array_equal(h_n.data, projected.data)
+        assert np.array_equal(h_n.data, h0.data)
 
     def test_identity_adjacency_acts_per_token(self):
         model, _, _, _, ids, adjacency = tiny_model_inputs(SOURCE)
@@ -65,7 +65,7 @@ class TestGcn:
         h0 = model.embed(ids)
         h_n, _ = model.gcn_forward(h0, eye)
         # reference: H <- H + relu(H @ W) per layer, no cross-token mixing
-        ref = h0.data @ model.input_proj.data
+        ref = h0.data
         for w in model.gcn_weights:
             ref = ref + np.maximum(ref @ w.data, 0.0)
         np.testing.assert_allclose(h_n.data, ref, atol=1e-12)
@@ -163,7 +163,7 @@ class TestPooledEmbedding:
         stream = tokenize(source)
         ids = np.asarray(encode(stream, vocab))
         pooled = model.pooled_embedding(model.embed(ids[1:2]))
-        expected = model.embed(ids).data[1:2] @ model.input_proj.data
+        expected = model.embedding.data[ids[1:2]] @ model.input_proj.data
         np.testing.assert_allclose(pooled.data, expected, atol=1e-15)
 
 
@@ -270,6 +270,98 @@ class TestTapeFreeForward:
             model.forward(ids[:0], adjacency[:0, :0])
 
 
+def dense_tape(model, ids, adjacency):
+    """The tape before the projection of distinct ids, kept as its oracle.
+
+    Every position's embedding row is projected by W_in, and the pooled
+    embedding is the rows' mean, projected. Returns the nodes that
+    ``forward`` reports, by field name.
+    """
+    rows = tensor.gather_rows(model.embedding.value, ids)
+    _, pooled_graph = model.gcn_forward(
+        tensor.matmul(rows, model.input_proj.value), adjacency)
+    pooled_embed = tensor.matmul(tensor.mean_rows(rows),
+                                 model.input_proj.value)
+    fused = fuse(pooled_embed, pooled_graph, model.config.embed_weight,
+                 model.config.graph_weight)
+    class_logits, loc_pred = model.heads(fused)
+    return {"class_logits": class_logits, "loc_pred": loc_pred,
+            "pooled_embed": pooled_embed, "pooled_graph": pooled_graph,
+            "fused": fused}
+
+
+class TestDistinctProjection:
+    """``embed`` projects each distinct id once, against ``dense_tape``."""
+
+    @staticmethod
+    def long_samples():
+        """A fresh model and four long samples whose streams repeat ids."""
+        rng = random.Random(11)
+        sources = [LONG_SOURCE]
+        for _ in range(3):
+            body = [line for _ in range(rng.randint(8, 16))
+                    for line in fuzz_snippet(rng).splitlines()[1:-2]]
+            sources.append("int fn(int a, char *buf) {\n" + "\n".join(body)
+                           + "\n    return a;\n}")
+        vocab = build_vocab(sources)
+        model = VulnModel(ModelConfig(vocab_size=len(vocab), embed_dim=16,
+                                      gcn_dim=12), seed=4)
+        samples = []
+        for k, source in enumerate(sources):
+            ids, adjacency = model_inputs(build_graph(tokenize(source)), vocab)
+            assert 4 * np.unique(ids).size < ids.size
+            samples.append(EncodedSample(
+                ids=ids, adjacency=adjacency, label=3 * k,
+                line_count=source.count("\n") + 1,
+                truth_range=(2, 5) if k else None))
+        return model, samples
+
+    def test_forward_matches_dense_oracle(self):
+        model, samples = self.long_samples()
+        for sample in samples:
+            out = model.forward(sample.ids, sample.adjacency)
+            dense = dense_tape(model, sample.ids, sample.adjacency)
+            for name, node in dense.items():
+                np.testing.assert_allclose(np.asarray(getattr(out, name)),
+                                           node.data[0], rtol=1e-12,
+                                           err_msg=name)
+
+    def test_batch_gradients_match_dense_oracle(self):
+        model, samples = self.long_samples()
+        cfg = TrainConfig()
+        _backward_batch(model, samples, cfg)
+        distinct = {p.name: p.grad.copy() for p in model.parameters()}
+        model.zero_grad()
+        for sample in samples:
+            dense = dense_tape(model, sample.ids, sample.adjacency)
+            loss = _sample_loss(dense["class_logits"], dense["loc_pred"],
+                                sample, cfg)
+            tensor.backward(tensor.scale(loss, 1.0 / len(samples)))
+        for p in model.parameters():
+            # relative to the gradient's scale: an entry that sums terms of
+            # both signs keeps only the absolute rounding of those terms
+            scale = np.abs(p.grad).max()
+            assert scale > 0.0, p.name
+            np.testing.assert_allclose(distinct[p.name], p.grad, rtol=1e-12,
+                                       atol=1e-12 * scale, err_msg=p.name)
+
+    def test_projection_runs_over_distinct_ids(self, monkeypatch):
+        model, samples = self.long_samples()
+        matmul = tensor.matmul
+        left_rows = []
+
+        def recording(a, b):
+            if b is model.input_proj.value:
+                left_rows.append(a.rows)
+            return matmul(a, b)
+
+        monkeypatch.setattr(tensor, "matmul", recording)
+        for sample in samples:
+            left_rows.clear()
+            model.forward_nodes(sample.ids, sample.adjacency)
+            assert left_rows == [np.unique(sample.ids).size]
+
+
 class TestNonFiniteForward:
     @pytest.mark.parametrize("damage", ["nan", "overflow"])
     def test_forward_raises_gradient_error(self, damage):
@@ -279,7 +371,7 @@ class TestNonFiniteForward:
             model.forward(ids, adjacency)
 
     def test_nan_is_not_cut_by_relu(self):
-        # the tape's relu maps NaN to 0; the check must still see it
+        # a NaN passes through the relu, and the layer check must see it
         model, _, _, _, ids, adjacency = tiny_model_inputs(SOURCE)
         for w in model.gcn_weights:
             w.data[...] = -1.0

@@ -176,3 +176,104 @@ class TestCheckpoint:
                   Parameter(np.zeros((1, 1)), "x")]
         with pytest.raises(GradientError, match="duplicate"):
             tensor.save_params(tmp_path / "p.npz", params)
+
+
+class TestGradientOwnership:
+    """A node keeps the first gradient pushed to it, uncopied; no op may
+    then write into an array that another node or a view also holds."""
+
+    @staticmethod
+    def backward_keeps_buffers(loss, params):
+        buffers = [p.grad for p in params]
+        tensor.backward(loss)
+        assert all(p.grad is buffer for p, buffer in zip(params, buffers))
+        grads = [p.grad.copy() for p in params]
+        for p, buffer in zip(params, buffers):
+            p.zero_grad()
+            assert p.grad is buffer
+        return grads
+
+    def test_add_of_a_node_to_itself(self):
+        x = Matrix([[1.0, -2.0], [3.0, 0.5]])
+        w = Parameter([[2.0, 1.0], [-1.0, 4.0]], "w")
+        h = tensor.matmul(x, w.value)
+        (grad,) = self.backward_keeps_buffers(
+            tensor.sum_all(tensor.add(h, h)), [w])
+        np.testing.assert_array_equal(grad, 2.0 * x.data.T @ np.ones((2, 2)))
+
+    def test_branches_sharing_one_pushed_array(self):
+        # add pushes one array to a and b; each is then read once more
+        rng = np.random.default_rng(5)
+        x = Matrix(rng.normal(size=(3, 4)))
+        w1 = Parameter(rng.normal(size=(4, 2)), "w1")
+        w2 = Parameter(rng.normal(size=(4, 2)), "w2")
+
+        def f():
+            a = tensor.matmul(x, w1.value)
+            b = tensor.matmul(x, w2.value)
+            squares = tensor.add(tensor.mul(a, a), tensor.mul(b, b))
+            return tensor.sum_all(tensor.add(tensor.add(a, b), squares))
+
+        a = x.data @ w1.data
+        b = x.data @ w2.data
+        grads = self.backward_keeps_buffers(f(), [w1, w2])
+        np.testing.assert_allclose(grads[0], x.data.T @ (1.0 + 2.0 * a),
+                                   rtol=1e-13)
+        np.testing.assert_allclose(grads[1], x.data.T @ (1.0 + 2.0 * b),
+                                   rtol=1e-13)
+        report = tensor.grad_check(f, [w1, w2])
+        assert report.passed, report
+
+    def test_residual_node_read_by_two_ops(self):
+        rng = np.random.default_rng(6)
+        x = Matrix(rng.normal(size=(5, 3)))
+        operator = Matrix(rng.uniform(size=(5, 5)))
+        w_in = Parameter(rng.normal(size=(3, 4)), "w_in")
+        w = Parameter(rng.normal(size=(4, 4)), "w")
+
+        def f():
+            h = tensor.matmul(x, w_in.value)
+            mixed = tensor.matmul(tensor.matmul(operator, h), w.value)
+            out = tensor.add(h, tensor.relu(mixed))
+            return tensor.mean_all(tensor.mul(out, out))
+
+        self.backward_keeps_buffers(f(), [w_in, w])
+        report = tensor.grad_check(f, [w_in, w])
+        assert report.passed, report
+        assert report.n_checked > 20
+
+    @pytest.mark.parametrize("view_first", [True, False])
+    def test_mean_rows_view_then_another_gradient(self, view_first):
+        x = Matrix([[1.0, 2.0], [0.5, -1.0], [3.0, 1.0]])
+        w = Parameter([[1.0, -1.0, 2.0], [0.5, 1.5, -2.0]], "w")
+        h = tensor.matmul(x, w.value)
+        terms = [tensor.sum_all(tensor.mean_rows(h)),
+                 tensor.sum_all(tensor.mul(h, h))]
+        if not view_first:
+            terms.reverse()
+        (grad,) = self.backward_keeps_buffers(tensor.add(*terms), [w])
+        np.testing.assert_allclose(grad, x.data.T @ (1.0 / 3.0 + 2.0 * h.data),
+                                   rtol=1e-13)
+
+    @pytest.mark.parametrize("gather_first", [True, False])
+    def test_gather_rows_into_a_received_gradient(self, gather_first):
+        x = Matrix([[1.0, 2.0], [0.5, -1.0], [3.0, 1.0]])
+        w = Parameter([[1.0, -1.0], [0.5, 1.5]], "w")
+        table = tensor.matmul(x, w.value)
+        ids = np.array([2, 0, 2, 2])
+        terms = [tensor.sum_all(tensor.gather_rows(table, ids)),
+                 tensor.sum_all(tensor.mean_rows(table))]
+        if not gather_first:
+            terms.reverse()
+        (grad,) = self.backward_keeps_buffers(tensor.add(*terms), [w])
+        counts = np.bincount(ids, minlength=3)[:, None] * np.ones((1, 2))
+        np.testing.assert_array_equal(grad, x.data.T @ (counts + 1.0 / 3.0))
+
+    def test_segment_sum_equals_add_at_into_zeros(self):
+        rng = np.random.default_rng(7)
+        values = rng.normal(size=(40, 5))
+        segments = rng.integers(0, 6, size=40)
+        expected = np.zeros((7, 5))
+        np.add.at(expected, segments, values)
+        assert np.array_equal(tensor.segment_sum(values, segments, 7),
+                              expected)
