@@ -17,7 +17,7 @@ from .lexer import Token, TokenStream, Vocabulary, build_vocab, encode, tokenize
 from .model import ModelConfig, VulnModel, denormalize_lines, fuse
 from .objectives import (FocalConfig, MetricsReport, classification_metrics,
                          focal_loss, iou_1d, mse_loss)
-from .semgraph import SemanticGraph, TypedEdge, build_graph
+from .semgraph import SemanticGraph, build_graph
 from .trainer import (TrainConfig, evaluate, load_checkpoint, save_checkpoint,
                       sweep_ensemble, train)
 from .attribution import (Attribution, RootCause, attribute_tokens,
@@ -29,7 +29,7 @@ __all__ = [
     "AnalysisReport", "Attribution", "CweCatalog", "DatasetSplit",
     "FocalConfig", "FunctionRecord", "MetricsReport",
     "ModelConfig", "RootCause", "SemanticGraph", "Token", "TokenStream",
-    "TrainConfig", "TypedEdge", "VulnGraphError", "VulnModel", "Vocabulary",
+    "TrainConfig", "VulnGraphError", "VulnModel", "Vocabulary",
     "analyze", "attribute_tokens", "build_graph", "build_vocab",
     "classification_metrics", "default_catalog", "denormalize_lines",
     "describe_cwe", "encode", "evaluate", "extract_functions", "focal_loss",

@@ -35,6 +35,7 @@ from .errors import AttributionError
 from .lexer import PAD_ID, STREAM_CAPACITY, TokenStream, Vocabulary
 from .model import ForwardOutput, denormalize_lines
 from .semgraph import SemanticGraph, model_inputs
+from .tensor import SparseOperator
 
 #: Payload-size cap for exact coalition enumeration.
 ORACLE_MAX_TOKENS = 12
@@ -79,15 +80,15 @@ def _occluded(ids: np.ndarray, positions: Sequence[int]) -> np.ndarray:
     return ids
 
 
-def _target_prob(model, inputs: tuple[np.ndarray, np.ndarray],
+def _target_prob(model, inputs: tuple[np.ndarray, SparseOperator],
                  target: int, occlude: Sequence[int]) -> float:
-    ids, adjacency = inputs
-    output = model.forward(_occluded(ids, occlude), adjacency)
+    ids, operator = inputs
+    output = model.forward(_occluded(ids, occlude), operator)
     return float(output.probabilities[target])
 
 
 def attribute_tokens(model, stream: TokenStream,
-                     inputs: tuple[np.ndarray, np.ndarray],
+                     inputs: tuple[np.ndarray, SparseOperator],
                      base: ForwardOutput) -> Attribution:
     """Occlusion score per payload token for the predicted class.
 

@@ -1,11 +1,14 @@
 """The network: token embedding, residual graph convolution, fused heads.
 
 Layout per forward pass (n = number of stream positions, at most 512;
-A_hat the n x n operator of ``semgraph.build_graph``):
+A_hat the sparse n x n operator of ``semgraph.build_graph``, applied by
+``tensor.propagate``):
 
     u, inverse = unique ids (n,)                  (u: the d distinct ids)
-    (E[u] @ W_in)[inverse]                        -> H0 (n x gcn_dim)
-    per layer:  H <- H + relu(A_hat @ H @ W_layer)   (residual, from H = H0)
+    P = E[u] @ W_in                               (d x gcn_dim)
+    H0 = P[inverse]                               (n x gcn_dim)
+    layer 1:    H <- H0 + relu(A_hat @ (P @ W_1)[inverse])
+    layer l>1:  H <- H + relu(A_hat @ (H @ W_l))           (residual)
     pooled_graph = mean of final H over its n rows         (1 x gcn_dim)
     pooled_embed = mean of H0                              (1 x gcn_dim)
     fused = embed_weight * pooled_embed + graph_weight * pooled_graph
@@ -15,12 +18,14 @@ A_hat the n x n operator of ``semgraph.build_graph``):
 The residual is identity-shaped because the only dimension change
 (embed_dim -> gcn_dim) happens in a single input projection before the
 first graph layer. A stream repeats few ids (about 64 distinct in 400
-positions), so the projection runs over the distinct rows of the
-embedding table E and is gathered back per position. By linearity
-``pooled_embed`` equals the mean embedding projected by W_in. The
-embedding table is a trainable stand-in for a pretrained encoder; since
-``pooled_embed`` is a mean over tokens it is order-invariant over the
-payload, an accepted desk-scale limitation.
+positions), so the projection, and the first layer's product with W_1,
+run over the distinct rows and are gathered back per position: H0 @ W_1
+equals (P @ W_1)[inverse]. Each later layer multiplies all n rows. A_hat
+has a few entries per row, so each product with it costs O(n) rows, not
+O(n^2). By linearity ``pooled_embed`` equals the mean embedding projected
+by W_in. The embedding table is a trainable stand-in for a pretrained
+encoder; since ``pooled_embed`` is a mean over tokens it is
+order-invariant over the payload, an accepted desk-scale limitation.
 
 ``forward`` is the inference pass: plain numpy, no autodiff tape, each
 layer checked for non-finite values; its per-layer results are the base
@@ -52,7 +57,7 @@ from .errors import (AttributionError, ConfigError, DataError, GradientError,
                      ShapeError)
 from . import tensor
 from .lexer import PAD_ID
-from .tensor import Matrix, Parameter
+from .tensor import Matrix, Parameter, SparseOperator
 
 
 @dataclass(frozen=True)
@@ -104,23 +109,6 @@ def _require_finite(where: str, *values: np.ndarray) -> None:
 #: long functions and small on hub functions, whose positions each reach
 #: most rows.
 OCCLUSION_CHUNK_PAIRS = 2048
-
-
-def _reader_lists(adjacency: np.ndarray
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Column lists of ``adjacency`` as a (start, rows, weights) triple.
-
-    ``rows[start[s]:start[s + 1]]`` are the rows r with A[r, s] != 0 in
-    ascending order, the rows that read row s, and ``weights`` holds
-    their A[r, s].
-    """
-    n = adjacency.shape[0]
-    flat = np.flatnonzero(adjacency != 0)
-    column = flat % n
-    start = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum(np.bincount(column, minlength=n), out=start[1:])
-    flat = flat[np.argsort(column, kind="stable")]
-    return start, flat // n, adjacency.ravel()[flat]
 
 
 def _walk_counts(readers: tuple[np.ndarray, np.ndarray, np.ndarray],
@@ -212,7 +200,9 @@ class ForwardOutput:
     pooled_embed: np.ndarray
     pooled_graph: np.ndarray
     fused: np.ndarray
-    # each layer's (A @ H) @ W, for occlusion to reuse
+    # for occlusion to reuse: the distinct ids' projected rows P, and
+    # each layer's A @ (H @ W)
+    _projected: np.ndarray = field(compare=False, repr=False)
     _mixed: list[np.ndarray] = field(compare=False, repr=False)
 
     @property
@@ -266,18 +256,20 @@ class VulnModel:
 
     # -- forward pieces ------------------------------------------------------
 
-    def embed(self, ids: Sequence[int] | np.ndarray) -> Matrix:
-        """The stream's rows in graph space: row i is ``E[ids[i]] @ W_in``.
+    def embed(self, ids: Sequence[int] | np.ndarray
+              ) -> tuple[Matrix, np.ndarray]:
+        """The distinct ids' rows in graph space, and each position's row.
 
-        Each distinct id is projected once, and its row is gathered back
-        to every position that holds it.
+        Returns (P, inverse): row j of P is ``E[u_j] @ W_in`` for the j-th
+        distinct id, and position i holds row ``inverse[i]``, so the
+        stream's rows H0 are ``P[inverse]``.
         """
         distinct, inverse = np.unique(self._checked_ids(ids),
                                       return_inverse=True)
         projected = tensor.matmul(
             tensor.gather_rows(self.embedding.value, distinct),
             self.input_proj.value)
-        return tensor.gather_rows(projected, inverse)
+        return projected, inverse
 
     def _checked_ids(self, ids: Sequence[int] | np.ndarray) -> np.ndarray:
         ids = np.asarray(ids, dtype=np.int64)
@@ -287,24 +279,23 @@ class VulnModel:
             )
         return ids
 
-    def gcn_forward(self, h0: Matrix, adjacency: np.ndarray
-                    ) -> tuple[Matrix, Matrix]:
-        """Run the residual graph layers on ``embed``'s rows, pool them.
+    def gcn_forward(self, projected: Matrix, inverse: np.ndarray,
+                    operator: SparseOperator) -> tuple[Matrix, Matrix]:
+        """Run the residual graph layers from ``embed``'s rows.
 
-        Returns (final per-token features, pooled graph feature row).
+        Returns (H0, final per-token features). The first layer's product
+        with W_1 runs over the distinct rows of ``projected``.
         """
-        n = h0.rows
-        adjacency = np.asarray(adjacency, dtype=np.float64)
-        if adjacency.shape != (n, n):
-            raise ShapeError(
-                f"adjacency {adjacency.shape} does not match {n} tokens"
-            )
-        operator = Matrix(adjacency)
+        h0 = tensor.gather_rows(projected, inverse)
         h = h0
-        for weight in self.gcn_weights:
-            mixed = tensor.matmul(tensor.matmul(operator, h), weight.value)
+        for layer, weight in enumerate(self.gcn_weights):
+            transformed = (
+                tensor.gather_rows(tensor.matmul(projected, weight.value),
+                                   inverse)
+                if layer == 0 else tensor.matmul(h, weight.value))
+            mixed = tensor.propagate(operator, transformed)
             h = tensor.add(h, tensor.relu(mixed))
-        return h, tensor.mean_rows(h)
+        return h0, h
 
     def pooled_embedding(self, h0: Matrix) -> Matrix:
         """Mean of ``embed``'s rows: the mean embedding, projected.
@@ -324,10 +315,11 @@ class VulnModel:
 
     # -- full passes ----------------------------------------------------------
 
-    def forward_nodes(self, ids: np.ndarray, adjacency: np.ndarray) -> Forward:
+    def forward_nodes(self, ids: np.ndarray,
+                      operator: SparseOperator) -> Forward:
         """One forward pass on the tape, for training and gradient checks."""
-        h0 = self.embed(ids)
-        _, pooled_graph = self.gcn_forward(h0, adjacency)
+        h0, h = self.gcn_forward(*self.embed(ids), operator)
+        pooled_graph = tensor.mean_rows(h)
         pooled_embed = self.pooled_embedding(h0)
         fused = fuse(pooled_embed, pooled_graph, self.config.embed_weight,
                      self.config.graph_weight)
@@ -335,12 +327,14 @@ class VulnModel:
         return Forward(class_logits=class_logits, loc_pred=loc_pred)
 
     @np.errstate(over="ignore", invalid="ignore")
-    def forward(self, ids: np.ndarray, adjacency: np.ndarray) -> ForwardOutput:
+    def forward(self, ids: np.ndarray,
+                operator: SparseOperator) -> ForwardOutput:
         """Inference pass in plain numpy; equals ``forward_nodes`` bit for bit."""
         distinct, inverse = np.unique(self._checked_ids(ids),
                                       return_inverse=True)
-        h0 = (self.embedding.data[distinct] @ self.input_proj.data)[inverse]
-        pooled_embed, pooled_graph, mixed = self._graph_pass(h0, adjacency)
+        projected = self.embedding.data[distinct] @ self.input_proj.data
+        pooled_embed, pooled_graph, mixed = self._graph_pass(
+            projected, inverse, operator)
         fused = (self.config.embed_weight * pooled_embed
                  + self.config.graph_weight * pooled_graph)
         class_logits = fused @ self.cls_weight.data + self.cls_bias.data
@@ -353,27 +347,32 @@ class VulnModel:
             pooled_embed=pooled_embed,
             pooled_graph=pooled_graph,
             fused=fused,
+            _projected=projected,
             _mixed=mixed,
         )
 
-    def _graph_pass(self, h0: np.ndarray, adjacency: np.ndarray
+    def _graph_pass(self, projected: np.ndarray, inverse: np.ndarray,
+                    operator: SparseOperator
                     ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-        """Pooled embedding and graph features, and each layer's ``A @ H @ W``.
+        """Pooled embedding and graph features, and each layer's A @ (H @ W).
 
-        ``h0`` holds the projected rows that ``embed`` puts on the tape.
-        Callers silence numpy's overflow and invalid-value warnings: the
-        results are checked here and raise ``GradientError`` instead.
+        ``projected`` and ``inverse`` are the rows that ``embed`` puts on
+        the tape. Callers silence numpy's overflow and invalid-value
+        warnings: the results are checked here and raise ``GradientError``
+        instead.
         """
-        n = h0.shape[0]
-        adjacency = np.asarray(adjacency, dtype=np.float64)
-        if n == 0 or adjacency.shape != (n, n):
+        n = inverse.size
+        if n == 0 or operator.n != n:
             raise ShapeError(
-                f"adjacency {adjacency.shape} does not fit {n} tokens")
-        _require_finite("input projection", h0)
+                f"operator over {operator.n} rows does not fit {n} tokens")
+        _require_finite("input projection", projected)
+        h0 = projected[inverse]
         h = h0
         mixed_per_layer = []
         for layer, weight in enumerate(self.gcn_weights):
-            mixed = (adjacency @ h) @ weight.data
+            transformed = ((projected @ weight.data)[inverse] if layer == 0
+                           else h @ weight.data)
+            mixed = operator.apply(transformed)
             mixed_per_layer.append(mixed)
             h = h + np.maximum(mixed, 0.0)
             _require_finite(f"layer gcn_{layer}", h)
@@ -383,18 +382,20 @@ class VulnModel:
         return pooled_embed, pooled_graph, mixed_per_layer
 
     @np.errstate(over="ignore", invalid="ignore")
-    def occluded_probabilities(self, ids: np.ndarray, adjacency: np.ndarray,
-                               target: int, positions: Sequence[int],
+    def occluded_probabilities(self, ids: np.ndarray,
+                               operator: SparseOperator, target: int,
+                               positions: Sequence[int],
                                base: ForwardOutput) -> np.ndarray:
         """Probability of ``target`` with each of ``positions`` occluded alone.
 
         Entry k equals ``forward`` on ``ids`` with ``positions[k]`` set to
         ``PAD_ID``, up to rounding; ``forward`` stays the oracle. ``base``
-        is this model's ``forward`` on ``ids`` and ``adjacency``; its
-        per-layer pre-activations ``(A @ H_l) @ W_l`` are the starting
-        point. Occluding position p changes H0 in row p only, and each
-        layer spreads a row change to the rows that read it, so only the
-        rows within ``gcn_layers`` hops of p are recomputed; the pooled
+        is this model's ``forward`` on ``ids`` and ``operator``; its
+        projected rows P and its per-layer pre-activations
+        ``A @ (H_l @ W_l)`` are the starting point. Occluding position p
+        changes H0 in row p only, by ``E[PAD] @ W_in - P[inverse[p]]``, and
+        each layer spreads a row change to the rows that read it, so only
+        the rows within ``gcn_layers`` hops of p are recomputed; the pooled
         means then move by the summed row changes over n. Positions go
         through in chunks of about ``OCCLUSION_CHUNK_PAIRS`` changed
         (position, row) pairs, held as arrays, with no Python loop per
@@ -402,13 +403,13 @@ class VulnModel:
         """
         ids = self._checked_ids(ids)
         n = ids.size
-        adjacency = np.asarray(adjacency, dtype=np.float64)
-        readers = _reader_lists(adjacency)
+        # the pattern is symmetric: row s's columns are the rows reading it
+        readers = operator.start, operator.cols, operator.mirror
 
         positions = np.asarray(positions, dtype=np.int64)
-        table = self.embedding.data
-        input_deltas = (table[PAD_ID] - table[ids[positions]]
-                        ) @ self.input_proj.data
+        _, inverse = np.unique(ids, return_inverse=True)
+        input_deltas = (self.embedding.data[PAD_ID] @ self.input_proj.data
+                        - base._projected[inverse[positions]])
         layers = [(weight.data, mixed, np.maximum(mixed, 0.0))
                   for weight, mixed in zip(self.gcn_weights, base._mixed)]
         graph_shifts = np.empty_like(input_deltas)

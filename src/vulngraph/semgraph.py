@@ -14,53 +14,54 @@ The graph connects the n positions of a token stream (<BOS>, at most
 
 These are explicit lexical surrogates: deterministic and computable
 without a parser, not a reproduction of any parser-based construction.
+Each family returns its edges as two index arrays, (src, dst).
 
-The edge multiset becomes a dense n x n operator over the stream's n
-positions in two steps: multiplicity counts are symmetrized (elementwise
-max with the transpose) and given self-loops, then each row is
-normalized to sum to 1. Streams carry no padding, so the operator only
-ever mixes the function's own tokens.
+The edge multiset becomes a sparse operator over the stream's n
+positions, built from the index arrays without an n x n array:
+multiplicity counts are symmetrized (elementwise max with the transpose)
+and given self-loops, then each row is normalized to sum to 1. The
+result is a ``tensor.SparseOperator`` with a few entries per row.
+Streams carry no padding, so the operator only ever mixes the
+function's own tokens.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
+from enum import IntEnum
 
 import numpy as np
 
 from .errors import GraphBuildError
 from .lexer import Token, TokenKind, TokenStream, Vocabulary, encode
+from .tensor import SparseOperator
 
 
-class EdgeKind(Enum):
-    SEQUENTIAL = "sequential"
-    CONTROL = "control"
-    DATA = "data"
-    POACHER = "poacher"
+class EdgeKind(IntEnum):
+    """The edge families, as the codes ``SemanticGraph.kind`` holds."""
+
+    SEQUENTIAL = 0
+    CONTROL = 1
+    DATA = 2
+    POACHER = 3
 
 
-@dataclass(frozen=True)
-class TypedEdge:
-    src: int
-    dst: int
-    kind: EdgeKind
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SemanticGraph:
-    """A stream, its typed edges, and the derived dense operators.
+    """A stream, its typed edges, and the derived sparse operator.
 
-    Both operators are ``content_len`` x ``content_len``: ``counts`` is
-    the symmetrized multiplicity matrix with self-loops (symmetric by
-    construction); ``adjacency`` is its row-normalized, row-stochastic
-    form.
+    Edge i runs from position ``src[i]`` to ``dst[i]`` and belongs to
+    family ``EdgeKind(kind[i])``; the families follow each other in
+    ``EdgeKind`` order. ``operator`` is the row-normalized,
+    row-stochastic operator over the ``content_len`` positions; its
+    pattern is symmetric and every row holds its self-loop.
     """
 
     stream: TokenStream
-    edges: tuple[TypedEdge, ...]
-    counts: np.ndarray
-    adjacency: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
+    kind: np.ndarray
+    operator: SparseOperator
 
 
 #: Keywords that introduce control flow.
@@ -78,12 +79,18 @@ RISK_CALLS = frozenset({
 })
 
 
-def sequential_edges(stream: TokenStream) -> list[TypedEdge]:
+#: A family's edges: the (src, dst) positions, one pair per edge.
+Edges = tuple[np.ndarray, np.ndarray]
+
+
+def _edges(src: list[int], dst: list[int]) -> Edges:
+    return np.array(src, dtype=np.intp), np.array(dst, dtype=np.intp)
+
+
+def sequential_edges(stream: TokenStream) -> Edges:
     """Chain every token to its successor."""
-    return [
-        TypedEdge(i, i + 1, EdgeKind.SEQUENTIAL)
-        for i in range(stream.content_len - 1)
-    ]
+    src = np.arange(stream.content_len - 1)
+    return src, src + 1
 
 
 def _match_forward(tokens: tuple[Token, ...], open_pos: int, close_text: str,
@@ -110,7 +117,7 @@ def _find_text(tokens: tuple[Token, ...], start: int, text: str,
     return None
 
 
-def control_edges(stream: TokenStream) -> list[TypedEdge]:
+def control_edges(stream: TokenStream) -> Edges:
     """Edges from control keywords to their lexically next statement.
 
     Parenthesized conditions (if/for/while/switch) jump past the matching
@@ -122,7 +129,8 @@ def control_edges(stream: TokenStream) -> list[TypedEdge]:
     """
     tokens = stream.tokens
     last_payload = stream.content_len - 2  # position of the final payload token
-    edges: list[TypedEdge] = []
+    src: list[int] = []
+    dst: list[int] = []
     open_ifs: list[int] = []
     for i in range(1, last_payload + 1):
         tok = tokens[i]
@@ -131,7 +139,8 @@ def control_edges(stream: TokenStream) -> list[TypedEdge]:
         if tok.text == "if":
             open_ifs.append(i)
         elif tok.text == "else" and open_ifs:
-            edges.append(TypedEdge(open_ifs.pop(), i, EdgeKind.CONTROL))
+            src.append(open_ifs.pop())
+            dst.append(i)
 
         target: int | None = None
         if tok.text in _PAREN_CONDITION:
@@ -155,13 +164,15 @@ def control_edges(stream: TokenStream) -> list[TypedEdge]:
         else:  # do, else
             target = i + 1
         if target is not None and target <= last_payload:
-            edges.append(TypedEdge(i, target, EdgeKind.CONTROL))
-    return edges
+            src.append(i)
+            dst.append(target)
+    return _edges(src, dst)
 
 
-def data_edges(stream: TokenStream) -> list[TypedEdge]:
+def data_edges(stream: TokenStream) -> Edges:
     """Chain consecutive occurrences of the same identifier."""
-    edges: list[TypedEdge] = []
+    src: list[int] = []
+    dst: list[int] = []
     last_seen: dict[str, int] = {}
     for i in range(1, stream.content_len - 1):
         tok = stream.tokens[i]
@@ -169,12 +180,13 @@ def data_edges(stream: TokenStream) -> list[TypedEdge]:
             continue
         prev = last_seen.get(tok.text)
         if prev is not None:
-            edges.append(TypedEdge(prev, i, EdgeKind.DATA))
+            src.append(prev)
+            dst.append(i)
         last_seen[tok.text] = i
-    return edges
+    return _edges(src, dst)
 
 
-def poacher_edges(stream: TokenStream) -> list[TypedEdge]:
+def poacher_edges(stream: TokenStream) -> Edges:
     """Risk-source-to-sink surrogate edges.
 
     (a) allocation/copy call identifiers to every identifier in their
@@ -183,7 +195,8 @@ def poacher_edges(stream: TokenStream) -> list[TypedEdge]:
     """
     tokens = stream.tokens
     last_payload = stream.content_len - 2
-    edges: list[TypedEdge] = []
+    src: list[int] = []
+    dst: list[int] = []
     for i in range(1, last_payload + 1):
         tok = tokens[i]
         if (tok.kind is TokenKind.IDENTIFIER and tok.text in RISK_CALLS
@@ -192,40 +205,68 @@ def poacher_edges(stream: TokenStream) -> list[TypedEdge]:
             end = last_payload if close is None else close - 1
             for j in range(i + 2, end + 1):
                 if tokens[j].kind is TokenKind.IDENTIFIER:
-                    edges.append(TypedEdge(i, j, EdgeKind.POACHER))
+                    src.append(i)
+                    dst.append(j)
         elif tok.text == "[":
             if i - 1 >= 1 and tokens[i - 1].kind is TokenKind.IDENTIFIER:
-                edges.append(TypedEdge(i, i - 1, EdgeKind.POACHER))
+                src.append(i)
+                dst.append(i - 1)
         elif tok.text == "*" and tok.kind is TokenKind.OPERATOR:
             if i + 1 <= last_payload and tokens[i + 1].kind is TokenKind.IDENTIFIER:
-                edges.append(TypedEdge(i, i + 1, EdgeKind.POACHER))
+                src.append(i)
+                dst.append(i + 1)
         elif tok.text == "->":
             if i - 1 >= 1 and tokens[i - 1].kind is TokenKind.IDENTIFIER:
-                edges.append(TypedEdge(i, i - 1, EdgeKind.POACHER))
-    return edges
+                src.append(i)
+                dst.append(i - 1)
+    return _edges(src, dst)
+
+
+#: The edge families in ``EdgeKind`` order.
+FAMILIES = (sequential_edges, control_edges, data_edges, poacher_edges)
 
 
 def build_graph(stream: TokenStream) -> SemanticGraph:
-    """Union the four edge families and derive the dense operators.
+    """Union the four edge families and derive the sparse operator.
 
     Multi-edges from different families stack: the multiplicity count
     feeds normalization, so overlapping evidence weighs more.
     """
-    edges = (sequential_edges(stream) + control_edges(stream)
-             + data_edges(stream) + poacher_edges(stream))
-    active = stream.content_len
-    counts = np.zeros((active, active), dtype=np.float64)
-    for edge in edges:
-        counts[edge.src, edge.dst] += 1.0
-    counts = np.maximum(counts, counts.T)
-    counts[np.arange(active), np.arange(active)] += 1.0
-    adjacency = counts / counts.sum(axis=1, keepdims=True)
-    return SemanticGraph(stream=stream, edges=tuple(edges), counts=counts,
-                         adjacency=adjacency)
+    families = [family(stream) for family in FAMILIES]
+    src = np.concatenate([edges[0] for edges in families])
+    dst = np.concatenate([edges[1] for edges in families])
+    kind = np.repeat(np.arange(len(families), dtype=np.int8),
+                     [edges[0].size for edges in families])
+    return SemanticGraph(stream=stream, src=src, dst=dst, kind=kind,
+                         operator=_operator(stream.content_len, src, dst))
+
+
+def _operator(n: int, src: np.ndarray, dst: np.ndarray) -> SparseOperator:
+    """The row-normalized operator of an edge multiset over n positions.
+
+    Entry (r, c) counts the edges r -> c or the edges c -> r, whichever
+    are more, plus 1 on the diagonal, over the row's total. Pairs are keys
+    r * n + c, so one sort finds every entry without an n x n array.
+    """
+    directed = src * n + dst
+    keys, inverse = np.unique(
+        np.concatenate([directed, dst * n + src, np.arange(0, n * n, n + 1)]),
+        return_inverse=True)
+    m = directed.size
+    counts = np.maximum(
+        np.bincount(inverse[:m], minlength=keys.size),
+        np.bincount(inverse[m:2 * m], minlength=keys.size)).astype(np.float64)
+    counts[inverse[2 * m:]] += 1.0
+    rows, cols = np.divmod(keys, n)
+    # the counts are symmetric, so A[c, r] is the count over c's degree
+    degree = np.bincount(rows, weights=counts, minlength=n)
+    start = np.searchsorted(rows, np.arange(n + 1))
+    return SparseOperator(start, cols, counts / degree[rows],
+                          counts / degree[cols])
 
 
 def model_inputs(graph: SemanticGraph, vocab: Vocabulary
-                 ) -> tuple[np.ndarray, np.ndarray]:
+                 ) -> tuple[np.ndarray, SparseOperator]:
     """Token ids of the stream and the operator over them."""
     ids = np.asarray(encode(graph.stream, vocab), dtype=np.int64)
-    return ids, graph.adjacency
+    return ids, graph.operator

@@ -9,6 +9,10 @@ is fast, and float64 keeps the finite-difference checks tight.
 Shapes are never broadcast: operands must conform exactly, and shape
 mismatches raise ShapeError naming both shapes.
 
+The one sparse value is the graph operator, a ``SparseOperator``: a
+constant on the tape, applied by ``propagate``, whose gradient is the
+transposed product. The tape-free inference pass calls the same product.
+
 Gradients are not copied on the way back. A node keeps the first array
 pushed to it as its ``grad``, and that array may also be another node's
 gradient (``add`` pushes one array to both parents) or a read-only view
@@ -243,6 +247,118 @@ def gather_rows(table: Matrix, ids: np.ndarray) -> Matrix:
         table._owns_grad = True
 
     return from_op(table.data[ids], (table,), push)
+
+
+#: Widest padded neighbour list of a ``SparseOperator``. A row's entries
+#: past it go to the remainder, so one hub row does not widen every row.
+OPERATOR_WIDTH = 8
+#: Largest n whose products run on a dense n x n copy of the entries, at
+#: most 72 KiB. Up to about 100 rows a BLAS product is cheaper to set up
+#: and to run than the padded neighbour lists (measured at widths 48 and
+#: 512); short functions, such as a scan's typical 40-70 tokens, take it.
+DENSE_ROWS = 96
+#: Bytes of gathered rows that one call of a product holds. A short
+#: function's product takes one call; a long one runs in row blocks whose
+#: gathered rows stay cache-sized.
+PRODUCT_BLOCK_BYTES = 2**18
+
+
+class SparseOperator:
+    """An n x n matrix whose nonzero pattern is symmetric, stored by rows.
+
+    Row r's entries are ``cols[start[r]:start[r + 1]]`` in ascending
+    order, with ``weights`` holding A[r, c] and ``mirror`` holding
+    A[c, r]. The pattern is symmetric, so the same lists give each
+    column: ``cols[start[s]:start[s + 1]]`` are also the rows that read
+    row s, and ``mirror`` their A[r, s].
+
+    Products run over padded neighbour lists, the ELL format: each row's
+    first ``OPERATOR_WIDTH`` entries sit in an (n, k) array, padded with
+    weight 0, and the entries past that width form a remainder that is
+    added by segment sums. Memory is O(n + entries). An operator of at
+    most ``DENSE_ROWS`` rows keeps a dense copy of its entries instead and
+    multiplies with BLAS.
+    """
+
+    __slots__ = ("n", "start", "cols", "weights", "mirror", "_dense",
+                 "_ell_cols", "_ell_weights", "_ell_mirror", "_rest_cols",
+                 "_rest_weights", "_rest_mirror", "_rest_rows",
+                 "_rest_segments")
+
+    def __init__(self, start: np.ndarray, cols: np.ndarray,
+                 weights: np.ndarray, mirror: np.ndarray):
+        self.n = start.size - 1
+        self.start, self.cols = start, cols
+        self.weights, self.mirror = weights, mirror
+        count = np.diff(start)
+        rows = np.repeat(np.arange(self.n), count)
+        self._dense = None
+        if self.n <= DENSE_ROWS:
+            self._dense = np.zeros((self.n, self.n))
+            self._dense[rows, cols] = weights
+            return
+        width = min(int(count.max(initial=0)), OPERATOR_WIDTH)
+        slot = np.arange(cols.size) - start[rows]
+        packed = slot < width
+        at = rows[packed], slot[packed]
+        # padding reads the row itself with weight 0; the weights are
+        # (n, 1, width), the left operand of a batched matmul
+        self._ell_cols = np.repeat(np.arange(self.n)[:, None], width, axis=1)
+        self._ell_cols[at] = cols[packed]
+        self._ell_weights = np.zeros((self.n, 1, width))
+        self._ell_weights[at[0], 0, at[1]] = weights[packed]
+        self._ell_mirror = np.zeros((self.n, 1, width))
+        self._ell_mirror[at[0], 0, at[1]] = mirror[packed]
+        # a row's entries past the width follow each other
+        rest = ~packed
+        self._rest_cols = cols[rest]
+        self._rest_weights = weights[rest]
+        self._rest_mirror = mirror[rest]
+        self._rest_rows = np.flatnonzero(count > width)
+        self._rest_segments = np.repeat(np.arange(self._rest_rows.size),
+                                        count[self._rest_rows] - width)
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """The product A @ x."""
+        if self._dense is not None:
+            return self._dense @ x
+        return self._product(x, self._ell_weights, self._rest_weights)
+
+    def apply_transposed(self, x: np.ndarray) -> np.ndarray:
+        """The product A.T @ x, read from the mirrored entries."""
+        if self._dense is not None:
+            return self._dense.T @ x
+        return self._product(x, self._ell_mirror, self._rest_mirror)
+
+    def _product(self, x: np.ndarray, ell: np.ndarray,
+                 rest: np.ndarray) -> np.ndarray:
+        n, width = self._ell_cols.shape
+        out = np.empty((n, 1, x.shape[1]))
+        step = max(1, PRODUCT_BLOCK_BYTES // max(1, width * x.shape[1] * 8))
+        for lo in range(0, n, step):
+            hi = lo + step
+            np.matmul(ell[lo:hi], np.take(x, self._ell_cols[lo:hi], axis=0),
+                      out=out[lo:hi])
+        out = out.reshape(n, x.shape[1])
+        if rest.size:
+            out[self._rest_rows] += segment_sum(
+                rest[:, None] * x[self._rest_cols], self._rest_segments,
+                self._rest_rows.size)
+        return out
+
+
+def propagate(operator: SparseOperator, h: Matrix) -> Matrix:
+    """``operator @ h``; its gradient goes back through the transpose."""
+    if operator.n != h.rows:
+        raise ShapeError(
+            f"propagate: operator over {operator.n} rows does not fit "
+            f"{h.shape}")
+
+    def push(g: np.ndarray) -> None:
+        if h.wants_grad:
+            h._accumulate(operator.apply_transposed(g))
+
+    return from_op(operator.apply(h.data), (h,), push)
 
 
 def segment_sum(values: np.ndarray, segments: np.ndarray,

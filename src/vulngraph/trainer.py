@@ -36,7 +36,7 @@ from .model import (ForwardOutput, ModelConfig, VulnModel, denormalize_lines,
 from .objectives import (FocalConfig, MetricsReport, classification_metrics,
                          focal_loss, iou_1d, mse_loss)
 from .semgraph import build_graph, model_inputs
-from .tensor import Matrix
+from .tensor import Matrix, SparseOperator
 
 
 @dataclass(frozen=True)
@@ -98,10 +98,15 @@ class Adam:
 
 @dataclass(frozen=True)
 class EncodedSample:
-    """A record made model-ready: its stream's n ids, their n x n operator."""
+    """A record made model-ready: its stream's n ids and their operator.
+
+    The operator is the graph's ``SparseOperator``, which holds O(n)
+    entries: a sample holds no n x n array, except the dense copy of at
+    most ``tensor.DENSE_ROWS`` rows that a short function's operator keeps.
+    """
 
     ids: np.ndarray
-    adjacency: np.ndarray
+    operator: SparseOperator
     label: int
     line_count: int
     truth_range: tuple[int, int] | None
@@ -126,9 +131,9 @@ def prepare_sample(record: FunctionRecord, vocab: Vocabulary, num_classes: int,
     """Encode a record; ``stream`` is its token stream, when already made."""
     graph = build_graph(stream if stream is not None
                         else tokenize(record.source))
-    ids, adjacency = model_inputs(graph, vocab)
+    ids, operator = model_inputs(graph, vocab)
     return EncodedSample(
-        ids=ids, adjacency=adjacency,
+        ids=ids, operator=operator,
         label=label_index(record, num_classes),
         line_count=record.line_count,
         truth_range=((record.vul_start, record.vul_end)
@@ -159,7 +164,7 @@ def _backward_batch(model: VulnModel, batch: Sequence[EncodedSample],
     """
     total = 0.0
     for sample in batch:
-        nodes = model.forward_nodes(sample.ids, sample.adjacency)
+        nodes = model.forward_nodes(sample.ids, sample.operator)
         loss = _sample_loss(nodes.class_logits, nodes.loc_pred, sample, cfg)
         total += loss.item()
         tensor.backward(tensor.scale(loss, 1.0 / len(batch)))
@@ -250,7 +255,7 @@ def _fit(vocab: Vocabulary, samples: Sequence[EncodedSample],
         val_loss = val_f1 = val_iou = None
         if val_samples:
             try:
-                pairs = [(s, model.forward(s.ids, s.adjacency))
+                pairs = [(s, model.forward(s.ids, s.operator))
                          for s in val_samples]
             except GradientError as exc:
                 # the last step overflowed and only validation saw it
@@ -277,7 +282,7 @@ def _fit(vocab: Vocabulary, samples: Sequence[EncodedSample],
 
 def evaluate_samples(model: VulnModel, samples: Sequence[EncodedSample],
                      num_classes: int) -> MetricsReport:
-    return _metrics([(s, model.forward(s.ids, s.adjacency)) for s in samples],
+    return _metrics([(s, model.forward(s.ids, s.operator)) for s in samples],
                     num_classes)
 
 

@@ -12,6 +12,7 @@ from vulngraph.model import ModelConfig, VulnModel
 from vulngraph.objectives import FocalConfig
 from vulngraph.semgraph import build_graph, model_inputs
 from vulngraph.synth import PlantedTruth, make_toy_corpus
+from vulngraph.tensor import SparseOperator
 from vulngraph.trainer import TrainConfig, train
 
 DESK_MODEL = dict(embed_dim=64, gcn_dim=48, gcn_layers=2, num_classes=11)
@@ -22,6 +23,49 @@ LONG_SOURCE = ("int fill(char *buf, int n) {\n"
                + "".join(f"    buf[{i}] = n + {i} * buf[n];\n"
                          for i in range(60))
                + "    return n;\n}")
+
+#: A hub: the call reads all 250 arguments and each argument reads the
+#: call, so its operator row holds 252 entries, far past the padded width.
+HUB_SOURCE = ("void hub(void) {\n    memcpy("
+              + ", ".join(f"a{i}" for i in range(250)) + ");\n}")
+
+
+def dense_counts(graph) -> np.ndarray:
+    """The graph's edge multiplicities in an n x n array, symmetrized by
+    the elementwise max with the transpose and given self-loops."""
+    n = graph.stream.content_len
+    counts = np.zeros((n, n))
+    for src, dst in zip(graph.src, graph.dst):
+        counts[src, dst] += 1.0
+    counts = np.maximum(counts, counts.T)
+    counts[np.arange(n), np.arange(n)] += 1.0
+    return counts
+
+
+def dense_adjacency(graph) -> np.ndarray:
+    """The graph's operator built densely from its edges, as it once was:
+    ``dense_counts`` with each row divided by its sum. The oracle of
+    ``build_graph``'s sparse operator."""
+    counts = dense_counts(graph)
+    return counts / counts.sum(axis=1, keepdims=True)
+
+
+def to_dense(operator: SparseOperator) -> np.ndarray:
+    """The operator's entries in an n x n array."""
+    dense = np.zeros((operator.n, operator.n))
+    rows = np.repeat(np.arange(operator.n), np.diff(operator.start))
+    dense[rows, operator.cols] = operator.weights
+    return dense
+
+
+def operator_from_dense(dense: np.ndarray) -> SparseOperator:
+    """A ``SparseOperator`` with the entries of ``dense``, whose nonzero
+    pattern must be symmetric; unlike a graph's, it may lack self-loops."""
+    rows, cols = np.nonzero(dense)
+    assert np.array_equal(dense != 0, (dense != 0).T), "pattern not symmetric"
+    start = np.zeros(dense.shape[0] + 1, dtype=np.intp)
+    np.cumsum(np.bincount(rows, minlength=dense.shape[0]), out=start[1:])
+    return SparseOperator(start, cols, dense[rows, cols], dense[cols, rows])
 
 
 def spearman(x, y) -> float:
@@ -83,11 +127,11 @@ def tiny_model_inputs(source: str, seed: int = 0, num_classes: int = 5,
     stream = tokenize(source)
     vocab = build_vocab([source])
     graph = build_graph(stream)
-    ids, adjacency = model_inputs(graph, vocab)
+    ids, operator = model_inputs(graph, vocab)
     config = ModelConfig(vocab_size=len(vocab), embed_dim=embed_dim,
                          gcn_dim=gcn_dim, num_classes=num_classes)
     model = VulnModel(config, seed=seed).freeze()
-    return model, stream, graph, vocab, ids, adjacency
+    return model, stream, graph, vocab, ids, operator
 
 
 def poison(model, damage):

@@ -23,7 +23,8 @@ from vulngraph.synth import make_toy_corpus
 from vulngraph.tensor import Matrix
 from vulngraph.trainer import (TrainConfig, evaluate, prepare_sample,
                                save_checkpoint, sweep_ensemble)
-from conftest import attribute, fuzz_snippet, spearman, tiny_model_inputs
+from conftest import (attribute, dense_adjacency, dense_counts, fuzz_snippet,
+                      spearman, tiny_model_inputs, to_dense)
 
 
 def report(number: int, name: str, ok: bool, detail: str) -> None:
@@ -36,7 +37,7 @@ def test_criterion_1_gradient_audit():
     started = time.time()
     worst = 0.0
     for seed in range(5):
-        model, _, _, _, ids, adjacency = tiny_model_inputs(
+        model, _, _, _, ids, operator = tiny_model_inputs(
             "int f(){int a;return a+1;}", seed=seed, num_classes=11,
             embed_dim=8, gcn_dim=6)
         assert len(ids) == 16
@@ -44,7 +45,7 @@ def test_criterion_1_gradient_audit():
         target = 1 + seed % 10
 
         def f():
-            nodes = model.forward_nodes(ids, adjacency)
+            nodes = model.forward_nodes(ids, operator)
             loss = focal_loss(nodes.class_logits, target, cfg)
             return tensor.add(loss, mse_loss(nodes.loc_pred, (0.25, 0.75)))
 
@@ -99,12 +100,11 @@ def test_criterion_4_residual_identity_and_fusion_endpoints():
     residual_ok = True
     for seed in range(3):
         source = fuzz_snippet(random.Random(seed))
-        model, _, _, _, ids, adjacency = tiny_model_inputs(
+        model, _, _, _, ids, operator = tiny_model_inputs(
             source, seed=seed)
         for w in model.gcn_weights:
             w.value.data[...] = 0.0
-        h0 = model.embed(ids)
-        h_n, _ = model.gcn_forward(h0, adjacency)
+        h0, h_n = model.gcn_forward(*model.embed(ids), operator)
         residual_ok &= np.array_equal(h_n.data, h0.data)
 
     rng = np.random.default_rng(1)
@@ -126,17 +126,17 @@ def test_criterion_5_attribution_soundness():
     correlations = []
     for seed in range(20):
         source = snippets[seed % len(snippets)]
-        model, stream, graph, vocab, ids, adjacency = tiny_model_inputs(
+        model, stream, graph, vocab, ids, operator = tiny_model_inputs(
             source, seed=seed)
         payload = list(range(1, stream.content_len - 1))
         assert len(payload) <= 10
         values = shapley_oracle(model, stream, graph, vocab)
-        probabilities = model.forward(ids, adjacency).probabilities
+        probabilities = model.forward(ids, operator).probabilities
         target = int(np.argmax(probabilities))
         full = probabilities[target]
         occluded = ids.copy()
         occluded[payload] = PAD_ID
-        empty = model.forward(occluded, adjacency).probabilities[target]
+        empty = model.forward(occluded, operator).probabilities[target]
         worst_efficiency = max(worst_efficiency,
                                abs(values.sum() - (full - empty)))
         occlusion = attribute(model, stream, graph, vocab)
@@ -173,7 +173,7 @@ def test_criterion_6_overfit_sanity(toy_run):
     for record in vulnerable:
         stream = tokenize(record.source)
         sample = prepare_sample(record, toy_run.vocab, 11)
-        inputs = (sample.ids, sample.adjacency)
+        inputs = (sample.ids, sample.operator)
         out = toy_run.model.forward(*inputs)
         predicted_start, _ = denormalize_lines(out.loc_pred,
                                                record.line_count)
@@ -221,15 +221,18 @@ def test_criterion_8_graph_invariants():
         stream = tokenize(fuzz_snippet(rng))
         graph = build_graph(stream)
         active = stream.content_len
-        assert np.array_equal(graph.counts, graph.counts.T), \
-            "counts not symmetric"
+        counts = dense_counts(graph)
+        assert np.array_equal(counts, counts.T), "counts not symmetric"
+        adjacency = to_dense(graph.operator)
         shape = (active, active)
-        assert graph.counts.shape == graph.adjacency.shape == shape, \
+        assert graph.operator.n == active and adjacency.shape == shape, \
             "operator not content_len x content_len"
-        row_sums = graph.adjacency.sum(axis=1)
+        assert np.array_equal(adjacency, dense_adjacency(graph)), \
+            "operator does not normalize the symmetric counts"
+        row_sums = adjacency.sum(axis=1)
         assert np.all(np.abs(row_sums - 1.0) <= 1e-12), "rows not stochastic"
-        for edge in graph.edges:
-            assert edge.src < active and edge.dst < active, "edge into PAD"
+        assert (graph.src < active).all() and (graph.dst < active).all(), \
+            "edge into PAD"
         checked += 1
     report(8, "graph invariants", checked == 200,
            f"{checked}/200 fuzz snippets satisfied symmetry, row-stochastic "

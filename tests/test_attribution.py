@@ -14,14 +14,8 @@ from vulngraph.lexer import PAD_ID, STREAM_CAPACITY, build_vocab, lex, tokenize
 import vulngraph.model as model_module
 from vulngraph.model import ModelConfig, VulnModel
 from vulngraph.semgraph import build_graph, model_inputs
-from conftest import (LONG_SOURCE, attribute, fuzz_snippet, spearman,
-                      tiny_model_inputs)
-
-
-#: A hub: the call reads all 250 arguments and each argument reads the
-#: call, so every occluded argument reaches about 250 rows in two layers.
-HUB_SOURCE = ("void hub(void) {\n    memcpy("
-              + ", ".join(f"a{i}" for i in range(250)) + ");\n}")
+from conftest import (HUB_SOURCE, LONG_SOURCE, attribute, fuzz_snippet,
+                      operator_from_dense, spearman, tiny_model_inputs)
 
 
 class AdditiveStub:
@@ -39,7 +33,7 @@ class AdditiveStub:
         self.weights = weights
         self.base = base
 
-    def forward(self, ids, adjacency):
+    def forward(self, ids, operator):
         present = [i for i in range(1, self.stream.content_len - 1)
                    if ids[i] != PAD_ID]
         p = self.base + sum(self.weights.get(i, 0.0) for i in present)
@@ -196,15 +190,17 @@ class TestIncrementalOcclusion:
             "a = b + c; d = a;")
         n = ids.size
         rng = np.random.default_rng(5)
-        adjacency = rng.random((n, n)) * (rng.random((n, n)) < 0.2)
-        np.fill_diagonal(adjacency, 0.0)
-        base = model.forward(ids, adjacency)
+        linked = rng.random((n, n)) < 0.2
+        linked |= linked.T
+        np.fill_diagonal(linked, False)
+        operator = operator_from_dense(rng.random((n, n)) * linked)
+        base = model.forward(ids, operator)
         target = int(np.argmax(base.probabilities))
         payload = list(range(1, n - 1))
-        fast = model.occluded_probabilities(ids, adjacency, target, payload,
+        fast = model.occluded_probabilities(ids, operator, target, payload,
                                             base)
         loop = [model.forward(np.where(np.arange(n) == p, PAD_ID, ids),
-                              adjacency).probabilities[target]
+                              operator).probabilities[target]
                 for p in payload]
         np.testing.assert_allclose(fast, loop, rtol=0, atol=1e-12)
 
@@ -246,12 +242,12 @@ class TestIncrementalOcclusion:
             assert len(calls) <= 1
 
     def test_non_finite_probability_is_attribution_error(self):
-        model, stream, graph, vocab, ids, adjacency = \
+        model, stream, graph, vocab, ids, operator = \
             tiny_model_inputs("a = b;")
-        base = model.forward(ids, adjacency)
+        base = model.forward(ids, operator)
         model.gcn_weights[0].data[0, 0] = np.nan
         with pytest.raises(AttributionError, match="not finite"):
-            model.occluded_probabilities(ids, adjacency, 0, [1, 2], base)
+            model.occluded_probabilities(ids, operator, 0, [1, 2], base)
 
 
 class TestShapleyOracle:
@@ -279,15 +275,15 @@ class TestShapleyOracle:
         np.testing.assert_allclose(values, occlusion.token_scores, atol=1e-12)
 
     def test_efficiency_on_real_model(self):
-        model, stream, graph, vocab, ids, adjacency = tiny_model_inputs(
+        model, stream, graph, vocab, ids, operator = tiny_model_inputs(
             "p->q = r;", seed=8)
         values = shapley_oracle(model, stream, graph, vocab)
-        probabilities = model.forward(ids, adjacency).probabilities
+        probabilities = model.forward(ids, operator).probabilities
         target = int(np.argmax(probabilities))
         full = probabilities[target]
         occluded = ids.copy()
         occluded[1:stream.content_len - 1] = PAD_ID
-        empty = model.forward(occluded, adjacency).probabilities[target]
+        empty = model.forward(occluded, operator).probabilities[target]
         assert values.sum() == pytest.approx(full - empty, abs=1e-9)
 
     def test_payload_cap(self):

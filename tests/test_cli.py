@@ -386,7 +386,7 @@ class TestInferenceCost:
         taped = count_calls(monkeypatch, "tensor", "from_op")
         evaluate_samples(toy_run.model, samples, 11)
         assert taped == []
-        toy_run.model.forward_nodes(samples[0].ids, samples[0].adjacency)
+        toy_run.model.forward_nodes(samples[0].ids, samples[0].operator)
         assert taped  # training still runs on the tape
 
     def test_overflowing_weights_exit_three(self, vulnerable_file, checkpoint,

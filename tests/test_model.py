@@ -13,7 +13,8 @@ from vulngraph.semgraph import build_graph, model_inputs
 from vulngraph.tensor import Matrix
 from vulngraph.trainer import (EncodedSample, TrainConfig, _backward_batch,
                                _sample_loss, parse_run_config)
-from conftest import LONG_SOURCE, fuzz_snippet, poison, tiny_model_inputs
+from conftest import (LONG_SOURCE, dense_adjacency, fuzz_snippet,
+                      operator_from_dense, poison, tiny_model_inputs)
 
 SOURCE = "int f(){int a;return a+1;}"
 
@@ -24,11 +25,18 @@ def stream_ids(source=SOURCE):
     return vocab, np.asarray(encode(tokenize(source), vocab), dtype=np.int64)
 
 
+def embedded_rows(model, ids):
+    """H0: ``embed``'s distinct rows gathered back to every position."""
+    return tensor.gather_rows(*model.embed(ids))
+
+
 class TestEmbed:
     def test_default_config_shape(self):
         vocab, ids = stream_ids()
         model = VulnModel(ModelConfig(vocab_size=len(vocab)), seed=0)
-        h0 = model.embed(ids)
+        projected, inverse = model.embed(ids)
+        assert projected.shape == (np.unique(ids).size, 512)
+        h0 = embedded_rows(model, ids)
         assert h0.shape == (len(tokenize(SOURCE).tokens), 512) == (16, 512)
 
     def test_single_token_difference_changes_one_row(self):
@@ -37,7 +45,8 @@ class TestEmbed:
                                       gcn_dim=6), seed=0)
         other = ids.copy()
         other[3] = (ids[3] + 1) % len(vocab)
-        delta = model.embed(ids).data != model.embed(other).data
+        delta = (embedded_rows(model, ids).data
+                 != embedded_rows(model, other).data)
         assert set(np.nonzero(delta.any(axis=1))[0]) == {3}
 
     def test_out_of_range_id(self):
@@ -52,18 +61,17 @@ class TestEmbed:
 
 class TestGcn:
     def test_residual_identity_with_zero_weights(self):
-        model, _, _, _, ids, adjacency = tiny_model_inputs(SOURCE)
+        model, _, _, _, ids, operator = tiny_model_inputs(SOURCE)
         for w in model.gcn_weights:
             w.value.data[...] = 0.0
-        h0 = model.embed(ids)
-        h_n, _ = model.gcn_forward(h0, adjacency)
+        h0, h_n = model.gcn_forward(*model.embed(ids), operator)
         assert np.array_equal(h_n.data, h0.data)
+        assert np.array_equal(h0.data, embedded_rows(model, ids).data)
 
     def test_identity_adjacency_acts_per_token(self):
-        model, _, _, _, ids, adjacency = tiny_model_inputs(SOURCE)
-        eye = np.eye(len(ids))
-        h0 = model.embed(ids)
-        h_n, _ = model.gcn_forward(h0, eye)
+        model, _, _, _, ids, _ = tiny_model_inputs(SOURCE)
+        eye = operator_from_dense(np.eye(len(ids)))
+        h0, h_n = model.gcn_forward(*model.embed(ids), eye)
         # reference: H <- H + relu(H @ W) per layer, no cross-token mixing
         ref = h0.data
         for w in model.gcn_weights:
@@ -73,16 +81,17 @@ class TestGcn:
     def test_deterministic_across_runs(self):
         out = []
         for _ in range(2):
-            model, _, _, _, ids, adjacency = tiny_model_inputs(
+            model, _, _, _, ids, operator = tiny_model_inputs(
                 SOURCE, seed=5)
-            _, pooled = model.gcn_forward(model.embed(ids), adjacency)
-            out.append(pooled.data.copy())
+            _, h = model.gcn_forward(*model.embed(ids), operator)
+            out.append(h.data.copy())
         assert np.array_equal(out[0], out[1])
 
     def test_adjacency_shape_mismatch(self):
-        model, _, _, _, ids, adjacency = tiny_model_inputs(SOURCE)
+        model, _, _, _, ids, _ = tiny_model_inputs(SOURCE)
+        shorter = build_graph(tokenize("a;")).operator
         with pytest.raises(ShapeError):
-            model.gcn_forward(model.embed(ids), adjacency[:3, :3])
+            model.gcn_forward(*model.embed(ids), shorter)
 
 
 class TestFuse:
@@ -114,27 +123,27 @@ class TestFuse:
 
 class TestHeads:
     def test_zero_weights_give_uniform_and_centered(self):
-        model, _, _, _, ids, adjacency = tiny_model_inputs(SOURCE)
+        model, _, _, _, ids, operator = tiny_model_inputs(SOURCE)
         for p in (model.cls_weight, model.cls_bias, model.loc_weight,
                   model.loc_bias):
             p.value.data[...] = 0.0
-        out = model.forward(ids, adjacency)
+        out = model.forward(ids, operator)
         np.testing.assert_allclose(
             out.probabilities, np.full(model.config.num_classes,
                                        1.0 / model.config.num_classes))
         assert out.loc_pred == (0.5, 0.5)
 
     def test_benign_is_class_zero(self):
-        model, _, _, _, ids, adjacency = tiny_model_inputs(SOURCE)
+        model, _, _, _, ids, operator = tiny_model_inputs(SOURCE)
         model.cls_bias.value.data[0, 0] = 50.0
-        out = model.forward(ids, adjacency)
+        out = model.forward(ids, operator)
         assert out.predicted_class == 0
 
     def test_loc_pred_in_open_unit_interval(self):
         for seed in range(3):
-            model, _, _, _, ids, adjacency = tiny_model_inputs(
+            model, _, _, _, ids, operator = tiny_model_inputs(
                 SOURCE, seed=seed)
-            out = model.forward(ids, adjacency)
+            out = model.forward(ids, operator)
             assert 0.0 < out.loc_pred[0] < 1.0
             assert 0.0 < out.loc_pred[1] < 1.0
 
@@ -152,7 +161,8 @@ class TestPooledEmbedding:
         for source in (first, second):
             stream = tokenize(source)
             ids = np.asarray(encode(stream, vocab))
-            pooled.append(model.pooled_embedding(model.embed(ids)).data)
+            pooled.append(
+                model.pooled_embedding(embedded_rows(model, ids)).data)
         np.testing.assert_allclose(pooled[0], pooled[1], atol=1e-15)
 
     def test_single_payload_token_is_its_projection(self):
@@ -162,7 +172,7 @@ class TestPooledEmbedding:
                                       gcn_dim=6), seed=0)
         stream = tokenize(source)
         ids = np.asarray(encode(stream, vocab))
-        pooled = model.pooled_embedding(model.embed(ids[1:2]))
+        pooled = model.pooled_embedding(embedded_rows(model, ids[1:2]))
         expected = model.embedding.data[ids[1:2]] @ model.input_proj.data
         np.testing.assert_allclose(pooled.data, expected, atol=1e-15)
 
@@ -182,15 +192,30 @@ class TestMasking:
 
 class TestGradients:
     def test_full_model_gradient_check(self):
-        from vulngraph.objectives import FocalConfig, focal_loss, mse_loss
-
-        model, _, _, _, ids, adjacency = tiny_model_inputs(
+        model, _, _, _, ids, operator = tiny_model_inputs(
             SOURCE, num_classes=11, embed_dim=8, gcn_dim=6)
         assert len(ids) == 16
+        self.check(model, ids, operator)
+
+    def test_gradient_check_on_padded_neighbour_lists(self):
+        # long enough for the padded lists, and a call row wider than them
+        source = ("int f(int a, char *b) {\n" + "    a = a + 1;\n" * 16
+                  + "    memcpy(" + ", ".join(["a"] * 12) + ");\n"
+                  + "    return a;\n}")
+        model, _, graph, _, ids, operator = tiny_model_inputs(
+            source, num_classes=11, embed_dim=8, gcn_dim=6)
+        assert operator.n > tensor.DENSE_ROWS
+        assert np.diff(operator.start).max() > tensor.OPERATOR_WIDTH
+        self.check(model, ids, operator)
+
+    @staticmethod
+    def check(model, ids, operator):
+        from vulngraph.objectives import FocalConfig, focal_loss, mse_loss
+
         cfg = FocalConfig(alpha=0.25, delta=2.0)
 
         def f():
-            nodes = model.forward_nodes(ids, adjacency)
+            nodes = model.forward_nodes(ids, operator)
             loss = focal_loss(nodes.class_logits, 3, cfg)
             return tensor.add(loss, mse_loss(nodes.loc_pred, (0.3, 0.7)))
 
@@ -200,14 +225,14 @@ class TestGradients:
         assert report.passed, report
 
 
-def tape_outputs(model, ids, adjacency):
+def tape_outputs(model, ids, operator):
     """``forward``'s fields as the tape computes them."""
-    h0 = model.embed(ids)
-    _, pooled_graph = model.gcn_forward(h0, adjacency)
+    h0, h = model.gcn_forward(*model.embed(ids), operator)
+    pooled_graph = tensor.mean_rows(h)
     pooled_embed = model.pooled_embedding(h0)
     fused = fuse(pooled_embed, pooled_graph, model.config.embed_weight,
                  model.config.graph_weight)
-    nodes = model.forward_nodes(ids, adjacency)
+    nodes = model.forward_nodes(ids, operator)
     return {"class_logits": nodes.class_logits.data[0],
             "loc_pred": nodes.loc_pred.data[0],
             "pooled_embed": pooled_embed.data[0],
@@ -224,16 +249,16 @@ class TestTapeFreeForward:
     """``forward`` against its oracle, the tape of ``forward_nodes``."""
 
     @staticmethod
-    def check(model, ids, adjacency, rng):
-        assert_matches_tape(model.forward(ids, adjacency),
-                            tape_outputs(model, ids, adjacency))
+    def check(model, ids, operator, rng):
+        assert_matches_tape(model.forward(ids, operator),
+                            tape_outputs(model, ids, operator))
         payload = list(range(1, len(ids) - 1))
         some = rng.sample(payload, min(3, len(payload)))
         for positions in ([payload[0]], some, payload):
             occluded = ids.copy()
             occluded[positions] = PAD_ID
-            assert_matches_tape(model.forward(occluded, adjacency),
-                                tape_outputs(model, occluded, adjacency))
+            assert_matches_tape(model.forward(occluded, operator),
+                                tape_outputs(model, occluded, operator))
 
     @staticmethod
     def model_for(sources, gcn_layers, num_classes, fusion):
@@ -263,23 +288,29 @@ class TestTapeFreeForward:
         self.check(model, *inputs, random.Random(0))
 
     def test_shape_errors(self):
-        model, _, _, _, ids, adjacency = tiny_model_inputs(SOURCE)
+        model, _, _, _, ids, _ = tiny_model_inputs(SOURCE)
         with pytest.raises(ShapeError):
-            model.forward(ids, adjacency[:3, :3])
+            model.forward(ids, build_graph(tokenize("a;")).operator)
         with pytest.raises(ShapeError):
-            model.forward(ids[:0], adjacency[:0, :0])
+            model.forward(ids[:0], operator_from_dense(np.zeros((0, 0))))
 
 
 def dense_tape(model, ids, adjacency):
-    """The tape before the projection of distinct ids, kept as its oracle.
+    """The tape before the sparse operator and the distinct rows, kept as
+    its oracle.
 
-    Every position's embedding row is projected by W_in, and the pooled
-    embedding is the rows' mean, projected. Returns the nodes that
-    ``forward`` reports, by field name.
+    Every position's embedding row is projected by W_in, each layer
+    multiplies the dense n x n ``adjacency`` with H and then with W_l,
+    and the pooled embedding is the rows' mean, projected. Returns the
+    nodes that ``forward`` reports, by field name.
     """
     rows = tensor.gather_rows(model.embedding.value, ids)
-    _, pooled_graph = model.gcn_forward(
-        tensor.matmul(rows, model.input_proj.value), adjacency)
+    operator = Matrix(adjacency)
+    h = tensor.matmul(rows, model.input_proj.value)
+    for weight in model.gcn_weights:
+        mixed = tensor.matmul(tensor.matmul(operator, h), weight.value)
+        h = tensor.add(h, tensor.relu(mixed))
+    pooled_graph = tensor.mean_rows(h)
     pooled_embed = tensor.matmul(tensor.mean_rows(rows),
                                  model.input_proj.value)
     fused = fuse(pooled_embed, pooled_graph, model.config.embed_weight,
@@ -291,11 +322,13 @@ def dense_tape(model, ids, adjacency):
 
 
 class TestDistinctProjection:
-    """``embed`` projects each distinct id once, against ``dense_tape``."""
+    """The sparse operator and the products over distinct ids, against
+    ``dense_tape``."""
 
     @staticmethod
     def long_samples():
-        """A fresh model and four long samples whose streams repeat ids."""
+        """A fresh model, four long samples whose streams repeat ids, and
+        their dense operators."""
         rng = random.Random(11)
         sources = [LONG_SOURCE]
         for _ in range(3):
@@ -306,34 +339,36 @@ class TestDistinctProjection:
         vocab = build_vocab(sources)
         model = VulnModel(ModelConfig(vocab_size=len(vocab), embed_dim=16,
                                       gcn_dim=12), seed=4)
-        samples = []
+        samples, denses = [], []
         for k, source in enumerate(sources):
-            ids, adjacency = model_inputs(build_graph(tokenize(source)), vocab)
+            graph = build_graph(tokenize(source))
+            ids, operator = model_inputs(graph, vocab)
             assert 4 * np.unique(ids).size < ids.size
             samples.append(EncodedSample(
-                ids=ids, adjacency=adjacency, label=3 * k,
+                ids=ids, operator=operator, label=3 * k,
                 line_count=source.count("\n") + 1,
                 truth_range=(2, 5) if k else None))
-        return model, samples
+            denses.append(dense_adjacency(graph))
+        return model, samples, denses
 
     def test_forward_matches_dense_oracle(self):
-        model, samples = self.long_samples()
-        for sample in samples:
-            out = model.forward(sample.ids, sample.adjacency)
-            dense = dense_tape(model, sample.ids, sample.adjacency)
+        model, samples, denses = self.long_samples()
+        for sample, adjacency in zip(samples, denses):
+            out = model.forward(sample.ids, sample.operator)
+            dense = dense_tape(model, sample.ids, adjacency)
             for name, node in dense.items():
                 np.testing.assert_allclose(np.asarray(getattr(out, name)),
                                            node.data[0], rtol=1e-12,
                                            err_msg=name)
 
     def test_batch_gradients_match_dense_oracle(self):
-        model, samples = self.long_samples()
+        model, samples, denses = self.long_samples()
         cfg = TrainConfig()
         _backward_batch(model, samples, cfg)
         distinct = {p.name: p.grad.copy() for p in model.parameters()}
         model.zero_grad()
-        for sample in samples:
-            dense = dense_tape(model, sample.ids, sample.adjacency)
+        for sample, adjacency in zip(samples, denses):
+            dense = dense_tape(model, sample.ids, adjacency)
             loss = _sample_loss(dense["class_logits"], dense["loc_pred"],
                                 sample, cfg)
             tensor.backward(tensor.scale(loss, 1.0 / len(samples)))
@@ -346,38 +381,44 @@ class TestDistinctProjection:
                                        atol=1e-12 * scale, err_msg=p.name)
 
     def test_projection_runs_over_distinct_ids(self, monkeypatch):
-        model, samples = self.long_samples()
+        """W_in and W_1 multiply the distinct rows; W_2 multiplies all n."""
+        model, samples, _ = self.long_samples()
         matmul = tensor.matmul
+        weights = [model.input_proj, *model.gcn_weights]
         left_rows = []
 
         def recording(a, b):
-            if b is model.input_proj.value:
-                left_rows.append(a.rows)
+            for weight in weights:
+                if b is weight.value:
+                    left_rows.append((weight.name, a.rows))
             return matmul(a, b)
 
         monkeypatch.setattr(tensor, "matmul", recording)
         for sample in samples:
             left_rows.clear()
-            model.forward_nodes(sample.ids, sample.adjacency)
-            assert left_rows == [np.unique(sample.ids).size]
+            model.forward_nodes(sample.ids, sample.operator)
+            distinct = np.unique(sample.ids).size
+            assert left_rows == [("input_proj", distinct),
+                                 ("gcn_0", distinct),
+                                 ("gcn_1", sample.ids.size)]
 
 
 class TestNonFiniteForward:
     @pytest.mark.parametrize("damage", ["nan", "overflow"])
     def test_forward_raises_gradient_error(self, damage):
-        model, _, _, _, ids, adjacency = tiny_model_inputs(SOURCE)
+        model, _, _, _, ids, operator = tiny_model_inputs(SOURCE)
         poison(model, damage)
         with pytest.raises(GradientError, match="non-finite"):
-            model.forward(ids, adjacency)
+            model.forward(ids, operator)
 
     def test_nan_is_not_cut_by_relu(self):
         # a NaN passes through the relu, and the layer check must see it
-        model, _, _, _, ids, adjacency = tiny_model_inputs(SOURCE)
+        model, _, _, _, ids, operator = tiny_model_inputs(SOURCE)
         for w in model.gcn_weights:
             w.data[...] = -1.0
         model.gcn_weights[-1].data[0, 0] = np.nan
         with pytest.raises(GradientError, match="gcn_1"):
-            model.forward(ids, adjacency)
+            model.forward(ids, operator)
 
 
 class TestDenormalize:
@@ -414,17 +455,17 @@ class TestConfigAndCheckpoint:
             ModelConfig(vocab_size=10, embed_weight=0.7, graph_weight=0.7)
 
     def test_npz_round_trip_reproduces_outputs(self, tmp_path):
-        model, _, _, _, ids, adjacency = tiny_model_inputs(SOURCE, seed=2)
+        model, _, _, _, ids, operator = tiny_model_inputs(SOURCE, seed=2)
         path = tmp_path / "m.npz"
         model.save_npz(path)
         restored = VulnModel.load_npz(path, model.config)
-        a = model.forward(ids, adjacency)
-        b = restored.forward(ids, adjacency)
+        a = model.forward(ids, operator)
+        b = restored.forward(ids, operator)
         assert np.array_equal(a.class_logits, b.class_logits)
         assert a.loc_pred == b.loc_pred
 
     def test_binary_mode(self):
-        model, _, _, _, ids, adjacency = tiny_model_inputs(
+        model, _, _, _, ids, operator = tiny_model_inputs(
             SOURCE, num_classes=2)
-        out = model.forward(ids, adjacency)
+        out = model.forward(ids, operator)
         assert out.class_logits.shape == (2,)

@@ -5,10 +5,11 @@ import pytest
 
 from vulngraph.errors import GraphBuildError
 from vulngraph.lexer import STREAM_CAPACITY, tokenize
-from vulngraph.semgraph import (EdgeKind, TypedEdge, build_graph,
-                                control_edges, data_edges, poacher_edges,
-                                sequential_edges)
-from conftest import fuzz_snippet
+from vulngraph.semgraph import (EdgeKind, build_graph, control_edges,
+                                data_edges, poacher_edges, sequential_edges)
+from vulngraph.tensor import DENSE_ROWS, OPERATOR_WIDTH
+from conftest import (HUB_SOURCE, LONG_SOURCE, dense_adjacency, fuzz_snippet,
+                      to_dense)
 
 
 def payload_index(stream, text, occurrence=0):
@@ -17,43 +18,46 @@ def payload_index(stream, text, occurrence=0):
     return hits[occurrence]
 
 
+def pairs(edges):
+    """A family's (src, dst) arrays as a list of (src, dst) pairs."""
+    src, dst = edges
+    return [(int(a), int(b)) for a, b in zip(src, dst)]
+
+
 class TestSequential:
     def test_chain_length(self):
         stream = tokenize("int f(){return 0;}")
-        edges = sequential_edges(stream)
+        edges = pairs(sequential_edges(stream))
         assert len(edges) == stream.content_len - 1 == 10
-        assert [(e.src, e.dst) for e in edges] == [
-            (i, i + 1) for i in range(10)]
+        assert edges == [(i, i + 1) for i in range(10)]
 
     def test_two_token_stream(self):
         stream = tokenize("/*x*/")
-        assert len(sequential_edges(stream)) == 1
+        assert pairs(sequential_edges(stream)) == [(0, 1)]
 
 
 class TestControl:
     def test_if_links_to_statement_after_condition(self):
         stream = tokenize("if(x){y=1;}")
-        edges = control_edges(stream)
+        edges = pairs(control_edges(stream))
         if_pos = payload_index(stream, "if")
         brace_pos = payload_index(stream, "{")
-        assert (if_pos, brace_pos) in [(e.src, e.dst) for e in edges]
+        assert (if_pos, brace_pos) in edges
 
     def test_no_control_keywords_no_edges(self):
-        assert control_edges(tokenize("a = b + c;")) == []
+        assert pairs(control_edges(tokenize("a = b + c;"))) == []
 
     def test_while_single_site(self):
         stream = tokenize("while(a) b=1; c=2;")
-        edges = control_edges(stream)
-        assert len(edges) == 1
-        assert edges[0].src == payload_index(stream, "while")
-        assert edges[0].dst == payload_index(stream, "b")
+        assert pairs(control_edges(stream)) == [
+            (payload_index(stream, "while"), payload_index(stream, "b"))]
 
     def test_if_else_pairing(self):
         stream = tokenize("if(a){x=1;}else{y=2;}")
-        edges = control_edges(stream)
+        edges = pairs(control_edges(stream))
         if_pos = payload_index(stream, "if")
         else_pos = payload_index(stream, "else")
-        assert (if_pos, else_pos) in [(e.src, e.dst) for e in edges]
+        assert (if_pos, else_pos) in edges
 
     def test_unbalanced_parentheses_raise(self):
         stream = tokenize("while(a { b=1; }")
@@ -64,67 +68,69 @@ class TestControl:
 class TestData:
     def test_def_use_pair(self):
         stream = tokenize("x=1; y=x+2;")
-        edges = data_edges(stream)
         first_x = payload_index(stream, "x", 0)
         second_x = payload_index(stream, "x", 1)
-        assert [(e.src, e.dst) for e in edges] == [(first_x, second_x)]
+        assert pairs(data_edges(stream)) == [(first_x, second_x)]
 
     def test_all_distinct_identifiers(self):
-        assert data_edges(tokenize("a = b + c;")) == []
+        assert pairs(data_edges(tokenize("a = b + c;"))) == []
 
     def test_three_occurrences_chain_consecutively(self):
         stream = tokenize("v=1; v=v;")
         pos = [payload_index(stream, "v", i) for i in range(3)]
-        pairs = [(e.src, e.dst) for e in data_edges(stream)]
-        assert (pos[0], pos[1]) in pairs
-        assert (pos[1], pos[2]) in pairs
-        assert (pos[0], pos[2]) not in pairs
+        edges = pairs(data_edges(stream))
+        assert (pos[0], pos[1]) in edges
+        assert (pos[1], pos[2]) in edges
+        assert (pos[0], pos[2]) not in edges
 
 
 class TestPoacher:
     def test_risk_call_to_arguments(self):
         stream = tokenize("strcpy(dst,src);")
-        edges = poacher_edges(stream)
+        edges = pairs(poacher_edges(stream))
         call = payload_index(stream, "strcpy")
-        pairs = {(e.src, e.dst) for e in edges}
-        assert (call, payload_index(stream, "dst")) in pairs
-        assert (call, payload_index(stream, "src")) in pairs
+        assert (call, payload_index(stream, "dst")) in edges
+        assert (call, payload_index(stream, "src")) in edges
         assert len(edges) == 2
 
     def test_pure_arithmetic_has_none(self):
-        assert poacher_edges(tokenize("int f(int a){return a+a*2;}")) == []
+        assert pairs(poacher_edges(
+            tokenize("int f(int a){return a+a*2;}"))) == []
 
     def test_subscript_links_to_array(self):
         stream = tokenize("a[i]=0;")
-        edges = poacher_edges(stream)
         bracket = payload_index(stream, "[")
-        assert (bracket, payload_index(stream, "a")) in [
-            (e.src, e.dst) for e in edges]
+        assert (bracket, payload_index(stream, "a")) in pairs(
+            poacher_edges(stream))
 
     def test_arrow_links_to_object(self):
         stream = tokenize("p->q = 1;")
-        edges = poacher_edges(stream)
         arrow = payload_index(stream, "->")
-        assert (arrow, payload_index(stream, "p")) in [
-            (e.src, e.dst) for e in edges]
+        assert (arrow, payload_index(stream, "p")) in pairs(
+            poacher_edges(stream))
 
 
 class TestBuildGraph:
     def test_two_token_active_block(self):
         graph = build_graph(tokenize("/*x*/"))
-        assert graph.adjacency.shape == (2, 2)
-        np.testing.assert_allclose(graph.adjacency.sum(axis=1), [1.0, 1.0])
+        dense = to_dense(graph.operator)
+        assert dense.shape == (2, 2)
+        np.testing.assert_allclose(dense.sum(axis=1), [1.0, 1.0])
 
     def test_counts_symmetric(self):
+        # every row holds one self-loop count, so A[r, c] / A[r, r] is the
+        # symmetrized count of (r, c)
         rng = random.Random(3)
         for _ in range(10):
-            graph = build_graph(tokenize(fuzz_snippet(rng)))
-            assert np.array_equal(graph.counts, graph.counts.T)
+            dense = to_dense(build_graph(tokenize(fuzz_snippet(rng))).operator)
+            counts = dense / np.diag(dense)[:, None]
+            np.testing.assert_allclose(counts, np.rint(counts), atol=1e-12)
+            np.testing.assert_allclose(counts, counts.T, atol=1e-12)
 
     def test_row_sums_on_example(self):
         graph = build_graph(tokenize("int f(){return 0;}"))
         active = graph.stream.content_len
-        sums = graph.adjacency.sum(axis=1)
+        sums = to_dense(graph.operator).sum(axis=1)
         np.testing.assert_allclose(sums, np.ones(active), atol=1e-12)
 
     def test_pad_rows_and_columns_zero(self):
@@ -132,7 +138,8 @@ class TestBuildGraph:
         graph = build_graph(tokenize("a=b;"))
         active = graph.stream.content_len
         assert active < STREAM_CAPACITY
-        assert graph.counts.shape == graph.adjacency.shape == (active, active)
+        assert graph.operator.n == active
+        assert graph.operator.cols.max() < active
 
     @pytest.mark.parametrize("source, active", [
         ("/* no tokens */", 2),
@@ -143,38 +150,41 @@ class TestBuildGraph:
         stream = tokenize(source)
         assert stream.content_len == active
         graph = build_graph(stream)
-        assert graph.counts.shape == graph.adjacency.shape == (active, active)
+        assert graph.operator.n == active
+        assert to_dense(graph.operator).shape == (active, active)
 
     def test_self_loops_positive_on_diagonal(self):
         graph = build_graph(tokenize("a=b;"))
-        assert (np.diag(graph.adjacency) > 0).all()
+        assert (np.diag(to_dense(graph.operator)) > 0).all()
 
     def test_edges_never_touch_pad(self):
         rng = random.Random(9)
         for _ in range(20):
             graph = build_graph(tokenize(fuzz_snippet(rng)))
             active = graph.stream.content_len
-            for edge in graph.edges:
-                assert edge.src < active and edge.dst < active
-                assert edge.src != edge.dst
+            assert (graph.src < active).all() and (graph.dst < active).all()
+            assert (graph.src != graph.dst).all()
 
     def test_deterministic_bit_identical(self):
         source = fuzz_snippet(random.Random(4))
         a = build_graph(tokenize(source))
         b = build_graph(tokenize(source))
-        assert a.edges == b.edges
-        assert np.array_equal(a.adjacency, b.adjacency)
+        for name in ("src", "dst", "kind"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        for name in ("start", "cols", "weights", "mirror"):
+            assert np.array_equal(getattr(a.operator, name),
+                                  getattr(b.operator, name)), name
 
     def test_monotone_composition(self):
         source = "if(a){strcpy(buf,src); buf[i]=0;} a=a+1;"
         stream = tokenize(source)
-        full_nonzero = build_graph(stream).adjacency != 0
+        full_nonzero = to_dense(build_graph(stream).operator) != 0
         assert np.all(np.diag(full_nonzero))
         for family in (sequential_edges, control_edges, data_edges,
                        poacher_edges):
-            for edge in family(stream):
-                assert full_nonzero[edge.src, edge.dst]
-                assert full_nonzero[edge.dst, edge.src]
+            for src, dst in pairs(family(stream)):
+                assert full_nonzero[src, dst]
+                assert full_nonzero[dst, src]
 
     def test_family_toggles(self):
         stream = tokenize("if(a){strcpy(buf,src);} a=a+1;")
@@ -182,17 +192,26 @@ class TestBuildGraph:
                     EdgeKind.CONTROL: control_edges(stream),
                     EdgeKind.DATA: data_edges(stream),
                     EdgeKind.POACHER: poacher_edges(stream)}
+        graph = build_graph(stream)
         for kind, edges in families.items():
-            assert edges and {e.kind for e in edges} == {kind}
+            assert pairs(edges)
+            # the graph tags each family's edges with its code
+            tagged = graph.kind == kind
+            assert pairs((graph.src[tagged], graph.dst[tagged])) == pairs(edges)
         # the graph is the four families in this order
-        assert build_graph(stream).edges == tuple(
-            edge for edges in families.values() for edge in edges)
+        assert pairs((graph.src, graph.dst)) == [
+            edge for edges in families.values() for edge in pairs(edges)]
+        assert np.array_equal(np.diff(graph.kind) >= 0,
+                              np.ones(graph.kind.size - 1, dtype=bool))
 
     def test_edges_are_stable(self):
         graph = build_graph(tokenize("if(x){y=1;}"))
-        assert graph.edges[0] == TypedEdge(0, 1, EdgeKind.SEQUENTIAL)
-        assert any(e.kind is EdgeKind.CONTROL for e in graph.edges)
-        assert graph.edges == build_graph(tokenize("if(x){y=1;}")).edges
+        assert (graph.src[0], graph.dst[0]) == (0, 1)
+        assert EdgeKind(graph.kind[0]) is EdgeKind.SEQUENTIAL
+        assert (graph.kind == EdgeKind.CONTROL).any()
+        again = build_graph(tokenize("if(x){y=1;}"))
+        assert pairs((graph.src, graph.dst)) == pairs((again.src, again.dst))
+        assert np.array_equal(graph.kind, again.kind)
 
     def test_truncated_stream_builds_without_error(self):
         # the final 'while (' condition is cut off by the capacity limit
@@ -201,4 +220,47 @@ class TestBuildGraph:
         stream = tokenize(source)
         assert stream.truncated
         graph = build_graph(stream)
-        assert graph.adjacency.shape == (STREAM_CAPACITY, STREAM_CAPACITY)
+        assert graph.operator.n == STREAM_CAPACITY
+
+
+class TestSparseOperator:
+    """``build_graph``'s operator against ``dense_adjacency``, its oracle."""
+
+    @staticmethod
+    def sources():
+        rng = random.Random(17)
+        return [fuzz_snippet(rng) for _ in range(40)] + [LONG_SOURCE,
+                                                          HUB_SOURCE]
+
+    def test_entries_bit_equal_to_dense_oracle(self):
+        for source in self.sources():
+            graph = build_graph(tokenize(source))
+            dense = dense_adjacency(graph)
+            assert np.array_equal(to_dense(graph.operator), dense)
+            # the mirrored entries are the transpose's
+            operator = graph.operator
+            rows = np.repeat(np.arange(operator.n), np.diff(operator.start))
+            assert np.array_equal(operator.mirror, dense[operator.cols, rows])
+
+    def test_sources_reach_both_product_paths(self):
+        sizes = [build_graph(tokenize(source)).operator.n
+                 for source in self.sources()]
+        # short functions multiply densely, long ones by padded lists
+        assert min(sizes) <= DENSE_ROWS < STREAM_CAPACITY == sizes[-2]
+        hub = build_graph(tokenize(HUB_SOURCE)).operator
+        assert hub.n > DENSE_ROWS
+        # the memcpy row holds more entries than a padded list does
+        assert np.diff(hub.start).max() > 250 > OPERATOR_WIDTH
+
+    def test_products_match_dense(self):
+        rng = np.random.default_rng(2)
+        for source in self.sources():
+            graph = build_graph(tokenize(source))
+            dense = dense_adjacency(graph)
+            for width in (1, 7, 48):
+                x = rng.normal(size=(dense.shape[0], width))
+                np.testing.assert_allclose(graph.operator.apply(x), dense @ x,
+                                           rtol=0, atol=1e-12)
+                np.testing.assert_allclose(
+                    graph.operator.apply_transposed(x), dense.T @ x,
+                    rtol=0, atol=1e-12)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -9,15 +10,18 @@ import vulngraph.trainer as trainer_module
 from vulngraph import tensor
 from vulngraph.corpus import FunctionRecord, select, split
 from vulngraph.errors import ConfigError, DataError, TrainingError
-from vulngraph.lexer import build_vocab
+from vulngraph.lexer import build_vocab, tokenize
 from vulngraph.model import ModelConfig, VulnModel
 from vulngraph.objectives import FocalConfig
+from vulngraph.semgraph import build_graph
 from vulngraph.synth import make_toy_corpus
 from vulngraph.trainer import (TrainConfig, evaluate, label_index,
                                load_checkpoint, parse_run_config,
                                prepare_sample, save_checkpoint, sweep_ensemble,
                                train, train_config_to_text, _backward_batch,
                                _sample_loss, format_sweep_table)
+
+from conftest import LONG_SOURCE
 
 TINY_MODEL = dict(embed_dim=16, gcn_dim=12, num_classes=11)
 
@@ -80,7 +84,7 @@ def one_tape_batch_loss(model, batch, cfg):
     """
     total = None
     for sample in batch:
-        nodes = model.forward_nodes(sample.ids, sample.adjacency)
+        nodes = model.forward_nodes(sample.ids, sample.operator)
         loss = _sample_loss(nodes.class_logits, nodes.loc_pred, sample, cfg)
         total = loss if total is None else tensor.add(total, loss)
     return tensor.scale(total, 1.0 / len(batch))
@@ -152,7 +156,28 @@ class TestPrepareSample:
             "void f() {\n" + "x = 1;\n" * 200 + 'y = "never closed;\n}'))
         sample = prepare_sample(record, build_vocab([]), 11)
         assert sample.ids.shape == (512,)
-        assert sample.adjacency.shape == (512, 512)
+        assert sample.operator.n == 512
+
+    def test_holds_no_n_squared_array(self):
+        record = FunctionRecord(id="long", language="c", source=LONG_SOURCE)
+        graph = build_graph(tokenize(LONG_SOURCE))
+        sample = prepare_sample(record, build_vocab([LONG_SOURCE]), 11)
+        n = graph.stream.content_len
+        assert n == sample.operator.n == 512
+
+        def arrays(value):
+            if isinstance(value, np.ndarray):
+                yield value
+            elif isinstance(value, tensor.SparseOperator):
+                for name in tensor.SparseOperator.__slots__:
+                    yield from arrays(getattr(value, name, None))
+            elif dataclasses.is_dataclass(value):
+                for f in dataclasses.fields(value):
+                    yield from arrays(getattr(value, f.name))
+
+        held = [*arrays(graph), *arrays(sample)]
+        assert len(held) > 10
+        assert max(a.size for a in held) < n * n // 16
 
 
 class TestTrain:
