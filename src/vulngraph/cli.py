@@ -106,7 +106,7 @@ def _functions_from_file(path: str, function: str | None):
     source_path = Path(path)
     if not source_path.is_file():
         raise DataError(f"no such file: {path}")
-    records = (file_functions(source_path, source_path.name)
+    records = (file_functions(source_path, source_path.name) or []
                if source_path.suffix in SOURCE_EXTENSIONS else [])
     if function is not None:
         records = [r for r in records if r.id.endswith(f":{function}")]

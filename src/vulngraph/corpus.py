@@ -288,9 +288,6 @@ class DatasetSplit:
     test: tuple[str, ...]
     seed: int
 
-    def all_ids(self) -> set[str]:
-        return set(self.train) | set(self.val) | set(self.test)
-
 
 def split(records: Sequence[FunctionRecord], seed: int) -> DatasetSplit:
     """Shuffle ids with ``seed`` and partition 80:10:10.

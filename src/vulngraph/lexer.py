@@ -12,10 +12,22 @@ Preprocessor directives are lexed as ordinary tokens ('#' is
 punctuation, directive words are identifiers); comments are skipped;
 string and character literals are single tokens, so downstream brace
 or parenthesis matching is literal-safe.
+
+The grammar is one compiled pattern of named groups, one per token
+class, matched at each position in turn. It holds the ASCII rules. A
+character no group claims, which is every non-ASCII character and a few
+stray ASCII ones such as '\\' or '@', follows ``str`` rules: a letter
+(``str.isalpha``) starts an identifier whose tail is word characters, a
+digit (``str.isdigit``, so also '²' or '٣') starts a number with the
+ASCII number tail, and anything else is a one-character operator. A '.'
+before such a digit is a number of its own, as '.' before '5' starts
+one. An unterminated string, character literal or block comment raises
+LexError on the line where it opens.
 """
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -94,24 +106,33 @@ KEYWORDS = frozenset("""
     template this throw true try typeid typename using virtual wchar_t
 """.split())
 
-_PUNCTUATION = frozenset({"(", ")", "{", "}", "[", "]", ",", ";", "#", "##"})
+#: What may follow a number's first character.
+_NUMBER_TAIL = r"(?:[0-9a-fA-FxXpP._uUlL']|(?<=[eEpP])[+-])*"
+#: The token grammar as one pattern: each alternative is a named group,
+#: tried in order, and the first that matches at a position wins.
+#: Operators are listed longest first, so "<<=" wins over "<<" and "<".
+_TOKEN = re.compile("|".join(f"(?P<{name}>{regex})" for name, regex in (
+    ("skip", r"[ \t\n\r\v\f]+|//[^\n]*|/\*.*?\*/"),
+    ("string_lit", r'"(?:\\.|[^"\\\n])*"'),
+    ("char_lit", r"'(?:\\.|[^'\\\n])*'"),
+    ("unterminated", r"/\*|[\"']"),
+    ("identifier", r"[A-Za-z_]\w*"),
+    ("number", r"(?:[0-9]|\.[0-9])" + _NUMBER_TAIL),
+    ("punctuation", r"##|[(){}\[\],;#]"),
+    # a "." before a non-ASCII character is left to "other": before a
+    # digit such as "²" it is a number
+    ("operator", r"<<=|>>=|\.\.\.|->\*|->|\+\+|--|<<|>>|[-+*/%=<>!&^|]="
+                 r"|&&|\|\||::|\.\*|\.(?![^\x00-\x7f])|[-+*/%=<>!&|^~?:]"),
+    ("other", r"."),
+)), re.DOTALL)
+#: The rest of a number or identifier whose first character is not ASCII.
+_NUMBER_REST = re.compile(_NUMBER_TAIL)
+_WORD_REST = re.compile(r"\w*")
 
-_OPERATORS_3 = ("<<=", ">>=", "...", "->*")
-_OPERATORS_2 = (
-    "->", "++", "--", "<<", ">>", "<=", ">=", "==", "!=", "&&", "||",
-    "+=", "-=", "*=", "/=", "%=", "&=", "^=", "|=", "::", ".*", "##",
-)
-_OPERATORS_1 = frozenset("+-*/%=<>!&|^~.?:#") | frozenset("(){}[],;")
-
-_NUMBER_BODY = frozenset("0123456789abcdefABCDEFxXpP._uUlL'")
-
-
-def _is_ident_start(ch: str) -> bool:
-    return ch == "_" or ch.isalpha()
-
-
-def _is_ident_part(ch: str) -> bool:
-    return ch == "_" or ch.isalnum()
+_KINDS = {kind.value: kind for kind in TokenKind}
+_UNTERMINATED = {"/": "unterminated block comment",
+                 '"': "unterminated string literal",
+                 "'": "unterminated character literal"}
 
 
 def lex(source: str) -> list[Token]:
@@ -126,99 +147,51 @@ def lex(source: str) -> list[Token]:
 
 def _lex_tokens(source: str) -> Iterator[Token]:
     """The tokens of ``lex``, produced lazily so a caller can stop early."""
-    i = 0
+    match = _TOKEN.match
     line = 1
+    pos = 0
     n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            line += 1
-            i += 1
-            continue
-        if ch in " \t\r\v\f":
-            i += 1
-            continue
-        if source.startswith("//", i):
-            j = source.find("\n", i)
-            i = n if j == -1 else j
-            continue
-        if source.startswith("/*", i):
-            j = source.find("*/", i + 2)
-            if j == -1:
-                raise LexError("unterminated block comment", line)
-            line += source.count("\n", i, j)
-            i = j + 2
-            continue
-        if ch == '"' or ch == "'":
-            text, i = _scan_quoted(source, i, line)
-            kind = TokenKind.STRING_LIT if ch == '"' else TokenKind.CHAR_LIT
-            yield Token(text, kind, line)
-            line += text.count("\n")
-            continue
-        if _is_ident_start(ch):
-            j = i + 1
-            while j < n and _is_ident_part(source[j]):
-                j += 1
-            text = source[i:j]
-            kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENTIFIER
-            yield Token(text, kind, line)
-            i = j
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and source[i + 1].isdigit()):
-            j = i + 1
-            while j < n:
-                c = source[j]
-                if c in _NUMBER_BODY:
-                    j += 1
-                elif c in "+-" and source[j - 1] in "eEpP":
-                    j += 1
+    while pos < n:
+        m = match(source, pos)
+        group = m.lastgroup
+        end = m.end()
+        if group == "unterminated":
+            raise LexError(_UNTERMINATED[source[pos]], line)
+        if group != "skip":
+            kind = _KINDS.get(group)
+            if kind is None:  # "other": a non-ASCII or stray character
+                ch = source[pos]
+                if ch.isalpha():
+                    kind = TokenKind.IDENTIFIER
+                    end = _WORD_REST.match(source, end).end()
+                elif ch.isdigit() or ch == "." and source[end].isdigit():
+                    kind = TokenKind.NUMBER
+                    end = _NUMBER_REST.match(source, end).end()
                 else:
-                    break
-            yield Token(source[i:j], TokenKind.NUMBER, line)
-            i = j
-            continue
-        op = _match_operator(source, i)
-        if op is not None:
-            kind = (TokenKind.PUNCTUATION if op in _PUNCTUATION
-                    else TokenKind.OPERATOR)
-            yield Token(op, kind, line)
-            i += len(op)
-            continue
-        # Anything else (stray backslash, unicode symbol) passes through
-        # as a single-character operator token.
-        yield Token(ch, TokenKind.OPERATOR, line)
-        i += 1
+                    kind = TokenKind.OPERATOR
+            text = source[pos:end]
+            if kind is TokenKind.IDENTIFIER and text in KEYWORDS:
+                kind = TokenKind.KEYWORD
+            yield Token(text, kind, line)
+        # whitespace, comments and spliced literals hold the newlines
+        line += source.count("\n", pos, end)
+        pos = end
 
 
-def _scan_quoted(source: str, start: int, line: int) -> tuple[str, int]:
-    quote = source[start]
-    i = start + 1
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\\" and i + 1 < n:
-            i += 2
-            continue
-        if ch == quote:
-            return source[start:i + 1], i + 1
-        if ch == "\n":
-            break
-        i += 1
-    what = "string literal" if quote == '"' else "character literal"
-    raise LexError(f"unterminated {what}", line)
+def closers(tokens: Sequence[Token], open_text: str,
+            close_text: str) -> dict[int, int]:
+    """Position of the token balancing each ``open_text`` token that has one.
 
-
-def _match_operator(source: str, i: int) -> str | None:
-    for op in _OPERATORS_3:
-        if source.startswith(op, i):
-            return op
-    for op in _OPERATORS_2:
-        if source.startswith(op, i):
-            return op
-    ch = source[i]
-    if ch in _OPERATORS_1:
-        return ch
-    return None
+    One stack pass, so bracket matching stays linear in the tokens.
+    """
+    found: dict[int, int] = {}
+    stack: list[int] = []
+    for i, tok in enumerate(tokens):
+        if tok.text == open_text:
+            stack.append(i)
+        elif tok.text == close_text and stack:
+            found[stack.pop()] = i
+    return found
 
 
 def tokenize(source: str) -> TokenStream:

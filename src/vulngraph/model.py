@@ -145,8 +145,6 @@ def _pooled_shifts(positions: np.ndarray, input_deltas: np.ndarray,
     k = positions.size
     keys = np.arange(k) * n + positions
     delta = input_deltas
-    seen = np.zeros(k * n, dtype=bool)
-    index = np.empty(k * n, dtype=np.intp)  # key -> its place in the keys
     for weight, mixed, relu_mixed in layers:
         rows = keys % n
         count = start[rows + 1] - start[rows]
@@ -156,21 +154,18 @@ def _pooled_shifts(positions: np.ndarray, input_deltas: np.ndarray,
         read_keys = np.repeat(keys - rows, count) + reader_rows[edges]
         # the residual keeps every changed row, also one without the
         # self-loop that ``build_graph`` gives every row
-        seen[keys] = True
-        seen[read_keys] = True
-        grown = np.flatnonzero(seen)
-        seen[grown] = False
-        index[grown] = np.arange(grown.size)
+        grown, slot = np.unique(np.concatenate([keys, read_keys]),
+                                return_inverse=True)
 
         spread = delta[np.repeat(np.arange(keys.size), count)]
         spread *= reader_weights[edges, None]
-        after = tensor.segment_sum(spread, index[read_keys],
+        after = tensor.segment_sum(spread, slot[keys.size:],
                                    grown.size) @ weight
         grown_rows = grown % n
         after += mixed[grown_rows]
         grown_delta = np.maximum(after, 0.0, out=after)
         grown_delta -= relu_mixed[grown_rows]
-        grown_delta[index[keys]] += delta
+        grown_delta[slot[:keys.size]] += delta
         keys, delta = grown, grown_delta
     return tensor.segment_sum(delta, keys // n, k)
 
@@ -199,7 +194,6 @@ class ForwardOutput:
     loc_pred: tuple[float, float]
     pooled_embed: np.ndarray
     pooled_graph: np.ndarray
-    fused: np.ndarray
     # for occlusion to reuse: the distinct ids' projected rows P, and
     # each layer's A @ (H @ W)
     _projected: np.ndarray = field(compare=False, repr=False)
@@ -346,7 +340,6 @@ class VulnModel:
             loc_pred=(float(loc_pred[0, 0]), float(loc_pred[0, 1])),
             pooled_embed=pooled_embed,
             pooled_graph=pooled_graph,
-            fused=fused,
             _projected=projected,
             _mixed=mixed,
         )

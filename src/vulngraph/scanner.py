@@ -24,7 +24,7 @@ from .attribution import attribute_tokens, localize, normalize_scores
 from .corpus import (BINARY_VULNERABLE_LABEL, FunctionRecord, default_catalog,
                      normalize_newlines)
 from .errors import ConfigError, DataError, LexError, VulnGraphError
-from .lexer import Token, TokenKind, Vocabulary, lex, tokenize
+from .lexer import Token, TokenKind, Vocabulary, closers, lex, tokenize
 from .model import VulnModel
 from .semgraph import build_graph, model_inputs
 
@@ -79,12 +79,15 @@ class AnalysisReport:
         }
 
 
-def extract_functions(root: str | Path) -> list[FunctionRecord]:
+def extract_functions(root: str | Path,
+                      skipped: list[str] | None = None
+                      ) -> list[FunctionRecord]:
     """Walk a source tree and cut out every function definition.
 
-    Records are ordered by (relative path, start line). A file whose
-    braces cannot be balanced is skipped with a warning rather than
-    failing the walk.
+    Records are ordered by (relative path, start line). A file that
+    cannot be read, lexed or balanced is skipped with a warning rather
+    than failing the walk, and its relative path is appended to
+    ``skipped``.
     """
     root = Path(root)
     if not root.is_dir():
@@ -93,16 +96,21 @@ def extract_functions(root: str | Path) -> list[FunctionRecord]:
     files = sorted(p for p in root.rglob("*")
                    if p.is_file() and p.suffix in SOURCE_EXTENSIONS)
     for path in files:
-        records.extend(file_functions(path, path.relative_to(root).as_posix()))
+        rel_path = path.relative_to(root).as_posix()
+        found = file_functions(path, rel_path)
+        if found is not None:
+            records.extend(found)
+        elif skipped is not None:
+            skipped.append(rel_path)
     return records
 
 
-def file_functions(path: Path, rel_path: str) -> list[FunctionRecord]:
+def file_functions(path: Path, rel_path: str) -> list[FunctionRecord] | None:
     """Every function definition in one source file, ordered by start line.
 
     ``rel_path`` names the file in function ids and reports. CRLF and
-    lone CR line endings read as LF. A file that cannot be read or lexed
-    is skipped with a warning.
+    lone CR line endings read as LF. A file that cannot be read, lexed
+    or balanced gives None, with a warning.
     """
     try:
         text = path.read_text(encoding="utf-8", errors="replace")
@@ -111,16 +119,17 @@ def file_functions(path: Path, rel_path: str) -> list[FunctionRecord]:
         logger.warning("skipping unreadable file %s: %s", rel_path, exc)
     except LexError as exc:
         logger.warning("skipping unlexable file %s: %s", rel_path, exc)
-    return []
+    return None
 
 
-def _functions_in_file(text: str, rel_path: str) -> list[FunctionRecord]:
+def _functions_in_file(text: str,
+                       rel_path: str) -> list[FunctionRecord] | None:
     tokens = lex(text)
     lines = text.split("\n")
     language = "cpp" if Path(rel_path).suffix in _CPP_EXTENSIONS else "c"
     directive_lines = _directive_lines(tokens)
-    parens = _closers(tokens, "(", ")")
-    braces = _closers(tokens, "{", "}")
+    parens = closers(tokens, "(", ")")
+    braces = closers(tokens, "{", "}")
     records: list[FunctionRecord] = []
     depth = 0
     i = 0
@@ -138,7 +147,7 @@ def _functions_in_file(text: str, rel_path: str) -> list[FunctionRecord]:
                     logger.warning(
                         "skipping %s: unbalanced braces after line %d",
                         rel_path, tokens[close + 1].line)
-                    return []
+                    return None
                 start_line = _declaration_start(tokens, i, directive_lines)
                 end_line = tokens[end].line
                 source = "\n".join(lines[start_line - 1:end_line])
@@ -165,22 +174,6 @@ def _directive_lines(tokens: Sequence[Token]) -> set[int]:
     for tok in tokens:
         first_on_line.setdefault(tok.line, tok.text)
     return {line for line, text in first_on_line.items() if text == "#"}
-
-
-def _closers(tokens: Sequence[Token], open_text: str,
-             close_text: str) -> dict[int, int]:
-    """Position of the token balancing each ``open_text`` token that has one.
-
-    One stack pass, so extraction stays linear in the file's length.
-    """
-    closers: dict[int, int] = {}
-    stack: list[int] = []
-    for i, tok in enumerate(tokens):
-        if tok.text == open_text:
-            stack.append(i)
-        elif tok.text == close_text and stack:
-            closers[stack.pop()] = i
-    return closers
 
 
 def _declaration_start(tokens: Sequence[Token], name_pos: int,
@@ -275,7 +268,7 @@ class ScanSummary:
     n_files: int
     n_functions: int
     counts: dict[str, int]
-    skipped: list[str] = field(default_factory=list)
+    skipped: list[str]  # files left out, as in ``extract_functions``
 
     def to_json_dict(self) -> dict:
         return {
@@ -304,17 +297,18 @@ def scan(root: str | Path, model: VulnModel, vocab: Vocabulary,
     """Analyze every function under ``root`` and write one report each.
 
     Reports land in ``out`` ordered by (path, start line), together with
-    summary.json counting functions per predicted class. ``jobs`` > 1
-    analyzes in worker processes started by fork, at most one per CPU;
-    where fork is unavailable the scan warns and runs serially. Output is
-    deterministic: rerunning on an unchanged tree with the same frozen
+    summary.json counting functions per predicted class and listing the
+    files that extraction skipped. ``jobs`` > 1 analyzes in worker
+    processes started by fork, at most one per CPU; where fork is
+    unavailable the scan warns and runs serially. Output is deterministic: rerunning on an unchanged tree with the same frozen
     model reproduces byte-identical files regardless of ``jobs``.
     """
     if fmt not in ("json", "text"):
         raise DataError(f"unknown report format {fmt!r}")
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
-    records = extract_functions(root)
+    skipped: list[str] = []
+    records = extract_functions(root, skipped)
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -341,6 +335,7 @@ def scan(root: str | Path, model: VulnModel, vocab: Vocabulary,
         n_files=len({r.file for r in records if r.file}),
         n_functions=len(records),
         counts=counts,
+        skipped=skipped,
     )
     (out / "summary.json").write_text(
         json.dumps(summary.to_json_dict(), indent=2, sort_keys=True) + "\n",

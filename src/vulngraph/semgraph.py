@@ -33,7 +33,7 @@ from enum import IntEnum
 import numpy as np
 
 from .errors import GraphBuildError
-from .lexer import Token, TokenKind, TokenStream, Vocabulary, encode
+from .lexer import Token, TokenKind, TokenStream, Vocabulary, closers, encode
 from .tensor import SparseOperator
 
 
@@ -93,22 +93,6 @@ def sequential_edges(stream: TokenStream) -> Edges:
     return src, src + 1
 
 
-def _match_forward(tokens: tuple[Token, ...], open_pos: int, close_text: str,
-                   end: int) -> int | None:
-    """Index of the token balancing ``tokens[open_pos]``, or None."""
-    open_text = tokens[open_pos].text
-    depth = 0
-    for i in range(open_pos, end):
-        text = tokens[i].text
-        if text == open_text:
-            depth += 1
-        elif text == close_text:
-            depth -= 1
-            if depth == 0:
-                return i
-    return None
-
-
 def _find_text(tokens: tuple[Token, ...], start: int, text: str,
                end: int) -> int | None:
     for i in range(start, end):
@@ -117,13 +101,14 @@ def _find_text(tokens: tuple[Token, ...], start: int, text: str,
     return None
 
 
-def control_edges(stream: TokenStream) -> Edges:
+def control_edges(stream: TokenStream, parens: dict[int, int]) -> Edges:
     """Edges from control keywords to their lexically next statement.
 
     Parenthesized conditions (if/for/while/switch) jump past the matching
     ')'; jump statements (return/break/continue/goto) past their ';';
     'case' past its ':'; 'do' and 'else' to the token right after them.
     Each 'else' is additionally paired with the nearest unpaired 'if'.
+    ``parens`` maps each '(' to its ')', as ``lexer.closers`` finds them.
     Unbalanced condition parentheses raise GraphBuildError unless the
     stream was truncated, in which case the edge is simply dropped.
     """
@@ -146,7 +131,7 @@ def control_edges(stream: TokenStream) -> Edges:
         if tok.text in _PAREN_CONDITION:
             if i + 1 > last_payload or tokens[i + 1].text != "(":
                 continue  # no condition follows (macro-mangled source)
-            close = _match_forward(tokens, i + 1, ")", last_payload + 1)
+            close = parens.get(i + 1)
             if close is None:
                 if stream.truncated:
                     continue
@@ -186,12 +171,14 @@ def data_edges(stream: TokenStream) -> Edges:
     return _edges(src, dst)
 
 
-def poacher_edges(stream: TokenStream) -> Edges:
+def poacher_edges(stream: TokenStream, parens: dict[int, int]) -> Edges:
     """Risk-source-to-sink surrogate edges.
 
     (a) allocation/copy call identifiers to every identifier in their
     argument list, (b) '[' to the identifier right before it, (c) '*'
     to the identifier right after it and '->' to the one before it.
+    ``parens`` maps each '(' to its ')'; an unclosed call's arguments run
+    to the end of the stream.
     """
     tokens = stream.tokens
     last_payload = stream.content_len - 2
@@ -201,7 +188,7 @@ def poacher_edges(stream: TokenStream) -> Edges:
         tok = tokens[i]
         if (tok.kind is TokenKind.IDENTIFIER and tok.text in RISK_CALLS
                 and i + 1 <= last_payload and tokens[i + 1].text == "("):
-            close = _match_forward(tokens, i + 1, ")", last_payload + 1)
+            close = parens.get(i + 1)
             end = last_payload if close is None else close - 1
             for j in range(i + 2, end + 1):
                 if tokens[j].kind is TokenKind.IDENTIFIER:
@@ -222,17 +209,15 @@ def poacher_edges(stream: TokenStream) -> Edges:
     return _edges(src, dst)
 
 
-#: The edge families in ``EdgeKind`` order.
-FAMILIES = (sequential_edges, control_edges, data_edges, poacher_edges)
-
-
 def build_graph(stream: TokenStream) -> SemanticGraph:
     """Union the four edge families and derive the sparse operator.
 
     Multi-edges from different families stack: the multiplicity count
     feeds normalization, so overlapping evidence weighs more.
     """
-    families = [family(stream) for family in FAMILIES]
+    parens = closers(stream.tokens, "(", ")")
+    families = [sequential_edges(stream), control_edges(stream, parens),
+                data_edges(stream), poacher_edges(stream, parens)]
     src = np.concatenate([edges[0] for edges in families])
     dst = np.concatenate([edges[1] for edges in families])
     kind = np.repeat(np.arange(len(families), dtype=np.int8),

@@ -8,6 +8,7 @@ from vulngraph.lexer import (BOS, BOS_ID, EOS, EOS_ID, MAX_PAYLOAD, PAD,
                              PAD_ID, STREAM_CAPACITY, UNK_ID, Token, TokenKind,
                              Vocabulary, build_vocab, encode, lex, tokenize)
 from conftest import fuzz_snippet
+from lexer_oracle import oracle_lex
 
 #: C-ish pieces, some repeated hundreds of times so that streams both
 #: fit the window and overflow it.
@@ -17,6 +18,22 @@ C_PIECES = st.sampled_from([
 ])
 C_TEXT = st.lists(st.tuples(C_PIECES, st.integers(1, 400)), max_size=8).map(
     lambda parts: "".join(piece * count for piece, count in parts))
+#: Non-ASCII characters, which take the pattern's fallback branch, next to
+#: the ASCII pieces they can follow or start: "." numbers, exponents,
+#: splices, stray backslashes, and unterminated literals and comments.
+EDGE_TEXT = st.lists(st.sampled_from([
+    "\u00b2", "\u00bd", "\u0663", "\u00e9", "\x1c", "\x85", "\U0001f600",
+    "\u00a0", ".", "..", "x", "_", "1", "0x", "e", "p", "+", "-", "'", '"',
+    "/*", "*/", "//", "\\", "\\\n", "\n", " ", "\r", "#", "->*", ".*",
+]), max_size=30).map("".join)
+
+
+def outcome(lexer, source):
+    """The tokens, or the ``LexError`` text (which holds the line)."""
+    try:
+        return lexer(source)
+    except LexError as exc:
+        return str(exc)
 
 
 def lexes(source):
@@ -138,6 +155,53 @@ class TestTokenize:
         mean_len = sum(s.content_len for s in streams) / len(streams)
         assert mean_len == pytest.approx(
             sum(len(lex(s)) + 2 for s in sources) / len(sources))
+
+
+IDENT, KW, NUM, STR, CHR, OP = (
+    TokenKind.IDENTIFIER, TokenKind.KEYWORD, TokenKind.NUMBER,
+    TokenKind.STRING_LIT, TokenKind.CHAR_LIT, TokenKind.OPERATOR)
+
+
+class TestCharacterLoopOracle:
+    """``lex`` against the character loop it replaced (``lexer_oracle``)."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(st.text(), C_TEXT, EDGE_TEXT))
+    def test_equals_the_character_loop(self, source):
+        assert outcome(lex, source) == outcome(oracle_lex, source)
+
+    @pytest.mark.parametrize("source,expected", [
+        # "." before a non-ASCII digit is a one-character number
+        ("..\u00b2", [(".", OP, 1), (".", NUM, 1), ("\u00b2", NUM, 1)]),
+        (".\u06635", [(".", NUM, 1), ("\u06635", NUM, 1)]),
+        ("x\u00b2", [("x\u00b2", IDENT, 1)]),
+        ("\u00e91 if", [("\u00e91", IDENT, 1), ("if", KW, 1)]),
+        ("\u00bd", [("\u00bd", OP, 1)]),
+        ("a\x85b", [("a", IDENT, 1), ("\x85", OP, 1), ("b", IDENT, 1)]),
+        ("\U0001f600", [("\U0001f600", OP, 1)]),
+        ("1'000", [("1'000", NUM, 1)]),
+        ("0x1p-3", [("0x1p-3", NUM, 1)]),
+        ("1e+5-2", [("1e+5", NUM, 1), ("-", OP, 1), ("2", NUM, 1)]),
+        ("\u0663e+5", [("\u0663e+5", NUM, 1)]),
+        ('"a\\\nb" c', [('"a\\\nb"', STR, 1), ("c", IDENT, 2)]),
+        ("'\\'' x", [("'\\''", CHR, 1), ("x", IDENT, 1)]),
+        ("a\\", [("a", IDENT, 1), ("\\", OP, 1)]),
+    ])
+    def test_edge_cases(self, source, expected):
+        assert [(t.text, t.kind, t.line) for t in lex(source)] == expected
+        assert lex(source) == oracle_lex(source)
+
+    @pytest.mark.parametrize("source,message", [
+        ('a;\n"open', "line 2: unterminated string literal"),
+        ('"a\\\nb\n"', "line 1: unterminated string literal"),
+        ('"ends in a backslash\\', "line 1: unterminated string literal"),
+        ("x\n\n'\\", "line 3: unterminated character literal"),
+        ("'ab\nc'", "line 1: unterminated character literal"),
+        ("/* a\n*/ b\n/*", "line 3: unterminated block comment"),
+        ("/*/", "line 1: unterminated block comment"),
+    ])
+    def test_unterminated_forms(self, source, message):
+        assert outcome(lex, source) == message == outcome(oracle_lex, source)
 
 
 class TestVocabulary:

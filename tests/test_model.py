@@ -230,14 +230,11 @@ def tape_outputs(model, ids, operator):
     h0, h = model.gcn_forward(*model.embed(ids), operator)
     pooled_graph = tensor.mean_rows(h)
     pooled_embed = model.pooled_embedding(h0)
-    fused = fuse(pooled_embed, pooled_graph, model.config.embed_weight,
-                 model.config.graph_weight)
     nodes = model.forward_nodes(ids, operator)
     return {"class_logits": nodes.class_logits.data[0],
             "loc_pred": nodes.loc_pred.data[0],
             "pooled_embed": pooled_embed.data[0],
-            "pooled_graph": pooled_graph.data[0],
-            "fused": fused.data[0]}
+            "pooled_graph": pooled_graph.data[0]}
 
 
 def assert_matches_tape(out, tape):
@@ -317,8 +314,7 @@ def dense_tape(model, ids, adjacency):
                  model.config.graph_weight)
     class_logits, loc_pred = model.heads(fused)
     return {"class_logits": class_logits, "loc_pred": loc_pred,
-            "pooled_embed": pooled_embed, "pooled_graph": pooled_graph,
-            "fused": fused}
+            "pooled_embed": pooled_embed, "pooled_graph": pooled_graph}
 
 
 class TestDistinctProjection:

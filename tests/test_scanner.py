@@ -15,12 +15,11 @@ from hypothesis import given, settings, strategies as st
 
 from vulngraph.corpus import FunctionRecord, load_dataset, select
 from vulngraph.errors import ConfigError, DataError
-from vulngraph.lexer import lex
+from vulngraph.lexer import closers, lex
 from vulngraph import scanner
 from vulngraph.model import VulnModel
-from vulngraph.scanner import (AnalysisReport, _chunk_size, _closers,
-                               analyze, extract_functions, render_report,
-                               scan)
+from vulngraph.scanner import (AnalysisReport, _chunk_size, analyze,
+                               extract_functions, render_report, scan)
 from vulngraph.trainer import save_checkpoint
 from conftest import poison, tiny_model_inputs
 
@@ -78,6 +77,17 @@ def write_tree(root: Path, records) -> Path:
     for i, record in enumerate(records):
         (src / f"f{i}.c").write_text(record.source + "\n", encoding="utf-8")
     return src
+
+
+def summary_skips(src: Path, toy_run, out: Path) -> list[list[str]]:
+    """``summary.json``'s skipped files after a scan at --jobs 1 and 2."""
+    skips = []
+    for jobs in (1, 2):
+        scan(src, toy_run.model, toy_run.vocab, out / str(jobs), jobs=jobs)
+        summary = json.loads((out / str(jobs) / "summary.json").read_text(
+            encoding="utf-8"))
+        skips.append(summary["skipped"])
+    return skips
 
 
 def scan_bytes(src: Path, toy_run, out: Path, **kwargs) -> dict[str, bytes]:
@@ -162,21 +172,38 @@ class TestExtract:
         records = extract_functions(tmp_path)
         assert [r.id for r in records] == ["m.c:2:real"]
 
-    def test_unbalanced_file_skipped_not_fatal(self, tmp_path):
-        (tmp_path / "broken.c").write_text("int f() { int x = 1;\n",
-                                           encoding="utf-8")
-        (tmp_path / "fine.c").write_text("int g(void) {\n    return 0;\n}\n",
-                                         encoding="utf-8")
-        records = extract_functions(tmp_path)
-        assert [r.id for r in records] == ["fine.c:1:g"]
+    def test_unbalanced_file_skipped_not_fatal(self, tmp_path, toy_run,
+                                               two_cpus):
+        src = tmp_path / "src"
+        (src / "sub").mkdir(parents=True)
+        (src / "broken.c").write_text("int f() { int x = 1;\n",
+                                      encoding="utf-8")
+        # two functions, so that --jobs 2 forks two workers
+        (src / "fine.c").write_text("int g(void) {\n    return 0;\n}\n"
+                                    "int k(void) {\n    return 1;\n}\n",
+                                    encoding="utf-8")
+        (src / "sub" / "open.c").write_text("int h(void) {\n",
+                                            encoding="utf-8")
+        skipped = []
+        records = extract_functions(src, skipped)
+        assert [r.id for r in records] == ["fine.c:1:g", "fine.c:4:k"]
+        assert skipped == ["broken.c", "sub/open.c"]
+        assert summary_skips(src, toy_run, tmp_path / "out") == [skipped] * 2
 
-    def test_unlexable_file_skipped_not_fatal(self, tmp_path):
-        (tmp_path / "bad.c").write_text('int f() { char *s = "open;\n}\n',
-                                        encoding="utf-8")
-        (tmp_path / "ok.c").write_text("int g(void) {\n    return 1;\n}\n",
-                                       encoding="utf-8")
-        records = extract_functions(tmp_path)
+    def test_unlexable_file_skipped_not_fatal(self, tmp_path, toy_run,
+                                              two_cpus, caplog):
+        src = tmp_path / "src"
+        src.mkdir()
+        (src / "bad.c").write_text('int f() { char *s = "open;\n}\n',
+                                   encoding="utf-8")
+        (src / "ok.c").write_text("int g(void) {\n    return 1;\n}\n",
+                                  encoding="utf-8")
+        skipped = []
+        records = extract_functions(src, skipped)
         assert [r.id for r in records] == ["ok.c:1:g"]
+        assert skipped == ["bad.c"]
+        assert "skipping unlexable file bad.c" in caplog.text
+        assert summary_skips(src, toy_run, tmp_path / "out") == [["bad.c"]] * 2
 
     def test_cpp_extension_sets_language(self, tmp_path):
         (tmp_path / "x.cpp").write_text("int f() {\n    return 0;\n}\n",
@@ -207,7 +234,7 @@ class TestExtract:
         for open_text, close_text in (("(", ")"), ("{", "}")):
             scanned = {i: depth_scan(i, open_text, close_text)
                        for i, tok in enumerate(tokens) if tok.text == open_text}
-            assert _closers(tokens, open_text, close_text) == {
+            assert closers(tokens, open_text, close_text) == {
                 i: j for i, j in scanned.items() if j is not None}
 
     @pytest.mark.parametrize("source", [
@@ -377,8 +404,8 @@ class TestScan:
         src = write_tree(tmp_path, [record])
         extract = scanner.extract_functions
 
-        def extract_then_edit(root):
-            records = extract(root)
+        def extract_then_edit(root, skipped):
+            records = extract(root, skipped)
             (src / "f0.c").write_text("int edited(void) {\n}\n",
                                       encoding="utf-8")
             return records

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from vulngraph.errors import GraphBuildError
-from vulngraph.lexer import STREAM_CAPACITY, tokenize
+from vulngraph.lexer import STREAM_CAPACITY, closers, tokenize
 from vulngraph.semgraph import (EdgeKind, build_graph, control_edges,
                                 data_edges, poacher_edges, sequential_edges)
 from vulngraph.tensor import DENSE_ROWS, OPERATOR_WIDTH
@@ -16,6 +16,14 @@ def payload_index(stream, text, occurrence=0):
     hits = [i for i, t in enumerate(stream.tokens[:stream.content_len])
             if t.text == text]
     return hits[occurrence]
+
+
+def control(stream):
+    return control_edges(stream, closers(stream.tokens, "(", ")"))
+
+
+def poacher(stream):
+    return poacher_edges(stream, closers(stream.tokens, "(", ")"))
 
 
 def pairs(edges):
@@ -39,22 +47,22 @@ class TestSequential:
 class TestControl:
     def test_if_links_to_statement_after_condition(self):
         stream = tokenize("if(x){y=1;}")
-        edges = pairs(control_edges(stream))
+        edges = pairs(control(stream))
         if_pos = payload_index(stream, "if")
         brace_pos = payload_index(stream, "{")
         assert (if_pos, brace_pos) in edges
 
     def test_no_control_keywords_no_edges(self):
-        assert pairs(control_edges(tokenize("a = b + c;"))) == []
+        assert pairs(control(tokenize("a = b + c;"))) == []
 
     def test_while_single_site(self):
         stream = tokenize("while(a) b=1; c=2;")
-        assert pairs(control_edges(stream)) == [
+        assert pairs(control(stream)) == [
             (payload_index(stream, "while"), payload_index(stream, "b"))]
 
     def test_if_else_pairing(self):
         stream = tokenize("if(a){x=1;}else{y=2;}")
-        edges = pairs(control_edges(stream))
+        edges = pairs(control(stream))
         if_pos = payload_index(stream, "if")
         else_pos = payload_index(stream, "else")
         assert (if_pos, else_pos) in edges
@@ -62,7 +70,7 @@ class TestControl:
     def test_unbalanced_parentheses_raise(self):
         stream = tokenize("while(a { b=1; }")
         with pytest.raises(GraphBuildError, match="while"):
-            control_edges(stream)
+            control(stream)
 
 
 class TestData:
@@ -87,27 +95,27 @@ class TestData:
 class TestPoacher:
     def test_risk_call_to_arguments(self):
         stream = tokenize("strcpy(dst,src);")
-        edges = pairs(poacher_edges(stream))
+        edges = pairs(poacher(stream))
         call = payload_index(stream, "strcpy")
         assert (call, payload_index(stream, "dst")) in edges
         assert (call, payload_index(stream, "src")) in edges
         assert len(edges) == 2
 
     def test_pure_arithmetic_has_none(self):
-        assert pairs(poacher_edges(
+        assert pairs(poacher(
             tokenize("int f(int a){return a+a*2;}"))) == []
 
     def test_subscript_links_to_array(self):
         stream = tokenize("a[i]=0;")
         bracket = payload_index(stream, "[")
         assert (bracket, payload_index(stream, "a")) in pairs(
-            poacher_edges(stream))
+            poacher(stream))
 
     def test_arrow_links_to_object(self):
         stream = tokenize("p->q = 1;")
         arrow = payload_index(stream, "->")
         assert (arrow, payload_index(stream, "p")) in pairs(
-            poacher_edges(stream))
+            poacher(stream))
 
 
 class TestBuildGraph:
@@ -180,8 +188,7 @@ class TestBuildGraph:
         stream = tokenize(source)
         full_nonzero = to_dense(build_graph(stream).operator) != 0
         assert np.all(np.diag(full_nonzero))
-        for family in (sequential_edges, control_edges, data_edges,
-                       poacher_edges):
+        for family in (sequential_edges, control, data_edges, poacher):
             for src, dst in pairs(family(stream)):
                 assert full_nonzero[src, dst]
                 assert full_nonzero[dst, src]
@@ -189,9 +196,9 @@ class TestBuildGraph:
     def test_family_toggles(self):
         stream = tokenize("if(a){strcpy(buf,src);} a=a+1;")
         families = {EdgeKind.SEQUENTIAL: sequential_edges(stream),
-                    EdgeKind.CONTROL: control_edges(stream),
+                    EdgeKind.CONTROL: control(stream),
                     EdgeKind.DATA: data_edges(stream),
-                    EdgeKind.POACHER: poacher_edges(stream)}
+                    EdgeKind.POACHER: poacher(stream)}
         graph = build_graph(stream)
         for kind, edges in families.items():
             assert pairs(edges)
@@ -221,6 +228,30 @@ class TestBuildGraph:
         assert stream.truncated
         graph = build_graph(stream)
         assert graph.operator.n == STREAM_CAPACITY
+
+    def test_truncated_stream_keeps_edges_of_unclosed_brackets(self):
+        # the window ends inside "if (" and "memcpy(": neither closes in it
+        source = ("void f(int n) {\n    if (n) n = 0;\n    if (memcpy(dst, "
+                  + " + ".join(f"n{i}" for i in range(300)) + ")) n = 1;\n}")
+        stream = tokenize(source)
+        assert stream.truncated
+        graph = build_graph(stream)
+
+        def family(kind):
+            tagged = graph.kind == kind
+            return pairs((graph.src[tagged], graph.dst[tagged]))
+
+        # the closed condition links past its ")", the unclosed one links
+        # nowhere
+        assert family(EdgeKind.CONTROL) == [
+            (payload_index(stream, "if"), payload_index(stream, "n", 2))]
+        # the unclosed call reaches every identifier to the window's end
+        call = payload_index(stream, "memcpy")
+        last = stream.content_len - 2
+        assert family(EdgeKind.POACHER) == [
+            (call, j) for j in range(call + 2, last + 1)
+            if stream.tokens[j].text.startswith(("dst", "n"))]
+        assert stream.tokens[last].text.startswith("n")
 
 
 class TestSparseOperator:
