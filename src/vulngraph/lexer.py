@@ -9,9 +9,10 @@ which is why this is a deterministic lexer rather than a sub-word
 tokenizer.
 
 Preprocessor directives are lexed as ordinary tokens ('#' is
-punctuation, directive words are identifiers); comments are skipped;
-string and character literals are single tokens, so downstream brace
-or parenthesis matching is literal-safe.
+punctuation, directive words are identifiers); comments are skipped,
+and a '//' comment runs on past a backslash-newline, as C splices lines
+before it removes comments; string and character literals are single
+tokens, so downstream brace or parenthesis matching is literal-safe.
 
 The grammar is one compiled pattern of named groups, one per token
 class, matched at each position in turn. It holds the ASCII rules. A
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DataError, LexError
 
@@ -65,8 +66,7 @@ class TokenKind(Enum):
     SPECIAL = "special"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     text: str
     kind: TokenKind
     line: int  # 1-based source line; 0 for <BOS>/<EOS>
@@ -112,7 +112,7 @@ _NUMBER_TAIL = r"(?:[0-9a-fA-FxXpP._uUlL']|(?<=[eEpP])[+-])*"
 #: tried in order, and the first that matches at a position wins.
 #: Operators are listed longest first, so "<<=" wins over "<<" and "<".
 _TOKEN = re.compile("|".join(f"(?P<{name}>{regex})" for name, regex in (
-    ("skip", r"[ \t\n\r\v\f]+|//[^\n]*|/\*.*?\*/"),
+    ("skip", r"[ \t\n\r\v\f]+|//(?:\\\n|[^\n])*|/\*.*?\*/"),
     ("string_lit", r'"(?:\\.|[^"\\\n])*"'),
     ("char_lit", r"'(?:\\.|[^'\\\n])*'"),
     ("unterminated", r"/\*|[\"']"),
@@ -148,6 +148,7 @@ def lex(source: str) -> list[Token]:
 def _lex_tokens(source: str) -> Iterator[Token]:
     """The tokens of ``lex``, produced lazily so a caller can stop early."""
     match = _TOKEN.match
+    make = tuple.__new__  # Token's fields without its __new__ call
     line = 1
     pos = 0
     n = len(source)
@@ -172,7 +173,7 @@ def _lex_tokens(source: str) -> Iterator[Token]:
             text = source[pos:end]
             if kind is TokenKind.IDENTIFIER and text in KEYWORDS:
                 kind = TokenKind.KEYWORD
-            yield Token(text, kind, line)
+            yield make(Token, (text, kind, line))
         # whitespace, comments and spliced literals hold the newlines
         line += source.count("\n", pos, end)
         pos = end

@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import json
 import logging
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
+from . import cpus
 from .attribution import attribute_tokens, localize, normalize_scores
 from .corpus import (BINARY_VULNERABLE_LABEL, FunctionRecord, default_catalog,
                      normalize_newlines)
@@ -299,8 +299,9 @@ def scan(root: str | Path, model: VulnModel, vocab: Vocabulary,
     Reports land in ``out`` ordered by (path, start line), together with
     summary.json counting functions per predicted class and listing the
     files that extraction skipped. ``jobs`` > 1 analyzes in worker
-    processes started by fork, at most one per CPU; where fork is
-    unavailable the scan warns and runs serially. Output is deterministic: rerunning on an unchanged tree with the same frozen
+    processes started by fork, at most one per usable CPU; where fork
+    is unavailable the scan warns and runs serially. Output is
+    deterministic: rerunning on an unchanged tree with the same frozen
     model reproduces byte-identical files regardless of ``jobs``.
     """
     if fmt not in ("json", "text"):
@@ -367,14 +368,14 @@ def _run_in_worker(record: FunctionRecord) -> AnalysisReport:
 
 
 def _worker_count(jobs: int, n_records: int) -> int:
-    """Processes a scan may fork: one per CPU and record at most, or 1
-    (serial) where the platform cannot fork."""
-    import multiprocessing
-    if "fork" not in multiprocessing.get_all_start_methods():
+    """Processes a scan may fork: one per usable CPU and record at most,
+    or 1 (serial) where the platform cannot fork."""
+    count, can_fork = cpus.usable_cpus()
+    if not can_fork:
         logger.warning("scan --jobs needs the fork start method, which "
                        "this platform lacks; analyzing serially")
         return 1
-    return min(jobs, os.cpu_count() or 1, n_records)
+    return min(jobs, count, n_records)
 
 
 def _chunk_size(n_records: int, workers: int) -> int:

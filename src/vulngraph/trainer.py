@@ -14,19 +14,28 @@ a time; Adam then steps once per batch. Validation runs the tape-free
 ``VulnModel.forward`` once per sample, and its loss and metrics both
 read that output. A fusion-ratio sweep prepares the samples once and
 trains one model per ratio from them.
+
+A batch's samples are shared out over one process per usable CPU (at
+most one per sample of a batch): the training process and helpers
+forked from it, once per run. Every sample's gradients are added into
+one shared set in sample order, so the log and the parameters are the
+same bit for bit at any CPU count. Where the platform cannot fork,
+training runs in one process.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+from contextlib import nullcontext
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from . import tensor
+from . import cpus, tensor
 from .corpus import (BINARY_VULNERABLE_LABEL, DatasetSplit, FunctionRecord,
                      default_catalog, select)
 from .errors import ConfigError, DataError, GradientError, TrainingError
@@ -71,6 +80,11 @@ class TrainConfig:
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
 
 
+#: Elements of a parameter that ``Adam.step`` updates at a time. Its two
+#: scratch blocks take 1 MiB, and a block's operands are reread from cache.
+ADAM_BLOCK = 2**16
+
+
 class Adam:
     """Adaptive per-parameter update (beta1 0.9, beta2 0.999, eps 1e-8)."""
 
@@ -84,16 +98,42 @@ class Adam:
         self.t = 0
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
+        block = max([ADAM_BLOCK] + [p.shape[1] for p in self.params])
+        self._scratch = np.empty((2, block))
 
     def step(self) -> None:
+        """Update every parameter in place, a block of rows at a time.
+
+        Per element this runs ``m = b1*m + (1-b1)*g``,
+        ``v = b2*v + (1-b2)*g*g`` and ``p -= lr * m_hat / (sqrt(v_hat) +
+        eps)``, with ``m_hat = m / (1-b1^t)`` and ``v_hat = v / (1-b2^t)``,
+        as the same operations in the same order, so the values are equal
+        bit for bit. Only the moments and two scratch blocks are written.
+        """
         self.t += 1
-        for i, p in enumerate(self.params):
-            g = p.grad
-            self._m[i] = self.beta1 * self._m[i] + (1 - self.beta1) * g
-            self._v[i] = self.beta2 * self._v[i] + (1 - self.beta2) * g * g
-            m_hat = self._m[i] / (1 - self.beta1 ** self.t)
-            v_hat = self._v[i] / (1 - self.beta2 ** self.t)
-            p.value.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        m_scale = 1 - self.beta1 ** self.t
+        v_scale = 1 - self.beta2 ** self.t
+        for p, m_all, v_all in zip(self.params, self._m, self._v):
+            rows, cols = p.shape
+            step = max(1, self._scratch.shape[1] // cols)
+            for lo in range(0, rows, step):
+                at = slice(lo, lo + step)
+                g, m, v, x = p.grad[at], m_all[at], v_all[at], p.data[at]
+                a = self._scratch[0, :g.size].reshape(g.shape)
+                b = self._scratch[1, :g.size].reshape(g.shape)
+                m *= self.beta1
+                m += np.multiply(g, 1 - self.beta1, out=a)
+                np.multiply(g, 1 - self.beta2, out=a)
+                a *= g
+                v *= self.beta2
+                v += a
+                np.divide(v, v_scale, out=a)
+                np.sqrt(a, out=a)
+                a += self.eps
+                np.divide(m, m_scale, out=b)
+                b *= self.lr
+                b /= a
+                x -= b
 
 
 @dataclass(frozen=True)
@@ -154,21 +194,183 @@ def _sample_loss(class_logits: Matrix, loc_pred: Matrix,
 
 
 def _backward_batch(model: VulnModel, batch: Sequence[EncodedSample],
-                    cfg: TrainConfig) -> float:
+                    cfg: TrainConfig, helpers: _Helpers | None = None) -> float:
     """Add the gradients of the batch's mean loss; return that loss.
 
     Each sample's loss, scaled by 1/len(batch), is walked right after its
     own forward pass. One tape over the whole batch would push the same
     values and add them to the parameters in the same sample order, so
     the gradients are equal bit for bit.
+
+    With ``helpers`` of N processes, sample j runs in process j mod N,
+    this one being process 0. A helper's sample is added to the
+    gradients when its turn comes, after every earlier sample's, so the
+    sums are formed in the same order as here; an exception it raised is
+    raised here at the same place.
     """
+    scale = 1.0 / len(batch)
+    if helpers is not None:
+        helpers.assign(batch, scale)
     total = 0.0
-    for sample in batch:
-        nodes = model.forward_nodes(sample.ids, sample.operator)
-        loss = _sample_loss(nodes.class_logits, nodes.loc_pred, sample, cfg)
-        total += loss.item()
-        tensor.backward(tensor.scale(loss, 1.0 / len(batch)))
-    return total * (1.0 / len(batch))
+    for j, sample in enumerate(batch):
+        if helpers is not None and j % helpers.processes:
+            total += helpers.collect(j % helpers.processes)
+        else:
+            total += _backward_sample(model, sample, cfg, scale)
+    return total * scale
+
+
+def _backward_sample(model: VulnModel, sample: EncodedSample,
+                     cfg: TrainConfig, scale: float) -> float:
+    """Add the gradients of ``scale`` times the sample's loss; return the
+    loss."""
+    nodes = model.forward_nodes(sample.ids, sample.operator)
+    loss = _sample_loss(nodes.class_logits, nodes.loc_pred, sample, cfg)
+    tensor.backward(tensor.scale(loss, scale))
+    return loss.item()
+
+
+def _processes(batch_size: int, n_samples: int) -> int:
+    """Processes that share each batch: one per usable CPU and sample of
+    a batch at most, and 1 where the platform cannot fork."""
+    wanted = min(batch_size, n_samples)
+    if wanted < 2:
+        return 1
+    count, can_fork = cpus.usable_cpus()
+    return min(wanted, count) if can_fork else 1
+
+
+class _Helpers:
+    """Forked processes that each backpropagate a share of every batch.
+
+    Before forking, every parameter's value and gradient move into one
+    anonymous shared mapping: Adam, ``zero_grad`` and ``load_values``
+    write in place, so a helper always reads the current values, and it
+    adds its samples into the same gradients. Helper k receives samples
+    k, k + N, ... of a batch and runs each from private, zeroed
+    gradients; ``collect`` gives it the turn to add them.
+
+    Each parameter takes exactly one contribution per sample (the
+    embedding through ``np.add.at`` over distinct ids), so the shared sum
+    gets the same terms in the same order as in one process. ``0 + c``
+    differs from ``c`` only in the sign of a zero, and a sum that starts
+    at +0.0 never holds -0.0, so the results are equal bit for bit.
+    """
+
+    def __init__(self, model: VulnModel, cfg: TrainConfig, processes: int):
+        import multiprocessing
+        _share(model.parameters())
+        context = multiprocessing.get_context("fork")
+        self.processes = processes
+        self._links = []
+        self._procs = []
+        try:
+            for _ in range(processes - 1):
+                ours, theirs = context.Pipe()
+                proc = context.Process(target=_helper,
+                                       args=(theirs, model, cfg), daemon=True)
+                proc.start()
+                theirs.close()
+                self._links.append(ours)
+                self._procs.append(proc)
+        except BaseException:
+            self.close()
+            raise
+
+    def __enter__(self) -> _Helpers:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def assign(self, batch: Sequence[EncodedSample], scale: float) -> None:
+        """Send each helper its samples of ``batch`` and the loss scale."""
+        for k in range(1, self.processes):
+            share = list(batch[k::self.processes])
+            if share:
+                try:
+                    self._links[k - 1].send((share, scale))
+                except OSError as exc:
+                    raise self._died(k) from exc
+
+    def collect(self, k: int) -> float:
+        """Let helper k add its next sample's gradients; return its loss.
+
+        Call it once every earlier sample of the batch has been added.
+        """
+        link = self._links[k - 1]
+        try:
+            link.send(None)
+            result = link.recv()
+        except (EOFError, OSError) as exc:
+            raise self._died(k) from exc
+        if isinstance(result, Exception):
+            raise result
+        return result
+
+    def _died(self, k: int) -> TrainingError:
+        proc = self._procs[k - 1]
+        proc.join(timeout=10)
+        return TrainingError(
+            f"a training worker process died: exit code {proc.exitcode}")
+
+    def close(self) -> None:
+        """End and reap every helper."""
+        for link in self._links:
+            link.close()
+        for proc in self._procs:
+            proc.terminate()
+            proc.join()
+
+
+def _share(params: Sequence[tensor.Parameter]) -> None:
+    """Move each parameter's value and gradient, unchanged, into one
+    anonymous shared mapping, which processes forked later inherit."""
+    import mmap
+    sizes = [p.data.size for p in params]
+    total = sum(sizes)
+    flat = np.frombuffer(mmap.mmap(-1, 2 * total * 8), dtype=np.float64)
+    start = 0
+    for p, size in zip(params, sizes):
+        value = flat[start:start + size].reshape(p.shape)
+        grad = flat[total + start:total + start + size].reshape(p.shape)
+        value[...] = p.data
+        grad[...] = p.grad
+        p.value.data, p.value.grad = value, grad
+        start += size
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _helper(link, model: VulnModel, cfg: TrainConfig) -> None:
+    """A helper process: run each assigned sample, add its gradients when
+    given the turn, and send back its loss or its exception.
+
+    It leaves through ``os._exit``, so the output buffers it shares with
+    the parent are not flushed twice, and no traceback is printed.
+    """
+    code = 1
+    try:
+        shared = [p.grad for p in model.parameters()]
+        private = [np.zeros_like(g) for g in shared]
+        for p, grad in zip(model.parameters(), private):
+            p.value.grad = grad
+        while True:
+            share, scale = link.recv()
+            for sample in share:
+                try:
+                    result = _backward_sample(model, sample, cfg, scale)
+                except Exception as exc:  # raised again by the parent
+                    result = exc
+                link.recv()  # the turn: every earlier sample is added
+                for total, own in zip(shared, private):
+                    total += own
+                link.send(result)
+                for own in private:
+                    own[...] = 0.0
+    except EOFError:  # the parent closed the link: training is over
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def _diagnostics(model: VulnModel, epoch: int, batch_idx: int) -> str:
@@ -230,52 +432,55 @@ def _fit(vocab: Vocabulary, samples: Sequence[EncodedSample],
 
     log: list[dict] = []
     order = np.arange(len(samples))
+    processes = _processes(train_cfg.batch_size, len(samples))
+    with (_Helpers(model, train_cfg, processes) if processes > 1
+          else nullcontext()) as helpers:
+        for epoch in range(1, train_cfg.epochs + 1):
+            rng.shuffle(order)
+            epoch_losses: list[float] = []
+            for batch_idx, start in enumerate(
+                    range(0, len(order), train_cfg.batch_size)):
+                batch = [samples[i] for i in
+                         order[start:start + train_cfg.batch_size]]
+                try:
+                    value = _backward_batch(model, batch, train_cfg, helpers)
+                except GradientError as exc:
+                    # Overflow inside the forward pass surfaces here: the
+                    # matrix layer rejects non-finite values eagerly.
+                    raise TrainingError(
+                        f"non-finite values in forward pass ({exc}); "
+                        + _diagnostics(model, epoch, batch_idx)) from exc
+                if not np.isfinite(value):
+                    raise TrainingError("non-finite loss; "
+                                        + _diagnostics(model, epoch, batch_idx))
+                optimizer.step()
+                model.zero_grad()
+                epoch_losses.append(value)
 
-    for epoch in range(1, train_cfg.epochs + 1):
-        rng.shuffle(order)
-        epoch_losses: list[float] = []
-        for batch_idx, start in enumerate(
-                range(0, len(order), train_cfg.batch_size)):
-            batch = [samples[i] for i in order[start:start + train_cfg.batch_size]]
-            try:
-                value = _backward_batch(model, batch, train_cfg)
-            except GradientError as exc:
-                # Overflow inside the forward pass surfaces here: the
-                # matrix layer rejects non-finite values eagerly.
-                raise TrainingError(
-                    f"non-finite values in forward pass ({exc}); "
-                    + _diagnostics(model, epoch, batch_idx)) from exc
-            if not np.isfinite(value):
-                raise TrainingError(
-                    "non-finite loss; " + _diagnostics(model, epoch, batch_idx))
-            optimizer.step()
-            model.zero_grad()
-            epoch_losses.append(value)
-
-        val_loss = val_f1 = val_iou = None
-        if val_samples:
-            try:
-                pairs = [(s, model.forward(s.ids, s.operator))
-                         for s in val_samples]
-            except GradientError as exc:
-                # the last step overflowed and only validation saw it
-                raise TrainingError(
-                    f"non-finite values in validation ({exc}); "
-                    + _diagnostics(model, epoch, batch_idx)) from exc
-            val_loss = float(np.mean([
-                _sample_loss(Matrix(out.class_logits), Matrix(out.loc_pred),
-                             s, train_cfg).item()
-                for s, out in pairs]))
-            report = _metrics(pairs, model_cfg.num_classes)
-            val_f1 = report.f1
-            val_iou = report.mean_iou
-        log.append({
-            "epoch": epoch,
-            "train_loss": float(np.mean(epoch_losses)),
-            "val_loss": val_loss,
-            "val_f1": val_f1,
-            "val_iou": val_iou,
-        })
+            val_loss = val_f1 = val_iou = None
+            if val_samples:
+                try:
+                    pairs = [(s, model.forward(s.ids, s.operator))
+                             for s in val_samples]
+                except GradientError as exc:
+                    # the last step overflowed and only validation saw it
+                    raise TrainingError(
+                        f"non-finite values in validation ({exc}); "
+                        + _diagnostics(model, epoch, batch_idx)) from exc
+                val_loss = float(np.mean([
+                    _sample_loss(Matrix(out.class_logits),
+                                 Matrix(out.loc_pred), s, train_cfg).item()
+                    for s, out in pairs]))
+                report = _metrics(pairs, model_cfg.num_classes)
+                val_f1 = report.f1
+                val_iou = report.mean_iou
+            log.append({
+                "epoch": epoch,
+                "train_loss": float(np.mean(epoch_losses)),
+                "val_loss": val_loss,
+                "val_f1": val_f1,
+                "val_iou": val_iou,
+            })
 
     return TrainResult(model=model.freeze(), vocab=vocab, log=log)
 

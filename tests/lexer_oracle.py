@@ -1,8 +1,9 @@
 """The character-loop lexer that ``vulngraph.lexer`` once used: the oracle.
 
 ``lexer._lex_tokens`` now runs one compiled pattern. This is the earlier
-hand-written scanner, kept unchanged, so tests can require that both
-give the same tokens, kinds, lines and ``LexError`` texts.
+hand-written scanner, kept so tests can require that both give the same
+tokens, kinds, lines and ``LexError`` texts. Its one change since is the
+line splice that continues a ``//`` comment.
 """
 
 from __future__ import annotations
@@ -51,7 +52,11 @@ def _lex_tokens(source: str) -> Iterator[Token]:
             i += 1
             continue
         if source.startswith("//", i):
+            # a backslash-newline splices the next line into the comment
             j = source.find("\n", i)
+            while j != -1 and source[j - 1] == "\\":
+                line += 1
+                j = source.find("\n", j + 1)
             i = n if j == -1 else j
             continue
         if source.startswith("/*", i):

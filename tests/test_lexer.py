@@ -186,6 +186,12 @@ class TestCharacterLoopOracle:
         ('"a\\\nb" c', [('"a\\\nb"', STR, 1), ("c", IDENT, 2)]),
         ("'\\'' x", [("'\\''", CHR, 1), ("x", IDENT, 1)]),
         ("a\\", [("a", IDENT, 1), ("\\", OP, 1)]),
+        # a backslash-newline continues a line comment onto the next line
+        ("// a \\\nb;\nc", [("c", IDENT, 3)]),
+        ("x // a \\\n b \\\nc\nd", [("x", IDENT, 1), ("d", IDENT, 4)]),
+        ("// a \\ b\nc", [("c", IDENT, 2)]),
+        ("// a \\\\\nb\nc", [("c", IDENT, 3)]),
+        ('"a\\\nb" // c \\\nd\ne', [('"a\\\nb"', STR, 1), ("e", IDENT, 4)]),
     ])
     def test_edge_cases(self, source, expected):
         assert [(t.text, t.kind, t.line) for t in lex(source)] == expected

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from vulngraph.corpus import FunctionRecord, load_dataset, select
 from vulngraph.errors import ConfigError, DataError
 from vulngraph.lexer import closers, lex
-from vulngraph import scanner
+from vulngraph import cpus, scanner
 from vulngraph.model import VulnModel
 from vulngraph.scanner import (AnalysisReport, _chunk_size, analyze,
                                extract_functions, render_report, scan)
@@ -66,8 +66,10 @@ SOURCES = st.text() | st.lists(st.sampled_from(C_PIECES) | st.text(max_size=3),
 
 @pytest.fixture()
 def two_cpus(monkeypatch):
-    """Cap worker scans at two processes, and fork them on one core too."""
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    """Cap worker scans at two processes, and fork them on one core too;
+    whether the platform can fork is unchanged."""
+    usable = cpus.usable_cpus
+    monkeypatch.setattr(cpus, "usable_cpus", lambda: (2, usable()[1]))
 
 
 def write_tree(root: Path, records) -> Path:
@@ -511,8 +513,8 @@ class TestWorkers:
         save_checkpoint(checkpoint, toy_run.model, toy_run.vocab)
         script = textwrap.dedent("""\
             import os, sys
-            from vulngraph import cli, scanner
-            os.cpu_count = lambda: 2
+            from vulngraph import cli, cpus, scanner
+            cpus.usable_cpus = lambda: (2, True)
             scanner.analyze = lambda *args: os._exit(7)
             sys.exit(cli.main(sys.argv[1:]))
             """)

@@ -1,15 +1,21 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import vulngraph.lexer as lexer_module
 import vulngraph.trainer as trainer_module
-from vulngraph import tensor
-from vulngraph.corpus import FunctionRecord, select, split
-from vulngraph.errors import ConfigError, DataError, TrainingError
+from vulngraph import cli, cpus, tensor
+from vulngraph.corpus import FunctionRecord, save_dataset, select, split
+from vulngraph.errors import (ConfigError, DataError, GradientError,
+                              TrainingError)
 from vulngraph.lexer import build_vocab, tokenize
 from vulngraph.model import ModelConfig, VulnModel
 from vulngraph.objectives import FocalConfig
@@ -21,7 +27,7 @@ from vulngraph.trainer import (TrainConfig, evaluate, label_index,
                                train, train_config_to_text, _backward_batch,
                                _sample_loss, format_sweep_table)
 
-from conftest import LONG_SOURCE
+from conftest import DESK_MODEL, LONG_SOURCE
 
 TINY_MODEL = dict(embed_dim=16, gcn_dim=12, num_classes=11)
 
@@ -124,6 +130,47 @@ def tiny_train_cfg(**overrides):
     return TrainConfig(**base)
 
 
+@pytest.fixture()
+def use_cpus(monkeypatch):
+    """Set how many CPUs training may use, so that the forked path runs
+    on a one-core host too; whether the platform can fork is unchanged."""
+    usable = cpus.usable_cpus
+
+    def use(count):
+        monkeypatch.setattr(cpus, "usable_cpus",
+                            lambda: (count, usable()[1]))
+    return use
+
+
+def oracle_batch():
+    """A model trained for one epoch, and a batch of four benign and four
+    vulnerable samples alternating."""
+    records, ds = tiny_corpus()
+    cfg = ModelConfig(vocab_size=4, **TINY_MODEL)
+    result = train(records, ds, cfg, tiny_train_cfg(epochs=1))
+    benign = [r for r in records if not r.is_vulnerable][:4]
+    vulnerable = [r for r in records if r.is_vulnerable][:4]
+    batch = [prepare_sample(r, result.vocab, 11)
+             for pair in zip(benign, vulnerable) for r in pair]
+    assert len(batch) == 8
+    return result.model, batch
+
+
+def one_tape_gradients(model, batch, cfg):
+    """The oracle's batch loss and every parameter's gradient."""
+    model.zero_grad()
+    loss = one_tape_batch_loss(model, batch, cfg)
+    tensor.backward(loss)
+    expected = [p.grad.copy() for p in model.parameters()]
+    model.zero_grad()
+    return loss.item(), expected
+
+
+def no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 class TestLabelIndex:
     def test_benign_is_zero(self):
         record = FunctionRecord(id="b", source="x;", language="c")
@@ -147,6 +194,47 @@ class TestLabelIndex:
                                 cwe="VULN", vul_start=1, vul_end=1)
         with pytest.raises(DataError, match="binary"):
             label_index(record, 11)
+
+
+def adam_oracle_step(params, m, v, t, lr, beta1=0.9, beta2=0.999,
+                     eps=1e-8):
+    """The Adam update as whole-array expressions, one temporary per
+    term: the oracle of the in-place ``Adam.step``."""
+    for i, p in enumerate(params):
+        g = p.grad
+        m[i] = beta1 * m[i] + (1 - beta1) * g
+        v[i] = beta2 * v[i] + (1 - beta2) * g * g
+        m_hat = m[i] / (1 - beta1 ** t)
+        v_hat = v[i] / (1 - beta2 ** t)
+        p.value.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+class TestAdam:
+    def test_in_place_step_equals_the_whole_array_formula(self,
+                                                         monkeypatch):
+        # a small block, so that parameters span several blocks and one
+        # row is wider than a block
+        monkeypatch.setattr(trainer_module, "ADAM_BLOCK", 20)
+        rng = np.random.default_rng(5)
+        shapes = [(7, 6), (1, 3), (30, 1), (2, 25)]
+        fast = [tensor.Parameter(rng.normal(size=s), f"p{i}")
+                for i, s in enumerate(shapes)]
+        slow = [tensor.Parameter(p.data.copy(), p.name) for p in fast]
+        optimizer = trainer_module.Adam(fast, lr=0.01)
+        m = [np.zeros(s) for s in shapes]
+        v = [np.zeros(s) for s in shapes]
+        for t in range(1, 6):
+            for a, b in zip(fast, slow):
+                grad = rng.normal(size=a.shape) * 10.0 ** rng.integers(-8, 3)
+                grad[rng.random(a.shape) < 0.3] = 0.0
+                a.grad[...] = grad
+                b.grad[...] = grad
+            optimizer.step()
+            adam_oracle_step(slow, m, v, t, lr=0.01)
+            for a, b in zip(fast, slow):
+                assert np.array_equal(a.data, b.data), (t, a.name)
+            for mine, theirs in zip(optimizer._m + optimizer._v, m + v):
+                assert np.array_equal(mine, theirs), t
 
 
 class TestPrepareSample:
@@ -228,22 +316,10 @@ class TestTrain:
                     epochs=6, learning_rate=1e160))
 
     def test_batch_gradients_equal_one_tape_oracle(self):
-        records, ds = tiny_corpus()
-        cfg = ModelConfig(vocab_size=4, **TINY_MODEL)
-        result = train(records, ds, cfg, tiny_train_cfg(epochs=1))
-        model, vocab = result.model, result.vocab
-        benign = [r for r in records if not r.is_vulnerable][:4]
-        vulnerable = [r for r in records if r.is_vulnerable][:4]
-        batch = [prepare_sample(r, vocab, 11)
-                 for pair in zip(benign, vulnerable) for r in pair]
-        assert len(batch) == 8
-        model.zero_grad()
-        loss = one_tape_batch_loss(model, batch, tiny_train_cfg())
-        tensor.backward(loss)
-        expected = [p.grad.copy() for p in model.parameters()]
-        model.zero_grad()
+        model, batch = oracle_batch()
+        loss, expected = one_tape_gradients(model, batch, tiny_train_cfg())
         value = _backward_batch(model, batch, tiny_train_cfg())
-        assert value == loss.item()
+        assert value == loss
         for p, grad in zip(model.parameters(), expected):
             assert np.array_equal(p.grad, grad), p.name
         assert np.abs(model.loc_weight.grad).sum() > 0
@@ -273,7 +349,8 @@ class TestTrain:
         assert sorted(tokenized) == sorted(r.source for r in used)
         assert result.vocab == build_vocab(select(records, ds.train))
 
-    def test_validation_records_no_tape(self, monkeypatch):
+    def test_validation_records_no_tape(self, monkeypatch, use_cpus):
+        use_cpus(1)  # the counter sees the forward passes of this process
         records, ds = tiny_corpus()
         assert ds.val
         taped = count_forward_nodes(monkeypatch)
@@ -461,3 +538,155 @@ class TestSweep:
             sweep_ensemble(records, ds, [(0.5, 0.5), bad], cfg,
                            tiny_train_cfg())
         assert (tokenized, taped) == ([], [])
+
+
+#: The desk-width run configuration of ``TestForkedTraining``.
+DESK_RUN = "".join(f"{key}={value}\n" for key, value in dict(
+    DESK_MODEL, epochs=3, learning_rate=1e-3, seed=2).items())
+
+
+def train_outputs(tmp_path, name, batch_size):
+    """log.jsonl bytes and each parameter's bytes of a ``vulngraph train``
+    run over the tiny corpus, at desk width."""
+    data, config = tmp_path / "data.jsonl", tmp_path / f"{name}.cfg"
+    if not data.exists():
+        save_dataset(tiny_corpus()[0], data)
+    config.write_text(DESK_RUN + f"batch_size={batch_size}\n",
+                      encoding="utf-8")
+    out = tmp_path / name
+    assert cli.main(["train", "--config", str(config), "--data", str(data),
+                     "--out", str(out)]) == 0
+    with np.load(out / "params.npz") as params:
+        arrays = {key: params[key].tobytes() for key in params.files}
+    return (out / "log.jsonl").read_bytes(), arrays
+
+
+def fail_in(monkeypatch, target_ids):
+    """Make ``forward_nodes`` raise a GradientError on one sample's ids."""
+    forward_nodes = VulnModel.forward_nodes
+
+    def failing(self, ids, operator):
+        if np.array_equal(ids, target_ids):
+            raise GradientError(f"non-finite values in the layer gcn_0 "
+                                f"({ids.size} ids)")
+        return forward_nodes(self, ids, operator)
+
+    monkeypatch.setattr(VulnModel, "forward_nodes", failing)
+
+
+class TestForkedTraining:
+    """Training whose batches are shared with forked helper processes
+    gives the one-process results bit for bit. More processes than this
+    host's cores is part of the point."""
+
+    @pytest.mark.parametrize("batch_size", [8, 5, 1],
+                             ids=["uneven-last", "last-of-one", "one"])
+    def test_outputs_equal_one_process(self, tmp_path, use_cpus,
+                                       batch_size):
+        use_cpus(1)
+        serial = train_outputs(tmp_path, "p1", batch_size)
+        for processes in (2, 3):
+            use_cpus(processes)
+            assert train_outputs(tmp_path, f"p{processes}",
+                                 batch_size) == serial, processes
+        no_child_left()
+
+    def test_sweep_rows_equal_one_process(self, use_cpus):
+        records, ds = tiny_corpus()
+        cfg = ModelConfig(vocab_size=4, **TINY_MODEL)
+        rows = []
+        for processes in (1, 2, 3):
+            use_cpus(processes)
+            rows.append(sweep_ensemble(records, ds, [(0.2, 0.8), (0.5, 0.5)],
+                                       cfg, tiny_train_cfg(epochs=2)))
+        assert rows == [rows[0]] * 3
+
+    @pytest.mark.parametrize("processes", [2, 3])
+    def test_batch_gradients_equal_one_tape_oracle(self, processes):
+        model, batch = oracle_batch()
+        loss, expected = one_tape_gradients(model, batch, tiny_train_cfg())
+        with trainer_module._Helpers(model, tiny_train_cfg(),
+                                     processes) as helpers:
+            value = _backward_batch(model, batch, tiny_train_cfg(), helpers)
+        assert value == loss
+        for p, grad in zip(model.parameters(), expected):
+            assert np.array_equal(p.grad, grad), p.name
+        no_child_left()
+
+    def test_helper_exception_raises_the_serial_error(self, monkeypatch,
+                                                      use_cpus):
+        records, ds = tiny_corpus()
+        cfg = ModelConfig(vocab_size=4, **TINY_MODEL)
+        train_cfg = tiny_train_cfg()
+        vocab, samples, val_samples = trainer_module._prepare(
+            records, ds, 11, 1)
+        order = np.arange(len(samples))
+        np.random.default_rng(train_cfg.seed).shuffle(order)
+        # the second sample of the first batch runs in a helper
+        fail_in(monkeypatch, samples[order[1]].ids)
+        errors = []
+        for processes in (1, 2, 3):
+            use_cpus(processes)
+            with pytest.raises(TrainingError) as caught:
+                trainer_module._fit(vocab, samples, val_samples, cfg,
+                                    train_cfg)
+            errors.append(str(caught.value))
+            no_child_left()
+        assert errors[0].startswith(
+            "non-finite values in forward pass (non-finite values in the "
+            "layer gcn_0")
+        assert errors == [errors[0]] * 3
+
+    def test_divergence_text_equals_one_process(self, use_cpus):
+        records, ds = tiny_corpus()
+        cfg = ModelConfig(vocab_size=4, **TINY_MODEL)
+        errors = []
+        for processes in (1, 2, 3):
+            use_cpus(processes)
+            with pytest.raises(TrainingError) as caught:
+                train(records, ds, cfg, tiny_train_cfg(
+                    epochs=6, learning_rate=1e160))
+            errors.append(str(caught.value))
+            no_child_left()
+        assert errors == [errors[0]] * 3
+
+    def test_dead_helper_exits_three_without_traceback(self, tmp_path):
+        data, config = tmp_path / "data.jsonl", tmp_path / "run.cfg"
+        save_dataset(tiny_corpus()[0], data)
+        config.write_text(DESK_RUN + "batch_size=8\n", encoding="utf-8")
+        script = textwrap.dedent("""\
+            import os, sys
+            from vulngraph import cli, cpus
+            from vulngraph.model import VulnModel
+            cpus.usable_cpus = lambda: (2, True)
+            parent, forward_nodes = os.getpid(), VulnModel.forward_nodes
+
+            def dying(self, *args):
+                if os.getpid() != parent:
+                    os._exit(7)
+                return forward_nodes(self, *args)
+
+            VulnModel.forward_nodes = dying
+            sys.exit(cli.main(sys.argv[1:]))
+            """)
+        package_root = Path(trainer_module.__file__).parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(package_root), os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-c", script, "train", "--config", str(config),
+             "--data", str(data), "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 3, done.stderr
+        assert done.stderr == ("vulngraph: error: a training worker "
+                               "process died: exit code 7\n")
+        assert not (tmp_path / "out" / "log.jsonl").exists()
+
+    def test_cli_import_loads_no_process_modules(self):
+        package_root = Path(trainer_module.__file__).parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(package_root), os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys, vulngraph.cli; "
+             "print(sorted({'mmap', 'multiprocessing'} & set(sys.modules)))"],
+            capture_output=True, text=True, env=env, timeout=120, check=True)
+        assert done.stdout == "[]\n"
