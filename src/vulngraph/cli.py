@@ -8,6 +8,8 @@ VULNGRAPH_SEED environment variable overrides the configured seed.
 from __future__ import annotations
 
 import argparse
+import ctypes
+import functools
 import json
 import os
 import sys
@@ -40,6 +42,29 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+@functools.cache
+def _keep_freed_memory() -> None:
+    """Pin glibc's mmap and trim thresholds for this process.
+
+    Training frees multi-MB tape arrays after every sample; by default
+    glibc hands them back to the OS and the next sample faults them in
+    again. The thresholds are pinned at the most glibc's own dynamic
+    rule would raise them to, so freed blocks stay in the heap. Either
+    setting turns that rule off, so both are set: the trim threshold
+    alone would leave every block over 128 KiB to ``mmap``. Forked
+    helpers and workers inherit the setting; where libc has no
+    ``mallopt`` this does nothing.
+    """
+    try:
+        mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    except (OSError, TypeError):  # no process-wide C library handle
+        return
+    if mallopt is not None:
+        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: DEFAULT_MMAP_THRESHOLD_MAX
+        mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD: twice that
+
+
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="vulngraph",
                      description="Classify, localize, and explain C/C++ "
@@ -217,6 +242,7 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    _keep_freed_memory()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -206,14 +206,6 @@ def mean_rows(a: Matrix) -> Matrix:
     return from_op(a.data.mean(axis=0, keepdims=True), (a,), push)
 
 
-def sum_all(a: Matrix) -> Matrix:
-    def push(g: np.ndarray) -> None:
-        if a.wants_grad:
-            a._accumulate(np.full_like(a.data, g[0, 0]))
-
-    return from_op(np.array([[a.data.sum()]]), (a,), push)
-
-
 def mean_all(a: Matrix) -> Matrix:
     size = a.data.size
 

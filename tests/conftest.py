@@ -1,10 +1,16 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 import time
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import vulngraph
 from vulngraph.attribution import attribute_tokens
 from vulngraph.corpus import default_catalog, split
 from vulngraph.lexer import Vocabulary, build_vocab, tokenize
@@ -28,6 +34,17 @@ LONG_SOURCE = ("int fill(char *buf, int n) {\n"
 #: call, so its operator row holds 252 entries, far past the padded width.
 HUB_SOURCE = ("void hub(void) {\n    memcpy("
               + ", ".join(f"a{i}" for i in range(250)) + ");\n}")
+
+
+def run_python(script: str, *args) -> subprocess.CompletedProcess:
+    """Run ``script`` in a fresh interpreter that imports this package;
+    ``args`` become ``sys.argv[1:]``."""
+    package_root = Path(vulngraph.__file__).parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(package_root), os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(script), *map(str, args)],
+        capture_output=True, text=True, env=env, timeout=120)
 
 
 def dense_counts(graph) -> np.ndarray:

@@ -1,3 +1,4 @@
+import ctypes
 import json
 import logging
 import sys
@@ -5,12 +6,14 @@ import warnings
 
 import pytest
 
+import vulngraph.cli as cli
 from vulngraph.cli import main
 from vulngraph.corpus import record_to_json, save_dataset, select
 from vulngraph.model import VulnModel
 from vulngraph.synth import make_toy_corpus
 from vulngraph.trainer import (evaluate_samples, load_checkpoint,
                                prepare_sample, save_checkpoint)
+from conftest import run_python
 
 TINY_CONFIG = """\
 embed_dim=16
@@ -322,6 +325,16 @@ class TestAnalyzeSurface:
         err = capsys.readouterr().err
         assert err == f"vulngraph: config error: jobs must be >= 1, got {jobs}\n"
 
+    def test_one_parser_keeps_each_calls_defaults(self, monkeypatch):
+        jobs = []
+        monkeypatch.setitem(cli._COMMANDS, "scan",
+                            lambda args: jobs.append(args.jobs) or 0)
+        scan = ["scan", "--checkpoint", "c", "--root", "r", "--out", "o"]
+        assert main(scan + ["--jobs", "2"]) == 0
+        assert main(scan) == 0
+        assert jobs == [2, 1]
+        assert cli._build_parser() is cli._build_parser()
+
 
 def count_forwards(monkeypatch):
     """Count calls of ``VulnModel.forward``."""
@@ -411,3 +424,37 @@ class TestSweepCommand:
     def test_bad_ratios_usage_error(self, dataset, config, capsys):
         assert main(["sweep", "--config", str(config), "--data", str(dataset),
                      "--ratios", "abc"]) == 1
+
+
+def has_mallopt():
+    try:
+        return getattr(ctypes.CDLL(None), "mallopt", None) is not None
+    except (OSError, TypeError):
+        return False
+
+
+@pytest.mark.skipif(not has_mallopt(), reason="libc has no mallopt")
+def test_main_keeps_freed_blocks_in_the_process():
+    # 20 rounds that each hold two 4 MB arrays and free them; without the
+    # policy glibc unmaps both every round, about 19,800 minor faults on a
+    # 2-core x86-64 Linux host (a single array would stay in the heap
+    # after its first free even without it)
+    done = run_python("""\
+        import contextlib, io, resource
+        import numpy as np
+        from vulngraph import cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.main(["--version"])
+
+        def two_arrays():
+            arrays = [np.ones(1 << 19) for _ in range(2)]
+            del arrays
+
+        two_arrays()  # the first round may grow the heap
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(20):
+            two_arrays()
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        """)
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) < 100

@@ -4,6 +4,7 @@ import pytest
 from vulngraph import tensor
 from vulngraph.errors import GradientError, ShapeError
 from vulngraph.tensor import Matrix, Parameter
+from oracles import sum_all
 
 
 class TestOps:
@@ -43,7 +44,7 @@ class TestBackward:
     def test_linear_loss_broadcasts_input(self):
         w = Parameter(np.ones((3, 4)), "w")
         x = Matrix(np.array([[1.0], [2.0], [3.0], [4.0]]))
-        loss = tensor.sum_all(tensor.matmul(w.value, x))
+        loss = sum_all(tensor.matmul(w.value, x))
         tensor.backward(loss)
         np.testing.assert_array_equal(
             w.grad, np.tile(np.array([1.0, 2.0, 3.0, 4.0]), (3, 1)))
@@ -51,13 +52,13 @@ class TestBackward:
     def test_unused_parameter_keeps_zero_grad(self):
         used = Parameter(np.ones((2, 2)), "used")
         unused = Parameter(np.ones((2, 2)), "unused")
-        loss = tensor.sum_all(used.value)
+        loss = sum_all(used.value)
         tensor.backward(loss)
         np.testing.assert_array_equal(unused.grad, np.zeros((2, 2)))
 
     def test_backward_twice_raises(self):
         w = Parameter(np.ones((2, 2)), "w")
-        loss = tensor.sum_all(w.value)
+        loss = sum_all(w.value)
         tensor.backward(loss)
         with pytest.raises(GradientError, match="already"):
             tensor.backward(loss)
@@ -65,7 +66,7 @@ class TestBackward:
     def test_grads_accumulate_until_zeroed(self):
         w = Parameter(np.ones((1, 2)), "w")
         for expected in (1.0, 2.0):
-            tensor.backward(tensor.sum_all(w.value))
+            tensor.backward(sum_all(w.value))
             np.testing.assert_array_equal(w.grad, np.full((1, 2), expected))
         w.zero_grad()
         np.testing.assert_array_equal(w.grad, np.zeros((1, 2)))
@@ -100,7 +101,7 @@ class TestGradCheck:
         theta = Parameter(np.array([[1.0, 2.0]]), "theta")
 
         def f():
-            return tensor.sum_all(tensor.mul(theta.value, theta.value))
+            return sum_all(tensor.mul(theta.value, theta.value))
 
         theta.zero_grad()
         loss = f()
@@ -120,7 +121,7 @@ class TestGradCheck:
         theta = Parameter(np.array([[0.0, 1.0]]), "theta")
 
         def f():
-            return tensor.sum_all(tensor.relu(theta.value))
+            return sum_all(tensor.relu(theta.value))
 
         report = tensor.grad_check(f, [theta], h=1e-5)
         assert report.n_skipped == 1  # the coordinate sitting on the kink
@@ -198,7 +199,7 @@ class TestGradientOwnership:
         w = Parameter([[2.0, 1.0], [-1.0, 4.0]], "w")
         h = tensor.matmul(x, w.value)
         (grad,) = self.backward_keeps_buffers(
-            tensor.sum_all(tensor.add(h, h)), [w])
+            sum_all(tensor.add(h, h)), [w])
         np.testing.assert_array_equal(grad, 2.0 * x.data.T @ np.ones((2, 2)))
 
     def test_branches_sharing_one_pushed_array(self):
@@ -212,7 +213,7 @@ class TestGradientOwnership:
             a = tensor.matmul(x, w1.value)
             b = tensor.matmul(x, w2.value)
             squares = tensor.add(tensor.mul(a, a), tensor.mul(b, b))
-            return tensor.sum_all(tensor.add(tensor.add(a, b), squares))
+            return sum_all(tensor.add(tensor.add(a, b), squares))
 
         a = x.data @ w1.data
         b = x.data @ w2.data
@@ -247,8 +248,8 @@ class TestGradientOwnership:
         x = Matrix([[1.0, 2.0], [0.5, -1.0], [3.0, 1.0]])
         w = Parameter([[1.0, -1.0, 2.0], [0.5, 1.5, -2.0]], "w")
         h = tensor.matmul(x, w.value)
-        terms = [tensor.sum_all(tensor.mean_rows(h)),
-                 tensor.sum_all(tensor.mul(h, h))]
+        terms = [sum_all(tensor.mean_rows(h)),
+                 sum_all(tensor.mul(h, h))]
         if not view_first:
             terms.reverse()
         (grad,) = self.backward_keeps_buffers(tensor.add(*terms), [w])
@@ -261,8 +262,8 @@ class TestGradientOwnership:
         w = Parameter([[1.0, -1.0], [0.5, 1.5]], "w")
         table = tensor.matmul(x, w.value)
         ids = np.array([2, 0, 2, 2])
-        terms = [tensor.sum_all(tensor.gather_rows(table, ids)),
-                 tensor.sum_all(tensor.mean_rows(table))]
+        terms = [sum_all(tensor.gather_rows(table, ids)),
+                 sum_all(tensor.mean_rows(table))]
         if not gather_first:
             terms.reverse()
         (grad,) = self.backward_keeps_buffers(tensor.add(*terms), [w])

@@ -1,11 +1,8 @@
 import dataclasses
 import math
 import os
-import subprocess
-import sys
 import textwrap
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +24,7 @@ from vulngraph.trainer import (TrainConfig, evaluate, label_index,
                                train, train_config_to_text, _backward_batch,
                                _sample_loss, format_sweep_table)
 
-from conftest import DESK_MODEL, LONG_SOURCE
+from conftest import DESK_MODEL, LONG_SOURCE, run_python
 
 TINY_MODEL = dict(embed_dim=16, gcn_dim=12, num_classes=11)
 
@@ -556,6 +553,11 @@ def train_outputs(tmp_path, name, batch_size):
     out = tmp_path / name
     assert cli.main(["train", "--config", str(config), "--data", str(data),
                      "--out", str(out)]) == 0
+    return written_outputs(out)
+
+
+def written_outputs(out):
+    """log.jsonl bytes and each parameter's bytes of the run in ``out``."""
     with np.load(out / "params.npz") as params:
         arrays = {key: params[key].tobytes() for key in params.files}
     return (out / "log.jsonl").read_bytes(), arrays
@@ -669,24 +671,42 @@ class TestForkedTraining:
             VulnModel.forward_nodes = dying
             sys.exit(cli.main(sys.argv[1:]))
             """)
-        package_root = Path(trainer_module.__file__).parents[1]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [str(package_root), os.environ.get("PYTHONPATH")])))
-        done = subprocess.run(
-            [sys.executable, "-c", script, "train", "--config", str(config),
-             "--data", str(data), "--out", str(tmp_path / "out")],
-            capture_output=True, text=True, env=env, timeout=120)
+        done = run_python(script, "train", "--config", config, "--data",
+                          data, "--out", tmp_path / "out")
         assert done.returncode == 3, done.stderr
         assert done.stderr == ("vulngraph: error: a training worker "
                                "process died: exit code 7\n")
         assert not (tmp_path / "out" / "log.jsonl").exists()
 
     def test_cli_import_loads_no_process_modules(self):
-        package_root = Path(trainer_module.__file__).parents[1]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [str(package_root), os.environ.get("PYTHONPATH")])))
-        done = subprocess.run(
-            [sys.executable, "-c", "import sys, vulngraph.cli; "
-             "print(sorted({'mmap', 'multiprocessing'} & set(sys.modules)))"],
-            capture_output=True, text=True, env=env, timeout=120, check=True)
-        assert done.stdout == "[]\n"
+        done = run_python(
+            "import sys, vulngraph.cli; "
+            "print(sorted({'mmap', 'multiprocessing'} & set(sys.modules)))")
+        assert done.stdout == "[]\n", done.stderr
+
+    @pytest.mark.parametrize("processes", [1, 2])
+    def test_outputs_equal_without_the_allocator_policy(self, tmp_path,
+                                                        processes):
+        """``cli.main`` pins glibc's allocator thresholds first; a run with
+        that step replaced by a no-op writes the same bytes."""
+        data, config = tmp_path / "data.jsonl", tmp_path / "run.cfg"
+        save_dataset(tiny_corpus()[0], data)
+        config.write_text(DESK_RUN + "batch_size=8\n", encoding="utf-8")
+        script = """\
+            import sys
+            from vulngraph import cli, cpus
+            processes, policy = int(sys.argv[1]), sys.argv[2]
+            usable = cpus.usable_cpus
+            cpus.usable_cpus = lambda: (processes, usable()[1])
+            if policy == "off":
+                cli._keep_freed_memory = lambda: None
+            sys.exit(cli.main(sys.argv[3:]))
+            """
+        outputs = []
+        for policy in ("on", "off"):
+            out = tmp_path / policy
+            done = run_python(script, processes, policy, "train", "--config",
+                              config, "--data", data, "--out", out)
+            assert done.returncode == 0, done.stderr
+            outputs.append(written_outputs(out))
+        assert outputs[0] == outputs[1]
