@@ -19,7 +19,6 @@ from . import __version__
 from .attribution import attribute_tokens, attribution_dump, localize
 from .corpus import load_dataset, split
 from .errors import ConfigError, DataError, VulnGraphError
-from .lexer import tokenize
 from .model import ModelConfig
 from .scanner import (SOURCE_EXTENSIONS, analyze, file_functions,
                       render_report, scan)
@@ -128,18 +127,21 @@ def _load_configs(path: str) -> tuple[ModelConfig, TrainConfig]:
 
 
 def _functions_from_file(path: str, function: str | None):
+    """(record, token stream) of each function in the file, or of the
+    one named ``function``."""
     source_path = Path(path)
     if not source_path.is_file():
         raise DataError(f"no such file: {path}")
-    records = (file_functions(source_path, source_path.name) or []
-               if source_path.suffix in SOURCE_EXTENSIONS else [])
+    found = (file_functions(source_path, source_path.name) or []
+             if source_path.suffix in SOURCE_EXTENSIONS else [])
     if function is not None:
-        records = [r for r in records if r.id.endswith(f":{function}")]
-        if not records:
+        found = [(record, stream) for record, stream in found
+                 if record.id.endswith(f":{function}")]
+        if not found:
             raise DataError(f"no function named {function!r} in {path}")
-    if not records:
+    if not found:
         raise DataError(f"no function definitions found in {path}")
-    return records
+    return found
 
 
 def _output_dir(path: str) -> Path:
@@ -181,8 +183,8 @@ def _cmd_eval(args) -> int:
 
 def _cmd_analyze(args) -> int:
     model, vocab = load_checkpoint(args.checkpoint)
-    for record in _functions_from_file(args.file, args.function):
-        report = analyze(record, model, vocab)
+    for record, stream in _functions_from_file(args.file, args.function):
+        report = analyze(record, model, vocab, stream)
         print(render_report(report, record.source))
     return EXIT_OK
 
@@ -199,8 +201,7 @@ def _cmd_scan(args) -> int:
 def _cmd_attribute(args) -> int:
     model, vocab = load_checkpoint(args.checkpoint)
     dumps = []
-    for record in _functions_from_file(args.file, args.function):
-        stream = tokenize(record.source)
+    for record, stream in _functions_from_file(args.file, args.function):
         inputs = model_inputs(build_graph(stream), vocab)
         output = model.forward(*inputs)
         attribution = attribute_tokens(model, stream, inputs, output)

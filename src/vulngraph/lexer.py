@@ -95,6 +95,17 @@ class TokenStream:
         """The tokens between <BOS> and <EOS>."""
         return self.tokens[1:-1]
 
+    @classmethod
+    def of(cls, tokens: Iterable[Token]) -> "TokenStream":
+        """The stream of the first ``MAX_PAYLOAD`` of ``tokens``.
+
+        At most one token more is taken from the iterable, and only to
+        mark the stream truncated.
+        """
+        payload = list(islice(tokens, MAX_PAYLOAD + 1))
+        return cls(tokens=(_BOS_TOKEN, *payload[:MAX_PAYLOAD], _EOS_TOKEN),
+                   truncated=len(payload) > MAX_PAYLOAD)
+
 
 KEYWORDS = frozenset("""
     auto break case char const continue default do double else enum extern
@@ -203,10 +214,7 @@ def tokenize(source: str) -> TokenStream:
     """
     if not source:
         raise DataError("cannot tokenize empty source")
-    payload = list(islice(_lex_tokens(source), MAX_PAYLOAD + 1))
-    truncated = len(payload) > MAX_PAYLOAD
-    return TokenStream(tokens=(_BOS_TOKEN, *payload[:MAX_PAYLOAD], _EOS_TOKEN),
-                       truncated=truncated)
+    return TokenStream.of(_lex_tokens(source))
 
 
 class Vocabulary:

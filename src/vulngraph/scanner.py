@@ -4,7 +4,13 @@ Function extraction is lexical: a definition is a top-level
 ``identifier ( ... ) {`` with braces balanced to the matching close.
 Matching runs over lexer tokens, so braces inside string or character
 literals cannot confuse it. K&R-style definitions and macro-generated
-functions are known misses of this approach.
+functions are known misses of this approach. Each file is lexed once:
+a function's token stream is the file's tokens on the function's lines,
+renumbered from its first line, and is not lexed again for analysis.
+
+A scan's unit of work is one file: extraction, analysis and rendering
+of its reports, in a forked worker when ``scan`` runs with ``jobs`` > 1.
+The scanning process only writes what the tasks return, in file order.
 
 Every analyzed function yields a report with the four developer-facing
 outputs: the predicted class, its static description, the vulnerable
@@ -15,16 +21,19 @@ from __future__ import annotations
 
 import json
 import logging
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from . import cpus
 from .attribution import attribute_tokens, localize, normalize_scores
 from .corpus import (BINARY_VULNERABLE_LABEL, FunctionRecord, default_catalog,
                      normalize_newlines)
 from .errors import ConfigError, DataError, LexError, VulnGraphError
-from .lexer import Token, TokenKind, Vocabulary, closers, lex, tokenize
+from .lexer import (Token, TokenKind, TokenStream, Vocabulary, closers, lex,
+                    tokenize)
 from .model import VulnModel
 from .semgraph import build_graph, model_inputs
 
@@ -32,6 +41,8 @@ logger = logging.getLogger(__name__)
 
 SOURCE_EXTENSIONS = {".c", ".h", ".cc", ".cpp", ".hpp"}
 _CPP_EXTENSIONS = {".cc", ".cpp", ".hpp"}
+
+_line = attrgetter("line")
 
 _BINARY_DESCRIPTION = (
     "Vulnerability detected. This model distinguishes vulnerable from "
@@ -89,48 +100,71 @@ def extract_functions(root: str | Path,
     than failing the walk, and its relative path is appended to
     ``skipped``.
     """
-    root = Path(root)
-    if not root.is_dir():
-        raise DataError(f"scan root {root} is not a readable directory")
     records: list[FunctionRecord] = []
-    files = sorted(p for p in root.rglob("*")
-                   if p.is_file() and p.suffix in SOURCE_EXTENSIONS)
-    for path in files:
-        rel_path = path.relative_to(root).as_posix()
+    for path, rel_path in _source_files(root):
         found = file_functions(path, rel_path)
         if found is not None:
-            records.extend(found)
+            records.extend(record for record, _ in found)
         elif skipped is not None:
             skipped.append(rel_path)
     return records
 
 
-def file_functions(path: Path, rel_path: str) -> list[FunctionRecord] | None:
-    """Every function definition in one source file, ordered by start line.
+def _source_files(root: str | Path) -> list[tuple[Path, str]]:
+    """(path, path relative to ``root``) of every source file, sorted."""
+    root = Path(root)
+    if not root.is_dir():
+        raise DataError(f"scan root {root} is not a readable directory")
+    files = sorted(p for p in root.rglob("*")
+                   if p.is_file() and p.suffix in SOURCE_EXTENSIONS)
+    return [(path, path.relative_to(root).as_posix()) for path in files]
+
+
+def file_functions(path: Path, rel_path: str
+                   ) -> list[tuple[FunctionRecord, TokenStream]] | None:
+    """Every function definition in one source file, ordered by start
+    line, each with its token stream.
 
     ``rel_path`` names the file in function ids and reports. CRLF and
     lone CR line endings read as LF. A file that cannot be read, lexed
     or balanced gives None, with a warning.
     """
+    found, warning = _cut_file(path, rel_path)
+    if warning is not None:
+        logger.warning("%s", warning)
+        return None
+    return found
+
+
+def _cut_file(path: Path, rel_path: str
+              ) -> tuple[list[tuple[FunctionRecord, TokenStream]], str | None]:
+    """``file_functions``, with the warning returned instead of logged."""
     try:
         text = path.read_text(encoding="utf-8", errors="replace")
-        return _functions_in_file(normalize_newlines(text), rel_path)
+        return _functions_in_file(normalize_newlines(text), rel_path), None
     except OSError as exc:
-        logger.warning("skipping unreadable file %s: %s", rel_path, exc)
+        return [], f"skipping unreadable file {rel_path}: {exc}"
     except LexError as exc:
-        logger.warning("skipping unlexable file %s: %s", rel_path, exc)
-    return None
+        return [], f"skipping unlexable file {rel_path}: {exc}"
+    except DataError as exc:
+        return [], f"skipping {rel_path}: {exc}"
 
 
-def _functions_in_file(text: str,
-                       rel_path: str) -> list[FunctionRecord] | None:
+def _functions_in_file(text: str, rel_path: str
+                       ) -> list[tuple[FunctionRecord, TokenStream]]:
+    """The file's functions, each streamed from the one lex of ``text``.
+
+    A function's stream holds the file's tokens on the function's lines,
+    renumbered from 1. That is ``tokenize(record.source)`` unless a
+    comment or literal crosses the function's first or last line.
+    """
     tokens = lex(text)
     lines = text.split("\n")
     language = "cpp" if Path(rel_path).suffix in _CPP_EXTENSIONS else "c"
     directive_lines = _directive_lines(tokens)
     parens = closers(tokens, "(", ")")
     braces = closers(tokens, "{", "}")
-    records: list[FunctionRecord] = []
+    found: list[tuple[FunctionRecord, TokenStream]] = []
     depth = 0
     i = 0
     n = len(tokens)
@@ -144,20 +178,24 @@ def _functions_in_file(text: str,
                     and tokens[close + 1].text == "{":
                 end = braces.get(close + 1)
                 if end is None:
-                    logger.warning(
-                        "skipping %s: unbalanced braces after line %d",
-                        rel_path, tokens[close + 1].line)
-                    return None
-                start_line = _declaration_start(tokens, i, directive_lines)
+                    raise DataError(f"unbalanced braces after line "
+                                    f"{tokens[close + 1].line}")
+                start = _declaration_start(tokens, i, directive_lines)
+                start_line = tokens[start].line
                 end_line = tokens[end].line
-                source = "\n".join(lines[start_line - 1:end_line])
-                records.append(FunctionRecord(
+                record = FunctionRecord(
                     id=f"{rel_path}:{start_line}:{tok.text}",
-                    source=source,
+                    source="\n".join(lines[start_line - 1:end_line]),
                     language=language,
                     file=rel_path,
                     file_start_line=start_line,
-                ))
+                )
+                first = bisect_left(tokens, start_line, hi=start, key=_line)
+                last = bisect_right(tokens, end_line, lo=end, key=_line)
+                offset = start_line - 1
+                found.append((record, TokenStream.of(
+                    Token(text, kind, line - offset)
+                    for text, kind, line in tokens[first:last])))
                 i = end + 1
                 continue
         if tok.text == "{":
@@ -165,7 +203,7 @@ def _functions_in_file(text: str,
         elif tok.text == "}":
             depth = max(0, depth - 1)
         i += 1
-    return records
+    return found
 
 
 def _directive_lines(tokens: Sequence[Token]) -> set[int]:
@@ -178,7 +216,8 @@ def _directive_lines(tokens: Sequence[Token]) -> set[int]:
 
 def _declaration_start(tokens: Sequence[Token], name_pos: int,
                        directive_lines: set[int]) -> int:
-    """First line of the declaration: scan back over return-type tokens."""
+    """Position of the declaration's first token: scan back over
+    return-type tokens."""
     start = name_pos
     while start - 1 >= 0:
         prev = tokens[start - 1]
@@ -189,7 +228,7 @@ def _declaration_start(tokens: Sequence[Token], name_pos: int,
             start -= 1
         else:
             break
-    return tokens[start].line
+    return start
 
 
 def _span(record: FunctionRecord) -> tuple[int, int]:
@@ -205,17 +244,20 @@ def _unanalyzable(record: FunctionRecord, error: str) -> AnalysisReport:
         description="unanalyzable", error=error)
 
 
-def analyze(record: FunctionRecord, model: VulnModel,
-            vocab: Vocabulary) -> AnalysisReport:
+def analyze(record: FunctionRecord, model: VulnModel, vocab: Vocabulary,
+            stream: TokenStream | None = None) -> AnalysisReport:
     """Run the full pipeline on one function.
 
-    Lexing failures produce a report marked unanalyzable instead of
-    raising, so a single pathological function cannot stop a scan.
+    ``stream`` is the record's token stream, when already made; else the
+    source is tokenized here. Lexing failures produce a report marked
+    unanalyzable instead of raising, so a single pathological function
+    cannot stop a scan.
     """
     span = _span(record)
     offset = span[0] - 1
     try:
-        stream = tokenize(record.source)
+        if stream is None:
+            stream = tokenize(record.source)
         graph = build_graph(stream)
     except (LexError, DataError) as exc:
         return _unanalyzable(record, str(exc))
@@ -287,9 +329,28 @@ class ScanSummary:
         return "\n".join(lines) + "\n"
 
 
-def _report_filename(report: AnalysisReport, suffix: str) -> str:
-    base = (report.file or report.function_id).replace("/", "__")
-    return f"{base}__L{report.span[0]}{suffix}"
+#: Report file suffix per report format.
+_SUFFIXES = {"json": ".json", "text": ".txt"}
+
+
+def _report_base(rel_path: str) -> str:
+    """What a file's report names start with; line and suffix follow."""
+    return rel_path.replace("/", "__")
+
+
+def _check_report_names(files: list[tuple[Path, str]]) -> None:
+    """Two files whose reports would share names are a DataError.
+
+    A base ends in a source extension, so it is followed by the line
+    only, and only equal bases clash.
+    """
+    seen: dict[str, str] = {}
+    for _, rel_path in files:
+        base = _report_base(rel_path)
+        if base in seen:
+            raise DataError(f"{seen[base]} and {rel_path} would both write "
+                            f"reports named {base}__L<line>")
+        seen[base] = rel_path
 
 
 def scan(root: str | Path, model: VulnModel, vocab: Vocabulary,
@@ -298,46 +359,41 @@ def scan(root: str | Path, model: VulnModel, vocab: Vocabulary,
 
     Reports land in ``out`` ordered by (path, start line), together with
     summary.json counting functions per predicted class and listing the
-    files that extraction skipped. ``jobs`` > 1 analyzes in worker
-    processes started by fork, at most one per usable CPU; where fork
-    is unavailable the scan warns and runs serially. Output is
+    files that extraction skipped. Each source file is one task: its
+    functions are cut from one lex of the file, analyzed and rendered.
+    ``jobs`` > 1 runs the tasks in worker processes started by fork, at
+    most one per usable CPU; where fork is unavailable the scan warns
+    and runs serially. This process writes every report, logs every
+    warning and writes the summary, in file order. Output is
     deterministic: rerunning on an unchanged tree with the same frozen
     model reproduces byte-identical files regardless of ``jobs``.
     """
-    if fmt not in ("json", "text"):
+    if fmt not in _SUFFIXES:
         raise DataError(f"unknown report format {fmt!r}")
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
-    skipped: list[str] = []
-    records = extract_functions(root, skipped)
+    files = _source_files(root)
+    _check_report_names(files)
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
 
-    workers = _worker_count(jobs, len(records)) if jobs > 1 else 1
-    if workers > 1:
-        reports = _analyze_in_workers(records, workers, model, vocab)
-    else:
-        reports = [_run(record, model, vocab) for record in records]
-
     counts: dict[str, int] = {}
-    for record, report in zip(records, reports):
-        counts[report.predicted_cwe] = counts.get(report.predicted_cwe, 0) + 1
-        if fmt == "json":
-            payload = json.dumps(report.to_json_dict(), indent=2,
-                                 sort_keys=True)
-            (out / _report_filename(report, ".json")).write_text(
-                payload + "\n", encoding="utf-8")
-        else:
-            (out / _report_filename(report, ".txt")).write_text(
-                render_report(report, record.source),
-                encoding="utf-8")
+    skipped: list[str] = []
+    n_files = n_functions = 0
+    results = _scan_files(files, model, vocab, fmt, jobs)
+    for (_, rel_path), (reports, warning) in zip(files, results, strict=True):
+        if warning is not None:
+            logger.warning("%s", warning)
+            skipped.append(rel_path)
+        n_files += bool(reports)
+        n_functions += len(reports)
+        for report in reports:
+            counts[report.predicted_cwe] = \
+                counts.get(report.predicted_cwe, 0) + 1
+            (out / report.name).write_text(report.text, encoding="utf-8")
 
-    summary = ScanSummary(
-        n_files=len({r.file for r in records if r.file}),
-        n_functions=len(records),
-        counts=counts,
-        skipped=skipped,
-    )
+    summary = ScanSummary(n_files=n_files, n_functions=n_functions,
+                          counts=counts, skipped=skipped)
     (out / "summary.json").write_text(
         json.dumps(summary.to_json_dict(), indent=2, sort_keys=True) + "\n",
         encoding="utf-8")
@@ -345,52 +401,93 @@ def scan(root: str | Path, model: VulnModel, vocab: Vocabulary,
     return summary
 
 
-def _run(record: FunctionRecord, model: VulnModel,
-         vocab: Vocabulary) -> AnalysisReport:
+class _Rendered(NamedTuple):
+    """One report as a scan writes it."""
+
+    name: str  # file name in the output directory
+    text: str
+    predicted_cwe: str
+
+
+def _scan_file(path: Path, rel_path: str, model: VulnModel,
+               vocab: Vocabulary, fmt: str
+               ) -> tuple[list[_Rendered], str | None]:
+    """One scan task: the file's rendered reports and its warning, if
+    the file is skipped."""
+    found, warning = _cut_file(path, rel_path)
+    reports = []
+    for record, stream in found:
+        report = _run(record, model, vocab, stream)
+        if fmt == "json":
+            text = json.dumps(report.to_json_dict(), indent=2,
+                              sort_keys=True) + "\n"
+        else:
+            text = render_report(report, record.source)
+        name = f"{_report_base(rel_path)}__L{report.span[0]}{_SUFFIXES[fmt]}"
+        reports.append(_Rendered(name, text, report.predicted_cwe))
+    return reports, warning
+
+
+def _run(record: FunctionRecord, model: VulnModel, vocab: Vocabulary,
+         stream: TokenStream) -> AnalysisReport:
     """``analyze`` with crash isolation: an exception becomes the report."""
     try:
-        return analyze(record, model, vocab)
+        return analyze(record, model, vocab, stream)
     except Exception as exc:  # crash isolation: report, keep scanning
         return _unanalyzable(record, f"{type(exc).__name__}: {exc}")
 
 
-#: (model, vocab) of a scan worker, set once by ``_init_worker``.
-_worker_state: tuple[VulnModel, Vocabulary] | None = None
+def _scan_files(files: list[tuple[Path, str]], model: VulnModel,
+                vocab: Vocabulary, fmt: str, jobs: int
+                ) -> Iterator[tuple[list[_Rendered], str | None]]:
+    """``_scan_file`` of each file, in file order."""
+    workers = _worker_count(jobs, len(files)) if jobs > 1 else 1
+    if workers > 1:
+        return _scan_in_workers(files, workers, model, vocab, fmt)
+    return (_scan_file(path, rel_path, model, vocab, fmt)
+            for path, rel_path in files)
 
 
-def _init_worker(model: VulnModel, vocab: Vocabulary) -> None:
+#: (model, vocab, fmt) of a scan worker, set once by ``_init_worker``.
+_worker_state: tuple[VulnModel, Vocabulary, str] | None = None
+
+
+def _init_worker(model: VulnModel, vocab: Vocabulary, fmt: str) -> None:
     global _worker_state
-    _worker_state = (model, vocab)
+    _worker_state = (model, vocab, fmt)
 
 
-def _run_in_worker(record: FunctionRecord) -> AnalysisReport:
-    return _run(record, *_worker_state)
+def _scan_file_in_worker(file: tuple[Path, str]
+                         ) -> tuple[list[_Rendered], str | None]:
+    return _scan_file(*file, *_worker_state)
 
 
-def _worker_count(jobs: int, n_records: int) -> int:
-    """Processes a scan may fork: one per usable CPU and record at most,
+def _worker_count(jobs: int, n_files: int) -> int:
+    """Processes a scan may fork: one per usable CPU and file at most,
     or 1 (serial) where the platform cannot fork."""
     count, can_fork = cpus.usable_cpus()
     if not can_fork:
         logger.warning("scan --jobs needs the fork start method, which "
                        "this platform lacks; analyzing serially")
         return 1
-    return min(jobs, count, n_records)
+    return min(jobs, count, n_files)
 
 
-def _chunk_size(n_records: int, workers: int) -> int:
-    """Records per task: 32, or fewer so that a small tree still reaches
+def _chunk_size(n_files: int, workers: int) -> int:
+    """Files per task: 4, or fewer so that a small tree still reaches
     every worker."""
-    return min(32, -(-n_records // workers))
+    return min(4, -(-n_files // workers))
 
 
-def _analyze_in_workers(records: list[FunctionRecord], workers: int,
-                        model: VulnModel, vocab: Vocabulary
-                        ) -> list[AnalysisReport]:
-    """Reports in record order, from ``workers`` forked processes.
+def _scan_in_workers(files: list[tuple[Path, str]], workers: int,
+                     model: VulnModel, vocab: Vocabulary, fmt: str
+                     ) -> Iterator[tuple[list[_Rendered], str | None]]:
+    """``_scan_file`` of each file from ``workers`` forked processes, in
+    file order, each as soon as it and the files before it are done.
 
     Forked workers inherit the model and vocabulary through the
-    initializer's arguments, so only records and reports are pickled.
+    initializer's arguments, so only file names and rendered reports
+    are pickled.
     """
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -400,9 +497,9 @@ def _analyze_in_workers(records: list[FunctionRecord], workers: int,
                 max_workers=workers,
                 mp_context=multiprocessing.get_context("fork"),
                 initializer=_init_worker,
-                initargs=(model, vocab)) as pool:
-            return list(pool.map(_run_in_worker, records,
-                                 chunksize=_chunk_size(len(records), workers)))
+                initargs=(model, vocab, fmt)) as pool:
+            yield from pool.map(_scan_file_in_worker, files,
+                                chunksize=_chunk_size(len(files), workers))
     except BrokenProcessPool as exc:
         raise VulnGraphError(f"a scan worker process died: {exc}") from exc
 

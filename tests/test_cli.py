@@ -156,7 +156,7 @@ class TestExitCodes:
                              ids=["file", "under-file"])
     @pytest.mark.parametrize("command, module, work", [
         ("train", "trainer", "train"),
-        ("scan", "scanner", "extract_functions")])
+        ("scan", "scanner", "_cut_file")])
     def test_out_at_a_file_fails_before_any_work(self, tmp_path, dataset,
                                                  config, checkpoint,
                                                  monkeypatch, command, module,
@@ -273,11 +273,14 @@ class TestAnalyzeSurface:
             self, tmp_path, checkpoint, monkeypatch, command, capsys):
         source = tmp_path / "two.c"
         source.write_text(TWO_FUNCTIONS, encoding="utf-8")
+        """One lex of the file, whose tokens both functions' streams are
+        cut from, and one graph per function."""
+        lexed = count_calls(monkeypatch, "lexer", "lex")
         tokenized = count_calls(monkeypatch, "lexer", "tokenize")
         graphed = count_calls(monkeypatch, "semgraph", "build_graph")
         assert main([command, "--checkpoint", str(checkpoint), "--file",
                      str(source)]) == 0
-        assert (len(tokenized), len(graphed)) == (2, 2)
+        assert (len(lexed), len(tokenized), len(graphed)) == (1, 0, 2)
 
     @pytest.mark.parametrize("name, text", [("notes.txt", TWO_FUNCTIONS),
                                             ("empty.c", "")])

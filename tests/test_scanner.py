@@ -14,8 +14,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vulngraph.corpus import FunctionRecord, load_dataset, select
-from vulngraph.errors import ConfigError, DataError
-from vulngraph.lexer import closers, lex
+from vulngraph.errors import ConfigError, DataError, LexError
+from vulngraph.lexer import closers, lex, tokenize
 from vulngraph import cpus, scanner
 from vulngraph.model import VulnModel
 from vulngraph.scanner import (AnalysisReport, _chunk_size, analyze,
@@ -251,6 +251,114 @@ class TestExtract:
         assert time.perf_counter() - started < 2.0
 
 
+#: (text, line) of ``int f(void) {\n    return 0;\n}`` in its own lines.
+F_TOKENS = [("int", 1), ("f", 1), ("(", 1), ("void", 1), (")", 1), ("{", 1),
+            ("return", 2), ("0", 2), (";", 2), ("}", 3)]
+
+
+def cut_one(tmp_path: Path, text: str):
+    """The one (record, stream) of a file holding ``text``."""
+    path = tmp_path / "f.c"
+    path.write_text(text, encoding="utf-8")
+    [(record, stream)] = scanner.file_functions(path, "f.c")
+    return record, stream
+
+
+def lines_of(stream) -> list[tuple[str, int]]:
+    return [(tok.text, tok.line) for tok in stream.payload()]
+
+
+#: One function's body statements; none crosses a line that holds the
+#: function's first or last token.
+STATEMENTS = st.sampled_from([
+    "x = x + 1;", "return y;", "/* one */", "// rest of line\n",
+    'puts("a");', "/* two\n lines */", 's = "a\\\nb";', "c = '}';",
+    "if (a) {\n b(); }", "\n", " "])
+#: Top-level text on a function's first or last line.
+BESIDE = st.sampled_from([" ", "int v;", "/* top */", "x = 1;"])
+#: Top-level text between functions; a multi-line comment keeps to
+#: lines of its own.
+BETWEEN = BESIDE | st.sampled_from(["\n", "// top\n", "#define N 1\n",
+                                    "\n/* spans\nlines */\n"])
+
+
+@st.composite
+def source_files(draw):
+    """Functions, some past the 512-token window, each ending its line."""
+    parts = []
+    for k in range(draw(st.integers(1, 4))):
+        parts += draw(st.lists(BETWEEN, max_size=3))
+        parts += draw(st.lists(BESIDE, max_size=2))
+        body = draw(st.lists(STATEMENTS, max_size=12))
+        body += ["x = x + 1;"] * draw(st.sampled_from([0, 0, 84, 85, 120]))
+        parts.append(f"static int f{k}(int a) {{"
+                     + draw(st.sampled_from([" ", "\n"])).join(body) + "}")
+        parts += draw(st.lists(BESIDE, max_size=2)) + ["\n"]
+    return "".join(parts)
+
+
+class TestStreamsFromTheFileLex:
+    """A function's stream is cut from its file's one lex: the tokens on
+    the function's lines, renumbered from 1. Where a comment or literal
+    crosses the function's first or last line, that differs from
+    ``tokenize(record.source)``, the re-lex of the function's lines."""
+
+    @pytest.mark.parametrize("above, first", [
+        ("/* note\n   ends */ ", []),
+        ('const char *s = "a\\\n"; ', [(";", 1)]),
+    ], ids=["block-comment", "string"])
+    def test_opened_above_the_first_line(self, tmp_path, above, first):
+        record, stream = cut_one(
+            tmp_path, above + "int f(void) {\n    return 0;\n}\n")
+        assert record.file_start_line == 2
+        assert lines_of(stream) == first + F_TOKENS
+        if first:  # the re-lex opens a string at the closing quote
+            with pytest.raises(LexError, match="unterminated string"):
+                tokenize(record.source)
+        else:  # the re-lex reads the comment's tail as code
+            assert lines_of(tokenize(record.source)) == [
+                ("ends", 1), ("*", 1), ("/", 1)] + F_TOKENS
+
+    def test_spliced_line_comment_above_the_first_line(self, tmp_path):
+        """A backslash-newline carries a // comment over the whole next
+        line, which then holds no token, so no function starts on it:
+        both streams agree."""
+        record, stream = cut_one(
+            tmp_path, "// note \\\nint g(void) {\nint f(void) {\n"
+                      "    return 0;\n}\n")
+        assert record.id == "f.c:3:f"
+        assert lines_of(stream) == lines_of(tokenize(record.source)) \
+            == F_TOKENS
+
+    @pytest.mark.parametrize("after, last", [
+        (" /* trailing\n   comment */", []),
+        (' "open\\\n";', [('"open\\\n"', 3)]),
+    ], ids=["block-comment", "string"])
+    def test_opened_after_the_closing_brace(self, tmp_path, toy_run, after,
+                                            last):
+        """The re-lex cannot close what opens after the brace, and would
+        make the function unanalyzable."""
+        record, stream = cut_one(
+            tmp_path, "int f(void) {\n    return 0;\n}" + after + "\n")
+        assert lines_of(stream) == F_TOKENS + last
+        with pytest.raises(LexError, match="line 3: unterminated"):
+            tokenize(record.source)
+        assert analyze(record, toy_run.model, toy_run.vocab).unanalyzable
+        assert not analyze(record, toy_run.model, toy_run.vocab,
+                           stream).unanalyzable
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=source_files())
+    def test_slice_equals_relex_off_the_boundaries(self, text):
+        with tempfile.TemporaryDirectory() as root:
+            path = Path(root) / "gen.c"
+            path.write_text(text, encoding="utf-8")
+            found = scanner.file_functions(path, "gen.c")
+        assert len(found) == text.count("static int f")
+        for record, stream in found:
+            assert stream == tokenize(record.source), record.id
+
+
 class TestAnalyze:
     def test_benign_prediction_has_no_localization(self, toy_run):
         benign = next(r for r in toy_run.records if not r.is_vulnerable)
@@ -404,15 +512,14 @@ class TestScan:
                                                  monkeypatch):
         record = select(toy_run.records, toy_run.split.train)[0]
         src = write_tree(tmp_path, [record])
-        extract = scanner.extract_functions
+        cut = scanner._cut_file
 
-        def extract_then_edit(root, skipped):
-            records = extract(root, skipped)
-            (src / "f0.c").write_text("int edited(void) {\n}\n",
-                                      encoding="utf-8")
-            return records
+        def cut_then_edit(path, rel_path):
+            found = cut(path, rel_path)
+            path.write_text("int edited(void) {\n}\n", encoding="utf-8")
+            return found
 
-        monkeypatch.setattr(scanner, "extract_functions", extract_then_edit)
+        monkeypatch.setattr(scanner, "_cut_file", cut_then_edit)
         scan(src, toy_run.model, toy_run.vocab, tmp_path / "out", fmt="text")
         excerpt = (tmp_path / "out" / "f0.c__L1.txt").read_text(
             encoding="utf-8").split("\n\n", 1)[1]
@@ -463,6 +570,38 @@ class TestScan:
             encoding="utf-8"))
         assert report["description"] == "unanalyzable"
         assert report["error"].startswith("GradientError: non-finite")
+
+    def test_each_file_lexed_once(self, tmp_path, toy_run, monkeypatch):
+        src = tmp_path / "src"
+        src.mkdir()
+        for name in ("a.c", "b.c"):
+            (src / name).write_text(TWO_FUNCTIONS, encoding="utf-8")
+        calls = []
+
+        def counted(name):
+            original = getattr(scanner, name)
+
+            def counting(*args):
+                calls.append(name)
+                return original(*args)
+            return counting
+
+        for name in ("lex", "tokenize", "build_graph"):
+            monkeypatch.setattr(scanner, name, counted(name))
+        summary = scan(src, toy_run.model, toy_run.vocab, tmp_path / "out")
+        assert summary.n_functions == 4
+        assert sorted(calls) == ["build_graph"] * 4 + ["lex"] * 2
+
+    def test_report_name_clash_is_data_error(self, tmp_path, toy_run):
+        src = tmp_path / "src"
+        (src / "a").mkdir(parents=True)
+        for rel in ("a/b.c", "a__b.c"):
+            (src / rel).write_text("int f(void) {\n    return 0;\n}\n",
+                                   encoding="utf-8")
+        with pytest.raises(DataError, match=r"^a/b\.c and a__b\.c would both "
+                           r"write reports named a__b\.c__L<line>$"):
+            scan(src, toy_run.model, toy_run.vocab, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_format_rejected(self, tmp_path, toy_run):
         with pytest.raises(DataError):
@@ -548,10 +687,36 @@ class TestWorkers:
                           jobs=1) == \
             scan_bytes(src, toy_run, tmp_path / "o2", fmt="text", jobs=2)
 
-    @pytest.mark.parametrize("n_records, workers, size", [
-        (32, 2, 16), (768, 2, 32), (33, 2, 17), (1, 1, 1)])
-    def test_chunk_size_spreads_small_trees(self, n_records, workers, size):
-        assert _chunk_size(n_records, workers) == size
+    @pytest.mark.parametrize("n_files, workers, size", [
+        (6, 2, 3), (96, 2, 4), (7, 2, 4), (1, 1, 1)])
+    def test_chunk_size_spreads_small_trees(self, n_files, workers, size):
+        assert _chunk_size(n_files, workers) == size
+
+    def test_warnings_reach_the_log_in_path_order(self, tmp_path, toy_run,
+                                                  two_cpus, caplog):
+        src = tmp_path / "src"
+        (src / "sub").mkdir(parents=True)
+        (src / "fine.c").write_text("int g(void) {\n    return 0;\n}\n",
+                                    encoding="utf-8")
+        (src / "open.c").write_text(
+            'int f(void) {\n    return puts("open);\n}\n', encoding="utf-8")
+        (src / "sub" / "broken.c").write_text("int f() { int x = 1;\n",
+                                              encoding="utf-8")
+        (src / "sub" / "zz.c").write_text("int k(void) {\n    return 1;\n}\n",
+                                          encoding="utf-8")
+        logged, skipped = [], []
+        for jobs in (1, 2):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="vulngraph.scanner"):
+                summary = scan(src, toy_run.model, toy_run.vocab,
+                               tmp_path / f"out{jobs}", jobs=jobs)
+            logged.append([r.getMessage() for r in caplog.records])
+            skipped.append(summary.skipped)
+        assert logged == [[
+            "skipping unlexable file open.c: line 2: unterminated string "
+            "literal",
+            "skipping sub/broken.c: unbalanced braces after line 1"]] * 2
+        assert skipped == [["open.c", "sub/broken.c"]] * 2
 
 
 class TestRender:
