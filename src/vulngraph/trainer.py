@@ -8,19 +8,21 @@ processed in a fixed order, so a (config, seed) pair reproduces the same
 parameter trajectory bit for bit.
 
 A batch's loss is the mean of its samples' losses. Each sample's share
-is backpropagated right after its own forward pass, and the parameter
-gradients accumulate across the calls, so one sample's tape is alive at
-a time; Adam then steps once per batch. Validation runs the tape-free
-``VulnModel.forward`` once per sample, and its loss and metrics both
-read that output. A fusion-ratio sweep prepares the samples once and
-trains one model per ratio from them.
+is backpropagated right after its own forward pass, and its gradients
+are added to the parameters' in sample order, so one sample's tape is
+alive at a time; Adam then steps once per batch. Validation runs the
+tape-free ``VulnModel.forward`` once per sample, and its loss and
+metrics both read that output. A fusion-ratio sweep prepares the
+samples once and trains one model per ratio from them.
 
-A batch's samples are shared out over one process per usable CPU (at
-most one per sample of a batch): the training process and helpers
-forked from it, once per run. Every sample's gradients are added into
-one shared set in sample order, so the log and the parameters are the
-same bit for bit at any CPU count. Where the platform cannot fork,
-training runs in one process.
+Training runs on one process per usable CPU (at most one per sample of
+a batch): the training process and helpers forked from it once per run,
+which hold every sample already. Each runs the same epoch and batch
+loop: sample j of a batch and validation sample j run in process
+j mod N, and each process steps Adam on its own slice of the parameters.
+The gradients are added in sample order and the update is elementwise,
+so the log and the parameters are the same bit for bit at any CPU count.
+Where the platform cannot fork, training runs in one process.
 """
 
 from __future__ import annotations
@@ -28,10 +30,9 @@ from __future__ import annotations
 import json
 import math
 import os
-from contextlib import nullcontext
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -40,7 +41,7 @@ from .corpus import (BINARY_VULNERABLE_LABEL, DatasetSplit, FunctionRecord,
                      default_catalog, select)
 from .errors import ConfigError, DataError, GradientError, TrainingError
 from .lexer import TokenStream, Vocabulary, build_vocab, tokenize
-from .model import (ForwardOutput, ModelConfig, VulnModel, denormalize_lines,
+from .model import (ModelConfig, VulnModel, denormalize_lines,
                     normalize_line_range)
 from .objectives import (FocalConfig, MetricsReport, classification_metrics,
                          focal_loss, iou_1d, mse_loss)
@@ -80,60 +81,64 @@ class TrainConfig:
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
 
 
-#: Elements of a parameter that ``Adam.step`` updates at a time. Its two
-#: scratch blocks take 1 MiB, and a block's operands are reread from cache.
+#: Elements of the flat parameter vector that ``Adam.step`` updates at a
+#: time. Its two scratch blocks take 1 MiB, and a block's operands are
+#: reread from cache.
 ADAM_BLOCK = 2**16
 
 
 class Adam:
-    """Adaptive per-parameter update (beta1 0.9, beta2 0.999, eps 1e-8)."""
+    """Adaptive update (beta1 0.9, beta2 0.999, eps 1e-8) of the ``part``
+    slice of the flat parameter vector laid out by ``_share``.
 
-    def __init__(self, params: Sequence[tensor.Parameter], lr: float,
+    ``state`` holds four rows over that vector: the values, the
+    gradients and the two moments. The update is elementwise, so the
+    bits do not depend on where the slices break: each training process
+    steps its own slice, and one process steps the whole vector.
+    """
+
+    def __init__(self, state: np.ndarray, lr: float, part: slice = slice(None),
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.params = list(params)
+        self.values, self.grads, self.m, self.v = state[:, part]
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self._m = [np.zeros_like(p.data) for p in self.params]
-        self._v = [np.zeros_like(p.data) for p in self.params]
-        block = max([ADAM_BLOCK] + [p.shape[1] for p in self.params])
-        self._scratch = np.empty((2, block))
+        self._scratch = np.empty((2, min(ADAM_BLOCK, self.values.size)))
 
     def step(self) -> None:
-        """Update every parameter in place, a block of rows at a time.
+        """Update the slice in place, a block at a time, and zero its
+        gradients.
 
         Per element this runs ``m = b1*m + (1-b1)*g``,
         ``v = b2*v + (1-b2)*g*g`` and ``p -= lr * m_hat / (sqrt(v_hat) +
         eps)``, with ``m_hat = m / (1-b1^t)`` and ``v_hat = v / (1-b2^t)``,
         as the same operations in the same order, so the values are equal
-        bit for bit. Only the moments and two scratch blocks are written.
+        bit for bit. Only the slice and two scratch blocks are written.
         """
         self.t += 1
         m_scale = 1 - self.beta1 ** self.t
         v_scale = 1 - self.beta2 ** self.t
-        for p, m_all, v_all in zip(self.params, self._m, self._v):
-            rows, cols = p.shape
-            step = max(1, self._scratch.shape[1] // cols)
-            for lo in range(0, rows, step):
-                at = slice(lo, lo + step)
-                g, m, v, x = p.grad[at], m_all[at], v_all[at], p.data[at]
-                a = self._scratch[0, :g.size].reshape(g.shape)
-                b = self._scratch[1, :g.size].reshape(g.shape)
-                m *= self.beta1
-                m += np.multiply(g, 1 - self.beta1, out=a)
-                np.multiply(g, 1 - self.beta2, out=a)
-                a *= g
-                v *= self.beta2
-                v += a
-                np.divide(v, v_scale, out=a)
-                np.sqrt(a, out=a)
-                a += self.eps
-                np.divide(m, m_scale, out=b)
-                b *= self.lr
-                b /= a
-                x -= b
+        block = self._scratch.shape[1]
+        for lo in range(0, self.values.size, block):
+            at = slice(lo, lo + block)
+            g, m, v, x = self.grads[at], self.m[at], self.v[at], self.values[at]
+            a, b = self._scratch[:, :g.size]
+            m *= self.beta1
+            m += np.multiply(g, 1 - self.beta1, out=a)
+            np.multiply(g, 1 - self.beta2, out=a)
+            a *= g
+            v *= self.beta2
+            v += a
+            np.divide(v, v_scale, out=a)
+            np.sqrt(a, out=a)
+            a += self.eps
+            np.divide(m, m_scale, out=b)
+            b *= self.lr
+            b /= a
+            x -= b
+            g[...] = 0.0
 
 
 @dataclass(frozen=True)
@@ -198,36 +203,92 @@ def _backward_batch(model: VulnModel, batch: Sequence[EncodedSample],
     """Add the gradients of the batch's mean loss; return that loss.
 
     Each sample's loss, scaled by 1/len(batch), is walked right after its
-    own forward pass. One tape over the whole batch would push the same
-    values and add them to the parameters in the same sample order, so
-    the gradients are equal bit for bit.
+    own forward pass. Its gradients are added to the parameters' at the
+    sample's turn, after every earlier sample's: straight from the tape
+    when the turn is free before the walk, as it always is in one
+    process, and from fresh arrays otherwise. One tape over the whole
+    batch would push the same values and add them in the same sample
+    order, so the gradients are equal bit for bit.
 
-    With ``helpers`` of N processes, sample j runs in process j mod N,
-    this one being process 0. A helper's sample is added to the
-    gradients when its turn comes, after every earlier sample's, so the
-    sums are formed in the same order as here; an exception it raised is
-    raised here at the same place.
+    With ``helpers`` of N processes, every process calls this on the same
+    batch, and sample j runs in process j mod N. A process that waits for
+    its turn runs its next sample's forward pass meanwhile. A sample's
+    exception is recorded at its turn, unless an earlier sample's was,
+    and process 0 raises it once the batch is over: the same exception
+    as in one process.
     """
+    helpers = helpers if helpers is not None else _Helpers(1, len(batch))
+    params = model.parameters()
+    sums = [p.grad for p in params]
     scale = 1.0 / len(batch)
-    if helpers is not None:
-        helpers.assign(batch, scale)
+    count, step = len(batch), helpers.processes
+    ahead = None
+    for j in range(helpers.rank, count, step):
+        loss = ahead if ahead is not None else _sample_loss_node(
+            model, batch[j], cfg)
+        ahead = None
+        ready = helpers.turn(j, block=False)
+        result = _sample_gradients(params, loss, scale, fresh=not ready)
+        if not ready and not helpers.turn(j, block=False):
+            if j + step < count:
+                ahead = _sample_loss_node(model, batch[j + step], cfg)
+            helpers.turn(j)
+        if isinstance(result, Exception):
+            helpers.fail(j, result)
+        elif not helpers.failed():
+            value, grads = result
+            for total, grad in zip(sums, grads):
+                if grad is not None:
+                    total += grad
+            helpers.losses[j] = value
+        helpers.pass_turn(j, count)
+    helpers.meet()
+    helpers.raise_failure()
     total = 0.0
-    for j, sample in enumerate(batch):
-        if helpers is not None and j % helpers.processes:
-            total += helpers.collect(j % helpers.processes)
-        else:
-            total += _backward_sample(model, sample, cfg, scale)
+    for value in helpers.losses[:count].tolist():
+        total += value
     return total * scale
 
 
-def _backward_sample(model: VulnModel, sample: EncodedSample,
-                     cfg: TrainConfig, scale: float) -> float:
-    """Add the gradients of ``scale`` times the sample's loss; return the
-    loss."""
-    nodes = model.forward_nodes(sample.ids, sample.operator)
-    loss = _sample_loss(nodes.class_logits, nodes.loc_pred, sample, cfg)
-    tensor.backward(tensor.scale(loss, scale))
-    return loss.item()
+def _sample_loss_node(model: VulnModel, sample: EncodedSample,
+                      cfg: TrainConfig) -> Matrix | Exception:
+    """The sample's loss on a fresh tape, or the exception raised."""
+    try:
+        nodes = model.forward_nodes(sample.ids, sample.operator)
+        return _sample_loss(nodes.class_logits, nodes.loc_pred, sample, cfg)
+    except Exception as exc:  # raised at the sample's turn
+        return exc
+
+
+def _sample_gradients(params: Sequence[tensor.Parameter],
+                      loss: Matrix | Exception, scale: float, fresh: bool
+                      ) -> tuple[float, list[np.ndarray | None]] | Exception:
+    """Walk ``scale`` times the loss: return the loss and the gradients
+    still to add, or the exception raised, ``loss`` included.
+
+    Unless ``fresh``, the walk adds into the parameters' gradients and
+    leaves nothing to add. Otherwise it runs into fresh arrays, returned
+    per parameter (None where it got none). Each parameter takes exactly
+    one contribution per sample (the embedding through ``segment_sum``
+    over distinct ids), so adding the fresh array to a sum adds the same
+    term that the walk would. The fresh array can differ from that term
+    only in the sign of a zero, and a sum that starts at +0.0 never
+    holds -0.0, so the sums are equal bit for bit.
+    """
+    if isinstance(loss, Exception):
+        return loss
+    sums = [p.value.grad for p in params]
+    if fresh:
+        for p in params:
+            p.value.grad = None
+    try:
+        tensor.backward(tensor.scale(loss, scale))
+        return loss.item(), [p.value.grad for p in params] if fresh else []
+    except Exception as exc:  # raised at the sample's turn
+        return exc
+    finally:
+        for p, total in zip(params, sums):  # sums the tape may write to
+            p.value.grad, p.value._owns_grad = total, True
 
 
 def _processes(batch_size: int, n_samples: int) -> int:
@@ -240,35 +301,52 @@ def _processes(batch_size: int, n_samples: int) -> int:
     return min(wanted, count) if can_fork else 1
 
 
+#: Seconds a training process waits on another before it checks that
+#: the other is still alive.
+_POLL_S = 0.1
+
+
 class _Helpers:
-    """Forked processes that each backpropagate a share of every batch.
+    """The processes that train together: this one, process 0, and
+    ``processes - 1`` helpers forked from it, which each call ``run`` on
+    their own copy of this object, as process ``rank``, and then exit.
 
-    Before forking, every parameter's value and gradient move into one
-    anonymous shared mapping: Adam, ``zero_grad`` and ``load_values``
-    write in place, so a helper always reads the current values, and it
-    adds its samples into the same gradients. Helper k receives samples
-    k, k + N, ... of a batch and runs each from private, zeroed
-    gradients; ``collect`` gives it the turn to add them.
-
-    Each parameter takes exactly one contribution per sample (the
-    embedding through ``np.add.at`` over distinct ids), so the shared sum
-    gets the same terms in the same order as in one process. ``0 + c``
-    differs from ``c`` only in the sign of a zero, and a sum that starts
-    at +0.0 never holds -0.0, so the results are equal bit for bit.
+    Whatever ``run`` needs, the parameters and the samples included,
+    they inherit: the parameters live in ``_share``'s mapping, so every
+    write is seen by all. The processes pace each other through
+    semaphores: ``turn`` orders the adds of a batch's samples and
+    ``meet`` is a barrier. The batch's sample losses and its first failed
+    sample sit in a small shared mapping. A helper sends process 0 only
+    its exception and its validation share, through its own pipe. With
+    one process nothing is forked, and no call waits.
     """
 
-    def __init__(self, model: VulnModel, cfg: TrainConfig, processes: int):
-        import multiprocessing
-        _share(model.parameters())
-        context = multiprocessing.get_context("fork")
+    def __init__(self, processes: int, batch_size: int,
+                 run: Callable[[_Helpers], object] | None = None):
         self.processes = processes
+        self.rank = 0
+        self._error: Exception | None = None
         self._links = []
         self._procs = []
+        self._arrivals = []
+        import mmap
+        control = mmap.mmap(-1, 8 * (batch_size + 1))
+        self._failed = np.frombuffer(control, dtype=np.int64, count=1)
+        self._failed[0] = -1
+        self.losses = np.frombuffer(control, dtype=np.float64, offset=8)
+        if processes == 1:
+            return
+        import multiprocessing
+        context = multiprocessing.get_context("fork")
+        self._turns = [context.Semaphore(0) for _ in range(processes)]
+        self._arrivals = [context.Semaphore(0) for _ in range(processes)]
+        self._parent = os.getpid()
         try:
-            for _ in range(processes - 1):
-                ours, theirs = context.Pipe()
+            for rank in range(1, processes):
+                ours, theirs = context.Pipe(duplex=False)
                 proc = context.Process(target=_helper,
-                                       args=(theirs, model, cfg), daemon=True)
+                                       args=(self, rank, theirs, run),
+                                       daemon=True)
                 proc.start()
                 theirs.close()
                 self._links.append(ours)
@@ -283,30 +361,84 @@ class _Helpers:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def assign(self, batch: Sequence[EncodedSample], scale: float) -> None:
-        """Send each helper its samples of ``batch`` and the loss scale."""
-        for k in range(1, self.processes):
-            share = list(batch[k::self.processes])
-            if share:
-                try:
-                    self._links[k - 1].send((share, scale))
-                except OSError as exc:
-                    raise self._died(k) from exc
+    def part(self, size: int) -> slice:
+        """This process's contiguous share of ``size`` elements."""
+        return slice(size * self.rank // self.processes,
+                     size * (self.rank + 1) // self.processes)
 
-    def collect(self, k: int) -> float:
-        """Let helper k add its next sample's gradients; return its loss.
+    def turn(self, j: int, block: bool = True) -> bool:
+        """Take sample j's turn, which comes once sample j - 1 of the same
+        batch has passed its own; return whether it was taken, which it
+        always is when ``block``."""
+        if j == 0 or self.processes == 1:
+            return True
+        if not block:
+            return self._turns[self.rank].acquire(False)
+        self._wait(self._turns[self.rank])
+        return True
 
-        Call it once every earlier sample of the batch has been added.
-        """
-        link = self._links[k - 1]
+    def pass_turn(self, j: int, count: int) -> None:
+        """Give the turn to sample j + 1 of a batch of ``count``."""
+        if self.processes > 1 and j + 1 < count:
+            self._turns[(j + 1) % self.processes].release()
+
+    def failed(self) -> bool:
+        return self._failed[0] >= 0
+
+    def fail(self, j: int, exc: Exception) -> None:
+        """Record that sample j raised ``exc``, at its turn, unless an
+        earlier sample did; a helper sends ``exc`` to process 0."""
+        if self.failed():
+            return
+        self._failed[0] = j
+        self._error = exc
+        if self.rank:
+            self._link.send(exc)
+
+    def raise_failure(self) -> None:
+        """After ``meet``: raise the exception of the batch's failed
+        sample in process 0, and a TrainingError in any other process."""
+        if not self.failed():
+            return
+        owner = int(self._failed[0]) % self.processes
+        if owner == self.rank:
+            raise self._error
+        if self.rank:
+            raise TrainingError("a sample of another process failed")
+        raise self._receive(owner)
+
+    def meet(self) -> None:
+        """Wait until every process has called ``meet`` as often."""
+        for k, arrivals in enumerate(self._arrivals):
+            if k != self.rank:
+                arrivals.release()
+        for _ in range(self.processes - 1):
+            self._wait(self._arrivals[self.rank])
+
+    def gather(self, share: list) -> list[list] | None:
+        """Every process's ``share`` in process order, in process 0; a
+        helper sends its own and gets None."""
+        if self.rank:
+            self._link.send(share)
+            return None
+        return [share] + [self._receive(k) for k in range(1, self.processes)]
+
+    def _receive(self, k: int):
         try:
-            link.send(None)
-            result = link.recv()
+            return self._links[k - 1].recv()
         except (EOFError, OSError) as exc:
             raise self._died(k) from exc
-        if isinstance(result, Exception):
-            raise result
-        return result
+
+    def _wait(self, semaphore) -> None:
+        """Acquire ``semaphore``, checking every ``_POLL_S`` that the
+        processes that could release it live: in process 0, every helper
+        that has not finished its ``run``, and in a helper, process 0."""
+        while not semaphore.acquire(timeout=_POLL_S):
+            if self.rank and os.getppid() != self._parent:
+                raise TrainingError("the training process died")
+            for k, proc in enumerate(self._procs, start=1):
+                if proc.exitcode:
+                    raise self._died(k)
 
     def _died(self, k: int) -> TrainingError:
         proc = self._procs[k - 1]
@@ -323,51 +455,40 @@ class _Helpers:
             proc.join()
 
 
-def _share(params: Sequence[tensor.Parameter]) -> None:
+def _share(params: Sequence[tensor.Parameter]) -> np.ndarray:
     """Move each parameter's value and gradient, unchanged, into one
-    anonymous shared mapping, which processes forked later inherit."""
+    anonymous shared mapping, which processes forked later inherit.
+
+    The mapping is returned as four rows over the flat parameter vector:
+    the values, the gradients, and Adam's two moments, which start at 0.
+    """
     import mmap
-    sizes = [p.data.size for p in params]
-    total = sum(sizes)
-    flat = np.frombuffer(mmap.mmap(-1, 2 * total * 8), dtype=np.float64)
+    total = sum(p.data.size for p in params)
+    state = np.frombuffer(mmap.mmap(-1, 4 * total * 8),
+                          dtype=np.float64).reshape(4, total)
     start = 0
-    for p, size in zip(params, sizes):
-        value = flat[start:start + size].reshape(p.shape)
-        grad = flat[total + start:total + start + size].reshape(p.shape)
-        value[...] = p.data
-        grad[...] = p.grad
-        p.value.data, p.value.grad = value, grad
-        start += size
+    for p in params:
+        value, grad = state[:2, start:start + p.data.size]
+        value[...] = p.data.ravel()
+        grad[...] = p.grad.ravel()
+        p.value.data = value.reshape(p.shape)
+        p.value.grad = grad.reshape(p.shape)
+        start += p.data.size
+    return state
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _helper(link, model: VulnModel, cfg: TrainConfig) -> None:
-    """A helper process: run each assigned sample, add its gradients when
-    given the turn, and send back its loss or its exception.
+def _helper(helpers: _Helpers, rank: int, link,
+            run: Callable[[_Helpers], object]) -> None:
+    """A helper process: call ``run`` as process ``rank``, sending to
+    process 0 through ``link``.
 
     It leaves through ``os._exit``, so the output buffers it shares with
     the parent are not flushed twice, and no traceback is printed.
     """
     code = 1
     try:
-        shared = [p.grad for p in model.parameters()]
-        private = [np.zeros_like(g) for g in shared]
-        for p, grad in zip(model.parameters(), private):
-            p.value.grad = grad
-        while True:
-            share, scale = link.recv()
-            for sample in share:
-                try:
-                    result = _backward_sample(model, sample, cfg, scale)
-                except Exception as exc:  # raised again by the parent
-                    result = exc
-                link.recv()  # the turn: every earlier sample is added
-                for total, own in zip(shared, private):
-                    total += own
-                link.send(result)
-                for own in private:
-                    own[...] = 0.0
-    except EOFError:  # the parent closed the link: training is over
+        helpers.rank, helpers._link = rank, link
+        run(helpers)
         code = 0
     finally:
         os._exit(code)
@@ -415,97 +536,139 @@ def train(records: Sequence[FunctionRecord], split: DatasetSplit,
     return _fit(vocab, samples, val_samples, model_cfg, train_cfg)
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def _fit(vocab: Vocabulary, samples: Sequence[EncodedSample],
          val_samples: Sequence[EncodedSample], model_cfg: ModelConfig,
          train_cfg: TrainConfig) -> TrainResult:
-    """A model trained on ``samples`` at the vocabulary's size.
+    """A model trained on ``samples`` at the vocabulary's size."""
+    model_cfg = replace(model_cfg, vocab_size=len(vocab))
+    model = VulnModel(model_cfg, seed=train_cfg.seed)
+    state = _share(model.parameters())
+
+    def run(helpers: _Helpers) -> list[dict]:
+        return _train(helpers, model, state, samples, val_samples, train_cfg)
+
+    processes = _processes(train_cfg.batch_size, len(samples))
+    with _Helpers(processes, train_cfg.batch_size, run) as helpers:
+        log = run(helpers)
+    return TrainResult(model=model.freeze(), vocab=vocab, log=log)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _train(helpers: _Helpers, model: VulnModel, state: np.ndarray,
+           samples: Sequence[EncodedSample],
+           val_samples: Sequence[EncodedSample],
+           cfg: TrainConfig) -> list[dict]:
+    """The epoch loop that every training process runs; the log, which
+    only process 0 fills.
 
     numpy does not warn about overflow here: it ends in non-finite
     values, which the tape, the loss check and ``forward`` reject, and
     training stops with a TrainingError.
     """
-    model_cfg = replace(model_cfg, vocab_size=len(vocab))
-    model = VulnModel(model_cfg, seed=train_cfg.seed)
-    optimizer = Adam(model.parameters(), train_cfg.learning_rate)
-    rng = np.random.default_rng(train_cfg.seed)
-
+    optimizer = Adam(state, cfg.learning_rate, helpers.part(state.shape[1]))
+    rng = np.random.default_rng(cfg.seed)
     log: list[dict] = []
     order = np.arange(len(samples))
-    processes = _processes(train_cfg.batch_size, len(samples))
-    with (_Helpers(model, train_cfg, processes) if processes > 1
-          else nullcontext()) as helpers:
-        for epoch in range(1, train_cfg.epochs + 1):
-            rng.shuffle(order)
-            epoch_losses: list[float] = []
-            for batch_idx, start in enumerate(
-                    range(0, len(order), train_cfg.batch_size)):
-                batch = [samples[i] for i in
-                         order[start:start + train_cfg.batch_size]]
-                try:
-                    value = _backward_batch(model, batch, train_cfg, helpers)
-                except GradientError as exc:
-                    # Overflow inside the forward pass surfaces here: the
-                    # matrix layer rejects non-finite values eagerly.
-                    raise TrainingError(
-                        f"non-finite values in forward pass ({exc}); "
-                        + _diagnostics(model, epoch, batch_idx)) from exc
-                if not np.isfinite(value):
-                    raise TrainingError("non-finite loss; "
-                                        + _diagnostics(model, epoch, batch_idx))
-                optimizer.step()
-                model.zero_grad()
-                epoch_losses.append(value)
+    for epoch in range(1, cfg.epochs + 1):
+        rng.shuffle(order)
+        epoch_losses: list[float] = []
+        for batch_idx, start in enumerate(
+                range(0, len(order), cfg.batch_size)):
+            batch = [samples[i] for i in order[start:start + cfg.batch_size]]
+            try:
+                value = _backward_batch(model, batch, cfg, helpers)
+            except GradientError as exc:
+                # Overflow inside the forward pass surfaces here: the
+                # matrix layer rejects non-finite values eagerly.
+                raise TrainingError(
+                    f"non-finite values in forward pass ({exc}); "
+                    + _diagnostics(model, epoch, batch_idx)) from exc
+            if not np.isfinite(value):
+                raise TrainingError("non-finite loss; "
+                                    + _diagnostics(model, epoch, batch_idx))
+            optimizer.step()
+            helpers.meet()
+            epoch_losses.append(value)
 
-            val_loss = val_f1 = val_iou = None
-            if val_samples:
-                try:
-                    pairs = [(s, model.forward(s.ids, s.operator))
-                             for s in val_samples]
-                except GradientError as exc:
-                    # the last step overflowed and only validation saw it
-                    raise TrainingError(
-                        f"non-finite values in validation ({exc}); "
-                        + _diagnostics(model, epoch, batch_idx)) from exc
-                val_loss = float(np.mean([
-                    _sample_loss(Matrix(out.class_logits),
-                                 Matrix(out.loc_pred), s, train_cfg).item()
-                    for s, out in pairs]))
-                report = _metrics(pairs, model_cfg.num_classes)
-                val_f1 = report.f1
-                val_iou = report.mean_iou
-            log.append({
-                "epoch": epoch,
-                "train_loss": float(np.mean(epoch_losses)),
-                "val_loss": val_loss,
-                "val_f1": val_f1,
-                "val_iou": val_iou,
-            })
+        val_loss = val_f1 = val_iou = None
+        if val_samples:
+            try:
+                heads = _validate(model, val_samples, helpers)
+            except GradientError as exc:
+                # the last step overflowed and only validation saw it
+                raise TrainingError(
+                    f"non-finite values in validation ({exc}); "
+                    + _diagnostics(model, epoch, batch_idx)) from exc
+            if heads is None:  # a helper: process 0 keeps the log
+                continue
+            val_loss = float(np.mean([
+                _sample_loss(Matrix(logits), Matrix(loc), s, cfg).item()
+                for s, (logits, loc) in zip(val_samples, heads)]))
+            report = _metrics(val_samples, heads, model.config.num_classes)
+            val_f1 = report.f1
+            val_iou = report.mean_iou
+        log.append({
+            "epoch": epoch,
+            "train_loss": float(np.mean(epoch_losses)),
+            "val_loss": val_loss,
+            "val_f1": val_f1,
+            "val_iou": val_iou,
+        })
+    return log
 
-    return TrainResult(model=model.freeze(), vocab=vocab, log=log)
+
+def _validate(model: VulnModel, samples: Sequence[EncodedSample],
+              helpers: _Helpers) -> list[tuple[np.ndarray, tuple]] | None:
+    """Each sample's heads (class logits, line range) in order, in
+    process 0, and None in a helper.
+
+    Process k runs samples k, k + N, ... up to its first exception, and
+    process 0 raises the exception of the earliest sample that raised.
+    """
+    share: list = []
+    for sample in samples[helpers.rank::helpers.processes]:
+        try:
+            out = model.forward(sample.ids, sample.operator)
+        except Exception as exc:  # raised by process 0 in sample order
+            share.append(exc)
+            break
+        share.append((out.class_logits, out.loc_pred))
+    shares = helpers.gather(share)
+    if shares is None:
+        return None
+    heads = []
+    for j in range(len(samples)):
+        head = shares[j % helpers.processes][j // helpers.processes]
+        if isinstance(head, Exception):
+            raise head
+        heads.append(head)
+    return heads
 
 
 def evaluate_samples(model: VulnModel, samples: Sequence[EncodedSample],
                      num_classes: int) -> MetricsReport:
-    return _metrics([(s, model.forward(s.ids, s.operator)) for s in samples],
-                    num_classes)
+    outputs = [model.forward(s.ids, s.operator) for s in samples]
+    return _metrics(samples, [(out.class_logits, out.loc_pred)
+                              for out in outputs], num_classes)
 
 
-def _metrics(pairs: Sequence[tuple[EncodedSample, ForwardOutput]],
+def _metrics(samples: Sequence[EncodedSample],
+             heads: Sequence[tuple[np.ndarray, tuple]],
              num_classes: int) -> MetricsReport:
-    """Classification and localization metrics of (sample, output) pairs."""
-    if not pairs:
+    """Classification and localization metrics of the samples, given
+    each one's heads: its class logits and its predicted line range."""
+    if not samples:
         raise DataError("evaluate: empty split")
     preds: list[int] = []
     truths: list[int] = []
     tp_ious: list[float] = []
     vulnerable_ious: list[float] = []
-    for sample, out in pairs:
-        pred = out.predicted_class
+    for sample, (class_logits, loc_pred) in zip(samples, heads):
+        pred = int(np.argmax(class_logits))
         preds.append(pred)
         truths.append(sample.label)
         if sample.truth_range is not None:
-            predicted_range = denormalize_lines(out.loc_pred, sample.line_count)
+            predicted_range = denormalize_lines(loc_pred, sample.line_count)
             iou = iou_1d(predicted_range, sample.truth_range)
             vulnerable_ious.append(iou)
             if pred != 0:

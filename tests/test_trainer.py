@@ -1,7 +1,9 @@
 import dataclasses
 import math
 import os
+import pickle
 import textwrap
+import time
 import tracemalloc
 
 import numpy as np
@@ -206,32 +208,51 @@ def adam_oracle_step(params, m, v, t, lr, beta1=0.9, beta2=0.999,
         p.value.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
+#: Slice bounds over the 125 elements of ``TestAdam``'s parameters, whose
+#: ranges are p0 0-42, p1 42-45, p2 45-75 and p3 75-125.
+ADAM_SLICINGS = [
+    [0, 125],  # one process: the whole vector
+    [0, 62, 125],  # two: inside p2, and inside the first slice's 4th block
+    [0, 41, 83, 125],  # three: inside p0 and p3, and inside blocks
+    [0, 20, 43, 44, 125],  # on a block's edge, inside p1, one element
+]
+
+
 class TestAdam:
     def test_in_place_step_equals_the_whole_array_formula(self,
                                                          monkeypatch):
-        # a small block, so that parameters span several blocks and one
-        # row is wider than a block
+        # a small block, so that slices span several blocks and a
+        # parameter spans several slices
         monkeypatch.setattr(trainer_module, "ADAM_BLOCK", 20)
-        rng = np.random.default_rng(5)
         shapes = [(7, 6), (1, 3), (30, 1), (2, 25)]
-        fast = [tensor.Parameter(rng.normal(size=s), f"p{i}")
-                for i, s in enumerate(shapes)]
-        slow = [tensor.Parameter(p.data.copy(), p.name) for p in fast]
-        optimizer = trainer_module.Adam(fast, lr=0.01)
-        m = [np.zeros(s) for s in shapes]
-        v = [np.zeros(s) for s in shapes]
-        for t in range(1, 6):
-            for a, b in zip(fast, slow):
-                grad = rng.normal(size=a.shape) * 10.0 ** rng.integers(-8, 3)
-                grad[rng.random(a.shape) < 0.3] = 0.0
-                a.grad[...] = grad
-                b.grad[...] = grad
-            optimizer.step()
-            adam_oracle_step(slow, m, v, t, lr=0.01)
-            for a, b in zip(fast, slow):
-                assert np.array_equal(a.data, b.data), (t, a.name)
-            for mine, theirs in zip(optimizer._m + optimizer._v, m + v):
-                assert np.array_equal(mine, theirs), t
+        for bounds in ADAM_SLICINGS:
+            rng = np.random.default_rng(5)
+            fast = [tensor.Parameter(rng.normal(size=s), f"p{i}")
+                    for i, s in enumerate(shapes)]
+            slow = [tensor.Parameter(p.data.copy(), p.name) for p in fast]
+            state = trainer_module._share(fast)
+            assert state.shape == (4, bounds[-1])
+            optimizers = [
+                trainer_module.Adam(state, lr=0.01, part=slice(lo, hi))
+                for lo, hi in zip(bounds, bounds[1:])]
+            m = [np.zeros(s) for s in shapes]
+            v = [np.zeros(s) for s in shapes]
+            for t in range(1, 6):
+                for a, b in zip(fast, slow):
+                    grad = (rng.normal(size=a.shape)
+                            * 10.0 ** rng.integers(-8, 3))
+                    grad[rng.random(a.shape) < 0.3] = 0.0
+                    a.grad[...] = grad
+                    b.grad[...] = grad
+                for optimizer in optimizers:
+                    optimizer.step()
+                adam_oracle_step(slow, m, v, t, lr=0.01)
+                for a, b in zip(fast, slow):
+                    assert np.array_equal(a.data, b.data), (bounds, t, a.name)
+                    assert not a.grad.any(), (bounds, t, a.name)
+                for mine, theirs in zip(state[2:], (m, v)):
+                    flat = np.concatenate([x.ravel() for x in theirs])
+                    assert np.array_equal(mine, flat), (bounds, t)
 
 
 class TestPrepareSample:
@@ -607,9 +628,13 @@ class TestForkedTraining:
     def test_batch_gradients_equal_one_tape_oracle(self, processes):
         model, batch = oracle_batch()
         loss, expected = one_tape_gradients(model, batch, tiny_train_cfg())
-        with trainer_module._Helpers(model, tiny_train_cfg(),
-                                     processes) as helpers:
-            value = _backward_batch(model, batch, tiny_train_cfg(), helpers)
+        trainer_module._share(model.parameters())
+
+        def run(helpers):
+            return _backward_batch(model, batch, tiny_train_cfg(), helpers)
+
+        with trainer_module._Helpers(processes, len(batch), run) as helpers:
+            value = run(helpers)
         assert value == loss
         for p, grad in zip(model.parameters(), expected):
             assert np.array_equal(p.grad, grad), p.name
@@ -651,6 +676,86 @@ class TestForkedTraining:
             errors.append(str(caught.value))
             no_child_left()
         assert errors == [errors[0]] * 3
+
+    def test_validation_overflow_text_equals_one_process(self, use_cpus):
+        # one batch per epoch: its forward passes see the first values,
+        # and only validation sees what the one huge step made of them
+        records, ds = tiny_corpus()
+        assert len(ds.val) >= 3
+        cfg = ModelConfig(vocab_size=4, **TINY_MODEL)
+        errors = []
+        for processes in (1, 2, 3):
+            use_cpus(processes)
+            with pytest.raises(TrainingError) as caught:
+                train(records, ds, cfg, tiny_train_cfg(
+                    epochs=1, batch_size=len(ds.train), learning_rate=1e300))
+            errors.append(str(caught.value))
+            no_child_left()
+        assert errors[0].startswith("non-finite values in validation (")
+        assert errors == [errors[0]] * 3
+
+    def test_look_ahead_error_waits_for_its_turn(self, monkeypatch, tmp_path,
+                                                 use_cpus):
+        """At two processes the helper runs sample 1, and while sample 0
+        is still running, its look-ahead forward of sample 3 raises; the
+        error raised is still sample 2's, as in one process."""
+        records, ds = tiny_corpus()
+        cfg = ModelConfig(vocab_size=4, **TINY_MODEL)
+        train_cfg = tiny_train_cfg()
+        vocab, samples, val_samples = trainer_module._prepare(
+            records, ds, 11, 1)
+        order = np.arange(len(samples))
+        np.random.default_rng(train_cfg.seed).shuffle(order)
+        first = [samples[i].ids for i in order[:4]]
+        trail = tmp_path / "forwards.txt"
+        forward_nodes = VulnModel.forward_nodes
+
+        def misbehaving(self, ids, operator):
+            j = next((j for j, f in enumerate(first)
+                      if np.array_equal(ids, f)), None)
+            if j is not None:
+                with trail.open("a", encoding="utf-8") as fh:
+                    fh.write(f"{j}\n")
+            if j == 0:
+                time.sleep(0.5)
+            if j in (2, 3):
+                raise GradientError(f"non-finite values in sample {j}")
+            return forward_nodes(self, ids, operator)
+
+        monkeypatch.setattr(VulnModel, "forward_nodes", misbehaving)
+        errors = []
+        for processes in (1, 2, 3):
+            use_cpus(processes)
+            trail.write_text("", encoding="utf-8")
+            with pytest.raises(TrainingError) as caught:
+                trainer_module._fit(vocab, samples, val_samples, cfg,
+                                    train_cfg)
+            errors.append(str(caught.value))
+            no_child_left()
+            if processes == 2:
+                forwards = trail.read_text(encoding="utf-8").split()
+                assert forwards.index("3") < forwards.index("2"), forwards
+        assert errors[0].startswith(
+            "non-finite values in forward pass (non-finite values in "
+            "sample 2)")
+        assert errors == [errors[0]] * 3
+
+    def test_no_sample_is_pickled(self, monkeypatch, use_cpus):
+        """Every process indexes its own copy of the samples."""
+        def refuse(self):
+            raise AssertionError("an EncodedSample was pickled")
+
+        monkeypatch.setattr(trainer_module.EncodedSample, "__reduce__",
+                            refuse, raising=False)
+        records, ds = tiny_corpus()
+        sample = prepare_sample(records[0], build_vocab([]), 11)
+        with pytest.raises(AssertionError, match="pickled"):
+            pickle.dumps(sample)
+        use_cpus(2)
+        cfg = ModelConfig(vocab_size=4, **TINY_MODEL)
+        result = train(records, ds, cfg, tiny_train_cfg())
+        assert len(result.log) == 3
+        no_child_left()
 
     def test_dead_helper_exits_three_without_traceback(self, tmp_path):
         data, config = tmp_path / "data.jsonl", tmp_path / "run.cfg"
