@@ -1,8 +1,8 @@
 """The network: token embedding, residual graph convolution, fused heads.
 
 Layout per forward pass (n = number of stream positions, at most 512;
-A_hat the sparse n x n operator of ``semgraph.build_graph``, applied by
-``tensor.propagate``):
+A_hat the sparse n x n operator of ``semgraph.build_graph``; on the
+tape each graph layer is one ``tensor.graph_layer`` node):
 
     u, inverse = unique ids (n,)                  (u: the d distinct ids)
     P = E[u] @ W_in                               (d x gcn_dim)
@@ -213,28 +213,26 @@ class ForwardOutput:
 class VulnModel:
     """Residual graph-convolutional classifier/localizer over token graphs."""
 
-    def __init__(self, config: ModelConfig, seed: int = 0):
+    def __init__(self, config: ModelConfig, seed: int = 0,
+                 values: dict[str, np.ndarray] | None = None):
+        """Parameters drawn from ``seed``, or else taken from ``values``
+        by name, which must hold exactly the config's finite arrays; the
+        parameters hold those arrays themselves, not copies."""
         self.config = config
         self.frozen = False
-        rng = np.random.default_rng(seed)
-        self.embedding = Parameter(
-            tensor.embedding_init(config.vocab_size, config.embed_dim, rng),
-            "embedding")
-        self.input_proj = Parameter(
-            tensor.glorot_uniform(config.embed_dim, config.gcn_dim, rng),
-            "input_proj")
-        self.gcn_weights = [
-            Parameter(tensor.glorot_uniform(config.gcn_dim, config.gcn_dim, rng),
-                      f"gcn_{layer}")
-            for layer in range(config.gcn_layers)
-        ]
-        self.cls_weight = Parameter(
-            tensor.glorot_uniform(config.gcn_dim, config.num_classes, rng),
-            "cls_weight")
-        self.cls_bias = Parameter(tensor.zeros(1, config.num_classes), "cls_bias")
-        self.loc_weight = Parameter(
-            tensor.glorot_uniform(config.gcn_dim, 2, rng), "loc_weight")
-        self.loc_bias = Parameter(tensor.zeros(1, 2), "loc_bias")
+        shapes = _parameter_shapes(config)
+        if values is None:  # weights drawn in ``shapes`` order, zero biases
+            rng = np.random.default_rng(seed)
+            values = {name: (
+                tensor.embedding_init(*shape, rng) if name == "embedding"
+                else tensor.zeros(*shape) if name.endswith("_bias")
+                else tensor.glorot_uniform(*shape, rng))
+                for name, shape in shapes.items()}
+        else:
+            _check_values(shapes, values)
+        (self.embedding, self.input_proj, *self.gcn_weights, self.cls_weight,
+         self.cls_bias, self.loc_weight, self.loc_bias) = [
+            Parameter(values[name], name) for name in shapes]
 
     def parameters(self) -> list[Parameter]:
         return [self.embedding, self.input_proj, *self.gcn_weights,
@@ -277,18 +275,18 @@ class VulnModel:
                     operator: SparseOperator) -> tuple[Matrix, Matrix]:
         """Run the residual graph layers from ``embed``'s rows.
 
-        Returns (H0, final per-token features). The first layer's product
-        with W_1 runs over the distinct rows of ``projected``.
+        Returns (H0, final per-token features). Each layer is a
+        ``tensor.matmul`` node for the product with W_l and one
+        ``tensor.graph_layer`` node for ``H + relu(A_hat @ .)``, which
+        keeps only its relu mask. The first layer's product with W_1 runs
+        over the distinct rows of ``projected``, and its graph layer
+        gathers them back per position.
         """
-        h0 = tensor.gather_rows(projected, inverse)
-        h = h0
+        h = h0 = tensor.gather_rows(projected, inverse)
         for layer, weight in enumerate(self.gcn_weights):
-            transformed = (
-                tensor.gather_rows(tensor.matmul(projected, weight.value),
-                                   inverse)
-                if layer == 0 else tensor.matmul(h, weight.value))
-            mixed = tensor.propagate(operator, transformed)
-            h = tensor.add(h, tensor.relu(mixed))
+            rows = projected if layer == 0 else h
+            h = tensor.graph_layer(h, tensor.matmul(rows, weight.value),
+                                   operator, inverse if layer == 0 else None)
         return h0, h
 
     def pooled_embedding(self, h0: Matrix) -> Matrix:
@@ -368,7 +366,8 @@ class VulnModel:
             mixed = operator.apply(transformed)
             mixed_per_layer.append(mixed)
             h = h + np.maximum(mixed, 0.0)
-            _require_finite(f"layer gcn_{layer}", h)
+            # the relu would hide a -inf in ``mixed``
+            _require_finite(f"layer gcn_{layer}", mixed, h)
         pooled_embed = h0.mean(axis=0)
         pooled_graph = h.mean(axis=0)
         _require_finite("pooled features", pooled_embed, pooled_graph)
@@ -430,29 +429,41 @@ class VulnModel:
     def save_npz(self, path: str | Path) -> None:
         tensor.save_params(path, self.parameters())
 
-    def load_values(self, arrays: dict[str, np.ndarray]) -> None:
-        unexpected = set(arrays) - {p.name for p in self.parameters()}
-        if unexpected:
-            raise DataError(
-                f"checkpoint has unexpected parameters {sorted(unexpected)}")
-        for p in self.parameters():
-            if p.name not in arrays:
-                raise DataError(f"checkpoint missing parameter {p.name!r}")
-            if arrays[p.name].shape != p.shape:
-                raise DataError(
-                    f"checkpoint parameter {p.name!r} has shape "
-                    f"{arrays[p.name].shape}, expected {p.shape}"
-                )
-            if not np.isfinite(arrays[p.name]).all():
-                raise DataError(
-                    f"checkpoint parameter {p.name!r} has non-finite values")
-            p.value.data[...] = arrays[p.name]
-
     @classmethod
     def load_npz(cls, path: str | Path, config: ModelConfig) -> "VulnModel":
-        model = cls(config, seed=0)
-        model.load_values(tensor.load_params(path))
-        return model.freeze()
+        return cls(config, values=tensor.load_params(path)).freeze()
+
+
+def _parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, int]]:
+    """Each parameter's shape by name, in ``VulnModel.parameters`` order."""
+    gcn, classes = config.gcn_dim, config.num_classes
+    return {"embedding": (config.vocab_size, config.embed_dim),
+            "input_proj": (config.embed_dim, gcn),
+            **{f"gcn_{layer}": (gcn, gcn)
+               for layer in range(config.gcn_layers)},
+            "cls_weight": (gcn, classes), "cls_bias": (1, classes),
+            "loc_weight": (gcn, 2), "loc_bias": (1, 2)}
+
+
+def _check_values(shapes: dict[str, tuple[int, int]],
+                  arrays: dict[str, np.ndarray]) -> None:
+    """Raise DataError unless ``arrays`` holds exactly the parameters of
+    ``shapes``, each of its shape and finite."""
+    unexpected = set(arrays) - set(shapes)
+    if unexpected:
+        raise DataError(
+            f"checkpoint has unexpected parameters {sorted(unexpected)}")
+    for name, shape in shapes.items():
+        if name not in arrays:
+            raise DataError(f"checkpoint missing parameter {name!r}")
+        if arrays[name].shape != shape:
+            raise DataError(
+                f"checkpoint parameter {name!r} has shape "
+                f"{arrays[name].shape}, expected {shape}"
+            )
+        if not np.isfinite(arrays[name]).all():
+            raise DataError(
+                f"checkpoint parameter {name!r} has non-finite values")
 
 
 def denormalize_lines(loc_pred: tuple[float, float],

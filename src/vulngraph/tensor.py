@@ -2,15 +2,17 @@
 
 Every operation returns a new Matrix that remembers its inputs and a
 closure that pushes an incoming gradient back to them; ``backward`` on a
-1x1 loss walks that history in reverse topological order. The sizes this
-package works with are small enough that plain numpy plus a Python tape
-is fast, and float64 keeps the finite-difference checks tight.
+1x1 loss walks that history in reverse topological order and frees each
+node once it has pushed. The sizes this package works with are small
+enough that plain numpy plus a Python tape is fast, and float64 keeps
+the finite-difference checks tight.
 
 Shapes are never broadcast: operands must conform exactly, and shape
 mismatches raise ShapeError naming both shapes.
 
 The one sparse value is the graph operator, a ``SparseOperator``: a
-constant on the tape, applied by ``propagate``, whose gradient is the
+constant on the tape, applied by ``graph_layer``, which records a whole
+residual graph layer as one node whose gradient runs through the
 transposed product. The tape-free inference pass calls the same product.
 
 Gradients are not copied on the way back. A node keeps the first array
@@ -166,16 +168,6 @@ def scale(a: Matrix, factor: float) -> Matrix:
             a._accumulate(g * factor)
 
     return from_op(a.data * factor, (a,), push)
-
-
-def relu(a: Matrix) -> Matrix:
-    mask = a.data > 0
-
-    def push(g: np.ndarray) -> None:
-        if a.wants_grad:
-            a._accumulate(g * mask)
-
-    return from_op(np.maximum(a.data, 0.0), (a,), push)
 
 
 def logistic(x: np.ndarray) -> np.ndarray:
@@ -339,18 +331,44 @@ class SparseOperator:
         return out
 
 
-def propagate(operator: SparseOperator, h: Matrix) -> Matrix:
-    """``operator @ h``; its gradient goes back through the transpose."""
-    if operator.n != h.rows:
+def graph_layer(h: Matrix, rows: Matrix, operator: SparseOperator,
+                inverse: np.ndarray | None = None) -> Matrix:
+    """One residual graph layer as one node: ``h + relu(operator @ t)``.
+
+    ``t`` is ``rows``, or ``rows[inverse]`` when the layer's product with
+    its weight ran over distinct rows. ``t``, the pre-activation and its
+    relu are transients: the node keeps only the relu mask. Its push
+    sends ``operator.T @ (g * mask)`` to ``rows``, summed over
+    ``inverse`` when given, and ``g`` to ``h``. A non-finite
+    pre-activation raises GradientError, although the relu would hide a
+    -inf, and so does a non-finite result.
+    """
+    shape = rows.shape if inverse is None else (inverse.size, rows.cols)
+    if operator.n != shape[0]:
         raise ShapeError(
-            f"propagate: operator over {operator.n} rows does not fit "
-            f"{h.shape}")
+            f"graph_layer: operator over {operator.n} rows does not fit "
+            f"{shape}")
+    if shape != h.shape:
+        raise ShapeError(f"graph_layer: shapes {h.shape} and {shape} differ")
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = operator.apply(rows.data if inverse is None
+                             else rows.data[inverse])
+        if not np.isfinite(out).all():
+            raise GradientError(
+                "graph_layer: non-finite values before the relu")
+        mask = out > 0
+        np.maximum(out, 0.0, out=out)
+        out += h.data
 
     def push(g: np.ndarray) -> None:
         if h.wants_grad:
-            h._accumulate(operator.apply_transposed(g))
+            h._accumulate(g)
+        if rows.wants_grad:
+            back = operator.apply_transposed(g * mask)
+            rows._accumulate(back if inverse is None
+                             else segment_sum(back, inverse, rows.rows))
 
-    return from_op(operator.apply(h.data), (h,), push)
+    return from_op(out, (h, rows), push)
 
 
 def segment_sum(values: np.ndarray, segments: np.ndarray,
@@ -369,8 +387,12 @@ def segment_sum(values: np.ndarray, segments: np.ndarray,
 def backward(loss: Matrix) -> None:
     """Populate gradients of everything reachable from a 1x1 loss.
 
-    The recorded history is released afterwards, so calling backward a
-    second time on the same loss raises.
+    Nodes push in reverse topological order, and each one drops its
+    gradient, closure and inputs right after its push, so the walk frees
+    the history as it goes: an intermediate's value lasts until the last
+    node that reads it has pushed. Leaves (parameters and constants) keep
+    their gradients. Calling backward a second time on the same loss
+    raises.
     """
     if loss.shape != (1, 1):
         raise ShapeError(f"backward needs a 1x1 loss, got {loss.shape}")
@@ -397,16 +419,11 @@ def backward(loss: Matrix) -> None:
                 stack.append((parent, False))
 
     loss._accumulate(np.ones((1, 1)))
-    for node in reversed(order):
+    while order:
+        node = order.pop()
         if node._push is not None:
             node._push(node.grad)
-    # Release the tape so intermediates can be collected; leaf (parameter)
-    # gradients stay in place until explicitly zeroed.
-    for node in order:
-        if node._push is not None:
-            node._push = None
-            node._parents = ()
-            node.grad = None
+            node._push, node._parents, node.grad = None, (), None
 
 
 class Parameter:
@@ -485,7 +502,7 @@ def load_params(path: str | Path) -> dict[str, np.ndarray]:
                     f"unsupported checkpoint format version {version}"
                 )
             return {
-                name: archive[name].astype(np.float64)
+                name: np.asarray(archive[name], dtype=np.float64)
                 for name in archive.files if name != "__format_version__"
             }
         except (KeyError, IndexError, ValueError, OSError, EOFError,

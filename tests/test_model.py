@@ -15,6 +15,7 @@ from vulngraph.trainer import (EncodedSample, TrainConfig, _backward_batch,
                                _sample_loss, parse_run_config)
 from conftest import (LONG_SOURCE, dense_adjacency, fuzz_snippet,
                       operator_from_dense, poison, tiny_model_inputs)
+from oracles import relu
 
 SOURCE = "int f(){int a;return a+1;}"
 
@@ -306,7 +307,7 @@ def dense_tape(model, ids, adjacency):
     h = tensor.matmul(rows, model.input_proj.value)
     for weight in model.gcn_weights:
         mixed = tensor.matmul(tensor.matmul(operator, h), weight.value)
-        h = tensor.add(h, tensor.relu(mixed))
+        h = tensor.add(h, relu(mixed))
     pooled_graph = tensor.mean_rows(h)
     pooled_embed = tensor.matmul(tensor.mean_rows(rows),
                                  model.input_proj.value)
@@ -415,6 +416,20 @@ class TestNonFiniteForward:
         model.gcn_weights[-1].data[0, 0] = np.nan
         with pytest.raises(GradientError, match="gcn_1"):
             model.forward(ids, operator)
+
+    def test_relu_does_not_hide_a_negative_overflow(self):
+        # every pre-activation overflows to -inf and every relu reads 0,
+        # so H stays finite; both passes must still raise
+        model, _, _, _, ids, _ = tiny_model_inputs(SOURCE)
+        model.embedding.data[...] = 1.0
+        model.input_proj.data[...] = 1.0
+        for w in model.gcn_weights:
+            w.data[...] = -1.0
+        huge = operator_from_dense(np.full((ids.size, ids.size), 1e308))
+        with pytest.raises(GradientError, match="gcn_0"):
+            model.forward(ids, huge)
+        with pytest.raises(GradientError):
+            model.forward_nodes(ids, huge)
 
 
 class TestDenormalize:

@@ -102,8 +102,8 @@ def scan_bytes(src: Path, toy_run, out: Path, **kwargs) -> dict[str, bytes]:
 @pytest.fixture(scope="module")
 def vulnerable_model(toy_run):
     """The toy model biased so that every function is predicted vulnerable."""
-    model = VulnModel(toy_run.model.config)
-    model.load_values({p.name: p.data for p in toy_run.model.parameters()})
+    model = VulnModel(toy_run.model.config, values={
+        p.name: p.data.copy() for p in toy_run.model.parameters()})
     model.cls_bias.data[0, 3] += 1e3
     return model.freeze()
 

@@ -1,10 +1,12 @@
+import weakref
+
 import numpy as np
 import pytest
 
 from vulngraph import tensor
 from vulngraph.errors import GradientError, ShapeError
-from vulngraph.tensor import Matrix, Parameter
-from oracles import sum_all
+from vulngraph.tensor import Matrix, Parameter, from_op
+from oracles import relu, sum_all
 
 
 class TestOps:
@@ -14,7 +16,7 @@ class TestOps:
         np.testing.assert_array_equal(out.data, m.data)
 
     def test_relu(self):
-        out = tensor.relu(Matrix([[-1.0, 2.0]]))
+        out = relu(Matrix([[-1.0, 2.0]]))
         np.testing.assert_array_equal(out.data, [[0.0, 2.0]])
 
     def test_shape_mismatch_names_both_shapes(self):
@@ -63,6 +65,26 @@ class TestBackward:
         with pytest.raises(GradientError, match="already"):
             tensor.backward(loss)
 
+    def test_node_is_freed_once_it_has_pushed(self):
+        # ``middle`` pushes before ``first``; by then nothing holds it, so
+        # its value, which only the node holds, is gone too (a Matrix has
+        # slots and no weak references)
+        w = Parameter(np.ones((2, 2)), "w")
+        reachable = []
+
+        def push(g):
+            reachable.append(middle_ref() is not None)
+            w.value._accumulate(2.0 * g)
+
+        first = from_op(2.0 * w.data, (w.value,), push)
+        middle = tensor.scale(first, 3.0)
+        middle_ref = weakref.ref(middle.data)
+        loss = sum_all(middle)
+        del first, middle
+        tensor.backward(loss)
+        assert reachable == [False]
+        np.testing.assert_array_equal(w.grad, np.full((2, 2), 6.0))
+
     def test_grads_accumulate_until_zeroed(self):
         w = Parameter(np.ones((1, 2)), "w")
         for expected in (1.0, 2.0):
@@ -79,8 +101,8 @@ class TestBackward:
         x = Matrix(rng.normal(size=(3, 4)))
 
         def f():
-            h = tensor.relu(tensor.matmul(x, w1.value))
-            h = tensor.relu(tensor.matmul(h, w2.value))
+            h = relu(tensor.matmul(x, w1.value))
+            h = relu(tensor.matmul(h, w2.value))
             out = tensor.sigmoid(tensor.matmul(h, w3.value))
             return tensor.mean_all(tensor.mul(out, out))
 
@@ -121,7 +143,7 @@ class TestGradCheck:
         theta = Parameter(np.array([[0.0, 1.0]]), "theta")
 
         def f():
-            return sum_all(tensor.relu(theta.value))
+            return sum_all(relu(theta.value))
 
         report = tensor.grad_check(f, [theta], h=1e-5)
         assert report.n_skipped == 1  # the coordinate sitting on the kink
@@ -235,7 +257,7 @@ class TestGradientOwnership:
         def f():
             h = tensor.matmul(x, w_in.value)
             mixed = tensor.matmul(tensor.matmul(operator, h), w.value)
-            out = tensor.add(h, tensor.relu(mixed))
+            out = tensor.add(h, relu(mixed))
             return tensor.mean_all(tensor.mul(out, out))
 
         self.backward_keeps_buffers(f(), [w_in, w])

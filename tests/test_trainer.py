@@ -18,10 +18,10 @@ from vulngraph.errors import (ConfigError, DataError, GradientError,
 from vulngraph.lexer import build_vocab, tokenize
 from vulngraph.model import ModelConfig, VulnModel
 from vulngraph.objectives import FocalConfig
-from vulngraph.semgraph import build_graph
+from vulngraph.semgraph import build_graph, model_inputs
 from vulngraph.synth import make_toy_corpus
-from vulngraph.trainer import (TrainConfig, evaluate, label_index,
-                               load_checkpoint, parse_run_config,
+from vulngraph.trainer import (EncodedSample, TrainConfig, evaluate,
+                               label_index, load_checkpoint, parse_run_config,
                                prepare_sample, save_checkpoint, sweep_ensemble,
                                train, train_config_to_text, _backward_batch,
                                _sample_loss, format_sweep_table)
@@ -357,6 +357,32 @@ class TestTrain:
             finally:
                 tracemalloc.stop()
         assert peaks[8] <= 1.25 * peaks[1], peaks
+
+    @pytest.mark.parametrize("fresh", [False, True])
+    def test_sample_peaks_under_ten_activation_arrays(self, fresh):
+        # at gcn_dim 128 and 512 positions the n x gcn_dim arrays dominate;
+        # a tape that holds every node, value and gradient until the walk
+        # ends peaks near 17 of them
+        vocab = build_vocab([LONG_SOURCE])
+        model = VulnModel(ModelConfig(vocab_size=len(vocab), embed_dim=16,
+                                      gcn_dim=128), seed=1)
+        sample = EncodedSample(
+            *model_inputs(build_graph(tokenize(LONG_SOURCE)), vocab),
+            label=3, line_count=LONG_SOURCE.count("\n") + 1,
+            truth_range=(2, 5))
+        array_bytes = sample.ids.size * 128 * 8
+        tracemalloc.start()
+        try:
+            loss = trainer_module._sample_loss_node(model, sample,
+                                                    TrainConfig())
+            result = trainer_module._sample_gradients(
+                model.parameters(), loss, 0.5, fresh=fresh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not isinstance(result, Exception), result
+        assert sample.ids.size == 512
+        assert peak < 10 * array_bytes, peak / array_bytes
 
     def test_tokenizes_each_record_once(self, monkeypatch):
         records, ds = tiny_corpus()
