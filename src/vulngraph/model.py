@@ -1,8 +1,7 @@
 """The network: token embedding, residual graph convolution, fused heads.
 
 Layout per forward pass (n = number of stream positions, at most 512;
-A_hat the sparse n x n operator of ``semgraph.build_graph``; on the
-tape each graph layer is one ``tensor.graph_layer`` node):
+A_hat the sparse n x n operator of ``semgraph.build_graph``):
 
     u, inverse = unique ids (n,)                  (u: the d distinct ids)
     P = E[u] @ W_in                               (d x gcn_dim)
@@ -27,11 +26,13 @@ by W_in. The embedding table is a trainable stand-in for a pretrained
 encoder; since ``pooled_embed`` is a mean over tokens it is
 order-invariant over the payload, an accepted desk-scale limitation.
 
-``forward`` is the inference pass: plain numpy, no autodiff tape, each
-layer checked for non-finite values; its per-layer results are the base
-pass that ``occluded_probabilities`` builds on. ``forward_nodes`` runs the
-same layers on the ``tensor`` tape for training and is ``forward``'s
-bit-exact oracle.
+``forward``, built from ``embed``, ``gcn_forward``, ``pooled_embedding``
+and ``heads``, is the one pass that scan, attribution, validation and
+training run: plain numpy, each layer checked for non-finite values. Its
+output keeps P and each layer's pre-activation A_hat @ (H_l @ W_l), from
+which ``backward`` gives each parameter's gradient. ``forward_nodes``
+runs the same layers on the ``tensor`` tape, with no caller here: it is
+the oracle that tests compare both passes with, bit for bit.
 
 Occlusion is an input, not a mode: occluding a position means giving it
 the ``<PAD>`` id, which no stream holds, and running the ordinary pass.
@@ -49,7 +50,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -96,6 +97,12 @@ def _check_fusion(embed_weight: float, graph_weight: float) -> None:
             f"fusion weights must sum to 1, got "
             f"{embed_weight} + {graph_weight}"
         )
+
+
+def _sum_into(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a + b``, written into ``a``: one array fewer than a new sum."""
+    a += b
+    return a
 
 
 def _require_finite(where: str, *values: np.ndarray) -> None:
@@ -170,20 +177,21 @@ def _pooled_shifts(positions: np.ndarray, input_deltas: np.ndarray,
     return tensor.segment_sum(delta, keys // n, k)
 
 
-def fuse(pooled_embed: Matrix, pooled_graph: Matrix,
-         embed_weight: float, graph_weight: float) -> Matrix:
+def fuse(pooled_embed: np.ndarray, pooled_graph: np.ndarray,
+         embed_weight: float, graph_weight: float) -> np.ndarray:
     """Convex combination of the two pooled feature paths."""
     _check_fusion(embed_weight, graph_weight)
-    return tensor.add(tensor.scale(pooled_embed, embed_weight),
-                      tensor.scale(pooled_graph, graph_weight))
+    return embed_weight * pooled_embed + graph_weight * pooled_graph
 
 
 @dataclass
 class Forward:
-    """Live computation-graph nodes from one forward pass."""
+    """Live tape nodes from one ``forward_nodes`` pass."""
 
     class_logits: Matrix
     loc_pred: Matrix
+    pooled_embed: Matrix
+    pooled_graph: Matrix
 
 
 @dataclass(frozen=True)
@@ -194,8 +202,7 @@ class ForwardOutput:
     loc_pred: tuple[float, float]
     pooled_embed: np.ndarray
     pooled_graph: np.ndarray
-    # for occlusion to reuse: the distinct ids' projected rows P, and
-    # each layer's A @ (H @ W)
+    # for occlusion and ``backward``: P, and each layer's A @ (H @ W)
     _projected: np.ndarray = field(compare=False, repr=False)
     _mixed: list[np.ndarray] = field(compare=False, repr=False)
 
@@ -249,90 +256,81 @@ class VulnModel:
     # -- forward pieces ------------------------------------------------------
 
     def embed(self, ids: Sequence[int] | np.ndarray
-              ) -> tuple[Matrix, np.ndarray]:
+              ) -> tuple[np.ndarray, np.ndarray]:
         """The distinct ids' rows in graph space, and each position's row.
 
         Returns (P, inverse): row j of P is ``E[u_j] @ W_in`` for the j-th
         distinct id, and position i holds row ``inverse[i]``, so the
         stream's rows H0 are ``P[inverse]``.
         """
-        distinct, inverse = np.unique(self._checked_ids(ids),
-                                      return_inverse=True)
-        projected = tensor.matmul(
-            tensor.gather_rows(self.embedding.value, distinct),
-            self.input_proj.value)
-        return projected, inverse
+        distinct, inverse = self._distinct(ids)
+        return self.embedding.data[distinct] @ self.input_proj.data, inverse
 
-    def _checked_ids(self, ids: Sequence[int] | np.ndarray) -> np.ndarray:
+    def _distinct(self, ids: Sequence[int] | np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct ids in order, and each position's index in them."""
         ids = np.asarray(ids, dtype=np.int64)
         if ids.size and (ids.min() < 0 or ids.max() >= self.config.vocab_size):
             raise ShapeError(
                 f"token id out of range [0, {self.config.vocab_size})"
             )
-        return ids
+        return np.unique(ids, return_inverse=True)
 
-    def gcn_forward(self, projected: Matrix, inverse: np.ndarray,
-                    operator: SparseOperator) -> tuple[Matrix, Matrix]:
-        """Run the residual graph layers from ``embed``'s rows.
+    def gcn_forward(self, projected: np.ndarray, inverse: np.ndarray,
+                    operator: SparseOperator
+                    ) -> tuple[np.ndarray, list[np.ndarray]]:
+        """The residual graph layers' final per-token features from
+        ``embed``'s rows, and each layer's pre-activation A @ (H @ W).
 
-        Returns (H0, final per-token features). Each layer is a
-        ``tensor.matmul`` node for the product with W_l and one
-        ``tensor.graph_layer`` node for ``H + relu(A_hat @ .)``, which
-        keeps only its relu mask. The first layer's product with W_1 runs
-        over the distinct rows of ``projected``, and its graph layer
-        gathers them back per position.
+        Callers silence numpy's overflow and invalid-value warnings: the
+        results are checked here instead.
         """
-        h = h0 = tensor.gather_rows(projected, inverse)
+        n = inverse.size
+        if n == 0 or operator.n != n:
+            raise ShapeError(
+                f"operator over {operator.n} rows does not fit {n} tokens")
+        _require_finite("input projection", projected)
+        h = projected[inverse]
+        mixed_per_layer = []
         for layer, weight in enumerate(self.gcn_weights):
-            rows = projected if layer == 0 else h
-            h = tensor.graph_layer(h, tensor.matmul(rows, weight.value),
-                                   operator, inverse if layer == 0 else None)
-        return h0, h
+            mixed = operator.apply((projected @ weight.data)[inverse]
+                                   if layer == 0 else h @ weight.data)
+            mixed_per_layer.append(mixed)
+            h = _sum_into(np.maximum(mixed, 0.0), h)  # H + relu(mixed)
+            # the relu would hide a -inf in ``mixed``
+            _require_finite(f"layer gcn_{layer}", mixed, h)
+        return h, mixed_per_layer
 
-    def pooled_embedding(self, h0: Matrix) -> Matrix:
-        """Mean of ``embed``'s rows: the mean embedding, projected.
+    def pooled_embedding(self, projected: np.ndarray,
+                         inverse: np.ndarray) -> np.ndarray:
+        """Mean of ``embed``'s rows over the positions; by linearity the
+        mean embedding projected by W_in, so both pooled features live in
+        graph space."""
+        return projected[inverse].mean(axis=0)
 
-        By linearity this is ``mean(E[ids]) @ W_in``, so both pooled
-        features live in graph space.
-        """
-        return tensor.mean_rows(h0)
-
-    def heads(self, fused: Matrix) -> tuple[Matrix, Matrix]:
+    def heads(self, fused: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Class logits (index 0 = benign) and sigmoid line fractions."""
-        class_logits = tensor.add(
-            tensor.matmul(fused, self.cls_weight.value), self.cls_bias.value)
-        loc_pred = tensor.sigmoid(tensor.add(
-            tensor.matmul(fused, self.loc_weight.value), self.loc_bias.value))
-        return class_logits, loc_pred
-
-    # -- full passes ----------------------------------------------------------
-
-    def forward_nodes(self, ids: np.ndarray,
-                      operator: SparseOperator) -> Forward:
-        """One forward pass on the tape, for training and gradient checks."""
-        h0, h = self.gcn_forward(*self.embed(ids), operator)
-        pooled_graph = tensor.mean_rows(h)
-        pooled_embed = self.pooled_embedding(h0)
-        fused = fuse(pooled_embed, pooled_graph, self.config.embed_weight,
-                     self.config.graph_weight)
-        class_logits, loc_pred = self.heads(fused)
-        return Forward(class_logits=class_logits, loc_pred=loc_pred)
-
-    @np.errstate(over="ignore", invalid="ignore")
-    def forward(self, ids: np.ndarray,
-                operator: SparseOperator) -> ForwardOutput:
-        """Inference pass in plain numpy; equals ``forward_nodes`` bit for bit."""
-        distinct, inverse = np.unique(self._checked_ids(ids),
-                                      return_inverse=True)
-        projected = self.embedding.data[distinct] @ self.input_proj.data
-        pooled_embed, pooled_graph, mixed = self._graph_pass(
-            projected, inverse, operator)
-        fused = (self.config.embed_weight * pooled_embed
-                 + self.config.graph_weight * pooled_graph)
         class_logits = fused @ self.cls_weight.data + self.cls_bias.data
         loc_pred = tensor.logistic(
             fused @ self.loc_weight.data + self.loc_bias.data)
         _require_finite("heads", class_logits, loc_pred)
+        return class_logits, loc_pred
+
+    # -- full passes ----------------------------------------------------------
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def forward(self, ids: np.ndarray,
+                operator: SparseOperator) -> ForwardOutput:
+        """The model's one pass, in plain numpy; ``forward_nodes`` is its
+        oracle."""
+        projected, inverse = self.embed(ids)
+        h, mixed = self.gcn_forward(projected, inverse, operator)
+        pooled_graph = h.mean(axis=0)
+        pooled_embed = self.pooled_embedding(projected, inverse)
+        _require_finite("pooled features", pooled_embed, pooled_graph)
+        class_logits, loc_pred = self.heads(fuse(
+            pooled_embed, pooled_graph, self.config.embed_weight,
+            self.config.graph_weight))
         return ForwardOutput(
             class_logits=class_logits[0],
             loc_pred=(float(loc_pred[0, 0]), float(loc_pred[0, 1])),
@@ -342,36 +340,89 @@ class VulnModel:
             _mixed=mixed,
         )
 
-    def _graph_pass(self, projected: np.ndarray, inverse: np.ndarray,
-                    operator: SparseOperator
-                    ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-        """Pooled embedding and graph features, and each layer's A @ (H @ W).
+    def backward(self, ids: np.ndarray, operator: SparseOperator,
+                 out: ForwardOutput, class_grad: np.ndarray,
+                 loc_grad: np.ndarray | None,
+                 add: Callable[[Parameter, object, np.ndarray], None]) -> None:
+        """Call ``add(parameter, index, contribution)`` per parameter,
+        heads first: adding each contribution into
+        ``parameter.grad[index]`` adds one sample's gradient. The
+        embedding's index is the distinct ids.
 
-        ``projected`` and ``inverse`` are the rows that ``embed`` puts on
-        the tape. Callers silence numpy's overflow and invalid-value
-        warnings: the results are checked here and raise ``GradientError``
-        instead.
+        ``out`` is ``forward`` on ``ids`` and ``operator``; ``class_grad``
+        and ``loc_grad`` are the loss's gradients with respect to its class
+        logits and line fractions (None: the loss does not read them). A
+        later layer's input is recomputed from H0 and the relus of the kept
+        pre-activations, and a relu's mask is its pre-activation > 0. The
+        steps are the tape's in its push order, so each contribution equals
+        the tape's bit for bit.
         """
-        n = inverse.size
-        if n == 0 or operator.n != n:
-            raise ShapeError(
-                f"operator over {operator.n} rows does not fit {n} tokens")
-        _require_finite("input projection", projected)
-        h0 = projected[inverse]
-        h = h0
-        mixed_per_layer = []
+        distinct, inverse = self._distinct(ids)
+        embed_w, graph_w = self.config.embed_weight, self.config.graph_weight
+        fused = fuse(out.pooled_embed, out.pooled_graph, embed_w,
+                     graph_w).reshape(1, -1)
+        g = class_grad.reshape(1, -1)
+        add(self.cls_bias, ..., g)
+        add(self.cls_weight, ..., fused.T @ g)
+        g_fused = g @ self.cls_weight.data.T
+        if loc_grad is not None:
+            loc = np.array([out.loc_pred])
+            g = loc_grad.reshape(1, -1) * loc * (1.0 - loc)
+            add(self.loc_bias, ..., g)
+            add(self.loc_weight, ..., fused.T @ g)
+            g_fused = g_fused + g @ self.loc_weight.data.T
+
+        g = np.broadcast_to(g_fused * graph_w / inverse.size,
+                            (inverse.size, fused.shape[1]))
+        inputs = []  # layer l's input H_l, for l >= 1
+        for mixed in out._mixed[:-1]:
+            inputs.append(_sum_into(np.maximum(mixed, 0.0), inputs[-1]
+                                    if inputs else out._projected[inverse]))
+        for layer in range(len(self.gcn_weights) - 1, 0, -1):
+            weight = self.gcn_weights[layer]
+            back = operator.apply_transposed(g * (out._mixed[layer] > 0))
+            add(weight, ..., inputs.pop().T @ back)
+            g = _sum_into(back @ weight.data.T, g)
+            del back  # before the next layer's product
+        # layer 1 multiplied the distinct rows, gathered per position
+        weight = self.gcn_weights[0]
+        back = tensor.segment_sum(
+            operator.apply_transposed(g * (out._mixed[0] > 0)), inverse,
+            distinct.size)
+        add(weight, ..., out._projected.T @ back)
+        g_projected = tensor.segment_sum(
+            g + g_fused * embed_w / inverse.size, inverse, distinct.size)
+        del g
+        g_projected += back @ weight.data.T
+        rows = self.embedding.data[distinct]
+        add(self.input_proj, ..., rows.T @ g_projected)
+        add(self.embedding, distinct, g_projected @ self.input_proj.data.T)
+
+    def forward_nodes(self, ids: np.ndarray,
+                      operator: SparseOperator) -> Forward:
+        """``forward`` on the ``tensor`` tape, the oracle of ``forward``
+        and ``backward``: per layer a ``tensor.matmul`` node for the
+        product with W_l (over the distinct rows in layer 1) and a
+        ``tensor.graph_layer`` node for ``H + relu(A_hat @ .)``."""
+        distinct, inverse = self._distinct(ids)
+        projected = tensor.matmul(
+            tensor.gather_rows(self.embedding.value, distinct),
+            self.input_proj.value)
+        h = h0 = tensor.gather_rows(projected, inverse)
         for layer, weight in enumerate(self.gcn_weights):
-            transformed = ((projected @ weight.data)[inverse] if layer == 0
-                           else h @ weight.data)
-            mixed = operator.apply(transformed)
-            mixed_per_layer.append(mixed)
-            h = h + np.maximum(mixed, 0.0)
-            # the relu would hide a -inf in ``mixed``
-            _require_finite(f"layer gcn_{layer}", mixed, h)
-        pooled_embed = h0.mean(axis=0)
-        pooled_graph = h.mean(axis=0)
-        _require_finite("pooled features", pooled_embed, pooled_graph)
-        return pooled_embed, pooled_graph, mixed_per_layer
+            rows = projected if layer == 0 else h
+            h = tensor.graph_layer(h, tensor.matmul(rows, weight.value),
+                                   operator, inverse if layer == 0 else None)
+        pooled_graph = tensor.mean_rows(h)
+        pooled_embed = tensor.mean_rows(h0)
+        fused = tensor.add(
+            tensor.scale(pooled_embed, self.config.embed_weight),
+            tensor.scale(pooled_graph, self.config.graph_weight))
+        class_logits = tensor.add(
+            tensor.matmul(fused, self.cls_weight.value), self.cls_bias.value)
+        loc_pred = tensor.sigmoid(tensor.add(
+            tensor.matmul(fused, self.loc_weight.value), self.loc_bias.value))
+        return Forward(class_logits, loc_pred, pooled_embed, pooled_graph)
 
     @np.errstate(over="ignore", invalid="ignore")
     def occluded_probabilities(self, ids: np.ndarray,
@@ -393,13 +444,12 @@ class VulnModel:
         (position, row) pairs, held as arrays, with no Python loop per
         position.
         """
-        ids = self._checked_ids(ids)
-        n = ids.size
+        _, inverse = self._distinct(ids)
+        n = inverse.size
         # the pattern is symmetric: row s's columns are the rows reading it
         readers = operator.start, operator.cols, operator.mirror
 
         positions = np.asarray(positions, dtype=np.int64)
-        _, inverse = np.unique(ids, return_inverse=True)
         input_deltas = (self.embedding.data[PAD_ID] @ self.input_proj.data
                         - base._projected[inverse[positions]])
         layers = [(weight.data, mixed, np.maximum(mixed, 0.0))

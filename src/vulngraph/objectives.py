@@ -6,7 +6,9 @@ dominating the gradient on imbalanced corpora. With ``delta = 0`` and
 ``alpha = 1`` it reduces to plain cross-entropy exactly. Localization
 uses mean squared error on normalized line fractions, and localization
 quality is scored with a one-dimensional intersection-over-union on
-inclusive integer line ranges.
+inclusive integer line ranges. Both losses are plain numpy: each returns
+its value and its gradient with respect to its input, which the trainer
+hands to ``VulnModel.backward``.
 """
 
 from __future__ import annotations
@@ -19,8 +21,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError, ShapeError
-from . import tensor
-from .tensor import Matrix
 
 
 @dataclass(frozen=True)
@@ -38,21 +38,23 @@ class FocalConfig:
                 f"focal delta must be finite and >= 0, got {self.delta}")
 
 
-def focal_loss(class_logits: Matrix, true_class: int,
-               cfg: FocalConfig = FocalConfig()) -> Matrix:
-    """Differentiable focal loss for a single 1 x C logit row.
+def focal_loss(class_logits: np.ndarray, true_class: int,
+               cfg: FocalConfig = FocalConfig()) -> tuple[float, np.ndarray]:
+    """Focal loss of one row of C logits, and its gradient with respect
+    to them.
 
     The target probability is computed through log-sum-exp, so the loss
     is finite for any finite logits.
     """
-    if class_logits.rows != 1:
-        raise ShapeError(f"focal_loss expects a 1 x C row, got {class_logits.shape}")
-    num_classes = class_logits.cols
+    z = np.asarray(class_logits, dtype=np.float64)
+    if z.ndim != 1:
+        raise ShapeError(f"focal_loss expects one row of C logits, got "
+                         f"shape {z.shape}")
+    num_classes = z.size
     if not (0 <= true_class < num_classes):
         raise DataError(
             f"true_class {true_class} out of range for {num_classes} classes"
         )
-    z = class_logits.data[0]
     shifted = z - z.max()
     log_norm = np.log(np.exp(shifted).sum())
     log_p = float(shifted[true_class] - log_norm)
@@ -63,32 +65,25 @@ def focal_loss(class_logits: Matrix, true_class: int,
     softmax = np.exp(shifted - log_norm)
     onehot = np.zeros(num_classes)
     onehot[true_class] = 1.0
-
-    def push(g: np.ndarray) -> None:
-        if not class_logits.wants_grad:
-            return
-        if cfg.delta > 0.0:
-            # max() keeps (1-p)^(delta-1) finite when p has saturated.
-            focus_term = (-cfg.delta * max(miss, 1e-15) ** (cfg.delta - 1.0)
-                          * p * log_p)
-        else:
-            focus_term = 0.0
-        dloss_dz = -cfg.alpha * (onehot - softmax) * (
-            focus_term + miss ** cfg.delta)
-        class_logits._accumulate(g[0, 0] * dloss_dz.reshape(1, -1))
-
-    return tensor.from_op(np.array([[value]]), (class_logits,), push)
+    # max() keeps (1-p)^(delta-1) finite when p has saturated.
+    focus_term = (-cfg.delta * max(miss, 1e-15) ** (cfg.delta - 1.0)
+                  * p * log_p if cfg.delta > 0.0 else 0.0)
+    return value, -cfg.alpha * (onehot - softmax) * (
+        focus_term + miss ** cfg.delta)
 
 
-def mse_loss(loc_pred: Matrix, loc_target: Sequence[float]) -> Matrix:
-    """Mean squared error between predicted and target fraction pairs."""
-    target = Matrix(np.asarray(loc_target, dtype=np.float64).reshape(1, -1))
-    if target.shape != loc_pred.shape:
+def mse_loss(loc_pred: Sequence[float] | np.ndarray,
+             loc_target: Sequence[float]) -> tuple[float, np.ndarray]:
+    """Mean squared error between predicted and target fraction pairs,
+    and its gradient with respect to the prediction."""
+    pred = np.asarray(loc_pred, dtype=np.float64)
+    target = np.asarray(loc_target, dtype=np.float64)
+    if target.shape != pred.shape:
         raise ShapeError(
-            f"mse_loss: prediction {loc_pred.shape} vs target {target.shape}"
+            f"mse_loss: prediction {pred.shape} vs target {target.shape}"
         )
-    diff = tensor.sub(loc_pred, target)
-    return tensor.mean_all(tensor.mul(diff, diff))
+    diff = pred - target
+    return float(np.mean(diff * diff)), diff * (2.0 / diff.size)
 
 
 def iou_1d(pred: tuple[int, int], truth: tuple[int, int]) -> float:

@@ -1,19 +1,17 @@
-"""Dense float64 matrices with reverse-mode differentiation.
+"""Parameters, the sparse graph operator, checkpoints, and the
+reverse-mode tape that is the gradient oracle.
 
-Every operation returns a new Matrix that remembers its inputs and a
-closure that pushes an incoming gradient back to them; ``backward`` on a
-1x1 loss walks that history in reverse topological order and frees each
-node once it has pushed. The sizes this package works with are small
-enough that plain numpy plus a Python tape is fast, and float64 keeps
-the finite-difference checks tight.
+The graph operator is a ``SparseOperator``: the model's forward pass
+applies it and its hand-written backward its transpose, in plain numpy.
 
-Shapes are never broadcast: operands must conform exactly, and shape
-mismatches raise ShapeError naming both shapes.
-
-The one sparse value is the graph operator, a ``SparseOperator``: a
-constant on the tape, applied by ``graph_layer``, which records a whole
-residual graph layer as one node whose gradient runs through the
-transposed product. The tape-free inference pass calls the same product.
+The tape is ``Matrix`` and the ops built on ``from_op``: each op returns
+a Matrix that remembers its inputs and a closure that pushes a gradient
+back to them; ``backward`` on a 1x1 loss walks that history in reverse
+topological order and frees each node once it has pushed, and
+``graph_layer`` records a residual graph layer as one node. Nothing in
+the package calls it: ``VulnModel.forward_nodes`` and ``grad_check`` keep
+it as the reference that tests check the numpy passes against. Shapes
+are never broadcast, and mismatches raise ShapeError naming both shapes.
 
 Gradients are not copied on the way back. A node keeps the first array
 pushed to it as its ``grad``, and that array may also be another node's
@@ -96,8 +94,7 @@ def from_op(data: np.ndarray, parents: Sequence[Matrix],
     """Wrap an op result so gradients can flow back to ``parents``.
 
     ``push`` receives the upstream gradient and is responsible for
-    calling ``_accumulate`` on whichever parents want gradients. Shared
-    between this module and the loss functions built on top of it.
+    calling ``_accumulate`` on whichever parents want gradients.
     """
     out = Matrix(data)
     out.wants_grad = any(p.wants_grad for p in parents)
@@ -105,11 +102,6 @@ def from_op(data: np.ndarray, parents: Sequence[Matrix],
         out._parents = tuple(parents)
         out._push = push
     return out
-
-
-def _require_same_shape(a: Matrix, b: Matrix, op: str) -> None:
-    if a.shape != b.shape:
-        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} differ")
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
@@ -126,7 +118,8 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def add(a: Matrix, b: Matrix) -> Matrix:
-    _require_same_shape(a, b, "add")
+    if a.shape != b.shape:
+        raise ShapeError(f"add: shapes {a.shape} and {b.shape} differ")
 
     def push(g: np.ndarray) -> None:
         if a.wants_grad:
@@ -135,31 +128,6 @@ def add(a: Matrix, b: Matrix) -> Matrix:
             b._accumulate(g)
 
     return from_op(a.data + b.data, (a, b), push)
-
-
-def sub(a: Matrix, b: Matrix) -> Matrix:
-    _require_same_shape(a, b, "sub")
-
-    def push(g: np.ndarray) -> None:
-        if a.wants_grad:
-            a._accumulate(g)
-        if b.wants_grad:
-            b._accumulate(-g)
-
-    return from_op(a.data - b.data, (a, b), push)
-
-
-def mul(a: Matrix, b: Matrix) -> Matrix:
-    """Elementwise (Hadamard) product."""
-    _require_same_shape(a, b, "mul")
-
-    def push(g: np.ndarray) -> None:
-        if a.wants_grad:
-            a._accumulate(g * b.data)
-        if b.wants_grad:
-            b._accumulate(g * a.data)
-
-    return from_op(a.data * b.data, (a, b), push)
 
 
 def scale(a: Matrix, factor: float) -> Matrix:
@@ -196,16 +164,6 @@ def mean_rows(a: Matrix) -> Matrix:
             a._accumulate(np.broadcast_to(g / a.rows, a.shape))
 
     return from_op(a.data.mean(axis=0, keepdims=True), (a,), push)
-
-
-def mean_all(a: Matrix) -> Matrix:
-    size = a.data.size
-
-    def push(g: np.ndarray) -> None:
-        if a.wants_grad:
-            a._accumulate(np.full_like(a.data, g[0, 0] / size))
-
-    return from_op(np.array([[a.data.mean()]]), (a,), push)
 
 
 def gather_rows(table: Matrix, ids: np.ndarray) -> Matrix:

@@ -7,13 +7,14 @@ localization head). Batches are shuffled per epoch from the run seed and
 processed in a fixed order, so a (config, seed) pair reproduces the same
 parameter trajectory bit for bit.
 
-A batch's loss is the mean of its samples' losses. Each sample's share
-is backpropagated right after its own forward pass, and its gradients
-are added to the parameters' in sample order, so one sample's tape is
-alive at a time; Adam then steps once per batch. Validation runs the
-tape-free ``VulnModel.forward`` once per sample, and its loss and
-metrics both read that output. A fusion-ratio sweep prepares the
-samples once and trains one model per ratio from them.
+A batch's loss is the mean of its samples' losses. Each sample runs
+``VulnModel.forward``, the pass inference runs; the numpy objectives give
+its loss and gradients, and ``VulnModel.backward`` each parameter's
+contribution, added in sample order, so one sample's arrays are alive at
+a time; Adam then steps once per batch. Validation runs the same
+``forward``, and its loss and metrics both read that output. A
+fusion-ratio sweep prepares the samples once and trains one model per
+ratio from them.
 
 Training runs on one process per usable CPU (at most one per sample of
 a batch): the training process and helpers forked from it once per run,
@@ -41,12 +42,12 @@ from .corpus import (BINARY_VULNERABLE_LABEL, DatasetSplit, FunctionRecord,
                      default_catalog, select)
 from .errors import ConfigError, DataError, GradientError, TrainingError
 from .lexer import TokenStream, Vocabulary, build_vocab, tokenize
-from .model import (ModelConfig, VulnModel, denormalize_lines,
+from .model import (ForwardOutput, ModelConfig, VulnModel, denormalize_lines,
                     normalize_line_range)
 from .objectives import (FocalConfig, MetricsReport, classification_metrics,
                          focal_loss, iou_1d, mse_loss)
 from .semgraph import build_graph, model_inputs
-from .tensor import Matrix, SparseOperator
+from .tensor import SparseOperator
 
 
 @dataclass(frozen=True)
@@ -85,11 +86,14 @@ class TrainConfig:
 #: time. Its two scratch blocks take 1 MiB, and a block's operands are
 #: reread from cache.
 ADAM_BLOCK = 2**16
+#: Adam's decay rates of the two moments, and the term that keeps its
+#: division finite.
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class Adam:
-    """Adaptive update (beta1 0.9, beta2 0.999, eps 1e-8) of the ``part``
-    slice of the flat parameter vector laid out by ``_share``.
+    """Adaptive update (``ADAM_BETA1``, ``ADAM_BETA2``, ``ADAM_EPS``) of
+    the ``part`` slice of the flat parameter vector laid out by ``_share``.
 
     ``state`` holds four rows over that vector: the values, the
     gradients and the two moments. The update is elementwise, so the
@@ -97,13 +101,9 @@ class Adam:
     steps its own slice, and one process steps the whole vector.
     """
 
-    def __init__(self, state: np.ndarray, lr: float, part: slice = slice(None),
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, state: np.ndarray, lr: float, part: slice = slice(None)):
         self.values, self.grads, self.m, self.v = state[:, part]
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self._scratch = np.empty((2, min(ADAM_BLOCK, self.values.size)))
 
@@ -115,25 +115,25 @@ class Adam:
         ``v = b2*v + (1-b2)*g*g`` and ``p -= lr * m_hat / (sqrt(v_hat) +
         eps)``, with ``m_hat = m / (1-b1^t)`` and ``v_hat = v / (1-b2^t)``,
         as the same operations in the same order, so the values are equal
-        bit for bit. Only the slice and two scratch blocks are written.
+        bit for bit. Only the slice and two scratch blocks are written; an
+        empty slice steps nothing.
         """
         self.t += 1
-        m_scale = 1 - self.beta1 ** self.t
-        v_scale = 1 - self.beta2 ** self.t
-        block = self._scratch.shape[1]
-        for lo in range(0, self.values.size, block):
-            at = slice(lo, lo + block)
+        m_scale = 1 - ADAM_BETA1 ** self.t
+        v_scale = 1 - ADAM_BETA2 ** self.t
+        for lo in range(0, self.values.size, ADAM_BLOCK):
+            at = slice(lo, lo + ADAM_BLOCK)
             g, m, v, x = self.grads[at], self.m[at], self.v[at], self.values[at]
             a, b = self._scratch[:, :g.size]
-            m *= self.beta1
-            m += np.multiply(g, 1 - self.beta1, out=a)
-            np.multiply(g, 1 - self.beta2, out=a)
+            m *= ADAM_BETA1
+            m += np.multiply(g, 1 - ADAM_BETA1, out=a)
+            np.multiply(g, 1 - ADAM_BETA2, out=a)
             a *= g
-            v *= self.beta2
+            v *= ADAM_BETA2
             v += a
             np.divide(v, v_scale, out=a)
             np.sqrt(a, out=a)
-            a += self.eps
+            a += ADAM_EPS
             np.divide(m, m_scale, out=b)
             b *= self.lr
             b /= a
@@ -186,29 +186,33 @@ def prepare_sample(record: FunctionRecord, vocab: Vocabulary, num_classes: int,
     )
 
 
-def _sample_loss(class_logits: Matrix, loc_pred: Matrix,
-                 sample: EncodedSample, cfg: TrainConfig) -> Matrix:
-    """The sample's loss; on the tape only when its inputs are."""
-    loss = tensor.scale(
-        focal_loss(class_logits, sample.label, cfg.focal), cfg.w_cls)
+def _sample_loss(class_logits: np.ndarray, loc_pred: tuple[float, float],
+                 sample: EncodedSample, cfg: TrainConfig, scale: float = 1.0
+                 ) -> tuple[float, np.ndarray, np.ndarray | None]:
+    """The sample's loss from its heads, and the gradients of ``scale``
+    times the loss with respect to the class logits and to the line
+    fractions, which a benign sample's loss does not read (None)."""
+    value, class_grad = focal_loss(class_logits, sample.label, cfg.focal)
+    value *= cfg.w_cls
+    class_grad = (scale * cfg.w_cls) * class_grad
+    loc_grad = None
     if sample.truth_range is not None:
         target = normalize_line_range(*sample.truth_range, sample.line_count)
-        loss = tensor.add(
-            loss, tensor.scale(mse_loss(loc_pred, target), cfg.w_loc))
-    return loss
+        loc_value, loc_grad = mse_loss(loc_pred, target)
+        value += loc_value * cfg.w_loc
+        loc_grad = (scale * cfg.w_loc) * loc_grad
+    return value, class_grad, loc_grad
 
 
 def _backward_batch(model: VulnModel, batch: Sequence[EncodedSample],
                     cfg: TrainConfig, helpers: _Helpers | None = None) -> float:
     """Add the gradients of the batch's mean loss; return that loss.
 
-    Each sample's loss, scaled by 1/len(batch), is walked right after its
-    own forward pass. Its gradients are added to the parameters' at the
-    sample's turn, after every earlier sample's: straight from the tape
-    when the turn is free before the walk, as it always is in one
-    process, and from fresh arrays otherwise. One tape over the whole
-    batch would push the same values and add them in the same sample
-    order, so the gradients are equal bit for bit.
+    Each sample's loss, scaled by 1/len(batch), is differentiated right
+    after its own forward pass. Its gradients are added to the
+    parameters' at the sample's turn, after every earlier sample's: as
+    they are made when the turn is free, as it always is in one process,
+    and otherwise from contributions held until the turn.
 
     With ``helpers`` of N processes, every process calls this on the same
     batch, and sample j runs in process j mod N. A process that waits for
@@ -218,28 +222,25 @@ def _backward_batch(model: VulnModel, batch: Sequence[EncodedSample],
     as in one process.
     """
     helpers = helpers if helpers is not None else _Helpers(1, len(batch))
-    params = model.parameters()
-    sums = [p.grad for p in params]
     scale = 1.0 / len(batch)
     count, step = len(batch), helpers.processes
     ahead = None
     for j in range(helpers.rank, count, step):
-        loss = ahead if ahead is not None else _sample_loss_node(
-            model, batch[j], cfg)
+        out = ahead if ahead is not None else _sample_output(model, batch[j])
         ahead = None
         ready = helpers.turn(j, block=False)
-        result = _sample_gradients(params, loss, scale, fresh=not ready)
+        result = _sample_gradients(model, batch[j], out, cfg, scale,
+                                   hold=not ready)
         if not ready and not helpers.turn(j, block=False):
             if j + step < count:
-                ahead = _sample_loss_node(model, batch[j + step], cfg)
+                ahead = _sample_output(model, batch[j + step])
             helpers.turn(j)
         if isinstance(result, Exception):
             helpers.fail(j, result)
         elif not helpers.failed():
-            value, grads = result
-            for total, grad in zip(sums, grads):
-                if grad is not None:
-                    total += grad
+            value, held = result
+            for contribution in held:
+                _add(*contribution)
             helpers.losses[j] = value
         helpers.pass_turn(j, count)
     helpers.meet()
@@ -250,45 +251,39 @@ def _backward_batch(model: VulnModel, batch: Sequence[EncodedSample],
     return total * scale
 
 
-def _sample_loss_node(model: VulnModel, sample: EncodedSample,
-                      cfg: TrainConfig) -> Matrix | Exception:
-    """The sample's loss on a fresh tape, or the exception raised."""
+def _sample_output(model: VulnModel, sample: EncodedSample
+                   ) -> ForwardOutput | Exception:
+    """The sample's forward pass, or the exception raised."""
     try:
-        nodes = model.forward_nodes(sample.ids, sample.operator)
-        return _sample_loss(nodes.class_logits, nodes.loc_pred, sample, cfg)
+        return model.forward(sample.ids, sample.operator)
     except Exception as exc:  # raised at the sample's turn
         return exc
 
 
-def _sample_gradients(params: Sequence[tensor.Parameter],
-                      loss: Matrix | Exception, scale: float, fresh: bool
-                      ) -> tuple[float, list[np.ndarray | None]] | Exception:
-    """Walk ``scale`` times the loss: return the loss and the gradients
-    still to add, or the exception raised, ``loss`` included.
-
-    Unless ``fresh``, the walk adds into the parameters' gradients and
-    leaves nothing to add. Otherwise it runs into fresh arrays, returned
-    per parameter (None where it got none). Each parameter takes exactly
-    one contribution per sample (the embedding through ``segment_sum``
-    over distinct ids), so adding the fresh array to a sum adds the same
-    term that the walk would. The fresh array can differ from that term
-    only in the sign of a zero, and a sum that starts at +0.0 never
-    holds -0.0, so the sums are equal bit for bit.
-    """
-    if isinstance(loss, Exception):
-        return loss
-    sums = [p.value.grad for p in params]
-    if fresh:
-        for p in params:
-            p.value.grad = None
+def _sample_gradients(model: VulnModel, sample: EncodedSample,
+                      out: ForwardOutput | Exception, cfg: TrainConfig,
+                      scale: float, hold: bool
+                      ) -> tuple[float, list[tuple]] | Exception:
+    """Differentiate ``scale`` times the sample's loss from its forward
+    output ``out``: return the loss and ``VulnModel.backward``'s
+    contributions if ``hold``, or else add them to the gradients and
+    return none; or return the exception raised, ``out`` included."""
+    if isinstance(out, Exception):
+        return out
+    held: list[tuple] = []
     try:
-        tensor.backward(tensor.scale(loss, scale))
-        return loss.item(), [p.value.grad for p in params] if fresh else []
+        value, class_grad, loc_grad = _sample_loss(
+            out.class_logits, out.loc_pred, sample, cfg, scale)
+        model.backward(sample.ids, sample.operator, out, class_grad,
+                       loc_grad, (lambda *c: held.append(c)) if hold
+                       else _add)
+        return value, held
     except Exception as exc:  # raised at the sample's turn
         return exc
-    finally:
-        for p, total in zip(params, sums):  # sums the tape may write to
-            p.value.grad, p.value._owns_grad = total, True
+
+
+def _add(parameter: tensor.Parameter, index, contribution) -> None:
+    parameter.grad[index] += contribution
 
 
 def _processes(batch_size: int, n_samples: int) -> int:
@@ -528,8 +523,8 @@ def train(records: Sequence[FunctionRecord], split: DatasetSplit,
     """Train on the split's train ids, tracking loss/metrics on val.
 
     The vocabulary is built from the train split only, and each record
-    is tokenized once. One sample's tape is alive at a time, and
-    validation records none. The caller saves the returned model.
+    is tokenized once. One sample's arrays are alive at a time. The
+    caller saves the returned model.
     """
     vocab, samples, val_samples = _prepare(
         records, split, model_cfg.num_classes, train_cfg.min_count)
@@ -562,8 +557,8 @@ def _train(helpers: _Helpers, model: VulnModel, state: np.ndarray,
     only process 0 fills.
 
     numpy does not warn about overflow here: it ends in non-finite
-    values, which the tape, the loss check and ``forward`` reject, and
-    training stops with a TrainingError.
+    values, which ``forward`` and the loss check reject, and training
+    stops with a TrainingError.
     """
     optimizer = Adam(state, cfg.learning_rate, helpers.part(state.shape[1]))
     rng = np.random.default_rng(cfg.seed)
@@ -578,8 +573,8 @@ def _train(helpers: _Helpers, model: VulnModel, state: np.ndarray,
             try:
                 value = _backward_batch(model, batch, cfg, helpers)
             except GradientError as exc:
-                # Overflow inside the forward pass surfaces here: the
-                # matrix layer rejects non-finite values eagerly.
+                # Overflow inside the forward pass surfaces here: it
+                # rejects non-finite values eagerly.
                 raise TrainingError(
                     f"non-finite values in forward pass ({exc}); "
                     + _diagnostics(model, epoch, batch_idx)) from exc
@@ -602,7 +597,7 @@ def _train(helpers: _Helpers, model: VulnModel, state: np.ndarray,
             if heads is None:  # a helper: process 0 keeps the log
                 continue
             val_loss = float(np.mean([
-                _sample_loss(Matrix(logits), Matrix(loc), s, cfg).item()
+                _sample_loss(logits, loc, s, cfg)[0]
                 for s, (logits, loc) in zip(val_samples, heads)]))
             report = _metrics(val_samples, heads, model.config.num_classes)
             val_f1 = report.f1

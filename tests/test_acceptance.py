@@ -16,15 +16,15 @@ from vulngraph.attribution import attribute_tokens, select_root_cause, \
 from vulngraph.corpus import select, split
 from vulngraph.lexer import PAD_ID, build_vocab, tokenize
 from vulngraph.model import ModelConfig, denormalize_lines, fuse
-from vulngraph.objectives import (FocalConfig, focal_loss, iou_1d, mse_loss)
+from vulngraph.objectives import FocalConfig, focal_loss, iou_1d
 from vulngraph.scanner import scan
 from vulngraph.semgraph import build_graph
 from vulngraph.synth import make_toy_corpus
-from vulngraph.tensor import Matrix
 from vulngraph.trainer import (TrainConfig, evaluate, prepare_sample,
                                save_checkpoint, sweep_ensemble)
 from conftest import (attribute, dense_adjacency, dense_counts, fuzz_snippet,
                       spearman, tiny_model_inputs, to_dense)
+from oracles import backward_node
 
 
 def report(number: int, name: str, ok: bool, detail: str) -> None:
@@ -44,10 +44,9 @@ def test_criterion_1_gradient_audit():
         cfg = FocalConfig(alpha=0.25, delta=2.0)
         target = 1 + seed % 10
 
-        def f():
-            nodes = model.forward_nodes(ids, operator)
-            loss = focal_loss(nodes.class_logits, target, cfg)
-            return tensor.add(loss, mse_loss(nodes.loc_pred, (0.25, 0.75)))
+        def f():  # the loss of ``forward``, differentiated by ``backward``
+            return backward_node(model, ids, operator, target, (0.25, 0.75),
+                                 cfg)
 
         check = tensor.grad_check(f, model.parameters(), h=1e-5, tol=1e-4,
                                   max_coords_per_param=25,
@@ -63,15 +62,15 @@ def test_criterion_2_loss_identities():
     ce_cfg = FocalConfig(alpha=1.0, delta=0.0)
     max_diff = 0.0
     for _ in range(100):
-        logits = rng.normal(scale=4.0, size=(1, 7))
+        logits = rng.normal(scale=4.0, size=7)
         target = int(rng.integers(0, 7))
-        z = logits[0] - logits[0].max()
+        z = logits - logits.max()
         cross_entropy = float(np.log(np.exp(z).sum()) - z[target])
-        loss = focal_loss(Matrix(logits), target, ce_cfg).item()
+        loss, _ = focal_loss(logits, target, ce_cfg)
         max_diff = max(max_diff, abs(loss - cross_entropy))
 
     derived_cfg = FocalConfig(alpha=0.25, delta=2.0)
-    derived = focal_loss(Matrix(np.log([[0.9, 0.1]])), 0, derived_cfg).item()
+    derived, _ = focal_loss(np.log([0.9, 0.1]), 0, derived_cfg)
     expected = 0.25 * (0.1 ** 2) * -math.log(0.9)  # = 2.634e-4
     derived_diff = abs(derived - expected)
     report(2, "loss identities",
@@ -104,14 +103,15 @@ def test_criterion_4_residual_identity_and_fusion_endpoints():
             source, seed=seed)
         for w in model.gcn_weights:
             w.value.data[...] = 0.0
-        h0, h_n = model.gcn_forward(*model.embed(ids), operator)
-        residual_ok &= np.array_equal(h_n.data, h0.data)
+        projected, inverse = model.embed(ids)
+        h_n, _ = model.gcn_forward(projected, inverse, operator)
+        residual_ok &= np.array_equal(h_n, projected[inverse])
 
     rng = np.random.default_rng(1)
-    a = Matrix(rng.normal(size=(1, 8)))
-    b = Matrix(rng.normal(size=(1, 8)))
-    endpoints_ok = (np.array_equal(fuse(a, b, 1.0, 0.0).data, a.data)
-                    and np.array_equal(fuse(a, b, 0.0, 1.0).data, b.data))
+    a = rng.normal(size=8)
+    b = rng.normal(size=8)
+    endpoints_ok = (np.array_equal(fuse(a, b, 1.0, 0.0), a)
+                    and np.array_equal(fuse(a, b, 0.0, 1.0), b))
     report(4, "residual identity / fusion endpoints",
            residual_ok and endpoints_ok,
            f"residual bit-equal: {residual_ok}, endpoints bit-exact: "

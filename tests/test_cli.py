@@ -403,7 +403,7 @@ class TestInferenceCost:
         evaluate_samples(toy_run.model, samples, 11)
         assert taped == []
         toy_run.model.forward_nodes(samples[0].ids, samples[0].operator)
-        assert taped  # training still runs on the tape
+        assert taped  # the oracle still builds the tape
 
     def test_overflowing_weights_exit_three(self, vulnerable_file, checkpoint,
                                             capsys):

@@ -11,11 +11,12 @@ from vulngraph.model import (ModelConfig, VulnModel, denormalize_lines, fuse,
                              normalize_line_range)
 from vulngraph.semgraph import build_graph, model_inputs
 from vulngraph.tensor import Matrix
+from vulngraph.objectives import FocalConfig
 from vulngraph.trainer import (EncodedSample, TrainConfig, _backward_batch,
-                               _sample_loss, parse_run_config)
-from conftest import (LONG_SOURCE, dense_adjacency, fuzz_snippet,
+                               _sample_gradients, parse_run_config)
+from conftest import (HUB_SOURCE, LONG_SOURCE, dense_adjacency, fuzz_snippet,
                       operator_from_dense, poison, tiny_model_inputs)
-from oracles import relu
+from oracles import backward_node, relu, tape_sample_loss
 
 SOURCE = "int f(){int a;return a+1;}"
 
@@ -28,7 +29,8 @@ def stream_ids(source=SOURCE):
 
 def embedded_rows(model, ids):
     """H0: ``embed``'s distinct rows gathered back to every position."""
-    return tensor.gather_rows(*model.embed(ids))
+    projected, inverse = model.embed(ids)
+    return projected[inverse]
 
 
 class TestEmbed:
@@ -46,8 +48,7 @@ class TestEmbed:
                                       gcn_dim=6), seed=0)
         other = ids.copy()
         other[3] = (ids[3] + 1) % len(vocab)
-        delta = (embedded_rows(model, ids).data
-                 != embedded_rows(model, other).data)
+        delta = embedded_rows(model, ids) != embedded_rows(model, other)
         assert set(np.nonzero(delta.any(axis=1))[0]) == {3}
 
     def test_out_of_range_id(self):
@@ -65,27 +66,26 @@ class TestGcn:
         model, _, _, _, ids, operator = tiny_model_inputs(SOURCE)
         for w in model.gcn_weights:
             w.value.data[...] = 0.0
-        h0, h_n = model.gcn_forward(*model.embed(ids), operator)
-        assert np.array_equal(h_n.data, h0.data)
-        assert np.array_equal(h0.data, embedded_rows(model, ids).data)
+        h_n, _ = model.gcn_forward(*model.embed(ids), operator)
+        assert np.array_equal(h_n, embedded_rows(model, ids))
 
     def test_identity_adjacency_acts_per_token(self):
         model, _, _, _, ids, _ = tiny_model_inputs(SOURCE)
         eye = operator_from_dense(np.eye(len(ids)))
-        h0, h_n = model.gcn_forward(*model.embed(ids), eye)
+        h_n, _ = model.gcn_forward(*model.embed(ids), eye)
         # reference: H <- H + relu(H @ W) per layer, no cross-token mixing
-        ref = h0.data
+        ref = embedded_rows(model, ids)
         for w in model.gcn_weights:
             ref = ref + np.maximum(ref @ w.data, 0.0)
-        np.testing.assert_allclose(h_n.data, ref, atol=1e-12)
+        np.testing.assert_allclose(h_n, ref, atol=1e-12)
 
     def test_deterministic_across_runs(self):
         out = []
         for _ in range(2):
             model, _, _, _, ids, operator = tiny_model_inputs(
                 SOURCE, seed=5)
-            _, h = model.gcn_forward(*model.embed(ids), operator)
-            out.append(h.data.copy())
+            h, _ = model.gcn_forward(*model.embed(ids), operator)
+            out.append(h.copy())
         assert np.array_equal(out[0], out[1])
 
     def test_adjacency_shape_mismatch(self):
@@ -97,25 +97,24 @@ class TestGcn:
 
 class TestFuse:
     def test_endpoints_bit_exact(self):
-        a = Matrix(np.random.default_rng(0).normal(size=(1, 6)))
-        b = Matrix(np.random.default_rng(1).normal(size=(1, 6)))
-        np.testing.assert_array_equal(fuse(a, b, 1.0, 0.0).data, a.data)
-        np.testing.assert_array_equal(fuse(a, b, 0.0, 1.0).data, b.data)
+        a = np.random.default_rng(0).normal(size=6)
+        b = np.random.default_rng(1).normal(size=6)
+        np.testing.assert_array_equal(fuse(a, b, 1.0, 0.0), a)
+        np.testing.assert_array_equal(fuse(a, b, 0.0, 1.0), b)
 
     def test_midpoint(self):
-        a = Matrix([[2.0, 0.0]])
-        b = Matrix([[0.0, 2.0]])
-        np.testing.assert_array_equal(fuse(a, b, 0.5, 0.5).data, [[1.0, 1.0]])
+        a = np.array([2.0, 0.0])
+        b = np.array([0.0, 2.0])
+        np.testing.assert_array_equal(fuse(a, b, 0.5, 0.5), [1.0, 1.0])
 
     def test_linearity_in_inputs(self):
         rng = np.random.default_rng(2)
-        a, b = rng.normal(size=(1, 5)), rng.normal(size=(1, 5))
-        scaled = fuse(Matrix(3.0 * a), Matrix(3.0 * b), 0.3, 0.7).data
-        np.testing.assert_allclose(
-            scaled, 3.0 * fuse(Matrix(a), Matrix(b), 0.3, 0.7).data)
+        a, b = rng.normal(size=5), rng.normal(size=5)
+        scaled = fuse(3.0 * a, 3.0 * b, 0.3, 0.7)
+        np.testing.assert_allclose(scaled, 3.0 * fuse(a, b, 0.3, 0.7))
 
     def test_weights_must_sum_to_one(self):
-        a = Matrix([[1.0]])
+        a = np.array([1.0])
         with pytest.raises(ConfigError):
             fuse(a, a, 0.5, 0.6)
         with pytest.raises(ConfigError):
@@ -162,8 +161,7 @@ class TestPooledEmbedding:
         for source in (first, second):
             stream = tokenize(source)
             ids = np.asarray(encode(stream, vocab))
-            pooled.append(
-                model.pooled_embedding(embedded_rows(model, ids)).data)
+            pooled.append(model.pooled_embedding(*model.embed(ids)))
         np.testing.assert_allclose(pooled[0], pooled[1], atol=1e-15)
 
     def test_single_payload_token_is_its_projection(self):
@@ -173,9 +171,9 @@ class TestPooledEmbedding:
                                       gcn_dim=6), seed=0)
         stream = tokenize(source)
         ids = np.asarray(encode(stream, vocab))
-        pooled = model.pooled_embedding(embedded_rows(model, ids[1:2]))
+        pooled = model.pooled_embedding(*model.embed(ids[1:2]))
         expected = model.embedding.data[ids[1:2]] @ model.input_proj.data
-        np.testing.assert_allclose(pooled.data, expected, atol=1e-15)
+        np.testing.assert_allclose(pooled, expected[0], atol=1e-15)
 
 
 class TestMasking:
@@ -211,14 +209,11 @@ class TestGradients:
 
     @staticmethod
     def check(model, ids, operator):
-        from vulngraph.objectives import FocalConfig, focal_loss, mse_loss
-
+        """Finite differences of ``forward``'s loss against ``backward``."""
         cfg = FocalConfig(alpha=0.25, delta=2.0)
 
         def f():
-            nodes = model.forward_nodes(ids, operator)
-            loss = focal_loss(nodes.class_logits, 3, cfg)
-            return tensor.add(loss, mse_loss(nodes.loc_pred, (0.3, 0.7)))
+            return backward_node(model, ids, operator, 3, (0.3, 0.7), cfg)
 
         report = tensor.grad_check(f, model.parameters(), tol=1e-4,
                                    max_coords_per_param=30,
@@ -226,16 +221,72 @@ class TestGradients:
         assert report.passed, report
 
 
+class TestBackwardAgainstTape:
+    """``backward``, as training adds it, against the tape of
+    ``forward_nodes``: the loss and every parameter's gradient, bit for
+    bit, added to sums that already hold earlier samples' gradients."""
+
+    @pytest.mark.parametrize("fusion", [(1.0, 0.0), (0.0, 1.0), (0.5, 0.5)])
+    @pytest.mark.parametrize("num_classes", [2, 11])
+    @pytest.mark.parametrize("gcn_layers", [1, 2, 3])
+    def test_bit_equal_to_tape(self, gcn_layers, num_classes, fusion):
+        rng = np.random.default_rng(gcn_layers * 100 + num_classes)
+        # a dense operator, the 512-position window and a hub row that
+        # runs past the padded neighbour lists into the remainder
+        sources = [fuzz_snippet(random.Random(gcn_layers)), LONG_SOURCE,
+                   HUB_SOURCE]
+        vocab = build_vocab(sources)
+        model = VulnModel(ModelConfig(
+            vocab_size=len(vocab), embed_dim=16, gcn_dim=12,
+            gcn_layers=gcn_layers, num_classes=num_classes,
+            embed_weight=fusion[0], graph_weight=fusion[1]), seed=gcn_layers)
+        for p in model.parameters():
+            p.data[...] += rng.normal(scale=0.1, size=p.shape)
+        cfg = TrainConfig(w_cls=0.7, w_loc=1.3, focal=FocalConfig(0.3, 1.5))
+        shapes = []
+        for k, source in enumerate(sources):
+            ids, operator = model_inputs(build_graph(tokenize(source)), vocab)
+            shapes.append((ids.size, np.diff(operator.start).max()))
+            sample = EncodedSample(
+                ids=ids, operator=operator, label=(0, 1, num_classes - 1)[k],
+                line_count=source.count("\n") + 1,
+                truth_range=None if k == 0 else (2, 3))
+            earlier = [rng.normal(size=p.shape) for p in model.parameters()]
+            for p, grad in zip(model.parameters(), earlier):
+                p.grad[...] = grad
+            nodes = model.forward_nodes(ids, operator)
+            loss = tape_sample_loss(nodes.class_logits, nodes.loc_pred,
+                                    sample, cfg)
+            tensor.backward(tensor.scale(loss, 1.0 / 3.0))
+            expected = [p.grad.tobytes() for p in model.parameters()]
+            for hold in (False, True):
+                for p, grad in zip(model.parameters(), earlier):
+                    p.grad[...] = grad
+                value, held = _sample_gradients(
+                    model, sample, model.forward(ids, operator), cfg,
+                    1.0 / 3.0, hold)
+                assert bool(held) == hold
+                for parameter, index, contribution in held:
+                    parameter.grad[index] += contribution
+                assert value == loss.item()
+                for p, grad in zip(model.parameters(), expected):
+                    assert p.grad.tobytes() == grad, (source[:20], hold,
+                                                      p.name)
+            # a held embedding contribution is one row per distinct id
+            assert held[-1][0] is model.embedding
+            assert held[-1][2].shape == (np.unique(ids).size, 16)
+        (short, _), (long, _), (_, hub_row) = shapes
+        assert short <= tensor.DENSE_ROWS and long == 512
+        assert hub_row > tensor.OPERATOR_WIDTH
+
+
 def tape_outputs(model, ids, operator):
     """``forward``'s fields as the tape computes them."""
-    h0, h = model.gcn_forward(*model.embed(ids), operator)
-    pooled_graph = tensor.mean_rows(h)
-    pooled_embed = model.pooled_embedding(h0)
     nodes = model.forward_nodes(ids, operator)
     return {"class_logits": nodes.class_logits.data[0],
             "loc_pred": nodes.loc_pred.data[0],
-            "pooled_embed": pooled_embed.data[0],
-            "pooled_graph": pooled_graph.data[0]}
+            "pooled_embed": nodes.pooled_embed.data[0],
+            "pooled_graph": nodes.pooled_graph.data[0]}
 
 
 def assert_matches_tape(out, tape):
@@ -311,9 +362,12 @@ def dense_tape(model, ids, adjacency):
     pooled_graph = tensor.mean_rows(h)
     pooled_embed = tensor.matmul(tensor.mean_rows(rows),
                                  model.input_proj.value)
-    fused = fuse(pooled_embed, pooled_graph, model.config.embed_weight,
-                 model.config.graph_weight)
-    class_logits, loc_pred = model.heads(fused)
+    fused = tensor.add(tensor.scale(pooled_embed, model.config.embed_weight),
+                       tensor.scale(pooled_graph, model.config.graph_weight))
+    class_logits = tensor.add(tensor.matmul(fused, model.cls_weight.value),
+                              model.cls_bias.value)
+    loc_pred = tensor.sigmoid(tensor.add(
+        tensor.matmul(fused, model.loc_weight.value), model.loc_bias.value))
     return {"class_logits": class_logits, "loc_pred": loc_pred,
             "pooled_embed": pooled_embed, "pooled_graph": pooled_graph}
 
@@ -366,8 +420,8 @@ class TestDistinctProjection:
         model.zero_grad()
         for sample, adjacency in zip(samples, denses):
             dense = dense_tape(model, sample.ids, adjacency)
-            loss = _sample_loss(dense["class_logits"], dense["loc_pred"],
-                                sample, cfg)
+            loss = tape_sample_loss(dense["class_logits"], dense["loc_pred"],
+                                    sample, cfg)
             tensor.backward(tensor.scale(loss, 1.0 / len(samples)))
         for p in model.parameters():
             # relative to the gradient's scale: an entry that sums terms of
@@ -419,7 +473,8 @@ class TestNonFiniteForward:
 
     def test_relu_does_not_hide_a_negative_overflow(self):
         # every pre-activation overflows to -inf and every relu reads 0,
-        # so H stays finite; both passes must still raise
+        # so H stays finite; the pass, training's path through it and the
+        # tape must still raise
         model, _, _, _, ids, _ = tiny_model_inputs(SOURCE)
         model.embedding.data[...] = 1.0
         model.input_proj.data[...] = 1.0
@@ -428,6 +483,11 @@ class TestNonFiniteForward:
         huge = operator_from_dense(np.full((ids.size, ids.size), 1e308))
         with pytest.raises(GradientError, match="gcn_0"):
             model.forward(ids, huge)
+        sample = EncodedSample(ids=ids, operator=huge, label=1, line_count=1,
+                               truth_range=(1, 1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(GradientError, match="gcn_0"):
+                _backward_batch(model, [sample], TrainConfig())
         with pytest.raises(GradientError):
             model.forward_nodes(ids, huge)
 

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from vulngraph import tensor
-from vulngraph.errors import ConfigError, DataError
+from vulngraph.errors import ConfigError, DataError, ShapeError
 from vulngraph.objectives import (FocalConfig, classification_metrics,
                                   focal_loss, iou_1d, mse_loss)
-from vulngraph.tensor import Matrix, Parameter
+from vulngraph.tensor import Parameter
+from oracles import loss_node
 
 
 def logits_with_target_prob(p_target, num_classes=4, target=0):
@@ -15,11 +16,11 @@ def logits_with_target_prob(p_target, num_classes=4, target=0):
     rest = (1.0 - p_target) / (num_classes - 1)
     probs = np.full(num_classes, rest)
     probs[target] = p_target
-    return np.log(probs).reshape(1, -1)
+    return np.log(probs)
 
 
 def cross_entropy(logits, target):
-    z = logits[0] - logits[0].max()
+    z = logits - logits.max()
     return float(np.log(np.exp(z).sum()) - z[target])
 
 
@@ -28,43 +29,45 @@ class TestFocalLoss:
         cfg = FocalConfig(alpha=1.0, delta=0.0)
         rng = np.random.default_rng(0)
         for _ in range(100):
-            logits = rng.normal(scale=3.0, size=(1, 6))
+            logits = rng.normal(scale=3.0, size=6)
             target = int(rng.integers(0, 6))
-            loss = focal_loss(Matrix(logits), target, cfg).item()
+            loss, _ = focal_loss(logits, target, cfg)
             assert loss == pytest.approx(cross_entropy(logits, target),
                                          abs=1e-12)
 
     def test_alpha_scales_cross_entropy_exactly(self):
-        logits = np.array([[0.4, -1.2, 2.0]])
+        logits = np.array([0.4, -1.2, 2.0])
         for alpha in (0.25, 0.5, 1.0):
             cfg = FocalConfig(alpha=alpha, delta=0.0)
-            loss = focal_loss(Matrix(logits), 2, cfg).item()
+            loss, _ = focal_loss(logits, 2, cfg)
             assert loss / alpha == pytest.approx(cross_entropy(logits, 2),
                                                  abs=1e-15)
 
     def test_derived_point(self):
         cfg = FocalConfig(alpha=0.25, delta=2.0)
-        logits = Matrix(np.log([[0.9, 0.1]]))
+        logits = np.log([0.9, 0.1])
         expected = 0.25 * 0.1 ** 2 * -math.log(0.9)  # = 2.634e-4
-        assert focal_loss(logits, 0, cfg).item() == pytest.approx(
+        assert focal_loss(logits, 0, cfg)[0] == pytest.approx(
             expected, abs=1e-9)
 
     def test_saturated_prediction_loses_nothing(self):
         cfg = FocalConfig(alpha=0.25, delta=2.0)
-        logits = Matrix(np.array([[60.0, 0.0]]))  # p ~ 1 - 1e-26
-        assert focal_loss(logits, 0, cfg).item() == pytest.approx(0.0,
-                                                                  abs=1e-15)
+        logits = np.array([60.0, 0.0])  # p ~ 1 - 1e-26
+        loss, grad = focal_loss(logits, 0, cfg)
+        assert loss == pytest.approx(0.0, abs=1e-15)
+        assert np.isfinite(grad).all()
 
     def test_finite_for_extreme_logits(self):
         cfg = FocalConfig(alpha=0.5, delta=2.0)
-        logits = Matrix(np.array([[-700.0, 700.0]]))
-        assert math.isfinite(focal_loss(logits, 0, cfg).item())
+        loss, grad = focal_loss(np.array([-700.0, 700.0]), 0, cfg)
+        assert math.isfinite(loss)
+        assert np.isfinite(grad).all()
 
     def test_monotone_decreasing_in_target_probability(self):
         cfg = FocalConfig(alpha=0.25, delta=2.0)
         grid = np.linspace(0.02, 0.98, 40)
         losses = [
-            focal_loss(Matrix(logits_with_target_prob(p)), 0, cfg).item()
+            focal_loss(logits_with_target_prob(p), 0, cfg)[0]
             for p in grid
         ]
         assert all(a > b for a, b in zip(losses, losses[1:]))
@@ -75,14 +78,19 @@ class TestFocalLoss:
             logits = Parameter(np.array([[0.3, -0.8, 1.4, 0.0]]), "logits")
 
             def f():
-                return focal_loss(logits.value, 2, cfg)
+                return loss_node(*focal_loss(logits.data[0], 2, cfg),
+                                 logits.value)
 
             report = tensor.grad_check(f, [logits], tol=1e-4)
             assert report.passed, (delta, report)
 
     def test_invalid_target(self):
         with pytest.raises(DataError):
-            focal_loss(Matrix([[0.0, 0.0]]), 2, FocalConfig())
+            focal_loss(np.zeros(2), 2, FocalConfig())
+
+    def test_logits_must_be_one_row(self):
+        with pytest.raises(ShapeError, match="one row"):
+            focal_loss(np.zeros((1, 2)), 0, FocalConfig())
 
     def test_invalid_config(self):
         with pytest.raises(ConfigError):
@@ -93,23 +101,23 @@ class TestFocalLoss:
 
 class TestMseLoss:
     def test_exact_match_is_zero(self):
-        pred = Matrix([[0.3, 0.7]])
-        assert mse_loss(pred, (0.3, 0.7)).item() == 0.0
+        loss, grad = mse_loss((0.3, 0.7), (0.3, 0.7))
+        assert loss == 0.0
+        assert not grad.any()
 
     def test_componentwise_mean(self):
-        pred = Matrix([[0.2, 0.6]])
-        assert mse_loss(pred, (0.4, 0.6)).item() == pytest.approx(0.02)
+        assert mse_loss((0.2, 0.6), (0.4, 0.6))[0] == pytest.approx(0.02)
 
     def test_symmetric(self):
         a, b = (0.1, 0.9), (0.5, 0.3)
-        assert mse_loss(Matrix([list(a)]), b).item() == pytest.approx(
-            mse_loss(Matrix([list(b)]), a).item())
+        assert mse_loss(a, b)[0] == pytest.approx(mse_loss(b, a)[0])
 
     def test_gradient_check(self):
         pred = Parameter(np.array([[0.2, 0.8]]), "pred")
 
         def f():
-            return mse_loss(pred.value, (0.5, 0.1))
+            return loss_node(*mse_loss(pred.data[0], (0.5, 0.1)),
+                             pred.value)
 
         assert tensor.grad_check(f, [pred], tol=1e-6).passed
 

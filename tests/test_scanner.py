@@ -388,14 +388,14 @@ class TestAnalyze:
                                                     vulnerable_model,
                                                     monkeypatch):
         """The base forward and the all-occluded forward, nothing more."""
-        graph_pass = VulnModel._graph_pass
+        graph_pass = VulnModel.gcn_forward
         calls = []
 
         def counting(self, *args):
             calls.append(1)
             return graph_pass(self, *args)
 
-        monkeypatch.setattr(VulnModel, "_graph_pass", counting)
+        monkeypatch.setattr(VulnModel, "gcn_forward", counting)
         record = next(r for r in toy_run.records if r.is_vulnerable)
         report = analyze(record, vulnerable_model, toy_run.vocab)
         assert report.predicted_cwe != "none" and report.line_attributions

@@ -6,7 +6,7 @@ import pytest
 from vulngraph import tensor
 from vulngraph.errors import GradientError, ShapeError
 from vulngraph.tensor import Matrix, Parameter, from_op
-from oracles import relu, sum_all
+from oracles import mean_all, mul, relu, sum_all
 
 
 class TestOps:
@@ -104,7 +104,7 @@ class TestBackward:
             h = relu(tensor.matmul(x, w1.value))
             h = relu(tensor.matmul(h, w2.value))
             out = tensor.sigmoid(tensor.matmul(h, w3.value))
-            return tensor.mean_all(tensor.mul(out, out))
+            return mean_all(mul(out, out))
 
         report = tensor.grad_check(f, [w1, w2, w3], h=1e-5, tol=1e-4)
         assert report.passed, report
@@ -123,7 +123,7 @@ class TestGradCheck:
         theta = Parameter(np.array([[1.0, 2.0]]), "theta")
 
         def f():
-            return sum_all(tensor.mul(theta.value, theta.value))
+            return sum_all(mul(theta.value, theta.value))
 
         theta.zero_grad()
         loss = f()
@@ -162,7 +162,7 @@ class TestGradCheck:
             def f():
                 h = tensor.sigmoid(tensor.matmul(x, w.value))
                 out = tensor.add(tensor.matmul(h, v.value), b.value)
-                return tensor.mean_all(tensor.mul(out, out))
+                return mean_all(mul(out, out))
 
             report = tensor.grad_check(f, [w, b, v], tol=1e-4)
             assert report.passed, (seed, report)
@@ -172,7 +172,7 @@ class TestGradCheck:
         w = Parameter(rng.normal(size=(8, 8)), "w")
 
         def f():
-            return tensor.mean_all(tensor.mul(w.value, w.value))
+            return mean_all(mul(w.value, w.value))
 
         r1 = tensor.grad_check(f, [w], max_coords_per_param=10,
                                rng=np.random.default_rng(3))
@@ -234,7 +234,7 @@ class TestGradientOwnership:
         def f():
             a = tensor.matmul(x, w1.value)
             b = tensor.matmul(x, w2.value)
-            squares = tensor.add(tensor.mul(a, a), tensor.mul(b, b))
+            squares = tensor.add(mul(a, a), mul(b, b))
             return sum_all(tensor.add(tensor.add(a, b), squares))
 
         a = x.data @ w1.data
@@ -258,7 +258,7 @@ class TestGradientOwnership:
             h = tensor.matmul(x, w_in.value)
             mixed = tensor.matmul(tensor.matmul(operator, h), w.value)
             out = tensor.add(h, relu(mixed))
-            return tensor.mean_all(tensor.mul(out, out))
+            return mean_all(mul(out, out))
 
         self.backward_keeps_buffers(f(), [w_in, w])
         report = tensor.grad_check(f, [w_in, w])
@@ -271,7 +271,7 @@ class TestGradientOwnership:
         w = Parameter([[1.0, -1.0, 2.0], [0.5, 1.5, -2.0]], "w")
         h = tensor.matmul(x, w.value)
         terms = [sum_all(tensor.mean_rows(h)),
-                 sum_all(tensor.mul(h, h))]
+                 sum_all(mul(h, h))]
         if not view_first:
             terms.reverse()
         (grad,) = self.backward_keeps_buffers(tensor.add(*terms), [w])

@@ -24,9 +24,10 @@ from vulngraph.trainer import (EncodedSample, TrainConfig, evaluate,
                                label_index, load_checkpoint, parse_run_config,
                                prepare_sample, save_checkpoint, sweep_ensemble,
                                train, train_config_to_text, _backward_batch,
-                               _sample_loss, format_sweep_table)
+                               format_sweep_table)
 
 from conftest import DESK_MODEL, LONG_SOURCE, run_python
+from oracles import tape_sample_loss
 
 TINY_MODEL = dict(embed_dim=16, gcn_dim=12, num_classes=11)
 
@@ -84,13 +85,14 @@ def truncate(path):
 def one_tape_batch_loss(model, batch, cfg):
     """The batch's mean loss on one tape over every sample.
 
-    The oracle for ``_backward_batch``, which walks one sample's tape at a
-    time.
+    The oracle for ``_backward_batch``, which differentiates one sample at
+    a time without a tape.
     """
     total = None
     for sample in batch:
         nodes = model.forward_nodes(sample.ids, sample.operator)
-        loss = _sample_loss(nodes.class_logits, nodes.loc_pred, sample, cfg)
+        loss = tape_sample_loss(nodes.class_logits, nodes.loc_pred, sample,
+                                cfg)
         total = loss if total is None else tensor.add(total, loss)
     return tensor.scale(total, 1.0 / len(batch))
 
@@ -109,16 +111,17 @@ def count_tokenized(monkeypatch):
     return tokenized
 
 
-def count_forward_nodes(monkeypatch):
-    """A list that grows by one on each ``VulnModel.forward_nodes`` call."""
-    forward_nodes = VulnModel.forward_nodes
+def count_passes(monkeypatch, name):
+    """A list that grows by one on each call of the ``VulnModel`` method
+    ``name``."""
+    method = getattr(VulnModel, name)
     calls = []
 
     def counting(self, *args):
         calls.append(1)
-        return forward_nodes(self, *args)
+        return method(self, *args)
 
-    monkeypatch.setattr(VulnModel, "forward_nodes", counting)
+    monkeypatch.setattr(VulnModel, name, counting)
     return calls
 
 
@@ -254,6 +257,14 @@ class TestAdam:
                     flat = np.concatenate([x.ravel() for x in theirs])
                     assert np.array_equal(mine, flat), (bounds, t)
 
+    def test_empty_slice_steps_nothing(self):
+        # a process gets an empty slice when the flat vector has fewer
+        # elements than there are training processes
+        state = np.arange(60.0).reshape(4, 15)
+        optimizer = trainer_module.Adam(state, 0.01, part=slice(3, 3))
+        optimizer.step()
+        assert np.array_equal(state, np.arange(60.0).reshape(4, 15))
+
 
 class TestPrepareSample:
     def test_unlexable_text_past_the_window_is_truncated(self):
@@ -358,11 +369,12 @@ class TestTrain:
                 tracemalloc.stop()
         assert peaks[8] <= 1.25 * peaks[1], peaks
 
-    @pytest.mark.parametrize("fresh", [False, True])
-    def test_sample_peaks_under_ten_activation_arrays(self, fresh):
+    @pytest.mark.parametrize("held", [False, True])
+    def test_sample_peaks_under_ten_activation_arrays(self, held):
         # at gcn_dim 128 and 512 positions the n x gcn_dim arrays dominate;
         # a tape that holds every node, value and gradient until the walk
-        # ends peaks near 17 of them
+        # ends peaks near 17 of them, and the forward pass with the
+        # backward over its arrays near 6
         vocab = build_vocab([LONG_SOURCE])
         model = VulnModel(ModelConfig(vocab_size=len(vocab), embed_dim=16,
                                       gcn_dim=128), seed=1)
@@ -373,10 +385,9 @@ class TestTrain:
         array_bytes = sample.ids.size * 128 * 8
         tracemalloc.start()
         try:
-            loss = trainer_module._sample_loss_node(model, sample,
-                                                    TrainConfig())
+            out = trainer_module._sample_output(model, sample)
             result = trainer_module._sample_gradients(
-                model.parameters(), loss, 0.5, fresh=fresh)
+                model, sample, out, TrainConfig(), 0.5, held)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -394,13 +405,20 @@ class TestTrain:
         assert result.vocab == build_vocab(select(records, ds.train))
 
     def test_validation_records_no_tape(self, monkeypatch, use_cpus):
-        use_cpus(1)  # the counter sees the forward passes of this process
+        # neither validation nor training: both run the one forward pass
+        use_cpus(1)  # the counters see the passes of this process
         records, ds = tiny_corpus()
         assert ds.val
-        taped = count_forward_nodes(monkeypatch)
+        taped = count_passes(monkeypatch, "forward_nodes")
+        passes = count_passes(monkeypatch, "forward")
+        from_op = tensor.from_op
+        nodes = []
+        monkeypatch.setattr(tensor, "from_op",
+                            lambda *args: nodes.append(1) or from_op(*args))
         cfg = ModelConfig(vocab_size=4, **TINY_MODEL)
         train(records, ds, cfg, tiny_train_cfg(epochs=1))
-        assert len(taped) == len(ds.train)
+        assert (taped, nodes) == ([], [])
+        assert len(passes) == len(ds.train) + len(ds.val)
 
     def test_log_schema(self):
         records, ds = tiny_corpus()
@@ -576,12 +594,12 @@ class TestSweep:
     def test_bad_ratio_rejected_before_any_work(self, monkeypatch, bad):
         records, ds = tiny_corpus()
         tokenized = count_tokenized(monkeypatch)
-        taped = count_forward_nodes(monkeypatch)
+        passes = count_passes(monkeypatch, "forward")
         cfg = ModelConfig(vocab_size=4, **TINY_MODEL)
         with pytest.raises(ConfigError, match="non-negative"):
             sweep_ensemble(records, ds, [(0.5, 0.5), bad], cfg,
                            tiny_train_cfg())
-        assert (tokenized, taped) == ([], [])
+        assert (tokenized, passes) == ([], [])
 
 
 #: The desk-width run configuration of ``TestForkedTraining``.
@@ -611,16 +629,16 @@ def written_outputs(out):
 
 
 def fail_in(monkeypatch, target_ids):
-    """Make ``forward_nodes`` raise a GradientError on one sample's ids."""
-    forward_nodes = VulnModel.forward_nodes
+    """Make ``forward`` raise a GradientError on one sample's ids."""
+    forward = VulnModel.forward
 
     def failing(self, ids, operator):
         if np.array_equal(ids, target_ids):
             raise GradientError(f"non-finite values in the layer gcn_0 "
                                 f"({ids.size} ids)")
-        return forward_nodes(self, ids, operator)
+        return forward(self, ids, operator)
 
-    monkeypatch.setattr(VulnModel, "forward_nodes", failing)
+    monkeypatch.setattr(VulnModel, "forward", failing)
 
 
 class TestForkedTraining:
@@ -734,7 +752,7 @@ class TestForkedTraining:
         np.random.default_rng(train_cfg.seed).shuffle(order)
         first = [samples[i].ids for i in order[:4]]
         trail = tmp_path / "forwards.txt"
-        forward_nodes = VulnModel.forward_nodes
+        forward = VulnModel.forward
 
         def misbehaving(self, ids, operator):
             j = next((j for j, f in enumerate(first)
@@ -746,9 +764,9 @@ class TestForkedTraining:
                 time.sleep(0.5)
             if j in (2, 3):
                 raise GradientError(f"non-finite values in sample {j}")
-            return forward_nodes(self, ids, operator)
+            return forward(self, ids, operator)
 
-        monkeypatch.setattr(VulnModel, "forward_nodes", misbehaving)
+        monkeypatch.setattr(VulnModel, "forward", misbehaving)
         errors = []
         for processes in (1, 2, 3):
             use_cpus(processes)
@@ -792,14 +810,14 @@ class TestForkedTraining:
             from vulngraph import cli, cpus
             from vulngraph.model import VulnModel
             cpus.usable_cpus = lambda: (2, True)
-            parent, forward_nodes = os.getpid(), VulnModel.forward_nodes
+            parent, forward = os.getpid(), VulnModel.forward
 
             def dying(self, *args):
                 if os.getpid() != parent:
                     os._exit(7)
-                return forward_nodes(self, *args)
+                return forward(self, *args)
 
-            VulnModel.forward_nodes = dying
+            VulnModel.forward = dying
             sys.exit(cli.main(sys.argv[1:]))
             """)
         done = run_python(script, "train", "--config", config, "--data",
