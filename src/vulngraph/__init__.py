@@ -21,7 +21,7 @@ from .semgraph import SemanticGraph, build_graph
 from .trainer import (TrainConfig, evaluate, load_checkpoint, save_checkpoint,
                       sweep_ensemble, train)
 from .attribution import (Attribution, RootCause, attribute_tokens,
-                          select_root_cause, shapley_oracle)
+                          select_root_cause)
 from .scanner import AnalysisReport, analyze, extract_functions, scan
 
 __all__ = [
@@ -35,5 +35,5 @@ __all__ = [
     "describe_cwe", "encode", "evaluate", "extract_functions", "focal_loss",
     "fuse", "iou_1d", "load_checkpoint", "load_dataset", "mse_loss",
     "save_checkpoint", "save_dataset", "scan", "select_root_cause",
-    "shapley_oracle", "split", "sweep_ensemble", "tokenize", "train",
+    "split", "sweep_ensemble", "tokenize", "train",
 ]

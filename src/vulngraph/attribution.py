@@ -7,38 +7,25 @@ summed per source line; the root cause is the highest-scoring line
 strictly before the predicted vulnerable range, never the declaration
 line.
 
-Occlusion is computed incrementally when the model offers
-``occluded_probabilities`` (``VulnModel`` does): it starts from the
-caller's base pass, and per token only the rows within ``gcn_layers``
-hops of it are recomputed, for a chunk of tokens at a time as arrays of
-(token, row) pairs. ``attribute_tokens`` then runs one full forward
-(all tokens occluded) whatever the length, besides the caller's base
-pass. Other models get one full forward per token; that loop is also the
-oracle the incremental path is tested against.
-
-``shapley_oracle`` computes exact Shapley values by enumerating all
-present/occluded coalitions of payload tokens. It is test-scale only
-(at most 12 payload tokens) and exists to validate that the cheap
-occlusion scores rank tokens consistently with the game-theoretic
-ground truth.
+Occlusion is computed incrementally by the model's
+``occluded_probabilities``: it starts from the caller's base pass, and
+per token only the rows within ``gcn_layers`` hops of it are
+recomputed, for a chunk of tokens at a time as arrays of (token, row)
+pairs. ``attribute_tokens`` then runs one full forward (all tokens
+occluded) whatever the length, besides the caller's base pass.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import AttributionError
-from .lexer import PAD_ID, STREAM_CAPACITY, TokenStream, Vocabulary
+from .lexer import PAD_ID, STREAM_CAPACITY, TokenStream
 from .model import ForwardOutput, denormalize_lines
-from .semgraph import SemanticGraph, model_inputs
 from .tensor import SparseOperator
-
-#: Payload-size cap for exact coalition enumeration.
-ORACLE_MAX_TOKENS = 12
 
 
 @dataclass(frozen=True)
@@ -101,12 +88,7 @@ def attribute_tokens(model, stream: TokenStream,
     full_prob = float(probs[target])
 
     payload = _payload_positions(stream)
-    if hasattr(model, "occluded_probabilities"):
-        occluded = model.occluded_probabilities(*inputs, target, payload,
-                                                base)
-    else:  # one full forward per position: the oracle of the fast path
-        occluded = np.array([_target_prob(model, inputs, target, [position])
-                             for position in payload])
+    occluded = model.occluded_probabilities(*inputs, target, payload, base)
     token_scores = np.zeros(len(stream.tokens))
     token_scores[payload] = full_prob - occluded
     empty_prob = _target_prob(model, inputs, target, payload)
@@ -116,47 +98,6 @@ def attribute_tokens(model, stream: TokenStream,
         target_class=target,
         baseline=empty_prob,
     )
-
-
-def shapley_oracle(model, stream: TokenStream, graph: SemanticGraph,
-                   vocab: Vocabulary) -> np.ndarray:
-    """Exact Shapley value per payload token (test-scale only).
-
-    The coalition value is the predicted class's probability with the
-    coalition's tokens present and everything else occluded. Satisfies
-    efficiency: the values sum to f(all present) - f(all occluded).
-    """
-    _check_frozen(model)
-    payload = _payload_positions(stream)
-    n = len(payload)
-    if n > ORACLE_MAX_TOKENS:
-        raise AttributionError(
-            f"oracle enumerates 2^n coalitions; {n} payload tokens exceed "
-            f"the cap of {ORACLE_MAX_TOKENS}")
-    inputs = model_inputs(graph, vocab)
-    target = int(np.argmax(model.forward(*inputs).probabilities))
-
-    values: dict[int, float] = {}
-    for subset in range(1 << n):
-        occlude = [payload[i] for i in range(n) if not subset & (1 << i)]
-        values[subset] = _target_prob(model, inputs, target, occlude)
-
-    # weight[k] = k! (n-k-1)! / n! for a coalition of size k not containing i
-    weights = [
-        math.factorial(k) * math.factorial(n - k - 1) / math.factorial(n)
-        for k in range(n)
-    ]
-    scores = np.zeros(len(stream.tokens))
-    for i in range(n):
-        bit = 1 << i
-        total = 0.0
-        for subset in range(1 << n):
-            if subset & bit:
-                continue
-            k = bin(subset).count("1")
-            total += weights[k] * (values[subset | bit] - values[subset])
-        scores[payload[i]] = total
-    return scores
 
 
 def aggregate_lines(token_scores: np.ndarray,

@@ -445,8 +445,8 @@ def load_params(path: str | Path) -> dict[str, np.ndarray]:
     """Read a container written by ``save_params``.
 
     Raises DataError when the file is not one: not an .npz archive,
-    truncated or corrupt, without a supported format version, or holding
-    entries that are not numeric arrays.
+    truncated or corrupt, without a supported integer format version, or
+    holding entries that are not integer or floating arrays.
     """
     # Own the handle: np.load leaks it when the zip directory is unreadable.
     with open(path, "rb") as handle:
@@ -454,15 +454,21 @@ def load_params(path: str | Path) -> dict[str, np.ndarray]:
             archive = np.load(handle)
             if not isinstance(archive, np.lib.npyio.NpzFile):
                 raise DataError(f"{path} is not an .npz parameter archive")
-            version = int(archive["__format_version__"][0])
-            if version != CHECKPOINT_FORMAT_VERSION:
+            entries = {name: archive[name] for name in archive.files}
+            version = entries.pop("__format_version__")
+            if version.dtype.kind not in "iu":
+                raise DataError(f"{path}: the format version holds "
+                                f"{version.dtype} values, not integers")
+            if int(version[0]) != CHECKPOINT_FORMAT_VERSION:
                 raise DataError(
-                    f"unsupported checkpoint format version {version}"
+                    f"unsupported checkpoint format version {version[0]}"
                 )
-            return {
-                name: np.asarray(archive[name], dtype=np.float64)
-                for name in archive.files if name != "__format_version__"
-            }
+            for name, values in entries.items():
+                if values.dtype.kind not in "iuf":
+                    raise DataError(f"{path}: parameter {name!r} holds "
+                                    f"{values.dtype} values, not real numbers")
+            return {name: values.astype(np.float64, copy=False)
+                    for name, values in entries.items()}
         except (KeyError, IndexError, ValueError, OSError, EOFError,
                 zipfile.BadZipFile, zlib.error) as exc:
             raise DataError(

@@ -10,8 +10,8 @@ parameter trajectory bit for bit.
 A batch's loss is the mean of its samples' losses. Each sample runs
 ``VulnModel.forward``, the pass inference runs; the numpy objectives give
 its loss and gradients, and ``VulnModel.backward`` each parameter's
-contribution, added in sample order, so one sample's arrays are alive at
-a time; Adam then steps once per batch. Validation runs the same
+contribution, held until the sample's turn and then added in sample
+order; Adam then steps once per batch. Validation runs the same
 ``forward``, and its loss and metrics both read that output. A
 fusion-ratio sweep prepares the samples once and trains one model per
 ratio from them.
@@ -19,11 +19,15 @@ ratio from them.
 Training runs on one process per usable CPU (at most one per sample of
 a batch): the training process and helpers forked from it once per run,
 which hold every sample already. Each runs the same epoch and batch
-loop: sample j of a batch and validation sample j run in process
-j mod N, and each process steps Adam on its own slice of the parameters.
-The gradients are added in sample order and the update is elementwise,
-so the log and the parameters are the same bit for bit at any CPU count.
-Where the platform cannot fork, training runs in one process.
+loop, and one turn loop for both kinds of work: sample j of a batch and
+validation sample j run in process j mod N, and each waits for turn j,
+after sample j - 1's, to hand in its result. A batch sample adds its
+contributions and writes its loss; a validation sample writes its heads
+into a shared row, which process 0 reads in order. Each process steps
+Adam on its own slice of the parameters. The gradients are added in
+sample order and the update is elementwise, so the log and the
+parameters are the same bit for bit at any CPU count. Where the
+platform cannot fork, training runs in one process.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from .corpus import (BINARY_VULNERABLE_LABEL, DatasetSplit, FunctionRecord,
                      default_catalog, select)
 from .errors import ConfigError, DataError, GradientError, TrainingError
 from .lexer import TokenStream, Vocabulary, build_vocab, tokenize
-from .model import (ForwardOutput, ModelConfig, VulnModel, denormalize_lines,
+from .model import (ModelConfig, VulnModel, denormalize_lines,
                     normalize_line_range)
 from .objectives import (FocalConfig, MetricsReport, classification_metrics,
                          focal_loss, iou_1d, mse_loss)
@@ -205,81 +209,37 @@ def _sample_loss(class_logits: np.ndarray, loc_pred: tuple[float, float],
 
 
 def _backward_batch(model: VulnModel, batch: Sequence[EncodedSample],
-                    cfg: TrainConfig, helpers: _Helpers | None = None) -> float:
+                    cfg: TrainConfig, helpers: _Helpers) -> float:
     """Add the gradients of the batch's mean loss; return that loss.
 
-    Each sample's loss, scaled by 1/len(batch), is differentiated right
-    after its own forward pass. Its gradients are added to the
-    parameters' at the sample's turn, after every earlier sample's: as
-    they are made when the turn is free, as it always is in one process,
-    and otherwise from contributions held until the turn.
-
-    With ``helpers`` of N processes, every process calls this on the same
-    batch, and sample j runs in process j mod N. A process that waits for
-    its turn runs its next sample's forward pass meanwhile. A sample's
-    exception is recorded at its turn, unless an earlier sample's was,
-    and process 0 raises it once the batch is over: the same exception
-    as in one process.
+    Every process of ``helpers`` calls this on the same batch. Each
+    sample's loss, scaled by 1/len(batch), is differentiated right after
+    its own forward pass, into contributions held until the sample's
+    turn, when they are added to the parameters' gradients after every
+    earlier sample's.
     """
-    helpers = helpers if helpers is not None else _Helpers(1, len(batch))
     scale = 1.0 / len(batch)
-    count, step = len(batch), helpers.processes
-    ahead = None
-    for j in range(helpers.rank, count, step):
-        out = ahead if ahead is not None else _sample_output(model, batch[j])
-        ahead = None
-        ready = helpers.turn(j, block=False)
-        result = _sample_gradients(model, batch[j], out, cfg, scale,
-                                   hold=not ready)
-        if not ready and not helpers.turn(j, block=False):
-            if j + step < count:
-                ahead = _sample_output(model, batch[j + step])
-            helpers.turn(j)
-        if isinstance(result, Exception):
-            helpers.fail(j, result)
-        elif not helpers.failed():
-            value, held = result
-            for contribution in held:
-                _add(*contribution)
-            helpers.losses[j] = value
-        helpers.pass_turn(j, count)
-    helpers.meet()
-    helpers.raise_failure()
-    total = 0.0
-    for value in helpers.losses[:count].tolist():
-        total += value
-    return total * scale
 
-
-def _sample_output(model: VulnModel, sample: EncodedSample
-                   ) -> ForwardOutput | Exception:
-    """The sample's forward pass, or the exception raised."""
-    try:
-        return model.forward(sample.ids, sample.operator)
-    except Exception as exc:  # raised at the sample's turn
-        return exc
-
-
-def _sample_gradients(model: VulnModel, sample: EncodedSample,
-                      out: ForwardOutput | Exception, cfg: TrainConfig,
-                      scale: float, hold: bool
-                      ) -> tuple[float, list[tuple]] | Exception:
-    """Differentiate ``scale`` times the sample's loss from its forward
-    output ``out``: return the loss and ``VulnModel.backward``'s
-    contributions if ``hold``, or else add them to the gradients and
-    return none; or return the exception raised, ``out`` included."""
-    if isinstance(out, Exception):
-        return out
-    held: list[tuple] = []
-    try:
+    def work(j: int) -> tuple[float, list[tuple]]:
+        sample, held = batch[j], []
+        out = model.forward(sample.ids, sample.operator)
         value, class_grad, loc_grad = _sample_loss(
             out.class_logits, out.loc_pred, sample, cfg, scale)
         model.backward(sample.ids, sample.operator, out, class_grad,
-                       loc_grad, (lambda *c: held.append(c)) if hold
-                       else _add)
+                       loc_grad, lambda *c: held.append(c))
         return value, held
-    except Exception as exc:  # raised at the sample's turn
-        return exc
+
+    def hand_in(j: int, result: tuple[float, list[tuple]]) -> None:
+        value, held = result
+        for contribution in held:
+            _add(*contribution)
+        helpers.losses[j] = value
+
+    helpers.take_turns(len(batch), work, hand_in)
+    total = 0.0
+    for value in helpers.losses[:len(batch)].tolist():
+        total += value
+    return total * scale
 
 
 def _add(parameter: tensor.Parameter, index, contribution) -> None:
@@ -309,11 +269,11 @@ class _Helpers:
     Whatever ``run`` needs, the parameters and the samples included,
     they inherit: the parameters live in ``_share``'s mapping, so every
     write is seen by all. The processes pace each other through
-    semaphores: ``turn`` orders the adds of a batch's samples and
-    ``meet`` is a barrier. The batch's sample losses and its first failed
-    sample sit in a small shared mapping. A helper sends process 0 only
-    its exception and its validation share, through its own pipe. With
-    one process nothing is forked, and no call waits.
+    semaphores: ``take_turns`` orders the results of a batch's or of
+    validation's samples, and ``meet`` is a barrier. The batch's sample
+    losses and the first failed sample sit in shared arrays. A helper
+    sends process 0 only its exception, through its own pipe. With one
+    process nothing is forked, and no call waits.
     """
 
     def __init__(self, processes: int, batch_size: int,
@@ -324,11 +284,9 @@ class _Helpers:
         self._links = []
         self._procs = []
         self._arrivals = []
-        import mmap
-        control = mmap.mmap(-1, 8 * (batch_size + 1))
-        self._failed = np.frombuffer(control, dtype=np.int64, count=1)
+        self._failed = _shared(1, np.int64)
         self._failed[0] = -1
-        self.losses = np.frombuffer(control, dtype=np.float64, offset=8)
+        self.losses = _shared(batch_size)
         if processes == 1:
             return
         import multiprocessing
@@ -361,39 +319,34 @@ class _Helpers:
         return slice(size * self.rank // self.processes,
                      size * (self.rank + 1) // self.processes)
 
-    def turn(self, j: int, block: bool = True) -> bool:
-        """Take sample j's turn, which comes once sample j - 1 of the same
-        batch has passed its own; return whether it was taken, which it
-        always is when ``block``."""
-        if j == 0 or self.processes == 1:
-            return True
-        if not block:
-            return self._turns[self.rank].acquire(False)
-        self._wait(self._turns[self.rank])
-        return True
+    def take_turns(self, count: int, work: Callable[[int], object],
+                   hand_in: Callable[[int, object], None]) -> None:
+        """Run items rank, rank + N, ... of ``count``, where N is the
+        number of processes, in every process alike.
 
-    def pass_turn(self, j: int, count: int) -> None:
-        """Give the turn to sample j + 1 of a batch of ``count``."""
-        if self.processes > 1 and j + 1 < count:
-            self._turns[(j + 1) % self.processes].release()
-
-    def failed(self) -> bool:
-        return self._failed[0] >= 0
-
-    def fail(self, j: int, exc: Exception) -> None:
-        """Record that sample j raised ``exc``, at its turn, unless an
-        earlier sample did; a helper sends ``exc`` to process 0."""
-        if self.failed():
-            return
-        self._failed[0] = j
-        self._error = exc
-        if self.rank:
-            self._link.send(exc)
-
-    def raise_failure(self) -> None:
-        """After ``meet``: raise the exception of the batch's failed
-        sample in process 0, and a TrainingError in any other process."""
-        if not self.failed():
+        Item j runs ``work(j)``, waits for its turn, which comes once item
+        j - 1 has passed its own, and then, unless an earlier item failed,
+        calls ``hand_in(j, result)``; then it passes the turn. After a
+        barrier, if the ``work`` of an item raised, every process raises:
+        process 0 the first such item's exception, as one process would.
+        """
+        for j in range(self.rank, count, self.processes):
+            try:
+                result, error = work(j), None
+            except Exception as exc:  # raised at the item's turn
+                result, error = None, exc
+            if j and self.processes > 1:
+                self._wait(self._turns[self.rank])
+            if self._failed[0] < 0 and error is None:
+                hand_in(j, result)
+            elif self._failed[0] < 0:  # the first failure, sent to process 0
+                self._failed[0], self._error = j, error
+                if self.rank:
+                    self._link.send(error)
+            if self.processes > 1 and j + 1 < count:
+                self._turns[(j + 1) % self.processes].release()
+        self.meet()
+        if self._failed[0] < 0:
             return
         owner = int(self._failed[0]) % self.processes
         if owner == self.rank:
@@ -409,14 +362,6 @@ class _Helpers:
                 arrivals.release()
         for _ in range(self.processes - 1):
             self._wait(self._arrivals[self.rank])
-
-    def gather(self, share: list) -> list[list] | None:
-        """Every process's ``share`` in process order, in process 0; a
-        helper sends its own and gets None."""
-        if self.rank:
-            self._link.send(share)
-            return None
-        return [share] + [self._receive(k) for k in range(1, self.processes)]
 
     def _receive(self, k: int):
         try:
@@ -450,17 +395,24 @@ class _Helpers:
             proc.join()
 
 
-def _share(params: Sequence[tensor.Parameter]) -> np.ndarray:
-    """Move each parameter's value and gradient, unchanged, into one
-    anonymous shared mapping, which processes forked later inherit.
+def _shared(shape, dtype=np.float64) -> np.ndarray:
+    """A zeroed array in an anonymous shared mapping, which processes
+    forked later inherit, so that each sees what any writes into it."""
+    import mmap
+    size = int(np.prod(shape))
+    itemsize = np.dtype(dtype).itemsize
+    return np.frombuffer(mmap.mmap(-1, max(size, 1) * itemsize), dtype=dtype,
+                         count=size).reshape(shape)
 
-    The mapping is returned as four rows over the flat parameter vector:
+
+def _share(params: Sequence[tensor.Parameter]) -> np.ndarray:
+    """Move each parameter's value and gradient, unchanged, into
+    ``_shared`` memory.
+
+    The array is returned as four rows over the flat parameter vector:
     the values, the gradients, and Adam's two moments, which start at 0.
     """
-    import mmap
-    total = sum(p.data.size for p in params)
-    state = np.frombuffer(mmap.mmap(-1, 4 * total * 8),
-                          dtype=np.float64).reshape(4, total)
+    state = _shared((4, sum(p.data.size for p in params)))
     start = 0
     for p in params:
         value, grad = state[:2, start:start + p.data.size]
@@ -538,9 +490,11 @@ def _fit(vocab: Vocabulary, samples: Sequence[EncodedSample],
     model_cfg = replace(model_cfg, vocab_size=len(vocab))
     model = VulnModel(model_cfg, seed=train_cfg.seed)
     state = _share(model.parameters())
+    heads = _shared((len(val_samples), model_cfg.num_classes + 2))
 
     def run(helpers: _Helpers) -> list[dict]:
-        return _train(helpers, model, state, samples, val_samples, train_cfg)
+        return _train(helpers, model, state, heads, samples, val_samples,
+                      train_cfg)
 
     processes = _processes(train_cfg.batch_size, len(samples))
     with _Helpers(processes, train_cfg.batch_size, run) as helpers:
@@ -550,11 +504,12 @@ def _fit(vocab: Vocabulary, samples: Sequence[EncodedSample],
 
 @np.errstate(over="ignore", invalid="ignore")
 def _train(helpers: _Helpers, model: VulnModel, state: np.ndarray,
-           samples: Sequence[EncodedSample],
+           heads: np.ndarray, samples: Sequence[EncodedSample],
            val_samples: Sequence[EncodedSample],
            cfg: TrainConfig) -> list[dict]:
     """The epoch loop that every training process runs; the log, which
-    only process 0 fills.
+    only process 0 fills. ``heads`` has a shared row per validation
+    sample.
 
     numpy does not warn about overflow here: it ends in non-finite
     values, which ``forward`` and the loss check reject, and training
@@ -588,18 +543,19 @@ def _train(helpers: _Helpers, model: VulnModel, state: np.ndarray,
         val_loss = val_f1 = val_iou = None
         if val_samples:
             try:
-                heads = _validate(model, val_samples, helpers)
+                val_heads = _validate(model, val_samples, heads, helpers)
             except GradientError as exc:
                 # the last step overflowed and only validation saw it
                 raise TrainingError(
                     f"non-finite values in validation ({exc}); "
                     + _diagnostics(model, epoch, batch_idx)) from exc
-            if heads is None:  # a helper: process 0 keeps the log
+            if val_heads is None:  # a helper: process 0 keeps the log
                 continue
             val_loss = float(np.mean([
                 _sample_loss(logits, loc, s, cfg)[0]
-                for s, (logits, loc) in zip(val_samples, heads)]))
-            report = _metrics(val_samples, heads, model.config.num_classes)
+                for s, (logits, loc) in zip(val_samples, val_heads)]))
+            report = _metrics(val_samples, val_heads,
+                              model.config.num_classes)
             val_f1 = report.f1
             val_iou = report.mean_iou
         log.append({
@@ -613,31 +569,25 @@ def _train(helpers: _Helpers, model: VulnModel, state: np.ndarray,
 
 
 def _validate(model: VulnModel, samples: Sequence[EncodedSample],
-              helpers: _Helpers) -> list[tuple[np.ndarray, tuple]] | None:
+              heads: np.ndarray, helpers: _Helpers
+              ) -> list[tuple[np.ndarray, tuple]] | None:
     """Each sample's heads (class logits, line range) in order, in
     process 0, and None in a helper.
 
-    Process k runs samples k, k + N, ... up to its first exception, and
-    process 0 raises the exception of the earliest sample that raised.
+    At its turn, sample j writes its class logits and then its line
+    fractions into row j of the shared ``heads``.
     """
-    share: list = []
-    for sample in samples[helpers.rank::helpers.processes]:
-        try:
-            out = model.forward(sample.ids, sample.operator)
-        except Exception as exc:  # raised by process 0 in sample order
-            share.append(exc)
-            break
-        share.append((out.class_logits, out.loc_pred))
-    shares = helpers.gather(share)
-    if shares is None:
+    def work(j: int) -> tuple[np.ndarray, tuple]:
+        out = model.forward(samples[j].ids, samples[j].operator)
+        return out.class_logits, out.loc_pred
+
+    def hand_in(j: int, result: tuple[np.ndarray, tuple]) -> None:
+        heads[j, :-2], heads[j, -2:] = result
+
+    helpers.take_turns(len(samples), work, hand_in)
+    if helpers.rank:
         return None
-    heads = []
-    for j in range(len(samples)):
-        head = shares[j % helpers.processes][j // helpers.processes]
-        if isinstance(head, Exception):
-            raise head
-        heads.append(head)
-    return heads
+    return [(row[:-2], tuple(row[-2:].tolist())) for row in heads]
 
 
 def evaluate_samples(model: VulnModel, samples: Sequence[EncodedSample],

@@ -19,7 +19,7 @@ from vulngraph.objectives import FocalConfig
 from vulngraph.semgraph import build_graph, model_inputs
 from vulngraph.synth import PlantedTruth, make_toy_corpus
 from vulngraph.tensor import SparseOperator
-from vulngraph.trainer import TrainConfig, train
+from vulngraph.trainer import TrainConfig, _backward_batch, _Helpers, train
 
 DESK_MODEL = dict(embed_dim=64, gcn_dim=48, gcn_layers=2, num_classes=11)
 DESK_TRAIN = dict(epochs=200, learning_rate=1e-3, batch_size=8, seed=7)
@@ -34,6 +34,11 @@ LONG_SOURCE = ("int fill(char *buf, int n) {\n"
 #: call, so its operator row holds 252 entries, far past the padded width.
 HUB_SOURCE = ("void hub(void) {\n    memcpy("
               + ", ".join(f"a{i}" for i in range(250)) + ");\n}")
+
+
+def backward_batch(model, batch, cfg):
+    """``trainer._backward_batch`` run in this process alone."""
+    return _backward_batch(model, batch, cfg, _Helpers(1, len(batch)))
 
 
 def run_python(script: str, *args) -> subprocess.CompletedProcess:

@@ -10,15 +10,28 @@ dense tape oracle and the tape's own tests build layers from it.
 ``VulnModel.backward``. ``loss_node`` and ``backward_node`` put a numpy
 loss and its gradient on the tape, so that ``tensor.grad_check`` audits
 them by finite differences.
+
+``occluded_by_forward_loop`` runs one full forward per occluded token:
+the oracle of ``VulnModel.occluded_probabilities``. ``shapley_oracle``
+computes exact Shapley values by enumerating all present/occluded
+coalitions of payload tokens, at most ``ORACLE_MAX_TOKENS`` of them, to
+validate that the cheap occlusion scores rank tokens consistently with
+the game-theoretic ground truth.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from vulngraph import tensor
+from vulngraph.attribution import (_check_frozen, _payload_positions,
+                                   _target_prob)
+from vulngraph.errors import AttributionError
 from vulngraph.model import normalize_line_range
 from vulngraph.objectives import focal_loss, mse_loss
+from vulngraph.semgraph import model_inputs
 from vulngraph.tensor import Matrix, from_op
 from vulngraph.trainer import _add
 
@@ -115,3 +128,56 @@ def backward_node(model, ids, operator, true_class, loc_target,
 
     return from_op(np.array([[value + loc_value]]),
                    [p.value for p in model.parameters()], push)
+
+
+#: Payload-size cap for exact coalition enumeration.
+ORACLE_MAX_TOKENS = 12
+
+
+def occluded_by_forward_loop(model, ids, operator, target, payload,
+                             base) -> np.ndarray:
+    """``occluded_probabilities`` by one full ``model.forward`` per
+    payload position, with only that position occluded; ``base`` is
+    unused."""
+    return np.array([_target_prob(model, (ids, operator), target, [position])
+                     for position in payload])
+
+
+def shapley_oracle(model, stream, graph, vocab) -> np.ndarray:
+    """Exact Shapley value per payload token (test-scale only).
+
+    The coalition value is the predicted class's probability with the
+    coalition's tokens present and everything else occluded. Satisfies
+    efficiency: the values sum to f(all present) - f(all occluded).
+    """
+    _check_frozen(model)
+    payload = _payload_positions(stream)
+    n = len(payload)
+    if n > ORACLE_MAX_TOKENS:
+        raise AttributionError(
+            f"oracle enumerates 2^n coalitions; {n} payload tokens exceed "
+            f"the cap of {ORACLE_MAX_TOKENS}")
+    inputs = model_inputs(graph, vocab)
+    target = int(np.argmax(model.forward(*inputs).probabilities))
+
+    values: dict[int, float] = {}
+    for subset in range(1 << n):
+        occlude = [payload[i] for i in range(n) if not subset & (1 << i)]
+        values[subset] = _target_prob(model, inputs, target, occlude)
+
+    # weight[k] = k! (n-k-1)! / n! for a coalition of size k not containing i
+    weights = [
+        math.factorial(k) * math.factorial(n - k - 1) / math.factorial(n)
+        for k in range(n)
+    ]
+    scores = np.zeros(len(stream.tokens))
+    for i in range(n):
+        bit = 1 << i
+        total = 0.0
+        for subset in range(1 << n):
+            if subset & bit:
+                continue
+            k = bin(subset).count("1")
+            total += weights[k] * (values[subset | bit] - values[subset])
+        scores[payload[i]] = total
+    return scores

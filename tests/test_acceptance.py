@@ -11,8 +11,7 @@ import time
 import numpy as np
 
 from vulngraph import tensor
-from vulngraph.attribution import attribute_tokens, select_root_cause, \
-    shapley_oracle
+from vulngraph.attribution import attribute_tokens, select_root_cause
 from vulngraph.corpus import select, split
 from vulngraph.lexer import PAD_ID, build_vocab, tokenize
 from vulngraph.model import ModelConfig, denormalize_lines, fuse
@@ -24,7 +23,7 @@ from vulngraph.trainer import (TrainConfig, evaluate, prepare_sample,
                                save_checkpoint, sweep_ensemble)
 from conftest import (attribute, dense_adjacency, dense_counts, fuzz_snippet,
                       spearman, tiny_model_inputs, to_dense)
-from oracles import backward_node
+from oracles import backward_node, shapley_oracle
 
 
 def report(number: int, name: str, ok: bool, detail: str) -> None:

@@ -5,10 +5,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from vulngraph.attribution import (ORACLE_MAX_TOKENS, aggregate_lines,
-                                   attribute_tokens, attribution_dump,
-                                   localize, normalize_scores,
-                                   select_root_cause, shapley_oracle)
+from vulngraph.attribution import (aggregate_lines, attribute_tokens,
+                                   attribution_dump, localize,
+                                   normalize_scores, select_root_cause)
 from vulngraph.errors import AttributionError
 from vulngraph.lexer import PAD_ID, STREAM_CAPACITY, build_vocab, lex, tokenize
 import vulngraph.model as model_module
@@ -16,6 +15,7 @@ from vulngraph.model import ModelConfig, VulnModel
 from vulngraph.semgraph import build_graph, model_inputs
 from conftest import (HUB_SOURCE, LONG_SOURCE, attribute, fuzz_snippet,
                       operator_from_dense, spearman, tiny_model_inputs)
+from oracles import ORACLE_MAX_TOKENS, occluded_by_forward_loop, shapley_oracle
 
 
 class AdditiveStub:
@@ -27,6 +27,7 @@ class AdditiveStub:
     """
 
     frozen = True
+    occluded_probabilities = occluded_by_forward_loop
 
     def __init__(self, stream, weights: dict[int, float], base: float = 0.6):
         self.stream = stream
@@ -41,10 +42,11 @@ class AdditiveStub:
 
 
 class ForwardLoop:
-    """A model view without ``occluded_probabilities``: attribution then
-    runs one full forward per occluded position, the fast path's oracle."""
+    """A model view whose attribution runs one full forward per occluded
+    position, the fast path's oracle."""
 
     frozen = True
+    occluded_probabilities = occluded_by_forward_loop
 
     def __init__(self, model):
         self.forward = model.forward

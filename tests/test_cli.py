@@ -4,6 +4,7 @@ import logging
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 import vulngraph.cli as cli
@@ -84,6 +85,27 @@ class TestExitCodes:
         assert main(["eval", "--checkpoint", str(checkpoint), "--data",
                      str(dataset)]) == 2
         assert "missing config.txt" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, convert", [
+        ("gcn_0", lambda values: values.astype(str)),
+        ("gcn_0", lambda values: values + 1j),
+        ("__format_version__", lambda values: values + 0.7),
+    ], ids=["numeral-strings", "complex", "float-version"])
+    def test_params_that_are_not_real_numbers_exit_two(self, dataset,
+                                                       checkpoint, name,
+                                                       convert):
+        path = checkpoint / "params.npz"
+        with np.load(path) as archive:
+            entries = {key: archive[key] for key in archive.files}
+        entries[name] = convert(entries[name])
+        np.savez(path, **entries)
+        done = run_python(
+            "import sys; from vulngraph import cli; "
+            "sys.exit(cli.main(sys.argv[1:]))",
+            "eval", "--checkpoint", checkpoint, "--data", dataset)
+        assert done.returncode == 2, done.stderr
+        assert done.stderr.startswith("vulngraph: data error: ")
+        assert done.stderr.count("\n") == 1, done.stderr
 
     def test_config_error_is_one(self, tmp_path, dataset, capsys):
         bad = tmp_path / "bad.cfg"

@@ -12,10 +12,11 @@ from vulngraph.model import (ModelConfig, VulnModel, denormalize_lines, fuse,
 from vulngraph.semgraph import build_graph, model_inputs
 from vulngraph.tensor import Matrix
 from vulngraph.objectives import FocalConfig
-from vulngraph.trainer import (EncodedSample, TrainConfig, _backward_batch,
-                               _sample_gradients, parse_run_config)
-from conftest import (HUB_SOURCE, LONG_SOURCE, dense_adjacency, fuzz_snippet,
-                      operator_from_dense, poison, tiny_model_inputs)
+from vulngraph.trainer import (EncodedSample, TrainConfig, _sample_loss,
+                               parse_run_config)
+from conftest import (HUB_SOURCE, LONG_SOURCE, backward_batch,
+                      dense_adjacency, fuzz_snippet, operator_from_dense,
+                      poison, tiny_model_inputs)
 from oracles import backward_node, relu, tape_sample_loss
 
 SOURCE = "int f(){int a;return a+1;}"
@@ -259,19 +260,19 @@ class TestBackwardAgainstTape:
                                     sample, cfg)
             tensor.backward(tensor.scale(loss, 1.0 / 3.0))
             expected = [p.grad.tobytes() for p in model.parameters()]
-            for hold in (False, True):
-                for p, grad in zip(model.parameters(), earlier):
-                    p.grad[...] = grad
-                value, held = _sample_gradients(
-                    model, sample, model.forward(ids, operator), cfg,
-                    1.0 / 3.0, hold)
-                assert bool(held) == hold
-                for parameter, index, contribution in held:
-                    parameter.grad[index] += contribution
-                assert value == loss.item()
-                for p, grad in zip(model.parameters(), expected):
-                    assert p.grad.tobytes() == grad, (source[:20], hold,
-                                                      p.name)
+            for p, grad in zip(model.parameters(), earlier):
+                p.grad[...] = grad
+            out = model.forward(ids, operator)
+            value, class_grad, loc_grad = _sample_loss(
+                out.class_logits, out.loc_pred, sample, cfg, 1.0 / 3.0)
+            held = []
+            model.backward(ids, operator, out, class_grad, loc_grad,
+                           lambda *c: held.append(c))
+            for parameter, index, contribution in held:
+                parameter.grad[index] += contribution
+            assert value == loss.item()
+            for p, grad in zip(model.parameters(), expected):
+                assert p.grad.tobytes() == grad, (source[:20], p.name)
             # a held embedding contribution is one row per distinct id
             assert held[-1][0] is model.embedding
             assert held[-1][2].shape == (np.unique(ids).size, 16)
@@ -415,7 +416,7 @@ class TestDistinctProjection:
     def test_batch_gradients_match_dense_oracle(self):
         model, samples, denses = self.long_samples()
         cfg = TrainConfig()
-        _backward_batch(model, samples, cfg)
+        backward_batch(model, samples, cfg)
         distinct = {p.name: p.grad.copy() for p in model.parameters()}
         model.zero_grad()
         for sample, adjacency in zip(samples, denses):
@@ -487,7 +488,7 @@ class TestNonFiniteForward:
                                truth_range=(1, 1))
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(GradientError, match="gcn_0"):
-                _backward_batch(model, [sample], TrainConfig())
+                backward_batch(model, [sample], TrainConfig())
         with pytest.raises(GradientError):
             model.forward_nodes(ids, huge)
 

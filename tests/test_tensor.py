@@ -1,10 +1,11 @@
+import warnings
 import weakref
 
 import numpy as np
 import pytest
 
 from vulngraph import tensor
-from vulngraph.errors import GradientError, ShapeError
+from vulngraph.errors import DataError, GradientError, ShapeError
 from vulngraph.tensor import Matrix, Parameter, from_op
 from oracles import mean_all, mul, relu, sum_all
 
@@ -193,6 +194,24 @@ class TestCheckpoint:
         for p in params:
             assert np.array_equal(loaded[p.name], p.data)
             assert loaded[p.name].dtype == np.float64
+
+    @pytest.mark.parametrize("entries, message", [
+        pytest.param(dict(a=np.array(["1.5", "2"])), "not real numbers",
+                     id="numeral-strings"),
+        pytest.param(dict(a=np.array([1.5 + 2j, 2.0])), "not real numbers",
+                     id="complex"),
+        pytest.param(dict(__format_version__=np.array([1.7]),
+                          a=np.zeros(2)), "not integers", id="float-version"),
+    ])
+    def test_entries_that_are_not_real_numbers_rejected(self, tmp_path,
+                                                        entries, message):
+        path = tmp_path / "params.npz"
+        np.savez(path, **{"__format_version__": np.array(
+            [tensor.CHECKPOINT_FORMAT_VERSION]), **entries})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=message):
+                tensor.load_params(path)
 
     def test_duplicate_names_rejected(self, tmp_path):
         params = [Parameter(np.zeros((1, 1)), "x"),

@@ -26,7 +26,7 @@ from vulngraph.trainer import (EncodedSample, TrainConfig, evaluate,
                                train, train_config_to_text, _backward_batch,
                                format_sweep_table)
 
-from conftest import DESK_MODEL, LONG_SOURCE, run_python
+from conftest import DESK_MODEL, LONG_SOURCE, backward_batch, run_python
 from oracles import tape_sample_loss
 
 TINY_MODEL = dict(embed_dim=16, gcn_dim=12, num_classes=11)
@@ -329,7 +329,7 @@ class TestTrain:
         model, vocab = result.model, result.vocab
         samples = [prepare_sample(r, vocab, 11) for r in benign]
         model.zero_grad()
-        _backward_batch(model, samples, tiny_train_cfg())
+        backward_batch(model, samples, tiny_train_cfg())
         assert np.array_equal(model.loc_weight.grad,
                               np.zeros_like(model.loc_weight.grad))
         assert np.array_equal(model.loc_bias.grad,
@@ -347,7 +347,7 @@ class TestTrain:
     def test_batch_gradients_equal_one_tape_oracle(self):
         model, batch = oracle_batch()
         loss, expected = one_tape_gradients(model, batch, tiny_train_cfg())
-        value = _backward_batch(model, batch, tiny_train_cfg())
+        value = backward_batch(model, batch, tiny_train_cfg())
         assert value == loss
         for p, grad in zip(model.parameters(), expected):
             assert np.array_equal(p.grad, grad), p.name
@@ -369,12 +369,11 @@ class TestTrain:
                 tracemalloc.stop()
         assert peaks[8] <= 1.25 * peaks[1], peaks
 
-    @pytest.mark.parametrize("held", [False, True])
-    def test_sample_peaks_under_ten_activation_arrays(self, held):
+    def test_sample_peaks_under_ten_activation_arrays(self):
         # at gcn_dim 128 and 512 positions the n x gcn_dim arrays dominate;
         # a tape that holds every node, value and gradient until the walk
         # ends peaks near 17 of them, and the forward pass with the
-        # backward over its arrays near 6
+        # backward over its arrays, held until the sample's turn, near 6
         vocab = build_vocab([LONG_SOURCE])
         model = VulnModel(ModelConfig(vocab_size=len(vocab), embed_dim=16,
                                       gcn_dim=128), seed=1)
@@ -385,13 +384,11 @@ class TestTrain:
         array_bytes = sample.ids.size * 128 * 8
         tracemalloc.start()
         try:
-            out = trainer_module._sample_output(model, sample)
-            result = trainer_module._sample_gradients(
-                model, sample, out, TrainConfig(), 0.5, held)
+            backward_batch(model, [sample], TrainConfig())
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert not isinstance(result, Exception), result
+        assert np.abs(model.gcn_weights[0].grad).sum() > 0
         assert sample.ids.size == 512
         assert peak < 10 * array_bytes, peak / array_bytes
 
@@ -708,6 +705,30 @@ class TestForkedTraining:
             "layer gcn_0")
         assert errors == [errors[0]] * 3
 
+    def test_validation_error_text_equals_one_process(self, monkeypatch,
+                                                      use_cpus):
+        records, ds = tiny_corpus()
+        cfg = ModelConfig(vocab_size=4, **TINY_MODEL)
+        vocab, samples, val_samples = trainer_module._prepare(
+            records, ds, 11, 1)
+        # the second validation sample runs in a helper
+        target = val_samples[1].ids
+        assert not any(np.array_equal(s.ids, target)
+                       for s in samples + val_samples[:1])
+        fail_in(monkeypatch, target)
+        errors = []
+        for processes in (1, 2, 3):
+            use_cpus(processes)
+            with pytest.raises(TrainingError) as caught:
+                trainer_module._fit(vocab, samples, val_samples, cfg,
+                                    tiny_train_cfg())
+            errors.append(str(caught.value))
+            no_child_left()
+        assert errors[0].startswith(
+            "non-finite values in validation (non-finite values in the "
+            "layer gcn_0")
+        assert errors == [errors[0]] * 3
+
     def test_divergence_text_equals_one_process(self, use_cpus):
         records, ds = tiny_corpus()
         cfg = ModelConfig(vocab_size=4, **TINY_MODEL)
@@ -738,11 +759,9 @@ class TestForkedTraining:
         assert errors[0].startswith("non-finite values in validation (")
         assert errors == [errors[0]] * 3
 
-    def test_look_ahead_error_waits_for_its_turn(self, monkeypatch, tmp_path,
-                                                 use_cpus):
-        """At two processes the helper runs sample 1, and while sample 0
-        is still running, its look-ahead forward of sample 3 raises; the
-        error raised is still sample 2's, as in one process."""
+    def test_error_waits_for_its_turn(self, monkeypatch, use_cpus):
+        """Samples 2 and 3 raise while sample 0 is still running; the
+        error raised is sample 2's, as in one process."""
         records, ds = tiny_corpus()
         cfg = ModelConfig(vocab_size=4, **TINY_MODEL)
         train_cfg = tiny_train_cfg()
@@ -751,15 +770,11 @@ class TestForkedTraining:
         order = np.arange(len(samples))
         np.random.default_rng(train_cfg.seed).shuffle(order)
         first = [samples[i].ids for i in order[:4]]
-        trail = tmp_path / "forwards.txt"
         forward = VulnModel.forward
 
         def misbehaving(self, ids, operator):
             j = next((j for j, f in enumerate(first)
                       if np.array_equal(ids, f)), None)
-            if j is not None:
-                with trail.open("a", encoding="utf-8") as fh:
-                    fh.write(f"{j}\n")
             if j == 0:
                 time.sleep(0.5)
             if j in (2, 3):
@@ -770,15 +785,11 @@ class TestForkedTraining:
         errors = []
         for processes in (1, 2, 3):
             use_cpus(processes)
-            trail.write_text("", encoding="utf-8")
             with pytest.raises(TrainingError) as caught:
                 trainer_module._fit(vocab, samples, val_samples, cfg,
                                     train_cfg)
             errors.append(str(caught.value))
             no_child_left()
-            if processes == 2:
-                forwards = trail.read_text(encoding="utf-8").split()
-                assert forwards.index("3") < forwards.index("2"), forwards
         assert errors[0].startswith(
             "non-finite values in forward pass (non-finite values in "
             "sample 2)")
