@@ -75,12 +75,10 @@ def _target_prob(model, inputs: tuple[np.ndarray, SparseOperator],
 
 
 def attribute_tokens(model, stream: TokenStream,
-                     inputs: tuple[np.ndarray, SparseOperator],
                      base: ForwardOutput) -> Attribution:
     """Occlusion score per payload token for the predicted class.
 
-    ``base`` is the model's ``forward`` on ``inputs``, the stream's
-    ``model_inputs``.
+    ``base`` is the model's ``forward`` on the stream's ``model_inputs``.
     """
     _check_frozen(model)
     probs = base.probabilities
@@ -88,10 +86,11 @@ def attribute_tokens(model, stream: TokenStream,
     full_prob = float(probs[target])
 
     payload = _payload_positions(stream)
-    occluded = model.occluded_probabilities(*inputs, target, payload, base)
+    occluded = model.occluded_probabilities(base, target, payload)
     token_scores = np.zeros(len(stream.tokens))
     token_scores[payload] = full_prob - occluded
-    empty_prob = _target_prob(model, inputs, target, payload)
+    empty_prob = _target_prob(model, (base.ids, base.operator), target,
+                              payload)
     return Attribution(
         token_scores=token_scores,
         line_scores=aggregate_lines(token_scores, stream),

@@ -202,9 +202,8 @@ def _cmd_attribute(args) -> int:
     model, vocab = load_checkpoint(args.checkpoint)
     dumps = []
     for record, stream in _functions_from_file(args.file, args.function):
-        inputs = model_inputs(build_graph(stream), vocab)
-        output = model.forward(*inputs)
-        attribution = attribute_tokens(model, stream, inputs, output)
+        output = model.forward(*model_inputs(build_graph(stream), vocab))
+        attribution = attribute_tokens(model, stream, output)
         root_cause = None
         if output.predicted_class != 0:
             root_cause = localize(output.loc_pred, attribution.line_scores,

@@ -30,11 +30,11 @@ class GraphBuildError(DataError):
 
 
 class ShapeError(VulnGraphError):
-    """Matrix operands do not conform."""
+    """Operands do not conform: mismatched shapes, or ids out of range."""
 
 
 class GradientError(VulnGraphError):
-    """Misuse of the reverse-mode machinery or a failed gradient check."""
+    """Non-finite values in a pass, or a misused tape or parameter set."""
 
 
 class TrainingError(VulnGraphError):

@@ -29,10 +29,13 @@ order-invariant over the payload, an accepted desk-scale limitation.
 ``forward``, built from ``embed``, ``gcn_forward``, ``pooled_embedding``
 and ``heads``, is the one pass that scan, attribution, validation and
 training run: plain numpy, each layer checked for non-finite values. Its
-output keeps P and each layer's pre-activation A_hat @ (H_l @ W_l), from
-which ``backward`` gives each parameter's gradient. ``forward_nodes``
-runs the same layers on the ``tensor`` tape, with no caller here: it is
-the oracle that tests compare both passes with, bit for bit.
+output carries its inputs (the ids, their distinct-id split and the
+operator), P and each layer's pre-activation A_hat @ (H_l @ W_l), so
+that ``backward``, which gives each parameter's gradient, and
+``occluded_probabilities`` extend that pass and no other. The
+parameters are plain arrays. ``forward_nodes`` runs the same layers on
+the primitive ops of the ``tensor`` tape, with no caller here: it is the
+oracle that tests compare both passes with, bit for bit.
 
 Occlusion is an input, not a mode: occluding a position means giving it
 the ``<PAD>`` id, which no stream holds, and running the ordinary pass.
@@ -58,7 +61,7 @@ from .errors import (AttributionError, ConfigError, DataError, GradientError,
                      ShapeError)
 from . import tensor
 from .lexer import PAD_ID
-from .tensor import Matrix, Parameter, SparseOperator
+from .tensor import Matrix, Parameter, SparseOperator, leaf
 
 
 @dataclass(frozen=True)
@@ -196,13 +199,20 @@ class Forward:
 
 @dataclass(frozen=True)
 class ForwardOutput:
-    """Detached forward results for inference."""
+    """One ``forward`` pass: its heads and pooled features, and what
+    ``backward`` and ``occluded_probabilities`` extend it from."""
 
     class_logits: np.ndarray
     loc_pred: tuple[float, float]
     pooled_embed: np.ndarray
     pooled_graph: np.ndarray
-    # for occlusion and ``backward``: P, and each layer's A @ (H @ W)
+    # the pass's inputs
+    ids: np.ndarray = field(compare=False, repr=False)
+    operator: SparseOperator = field(compare=False, repr=False)
+    # the distinct ids and each position's index in them, P, and each
+    # layer's A @ (H @ W)
+    _distinct: np.ndarray = field(compare=False, repr=False)
+    _inverse: np.ndarray = field(compare=False, repr=False)
     _projected: np.ndarray = field(compare=False, repr=False)
     _mixed: list[np.ndarray] = field(compare=False, repr=False)
 
@@ -232,7 +242,7 @@ class VulnModel:
             rng = np.random.default_rng(seed)
             values = {name: (
                 tensor.embedding_init(*shape, rng) if name == "embedding"
-                else tensor.zeros(*shape) if name.endswith("_bias")
+                else np.zeros(shape) if name.endswith("_bias")
                 else tensor.glorot_uniform(*shape, rng))
                 for name, shape in shapes.items()}
         else:
@@ -245,10 +255,6 @@ class VulnModel:
         return [self.embedding, self.input_proj, *self.gcn_weights,
                 self.cls_weight, self.cls_bias, self.loc_weight, self.loc_bias]
 
-    def zero_grad(self) -> None:
-        for p in self.parameters():
-            p.zero_grad()
-
     def freeze(self) -> "VulnModel":
         self.frozen = True
         return self
@@ -256,15 +262,17 @@ class VulnModel:
     # -- forward pieces ------------------------------------------------------
 
     def embed(self, ids: Sequence[int] | np.ndarray
-              ) -> tuple[np.ndarray, np.ndarray]:
-        """The distinct ids' rows in graph space, and each position's row.
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The distinct ids' rows in graph space, the distinct ids, and
+        each position's row.
 
-        Returns (P, inverse): row j of P is ``E[u_j] @ W_in`` for the j-th
-        distinct id, and position i holds row ``inverse[i]``, so the
-        stream's rows H0 are ``P[inverse]``.
+        Returns (P, u, inverse): row j of P is ``E[u_j] @ W_in`` for the
+        j-th distinct id u_j, and position i holds row ``inverse[i]``, so
+        the stream's rows H0 are ``P[inverse]``.
         """
         distinct, inverse = self._distinct(ids)
-        return self.embedding.data[distinct] @ self.input_proj.data, inverse
+        return (self.embedding.data[distinct] @ self.input_proj.data,
+                distinct, inverse)
 
     def _distinct(self, ids: Sequence[int] | np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray]:
@@ -323,7 +331,7 @@ class VulnModel:
                 operator: SparseOperator) -> ForwardOutput:
         """The model's one pass, in plain numpy; ``forward_nodes`` is its
         oracle."""
-        projected, inverse = self.embed(ids)
+        projected, distinct, inverse = self.embed(ids)
         h, mixed = self.gcn_forward(projected, inverse, operator)
         pooled_graph = h.mean(axis=0)
         pooled_embed = self.pooled_embedding(projected, inverse)
@@ -336,12 +344,15 @@ class VulnModel:
             loc_pred=(float(loc_pred[0, 0]), float(loc_pred[0, 1])),
             pooled_embed=pooled_embed,
             pooled_graph=pooled_graph,
+            ids=ids,
+            operator=operator,
+            _distinct=distinct,
+            _inverse=inverse,
             _projected=projected,
             _mixed=mixed,
         )
 
-    def backward(self, ids: np.ndarray, operator: SparseOperator,
-                 out: ForwardOutput, class_grad: np.ndarray,
+    def backward(self, out: ForwardOutput, class_grad: np.ndarray,
                  loc_grad: np.ndarray | None,
                  add: Callable[[Parameter, object, np.ndarray], None]) -> None:
         """Call ``add(parameter, index, contribution)`` per parameter,
@@ -349,15 +360,15 @@ class VulnModel:
         ``parameter.grad[index]`` adds one sample's gradient. The
         embedding's index is the distinct ids.
 
-        ``out`` is ``forward`` on ``ids`` and ``operator``; ``class_grad``
-        and ``loc_grad`` are the loss's gradients with respect to its class
-        logits and line fractions (None: the loss does not read them). A
-        later layer's input is recomputed from H0 and the relus of the kept
-        pre-activations, and a relu's mask is its pre-activation > 0. The
-        steps are the tape's in its push order, so each contribution equals
-        the tape's bit for bit.
+        ``out`` is this model's ``forward``, whose inputs it reads;
+        ``class_grad`` and ``loc_grad`` are the loss's gradients with
+        respect to its class logits and line fractions (None: the loss
+        does not read them). A later layer's input is recomputed from H0
+        and the relus of the kept pre-activations, and a relu's mask is
+        its pre-activation > 0. The steps are the tape's in its push
+        order, so each contribution equals the tape's bit for bit.
         """
-        distinct, inverse = self._distinct(ids)
+        distinct, inverse, operator = out._distinct, out._inverse, out.operator
         embed_w, graph_w = self.config.embed_weight, self.config.graph_weight
         fused = fuse(out.pooled_embed, out.pooled_graph, embed_w,
                      graph_w).reshape(1, -1)
@@ -398,42 +409,43 @@ class VulnModel:
         add(self.input_proj, ..., rows.T @ g_projected)
         add(self.embedding, distinct, g_projected @ self.input_proj.data.T)
 
+    @np.errstate(over="ignore", invalid="ignore")
     def forward_nodes(self, ids: np.ndarray,
                       operator: SparseOperator) -> Forward:
         """``forward`` on the ``tensor`` tape, the oracle of ``forward``
-        and ``backward``: per layer a ``tensor.matmul`` node for the
-        product with W_l (over the distinct rows in layer 1) and a
-        ``tensor.graph_layer`` node for ``H + relu(A_hat @ .)``."""
+        and ``backward``: each layer is ``H + relu(A_hat @ (H @ W_l))``
+        built from primitive ops, its product with W_l over the distinct
+        rows in layer 1, gathered per position. A non-finite value raises
+        GradientError where the tape wraps it."""
         distinct, inverse = self._distinct(ids)
         projected = tensor.matmul(
-            tensor.gather_rows(self.embedding.value, distinct),
-            self.input_proj.value)
+            tensor.gather_rows(leaf(self.embedding), distinct),
+            leaf(self.input_proj))
         h = h0 = tensor.gather_rows(projected, inverse)
         for layer, weight in enumerate(self.gcn_weights):
-            rows = projected if layer == 0 else h
-            h = tensor.graph_layer(h, tensor.matmul(rows, weight.value),
-                                   operator, inverse if layer == 0 else None)
+            rows = tensor.matmul(projected if layer == 0 else h, leaf(weight))
+            if layer == 0:
+                rows = tensor.gather_rows(rows, inverse)
+            h = tensor.add(h, tensor.relu(tensor.apply(operator, rows)))
         pooled_graph = tensor.mean_rows(h)
         pooled_embed = tensor.mean_rows(h0)
         fused = tensor.add(
             tensor.scale(pooled_embed, self.config.embed_weight),
             tensor.scale(pooled_graph, self.config.graph_weight))
         class_logits = tensor.add(
-            tensor.matmul(fused, self.cls_weight.value), self.cls_bias.value)
+            tensor.matmul(fused, leaf(self.cls_weight)), leaf(self.cls_bias))
         loc_pred = tensor.sigmoid(tensor.add(
-            tensor.matmul(fused, self.loc_weight.value), self.loc_bias.value))
+            tensor.matmul(fused, leaf(self.loc_weight)), leaf(self.loc_bias)))
         return Forward(class_logits, loc_pred, pooled_embed, pooled_graph)
 
     @np.errstate(over="ignore", invalid="ignore")
-    def occluded_probabilities(self, ids: np.ndarray,
-                               operator: SparseOperator, target: int,
-                               positions: Sequence[int],
-                               base: ForwardOutput) -> np.ndarray:
+    def occluded_probabilities(self, base: ForwardOutput, target: int,
+                               positions: Sequence[int]) -> np.ndarray:
         """Probability of ``target`` with each of ``positions`` occluded alone.
 
-        Entry k equals ``forward`` on ``ids`` with ``positions[k]`` set to
-        ``PAD_ID``, up to rounding; ``forward`` stays the oracle. ``base``
-        is this model's ``forward`` on ``ids`` and ``operator``; its
+        Entry k equals ``forward`` on ``base.ids`` with ``positions[k]``
+        set to ``PAD_ID``, up to rounding; ``forward`` stays the oracle.
+        ``base`` is this model's ``forward``; its inputs, its
         projected rows P and its per-layer pre-activations
         ``A @ (H_l @ W_l)`` are the starting point. Occluding position p
         changes H0 in row p only, by ``E[PAD] @ W_in - P[inverse[p]]``, and
@@ -444,7 +456,7 @@ class VulnModel:
         (position, row) pairs, held as arrays, with no Python loop per
         position.
         """
-        _, inverse = self._distinct(ids)
+        inverse, operator = base._inverse, base.operator
         n = inverse.size
         # the pattern is symmetric: row s's columns are the rows reading it
         readers = operator.start, operator.cols, operator.mirror

@@ -262,8 +262,7 @@ def analyze(record: FunctionRecord, model: VulnModel, vocab: Vocabulary,
     except (LexError, DataError) as exc:
         return _unanalyzable(record, str(exc))
 
-    inputs = model_inputs(graph, vocab)
-    output = model.forward(*inputs)
+    output = model.forward(*model_inputs(graph, vocab))
     probabilities = output.probabilities
     predicted = output.predicted_class
     report = AnalysisReport(
@@ -285,7 +284,7 @@ def analyze(record: FunctionRecord, model: VulnModel, vocab: Vocabulary,
         report.predicted_cwe = catalog.cwe_for_index(predicted)
         report.description = catalog.describe(report.predicted_cwe)
 
-    attribution = attribute_tokens(model, stream, inputs, output)
+    attribution = attribute_tokens(model, stream, output)
     where = localize(output.loc_pred, attribution.line_scores,
                      record.line_count)
     local_start, local_end = where.vul_lines

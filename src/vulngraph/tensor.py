@@ -1,25 +1,21 @@
 """Parameters, the sparse graph operator, checkpoints, and the
 reverse-mode tape that is the gradient oracle.
 
-The graph operator is a ``SparseOperator``: the model's forward pass
-applies it and its hand-written backward its transpose, in plain numpy.
+A ``Parameter`` is a named array and the gradient buffer that training
+adds into. The graph operator is a ``SparseOperator``: the model's
+forward pass applies it and its hand-written backward its transpose, in
+plain numpy.
 
-The tape is ``Matrix`` and the ops built on ``from_op``: each op returns
-a Matrix that remembers its inputs and a closure that pushes a gradient
-back to them; ``backward`` on a 1x1 loss walks that history in reverse
-topological order and frees each node once it has pushed, and
-``graph_layer`` records a residual graph layer as one node. Nothing in
-the package calls it: ``VulnModel.forward_nodes`` and ``grad_check`` keep
-it as the reference that tests check the numpy passes against. Shapes
-are never broadcast, and mismatches raise ShapeError naming both shapes.
-
-Gradients are not copied on the way back. A node keeps the first array
-pushed to it as its ``grad``, and that array may also be another node's
-gradient (``add`` pushes one array to both parents) or a read-only view
-(``mean_rows`` pushes a broadcast row). So no code writes in place into
-a gradient array that its node did not allocate: a second contribution
-makes a new sum, which the node then owns and may add into. Parameters
-own their gradient buffers from the start.
+The tape is ``Matrix`` and the primitive ops built on ``from_op``: each
+op returns a Matrix that remembers its inputs and a closure that pushes
+a gradient back to them; ``backward`` on a 1x1 loss walks that history
+in reverse topological order and frees each node once it has pushed.
+``leaf`` puts a parameter on the tape. Nothing in the package calls it:
+``VulnModel.forward_nodes`` keeps it as the reference that tests check
+the numpy passes against. Shapes are never broadcast, and mismatches
+raise ShapeError naming both shapes. A node copies the first gradient
+pushed to it and adds any later one in place, so no op writes into an
+array that another node or a view also holds.
 """
 
 from __future__ import annotations
@@ -27,7 +23,6 @@ from __future__ import annotations
 import math
 import zipfile
 import zlib
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -42,7 +37,7 @@ class Matrix:
     """A 2-D float64 value, optionally part of a computation graph."""
 
     __slots__ = ("data", "grad", "_parents", "_push", "wants_grad",
-                 "_consumed", "_owns_grad")
+                 "_consumed")
 
     def __init__(self, data, *, wants_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -58,7 +53,6 @@ class Matrix:
         self._push: Callable[[np.ndarray], None] | None = None
         self.wants_grad = wants_grad
         self._consumed = False
-        self._owns_grad = False  # may ``grad`` be written in place
 
     @property
     def rows(self) -> int:
@@ -82,11 +76,9 @@ class Matrix:
 
     def _accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
-            self.grad, self._owns_grad = g, False
-        elif self._owns_grad:
-            self.grad += g
+            self.grad = np.array(g)
         else:
-            self.grad, self._owns_grad = self.grad + g, True
+            self.grad += g
 
 
 def from_op(data: np.ndarray, parents: Sequence[Matrix],
@@ -138,6 +130,16 @@ def scale(a: Matrix, factor: float) -> Matrix:
     return from_op(a.data * factor, (a,), push)
 
 
+def relu(a: Matrix) -> Matrix:
+    mask = a.data > 0
+
+    def push(g: np.ndarray) -> None:
+        if a.wants_grad:
+            a._accumulate(g * mask)
+
+    return from_op(np.maximum(a.data, 0.0), (a,), push)
+
+
 def logistic(x: np.ndarray) -> np.ndarray:
     """Elementwise 1 / (1 + exp(-x)); exp only sees -|x|, so cannot overflow."""
     return np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
@@ -183,10 +185,7 @@ def gather_rows(table: Matrix, ids: np.ndarray) -> Matrix:
         if table.grad is None:
             table.grad = segment_sum(g, ids, table.rows)
         else:
-            if not table._owns_grad:
-                table.grad = table.grad.copy()
             np.add.at(table.grad, ids, g)
-        table._owns_grad = True
 
     return from_op(table.data[ids], (table,), push)
 
@@ -289,44 +288,18 @@ class SparseOperator:
         return out
 
 
-def graph_layer(h: Matrix, rows: Matrix, operator: SparseOperator,
-                inverse: np.ndarray | None = None) -> Matrix:
-    """One residual graph layer as one node: ``h + relu(operator @ t)``.
-
-    ``t`` is ``rows``, or ``rows[inverse]`` when the layer's product with
-    its weight ran over distinct rows. ``t``, the pre-activation and its
-    relu are transients: the node keeps only the relu mask. Its push
-    sends ``operator.T @ (g * mask)`` to ``rows``, summed over
-    ``inverse`` when given, and ``g`` to ``h``. A non-finite
-    pre-activation raises GradientError, although the relu would hide a
-    -inf, and so does a non-finite result.
-    """
-    shape = rows.shape if inverse is None else (inverse.size, rows.cols)
-    if operator.n != shape[0]:
-        raise ShapeError(
-            f"graph_layer: operator over {operator.n} rows does not fit "
-            f"{shape}")
-    if shape != h.shape:
-        raise ShapeError(f"graph_layer: shapes {h.shape} and {shape} differ")
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = operator.apply(rows.data if inverse is None
-                             else rows.data[inverse])
-        if not np.isfinite(out).all():
-            raise GradientError(
-                "graph_layer: non-finite values before the relu")
-        mask = out > 0
-        np.maximum(out, 0.0, out=out)
-        out += h.data
+def apply(operator: SparseOperator, a: Matrix) -> Matrix:
+    """The sparse product ``operator @ a``; its push applies the
+    transpose."""
+    if operator.n != a.rows:
+        raise ShapeError(f"apply: operator over {operator.n} rows does not "
+                         f"fit {a.shape}")
 
     def push(g: np.ndarray) -> None:
-        if h.wants_grad:
-            h._accumulate(g)
-        if rows.wants_grad:
-            back = operator.apply_transposed(g * mask)
-            rows._accumulate(back if inverse is None
-                             else segment_sum(back, inverse, rows.rows))
+        if a.wants_grad:
+            a._accumulate(operator.apply_transposed(g))
 
-    return from_op(out, (h, rows), push)
+    return from_op(operator.apply(a.data), (a,), push)
 
 
 def segment_sum(values: np.ndarray, segments: np.ndarray,
@@ -385,32 +358,23 @@ def backward(loss: Matrix) -> None:
 
 
 class Parameter:
-    """A named, trainable matrix with a persistent gradient buffer."""
+    """A named, trainable array and the gradient buffer that training
+    adds into."""
 
-    def __init__(self, value, name: str):
-        self.value = value if isinstance(value, Matrix) else Matrix(value)
-        self.value.wants_grad = True
-        self.value.grad = np.zeros_like(self.value.data)
-        self.value._owns_grad = True
+    __slots__ = ("name", "data", "grad")
+
+    def __init__(self, data, name: str):
         self.name = name
+        self.data = np.asarray(data, dtype=np.float64)
+        self.grad = np.zeros_like(self.data)
 
-    @property
-    def data(self) -> np.ndarray:
-        return self.value.data
 
-    @property
-    def grad(self) -> np.ndarray:
-        return self.value.grad
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.value.shape
-
-    def zero_grad(self) -> None:
-        self.value.grad[...] = 0.0
-
-    def __repr__(self) -> str:
-        return f"Parameter({self.name!r}, shape={self.shape})"
+def leaf(p: Parameter) -> Matrix:
+    """``p`` on the tape: a Matrix over ``p.data`` whose gradient adds
+    into ``p.grad`` in place."""
+    node = Matrix(p.data, wants_grad=True)
+    node.grad = p.grad
+    return node
 
 
 # -- initialization ----------------------------------------------------------
@@ -423,10 +387,6 @@ def glorot_uniform(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray
 def embedding_init(rows: int, cols: int, rng: np.random.Generator,
                    std: float = 0.02) -> np.ndarray:
     return rng.normal(0.0, std, size=(rows, cols))
-
-
-def zeros(rows: int, cols: int) -> np.ndarray:
-    return np.zeros((rows, cols))
 
 
 # -- checkpointing -----------------------------------------------------------
@@ -473,84 +433,3 @@ def load_params(path: str | Path) -> dict[str, np.ndarray]:
                 zipfile.BadZipFile, zlib.error) as exc:
             raise DataError(
                 f"unreadable parameter file {path}: {exc!r}") from exc
-
-
-# -- finite-difference gradient checking -------------------------------------
-
-@dataclass
-class GradCheckReport:
-    """Outcome of comparing analytic gradients to central differences."""
-
-    max_rel_error: float
-    tol: float
-    n_checked: int
-    n_skipped: int
-    per_param: dict[str, float] = field(default_factory=dict)
-
-    @property
-    def passed(self) -> bool:
-        return self.max_rel_error < self.tol
-
-
-def grad_check(f: Callable[[], Matrix], params: Sequence[Parameter],
-               h: float = 1e-5, tol: float = 1e-4,
-               max_coords_per_param: int | None = None,
-               rng: np.random.Generator | None = None) -> GradCheckReport:
-    """Compare analytic gradients of ``f()`` against central differences.
-
-    ``f`` rebuilds the loss from the parameters' current values on every
-    call. Coordinates where the two one-sided slopes disagree are treated
-    as sitting within ``h`` of a kink (e.g. relu at 0) and skipped rather
-    than failed; the report counts them.
-    """
-    for p in params:
-        p.zero_grad()
-    loss = f()
-    base = loss.item()
-    if not math.isfinite(base):
-        raise GradientError("grad_check: loss is not finite")
-    backward(loss)
-    analytic = {p.name: p.grad.copy() for p in params}
-
-    def eval_at(p: Parameter, i: int, j: int, value: float) -> float:
-        original = p.data[i, j]
-        p.data[i, j] = value
-        try:
-            out = f().item()
-        finally:
-            p.data[i, j] = original
-        if not math.isfinite(out):
-            raise GradientError("grad_check: perturbed loss is not finite")
-        return out
-
-    max_rel = 0.0
-    checked = 0
-    skipped = 0
-    per_param: dict[str, float] = {}
-    for p in params:
-        coords = [(i, j) for i in range(p.shape[0]) for j in range(p.shape[1])]
-        if max_coords_per_param is not None and len(coords) > max_coords_per_param:
-            picker = rng or np.random.default_rng(0)
-            chosen = picker.choice(len(coords), size=max_coords_per_param,
-                                   replace=False)
-            coords = [coords[int(c)] for c in sorted(chosen)]
-        worst = 0.0
-        for i, j in coords:
-            theta = p.data[i, j]
-            f_plus = eval_at(p, i, j, theta + h)
-            f_minus = eval_at(p, i, j, theta - h)
-            slope_plus = (f_plus - base) / h
-            slope_minus = (base - f_minus) / h
-            if abs(slope_plus - slope_minus) > 1e-2 * max(
-                    1.0, abs(slope_plus), abs(slope_minus)):
-                skipped += 1  # within h of a kink
-                continue
-            fd = (f_plus - f_minus) / (2.0 * h)
-            a = analytic[p.name][i, j]
-            rel = abs(a - fd) / max(abs(a), abs(fd), 1e-8)
-            worst = max(worst, rel)
-            checked += 1
-        per_param[p.name] = worst
-        max_rel = max(max_rel, worst)
-    return GradCheckReport(max_rel_error=max_rel, tol=tol, n_checked=checked,
-                           n_skipped=skipped, per_param=per_param)

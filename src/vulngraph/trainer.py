@@ -9,9 +9,10 @@ parameter trajectory bit for bit.
 
 A batch's loss is the mean of its samples' losses. Each sample runs
 ``VulnModel.forward``, the pass inference runs; the numpy objectives give
-its loss and gradients, and ``VulnModel.backward`` each parameter's
-contribution, held until the sample's turn and then added in sample
-order; Adam then steps once per batch. Validation runs the same
+its loss and gradients, and ``VulnModel.backward``, from that pass's
+output alone, each parameter's contribution, held until the sample's
+turn and then added in sample order into the parameter's plain gradient
+array; Adam then steps once per batch. Validation runs the same
 ``forward``, and its loss and metrics both read that output. A
 fusion-ratio sweep prepares the samples once and trains one model per
 ratio from them.
@@ -41,7 +42,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import cpus, tensor
+from . import cpus
 from .corpus import (BINARY_VULNERABLE_LABEL, DatasetSplit, FunctionRecord,
                      default_catalog, select)
 from .errors import ConfigError, DataError, GradientError, TrainingError
@@ -51,7 +52,7 @@ from .model import (ModelConfig, VulnModel, denormalize_lines,
 from .objectives import (FocalConfig, MetricsReport, classification_metrics,
                          focal_loss, iou_1d, mse_loss)
 from .semgraph import build_graph, model_inputs
-from .tensor import SparseOperator
+from .tensor import Parameter, SparseOperator
 
 
 @dataclass(frozen=True)
@@ -225,8 +226,7 @@ def _backward_batch(model: VulnModel, batch: Sequence[EncodedSample],
         out = model.forward(sample.ids, sample.operator)
         value, class_grad, loc_grad = _sample_loss(
             out.class_logits, out.loc_pred, sample, cfg, scale)
-        model.backward(sample.ids, sample.operator, out, class_grad,
-                       loc_grad, lambda *c: held.append(c))
+        model.backward(out, class_grad, loc_grad, lambda *c: held.append(c))
         return value, held
 
     def hand_in(j: int, result: tuple[float, list[tuple]]) -> None:
@@ -242,7 +242,7 @@ def _backward_batch(model: VulnModel, batch: Sequence[EncodedSample],
     return total * scale
 
 
-def _add(parameter: tensor.Parameter, index, contribution) -> None:
+def _add(parameter: Parameter, index, contribution) -> None:
     parameter.grad[index] += contribution
 
 
@@ -405,9 +405,9 @@ def _shared(shape, dtype=np.float64) -> np.ndarray:
                          count=size).reshape(shape)
 
 
-def _share(params: Sequence[tensor.Parameter]) -> np.ndarray:
+def _share(params: Sequence[Parameter]) -> np.ndarray:
     """Move each parameter's value and gradient, unchanged, into
-    ``_shared`` memory.
+    ``_shared`` memory, rebinding its ``data`` and ``grad`` to views of it.
 
     The array is returned as four rows over the flat parameter vector:
     the values, the gradients, and Adam's two moments, which start at 0.
@@ -418,8 +418,8 @@ def _share(params: Sequence[tensor.Parameter]) -> np.ndarray:
         value, grad = state[:2, start:start + p.data.size]
         value[...] = p.data.ravel()
         grad[...] = p.grad.ravel()
-        p.value.data = value.reshape(p.shape)
-        p.value.grad = grad.reshape(p.shape)
+        p.data, p.grad = (value.reshape(p.data.shape),
+                          grad.reshape(p.data.shape))
         start += p.data.size
     return state
 
@@ -761,7 +761,10 @@ def train_config_to_text(cfg: TrainConfig) -> str:
 
 
 def _settings(text: str) -> dict[str, tuple[int, str]]:
-    """Each key of flat key=value text, with its line number and raw value."""
+    """Each key of flat key=value text, with its line number and raw value.
+
+    A key given twice raises ConfigError naming both lines.
+    """
     settings: dict[str, tuple[int, str]] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -770,7 +773,11 @@ def _settings(text: str) -> dict[str, tuple[int, str]]:
         key, sep, value = line.partition("=")
         if not sep:
             raise ConfigError(f"config line {lineno}: expected key=value")
-        settings[key.strip()] = (lineno, value.strip())
+        key = key.strip()
+        if key in settings:
+            raise ConfigError(f"config line {lineno}: key {key!r} already "
+                              f"given on line {settings[key][0]}")
+        settings[key] = (lineno, value.strip())
     return settings
 
 
@@ -802,13 +809,10 @@ def parse_run_config(text: str) -> tuple[dict, dict]:
             raise ConfigError(f"config line {lineno}: unknown key {key!r}")
     model_kwargs = _typed(settings, _MODEL_KEYS)
     train_kwargs = _typed(settings, _TRAIN_KEYS)
-    focal_alpha = train_kwargs.pop("focal_alpha", None)
-    focal_delta = train_kwargs.pop("focal_delta", None)
-    if focal_alpha is not None or focal_delta is not None:
-        train_kwargs["focal"] = FocalConfig(
-            alpha=focal_alpha if focal_alpha is not None else 0.25,
-            delta=focal_delta if focal_delta is not None else 2.0,
-        )
+    focal = {key.removeprefix("focal_"): train_kwargs.pop(key)
+             for key in ("focal_alpha", "focal_delta") if key in train_kwargs}
+    if focal:
+        train_kwargs["focal"] = FocalConfig(**focal)
     return model_kwargs, train_kwargs
 
 

@@ -18,7 +18,7 @@ from vulngraph.model import ModelConfig, VulnModel
 from vulngraph.objectives import FocalConfig
 from vulngraph.semgraph import build_graph, model_inputs
 from vulngraph.synth import PlantedTruth, make_toy_corpus
-from vulngraph.tensor import SparseOperator
+from vulngraph.tensor import Matrix, SparseOperator
 from vulngraph.trainer import TrainConfig, _backward_batch, _Helpers, train
 
 DESK_MODEL = dict(embed_dim=64, gcn_dim=48, gcn_layers=2, num_classes=11)
@@ -39,6 +39,22 @@ HUB_SOURCE = ("void hub(void) {\n    memcpy("
 def backward_batch(model, batch, cfg):
     """``trainer._backward_batch`` run in this process alone."""
     return _backward_batch(model, batch, cfg, _Helpers(1, len(batch)))
+
+
+def count_matrices(monkeypatch, tmp_path):
+    """Count every ``tensor.Matrix`` built from now on, in this process
+    and in the processes forked from it; returns the count's reader."""
+    log = tmp_path / "matrices.log"
+    log.touch()
+    init = Matrix.__init__
+
+    def counting(self, *args, **kwargs):
+        with log.open("a", encoding="utf-8") as fh:
+            fh.write(".")
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Matrix, "__init__", counting)
+    return lambda: log.stat().st_size
 
 
 def run_python(script: str, *args) -> subprocess.CompletedProcess:
@@ -168,7 +184,7 @@ def poison(model, damage):
 def attribute(model, stream, graph, vocab):
     """``attribute_tokens`` on the stream's inputs and base forward."""
     inputs = model_inputs(graph, vocab)
-    return attribute_tokens(model, stream, inputs, model.forward(*inputs))
+    return attribute_tokens(model, stream, model.forward(*inputs))
 
 
 @dataclass

@@ -1,15 +1,14 @@
 """Test-only helpers that ``vulngraph`` itself has no use for.
 
 ``sum_all`` reduces a matrix to one differentiable scalar, so a test can
-backpropagate through any op without a model loss. ``relu`` is the
-elementwise op that ``tensor.graph_layer`` folds into its node; the
-dense tape oracle and the tape's own tests build layers from it.
+backpropagate through any op without a model loss.
 ``tape_sample_loss`` is a training sample's loss on the nodes of
 ``VulnModel.forward_nodes``, its squared error built from the tape ops
 ``sub``, ``mul`` and ``mean_all``: the oracle of the numpy losses and
 ``VulnModel.backward``. ``loss_node`` and ``backward_node`` put a numpy
-loss and its gradient on the tape, so that ``tensor.grad_check`` audits
-them by finite differences.
+loss and its gradient on the tape, so that ``grad_check`` audits them by
+finite differences against the gradients that the tape or ``backward``
+adds into the parameters.
 
 ``occluded_by_forward_loop`` runs one full forward per occluded token:
 the oracle of ``VulnModel.occluded_probabilities``. ``shapley_oracle``
@@ -22,17 +21,19 @@ the game-theoretic ground truth.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
+from typing import Callable, Sequence
 
 import numpy as np
 
 from vulngraph import tensor
 from vulngraph.attribution import (_check_frozen, _payload_positions,
                                    _target_prob)
-from vulngraph.errors import AttributionError
+from vulngraph.errors import AttributionError, GradientError
 from vulngraph.model import normalize_line_range
 from vulngraph.objectives import focal_loss, mse_loss
 from vulngraph.semgraph import model_inputs
-from vulngraph.tensor import Matrix, from_op
+from vulngraph.tensor import Matrix, Parameter, from_op
 from vulngraph.trainer import _add
 
 
@@ -42,16 +43,6 @@ def sum_all(a: Matrix) -> Matrix:
             a._accumulate(np.full_like(a.data, g[0, 0]))
 
     return from_op(np.array([[a.data.sum()]]), (a,), push)
-
-
-def relu(a: Matrix) -> Matrix:
-    mask = a.data > 0
-
-    def push(g: np.ndarray) -> None:
-        if a.wants_grad:
-            a._accumulate(g * mask)
-
-    return from_op(np.maximum(a.data, 0.0), (a,), push)
 
 
 def sub(a: Matrix, b: Matrix) -> Matrix:
@@ -123,23 +114,107 @@ def backward_node(model, ids, operator, true_class, loc_target,
     loc_value, loc_grad = mse_loss(out.loc_pred, loc_target)
 
     def push(g: np.ndarray) -> None:
-        model.backward(ids, operator, out, g[0, 0] * class_grad,
-                       g[0, 0] * loc_grad, _add)
+        model.backward(out, g[0, 0] * class_grad, g[0, 0] * loc_grad, _add)
 
     return from_op(np.array([[value + loc_value]]),
-                   [p.value for p in model.parameters()], push)
+                   [tensor.leaf(p) for p in model.parameters()], push)
+
+
+def zero_grad(params: Sequence[Parameter]) -> None:
+    for p in params:
+        p.grad[...] = 0.0
+
+
+@dataclass
+class GradCheckReport:
+    """Outcome of comparing analytic gradients to central differences."""
+
+    max_rel_error: float
+    tol: float
+    n_checked: int
+    n_skipped: int
+    per_param: dict[str, float] = field(default_factory=dict)
+
+    @property
+    def passed(self) -> bool:
+        return self.max_rel_error < self.tol
+
+
+def grad_check(f: Callable[[], Matrix], params: Sequence[Parameter],
+               h: float = 1e-5, tol: float = 1e-4,
+               max_coords_per_param: int | None = None,
+               rng: np.random.Generator | None = None) -> GradCheckReport:
+    """Compare analytic gradients of ``f()`` against central differences.
+
+    ``f`` rebuilds the loss from the parameters' current values on every
+    call, and ``tensor.backward`` on it adds the analytic gradients into
+    the parameters' buffers. Coordinates where the two one-sided slopes
+    disagree are treated as sitting within ``h`` of a kink (e.g. relu at
+    0) and skipped rather than failed; the report counts them.
+    """
+    zero_grad(params)
+    loss = f()
+    base = loss.item()
+    if not math.isfinite(base):
+        raise GradientError("grad_check: loss is not finite")
+    tensor.backward(loss)
+    analytic = {p.name: p.grad.copy() for p in params}
+
+    def eval_at(p: Parameter, i: int, j: int, value: float) -> float:
+        original = p.data[i, j]
+        p.data[i, j] = value
+        try:
+            out = f().item()
+        finally:
+            p.data[i, j] = original
+        if not math.isfinite(out):
+            raise GradientError("grad_check: perturbed loss is not finite")
+        return out
+
+    max_rel = 0.0
+    checked = 0
+    skipped = 0
+    per_param: dict[str, float] = {}
+    for p in params:
+        rows, cols = p.data.shape
+        coords = [(i, j) for i in range(rows) for j in range(cols)]
+        if max_coords_per_param is not None and len(coords) > max_coords_per_param:
+            picker = rng or np.random.default_rng(0)
+            chosen = picker.choice(len(coords), size=max_coords_per_param,
+                                   replace=False)
+            coords = [coords[int(c)] for c in sorted(chosen)]
+        worst = 0.0
+        for i, j in coords:
+            theta = p.data[i, j]
+            f_plus = eval_at(p, i, j, theta + h)
+            f_minus = eval_at(p, i, j, theta - h)
+            slope_plus = (f_plus - base) / h
+            slope_minus = (base - f_minus) / h
+            if abs(slope_plus - slope_minus) > 1e-2 * max(
+                    1.0, abs(slope_plus), abs(slope_minus)):
+                skipped += 1  # within h of a kink
+                continue
+            fd = (f_plus - f_minus) / (2.0 * h)
+            a = analytic[p.name][i, j]
+            rel = abs(a - fd) / max(abs(a), abs(fd), 1e-8)
+            worst = max(worst, rel)
+            checked += 1
+        per_param[p.name] = worst
+        max_rel = max(max_rel, worst)
+    return GradCheckReport(max_rel_error=max_rel, tol=tol, n_checked=checked,
+                           n_skipped=skipped, per_param=per_param)
 
 
 #: Payload-size cap for exact coalition enumeration.
 ORACLE_MAX_TOKENS = 12
 
 
-def occluded_by_forward_loop(model, ids, operator, target, payload,
-                             base) -> np.ndarray:
+def occluded_by_forward_loop(model, base, target, payload) -> np.ndarray:
     """``occluded_probabilities`` by one full ``model.forward`` per
-    payload position, with only that position occluded; ``base`` is
-    unused."""
-    return np.array([_target_prob(model, (ids, operator), target, [position])
+    payload position of ``base``'s inputs, with only that position
+    occluded."""
+    inputs = base.ids, base.operator
+    return np.array([_target_prob(model, inputs, target, [position])
                      for position in payload])
 
 

@@ -10,7 +10,6 @@ import time
 
 import numpy as np
 
-from vulngraph import tensor
 from vulngraph.attribution import attribute_tokens, select_root_cause
 from vulngraph.corpus import select, split
 from vulngraph.lexer import PAD_ID, build_vocab, tokenize
@@ -23,7 +22,7 @@ from vulngraph.trainer import (TrainConfig, evaluate, prepare_sample,
                                save_checkpoint, sweep_ensemble)
 from conftest import (attribute, dense_adjacency, dense_counts, fuzz_snippet,
                       spearman, tiny_model_inputs, to_dense)
-from oracles import backward_node, shapley_oracle
+from oracles import backward_node, grad_check, shapley_oracle
 
 
 def report(number: int, name: str, ok: bool, detail: str) -> None:
@@ -47,9 +46,9 @@ def test_criterion_1_gradient_audit():
             return backward_node(model, ids, operator, target, (0.25, 0.75),
                                  cfg)
 
-        check = tensor.grad_check(f, model.parameters(), h=1e-5, tol=1e-4,
-                                  max_coords_per_param=25,
-                                  rng=np.random.default_rng(seed))
+        check = grad_check(f, model.parameters(), h=1e-5, tol=1e-4,
+                           max_coords_per_param=25,
+                           rng=np.random.default_rng(seed))
         worst = max(worst, check.max_rel_error)
     elapsed = time.time() - started
     report(1, "gradient audit", worst < 1e-4 and elapsed < 5.0,
@@ -101,8 +100,8 @@ def test_criterion_4_residual_identity_and_fusion_endpoints():
         model, _, _, _, ids, operator = tiny_model_inputs(
             source, seed=seed)
         for w in model.gcn_weights:
-            w.value.data[...] = 0.0
-        projected, inverse = model.embed(ids)
+            w.data[...] = 0.0
+        projected, _, inverse = model.embed(ids)
         h_n, _ = model.gcn_forward(projected, inverse, operator)
         residual_ok &= np.array_equal(h_n, projected[inverse])
 
@@ -176,7 +175,7 @@ def test_criterion_6_overfit_sanity(toy_run):
         out = toy_run.model.forward(*inputs)
         predicted_start, _ = denormalize_lines(out.loc_pred,
                                                record.line_count)
-        attribution = attribute_tokens(toy_run.model, stream, inputs, out)
+        attribution = attribute_tokens(toy_run.model, stream, out)
         root = select_root_cause(attribution.line_scores, predicted_start,
                                  record.line_count)
         hits += root.line == toy_run.truth[record.id].root_line

@@ -38,7 +38,8 @@ class AdditiveStub:
         present = [i for i in range(1, self.stream.content_len - 1)
                    if ids[i] != PAD_ID]
         p = self.base + sum(self.weights.get(i, 0.0) for i in present)
-        return SimpleNamespace(probabilities=np.array([p, 1.0 - p]))
+        return SimpleNamespace(probabilities=np.array([p, 1.0 - p]),
+                               ids=ids, operator=operator)
 
 
 class ForwardLoop:
@@ -63,7 +64,7 @@ class TestOcclusion:
     def test_constant_model_scores_zero(self):
         model, stream, graph, vocab, *_ = tiny_model_inputs("a = b + 1;")
         for p in model.parameters():
-            p.value.data[...] = 0.0
+            p.data[...] = 0.0
         attribution = attribute(model, stream, graph, vocab)
         assert np.array_equal(attribution.token_scores,
                               np.zeros_like(attribution.token_scores))
@@ -199,8 +200,7 @@ class TestIncrementalOcclusion:
         base = model.forward(ids, operator)
         target = int(np.argmax(base.probabilities))
         payload = list(range(1, n - 1))
-        fast = model.occluded_probabilities(ids, operator, target, payload,
-                                            base)
+        fast = model.occluded_probabilities(base, target, payload)
         loop = [model.forward(np.where(np.arange(n) == p, PAD_ID, ids),
                               operator).probabilities[target]
                 for p in payload]
@@ -218,7 +218,7 @@ class TestIncrementalOcclusion:
         payload = range(1, stream.content_len - 1)
         tracemalloc.start()
         try:
-            model.occluded_probabilities(*inputs, 0, payload, base)
+            model.occluded_probabilities(base, 0, payload)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -240,7 +240,7 @@ class TestIncrementalOcclusion:
             inputs = model_inputs(build_graph(stream), vocab)
             base = model.forward(*inputs)
             calls.clear()
-            attribute_tokens(model, stream, inputs, base)
+            attribute_tokens(model, stream, base)
             assert len(calls) <= 1
 
     def test_non_finite_probability_is_attribution_error(self):
@@ -249,7 +249,7 @@ class TestIncrementalOcclusion:
         base = model.forward(ids, operator)
         model.gcn_weights[0].data[0, 0] = np.nan
         with pytest.raises(AttributionError, match="not finite"):
-            model.occluded_probabilities(ids, operator, 0, [1, 2], base)
+            model.occluded_probabilities(base, 0, [1, 2])
 
 
 class TestShapleyOracle:

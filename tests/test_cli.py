@@ -1,6 +1,7 @@
 import ctypes
 import json
 import logging
+import multiprocessing
 import sys
 import warnings
 
@@ -8,13 +9,18 @@ import numpy as np
 import pytest
 
 import vulngraph.cli as cli
+from vulngraph import cpus
+from vulngraph.attribution import attribute_tokens
 from vulngraph.cli import main
 from vulngraph.corpus import record_to_json, save_dataset, select
+from vulngraph.lexer import tokenize
 from vulngraph.model import VulnModel
+from vulngraph.scanner import scan
 from vulngraph.synth import make_toy_corpus
+from vulngraph.tensor import Matrix
 from vulngraph.trainer import (evaluate_samples, load_checkpoint,
                                prepare_sample, save_checkpoint)
-from conftest import run_python
+from conftest import count_matrices, run_python
 
 TINY_CONFIG = """\
 embed_dim=16
@@ -25,6 +31,14 @@ learning_rate=1e-3
 batch_size=8
 seed=3
 """
+
+
+def tiny_config(settings: str) -> str:
+    """``TINY_CONFIG`` with the key=value lines of ``settings`` in place
+    of its lines for the same keys."""
+    given = {line.partition("=")[0] for line in settings.splitlines()}
+    return "".join(line + "\n" for line in TINY_CONFIG.splitlines()
+                   if line.partition("=")[0] not in given) + settings
 
 
 TWO_FUNCTIONS = ("int aa(void) {\n    return 1;\n}\n"
@@ -113,6 +127,30 @@ class TestExitCodes:
         assert main(["train", "--config", str(bad), "--data", str(dataset),
                      "--out", str(tmp_path / "out")]) == 1
 
+    def test_run_config_key_given_twice_is_one(self, tmp_path, dataset,
+                                               capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(TINY_CONFIG + "epochs=1\n", encoding="utf-8")
+        assert main(["train", "--config", str(bad), "--data", str(dataset),
+                     "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            "vulngraph: config error: config line 8: key 'epochs' already "
+            "given on line 4\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_checkpoint_key_given_twice_is_two(self, dataset, checkpoint,
+                                               capsys):
+        config = checkpoint / "config.txt"
+        lines = config.read_text(encoding="utf-8").splitlines()
+        config.write_text("\n".join(lines + lines[:1]) + "\n",
+                          encoding="utf-8")
+        assert main(["eval", "--checkpoint", str(checkpoint), "--data",
+                     str(dataset)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("vulngraph: data error: ")
+        assert f"line {len(lines) + 1}: key 'vocab_size' already given on " \
+               "line 1" in err
+
     @pytest.mark.parametrize("field, value", [
         ("source", 5), ("vul_start", "1"), ("id", 7), ("vul_start", True),
         ("language", None), ("cwe", 119), ("file", ["a.c"]),
@@ -137,7 +175,7 @@ class TestExitCodes:
     def test_non_finite_or_negative_setting_is_config_error(
             self, tmp_path, dataset, setting, capsys):
         bad = tmp_path / "bad.cfg"
-        bad.write_text(TINY_CONFIG + setting + "\n", encoding="utf-8")
+        bad.write_text(tiny_config(setting + "\n"), encoding="utf-8")
         assert main(["train", "--config", str(bad), "--data", str(dataset),
                      "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err.startswith("vulngraph: config error: ")
@@ -147,7 +185,7 @@ class TestExitCodes:
     def test_retired_run_config_key_is_usage_error(self, tmp_path, dataset,
                                                     setting, capsys):
         bad = tmp_path / "bad.cfg"
-        bad.write_text(TINY_CONFIG + setting + "\n", encoding="utf-8")
+        bad.write_text(tiny_config(setting + "\n"), encoding="utf-8")
         assert main(["train", "--config", str(bad), "--data", str(dataset),
                      "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
@@ -163,7 +201,7 @@ class TestExitCodes:
     def test_diverging_run_exits_three_on_one_line(self, tmp_path, dataset,
                                                     settings, capsys):
         diverging = tmp_path / "diverging.cfg"
-        diverging.write_text(TINY_CONFIG + settings, encoding="utf-8")
+        diverging.write_text(tiny_config(settings), encoding="utf-8")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code = main(["train", "--config", str(diverging), "--data",
@@ -418,14 +456,41 @@ class TestInferenceCost:
         assert main([command, "--checkpoint", str(checkpoint)] + target) == 0
         assert taped == []
 
-    def test_no_tape_in_evaluation(self, toy_run, monkeypatch):
+    def test_no_tape_in_evaluation(self, toy_run, checkpoint, tmp_path,
+                                   monkeypatch):
         samples = [prepare_sample(r, toy_run.vocab, 11)
                    for r in toy_run.records[:6]]
+        vulnerable = [r for r in toy_run.records if r.is_vulnerable][:2]
+        benign = [r for r in toy_run.records if not r.is_vulnerable][:2]
+        (tmp_path / "src").mkdir()
+        for i, record in enumerate(vulnerable + benign):
+            (tmp_path / "src" / f"f{i}.c").write_text(record.source + "\n",
+                                                      encoding="utf-8")
+        can_fork = cpus.usable_cpus()[1]
+        monkeypatch.setattr(cpus, "usable_cpus", lambda: (2, can_fork))
         taped = count_calls(monkeypatch, "tensor", "from_op")
+        matrices = count_matrices(monkeypatch, tmp_path)
         evaluate_samples(toy_run.model, samples, 11)
-        assert taped == []
+        # nor does any other production path build a tape value
+        model, vocab = load_checkpoint(checkpoint)
+        VulnModel(model.config, seed=1)
+        out = model.forward(samples[0].ids, samples[0].operator)
+        model.backward(out, np.ones(11), np.ones(2), lambda *c: None)
+        attribute_tokens(model, tokenize(toy_run.records[0].source), out)
+        summary = scan(tmp_path / "src", model, vocab, tmp_path / "reports",
+                       jobs=2)
+        assert summary.n_functions == 4 > summary.counts.get("none", 0)
+        assert (taped, matrices()) == ([], 0)
         toy_run.model.forward_nodes(samples[0].ids, samples[0].operator)
         assert taped  # the oracle still builds the tape
+        # and the count sees a forked process's values
+        built = matrices()
+        child = multiprocessing.get_context("fork").Process(
+            target=Matrix, args=(np.zeros((1, 1)),))
+        child.start()
+        child.join(timeout=60)
+        assert child.exitcode == 0
+        assert matrices() == built + 1
 
     def test_overflowing_weights_exit_three(self, vulnerable_file, checkpoint,
                                             capsys):

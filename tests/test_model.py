@@ -10,14 +10,14 @@ from vulngraph.lexer import (PAD_ID, STREAM_CAPACITY, build_vocab, encode,
 from vulngraph.model import (ModelConfig, VulnModel, denormalize_lines, fuse,
                              normalize_line_range)
 from vulngraph.semgraph import build_graph, model_inputs
-from vulngraph.tensor import Matrix
+from vulngraph.tensor import Matrix, leaf
 from vulngraph.objectives import FocalConfig
 from vulngraph.trainer import (EncodedSample, TrainConfig, _sample_loss,
                                parse_run_config)
 from conftest import (HUB_SOURCE, LONG_SOURCE, backward_batch,
                       dense_adjacency, fuzz_snippet, operator_from_dense,
                       poison, tiny_model_inputs)
-from oracles import backward_node, relu, tape_sample_loss
+from oracles import backward_node, grad_check, tape_sample_loss, zero_grad
 
 SOURCE = "int f(){int a;return a+1;}"
 
@@ -28,9 +28,15 @@ def stream_ids(source=SOURCE):
     return vocab, np.asarray(encode(tokenize(source), vocab), dtype=np.int64)
 
 
+def embedded(model, ids):
+    """``embed``'s distinct rows, and each position's index in them."""
+    projected, _, inverse = model.embed(ids)
+    return projected, inverse
+
+
 def embedded_rows(model, ids):
     """H0: ``embed``'s distinct rows gathered back to every position."""
-    projected, inverse = model.embed(ids)
+    projected, inverse = embedded(model, ids)
     return projected[inverse]
 
 
@@ -38,7 +44,8 @@ class TestEmbed:
     def test_default_config_shape(self):
         vocab, ids = stream_ids()
         model = VulnModel(ModelConfig(vocab_size=len(vocab)), seed=0)
-        projected, inverse = model.embed(ids)
+        projected, distinct, inverse = model.embed(ids)
+        assert np.array_equal(distinct[inverse], ids)
         assert projected.shape == (np.unique(ids).size, 512)
         h0 = embedded_rows(model, ids)
         assert h0.shape == (len(tokenize(SOURCE).tokens), 512) == (16, 512)
@@ -66,14 +73,14 @@ class TestGcn:
     def test_residual_identity_with_zero_weights(self):
         model, _, _, _, ids, operator = tiny_model_inputs(SOURCE)
         for w in model.gcn_weights:
-            w.value.data[...] = 0.0
-        h_n, _ = model.gcn_forward(*model.embed(ids), operator)
+            w.data[...] = 0.0
+        h_n, _ = model.gcn_forward(*embedded(model, ids), operator)
         assert np.array_equal(h_n, embedded_rows(model, ids))
 
     def test_identity_adjacency_acts_per_token(self):
         model, _, _, _, ids, _ = tiny_model_inputs(SOURCE)
         eye = operator_from_dense(np.eye(len(ids)))
-        h_n, _ = model.gcn_forward(*model.embed(ids), eye)
+        h_n, _ = model.gcn_forward(*embedded(model, ids), eye)
         # reference: H <- H + relu(H @ W) per layer, no cross-token mixing
         ref = embedded_rows(model, ids)
         for w in model.gcn_weights:
@@ -85,7 +92,7 @@ class TestGcn:
         for _ in range(2):
             model, _, _, _, ids, operator = tiny_model_inputs(
                 SOURCE, seed=5)
-            h, _ = model.gcn_forward(*model.embed(ids), operator)
+            h, _ = model.gcn_forward(*embedded(model, ids), operator)
             out.append(h.copy())
         assert np.array_equal(out[0], out[1])
 
@@ -93,7 +100,7 @@ class TestGcn:
         model, _, _, _, ids, _ = tiny_model_inputs(SOURCE)
         shorter = build_graph(tokenize("a;")).operator
         with pytest.raises(ShapeError):
-            model.gcn_forward(*model.embed(ids), shorter)
+            model.gcn_forward(*embedded(model, ids), shorter)
 
 
 class TestFuse:
@@ -127,7 +134,7 @@ class TestHeads:
         model, _, _, _, ids, operator = tiny_model_inputs(SOURCE)
         for p in (model.cls_weight, model.cls_bias, model.loc_weight,
                   model.loc_bias):
-            p.value.data[...] = 0.0
+            p.data[...] = 0.0
         out = model.forward(ids, operator)
         np.testing.assert_allclose(
             out.probabilities, np.full(model.config.num_classes,
@@ -136,7 +143,7 @@ class TestHeads:
 
     def test_benign_is_class_zero(self):
         model, _, _, _, ids, operator = tiny_model_inputs(SOURCE)
-        model.cls_bias.value.data[0, 0] = 50.0
+        model.cls_bias.data[0, 0] = 50.0
         out = model.forward(ids, operator)
         assert out.predicted_class == 0
 
@@ -162,7 +169,7 @@ class TestPooledEmbedding:
         for source in (first, second):
             stream = tokenize(source)
             ids = np.asarray(encode(stream, vocab))
-            pooled.append(model.pooled_embedding(*model.embed(ids)))
+            pooled.append(model.pooled_embedding(*embedded(model, ids)))
         np.testing.assert_allclose(pooled[0], pooled[1], atol=1e-15)
 
     def test_single_payload_token_is_its_projection(self):
@@ -172,7 +179,7 @@ class TestPooledEmbedding:
                                       gcn_dim=6), seed=0)
         stream = tokenize(source)
         ids = np.asarray(encode(stream, vocab))
-        pooled = model.pooled_embedding(*model.embed(ids[1:2]))
+        pooled = model.pooled_embedding(*embedded(model, ids[1:2]))
         expected = model.embedding.data[ids[1:2]] @ model.input_proj.data
         np.testing.assert_allclose(pooled, expected[0], atol=1e-15)
 
@@ -184,7 +191,7 @@ class TestMasking:
         model = VulnModel(ModelConfig(vocab_size=len(vocab), embed_dim=8,
                                       gcn_dim=6), seed=3)
         before = model.forward(*inputs)
-        model.embedding.value.data[0, :] += 100.0  # the <PAD> row
+        model.embedding.data[0, :] += 100.0  # the <PAD> row
         after = model.forward(*inputs)
         np.testing.assert_array_equal(before.class_logits, after.class_logits)
         assert before.loc_pred == after.loc_pred
@@ -216,7 +223,7 @@ class TestGradients:
         def f():
             return backward_node(model, ids, operator, 3, (0.3, 0.7), cfg)
 
-        report = tensor.grad_check(f, model.parameters(), tol=1e-4,
+        report = grad_check(f, model.parameters(), tol=1e-4,
                                    max_coords_per_param=30,
                                    rng=np.random.default_rng(0))
         assert report.passed, report
@@ -242,7 +249,7 @@ class TestBackwardAgainstTape:
             gcn_layers=gcn_layers, num_classes=num_classes,
             embed_weight=fusion[0], graph_weight=fusion[1]), seed=gcn_layers)
         for p in model.parameters():
-            p.data[...] += rng.normal(scale=0.1, size=p.shape)
+            p.data[...] += rng.normal(scale=0.1, size=p.data.shape)
         cfg = TrainConfig(w_cls=0.7, w_loc=1.3, focal=FocalConfig(0.3, 1.5))
         shapes = []
         for k, source in enumerate(sources):
@@ -252,7 +259,8 @@ class TestBackwardAgainstTape:
                 ids=ids, operator=operator, label=(0, 1, num_classes - 1)[k],
                 line_count=source.count("\n") + 1,
                 truth_range=None if k == 0 else (2, 3))
-            earlier = [rng.normal(size=p.shape) for p in model.parameters()]
+            earlier = [rng.normal(size=p.data.shape)
+                       for p in model.parameters()]
             for p, grad in zip(model.parameters(), earlier):
                 p.grad[...] = grad
             nodes = model.forward_nodes(ids, operator)
@@ -266,7 +274,7 @@ class TestBackwardAgainstTape:
             value, class_grad, loc_grad = _sample_loss(
                 out.class_logits, out.loc_pred, sample, cfg, 1.0 / 3.0)
             held = []
-            model.backward(ids, operator, out, class_grad, loc_grad,
+            model.backward(out, class_grad, loc_grad,
                            lambda *c: held.append(c))
             for parameter, index, contribution in held:
                 parameter.grad[index] += contribution
@@ -354,21 +362,21 @@ def dense_tape(model, ids, adjacency):
     and the pooled embedding is the rows' mean, projected. Returns the
     nodes that ``forward`` reports, by field name.
     """
-    rows = tensor.gather_rows(model.embedding.value, ids)
+    rows = tensor.gather_rows(leaf(model.embedding), ids)
     operator = Matrix(adjacency)
-    h = tensor.matmul(rows, model.input_proj.value)
+    h = tensor.matmul(rows, leaf(model.input_proj))
     for weight in model.gcn_weights:
-        mixed = tensor.matmul(tensor.matmul(operator, h), weight.value)
-        h = tensor.add(h, relu(mixed))
+        mixed = tensor.matmul(tensor.matmul(operator, h), leaf(weight))
+        h = tensor.add(h, tensor.relu(mixed))
     pooled_graph = tensor.mean_rows(h)
     pooled_embed = tensor.matmul(tensor.mean_rows(rows),
-                                 model.input_proj.value)
+                                 leaf(model.input_proj))
     fused = tensor.add(tensor.scale(pooled_embed, model.config.embed_weight),
                        tensor.scale(pooled_graph, model.config.graph_weight))
-    class_logits = tensor.add(tensor.matmul(fused, model.cls_weight.value),
-                              model.cls_bias.value)
+    class_logits = tensor.add(tensor.matmul(fused, leaf(model.cls_weight)),
+                              leaf(model.cls_bias))
     loc_pred = tensor.sigmoid(tensor.add(
-        tensor.matmul(fused, model.loc_weight.value), model.loc_bias.value))
+        tensor.matmul(fused, leaf(model.loc_weight)), leaf(model.loc_bias)))
     return {"class_logits": class_logits, "loc_pred": loc_pred,
             "pooled_embed": pooled_embed, "pooled_graph": pooled_graph}
 
@@ -418,7 +426,7 @@ class TestDistinctProjection:
         cfg = TrainConfig()
         backward_batch(model, samples, cfg)
         distinct = {p.name: p.grad.copy() for p in model.parameters()}
-        model.zero_grad()
+        zero_grad(model.parameters())
         for sample, adjacency in zip(samples, denses):
             dense = dense_tape(model, sample.ids, adjacency)
             loss = tape_sample_loss(dense["class_logits"], dense["loc_pred"],
@@ -441,7 +449,7 @@ class TestDistinctProjection:
 
         def recording(a, b):
             for weight in weights:
-                if b is weight.value:
+                if b.data is weight.data:
                     left_rows.append((weight.name, a.rows))
             return matmul(a, b)
 

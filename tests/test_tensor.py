@@ -7,7 +7,8 @@ import pytest
 from vulngraph import tensor
 from vulngraph.errors import DataError, GradientError, ShapeError
 from vulngraph.tensor import Matrix, Parameter, from_op
-from oracles import mean_all, mul, relu, sum_all
+from conftest import operator_from_dense
+from oracles import grad_check, mean_all, mul, sum_all, zero_grad
 
 
 class TestOps:
@@ -17,7 +18,7 @@ class TestOps:
         np.testing.assert_array_equal(out.data, m.data)
 
     def test_relu(self):
-        out = relu(Matrix([[-1.0, 2.0]]))
+        out = tensor.relu(Matrix([[-1.0, 2.0]]))
         np.testing.assert_array_equal(out.data, [[0.0, 2.0]])
 
     def test_shape_mismatch_names_both_shapes(self):
@@ -38,6 +39,18 @@ class TestOps:
         with pytest.raises(ShapeError, match="out of range"):
             tensor.gather_rows(table, np.array([0, 3]))
 
+    def test_sparse_product_pushes_its_transpose(self):
+        rng = np.random.default_rng(8)
+        dense = rng.uniform(0.5, 1.0, size=(5, 5))
+        outer = rng.normal(size=(5, 3))
+        w = Parameter(rng.normal(size=(5, 3)), "w")
+        product = tensor.apply(operator_from_dense(dense), tensor.leaf(w))
+        np.testing.assert_allclose(product.data, dense @ w.data, rtol=1e-14)
+        tensor.backward(sum_all(mul(product, Matrix(outer))))
+        np.testing.assert_allclose(w.grad, dense.T @ outer, rtol=1e-14)
+        with pytest.raises(ShapeError, match=r"5 rows.*\(4, 3\)"):
+            tensor.apply(operator_from_dense(dense), Matrix(np.zeros((4, 3))))
+
     def test_non_finite_rejected(self):
         with pytest.raises(GradientError):
             Matrix([[np.inf, 0.0]])
@@ -47,7 +60,7 @@ class TestBackward:
     def test_linear_loss_broadcasts_input(self):
         w = Parameter(np.ones((3, 4)), "w")
         x = Matrix(np.array([[1.0], [2.0], [3.0], [4.0]]))
-        loss = sum_all(tensor.matmul(w.value, x))
+        loss = sum_all(tensor.matmul(tensor.leaf(w), x))
         tensor.backward(loss)
         np.testing.assert_array_equal(
             w.grad, np.tile(np.array([1.0, 2.0, 3.0, 4.0]), (3, 1)))
@@ -55,13 +68,13 @@ class TestBackward:
     def test_unused_parameter_keeps_zero_grad(self):
         used = Parameter(np.ones((2, 2)), "used")
         unused = Parameter(np.ones((2, 2)), "unused")
-        loss = sum_all(used.value)
+        loss = sum_all(tensor.leaf(used))
         tensor.backward(loss)
         np.testing.assert_array_equal(unused.grad, np.zeros((2, 2)))
 
     def test_backward_twice_raises(self):
         w = Parameter(np.ones((2, 2)), "w")
-        loss = sum_all(w.value)
+        loss = sum_all(tensor.leaf(w))
         tensor.backward(loss)
         with pytest.raises(GradientError, match="already"):
             tensor.backward(loss)
@@ -71,13 +84,14 @@ class TestBackward:
         # its value, which only the node holds, is gone too (a Matrix has
         # slots and no weak references)
         w = Parameter(np.ones((2, 2)), "w")
+        node = tensor.leaf(w)
         reachable = []
 
         def push(g):
             reachable.append(middle_ref() is not None)
-            w.value._accumulate(2.0 * g)
+            node._accumulate(2.0 * g)
 
-        first = from_op(2.0 * w.data, (w.value,), push)
+        first = from_op(2.0 * w.data, (node,), push)
         middle = tensor.scale(first, 3.0)
         middle_ref = weakref.ref(middle.data)
         loss = sum_all(middle)
@@ -89,9 +103,9 @@ class TestBackward:
     def test_grads_accumulate_until_zeroed(self):
         w = Parameter(np.ones((1, 2)), "w")
         for expected in (1.0, 2.0):
-            tensor.backward(sum_all(w.value))
+            tensor.backward(sum_all(tensor.leaf(w)))
             np.testing.assert_array_equal(w.grad, np.full((1, 2), expected))
-        w.zero_grad()
+        zero_grad([w])
         np.testing.assert_array_equal(w.grad, np.zeros((1, 2)))
 
     def test_three_layer_composition_matches_finite_differences(self):
@@ -102,12 +116,12 @@ class TestBackward:
         x = Matrix(rng.normal(size=(3, 4)))
 
         def f():
-            h = relu(tensor.matmul(x, w1.value))
-            h = relu(tensor.matmul(h, w2.value))
-            out = tensor.sigmoid(tensor.matmul(h, w3.value))
+            h = tensor.relu(tensor.matmul(x, tensor.leaf(w1)))
+            h = tensor.relu(tensor.matmul(h, tensor.leaf(w2)))
+            out = tensor.sigmoid(tensor.matmul(h, tensor.leaf(w3)))
             return mean_all(mul(out, out))
 
-        report = tensor.grad_check(f, [w1, w2, w3], h=1e-5, tol=1e-4)
+        report = grad_check(f, [w1, w2, w3], h=1e-5, tol=1e-4)
         assert report.passed, report
         assert report.max_rel_error < 1e-4
 
@@ -124,19 +138,18 @@ class TestGradCheck:
         theta = Parameter(np.array([[1.0, 2.0]]), "theta")
 
         def f():
-            return sum_all(mul(theta.value, theta.value))
+            return sum_all(mul(tensor.leaf(theta), tensor.leaf(theta)))
 
-        theta.zero_grad()
         loss = f()
         tensor.backward(loss)
         np.testing.assert_array_equal(theta.grad, [[2.0, 4.0]])
-        report = tensor.grad_check(f, [theta], h=1e-5)
+        report = grad_check(f, [theta], h=1e-5)
         assert report.max_rel_error < 1e-8
 
     def test_constant_function(self):
         theta = Parameter(np.ones((2, 2)), "theta")
         constant = Matrix([[5.0]])
-        report = tensor.grad_check(lambda: tensor.scale(constant, 1.0), [theta])
+        report = grad_check(lambda: tensor.scale(constant, 1.0), [theta])
         assert report.max_rel_error == 0.0
         np.testing.assert_array_equal(theta.grad, np.zeros((2, 2)))
 
@@ -144,9 +157,9 @@ class TestGradCheck:
         theta = Parameter(np.array([[0.0, 1.0]]), "theta")
 
         def f():
-            return sum_all(relu(theta.value))
+            return sum_all(tensor.relu(tensor.leaf(theta)))
 
-        report = tensor.grad_check(f, [theta], h=1e-5)
+        report = grad_check(f, [theta], h=1e-5)
         assert report.n_skipped == 1  # the coordinate sitting on the kink
         assert report.n_checked == 1
         assert report.passed
@@ -161,11 +174,12 @@ class TestGradCheck:
             x = Matrix(rng.normal(size=(1, rows)))
 
             def f():
-                h = tensor.sigmoid(tensor.matmul(x, w.value))
-                out = tensor.add(tensor.matmul(h, v.value), b.value)
+                h = tensor.sigmoid(tensor.matmul(x, tensor.leaf(w)))
+                out = tensor.add(tensor.matmul(h, tensor.leaf(v)),
+                                 tensor.leaf(b))
                 return mean_all(mul(out, out))
 
-            report = tensor.grad_check(f, [w, b, v], tol=1e-4)
+            report = grad_check(f, [w, b, v], tol=1e-4)
             assert report.passed, (seed, report)
 
     def test_sampled_coordinates_are_deterministic(self):
@@ -173,11 +187,11 @@ class TestGradCheck:
         w = Parameter(rng.normal(size=(8, 8)), "w")
 
         def f():
-            return mean_all(mul(w.value, w.value))
+            return mean_all(mul(tensor.leaf(w), tensor.leaf(w)))
 
-        r1 = tensor.grad_check(f, [w], max_coords_per_param=10,
+        r1 = grad_check(f, [w], max_coords_per_param=10,
                                rng=np.random.default_rng(3))
-        r2 = tensor.grad_check(f, [w], max_coords_per_param=10,
+        r2 = grad_check(f, [w], max_coords_per_param=10,
                                rng=np.random.default_rng(3))
         assert r1.n_checked == r2.n_checked == 10
         assert r1.max_rel_error == r2.max_rel_error
@@ -221,8 +235,9 @@ class TestCheckpoint:
 
 
 class TestGradientOwnership:
-    """A node keeps the first gradient pushed to it, uncopied; no op may
-    then write into an array that another node or a view also holds."""
+    """A node copies the first gradient pushed to it and adds later ones
+    in place, so no op writes into an array that another node or a view
+    also holds; a parameter's leaf adds into the parameter's buffer."""
 
     @staticmethod
     def backward_keeps_buffers(loss, params):
@@ -230,15 +245,13 @@ class TestGradientOwnership:
         tensor.backward(loss)
         assert all(p.grad is buffer for p, buffer in zip(params, buffers))
         grads = [p.grad.copy() for p in params]
-        for p, buffer in zip(params, buffers):
-            p.zero_grad()
-            assert p.grad is buffer
+        zero_grad(params)
         return grads
 
     def test_add_of_a_node_to_itself(self):
         x = Matrix([[1.0, -2.0], [3.0, 0.5]])
         w = Parameter([[2.0, 1.0], [-1.0, 4.0]], "w")
-        h = tensor.matmul(x, w.value)
+        h = tensor.matmul(x, tensor.leaf(w))
         (grad,) = self.backward_keeps_buffers(
             sum_all(tensor.add(h, h)), [w])
         np.testing.assert_array_equal(grad, 2.0 * x.data.T @ np.ones((2, 2)))
@@ -251,8 +264,8 @@ class TestGradientOwnership:
         w2 = Parameter(rng.normal(size=(4, 2)), "w2")
 
         def f():
-            a = tensor.matmul(x, w1.value)
-            b = tensor.matmul(x, w2.value)
+            a = tensor.matmul(x, tensor.leaf(w1))
+            b = tensor.matmul(x, tensor.leaf(w2))
             squares = tensor.add(mul(a, a), mul(b, b))
             return sum_all(tensor.add(tensor.add(a, b), squares))
 
@@ -263,7 +276,7 @@ class TestGradientOwnership:
                                    rtol=1e-13)
         np.testing.assert_allclose(grads[1], x.data.T @ (1.0 + 2.0 * b),
                                    rtol=1e-13)
-        report = tensor.grad_check(f, [w1, w2])
+        report = grad_check(f, [w1, w2])
         assert report.passed, report
 
     def test_residual_node_read_by_two_ops(self):
@@ -274,13 +287,13 @@ class TestGradientOwnership:
         w = Parameter(rng.normal(size=(4, 4)), "w")
 
         def f():
-            h = tensor.matmul(x, w_in.value)
-            mixed = tensor.matmul(tensor.matmul(operator, h), w.value)
-            out = tensor.add(h, relu(mixed))
+            h = tensor.matmul(x, tensor.leaf(w_in))
+            mixed = tensor.matmul(tensor.matmul(operator, h), tensor.leaf(w))
+            out = tensor.add(h, tensor.relu(mixed))
             return mean_all(mul(out, out))
 
         self.backward_keeps_buffers(f(), [w_in, w])
-        report = tensor.grad_check(f, [w_in, w])
+        report = grad_check(f, [w_in, w])
         assert report.passed, report
         assert report.n_checked > 20
 
@@ -288,7 +301,7 @@ class TestGradientOwnership:
     def test_mean_rows_view_then_another_gradient(self, view_first):
         x = Matrix([[1.0, 2.0], [0.5, -1.0], [3.0, 1.0]])
         w = Parameter([[1.0, -1.0, 2.0], [0.5, 1.5, -2.0]], "w")
-        h = tensor.matmul(x, w.value)
+        h = tensor.matmul(x, tensor.leaf(w))
         terms = [sum_all(tensor.mean_rows(h)),
                  sum_all(mul(h, h))]
         if not view_first:
@@ -301,7 +314,7 @@ class TestGradientOwnership:
     def test_gather_rows_into_a_received_gradient(self, gather_first):
         x = Matrix([[1.0, 2.0], [0.5, -1.0], [3.0, 1.0]])
         w = Parameter([[1.0, -1.0], [0.5, 1.5]], "w")
-        table = tensor.matmul(x, w.value)
+        table = tensor.matmul(x, tensor.leaf(w))
         ids = np.array([2, 0, 2, 2])
         terms = [sum_all(tensor.gather_rows(table, ids)),
                  sum_all(tensor.mean_rows(table))]

@@ -26,8 +26,9 @@ from vulngraph.trainer import (EncodedSample, TrainConfig, evaluate,
                                train, train_config_to_text, _backward_batch,
                                format_sweep_table)
 
-from conftest import DESK_MODEL, LONG_SOURCE, backward_batch, run_python
-from oracles import tape_sample_loss
+from conftest import (DESK_MODEL, LONG_SOURCE, backward_batch,
+                      count_matrices, run_python)
+from oracles import tape_sample_loss, zero_grad
 
 TINY_MODEL = dict(embed_dim=16, gcn_dim=12, num_classes=11)
 
@@ -160,11 +161,11 @@ def oracle_batch():
 
 def one_tape_gradients(model, batch, cfg):
     """The oracle's batch loss and every parameter's gradient."""
-    model.zero_grad()
+    zero_grad(model.parameters())
     loss = one_tape_batch_loss(model, batch, cfg)
     tensor.backward(loss)
     expected = [p.grad.copy() for p in model.parameters()]
-    model.zero_grad()
+    zero_grad(model.parameters())
     return loss.item(), expected
 
 
@@ -208,7 +209,7 @@ def adam_oracle_step(params, m, v, t, lr, beta1=0.9, beta2=0.999,
         v[i] = beta2 * v[i] + (1 - beta2) * g * g
         m_hat = m[i] / (1 - beta1 ** t)
         v_hat = v[i] / (1 - beta2 ** t)
-        p.value.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        p.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
 #: Slice bounds over the 125 elements of ``TestAdam``'s parameters, whose
@@ -242,9 +243,9 @@ class TestAdam:
             v = [np.zeros(s) for s in shapes]
             for t in range(1, 6):
                 for a, b in zip(fast, slow):
-                    grad = (rng.normal(size=a.shape)
+                    grad = (rng.normal(size=a.data.shape)
                             * 10.0 ** rng.integers(-8, 3))
-                    grad[rng.random(a.shape) < 0.3] = 0.0
+                    grad[rng.random(a.data.shape) < 0.3] = 0.0
                     a.grad[...] = grad
                     b.grad[...] = grad
                 for optimizer in optimizers:
@@ -328,7 +329,7 @@ class TestTrain:
         result = train(records, ds, cfg, tiny_train_cfg(epochs=1))
         model, vocab = result.model, result.vocab
         samples = [prepare_sample(r, vocab, 11) for r in benign]
-        model.zero_grad()
+        zero_grad(model.parameters())
         backward_batch(model, samples, tiny_train_cfg())
         assert np.array_equal(model.loc_weight.grad,
                               np.zeros_like(model.loc_weight.grad))
@@ -401,8 +402,10 @@ class TestTrain:
         assert sorted(tokenized) == sorted(r.source for r in used)
         assert result.vocab == build_vocab(select(records, ds.train))
 
-    def test_validation_records_no_tape(self, monkeypatch, use_cpus):
-        # neither validation nor training: both run the one forward pass
+    def test_validation_records_no_tape(self, monkeypatch, tmp_path,
+                                        use_cpus):
+        # neither validation nor training: both run the one forward pass,
+        # and nothing builds a tape value, not even a parameter
         use_cpus(1)  # the counters see the passes of this process
         records, ds = tiny_corpus()
         assert ds.val
@@ -412,9 +415,10 @@ class TestTrain:
         nodes = []
         monkeypatch.setattr(tensor, "from_op",
                             lambda *args: nodes.append(1) or from_op(*args))
+        matrices = count_matrices(monkeypatch, tmp_path)
         cfg = ModelConfig(vocab_size=4, **TINY_MODEL)
         train(records, ds, cfg, tiny_train_cfg(epochs=1))
-        assert (taped, nodes) == ([], [])
+        assert (taped, nodes, matrices()) == ([], [], 0)
         assert len(passes) == len(ds.train) + len(ds.val)
 
     def test_log_schema(self):
@@ -445,6 +449,16 @@ class TestTrain:
             train_config_to_text(cfg))
         assert model_kwargs == {}
         assert TrainConfig(**train_kwargs) == cfg
+
+    def test_key_given_twice_is_config_error(self):
+        with pytest.raises(ConfigError, match=(
+                "config line 3: key 'epochs' already given on line 1")):
+            parse_run_config("epochs=5\n# later\nepochs=10\n")
+
+    def test_focal_key_not_given_keeps_its_default(self):
+        _, train_kwargs = parse_run_config("focal_delta=1.5\n")
+        assert train_kwargs["focal"].alpha == FocalConfig().alpha
+        assert train_kwargs["focal"].delta == 1.5
 
 
 class TestEvaluate:
@@ -515,6 +529,10 @@ class TestCheckpoint:
                      "unexpected parameters", id="extra-parameter"),
         pytest.param("config.txt", set_key("embed_dim", "wide"), "bad value",
                      id="bad-value"),
+        pytest.param("config.txt",
+                     edit_lines(lambda lines: lines + lines[2:3]),
+                     "line 19: key 'gcn_dim' already given on line 3",
+                     id="key-given-twice"),
         pytest.param("params.npz", set_entry("gcn_0", np.nan), "non-finite",
                      id="nan-weight"),
         pytest.param("params.npz", set_entry("embedding", np.inf),
