@@ -35,7 +35,9 @@ that ``backward``, which gives each parameter's gradient, and
 ``occluded_probabilities`` extend that pass and no other. The
 parameters are plain arrays. ``forward_nodes`` runs the same layers on
 the primitive ops of the ``tensor`` tape, with no caller here: it is the
-oracle that tests compare both passes with, bit for bit.
+oracle that tests compare both passes with, bit for bit. Every array
+of a pass is in the parameters' dtype: float64, or float32 for the
+copies that training runs.
 
 Occlusion is an input, not a mode: occluding a position means giving it
 the ``<PAD>`` id, which no stream holds, and running the ordinary pass.
@@ -232,9 +234,10 @@ class VulnModel:
 
     def __init__(self, config: ModelConfig, seed: int = 0,
                  values: dict[str, np.ndarray] | None = None):
-        """Parameters drawn from ``seed``, or else taken from ``values``
-        by name, which must hold exactly the config's finite arrays; the
-        parameters hold those arrays themselves, not copies."""
+        """Parameters drawn from ``seed`` in float64, or else taken from
+        ``values`` by name, which must hold exactly the config's finite
+        arrays; the parameters hold those arrays themselves, not copies,
+        in their dtype."""
         self.config = config
         self.frozen = False
         shapes = _parameter_shapes(config)
@@ -366,19 +369,23 @@ class VulnModel:
         does not read them). A later layer's input is recomputed from H0
         and the relus of the kept pre-activations, and a relu's mask is
         its pre-activation > 0. The steps are the tape's in its push
-        order, so each contribution equals the tape's bit for bit.
+        order, so each contribution equals the tape's bit for bit. The
+        heads' gradients are cast to the pass's dtype, the parameters',
+        and every contribution is in it.
         """
         distinct, inverse, operator = out._distinct, out._inverse, out.operator
         embed_w, graph_w = self.config.embed_weight, self.config.graph_weight
         fused = fuse(out.pooled_embed, out.pooled_graph, embed_w,
                      graph_w).reshape(1, -1)
-        g = class_grad.reshape(1, -1)
+        dtype = fused.dtype  # the pass's
+        g = class_grad.reshape(1, -1).astype(dtype, copy=False)
         add(self.cls_bias, ..., g)
         add(self.cls_weight, ..., fused.T @ g)
         g_fused = g @ self.cls_weight.data.T
         if loc_grad is not None:
             loc = np.array([out.loc_pred])
-            g = loc_grad.reshape(1, -1) * loc * (1.0 - loc)
+            g = (loc_grad.reshape(1, -1) * loc * (1.0 - loc)).astype(
+                dtype, copy=False)
             add(self.loc_bias, ..., g)
             add(self.loc_weight, ..., fused.T @ g)
             g_fused = g_fused + g @ self.loc_weight.data.T

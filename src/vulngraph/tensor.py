@@ -218,7 +218,8 @@ class SparseOperator:
     weight 0, and the entries past that width form a remainder that is
     added by segment sums. Memory is O(n + entries). An operator of at
     most ``DENSE_ROWS`` rows keeps a dense copy of its entries instead and
-    multiplies with BLAS.
+    multiplies with BLAS. Entries and products are in the dtype of
+    ``weights``.
     """
 
     __slots__ = ("n", "start", "cols", "weights", "mirror", "_dense",
@@ -235,7 +236,7 @@ class SparseOperator:
         rows = np.repeat(np.arange(self.n), count)
         self._dense = None
         if self.n <= DENSE_ROWS:
-            self._dense = np.zeros((self.n, self.n))
+            self._dense = np.zeros((self.n, self.n), dtype=weights.dtype)
             self._dense[rows, cols] = weights
             return
         width = min(int(count.max(initial=0)), OPERATOR_WIDTH)
@@ -246,9 +247,9 @@ class SparseOperator:
         # (n, 1, width), the left operand of a batched matmul
         self._ell_cols = np.repeat(np.arange(self.n)[:, None], width, axis=1)
         self._ell_cols[at] = cols[packed]
-        self._ell_weights = np.zeros((self.n, 1, width))
+        self._ell_weights = np.zeros((self.n, 1, width), dtype=weights.dtype)
         self._ell_weights[at[0], 0, at[1]] = weights[packed]
-        self._ell_mirror = np.zeros((self.n, 1, width))
+        self._ell_mirror = np.zeros((self.n, 1, width), dtype=weights.dtype)
         self._ell_mirror[at[0], 0, at[1]] = mirror[packed]
         # a row's entries past the width follow each other
         rest = ~packed
@@ -258,6 +259,11 @@ class SparseOperator:
         self._rest_rows = np.flatnonzero(count > width)
         self._rest_segments = np.repeat(np.arange(self._rest_rows.size),
                                         count[self._rest_rows] - width)
+
+    def astype(self, dtype) -> SparseOperator:
+        """This operator with its entries in ``dtype``."""
+        return SparseOperator(self.start, self.cols, self.weights.astype(dtype),
+                              self.mirror.astype(dtype))
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """The product A @ x."""
@@ -274,8 +280,9 @@ class SparseOperator:
     def _product(self, x: np.ndarray, ell: np.ndarray,
                  rest: np.ndarray) -> np.ndarray:
         n, width = self._ell_cols.shape
-        out = np.empty((n, 1, x.shape[1]))
-        step = max(1, PRODUCT_BLOCK_BYTES // max(1, width * x.shape[1] * 8))
+        out = np.empty((n, 1, x.shape[1]), dtype=x.dtype)
+        step = max(1, PRODUCT_BLOCK_BYTES
+                   // max(1, width * x.shape[1] * x.itemsize))
         for lo in range(0, n, step):
             hi = lo + step
             np.matmul(ell[lo:hi], np.take(x, self._ell_cols[lo:hi], axis=0),
@@ -307,12 +314,13 @@ def segment_sum(values: np.ndarray, segments: np.ndarray,
     """Sums of the rows of ``values`` that share a segment id, in id order.
 
     Row s of the result adds the rows with segment s in their order, from
-    zero, as ``np.add.at`` into zeros does.
+    zero, as ``np.add.at`` into zeros does, in float64; the sums are
+    returned in the values' dtype.
     """
     width = values.shape[1]
     flat = (segments[:, None] * width + np.arange(width)).ravel()
-    return np.bincount(flat, weights=values.ravel(),
-                       minlength=count * width).reshape(count, width)
+    return np.bincount(flat, weights=values.ravel(), minlength=count * width
+                       ).reshape(count, width).astype(values.dtype, copy=False)
 
 
 def backward(loss: Matrix) -> None:
@@ -359,13 +367,16 @@ def backward(loss: Matrix) -> None:
 
 class Parameter:
     """A named, trainable array and the gradient buffer that training
-    adds into."""
+    adds into. A float32 array is kept as it is, anything else becomes
+    float64; training's float32 copies add into float64 buffers."""
 
     __slots__ = ("name", "data", "grad")
 
     def __init__(self, data, name: str):
         self.name = name
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = (data if data.dtype == np.float32
+                     else data.astype(np.float64, copy=False))
         self.grad = np.zeros_like(self.data)
 
 

@@ -17,6 +17,12 @@ array; Adam then steps once per batch. Validation runs the same
 fusion-ratio sweep prepares the samples once and trains one model per
 ratio from them.
 
+The passes run in float32 (``COMPUTE_DTYPE``), on float32 operators and
+a private float32 copy of the values that each process refreshes after
+every step. The values, the gradient sums, Adam's moments and the
+checkpoints stay float64: each float32 contribution is added into the
+float64 sums, as in mixed-precision training (Micikevicius et al. 2017).
+
 Training runs on one process per usable CPU (at most one per sample of
 a batch): the training process and helpers forked from it once per run,
 which hold every sample already. Each runs the same epoch and batch
@@ -86,6 +92,10 @@ class TrainConfig:
         if self.optimizer != "adam":
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
 
+
+#: The dtype of training's passes and of its samples' operators. It is
+#: not a run setting: tests set float64 to run the passes' oracle.
+COMPUTE_DTYPE = np.float32
 
 #: Elements of the flat parameter vector that ``Adam.step`` updates at a
 #: time. Its two scratch blocks take 1 MiB, and a block's operands are
@@ -457,17 +467,23 @@ class TrainResult:
 def _prepare(records: Sequence[FunctionRecord], split: DatasetSplit,
              num_classes: int, min_count: int
              ) -> tuple[Vocabulary, list[EncodedSample], list[EncodedSample]]:
-    """The train split's vocabulary, and the train and val samples."""
+    """The train split's vocabulary, and the train and val samples,
+    their operators in ``COMPUTE_DTYPE``."""
     train_records = select(records, split.train)
     val_records = select(records, split.val)
     if not train_records:
         raise TrainingError("empty train split")
     streams = [tokenize(r.source) for r in train_records]
     vocab = build_vocab(streams, min_count=min_count)
-    samples = [prepare_sample(r, vocab, num_classes, s)
+    samples = [_for_training(prepare_sample(r, vocab, num_classes, s))
                for r, s in zip(train_records, streams)]
-    val_samples = [prepare_sample(r, vocab, num_classes) for r in val_records]
+    val_samples = [_for_training(prepare_sample(r, vocab, num_classes))
+                   for r in val_records]
     return vocab, samples, val_samples
+
+
+def _for_training(sample: EncodedSample) -> EncodedSample:
+    return replace(sample, operator=sample.operator.astype(COMPUTE_DTYPE))
 
 
 def train(records: Sequence[FunctionRecord], split: DatasetSplit,
@@ -511,11 +527,19 @@ def _train(helpers: _Helpers, model: VulnModel, state: np.ndarray,
     only process 0 fills. ``heads`` has a shared row per validation
     sample.
 
-    numpy does not warn about overflow here: it ends in non-finite
-    values, which ``forward`` and the loss check reject, and training
-    stops with a TrainingError.
+    The passes run on this process's ``COMPUTE_DTYPE`` copy of the
+    values, refreshed after each step.
+
+    numpy does not warn about overflow here, nor about a value cast past
+    float32's range: it ends in non-finite values, which ``forward`` and
+    the loss check reject, and training stops with a TrainingError.
     """
     optimizer = Adam(state, cfg.learning_rate, helpers.part(state.shape[1]))
+    compute = VulnModel(model.config, values={
+        p.name: p.data.astype(COMPUTE_DTYPE) for p in model.parameters()})
+    pairs = list(zip(compute.parameters(), model.parameters()))
+    for ours, master in pairs:
+        ours.grad = master.grad  # the contributions add into float64 sums
     rng = np.random.default_rng(cfg.seed)
     log: list[dict] = []
     order = np.arange(len(samples))
@@ -526,7 +550,7 @@ def _train(helpers: _Helpers, model: VulnModel, state: np.ndarray,
                 range(0, len(order), cfg.batch_size)):
             batch = [samples[i] for i in order[start:start + cfg.batch_size]]
             try:
-                value = _backward_batch(model, batch, cfg, helpers)
+                value = _backward_batch(compute, batch, cfg, helpers)
             except GradientError as exc:
                 # Overflow inside the forward pass surfaces here: it
                 # rejects non-finite values eagerly.
@@ -538,12 +562,14 @@ def _train(helpers: _Helpers, model: VulnModel, state: np.ndarray,
                                     + _diagnostics(model, epoch, batch_idx))
             optimizer.step()
             helpers.meet()
+            for ours, master in pairs:
+                ours.data[...] = master.data
             epoch_losses.append(value)
 
         val_loss = val_f1 = val_iou = None
         if val_samples:
             try:
-                val_heads = _validate(model, val_samples, heads, helpers)
+                val_heads = _validate(compute, val_samples, heads, helpers)
             except GradientError as exc:
                 # the last step overflowed and only validation saw it
                 raise TrainingError(
@@ -577,24 +603,28 @@ def _validate(model: VulnModel, samples: Sequence[EncodedSample],
     At its turn, sample j writes its class logits and then its line
     fractions into row j of the shared ``heads``.
     """
-    def work(j: int) -> tuple[np.ndarray, tuple]:
-        out = model.forward(samples[j].ids, samples[j].operator)
-        return out.class_logits, out.loc_pred
-
     def hand_in(j: int, result: tuple[np.ndarray, tuple]) -> None:
         heads[j, :-2], heads[j, -2:] = result
 
-    helpers.take_turns(len(samples), work, hand_in)
+    helpers.take_turns(len(samples), lambda j: _heads(model, samples[j]),
+                       hand_in)
     if helpers.rank:
         return None
     return [(row[:-2], tuple(row[-2:].tolist())) for row in heads]
 
 
+def _heads(model: VulnModel, sample: EncodedSample
+           ) -> tuple[np.ndarray, tuple[float, float]]:
+    """The sample's class logits and line fractions: its forward pass
+    keeps nothing else."""
+    out = model.forward(sample.ids, sample.operator)
+    return out.class_logits, out.loc_pred
+
+
 def evaluate_samples(model: VulnModel, samples: Sequence[EncodedSample],
                      num_classes: int) -> MetricsReport:
-    outputs = [model.forward(s.ids, s.operator) for s in samples]
-    return _metrics(samples, [(out.class_logits, out.loc_pred)
-                              for out in outputs], num_classes)
+    return _metrics(samples, [_heads(model, s) for s in samples],
+                    num_classes)
 
 
 def _metrics(samples: Sequence[EncodedSample],

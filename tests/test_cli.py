@@ -197,7 +197,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("settings", [
         "learning_rate=1e300\n",
         # one batch per epoch: only the validation pass sees the overflow
-        "learning_rate=1e300\nepochs=1\nbatch_size=64\n"])
+        "learning_rate=1e300\nepochs=1\nbatch_size=64\n",
+        # finite in float64, past float32's range: the passes overflow
+        "learning_rate=1e39\n"])
     def test_diverging_run_exits_three_on_one_line(self, tmp_path, dataset,
                                                     settings, capsys):
         diverging = tmp_path / "diverging.cfg"

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -461,6 +462,103 @@ class TestDistinctProjection:
             assert left_rows == [("input_proj", distinct),
                                  ("gcn_0", distinct),
                                  ("gcn_1", sample.ids.size)]
+
+
+
+def fill_source(lines):
+    """A straight-line function of ``lines`` statements, 14 tokens each."""
+    return ("int fill(char *buf, int n) {\n"
+            + "".join(f"    buf[{i}] = n + {i} * buf[n];\n"
+                      for i in range(lines))
+            + "    return n;\n}")
+
+
+def float32_copy(model):
+    """``model`` with its values cast to float32, as training runs it."""
+    return VulnModel(model.config, values={
+        p.name: p.data.astype(np.float32) for p in model.parameters()})
+
+
+def sample_gradients(model, sample):
+    """Each parameter's gradient of the sample's loss, with backward's
+    contributions added into float64 zeros as training adds them, and
+    each contribution's dtype."""
+    grads = {p.name: np.zeros(p.data.shape) for p in model.parameters()}
+    dtypes = {}
+
+    def add(parameter, index, contribution):
+        dtypes[parameter.name] = contribution.dtype
+        grads[parameter.name][index] += contribution
+
+    out = model.forward(sample.ids, sample.operator)
+    _, class_grad, loc_grad = _sample_loss(out.class_logits, out.loc_pred,
+                                           sample, TrainConfig())
+    model.backward(out, class_grad, loc_grad, add)
+    return grads, dtypes
+
+
+class TestFloat32Pass:
+    """The float32 pass that training runs, against the float64 run of
+    the same code, its oracle."""
+
+    @staticmethod
+    def long_samples(embed_dim, gcn_dim):
+        """A fresh model and five samples of 300 to 510 tokens, the first
+        benign: straight-line functions, the hub and fuzzed functions."""
+        rng = random.Random(5)
+        sources = [fill_source(22), fill_source(33), HUB_SOURCE]
+        while len(sources) < 5:
+            body = [line for _ in range(8)
+                    for line in fuzz_snippet(rng).splitlines()[1:-2]]
+            source = ("int fn(int a, char *buf) {\n" + "\n".join(body)
+                      + "\n    return a;\n}")
+            if 300 <= tokenize(source).content_len <= 510:
+                sources.append(source)
+        vocab = build_vocab(sources)
+        model = VulnModel(ModelConfig(vocab_size=len(vocab),
+                                      embed_dim=embed_dim, gcn_dim=gcn_dim),
+                          seed=6)
+        samples = []
+        for k, source in enumerate(sources):
+            ids, operator = model_inputs(build_graph(tokenize(source)), vocab)
+            assert 300 <= ids.size <= 512
+            samples.append(EncodedSample(
+                ids=ids, operator=operator, label=2 * k,
+                line_count=source.count("\n") + 1,
+                truth_range=(2, 4) if k else None))
+        return model, samples
+
+    def test_every_array_and_contribution_is_float32(self):
+        model, samples = self.long_samples(64, 48)
+        single = float32_copy(model)
+        for sample in samples:
+            sample = replace(sample,
+                             operator=sample.operator.astype(np.float32))
+            out = single.forward(sample.ids, sample.operator)
+            arrays = [out.class_logits, out.pooled_embed, out.pooled_graph,
+                      out._projected, *out._mixed]
+            assert {a.dtype for a in arrays} == {np.dtype(np.float32)}
+            _, dtypes = sample_gradients(single, sample)
+            names = [p.name for p in model.parameters()
+                     if sample.truth_range or not p.name.startswith("loc_")]
+            assert dtypes == dict.fromkeys(names, np.dtype(np.float32))
+
+    @pytest.mark.parametrize("embed_dim, gcn_dim", [(64, 48), (768, 512)],
+                             ids=["desk", "paper"])
+    def test_gradients_within_one_percent_of_float64(self, embed_dim,
+                                                     gcn_dim):
+        # the gate is |g32 - g64| <= 1e-2 |g64| per parameter and sample;
+        # most parameters come within about 1e-6, and a relu mask that
+        # flips between the two passes moves gcn_0 the most
+        model, samples = self.long_samples(embed_dim, gcn_dim)
+        single = float32_copy(model)
+        for k, sample in enumerate(samples):
+            expected, _ = sample_gradients(model, sample)
+            got, _ = sample_gradients(single, replace(
+                sample, operator=sample.operator.astype(np.float32)))
+            for name, g64 in expected.items():
+                error = np.linalg.norm(got[name] - g64)
+                assert error <= 1e-2 * np.linalg.norm(g64), (k, name, error)
 
 
 class TestNonFiniteForward:

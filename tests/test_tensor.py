@@ -6,8 +6,10 @@ import pytest
 
 from vulngraph import tensor
 from vulngraph.errors import DataError, GradientError, ShapeError
-from vulngraph.tensor import Matrix, Parameter, from_op
-from conftest import operator_from_dense
+from vulngraph.lexer import tokenize
+from vulngraph.semgraph import build_graph
+from vulngraph.tensor import DENSE_ROWS, Matrix, Parameter, from_op
+from conftest import HUB_SOURCE, LONG_SOURCE, operator_from_dense
 from oracles import grad_check, mean_all, mul, sum_all, zero_grad
 
 
@@ -332,3 +334,82 @@ class TestGradientOwnership:
         np.add.at(expected, segments, values)
         assert np.array_equal(tensor.segment_sum(values, segments, 7),
                               expected)
+
+
+
+#: A function short enough for the dense product path.
+SHORT_SOURCE = "int f(int a) {\n    return a + 1;\n}"
+
+
+def float64_product(operator, x, transposed):
+    """The float64 product spelled out as the operator computed it before
+    its products kept their input's dtype: the dense copy through BLAS,
+    or the padded lists into a float64 array, plus the remainder's
+    entries added into zeros in order."""
+    if operator._dense is not None:
+        return (operator._dense.T if transposed else operator._dense) @ x
+    ell = operator._ell_mirror if transposed else operator._ell_weights
+    rest = operator._rest_mirror if transposed else operator._rest_weights
+    out = np.empty((operator.n, 1, x.shape[1]))
+    np.matmul(ell, np.take(x, operator._ell_cols, axis=0), out=out)
+    out = out.reshape(operator.n, x.shape[1])
+    sums = np.zeros((operator._rest_rows.size, x.shape[1]))
+    np.add.at(sums, operator._rest_segments,
+              rest[:, None] * x[operator._rest_cols])
+    out[operator._rest_rows] += sums
+    return out
+
+
+class TestDtypes:
+    """Products and segment sums return their input's dtype on each
+    product path, and in float64 compute what they always did."""
+
+    @pytest.fixture(scope="class")
+    def operators(self):
+        operators = {name: build_graph(tokenize(source)).operator
+                     for name, source in (("dense", SHORT_SOURCE),
+                                          ("ell", LONG_SOURCE),
+                                          ("ell-rest", HUB_SOURCE))}
+        assert operators["dense"].n <= DENSE_ROWS
+        for name in ("ell", "ell-rest"):
+            assert operators[name]._dense is None
+        assert operators["ell"]._rest_rows.size == 0
+        assert operators["ell-rest"]._rest_rows.size > 0
+        return operators
+
+    @pytest.mark.parametrize("path", ["dense", "ell", "ell-rest"])
+    @pytest.mark.parametrize("transposed", [False, True],
+                             ids=["apply", "apply_transposed"])
+    def test_float32_in_float32_out(self, operators, path, transposed):
+        operator = operators[path]
+        x = np.random.default_rng(3).normal(size=(operator.n, 7))
+        single = operator.astype(np.float32)
+        product = (single.apply_transposed if transposed else single.apply)(
+            x.astype(np.float32))
+        assert product.dtype == np.float32
+        expected = float64_product(operator, x, transposed)
+        np.testing.assert_allclose(product, expected, rtol=1e-5,
+                                   atol=1e-5 * np.abs(expected).max())
+
+    @pytest.mark.parametrize("path", ["dense", "ell", "ell-rest"])
+    @pytest.mark.parametrize("transposed", [False, True],
+                             ids=["apply", "apply_transposed"])
+    def test_float64_bits_unchanged(self, operators, path, transposed):
+        operator = operators[path]
+        x = np.random.default_rng(4).normal(size=(operator.n, 48))
+        product = (operator.apply_transposed if transposed
+                   else operator.apply)(x)
+        assert product.dtype == np.float64
+        assert np.array_equal(product,
+                              float64_product(operator, x, transposed))
+
+    def test_segment_sum_of_float32_is_float32(self):
+        # it adds in float64 and rounds each sum once
+        rng = np.random.default_rng(5)
+        values = rng.normal(size=(40, 5)).astype(np.float32)
+        segments = rng.integers(0, 6, size=40)
+        expected = np.zeros((7, 5))
+        np.add.at(expected, segments, values)
+        sums = tensor.segment_sum(values, segments, 7)
+        assert sums.dtype == np.float32
+        assert np.array_equal(sums, expected.astype(np.float32))

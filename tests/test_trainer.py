@@ -5,6 +5,7 @@ import pickle
 import textwrap
 import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -322,6 +323,37 @@ class TestTrain:
     def test_loss_decreases_on_toy_corpus(self, toy_run):
         assert toy_run.log[-1]["train_loss"] < toy_run.log[0]["train_loss"]
 
+    @pytest.mark.parametrize("dims", [
+        DESK_MODEL, dict(DESK_MODEL, embed_dim=768, gcn_dim=512)],
+        ids=["desk", "paper"])
+    def test_float32_run_tracks_float64(self, monkeypatch, dims):
+        """Two epochs whose passes run in float32, against the float64
+        run of the same code: validation F1 and IoU are equal, and each
+        loss is within 1e-5 of it, relative (measured: at most 1.3e-7)."""
+        records, ds = tiny_corpus()
+        cfg = ModelConfig(vocab_size=4, **dims)
+        forward, dtypes = VulnModel.forward, set()
+
+        def recording(self, ids, operator):
+            dtypes.add((self.embedding.data.dtype, operator.weights.dtype))
+            return forward(self, ids, operator)
+
+        monkeypatch.setattr(VulnModel, "forward", recording)
+        logs = {}
+        for dtype in (np.float64, np.float32):
+            monkeypatch.setattr(trainer_module, "COMPUTE_DTYPE", dtype)
+            dtypes.clear()
+            result = train(records, ds, cfg, tiny_train_cfg(epochs=2))
+            assert dtypes == {(np.dtype(dtype), np.dtype(dtype))}
+            assert {p.data.dtype for p in result.model.parameters()} == {
+                np.dtype(np.float64)}
+            logs[dtype] = result.log
+        for e64, e32 in zip(logs[np.float64], logs[np.float32]):
+            assert (e32["val_f1"], e32["val_iou"]) == (e64["val_f1"],
+                                                       e64["val_iou"])
+            for key in ("train_loss", "val_loss"):
+                assert e32[key] == pytest.approx(e64[key], rel=1e-5), key
+
     def test_benign_batch_gives_zero_localization_gradient(self):
         records, ds = tiny_corpus()
         benign = [r for r in records if not r.is_vulnerable][:4]
@@ -484,6 +516,26 @@ class TestEvaluate:
     def test_empty_split_rejected(self, toy_run):
         with pytest.raises(DataError):
             evaluate(toy_run.model, [], toy_run.vocab)
+
+    def test_keeps_no_forward_output(self, monkeypatch, toy_run):
+        """Each sample's forward output, with its n x gcn_dim arrays, is
+        freed before the next sample runs, at any sample count."""
+        forward = VulnModel.forward
+        outputs, alive = [], []
+
+        def tracking(self, ids, operator):
+            alive.append(sum(ref() is not None for ref in outputs))
+            out = forward(self, ids, operator)
+            outputs.append(weakref.ref(out))
+            return out
+
+        monkeypatch.setattr(VulnModel, "forward", tracking)
+        for count in (3, 12):
+            outputs.clear()
+            alive.clear()
+            records = select(toy_run.records, toy_run.split.train)[:count]
+            evaluate(toy_run.model, records, toy_run.vocab)
+            assert alive == [0] * count
 
 
 class TestCheckpoint:
@@ -854,6 +906,37 @@ class TestForkedTraining:
         assert done.returncode == 3, done.stderr
         assert done.stderr == ("vulngraph: error: a training worker "
                                "process died: exit code 7\n")
+        assert not (tmp_path / "out" / "log.jsonl").exists()
+
+    def test_float32_overflow_exits_three_on_one_line(self, tmp_path):
+        """A step that leaves the values finite in float64 but past
+        float32's range ends training with exit 3 on one stderr line and
+        no numpy warning, forked and in one process alike."""
+        data, config = tmp_path / "data.jsonl", tmp_path / "run.cfg"
+        save_dataset(tiny_corpus()[0], data)
+        config.write_text("".join(f"{key}={value}\n" for key, value in dict(
+            DESK_MODEL, epochs=3, learning_rate=1e39, seed=2,
+            batch_size=8).items()), encoding="utf-8")
+        script = """\
+            import sys
+            from vulngraph import cli, cpus
+            usable = cpus.usable_cpus
+            cpus.usable_cpus = lambda: (int(sys.argv[1]), usable()[1])
+            sys.exit(cli.main(sys.argv[2:]))
+            """
+        errors = []
+        for processes in (1, 2):
+            done = run_python(script, processes, "train", "--config", config,
+                              "--data", data, "--out", tmp_path / "out")
+            assert done.returncode == 3, done.stderr
+            errors.append(done.stderr)
+        assert errors[1] == errors[0]
+        assert errors[0].startswith(
+            "vulngraph: error: non-finite values in forward pass (non-finite "
+            "values in the input projection); epoch 1, batch 1, ")
+        assert len(errors[0].splitlines()) == 1
+        # the float64 values are finite: only their float32 copies are not
+        assert "inf" not in errors[0].partition("parameter norms")[2]
         assert not (tmp_path / "out" / "log.jsonl").exists()
 
     def test_cli_import_loads_no_process_modules(self):
