@@ -192,9 +192,8 @@ def _cmd_analyze(args) -> int:
 def _cmd_scan(args) -> int:
     out = _output_dir(args.out)
     model, vocab = load_checkpoint(args.checkpoint)
-    summary = scan(args.root, model, vocab, out, fmt=args.format,
-                   jobs=args.jobs)
-    print(json.dumps(summary.to_json_dict(), indent=2, sort_keys=True))
+    scan(args.root, model, vocab, out, fmt=args.format, jobs=args.jobs)
+    print((out / "summary.json").read_text(encoding="utf-8"), end="")
     return EXIT_OK
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -33,6 +33,8 @@ def line_count(source: str) -> int:
 
 
 #: Record field -> (type, whether null is allowed); bool is no int here.
+#: The JSONL keys are these fields; a field that cannot be null must be
+#: given.
 _FIELD_TYPES = {
     "id": (str, False), "source": (str, False), "language": (str, False),
     "cwe": (str, True), "file": (str, True), "vul_start": (int, True),
@@ -86,6 +88,9 @@ class FunctionRecord:
                 f"record {self.id!r}: language must be 'c' or 'cpp', "
                 f"got {self.language!r}"
             )
+        if self.file_start_line is not None and self.file_start_line < 1:
+            raise DataError(f"record {self.id!r}: file_start_line must be "
+                            f">= 1, got {self.file_start_line}")
         if self.cwe is None:
             if self.vul_start is not None or self.vul_end is not None:
                 raise DataError(
@@ -199,12 +204,6 @@ def describe_cwe(cwe_id: str) -> str:
     return _DEFAULT_CATALOG.describe(cwe_id)
 
 
-_RECORD_KEYS = {
-    "id", "source", "language", "cwe", "vul_start", "vul_end",
-    "file", "file_start_line",
-}
-
-
 def normalize_newlines(text: str) -> str:
     """``text`` with CRLF and lone CR line endings made LF."""
     return text.replace("\r\n", "\n").replace("\r", "\n")
@@ -229,26 +228,18 @@ def load_dataset(path: str | Path) -> list[FunctionRecord]:
             raise DataError(f"{path}:{lineno}: malformed JSON: {exc.msg}") from exc
         if not isinstance(raw, dict):
             raise DataError(f"{path}:{lineno}: record must be a JSON object")
-        unknown = set(raw) - _RECORD_KEYS
+        unknown = raw.keys() - _FIELD_TYPES
         if unknown:
             raise DataError(
                 f"{path}:{lineno}: unknown field(s) {sorted(unknown)}"
             )
-        try:
-            record = FunctionRecord(
-                id=raw["id"],
-                # validate rejects a source that is not a string
-                source=(normalize_newlines(raw["source"])
-                        if isinstance(raw["source"], str) else raw["source"]),
-                language=raw["language"],
-                cwe=raw.get("cwe"),
-                vul_start=raw.get("vul_start"),
-                vul_end=raw.get("vul_end"),
-                file=raw.get("file"),
-                file_start_line=raw.get("file_start_line"),
-            )
-        except KeyError as exc:
-            raise DataError(f"{path}:{lineno}: missing field {exc}") from exc
+        for key, (_, nullable) in _FIELD_TYPES.items():
+            if not nullable and key not in raw:
+                raise DataError(f"{path}:{lineno}: missing field {key!r}")
+        # validate rejects a source that is not a string
+        if isinstance(raw["source"], str):
+            raw["source"] = normalize_newlines(raw["source"])
+        record = FunctionRecord(**raw)
         record.validate()
         if record.id in seen_ids:
             raise DataError(f"{path}:{lineno}: duplicate id {record.id!r}")
@@ -257,25 +248,12 @@ def load_dataset(path: str | Path) -> list[FunctionRecord]:
     return records
 
 
-def record_to_json(record: FunctionRecord) -> dict:
-    return {
-        "id": record.id,
-        "source": record.source,
-        "language": record.language,
-        "cwe": record.cwe,
-        "vul_start": record.vul_start,
-        "vul_end": record.vul_end,
-        "file": record.file,
-        "file_start_line": record.file_start_line,
-    }
-
-
 def save_dataset(records: Iterable[FunctionRecord], path: str | Path) -> None:
     """Write records back out in the JSONL interchange format."""
     path = Path(path)
     with path.open("w", encoding="utf-8") as fh:
         for record in records:
-            fh.write(json.dumps(record_to_json(record), ensure_ascii=False))
+            fh.write(json.dumps(asdict(record), ensure_ascii=False))
             fh.write("\n")
 
 

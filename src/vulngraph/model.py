@@ -54,7 +54,6 @@ function length. ``denormalize_lines`` inverts that mapping.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -85,12 +84,6 @@ class ModelConfig:
         if self.num_classes < 2:
             raise ConfigError("num_classes must be >= 2")
         _check_fusion(self.embed_weight, self.graph_weight)
-
-    def to_text(self) -> str:
-        lines = [f"{k}={getattr(self, k)}" for k in (
-            "vocab_size", "embed_dim", "gcn_dim", "gcn_layers",
-            "num_classes", "embed_weight", "graph_weight")]
-        return "\n".join(lines) + "\n"
 
 
 def _check_fusion(embed_weight: float, graph_weight: float) -> None:
@@ -492,15 +485,6 @@ class VulnModel:
                 "occluded probabilities are not finite; the parameters "
                 "hold non-finite or overflowing values")
         return probabilities
-
-    # -- persistence -----------------------------------------------------------
-
-    def save_npz(self, path: str | Path) -> None:
-        tensor.save_params(path, self.parameters())
-
-    @classmethod
-    def load_npz(cls, path: str | Path, config: ModelConfig) -> "VulnModel":
-        return cls(config, values=tensor.load_params(path)).freeze()
 
 
 def _parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, int]]:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -123,18 +123,9 @@ class MetricsReport:
     mean_iou_vulnerable: float | None = None
 
     def to_json(self) -> str:
-        payload = {
-            "accuracy": self.accuracy,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "macro_f1": self.macro_f1,
-            "micro_f1": self.micro_f1,
-            "mean_iou": self.mean_iou,
-            "mean_iou_vulnerable": self.mean_iou_vulnerable,
-            "n_samples": self.n_samples,
-            "per_class": {str(k): v for k, v in sorted(self.per_class.items())},
-        }
+        payload = asdict(self)
+        # str keys, so that sort_keys orders them as text: "10" before "2"
+        payload["per_class"] = {str(k): v for k, v in self.per_class.items()}
         return json.dumps(payload, sort_keys=True)
 
 

@@ -42,13 +42,13 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Sequence, get_type_hints
 
 import numpy as np
 
-from . import cpus
+from . import cpus, tensor
 from .corpus import (BINARY_VULNERABLE_LABEL, DatasetSplit, FunctionRecord,
                      default_catalog, select)
 from .errors import ConfigError, DataError, GradientError, TrainingError
@@ -256,14 +256,14 @@ def _add(parameter: Parameter, index, contribution) -> None:
     parameter.grad[index] += contribution
 
 
-def _processes(batch_size: int, n_samples: int) -> int:
-    """Processes that share each batch: one per usable CPU and sample of
-    a batch at most, and 1 where the platform cannot fork."""
-    wanted = min(batch_size, n_samples)
-    if wanted < 2:
+def _processes(batch_size: int) -> int:
+    """Processes that share each batch of at most ``batch_size`` samples:
+    one per usable CPU and sample at most, and 1 where the platform
+    cannot fork."""
+    if batch_size < 2:
         return 1
     count, can_fork = cpus.usable_cpus()
-    return min(wanted, count) if can_fork else 1
+    return min(batch_size, count) if can_fork else 1
 
 
 #: Seconds a training process waits on another before it checks that
@@ -512,8 +512,8 @@ def _fit(vocab: Vocabulary, samples: Sequence[EncodedSample],
         return _train(helpers, model, state, heads, samples, val_samples,
                       train_cfg)
 
-    processes = _processes(train_cfg.batch_size, len(samples))
-    with _Helpers(processes, train_cfg.batch_size, run) as helpers:
+    batch_size = min(train_cfg.batch_size, len(samples))
+    with _Helpers(_processes(batch_size), batch_size, run) as helpers:
         log = run(helpers)
     return TrainResult(model=model.freeze(), vocab=vocab, log=log)
 
@@ -732,12 +732,10 @@ def save_checkpoint(path: str | Path, model: VulnModel, vocab: Vocabulary,
     """
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
-    model.save_npz(path / "params.npz")
+    tensor.save_params(path / "params.npz", model.parameters())
     vocab.save(path / "vocab.tsv")
-    config_text = model.config.to_text()
-    if train_cfg is not None:
-        config_text += train_config_to_text(train_cfg)
-    (path / "config.txt").write_text(config_text, encoding="utf-8")
+    (path / "config.txt").write_text(config_text(model.config, train_cfg),
+                                     encoding="utf-8")
 
 
 def load_checkpoint(path: str | Path) -> tuple[VulnModel, Vocabulary]:
@@ -766,27 +764,30 @@ def load_checkpoint(path: str | Path) -> tuple[VulnModel, Vocabulary]:
         raise DataError(
             f"{path / 'vocab.tsv'} has {len(vocab)} entries, config.txt "
             f"says vocab_size={config.vocab_size}")
-    model = VulnModel.load_npz(path / "params.npz", config)
-    return model, vocab
+    values = tensor.load_params(path / "params.npz")
+    return VulnModel(config, values=values).freeze(), vocab
 
 
-_MODEL_KEYS = {
-    "vocab_size": int, "embed_dim": int, "gcn_dim": int,
-    "gcn_layers": int, "num_classes": int,
-    "embed_weight": float, "graph_weight": float,
-}
-_TRAIN_KEYS = {
-    "epochs": int, "learning_rate": float, "batch_size": int,
-    "seed": int, "w_cls": float, "w_loc": float,
-    "focal_alpha": float, "focal_delta": float,
-    "optimizer": str, "min_count": int,
-}
+#: The type of each key of config.txt: the fields of ``ModelConfig``
+#: and of ``TrainConfig``, whose ``FocalConfig`` fields are keys
+#: ``focal_<field>``, after the others.
+_MODEL_KEYS = get_type_hints(ModelConfig)
+_TRAIN_KEYS = {key: kind for key, kind in get_type_hints(TrainConfig).items()
+               if kind is not FocalConfig}
+_TRAIN_KEYS.update({f"focal_{key}": kind
+                    for key, kind in get_type_hints(FocalConfig).items()})
 
 
-def train_config_to_text(cfg: TrainConfig) -> str:
-    settings = {f.name: getattr(cfg, f.name) for f in fields(cfg)
-                if f.name != "focal"}
-    settings.update(focal_alpha=cfg.focal.alpha, focal_delta=cfg.focal.delta)
+def config_text(model_cfg: ModelConfig,
+                train_cfg: TrainConfig | None = None) -> str:
+    """The key=value lines of config.txt: the model settings, then the
+    training settings when given, in ``_MODEL_KEYS`` and ``_TRAIN_KEYS``
+    order."""
+    settings = asdict(model_cfg)
+    if train_cfg is not None:
+        settings.update(asdict(train_cfg))
+        focal = settings.pop("focal")
+        settings.update({f"focal_{key}": value for key, value in focal.items()})
     return "".join(f"{key}={value}\n" for key, value in settings.items())
 
 
@@ -840,7 +841,7 @@ def parse_run_config(text: str) -> tuple[dict, dict]:
     model_kwargs = _typed(settings, _MODEL_KEYS)
     train_kwargs = _typed(settings, _TRAIN_KEYS)
     focal = {key.removeprefix("focal_"): train_kwargs.pop(key)
-             for key in ("focal_alpha", "focal_delta") if key in train_kwargs}
+             for key in list(train_kwargs) if key.startswith("focal_")}
     if focal:
         train_kwargs["focal"] = FocalConfig(**focal)
     return model_kwargs, train_kwargs

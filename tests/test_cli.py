@@ -1,4 +1,5 @@
 import ctypes
+import dataclasses
 import json
 import logging
 import multiprocessing
@@ -12,7 +13,7 @@ import vulngraph.cli as cli
 from vulngraph import cpus
 from vulngraph.attribution import attribute_tokens
 from vulngraph.cli import main
-from vulngraph.corpus import record_to_json, save_dataset, select
+from vulngraph.corpus import save_dataset, select
 from vulngraph.lexer import tokenize
 from vulngraph.model import VulnModel
 from vulngraph.scanner import scan
@@ -154,11 +155,13 @@ class TestExitCodes:
     @pytest.mark.parametrize("field, value", [
         ("source", 5), ("vul_start", "1"), ("id", 7), ("vul_start", True),
         ("language", None), ("cwe", 119), ("file", ["a.c"]),
-        ("vul_end", 2.0), ("file_start_line", False)])
+        ("vul_end", 2.0), ("file_start_line", False), ("file_start_line", 0),
+        ("file_start_line", -5)])
     def test_bad_field_type_is_data_error(self, tmp_path, checkpoint, field,
                                           value, capsys):
         records, _ = make_toy_corpus(seed=3)
-        row = record_to_json(next(r for r in records if r.is_vulnerable))
+        row = dataclasses.asdict(
+            next(r for r in records if r.is_vulnerable))
         row[field] = value
         data = tmp_path / "bad.jsonl"
         data.write_text(json.dumps(row) + "\n", encoding="utf-8")

@@ -111,6 +111,13 @@ class TestLoad:
         out = tmp_path / "out.jsonl"
         save_dataset(records, out)
         assert load_dataset(out) == records
+        assert out.read_text(encoding="utf-8") == (
+            '{"id": "a", "source": "int f(){\\nreturn 0;\\n}", '
+            '"language": "c", "cwe": "CWE-476", "vul_start": 2, '
+            '"vul_end": 2, "file": "x.c", "file_start_line": 10}\n'
+            '{"id": "b", "source": "void g(){}", "language": "cpp", '
+            '"cwe": null, "vul_start": null, "vul_end": null, "file": null, '
+            '"file_start_line": null}\n')
 
     @pytest.mark.parametrize("char", ["\u2028", "\u2029", "\x85"])
     def test_round_trip_keeps_line_break_characters(self, tmp_path, char):

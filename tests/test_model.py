@@ -14,7 +14,7 @@ from vulngraph.semgraph import build_graph, model_inputs
 from vulngraph.tensor import Matrix, leaf
 from vulngraph.objectives import FocalConfig
 from vulngraph.trainer import (EncodedSample, TrainConfig, _sample_loss,
-                               parse_run_config)
+                               config_text, parse_run_config)
 from conftest import (HUB_SOURCE, LONG_SOURCE, backward_batch,
                       dense_adjacency, fuzz_snippet, operator_from_dense,
                       poison, tiny_model_inputs)
@@ -622,7 +622,7 @@ class TestConfigAndCheckpoint:
         cfg = ModelConfig(vocab_size=99, embed_dim=32, gcn_dim=16,
                           gcn_layers=3, num_classes=2, embed_weight=0.4,
                           graph_weight=0.6)
-        model_kwargs, train_kwargs = parse_run_config(cfg.to_text())
+        model_kwargs, train_kwargs = parse_run_config(config_text(cfg))
         assert ModelConfig(**model_kwargs) == cfg
         assert train_kwargs == {}
 
@@ -635,8 +635,8 @@ class TestConfigAndCheckpoint:
     def test_npz_round_trip_reproduces_outputs(self, tmp_path):
         model, _, _, _, ids, operator = tiny_model_inputs(SOURCE, seed=2)
         path = tmp_path / "m.npz"
-        model.save_npz(path)
-        restored = VulnModel.load_npz(path, model.config)
+        tensor.save_params(path, model.parameters())
+        restored = VulnModel(model.config, values=tensor.load_params(path))
         a = model.forward(ids, operator)
         b = restored.forward(ids, operator)
         assert np.array_equal(a.class_logits, b.class_logits)

@@ -21,11 +21,11 @@ from vulngraph.model import ModelConfig, VulnModel
 from vulngraph.objectives import FocalConfig
 from vulngraph.semgraph import build_graph, model_inputs
 from vulngraph.synth import make_toy_corpus
-from vulngraph.trainer import (EncodedSample, TrainConfig, evaluate,
-                               label_index, load_checkpoint, parse_run_config,
-                               prepare_sample, save_checkpoint, sweep_ensemble,
-                               train, train_config_to_text, _backward_batch,
-                               format_sweep_table)
+from vulngraph.trainer import (EncodedSample, TrainConfig, config_text,
+                               evaluate, label_index, load_checkpoint,
+                               parse_run_config, prepare_sample,
+                               save_checkpoint, sweep_ensemble, train,
+                               _backward_batch, format_sweep_table)
 
 from conftest import (DESK_MODEL, LONG_SOURCE, backward_batch,
                       count_matrices, run_python)
@@ -320,6 +320,16 @@ class TestTrain:
         for pa, pb in zip(a.model.parameters(), b.model.parameters()):
             assert np.array_equal(pa.data, pb.data)
 
+    def test_batch_past_the_split_trains_as_the_whole_split(self):
+        records, ds = tiny_corpus()
+        cfg = ModelConfig(vocab_size=4, **TINY_MODEL)
+        whole = train(records, ds, cfg,
+                      tiny_train_cfg(batch_size=len(ds.train)))
+        huge = train(records, ds, cfg, tiny_train_cfg(batch_size=10**20))
+        assert huge.log == whole.log
+        for pa, pb in zip(whole.model.parameters(), huge.model.parameters()):
+            assert np.array_equal(pa.data, pb.data), pa.name
+
     def test_loss_decreases_on_toy_corpus(self, toy_run):
         assert toy_run.log[-1]["train_loss"] < toy_run.log[0]["train_loss"]
 
@@ -477,9 +487,11 @@ class TestTrain:
                     min_count=2),
     ], ids=["default", "custom"])
     def test_config_text_round_trip(self, cfg):
+        model_cfg = ModelConfig(vocab_size=99, embed_weight=0.25,
+                                graph_weight=0.75)
         model_kwargs, train_kwargs = parse_run_config(
-            train_config_to_text(cfg))
-        assert model_kwargs == {}
+            config_text(model_cfg, cfg))
+        assert ModelConfig(**model_kwargs) == model_cfg
         assert TrainConfig(**train_kwargs) == cfg
 
     def test_key_given_twice_is_config_error(self):
@@ -548,6 +560,21 @@ class TestCheckpoint:
         assert before.to_json() == after.to_json()
         for pa, pb in zip(toy_run.model.parameters(), model.parameters()):
             assert np.array_equal(pa.data, pb.data)
+
+    def test_config_txt_bytes(self, tmp_path):
+        vocab = build_vocab([tokenize("int f(){return 0;}")])
+        model = VulnModel(ModelConfig(vocab_size=len(vocab), embed_dim=16,
+                                      gcn_dim=12, embed_weight=0.25,
+                                      graph_weight=0.75))
+        save_checkpoint(tmp_path, model, vocab, TrainConfig(
+            epochs=7, learning_rate=2.5e-4, batch_size=3, seed=11,
+            focal=FocalConfig(0.4, 1.5)))
+        assert (tmp_path / "config.txt").read_text(encoding="utf-8") == (
+            "vocab_size=13\nembed_dim=16\ngcn_dim=12\ngcn_layers=2\n"
+            "num_classes=11\nembed_weight=0.25\ngraph_weight=0.75\n"
+            "epochs=7\nlearning_rate=0.00025\nbatch_size=3\nseed=11\n"
+            "w_cls=1.0\nw_loc=1.0\noptimizer=adam\nmin_count=1\n"
+            "focal_alpha=0.4\nfocal_delta=1.5\n")
 
     def test_earlier_config_format_loads(self, tmp_path, toy_run):
         records = select(toy_run.records, toy_run.split.train)[:8]
