@@ -17,9 +17,9 @@ from .lexer import Token, TokenStream, Vocabulary, build_vocab, encode, tokenize
 from .model import ModelConfig, VulnModel, denormalize_lines, fuse
 from .objectives import (FocalConfig, MetricsReport, classification_metrics,
                          focal_loss, iou_1d, mse_loss)
+from .runfiles import TrainConfig, load_checkpoint, save_checkpoint
 from .semgraph import SemanticGraph, build_graph
-from .trainer import (TrainConfig, evaluate, load_checkpoint, save_checkpoint,
-                      sweep_ensemble, train)
+from .trainer import evaluate, sweep_ensemble, train
 from .attribution import (Attribution, RootCause, attribute_tokens,
                           select_root_cause)
 from .scanner import AnalysisReport, analyze, extract_functions, scan

@@ -19,13 +19,14 @@ from . import __version__
 from .attribution import attribute_tokens, attribution_dump, localize
 from .corpus import load_dataset, split
 from .errors import ConfigError, DataError, VulnGraphError
+from .lexer import RESERVED
 from .model import ModelConfig
+from .runfiles import (TrainConfig, load_checkpoint, parse_run_config,
+                       save_checkpoint, write_log)
 from .scanner import (SOURCE_EXTENSIONS, analyze, file_functions,
                       render_report, scan)
 from .semgraph import build_graph, model_inputs
-from .trainer import (TrainConfig, evaluate, format_sweep_table,
-                      load_checkpoint, parse_run_config, save_checkpoint,
-                      sweep_ensemble, train, write_log)
+from .trainer import evaluate, format_sweep_table, sweep_ensemble, train
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -45,14 +46,14 @@ class _Parser(argparse.ArgumentParser):
 def _keep_freed_memory() -> None:
     """Pin glibc's mmap and trim thresholds for this process.
 
-    Training frees multi-MB tape arrays after every sample; by default
-    glibc hands them back to the OS and the next sample faults them in
-    again. The thresholds are pinned at the most glibc's own dynamic
-    rule would raise them to, so freed blocks stay in the heap. Either
-    setting turns that rule off, so both are set: the trim threshold
-    alone would leave every block over 128 KiB to ``mmap``. Forked
-    helpers and workers inherit the setting; where libc has no
-    ``mallopt`` this does nothing.
+    Training frees each sample's multi-MB activations and gradient
+    contributions after its turn; by default glibc hands them back to
+    the OS and the next sample faults them in again. The thresholds are
+    pinned at the most glibc's own dynamic rule would raise them to, so
+    freed blocks stay in the heap. Either setting turns that rule off,
+    so both are set: the trim threshold alone would leave every block
+    over 128 KiB to ``mmap``. Forked helpers and workers inherit the
+    setting; where libc has no ``mallopt`` this does nothing.
     """
     try:
         mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
@@ -111,7 +112,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_configs(path: str) -> tuple[ModelConfig, TrainConfig]:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     model_kwargs, train_kwargs = parse_run_config(text)
     env_seed = os.environ.get("VULNGRAPH_SEED")
@@ -122,8 +123,10 @@ def _load_configs(path: str) -> tuple[ModelConfig, TrainConfig]:
             raise ConfigError(
                 f"VULNGRAPH_SEED must be an integer, got {env_seed!r}"
             ) from exc
-    model_kwargs.setdefault("vocab_size", 4)  # resized to the real vocab
-    return ModelConfig(**model_kwargs), TrainConfig(**train_kwargs)
+    # checked at the smallest size, the reserved ids alone: training sizes
+    # the model to the vocabulary it builds
+    return (ModelConfig(vocab_size=len(RESERVED), **model_kwargs),
+            TrainConfig(**train_kwargs))
 
 
 def _functions_from_file(path: str, function: str | None):

@@ -217,7 +217,7 @@ def load_dataset(path: str | Path) -> list[FunctionRecord]:
     try:
         # not splitlines(): save_dataset leaves U+2028 and U+0085 raw
         lines = path.read_text(encoding="utf-8").split("\n")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read dataset {path}: {exc}") from exc
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
@@ -226,6 +226,10 @@ def load_dataset(path: str | Path) -> list[FunctionRecord]:
             raw = json.loads(line)
         except json.JSONDecodeError as exc:
             raise DataError(f"{path}:{lineno}: malformed JSON: {exc.msg}") from exc
+        except (ValueError, RecursionError) as exc:
+            raise DataError(f"{path}:{lineno}: malformed JSON: past the "
+                            f"parser's limits on nesting or integer digits"
+                            ) from exc
         if not isinstance(raw, dict):
             raise DataError(f"{path}:{lineno}: record must be a JSON object")
         unknown = raw.keys() - _FIELD_TYPES

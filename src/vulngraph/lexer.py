@@ -257,7 +257,10 @@ class Vocabulary:
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":
         # bytes, split on "\n" only: token texts may hold "\r", "\x85"...
-        text = Path(path).read_bytes().decode("utf-8")
+        try:
+            text = Path(path).read_bytes().decode("utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise DataError(f"cannot read vocabulary {path}: {exc}") from exc
         entries: list[str] = []
         for lineno, line in enumerate(text.split("\n"), start=1):
             if not line:

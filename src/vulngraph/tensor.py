@@ -1,5 +1,5 @@
-"""Parameters, the sparse graph operator, checkpoints, and the
-reverse-mode tape that is the gradient oracle.
+"""Parameters, the sparse graph operator, and the reverse-mode tape
+that is the gradient oracle.
 
 A ``Parameter`` is a named array and the gradient buffer that training
 adds into. The graph operator is a ``SparseOperator``: the model's
@@ -21,16 +21,11 @@ array that another node or a view also holds.
 from __future__ import annotations
 
 import math
-import zipfile
-import zlib
-from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DataError, GradientError, ShapeError
-
-CHECKPOINT_FORMAT_VERSION = 1
+from .errors import GradientError, ShapeError
 
 
 class Matrix:
@@ -398,49 +393,3 @@ def glorot_uniform(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray
 def embedding_init(rows: int, cols: int, rng: np.random.Generator,
                    std: float = 0.02) -> np.ndarray:
     return rng.normal(0.0, std, size=(rows, cols))
-
-
-# -- checkpointing -----------------------------------------------------------
-
-def save_params(path: str | Path, params: Iterable[Parameter]) -> None:
-    """Write parameters to an .npz container; round-trips bit-exactly."""
-    arrays = {"__format_version__": np.array([CHECKPOINT_FORMAT_VERSION])}
-    for p in params:
-        if p.name in arrays:
-            raise GradientError(f"duplicate parameter name {p.name!r}")
-        arrays[p.name] = p.data
-    np.savez(path, **arrays)
-
-
-def load_params(path: str | Path) -> dict[str, np.ndarray]:
-    """Read a container written by ``save_params``.
-
-    Raises DataError when the file is not one: not an .npz archive,
-    truncated or corrupt, without a supported integer format version, or
-    holding entries that are not integer or floating arrays.
-    """
-    # Own the handle: np.load leaks it when the zip directory is unreadable.
-    with open(path, "rb") as handle:
-        try:
-            archive = np.load(handle)
-            if not isinstance(archive, np.lib.npyio.NpzFile):
-                raise DataError(f"{path} is not an .npz parameter archive")
-            entries = {name: archive[name] for name in archive.files}
-            version = entries.pop("__format_version__")
-            if version.dtype.kind not in "iu":
-                raise DataError(f"{path}: the format version holds "
-                                f"{version.dtype} values, not integers")
-            if int(version[0]) != CHECKPOINT_FORMAT_VERSION:
-                raise DataError(
-                    f"unsupported checkpoint format version {version[0]}"
-                )
-            for name, values in entries.items():
-                if values.dtype.kind not in "iuf":
-                    raise DataError(f"{path}: parameter {name!r} holds "
-                                    f"{values.dtype} values, not real numbers")
-            return {name: values.astype(np.float64, copy=False)
-                    for name, values in entries.items()}
-        except (KeyError, IndexError, ValueError, OSError, EOFError,
-                zipfile.BadZipFile, zlib.error) as exc:
-            raise DataError(
-                f"unreadable parameter file {path}: {exc!r}") from exc

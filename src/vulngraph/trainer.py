@@ -39,58 +39,27 @@ platform cannot fork, training runs in one process.
 
 from __future__ import annotations
 
-import json
-import math
 import os
-from dataclasses import asdict, dataclass, field, replace
-from pathlib import Path
-from typing import Callable, Sequence, get_type_hints
+from dataclasses import dataclass, replace
+from typing import Callable, Sequence
 
 import numpy as np
 
-from . import cpus, tensor
+from . import cpus
 from .corpus import (BINARY_VULNERABLE_LABEL, DatasetSplit, FunctionRecord,
                      default_catalog, select)
-from .errors import ConfigError, DataError, GradientError, TrainingError
+from .errors import DataError, GradientError, TrainingError
 from .lexer import TokenStream, Vocabulary, build_vocab, tokenize
 from .model import (ModelConfig, VulnModel, denormalize_lines,
                     normalize_line_range)
-from .objectives import (FocalConfig, MetricsReport, classification_metrics,
-                         focal_loss, iou_1d, mse_loss)
+from .objectives import (MetricsReport, classification_metrics, focal_loss,
+                         iou_1d, mse_loss)
+from .runfiles import TrainConfig
+# perfbench's fixture script, set-up probe and traced targets name these
+# here, and perfbench changes only with the benchmark itself.
+from .runfiles import load_checkpoint, save_checkpoint  # noqa: F401
 from .semgraph import build_graph, model_inputs
 from .tensor import Parameter, SparseOperator
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    epochs: int = 20
-    learning_rate: float = 6e-6
-    batch_size: int = 8
-    seed: int = 0
-    w_cls: float = 1.0
-    w_loc: float = 1.0
-    focal: FocalConfig = field(default_factory=FocalConfig)
-    optimizer: str = "adam"  # the only optimizer; configs name it
-    min_count: int = 1  # vocabulary threshold
-
-    def __post_init__(self) -> None:
-        if self.epochs < 1:
-            raise ConfigError("epochs must be >= 1")
-        # 0 is allowed so a no-op run can serve as a determinism probe.
-        if not 0.0 <= self.learning_rate < math.inf:  # NaN fails too
-            raise ConfigError(
-                f"learning_rate must be finite and >= 0, got "
-                f"{self.learning_rate}")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if not (0.0 <= self.w_cls < math.inf and 0.0 <= self.w_loc < math.inf):
-            raise ConfigError(
-                f"loss weights must be finite and >= 0, got w_cls="
-                f"{self.w_cls}, w_loc={self.w_loc}")
-        if self.optimizer != "adam":
-            raise ConfigError(f"unknown optimizer {self.optimizer!r}")
 
 
 #: The dtype of training's passes and of its samples' operators. It is
@@ -717,139 +686,3 @@ def format_sweep_table(rows: Sequence[dict]) -> str:
             f"{iou:>6} {row['accuracy']:>6.2f} {row['f1']:>6.2f} "
             f"{row['precision']:>6.2f} {row['recall']:>6.2f}")
     return "\n".join(lines)
-
-
-# -- checkpoint directories ---------------------------------------------------
-
-def save_checkpoint(path: str | Path, model: VulnModel, vocab: Vocabulary,
-                    train_cfg: TrainConfig | None = None) -> None:
-    """Write a self-describing checkpoint directory.
-
-    Contents: params.npz (bit-exact parameter values), config.txt
-    (model and training settings as key=value text), vocab.tsv. The
-    training settings are a record of the run; ``load_checkpoint`` reads
-    only the model settings back.
-    """
-    path = Path(path)
-    path.mkdir(parents=True, exist_ok=True)
-    tensor.save_params(path / "params.npz", model.parameters())
-    vocab.save(path / "vocab.tsv")
-    (path / "config.txt").write_text(config_text(model.config, train_cfg),
-                                     encoding="utf-8")
-
-
-def load_checkpoint(path: str | Path) -> tuple[VulnModel, Vocabulary]:
-    """Read a directory written by ``save_checkpoint``.
-
-    Raises DataError when a file is missing, when config.txt lacks a
-    model key or holds a bad value, or when config.txt, the vocabulary
-    and the parameters disagree. Other keys in config.txt are not read.
-    """
-    path = Path(path)
-    for name in ("params.npz", "config.txt", "vocab.tsv"):
-        if not (path / name).is_file():
-            raise DataError(f"no checkpoint at {path} (missing {name})")
-    try:
-        model_kwargs = _typed(
-            _settings((path / "config.txt").read_text(encoding="utf-8")),
-            _MODEL_KEYS)
-        missing = [key for key in _MODEL_KEYS if key not in model_kwargs]
-        if missing:
-            raise ConfigError(f"missing keys {', '.join(missing)}")
-        config = ModelConfig(**model_kwargs)
-    except ConfigError as exc:
-        raise DataError(f"{path / 'config.txt'}: {exc}") from exc
-    vocab = Vocabulary.load(path / "vocab.tsv")
-    if len(vocab) != config.vocab_size:
-        raise DataError(
-            f"{path / 'vocab.tsv'} has {len(vocab)} entries, config.txt "
-            f"says vocab_size={config.vocab_size}")
-    values = tensor.load_params(path / "params.npz")
-    return VulnModel(config, values=values).freeze(), vocab
-
-
-#: The type of each key of config.txt: the fields of ``ModelConfig``
-#: and of ``TrainConfig``, whose ``FocalConfig`` fields are keys
-#: ``focal_<field>``, after the others.
-_MODEL_KEYS = get_type_hints(ModelConfig)
-_TRAIN_KEYS = {key: kind for key, kind in get_type_hints(TrainConfig).items()
-               if kind is not FocalConfig}
-_TRAIN_KEYS.update({f"focal_{key}": kind
-                    for key, kind in get_type_hints(FocalConfig).items()})
-
-
-def config_text(model_cfg: ModelConfig,
-                train_cfg: TrainConfig | None = None) -> str:
-    """The key=value lines of config.txt: the model settings, then the
-    training settings when given, in ``_MODEL_KEYS`` and ``_TRAIN_KEYS``
-    order."""
-    settings = asdict(model_cfg)
-    if train_cfg is not None:
-        settings.update(asdict(train_cfg))
-        focal = settings.pop("focal")
-        settings.update({f"focal_{key}": value for key, value in focal.items()})
-    return "".join(f"{key}={value}\n" for key, value in settings.items())
-
-
-def _settings(text: str) -> dict[str, tuple[int, str]]:
-    """Each key of flat key=value text, with its line number and raw value.
-
-    A key given twice raises ConfigError naming both lines.
-    """
-    settings: dict[str, tuple[int, str]] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise ConfigError(f"config line {lineno}: expected key=value")
-        key = key.strip()
-        if key in settings:
-            raise ConfigError(f"config line {lineno}: key {key!r} already "
-                              f"given on line {settings[key][0]}")
-        settings[key] = (lineno, value.strip())
-    return settings
-
-
-def _typed(settings: dict[str, tuple[int, str]], types: dict) -> dict:
-    """The settings that ``types`` names, each converted to its type."""
-    typed = {}
-    for key, convert in types.items():
-        if key not in settings:
-            continue
-        lineno, value = settings[key]
-        try:
-            typed[key] = convert(value)
-        except ValueError as exc:
-            raise ConfigError(
-                f"config line {lineno}: bad value for {key!r}: {value!r}"
-            ) from exc
-    return typed
-
-
-def parse_run_config(text: str) -> tuple[dict, dict]:
-    """Split flat key=value text into model and training settings.
-
-    Returns (model_kwargs, train_kwargs); unknown keys raise ConfigError
-    so typos in config files fail loudly.
-    """
-    settings = _settings(text)
-    for key, (lineno, _) in settings.items():
-        if key not in _MODEL_KEYS and key not in _TRAIN_KEYS:
-            raise ConfigError(f"config line {lineno}: unknown key {key!r}")
-    model_kwargs = _typed(settings, _MODEL_KEYS)
-    train_kwargs = _typed(settings, _TRAIN_KEYS)
-    focal = {key.removeprefix("focal_"): train_kwargs.pop(key)
-             for key in list(train_kwargs) if key.startswith("focal_")}
-    if focal:
-        train_kwargs["focal"] = FocalConfig(**focal)
-    return model_kwargs, train_kwargs
-
-
-def write_log(log: Sequence[dict], path: str | Path) -> None:
-    """One JSON line per epoch: epoch, train_loss, val_loss, val_f1, val_iou."""
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for entry in log:
-            fh.write(json.dumps(entry, sort_keys=True))
-            fh.write("\n")

@@ -19,7 +19,8 @@ from vulngraph.objectives import FocalConfig
 from vulngraph.semgraph import build_graph, model_inputs
 from vulngraph.synth import PlantedTruth, make_toy_corpus
 from vulngraph.tensor import Matrix, SparseOperator
-from vulngraph.trainer import TrainConfig, _backward_batch, _Helpers, train
+from vulngraph.runfiles import TrainConfig
+from vulngraph.trainer import _backward_batch, _Helpers, train
 
 DESK_MODEL = dict(embed_dim=64, gcn_dim=48, gcn_layers=2, num_classes=11)
 DESK_TRAIN = dict(epochs=200, learning_rate=1e-3, batch_size=8, seed=7)

@@ -18,8 +18,8 @@ from vulngraph.objectives import FocalConfig, focal_loss, iou_1d
 from vulngraph.scanner import scan
 from vulngraph.semgraph import build_graph
 from vulngraph.synth import make_toy_corpus
-from vulngraph.trainer import (TrainConfig, evaluate, prepare_sample,
-                               save_checkpoint, sweep_ensemble)
+from vulngraph.runfiles import TrainConfig, save_checkpoint
+from vulngraph.trainer import evaluate, prepare_sample, sweep_ensemble
 from conftest import (attribute, dense_adjacency, dense_counts, fuzz_snippet,
                       spearman, tiny_model_inputs, to_dense)
 from oracles import backward_node, grad_check, shapley_oracle

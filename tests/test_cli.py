@@ -19,8 +19,8 @@ from vulngraph.model import VulnModel
 from vulngraph.scanner import scan
 from vulngraph.synth import make_toy_corpus
 from vulngraph.tensor import Matrix
-from vulngraph.trainer import (evaluate_samples, load_checkpoint,
-                               prepare_sample, save_checkpoint)
+from vulngraph.runfiles import load_checkpoint, save_checkpoint
+from vulngraph.trainer import evaluate_samples, prepare_sample
 from conftest import count_matrices, run_python
 
 TINY_CONFIG = """\
@@ -139,6 +139,27 @@ class TestExitCodes:
             "given on line 4\n")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("name, command, code", [
+        ("config.txt", "eval", 2), ("vocab.tsv", "analyze", 2),
+        ("data.jsonl", "eval", 2), ("run.cfg", "train", 1)])
+    def test_text_input_that_is_not_utf8_names_the_file(
+            self, tmp_path, dataset, config, checkpoint, name, command, code,
+            capsys):
+        bad = {"config.txt": checkpoint / name, "vocab.tsv": checkpoint / name,
+               "data.jsonl": dataset, "run.cfg": config}[name]
+        bad.write_bytes(bad.read_bytes() + b"\xff\n")
+        source = tmp_path / "one.c"
+        source.write_text(TWO_FUNCTIONS, encoding="utf-8")
+        args = {"eval": ["--checkpoint", checkpoint, "--data", dataset],
+                "analyze": ["--checkpoint", checkpoint, "--file", source],
+                "train": ["--config", config, "--data", dataset,
+                          "--out", tmp_path / "out"]}[command]
+        assert main([command, *map(str, args)]) == code
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1, err
+        assert str(bad) in err
+        assert not (tmp_path / "out").exists()
+
     def test_checkpoint_key_given_twice_is_two(self, dataset, checkpoint,
                                                capsys):
         config = checkpoint / "config.txt"
@@ -184,7 +205,8 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("vulngraph: config error: ")
 
     @pytest.mark.parametrize("setting", [
-        "checkpoint_dir=runs", "sweep_mode=shared", "optimizer=sgd"])
+        "checkpoint_dir=runs", "sweep_mode=shared", "optimizer=sgd",
+        "vocab_size=100000"])
     def test_retired_run_config_key_is_usage_error(self, tmp_path, dataset,
                                                     setting, capsys):
         bad = tmp_path / "bad.cfg"

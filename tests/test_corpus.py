@@ -69,6 +69,16 @@ class TestLoad:
         with pytest.raises(DataError, match=":2"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("line", [
+        "[" * 100_000 + "]" * 100_000, '{"id": ' + "9" * 5_000 + "}"],
+        ids=["nested-100000-deep", "integer-of-5000-digits"])
+    def test_json_past_its_limits_reports_line_number(self, tmp_path, line):
+        path = tmp_path / "d.jsonl"
+        path.write_text('{"id": "a", "source": "int f(){}", "language": "c"}\n'
+                        + line + "\n", encoding="utf-8")
+        with pytest.raises(DataError, match=r"d\.jsonl:2: malformed JSON"):
+            load_dataset(path)
+
     def test_unknown_label_rejected(self, tmp_path):
         path = tmp_path / "d.jsonl"
         write_jsonl(path, [{"id": "a", "source": "x = 1;", "language": "c",

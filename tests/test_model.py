@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from vulngraph import tensor
+from vulngraph import runfiles, tensor
 from vulngraph.errors import ConfigError, GradientError, ShapeError
 from vulngraph.lexer import (PAD_ID, STREAM_CAPACITY, build_vocab, encode,
                              tokenize)
@@ -13,8 +13,9 @@ from vulngraph.model import (ModelConfig, VulnModel, denormalize_lines, fuse,
 from vulngraph.semgraph import build_graph, model_inputs
 from vulngraph.tensor import Matrix, leaf
 from vulngraph.objectives import FocalConfig
-from vulngraph.trainer import (EncodedSample, TrainConfig, _sample_loss,
-                               config_text, parse_run_config)
+from vulngraph.runfiles import (_MODEL_KEYS, TrainConfig, _settings,
+                                _training_settings, _typed, config_text)
+from vulngraph.trainer import EncodedSample, _sample_loss
 from conftest import (HUB_SOURCE, LONG_SOURCE, backward_batch,
                       dense_adjacency, fuzz_snippet, operator_from_dense,
                       poison, tiny_model_inputs)
@@ -622,9 +623,9 @@ class TestConfigAndCheckpoint:
         cfg = ModelConfig(vocab_size=99, embed_dim=32, gcn_dim=16,
                           gcn_layers=3, num_classes=2, embed_weight=0.4,
                           graph_weight=0.6)
-        model_kwargs, train_kwargs = parse_run_config(config_text(cfg))
-        assert ModelConfig(**model_kwargs) == cfg
-        assert train_kwargs == {}
+        settings = _settings(config_text(cfg))
+        assert ModelConfig(**_typed(settings, _MODEL_KEYS)) == cfg
+        assert _training_settings(settings) == {}
 
     def test_invalid_configs(self):
         with pytest.raises(ConfigError):
@@ -635,8 +636,8 @@ class TestConfigAndCheckpoint:
     def test_npz_round_trip_reproduces_outputs(self, tmp_path):
         model, _, _, _, ids, operator = tiny_model_inputs(SOURCE, seed=2)
         path = tmp_path / "m.npz"
-        tensor.save_params(path, model.parameters())
-        restored = VulnModel(model.config, values=tensor.load_params(path))
+        runfiles.save_params(path, model.parameters())
+        restored = VulnModel(model.config, values=runfiles.load_params(path))
         a = model.forward(ids, operator)
         b = restored.forward(ids, operator)
         assert np.array_equal(a.class_logits, b.class_logits)

@@ -20,7 +20,7 @@ from vulngraph import cpus, scanner
 from vulngraph.model import VulnModel
 from vulngraph.scanner import (AnalysisReport, _chunk_size, analyze,
                                extract_functions, render_report, scan)
-from vulngraph.trainer import save_checkpoint
+from vulngraph.runfiles import save_checkpoint
 from conftest import poison, tiny_model_inputs
 
 TWO_FUNCTIONS = """\

@@ -4,7 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
-from vulngraph import tensor
+from vulngraph import runfiles, tensor
 from vulngraph.errors import DataError, GradientError, ShapeError
 from vulngraph.lexer import tokenize
 from vulngraph.semgraph import build_graph
@@ -205,8 +205,8 @@ class TestCheckpoint:
         params = [Parameter(rng.normal(size=(3, 5)) * 1e-7, "a"),
                   Parameter(rng.normal(size=(2, 2)) * 1e9, "b")]
         path = tmp_path / "params.npz"
-        tensor.save_params(path, params)
-        loaded = tensor.load_params(path)
+        runfiles.save_params(path, params)
+        loaded = runfiles.load_params(path)
         for p in params:
             assert np.array_equal(loaded[p.name], p.data)
             assert loaded[p.name].dtype == np.float64
@@ -218,22 +218,25 @@ class TestCheckpoint:
                      id="complex"),
         pytest.param(dict(__format_version__=np.array([1.7]),
                           a=np.zeros(2)), "not integers", id="float-version"),
+        pytest.param(dict(__format_version__=np.array([[1]]),
+                          a=np.zeros(2)), "not one integer",
+                     id="non-scalar-version"),
     ])
     def test_entries_that_are_not_real_numbers_rejected(self, tmp_path,
                                                         entries, message):
         path = tmp_path / "params.npz"
         np.savez(path, **{"__format_version__": np.array(
-            [tensor.CHECKPOINT_FORMAT_VERSION]), **entries})
+            [runfiles.CHECKPOINT_FORMAT_VERSION]), **entries})
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DataError, match=message):
-                tensor.load_params(path)
+                runfiles.load_params(path)
 
     def test_duplicate_names_rejected(self, tmp_path):
         params = [Parameter(np.zeros((1, 1)), "x"),
                   Parameter(np.zeros((1, 1)), "x")]
         with pytest.raises(GradientError, match="duplicate"):
-            tensor.save_params(tmp_path / "p.npz", params)
+            runfiles.save_params(tmp_path / "p.npz", params)
 
 
 class TestGradientOwnership:

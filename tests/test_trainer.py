@@ -21,10 +21,12 @@ from vulngraph.model import ModelConfig, VulnModel
 from vulngraph.objectives import FocalConfig
 from vulngraph.semgraph import build_graph, model_inputs
 from vulngraph.synth import make_toy_corpus
-from vulngraph.trainer import (EncodedSample, TrainConfig, config_text,
-                               evaluate, label_index, load_checkpoint,
-                               parse_run_config, prepare_sample,
-                               save_checkpoint, sweep_ensemble, train,
+from vulngraph.runfiles import (_MODEL_KEYS, TrainConfig, _settings,
+                                _training_settings, _typed, config_text,
+                                load_checkpoint, parse_run_config,
+                                save_checkpoint)
+from vulngraph.trainer import (EncodedSample, evaluate, label_index,
+                               prepare_sample, sweep_ensemble, train,
                                _backward_batch, format_sweep_table)
 
 from conftest import (DESK_MODEL, LONG_SOURCE, backward_batch,
@@ -489,10 +491,9 @@ class TestTrain:
     def test_config_text_round_trip(self, cfg):
         model_cfg = ModelConfig(vocab_size=99, embed_weight=0.25,
                                 graph_weight=0.75)
-        model_kwargs, train_kwargs = parse_run_config(
-            config_text(model_cfg, cfg))
-        assert ModelConfig(**model_kwargs) == model_cfg
-        assert TrainConfig(**train_kwargs) == cfg
+        settings = _settings(config_text(model_cfg, cfg))
+        assert ModelConfig(**_typed(settings, _MODEL_KEYS)) == model_cfg
+        assert TrainConfig(**_training_settings(settings)) == cfg
 
     def test_key_given_twice_is_config_error(self):
         with pytest.raises(ConfigError, match=(
