@@ -1,4 +1,4 @@
-"""Token attribution over a frozen model, and root-cause line selection.
+"""Token attribution over a model, and root-cause line selection.
 
 A token's score is the drop in the predicted class's probability when
 that token is occluded, i.e. its id is replaced by the ``<PAD>`` id,
@@ -11,8 +11,9 @@ Occlusion is computed incrementally by the model's
 ``occluded_probabilities``: it starts from the caller's base pass, and
 per token only the rows within ``gcn_layers`` hops of it are
 recomputed, for a chunk of tokens at a time as arrays of (token, row)
-pairs. ``attribute_tokens`` then runs one full forward (all tokens
-occluded) whatever the length, besides the caller's base pass.
+pairs, so ``attribute_tokens`` runs no full forward besides the
+caller's base pass. ``baseline``, which only the ``attribute`` dump
+reads, runs one: every payload token occluded.
 """
 
 from __future__ import annotations
@@ -32,15 +33,12 @@ from .tensor import SparseOperator
 class Attribution:
     """Per-token and per-line scores for one prediction.
 
-    ``baseline`` is the predicted class's probability with every payload
-    token occluded (the model's output on an empty function, serialized
-    as "phi0" in dumps). One score per stream position; specials score 0.
+    One score per stream position; specials score 0.
     """
 
     token_scores: np.ndarray
     line_scores: dict[int, float]
     target_class: int
-    baseline: float
 
 
 @dataclass(frozen=True)
@@ -52,12 +50,6 @@ class RootCause:
 
 def _payload_positions(stream: TokenStream) -> list[int]:
     return list(range(1, stream.content_len - 1))
-
-
-def _check_frozen(model) -> None:
-    if not getattr(model, "frozen", False):
-        raise AttributionError(
-            "attribution requires a frozen model; call model.freeze() first")
 
 
 def _occluded(ids: np.ndarray, positions: Sequence[int]) -> np.ndarray:
@@ -80,7 +72,6 @@ def attribute_tokens(model, stream: TokenStream,
 
     ``base`` is the model's ``forward`` on the stream's ``model_inputs``.
     """
-    _check_frozen(model)
     probs = base.probabilities
     target = int(np.argmax(probs))
     full_prob = float(probs[target])
@@ -89,14 +80,22 @@ def attribute_tokens(model, stream: TokenStream,
     occluded = model.occluded_probabilities(base, target, payload)
     token_scores = np.zeros(len(stream.tokens))
     token_scores[payload] = full_prob - occluded
-    empty_prob = _target_prob(model, (base.ids, base.operator), target,
-                              payload)
     return Attribution(
         token_scores=token_scores,
         line_scores=aggregate_lines(token_scores, stream),
         target_class=target,
-        baseline=empty_prob,
     )
+
+
+def baseline(model, stream: TokenStream, base: ForwardOutput) -> float:
+    """The predicted class's probability with every payload token
+    occluded: the model's output on an empty function, "phi0" in dumps.
+
+    ``base`` is the model's ``forward`` on the stream's ``model_inputs``.
+    """
+    target = int(np.argmax(base.probabilities))
+    return _target_prob(model, (base.ids, base.operator), target,
+                        _payload_positions(stream))
 
 
 def aggregate_lines(token_scores: np.ndarray,
@@ -179,9 +178,10 @@ def normalize_scores(line_scores: Mapping[int, float]) -> dict[int, float]:
             for line, score in line_scores.items()}
 
 
-def attribution_dump(attribution: Attribution,
-                     root_cause: RootCause | None) -> dict:
-    """JSON-ready dump; token_scores are zero-padded to STREAM_CAPACITY."""
+def attribution_dump(attribution: Attribution, root_cause: RootCause | None,
+                     phi0: float) -> dict:
+    """JSON-ready dump, with the prediction's ``baseline`` as phi0;
+    token_scores are zero-padded to STREAM_CAPACITY."""
     scores = [float(s) for s in attribution.token_scores]
     return {
         "token_scores": scores + [0.0] * (STREAM_CAPACITY - len(scores)),
@@ -192,6 +192,6 @@ def attribution_dump(attribution: Attribution,
             "score": root_cause.score,
             "fallback_used": root_cause.fallback_used,
         },
-        "phi0": attribution.baseline,
+        "phi0": phi0,
         "target_class": attribution.target_class,
     }

@@ -16,7 +16,8 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .attribution import attribute_tokens, attribution_dump, localize
+from .attribution import (attribute_tokens, attribution_dump, baseline,
+                          localize)
 from .corpus import load_dataset, split
 from .errors import ConfigError, DataError, VulnGraphError
 from .lexer import RESERVED
@@ -210,7 +211,8 @@ def _cmd_attribute(args) -> int:
         if output.predicted_class != 0:
             root_cause = localize(output.loc_pred, attribution.line_scores,
                                   record.line_count).root_cause
-        payload = attribution_dump(attribution, root_cause)
+        payload = attribution_dump(attribution, root_cause,
+                                   baseline(model, stream, output))
         payload["function_id"] = record.id
         dumps.append(payload)
     print(json.dumps(dumps, indent=2, sort_keys=True))

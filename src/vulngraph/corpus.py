@@ -1,4 +1,4 @@
-"""Dataset ingestion: labeled C/C++ function records, splits, CWE catalog.
+"""Dataset ingestion: labeled C/C++ function records, splits, class labels.
 
 The on-disk format is JSONL, one record per line:
 
@@ -108,100 +108,92 @@ class FunctionRecord:
                 f"[{self.vul_start}, {self.vul_end}] for a "
                 f"{self.line_count}-line function"
             )
-        catalog = default_catalog()
-        if self.cwe != BINARY_VULNERABLE_LABEL and self.cwe not in catalog:
+        if self.cwe != BINARY_VULNERABLE_LABEL and self.cwe not in _CWE_INDEX:
             raise DataError(
                 f"record {self.id!r}: unknown label {self.cwe!r}; "
-                f"expected one of {sorted(catalog.ids())} or "
+                f"expected one of {sorted(_CWE_INDEX)} or "
                 f"{BINARY_VULNERABLE_LABEL!r}"
             )
 
 
-class CweCatalog:
-    """The ten weakness classes the classifier distinguishes.
+#: Each class's label and description, in class-index order: 0 is
+#: benign, and 1..10 are the weakness classes a multiclass model tells
+#: apart.
+CLASSES: tuple[tuple[str, str], ...] = (
+    ("none", "No vulnerability detected."),
+    ("CWE-119",
+     "Improper Restriction of Operations within the Bounds of a Memory "
+     "Buffer. The code reads or writes outside the buffer it operates on."),
+    ("CWE-264",
+     "Permissions, Privileges, and Access Controls. The code fails to "
+     "enforce intended privilege or access-control boundaries."),
+    ("CWE-125",
+     "Out-of-bounds Read. The code reads data past the end, or before "
+     "the beginning, of the intended buffer."),
+    ("CWE-200",
+     "Exposure of Sensitive Information. The code makes sensitive data "
+     "available to an actor who should not have access to it."),
+    ("CWE-416",
+     "Use After Free. The code references memory after it has been "
+     "freed, which can corrupt state or crash the process."),
+    ("CWE-399",
+     "Resource Management Errors. The code mishandles the creation, "
+     "use, or release of a system resource."),
+    ("CWE-20",
+     "Improper Input Validation. The code uses input without checking "
+     "it, letting malformed data alter control or data flow."),
+    ("CWE-476",
+     "NULL Pointer Dereference. The code dereferences a pointer it "
+     "expects to be valid but that may be NULL."),
+    ("CWE-189",
+     "Numeric Errors. The code performs an improper calculation or "
+     "conversion of numbers, producing unsafe values."),
+    ("CWE-190",
+     "Integer Overflow or Wraparound. The code performs arithmetic that "
+     "can exceed the type's range and wrap to an unexpected value."),
+)
 
-    Class index 0 is reserved for "benign"; indices 1..10 map one-to-one
-    onto the catalog entries below.
+#: Class 1 of a binary model, which every vulnerable record maps to.
+_BINARY_VULNERABLE = (
+    BINARY_VULNERABLE_LABEL,
+    "Vulnerability detected. This model distinguishes vulnerable from "
+    "benign code only; no weakness class is available.")
+
+_CWE_INDEX = {cwe: index for index, (cwe, _) in enumerate(CLASSES) if index}
+
+
+def class_index(record: FunctionRecord, num_classes: int) -> int:
+    """The class of a valid record under a ``num_classes`` model: 0
+    benign, 1 for any label in binary mode (``num_classes`` 2), else the
+    label's index in ``CLASSES``.
+
+    Raises DataError, naming the record, for the class-free label in a
+    multiclass model and for a class the model does not have.
     """
-
-    _ENTRIES: tuple[tuple[str, str], ...] = (
-        ("CWE-119",
-         "Improper Restriction of Operations within the Bounds of a Memory "
-         "Buffer. The code reads or writes outside the buffer it operates on."),
-        ("CWE-264",
-         "Permissions, Privileges, and Access Controls. The code fails to "
-         "enforce intended privilege or access-control boundaries."),
-        ("CWE-125",
-         "Out-of-bounds Read. The code reads data past the end, or before "
-         "the beginning, of the intended buffer."),
-        ("CWE-200",
-         "Exposure of Sensitive Information. The code makes sensitive data "
-         "available to an actor who should not have access to it."),
-        ("CWE-416",
-         "Use After Free. The code references memory after it has been "
-         "freed, which can corrupt state or crash the process."),
-        ("CWE-399",
-         "Resource Management Errors. The code mishandles the creation, "
-         "use, or release of a system resource."),
-        ("CWE-20",
-         "Improper Input Validation. The code uses input without checking "
-         "it, letting malformed data alter control or data flow."),
-        ("CWE-476",
-         "NULL Pointer Dereference. The code dereferences a pointer it "
-         "expects to be valid but that may be NULL."),
-        ("CWE-189",
-         "Numeric Errors. The code performs an improper calculation or "
-         "conversion of numbers, producing unsafe values."),
-        ("CWE-190",
-         "Integer Overflow or Wraparound. The code performs arithmetic that "
-         "can exceed the type's range and wrap to an unexpected value."),
-    )
-
-    def __init__(self) -> None:
-        self._index = {cwe: i + 1 for i, (cwe, _) in enumerate(self._ENTRIES)}
-        self._description = dict(self._ENTRIES)
-        self._by_index = {i + 1: cwe for i, (cwe, _) in enumerate(self._ENTRIES)}
-
-    def __contains__(self, cwe_id: str) -> bool:
-        return cwe_id in self._index
-
-    def __len__(self) -> int:
-        return len(self._index)
-
-    def ids(self) -> tuple[str, ...]:
-        return tuple(cwe for cwe, _ in self._ENTRIES)
-
-    def class_index(self, cwe_id: str) -> int:
-        """Class index 1..10 for a catalog entry."""
-        if cwe_id not in self._index:
-            raise DataError(
-                f"unknown CWE {cwe_id!r}; valid ids: {', '.join(self.ids())}"
-            )
-        return self._index[cwe_id]
-
-    def cwe_for_index(self, index: int) -> str:
-        if index not in self._by_index:
-            raise DataError(f"no CWE mapped to class index {index}")
-        return self._by_index[index]
-
-    def describe(self, cwe_id: str) -> str:
-        if cwe_id not in self._description:
-            raise DataError(
-                f"unknown CWE {cwe_id!r}; valid ids: {', '.join(self.ids())}"
-            )
-        return self._description[cwe_id]
+    if record.cwe is None:
+        return 0
+    if num_classes == 2:
+        return 1
+    if record.cwe == BINARY_VULNERABLE_LABEL:
+        raise DataError(
+            f"record {record.id!r} carries the class-free label "
+            f"{BINARY_VULNERABLE_LABEL!r}; use a binary (num_classes=2) model"
+        )
+    index = _CWE_INDEX[record.cwe]
+    if index >= num_classes:
+        raise DataError(
+            f"record {record.id!r}: label {record.cwe!r} is class {index}; "
+            f"a {num_classes}-class model has classes 0..{num_classes - 1}")
+    return index
 
 
-_DEFAULT_CATALOG = CweCatalog()
-
-
-def default_catalog() -> CweCatalog:
-    return _DEFAULT_CATALOG
-
-
-def describe_cwe(cwe_id: str) -> str:
-    """Static description for a catalog CWE id."""
-    return _DEFAULT_CATALOG.describe(cwe_id)
+def class_label(index: int, num_classes: int) -> tuple[str, str]:
+    """(label, description) of class ``index`` of a ``num_classes`` model:
+    ``CLASSES[index]``, or the class-free ``VULN`` for class 1 of a binary
+    model."""
+    if num_classes == 2 and index == 1:
+        return _BINARY_VULNERABLE
+    return CLASSES[index]
 
 
 def normalize_newlines(text: str) -> str:

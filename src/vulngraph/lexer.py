@@ -268,6 +268,8 @@ class Vocabulary:
             try:
                 text, idx = line.rsplit("\t", 1)
                 idx = int(idx)
+                if idx < 0:
+                    raise ValueError(f"negative id {idx}")
             except ValueError as exc:
                 raise DataError(
                     f"{path}:{lineno}: malformed vocabulary line"

@@ -58,6 +58,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .corpus import CLASSES
 from .errors import (AttributionError, ConfigError, DataError, GradientError,
                      ShapeError)
 from . import tensor
@@ -81,8 +82,9 @@ class ModelConfig:
         for name in ("embed_dim", "gcn_dim", "gcn_layers"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
-        if self.num_classes < 2:
-            raise ConfigError("num_classes must be >= 2")
+        if not 2 <= self.num_classes <= len(CLASSES):
+            raise ConfigError(f"num_classes must be from 2 to {len(CLASSES)}, "
+                              f"got {self.num_classes}")
         _check_fusion(self.embed_weight, self.graph_weight)
 
 
@@ -232,7 +234,6 @@ class VulnModel:
         arrays; the parameters hold those arrays themselves, not copies,
         in their dtype."""
         self.config = config
-        self.frozen = False
         shapes = _parameter_shapes(config)
         if values is None:  # weights drawn in ``shapes`` order, zero biases
             rng = np.random.default_rng(seed)
@@ -250,10 +251,6 @@ class VulnModel:
     def parameters(self) -> list[Parameter]:
         return [self.embedding, self.input_proj, *self.gcn_weights,
                 self.cls_weight, self.cls_bias, self.loc_weight, self.loc_bias]
-
-    def freeze(self) -> "VulnModel":
-        self.frozen = True
-        return self
 
     # -- forward pieces ------------------------------------------------------
 

@@ -111,7 +111,7 @@ def load_checkpoint(path: str | Path) -> tuple[VulnModel, Vocabulary]:
             f"{path / 'vocab.tsv'} has {len(vocab)} entries, config.txt "
             f"says vocab_size={config.vocab_size}")
     values = load_params(path / "params.npz")
-    return VulnModel(config, values=values).freeze(), vocab
+    return VulnModel(config, values=values), vocab
 
 
 def save_params(path: str | Path, params: Iterable[Parameter]) -> None:

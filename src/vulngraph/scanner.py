@@ -29,8 +29,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 from . import cpus
 from .attribution import attribute_tokens, localize, normalize_scores
-from .corpus import (BINARY_VULNERABLE_LABEL, FunctionRecord, default_catalog,
-                     normalize_newlines)
+from .corpus import FunctionRecord, class_label, normalize_newlines
 from .errors import ConfigError, DataError, LexError, VulnGraphError
 from .lexer import (Token, TokenKind, TokenStream, Vocabulary, closers, lex,
                     tokenize)
@@ -43,11 +42,6 @@ SOURCE_EXTENSIONS = {".c", ".h", ".cc", ".cpp", ".hpp"}
 _CPP_EXTENSIONS = {".cc", ".cpp", ".hpp"}
 
 _line = attrgetter("line")
-
-_BINARY_DESCRIPTION = (
-    "Vulnerability detected. This model distinguishes vulnerable from "
-    "benign code only; no weakness class is available."
-)
 
 
 @dataclass
@@ -268,24 +262,17 @@ def analyze(record: FunctionRecord, model: VulnModel, vocab: Vocabulary,
     output = model.forward(*model_inputs(graph, vocab))
     probabilities = output.probabilities
     predicted = output.predicted_class
+    label, description = class_label(predicted, model.config.num_classes)
     report = AnalysisReport(
         function_id=record.id, file=record.file, span=span,
-        predicted_cwe="none", confidence=float(probabilities[predicted]),
-        description="No vulnerability detected.", truncated=stream.truncated)
+        predicted_cwe=label, confidence=float(probabilities[predicted]),
+        description=description, truncated=stream.truncated)
     if stream.truncated:
         report.warnings.append(
             "function exceeded the 512-token window; lines beyond it "
             "cannot be localized")
     if predicted == 0:
         return report
-
-    if model.config.num_classes == 2:
-        report.predicted_cwe = BINARY_VULNERABLE_LABEL
-        report.description = _BINARY_DESCRIPTION
-    else:
-        catalog = default_catalog()
-        report.predicted_cwe = catalog.cwe_for_index(predicted)
-        report.description = catalog.describe(report.predicted_cwe)
 
     attribution = attribute_tokens(model, stream, output)
     where = localize(output.loc_pred, attribution.line_scores,
@@ -359,8 +346,8 @@ def scan(root: str | Path, model: VulnModel, vocab: Vocabulary,
     most one per usable CPU; where fork is unavailable the scan warns
     and runs serially. This process writes every report, logs every
     warning and writes the summary, in file order. Output is
-    deterministic: rerunning on an unchanged tree with the same frozen
-    model reproduces byte-identical files regardless of ``jobs``.
+    deterministic: rerunning on an unchanged tree with the same model
+    reproduces byte-identical files regardless of ``jobs``.
     """
     if fmt not in _SUFFIXES:
         raise DataError(f"unknown report format {fmt!r}")

@@ -46,8 +46,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import cpus
-from .corpus import (BINARY_VULNERABLE_LABEL, DatasetSplit, FunctionRecord,
-                     default_catalog, select)
+from .corpus import DatasetSplit, FunctionRecord, class_index, select
 from .errors import DataError, GradientError, TrainingError
 from .lexer import TokenStream, Vocabulary, build_vocab, tokenize
 from .model import (ModelConfig, VulnModel, denormalize_lines,
@@ -141,20 +140,6 @@ class EncodedSample:
     truth_range: tuple[int, int] | None
 
 
-def label_index(record: FunctionRecord, num_classes: int) -> int:
-    """Class index for a record: 0 benign, 1..10 by catalog, 1 in binary mode."""
-    if record.cwe is None:
-        return 0
-    if num_classes == 2:
-        return 1
-    if record.cwe == BINARY_VULNERABLE_LABEL:
-        raise DataError(
-            f"record {record.id!r} carries the class-free label "
-            f"{BINARY_VULNERABLE_LABEL!r}; use a binary (num_classes=2) model"
-        )
-    return default_catalog().class_index(record.cwe)
-
-
 def prepare_sample(record: FunctionRecord, vocab: Vocabulary, num_classes: int,
                    stream: TokenStream | None = None) -> EncodedSample:
     """Encode a record; ``stream`` is its token stream, when already made."""
@@ -163,7 +148,7 @@ def prepare_sample(record: FunctionRecord, vocab: Vocabulary, num_classes: int,
     ids, operator = model_inputs(graph, vocab)
     return EncodedSample(
         ids=ids, operator=operator,
-        label=label_index(record, num_classes),
+        label=class_index(record, num_classes),
         line_count=record.line_count,
         truth_range=((record.vul_start, record.vul_end)
                      if record.is_vulnerable else None),
@@ -484,7 +469,7 @@ def _fit(vocab: Vocabulary, samples: Sequence[EncodedSample],
     batch_size = min(train_cfg.batch_size, len(samples))
     with _Helpers(_processes(batch_size), batch_size, run) as helpers:
         log = run(helpers)
-    return TrainResult(model=model.freeze(), vocab=vocab, log=log)
+    return TrainResult(model=model, vocab=vocab, log=log)
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -12,7 +12,7 @@ import pytest
 
 import vulngraph
 from vulngraph.attribution import attribute_tokens
-from vulngraph.corpus import default_catalog, split
+from vulngraph.corpus import split
 from vulngraph.lexer import Vocabulary, build_vocab, tokenize
 from vulngraph.model import ModelConfig, VulnModel
 from vulngraph.objectives import FocalConfig
@@ -162,14 +162,14 @@ def fuzz_snippet(rng: random.Random) -> str:
 
 def tiny_model_inputs(source: str, seed: int = 0, num_classes: int = 5,
                       embed_dim: int = 10, gcn_dim: int = 8):
-    """A frozen fresh model plus the model inputs of one snippet."""
+    """A fresh model plus the model inputs of one snippet."""
     stream = tokenize(source)
     vocab = build_vocab([source])
     graph = build_graph(stream)
     ids, operator = model_inputs(graph, vocab)
     config = ModelConfig(vocab_size=len(vocab), embed_dim=embed_dim,
                          gcn_dim=gcn_dim, num_classes=num_classes)
-    model = VulnModel(config, seed=seed).freeze()
+    model = VulnModel(config, seed=seed)
     return model, stream, graph, vocab, ids, operator
 
 
@@ -213,8 +213,3 @@ def toy_run() -> ToyRun:
     return ToyRun(records=records, truth=truth, split=dataset_split,
                   model=result.model, vocab=result.vocab, log=result.log,
                   elapsed_seconds=elapsed)
-
-
-@pytest.fixture()
-def catalog():
-    return default_catalog()

@@ -27,8 +27,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from vulngraph import tensor
-from vulngraph.attribution import (_check_frozen, _payload_positions,
-                                   _target_prob)
+from vulngraph.attribution import _payload_positions, _target_prob
 from vulngraph.errors import AttributionError, GradientError
 from vulngraph.model import normalize_line_range
 from vulngraph.objectives import focal_loss, mse_loss
@@ -225,7 +224,6 @@ def shapley_oracle(model, stream, graph, vocab) -> np.ndarray:
     coalition's tokens present and everything else occluded. Satisfies
     efficiency: the values sum to f(all present) - f(all occluded).
     """
-    _check_frozen(model)
     payload = _payload_positions(stream)
     n = len(payload)
     if n > ORACLE_MAX_TOKENS:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from vulngraph.attribution import (aggregate_lines, attribute_tokens,
-                                   attribution_dump, localize,
+                                   attribution_dump, baseline, localize,
                                    normalize_scores, select_root_cause)
 from vulngraph.errors import AttributionError
 from vulngraph.lexer import PAD_ID, STREAM_CAPACITY, build_vocab, lex, tokenize
@@ -26,7 +26,6 @@ class AdditiveStub:
     the argmax so the predicted class is stable under occlusion.
     """
 
-    frozen = True
     occluded_probabilities = occluded_by_forward_loop
 
     def __init__(self, stream, weights: dict[int, float], base: float = 0.6):
@@ -46,7 +45,6 @@ class ForwardLoop:
     """A model view whose attribution runs one full forward per occluded
     position, the fast path's oracle."""
 
-    frozen = True
     occluded_probabilities = occluded_by_forward_loop
 
     def __init__(self, model):
@@ -60,6 +58,12 @@ def stub_setup(source="a = b + c;"):
     return stream, vocab, graph
 
 
+def phi0(model, stream, graph, vocab):
+    """``baseline`` on the stream's inputs and base forward."""
+    inputs = model_inputs(graph, vocab)
+    return baseline(model, stream, model.forward(*inputs))
+
+
 class TestOcclusion:
     def test_constant_model_scores_zero(self):
         model, stream, graph, vocab, *_ = tiny_model_inputs("a = b + 1;")
@@ -68,7 +72,7 @@ class TestOcclusion:
         attribution = attribute(model, stream, graph, vocab)
         assert np.array_equal(attribution.token_scores,
                               np.zeros_like(attribution.token_scores))
-        assert attribution.baseline == pytest.approx(
+        assert phi0(model, stream, graph, vocab) == pytest.approx(
             1.0 / model.config.num_classes)
 
     def test_linear_surrogate_recovers_coefficients_exactly(self):
@@ -80,7 +84,8 @@ class TestOcclusion:
         for i in payload:
             assert attribution.token_scores[i] == pytest.approx(
                 weights[i], abs=1e-12)
-        assert attribution.baseline == pytest.approx(stub.base, abs=1e-12)
+        assert phi0(stub, stream, graph, vocab) == pytest.approx(
+            stub.base, abs=1e-12)
 
     def test_special_positions_never_scored(self, toy_run):
         record = next(r for r in toy_run.records if r.is_vulnerable)
@@ -98,12 +103,6 @@ class TestOcclusion:
         assert np.array_equal(a.token_scores, b.token_scores)
         assert a.line_scores == b.line_scores
 
-    def test_requires_frozen_model(self):
-        model, stream, graph, vocab, *_ = tiny_model_inputs("a;")
-        model.frozen = False
-        with pytest.raises(AttributionError, match="frozen"):
-            attribute(model, stream, graph, vocab)
-
 
 class TestIncrementalOcclusion:
     @staticmethod
@@ -112,7 +111,7 @@ class TestIncrementalOcclusion:
         config = ModelConfig(vocab_size=len(vocab), embed_dim=10, gcn_dim=8,
                              gcn_layers=gcn_layers, num_classes=num_classes,
                              embed_weight=fusion[0], graph_weight=fusion[1])
-        return VulnModel(config, seed=gcn_layers + num_classes).freeze(), vocab
+        return VulnModel(config, seed=gcn_layers + num_classes), vocab
 
     @staticmethod
     def assert_matches_loop(model, vocab, source):
@@ -121,7 +120,8 @@ class TestIncrementalOcclusion:
         fast = attribute(model, stream, graph, vocab)
         loop = attribute(ForwardLoop(model), stream, graph, vocab)
         assert fast.target_class == loop.target_class
-        assert fast.baseline == loop.baseline
+        assert phi0(model, stream, graph, vocab) == phi0(
+            ForwardLoop(model), stream, graph, vocab)
         np.testing.assert_allclose(fast.token_scores, loop.token_scores,
                                    rtol=0, atol=1e-12)
 
@@ -211,7 +211,7 @@ class TestIncrementalOcclusion:
         vocab = build_vocab([HUB_SOURCE])
         config = ModelConfig(vocab_size=len(vocab), embed_dim=16, gcn_dim=64,
                              gcn_layers=3)
-        model = VulnModel(config, seed=1).freeze()
+        model = VulnModel(config, seed=1)
         stream = tokenize(HUB_SOURCE)
         inputs = model_inputs(build_graph(stream), vocab)
         base = model.forward(*inputs)
@@ -405,7 +405,8 @@ class TestDump:
         attribution = attribute(model, stream, graph, vocab)
         rc = select_root_cause(attribution.line_scores,
                                predicted_start=3, line_count=2)
-        payload = attribution_dump(attribution, rc)
+        payload = attribution_dump(attribution, rc,
+                                   phi0(model, stream, graph, vocab))
         assert set(payload) == {"token_scores", "line_scores", "root_cause",
                                 "phi0", "target_class"}
         assert isinstance(payload["token_scores"], list)

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import logging
 import multiprocessing
+import re
 import sys
 import warnings
 
@@ -13,9 +14,9 @@ import vulngraph.cli as cli
 from vulngraph import cpus
 from vulngraph.attribution import attribute_tokens
 from vulngraph.cli import main
-from vulngraph.corpus import save_dataset, select
+from vulngraph.corpus import load_dataset, save_dataset, select
 from vulngraph.lexer import tokenize
-from vulngraph.model import VulnModel
+from vulngraph.model import ModelConfig, VulnModel
 from vulngraph.scanner import scan
 from vulngraph.synth import make_toy_corpus
 from vulngraph.tensor import Matrix
@@ -195,7 +196,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("setting", [
         "learning_rate=nan", "learning_rate=inf", "embed_weight=nan",
         "w_cls=nan", "w_loc=inf", "seed=-1", "focal_delta=nan",
-        "focal_delta=inf"])
+        "focal_delta=inf", "num_classes=12"])
     def test_non_finite_or_negative_setting_is_config_error(
             self, tmp_path, dataset, setting, capsys):
         bad = tmp_path / "bad.cfg"
@@ -203,6 +204,32 @@ class TestExitCodes:
         assert main(["train", "--config", str(bad), "--data", str(dataset),
                      "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err.startswith("vulngraph: config error: ")
+
+    @pytest.mark.parametrize("command", ["train", "eval", "sweep"])
+    def test_label_past_the_class_count_names_the_record(
+            self, tmp_path, dataset, toy_run, command, capsys):
+        if command == "eval":
+            model = VulnModel(ModelConfig(vocab_size=len(toy_run.vocab),
+                                          embed_dim=16, gcn_dim=12,
+                                          num_classes=5))
+            save_checkpoint(tmp_path / "five", model, toy_run.vocab)
+            args = ["--checkpoint", str(tmp_path / "five")]
+        else:
+            config = tmp_path / "five.cfg"
+            config.write_text(tiny_config("num_classes=5\n"),
+                              encoding="utf-8")
+            args = ["--config", str(config)] + (
+                ["--out", str(tmp_path / "out")] if command == "train"
+                else ["--ratios", "0.5"])
+        assert main([command, *args, "--data", str(dataset)]) == 2
+        err = capsys.readouterr().err
+        named = re.fullmatch(r"vulngraph: data error: record '(.+)': label "
+                             r"'(.+)' is class (\d+); a 5-class model has "
+                             r"classes 0\.\.4\n", err)
+        assert named, err
+        labels = {r.id: r.cwe for r in load_dataset(dataset)}
+        assert labels[named[1]] == named[2]
+        assert int(named[3]) >= 5
 
     @pytest.mark.parametrize("setting", [
         "checkpoint_dir=runs", "sweep_mode=shared", "optimizer=sgd",
@@ -459,7 +486,7 @@ class TestInferenceCost:
         assert main(["analyze", "--checkpoint", str(checkpoint), "--file",
                      str(vulnerable_file)]) == 0
         assert "Classification:  none" not in capsys.readouterr().out
-        assert (len(encoded), len(forwards)) == (1, 2)
+        assert (len(encoded), len(forwards)) == (1, 1)
 
     def test_attribute_per_function(self, tmp_path, checkpoint, monkeypatch,
                                     capsys):

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vulngraph.corpus import (FunctionRecord, describe_cwe, load_dataset,
-                              save_dataset, select, split)
+from vulngraph.corpus import (CLASSES, FunctionRecord, class_index,
+                              class_label, load_dataset, save_dataset, select,
+                              split)
 from vulngraph.errors import DataError
 
 
@@ -181,24 +182,57 @@ class TestSplit:
         assert [r.id for r in picked] == ["r3", "r1"]
 
 
+def labeled(cwe, record_id="v"):
+    return FunctionRecord(id=record_id, source="x;", language="c", cwe=cwe,
+                          vul_start=1, vul_end=1)
+
+
+def describe(cwe):
+    """The description of a label's class in an 11-class model."""
+    return class_label(class_index(labeled(cwe), 11), 11)[1]
+
+
 class TestCatalog:
     def test_describe_null_pointer(self):
-        assert "NULL Pointer Dereference" in describe_cwe("CWE-476")
+        assert "NULL Pointer Dereference" in describe("CWE-476")
 
     def test_describe_integer_overflow(self):
-        assert "Integer Overflow" in describe_cwe("CWE-190")
+        assert "Integer Overflow" in describe("CWE-190")
 
     def test_unknown_id_lists_valid_ids(self):
         with pytest.raises(DataError, match="CWE-119"):
-            describe_cwe("CWE-999")
+            labeled("CWE-999").validate()
 
-    def test_exactly_ten_classes_bijective(self, catalog):
-        assert len(catalog) == 10
-        indices = sorted(catalog.class_index(c) for c in catalog.ids())
+    def test_exactly_ten_classes_bijective(self):
+        cwes = [label for label, _ in CLASSES[1:]]
+        assert len(set(cwes)) == 10
+        indices = sorted(class_index(labeled(cwe), 11) for cwe in cwes)
         assert indices == list(range(1, 11))
-        for cwe in catalog.ids():
-            assert catalog.cwe_for_index(catalog.class_index(cwe)) == cwe
+        for cwe in cwes:
+            assert class_label(class_index(labeled(cwe), 11), 11)[0] == cwe
 
-    def test_descriptions_are_short(self, catalog):
-        for cwe in catalog.ids():
-            assert len(catalog.describe(cwe)) <= 200
+    def test_descriptions_are_short(self):
+        for _, description in [*CLASSES, class_label(1, 2)]:
+            assert len(description) <= 200
+
+    @pytest.mark.parametrize("num_classes", [2, 5, 11])
+    def test_benign_class_in_every_model(self, num_classes):
+        assert class_label(0, num_classes) == (
+            "none", "No vulnerability detected.")
+        benign = FunctionRecord(id="b", source="x;", language="c")
+        assert class_index(benign, num_classes) == 0
+
+    def test_binary_class_is_class_free(self):
+        label, description = class_label(1, 2)
+        assert label == "VULN"
+        assert description.startswith("Vulnerability detected.")
+        assert class_index(labeled("CWE-190"), 2) == 1
+
+    def test_classes_up_to_the_model_count(self):
+        # CWE-200 is class 4 and CWE-416 class 5
+        assert class_index(labeled("CWE-200"), 5) == 4
+        assert class_label(4, 5)[0] == "CWE-200"
+        with pytest.raises(DataError,
+                           match=r"record 'f7': label 'CWE-416' is class 5; "
+                                 r"a 5-class model has classes 0\.\.4"):
+            class_index(labeled("CWE-416", "f7"), 5)

@@ -326,7 +326,7 @@ class TestTapeFreeForward:
         config = ModelConfig(vocab_size=len(vocab), embed_dim=10, gcn_dim=8,
                              gcn_layers=gcn_layers, num_classes=num_classes,
                              embed_weight=fusion[0], graph_weight=fusion[1])
-        return VulnModel(config, seed=gcn_layers + num_classes).freeze(), vocab
+        return VulnModel(config, seed=gcn_layers + num_classes), vocab
 
     @pytest.mark.parametrize("fusion", [(1.0, 0.0), (0.0, 1.0), (0.5, 0.5)])
     @pytest.mark.parametrize("num_classes", [2, 11])
@@ -632,6 +632,10 @@ class TestConfigAndCheckpoint:
             ModelConfig(vocab_size=10, gcn_layers=0)
         with pytest.raises(ConfigError):
             ModelConfig(vocab_size=10, embed_weight=0.7, graph_weight=0.7)
+        for num_classes in (1, 12):  # benign and the ten CWE classes at most
+            message = f"num_classes must be from 2 to 11, got {num_classes}"
+            with pytest.raises(ConfigError, match=message):
+                ModelConfig(vocab_size=10, num_classes=num_classes)
 
     def test_npz_round_trip_reproduces_outputs(self, tmp_path):
         model, _, _, _, ids, operator = tiny_model_inputs(SOURCE, seed=2)

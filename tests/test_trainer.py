@@ -13,7 +13,8 @@ import pytest
 import vulngraph.lexer as lexer_module
 import vulngraph.trainer as trainer_module
 from vulngraph import cli, cpus, tensor
-from vulngraph.corpus import FunctionRecord, save_dataset, select, split
+from vulngraph.corpus import (FunctionRecord, class_index, save_dataset,
+                              select, split)
 from vulngraph.errors import (ConfigError, DataError, GradientError,
                               TrainingError)
 from vulngraph.lexer import build_vocab, tokenize
@@ -25,9 +26,9 @@ from vulngraph.runfiles import (_MODEL_KEYS, TrainConfig, _settings,
                                 _training_settings, _typed, config_text,
                                 load_checkpoint, parse_run_config,
                                 save_checkpoint)
-from vulngraph.trainer import (EncodedSample, evaluate, label_index,
-                               prepare_sample, sweep_ensemble, train,
-                               _backward_batch, format_sweep_table)
+from vulngraph.trainer import (EncodedSample, evaluate, prepare_sample,
+                               sweep_ensemble, train, _backward_batch,
+                               format_sweep_table)
 
 from conftest import (DESK_MODEL, LONG_SOURCE, backward_batch,
                       count_matrices, run_python)
@@ -180,26 +181,26 @@ def no_child_left():
 class TestLabelIndex:
     def test_benign_is_zero(self):
         record = FunctionRecord(id="b", source="x;", language="c")
-        assert label_index(record, 11) == 0
+        assert class_index(record, 11) == 0
 
     def test_multiclass_uses_catalog(self):
         record = FunctionRecord(id="v", source="x;", language="c",
                                 cwe="CWE-119", vul_start=1, vul_end=1)
-        assert label_index(record, 11) == 1
+        assert class_index(record, 11) == 1
         record = FunctionRecord(id="v2", source="x;", language="c",
                                 cwe="CWE-190", vul_start=1, vul_end=1)
-        assert label_index(record, 11) == 10
+        assert class_index(record, 11) == 10
 
     def test_binary_mode_collapses_labels(self):
         record = FunctionRecord(id="v", source="x;", language="c",
                                 cwe="VULN", vul_start=1, vul_end=1)
-        assert label_index(record, 2) == 1
+        assert class_index(record, 2) == 1
 
     def test_classfree_label_needs_binary_model(self):
         record = FunctionRecord(id="v", source="x;", language="c",
                                 cwe="VULN", vul_start=1, vul_end=1)
         with pytest.raises(DataError, match="binary"):
-            label_index(record, 11)
+            class_index(record, 11)
 
 
 def adam_oracle_step(params, m, v, t, lr, beta1=0.9, beta2=0.999,
@@ -600,6 +601,11 @@ class TestCheckpoint:
         pytest.param("vocab.tsv",
                      edit_lines(lambda lines: lines[:len(lines) // 2]),
                      "vocab_size", id="short-vocab"),
+        pytest.param("vocab.tsv", edit_lines(lambda lines: lines + ["x\t-5"]),
+                     "malformed vocabulary line", id="negative-id"),
+        pytest.param("vocab.tsv",
+                     edit_lines(lambda lines: lines + ["<UNK>\t-1"]),
+                     "malformed vocabulary line", id="negative-reserved-id"),
         pytest.param("config.txt", edit_lines(lambda lines: [
             l for l in lines if not l.startswith("embed_weight=")]),
             "missing keys embed_weight", id="no-model-key"),
@@ -609,6 +615,9 @@ class TestCheckpoint:
                      "unexpected parameters", id="extra-parameter"),
         pytest.param("config.txt", set_key("embed_dim", "wide"), "bad value",
                      id="bad-value"),
+        pytest.param("config.txt", set_key("num_classes", 12),
+                     "num_classes must be from 2 to 11, got 12",
+                     id="classes-past-the-catalog"),
         pytest.param("config.txt",
                      edit_lines(lambda lines: lines + lines[2:3]),
                      "line 19: key 'gcn_dim' already given on line 3",
