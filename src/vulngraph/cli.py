@@ -1,8 +1,7 @@
 """Command-line interface.
 
 Subcommands: train, eval, analyze, scan, attribute, sweep. Exit codes:
-0 success, 1 usage error, 2 data error, 3 internal error. The
-VULNGRAPH_SEED environment variable overrides the configured seed.
+0 success, 1 usage error, 2 data error, 3 internal error.
 """
 
 from __future__ import annotations
@@ -11,7 +10,6 @@ import argparse
 import ctypes
 import functools
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -116,14 +114,6 @@ def _load_configs(path: str) -> tuple[ModelConfig, TrainConfig]:
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     model_kwargs, train_kwargs = parse_run_config(text)
-    env_seed = os.environ.get("VULNGRAPH_SEED")
-    if env_seed is not None:
-        try:
-            train_kwargs["seed"] = int(env_seed)
-        except ValueError as exc:
-            raise ConfigError(
-                f"VULNGRAPH_SEED must be an integer, got {env_seed!r}"
-            ) from exc
     # checked at the smallest size, the reserved ids alone: training sizes
     # the model to the vocabulary it builds
     return (ModelConfig(vocab_size=len(RESERVED), **model_kwargs),
@@ -132,12 +122,15 @@ def _load_configs(path: str) -> tuple[ModelConfig, TrainConfig]:
 
 def _functions_from_file(path: str, function: str | None):
     """(record, token stream) of each function in the file, or of the
-    one named ``function``."""
+    one named ``function``. A file that ``scan`` would skip is a
+    DataError that gives the reason."""
     source_path = Path(path)
     if not source_path.is_file():
         raise DataError(f"no such file: {path}")
-    found = (file_functions(source_path, source_path.name) or []
-             if source_path.suffix in SOURCE_EXTENSIONS else [])
+    found, reason = (file_functions(source_path, source_path.name)
+                     if source_path.suffix in SOURCE_EXTENSIONS else ([], None))
+    if reason is not None:
+        raise DataError(reason)
     if function is not None:
         found = [(record, stream) for record, stream in found
                  if record.id.endswith(f":{function}")]

@@ -238,12 +238,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self._ids)
 
-    def __contains__(self, text: str) -> bool:
-        return text in self._ids
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Vocabulary) and self._ids == other._ids
-
     def id_for(self, text: str) -> int:
         return self._ids.get(text, UNK_ID)
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import logging
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 from operator import attrgetter
 from pathlib import Path
@@ -99,11 +100,12 @@ def extract_functions(root: str | Path,
     """
     records: list[FunctionRecord] = []
     for path, rel_path in _source_files(root):
-        found = file_functions(path, rel_path)
-        if found is not None:
-            records.extend(record for record, _ in found)
-        elif skipped is not None:
-            skipped.append(rel_path)
+        found, reason = file_functions(path, rel_path)
+        records.extend(record for record, _ in found)
+        if reason is not None:
+            logger.warning("skipping %s", reason)
+            if skipped is not None:
+                skipped.append(rel_path)
     return records
 
 
@@ -118,33 +120,26 @@ def _source_files(root: str | Path) -> list[tuple[Path, str]]:
 
 
 def file_functions(path: Path, rel_path: str
-                   ) -> list[tuple[FunctionRecord, TokenStream]] | None:
+                   ) -> tuple[list[tuple[FunctionRecord, TokenStream]],
+                              str | None]:
     """Every function definition in one source file, ordered by start
-    line, each with its token stream.
+    line, each with its token stream; and why the file was skipped.
 
-    ``rel_path`` names the file in function ids and reports. CRLF and
-    lone CR line endings read as LF. A file that cannot be read, lexed
-    or balanced gives None, with a warning.
+    ``rel_path`` names the file in function ids, reports and the reason.
+    CRLF and lone CR line endings read as LF. A file that cannot be
+    read, lexed or balanced gives no functions and a reason that names
+    it, such as ``unlexable file a.c: line 2: unterminated string
+    literal``; for any other file the reason is None.
     """
-    found, warning = _cut_file(path, rel_path)
-    if warning is not None:
-        logger.warning("%s", warning)
-        return None
-    return found
-
-
-def _cut_file(path: Path, rel_path: str
-              ) -> tuple[list[tuple[FunctionRecord, TokenStream]], str | None]:
-    """``file_functions``, with the warning returned instead of logged."""
     try:
         text = path.read_text(encoding="utf-8", errors="replace")
         return _functions_in_file(normalize_newlines(text), rel_path), None
     except OSError as exc:
-        return [], f"skipping unreadable file {rel_path}: {exc}"
+        return [], f"unreadable file {rel_path}: {exc}"
     except LexError as exc:
-        return [], f"skipping unlexable file {rel_path}: {exc}"
+        return [], f"unlexable file {rel_path}: {exc}"
     except DataError as exc:
-        return [], f"skipping {rel_path}: {exc}"
+        return [], f"{rel_path}: {exc}"
 
 
 def _functions_in_file(text: str, rel_path: str
@@ -323,7 +318,7 @@ def _check_report_names(files: list[tuple[Path, str]]) -> None:
     """Two files whose reports would share names are a DataError.
 
     A base ends in a source extension, so it is followed by the line
-    only, and only equal bases clash.
+    and the rank on that line only, and only equal bases clash.
     """
     seen: dict[str, str] = {}
     for _, rel_path in files:
@@ -362,9 +357,9 @@ def scan(root: str | Path, model: VulnModel, vocab: Vocabulary,
     skipped: list[str] = []
     n_files = n_functions = 0
     results = _scan_files(files, model, vocab, fmt, jobs)
-    for (_, rel_path), (reports, warning) in zip(files, results, strict=True):
-        if warning is not None:
-            logger.warning("%s", warning)
+    for (_, rel_path), (reports, reason) in zip(files, results, strict=True):
+        if reason is not None:
+            logger.warning("skipping %s", reason)
             skipped.append(rel_path)
         n_files += bool(reports)
         n_functions += len(reports)
@@ -393,10 +388,15 @@ class _Rendered(NamedTuple):
 def _scan_file(path: Path, rel_path: str, model: VulnModel,
                vocab: Vocabulary, fmt: str
                ) -> tuple[list[_Rendered], str | None]:
-    """One scan task: the file's rendered reports and its warning, if
-    the file is skipped."""
-    found, warning = _cut_file(path, rel_path)
+    """One scan task: the file's rendered reports and why the file was
+    skipped, as ``file_functions`` gives it.
+
+    A report is named after its function's start line; a later function
+    that starts on the same line adds its rank there, as in ``__L1_2``.
+    """
+    found, reason = file_functions(path, rel_path)
     reports = []
+    starts: Counter[int] = Counter()
     for record, stream in found:
         report = _run(record, model, vocab, stream)
         if fmt == "json":
@@ -404,9 +404,12 @@ def _scan_file(path: Path, rel_path: str, model: VulnModel,
                               sort_keys=True) + "\n"
         else:
             text = render_report(report, record.source)
-        name = f"{_report_base(rel_path)}__L{report.span[0]}{_SUFFIXES[fmt]}"
+        line = report.span[0]
+        starts[line] += 1
+        rank = "" if starts[line] == 1 else f"_{starts[line]}"
+        name = f"{_report_base(rel_path)}__L{line}{rank}{_SUFFIXES[fmt]}"
         reports.append(_Rendered(name, text, report.predicted_cwe))
-    return reports, warning
+    return reports, reason
 
 
 def _run(record: FunctionRecord, model: VulnModel, vocab: Vocabulary,

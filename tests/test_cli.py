@@ -270,7 +270,7 @@ class TestExitCodes:
                              ids=["file", "under-file"])
     @pytest.mark.parametrize("command, module, work", [
         ("train", "trainer", "train"),
-        ("scan", "scanner", "_cut_file")])
+        ("scan", "scanner", "file_functions")])
     def test_out_at_a_file_fails_before_any_work(self, tmp_path, dataset,
                                                  config, checkpoint,
                                                  monkeypatch, command, module,
@@ -293,13 +293,6 @@ class TestExitCodes:
         assert calls == []
         assert blocker.read_text(encoding="utf-8") == "keep\n"
 
-    def test_negative_seed_env_is_config_error(self, tmp_path, dataset,
-                                                config, monkeypatch, capsys):
-        monkeypatch.setenv("VULNGRAPH_SEED", "-1")
-        assert main(["train", "--config", str(config), "--data", str(dataset),
-                     "--out", str(tmp_path / "out")]) == 1
-        assert "seed must be >= 0" in capsys.readouterr().err
-
 
 class TestTrainEval:
     def test_train_writes_checkpoint_and_log(self, tmp_path, dataset, config,
@@ -320,19 +313,6 @@ class TestTrainEval:
                      str(dataset)]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert "accuracy" in payload and "f1" in payload
-
-    def test_seed_env_override(self, tmp_path, dataset, config, monkeypatch,
-                               capsys):
-        out_a = tmp_path / "a"
-        out_b = tmp_path / "b"
-        monkeypatch.setenv("VULNGRAPH_SEED", "11")
-        assert main(["train", "--config", str(config), "--data", str(dataset),
-                     "--out", str(out_a)]) == 0
-        monkeypatch.setenv("VULNGRAPH_SEED", "12")
-        assert main(["train", "--config", str(config), "--data", str(dataset),
-                     "--out", str(out_b)]) == 0
-        assert (out_a / "params.npz").read_bytes() != \
-            (out_b / "params.npz").read_bytes()
 
 
 class TestAnalyzeSurface:
@@ -405,6 +385,25 @@ class TestAnalyzeSurface:
         assert main(["analyze", "--checkpoint", str(checkpoint), "--file",
                      str(source)]) == 2
         assert "no function definitions found" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["analyze", "attribute"])
+    @pytest.mark.parametrize("name, text, reason", [
+        ("open.c", 'int f(void) {\n    return puts("open);\n}\n',
+         "unlexable file open.c: line 2: unterminated string literal"),
+        ("unbalanced.c", "int f(void) {\n    return 0;\n",
+         "unbalanced.c: unbalanced braces after line 1")])
+    def test_file_that_scan_skips_is_one_line_data_error(
+            self, tmp_path, checkpoint, command, name, text, reason, caplog,
+            capsys):
+        source = tmp_path / name
+        source.write_text(text, encoding="utf-8")
+        with caplog.at_level(logging.WARNING, logger="vulngraph"):
+            assert main([command, "--checkpoint", str(checkpoint), "--file",
+                         str(source)]) == 2
+        assert [r.getMessage() for r in caplog.records] == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"vulngraph: data error: {reason}\n"
 
     def test_attribute_dumps_schema(self, tmp_path, checkpoint, toy_run,
                                     capsys):

@@ -215,7 +215,7 @@ class TestVocabulary:
         vocab = build_vocab(["int f(){return 0;}"], min_count=1)
         assert len(vocab) == 13  # nine distinct tokens + four reserved
         for text in ("int", "f", "(", ")", "{", "return", "0", ";", "}"):
-            assert text in vocab
+            assert vocab.id_for(text) != UNK_ID
 
     def test_min_count_prunes_everything(self):
         vocab = build_vocab(["int f(){return 0;}"], min_count=99)
@@ -224,7 +224,7 @@ class TestVocabulary:
     def test_equal_token_multisets_give_equal_vocabs(self):
         a = build_vocab(["int a; int b;", "b = a;"])
         b = build_vocab(["int a;", "int b; b = a;"])
-        assert a == b
+        assert a.items() == b.items()
 
     def test_ordering_by_count_then_text(self):
         vocab = build_vocab(["z z z a a b"])
@@ -236,7 +236,7 @@ class TestVocabulary:
         vocab = build_vocab(["int f(){return 0;}"])
         path = tmp_path / "vocab.tsv"
         vocab.save(path)
-        assert Vocabulary.load(path) == vocab
+        assert Vocabulary.load(path).items() == vocab.items()
         first = path.read_text(encoding="utf-8").splitlines()[0]
         assert first == "<PAD>\t0"
 
@@ -247,7 +247,7 @@ class TestVocabulary:
     def test_round_trip_keeps_line_break_characters(self, tmp_path, source):
         vocab = build_vocab([source])
         vocab.save(tmp_path / "vocab.tsv")
-        assert Vocabulary.load(tmp_path / "vocab.tsv") == vocab
+        assert Vocabulary.load(tmp_path / "vocab.tsv").items() == vocab.items()
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.one_of(st.text(), C_TEXT), min_size=1, max_size=3))
@@ -256,13 +256,13 @@ class TestVocabulary:
         vocab = build_vocab(sources)
         path = tmp_path_factory.mktemp("vocab") / "vocab.tsv"
         vocab.save(path)
-        assert Vocabulary.load(path) == vocab
+        assert Vocabulary.load(path).items() == vocab.items()
 
     def test_spliced_literal_encodes_as_unknown(self):
         source = 's = "a\\\nb";'
         vocab = build_vocab([source])
         literal = tokenize(source).payload()[2]
-        assert "\n" in literal.text and literal.text not in vocab
+        assert "\n" in literal.text and vocab.id_for(literal.text) == UNK_ID
         assert encode(tokenize(source), vocab)[3] == UNK_ID
         assert len(vocab) == 4 + 3  # s, =, ;
 

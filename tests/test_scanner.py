@@ -260,7 +260,7 @@ def cut_one(tmp_path: Path, text: str):
     """The one (record, stream) of a file holding ``text``."""
     path = tmp_path / "f.c"
     path.write_text(text, encoding="utf-8")
-    [(record, stream)] = scanner.file_functions(path, "f.c")
+    [(record, stream)], _ = scanner.file_functions(path, "f.c")
     return record, stream
 
 
@@ -353,7 +353,7 @@ class TestStreamsFromTheFileLex:
         with tempfile.TemporaryDirectory() as root:
             path = Path(root) / "gen.c"
             path.write_text(text, encoding="utf-8")
-            found = scanner.file_functions(path, "gen.c")
+            found, _ = scanner.file_functions(path, "gen.c")
         assert len(found) == text.count("static int f")
         for record, stream in found:
             assert stream == tokenize(record.source), record.id
@@ -512,14 +512,14 @@ class TestScan:
                                                  monkeypatch):
         record = select(toy_run.records, toy_run.split.train)[0]
         src = write_tree(tmp_path, [record])
-        cut = scanner._cut_file
+        cut = scanner.file_functions
 
         def cut_then_edit(path, rel_path):
             found = cut(path, rel_path)
             path.write_text("int edited(void) {\n}\n", encoding="utf-8")
             return found
 
-        monkeypatch.setattr(scanner, "_cut_file", cut_then_edit)
+        monkeypatch.setattr(scanner, "file_functions", cut_then_edit)
         scan(src, toy_run.model, toy_run.vocab, tmp_path / "out", fmt="text")
         excerpt = (tmp_path / "out" / "f0.c__L1.txt").read_text(
             encoding="utf-8").split("\n\n", 1)[1]
@@ -686,6 +686,29 @@ class TestWorkers:
         assert scan_bytes(src, toy_run, tmp_path / "o1", fmt="text",
                           jobs=1) == \
             scan_bytes(src, toy_run, tmp_path / "o2", fmt="text", jobs=2)
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_functions_sharing_a_start_line_each_get_a_report(
+            self, tmp_path, toy_run, two_cpus, fmt):
+        src = tmp_path / "src"
+        src.mkdir()
+        (src / "one.c").write_text(
+            "int f(int a) { return a + 1; } int g(char *p) { char b[4]; "
+            "strcpy(b, p); return b[0]; }\n"
+            "int h(void) {\n    return 0;\n}\n", encoding="utf-8")
+        (src / "two.c").write_text("int k(void) {\n    return 1;\n}\n",
+                                   encoding="utf-8")
+        written = [scan_bytes(src, toy_run, tmp_path / f"o{jobs}", fmt=fmt,
+                              jobs=jobs) for jobs in (1, 2)]
+        assert written[0] == written[1]
+        suffix = {"json": ".json", "text": ".txt"}[fmt]
+        reports = {name: text for name, text in written[0].items()
+                   if "__L" in name}
+        assert set(reports) == {f"one.c__L1{suffix}", f"one.c__L1_2{suffix}",
+                                f"one.c__L2{suffix}", f"two.c__L1{suffix}"}
+        assert b"one.c:1:f" in reports[f"one.c__L1{suffix}"]
+        assert b"one.c:1:g" in reports[f"one.c__L1_2{suffix}"]
+        assert b"one.c:1:g" not in reports[f"one.c__L1{suffix}"]
 
     @pytest.mark.parametrize("n_files, workers, size", [
         (6, 2, 3), (96, 2, 4), (7, 2, 4), (1, 1, 1)])

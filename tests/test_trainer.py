@@ -445,7 +445,8 @@ class TestTrain:
         result = train(records, ds, cfg, tiny_train_cfg(epochs=1))
         used = select(records, ds.train) + select(records, ds.val)
         assert sorted(tokenized) == sorted(r.source for r in used)
-        assert result.vocab == build_vocab(select(records, ds.train))
+        assert result.vocab.items() == \
+            build_vocab(select(records, ds.train)).items()
 
     def test_validation_records_no_tape(self, monkeypatch, tmp_path,
                                         use_cpus):
@@ -587,7 +588,7 @@ class TestCheckpoint:
                           + EARLIER_TRAIN_LINES, encoding="utf-8")
         model, vocab = load_checkpoint(ckpt)
         assert model.config == toy_run.model.config
-        assert vocab == toy_run.vocab
+        assert vocab.items() == toy_run.vocab.items()
         for pa, pb in zip(toy_run.model.parameters(), model.parameters()):
             assert np.array_equal(pa.data, pb.data)
         assert evaluate(model, records, vocab).to_json() == evaluate(
