@@ -17,14 +17,14 @@ from . import __version__
 from .attribution import (attribute_tokens, attribution_dump, baseline,
                           localize)
 from .corpus import load_dataset, split
-from .errors import ConfigError, DataError, VulnGraphError
+from .errors import ConfigError, DataError, SourceError, VulnGraphError
 from .lexer import RESERVED
 from .model import ModelConfig
 from .runfiles import (TrainConfig, load_checkpoint, parse_run_config,
                        save_checkpoint, write_log)
 from .scanner import (SOURCE_EXTENSIONS, analyze, file_functions,
                       render_report, scan)
-from .semgraph import build_graph, model_inputs
+from .semgraph import model_inputs
 from .trainer import evaluate, format_sweep_table, sweep_ensemble, train
 
 EXIT_OK = 0
@@ -198,7 +198,13 @@ def _cmd_attribute(args) -> int:
     model, vocab = load_checkpoint(args.checkpoint)
     dumps = []
     for record, stream in _functions_from_file(args.file, args.function):
-        output = model.forward(*model_inputs(build_graph(stream), vocab))
+        try:
+            inputs = model_inputs(stream, vocab)
+        except SourceError as exc:  # a line of the file, as in reports
+            raise DataError(f"function {record.id!r}: "
+                            f"{exc.shifted(record.file_start_line - 1)}"
+                            ) from exc
+        output = model.forward(*inputs)
         attribution = attribute_tokens(model, stream, output)
         root_cause = None
         if output.predicted_class != 0:

@@ -17,16 +17,28 @@ class DataError(VulnGraphError):
     """Invalid dataset content: malformed records, bad labels, bad files."""
 
 
-class LexError(DataError):
-    """Source text could not be lexed. Carries the offending line."""
+class SourceError(DataError):
+    """Bad source text, found on the line that the message names."""
+
+    template = "line {line}: {message}"
 
     def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
+        super().__init__(self.template.format(message=message, line=line))
+        self.message, self.line = message, line
+
+    def shifted(self, offset: int) -> "SourceError":
+        """The error ``offset`` lines down: a function's line in its file."""
+        return type(self)(self.message, self.line + offset)
 
 
-class GraphBuildError(DataError):
+class LexError(SourceError):
+    """Source text could not be lexed."""
+
+
+class GraphBuildError(SourceError):
     """Token graph construction failed (e.g. unbalanced parentheses)."""
+
+    template = "{message} on line {line}"
 
 
 class ShapeError(VulnGraphError):

@@ -284,21 +284,13 @@ class Vocabulary:
         return cls([text for _, text in entries])
 
 
-def build_vocab(records: Iterable, min_count: int = 1) -> Vocabulary:
-    """Count payload tokens over a corpus and keep those seen often enough.
-
-    ``records`` may be FunctionRecords (their ``source`` is lexed),
-    plain strings, or token streams already made from them. Tokens below
-    ``min_count`` or holding a newline (spliced literals) fall back to
-    <UNK> at encode time.
-    """
+def build_vocab(streams: Iterable[TokenStream],
+                min_count: int = 1) -> Vocabulary:
+    """Count payload tokens over a corpus's token streams and keep those
+    seen often enough; tokens below ``min_count`` or holding a newline
+    (spliced literals) fall back to <UNK> at encode time."""
     counts: Counter[str] = Counter()
-    for record in records:
-        if isinstance(record, TokenStream):
-            stream = record
-        else:
-            stream = tokenize(record if isinstance(record, str)
-                              else record.source)
+    for stream in streams:
         for token in stream.payload():
             counts[token.text] += 1
     kept = [t for t, c in counts.items() if c >= min_count and "\n" not in t]

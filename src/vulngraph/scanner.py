@@ -31,11 +31,12 @@ from typing import Iterator, NamedTuple, Sequence
 from . import cpus
 from .attribution import attribute_tokens, localize, normalize_scores
 from .corpus import FunctionRecord, class_label, normalize_newlines
-from .errors import ConfigError, DataError, LexError, VulnGraphError
+from .errors import (ConfigError, DataError, LexError, SourceError,
+                     VulnGraphError)
 from .lexer import (Token, TokenKind, TokenStream, Vocabulary, closers, lex,
                     tokenize)
 from .model import VulnModel
-from .semgraph import build_graph, model_inputs
+from .semgraph import model_inputs
 
 logger = logging.getLogger(__name__)
 
@@ -241,20 +242,22 @@ def analyze(record: FunctionRecord, model: VulnModel, vocab: Vocabulary,
     """Run the full pipeline on one function.
 
     ``stream`` is the record's token stream, when already made; else the
-    source is tokenized here. Lexing failures produce a report marked
-    unanalyzable instead of raising, so a single pathological function
-    cannot stop a scan.
+    source is tokenized here. A function that cannot be lexed or graphed
+    gets a report marked unanalyzable instead of raising, so a single
+    pathological function cannot stop a scan; its error gives the line
+    in file coordinates, as the span does.
     """
     span = _span(record)
     offset = span[0] - 1
     try:
         if stream is None:
             stream = tokenize(record.source)
-        graph = build_graph(stream)
-    except (LexError, DataError) as exc:
-        return _unanalyzable(record, str(exc))
+        inputs = model_inputs(stream, vocab)
+    except DataError as exc:
+        return _unanalyzable(record, str(
+            exc.shifted(offset) if isinstance(exc, SourceError) else exc))
 
-    output = model.forward(*model_inputs(graph, vocab))
+    output = model.forward(*inputs)
     probabilities = output.probabilities
     predicted = output.predicted_class
     label, description = class_label(predicted, model.config.num_classes)

@@ -16,52 +16,24 @@ These are explicit lexical surrogates: deterministic and computable
 without a parser, not a reproduction of any parser-based construction.
 Each family returns its edges as two index arrays, (src, dst).
 
-The edge multiset becomes a sparse operator over the stream's n
-positions, built from the index arrays without an n x n array:
-multiplicity counts are symmetrized (elementwise max with the transpose)
-and given self-loops, then each row is normalized to sum to 1. The
-result is a ``tensor.SparseOperator`` with a few entries per row.
-Streams carry no padding, so the operator only ever mixes the
-function's own tokens.
+The graph is kept only as its operator. ``build_graph`` turns the edge
+multiset into a sparse operator over the stream's n positions, built
+from the index arrays without an n x n array: multiplicity counts are
+symmetrized (elementwise max with the transpose) and given self-loops,
+then each row is normalized to sum to 1. The result is a
+``tensor.SparseOperator`` with a few entries per row. Streams carry no
+padding, so the operator only ever mixes the function's own tokens.
+``model_inputs`` is the one step from a stream to the model's inputs:
+its ids and its operator.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from enum import IntEnum
 
 import numpy as np
 
 from .errors import GraphBuildError
 from .lexer import Token, TokenKind, TokenStream, Vocabulary, closers, encode
 from .tensor import SparseOperator
-
-
-class EdgeKind(IntEnum):
-    """The edge families, as the codes ``SemanticGraph.kind`` holds."""
-
-    SEQUENTIAL = 0
-    CONTROL = 1
-    DATA = 2
-    POACHER = 3
-
-
-@dataclass(frozen=True, eq=False)
-class SemanticGraph:
-    """A stream, its typed edges, and the derived sparse operator.
-
-    Edge i runs from position ``src[i]`` to ``dst[i]`` and belongs to
-    family ``EdgeKind(kind[i])``; the families follow each other in
-    ``EdgeKind`` order. ``operator`` is the row-normalized,
-    row-stochastic operator over the ``content_len`` positions; its
-    pattern is symmetric and every row holds its self-loop.
-    """
-
-    stream: TokenStream
-    src: np.ndarray
-    dst: np.ndarray
-    kind: np.ndarray
-    operator: SparseOperator
 
 
 #: Keywords that introduce control flow.
@@ -136,9 +108,7 @@ def control_edges(stream: TokenStream, parens: dict[int, int]) -> Edges:
                 if stream.truncated:
                     continue
                 raise GraphBuildError(
-                    f"unbalanced parentheses after {tok.text!r} "
-                    f"on line {tok.line}"
-                )
+                    f"unbalanced parentheses after {tok.text!r}", tok.line)
             target = close + 1
         elif tok.text in _JUMP_STATEMENTS:
             semi = _find_text(tokens, i + 1, ";", last_payload + 1)
@@ -209,21 +179,21 @@ def poacher_edges(stream: TokenStream, parens: dict[int, int]) -> Edges:
     return _edges(src, dst)
 
 
-def build_graph(stream: TokenStream) -> SemanticGraph:
-    """Union the four edge families and derive the sparse operator.
+def build_graph(stream: TokenStream) -> SparseOperator:
+    """The row-normalized operator of the union of the four edge families
+    over the stream's ``content_len`` positions.
 
-    Multi-edges from different families stack: the multiplicity count
-    feeds normalization, so overlapping evidence weighs more.
+    The operator is row-stochastic, its pattern is symmetric, and every
+    row holds its self-loop. Multi-edges from different families stack:
+    the multiplicity count feeds normalization, so overlapping evidence
+    weighs more.
     """
     parens = closers(stream.tokens, "(", ")")
     families = [sequential_edges(stream), control_edges(stream, parens),
                 data_edges(stream), poacher_edges(stream, parens)]
-    src = np.concatenate([edges[0] for edges in families])
-    dst = np.concatenate([edges[1] for edges in families])
-    kind = np.repeat(np.arange(len(families), dtype=np.int8),
-                     [edges[0].size for edges in families])
-    return SemanticGraph(stream=stream, src=src, dst=dst, kind=kind,
-                         operator=_operator(stream.content_len, src, dst))
+    return _operator(stream.content_len,
+                     np.concatenate([edges[0] for edges in families]),
+                     np.concatenate([edges[1] for edges in families]))
 
 
 def _operator(n: int, src: np.ndarray, dst: np.ndarray) -> SparseOperator:
@@ -250,8 +220,11 @@ def _operator(n: int, src: np.ndarray, dst: np.ndarray) -> SparseOperator:
                           counts / degree[cols])
 
 
-def model_inputs(graph: SemanticGraph, vocab: Vocabulary
+def model_inputs(stream: TokenStream, vocab: Vocabulary
                  ) -> tuple[np.ndarray, SparseOperator]:
-    """Token ids of the stream and the operator over them."""
-    ids = np.asarray(encode(graph.stream, vocab), dtype=np.int64)
-    return ids, graph.operator
+    """Token ids of the stream and the graph's operator over them.
+
+    Raises GraphBuildError for a stream that cannot be graphed.
+    """
+    operator = build_graph(stream)
+    return np.asarray(encode(stream, vocab), dtype=np.int64), operator

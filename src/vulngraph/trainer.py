@@ -40,8 +40,9 @@ platform cannot fork, training runs in one process.
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -57,7 +58,7 @@ from .runfiles import TrainConfig
 # perfbench's fixture script, set-up probe and traced targets name these
 # here, and perfbench changes only with the benchmark itself.
 from .runfiles import load_checkpoint, save_checkpoint  # noqa: F401
-from .semgraph import build_graph, model_inputs
+from .semgraph import model_inputs
 from .tensor import Parameter, SparseOperator
 
 
@@ -140,12 +141,22 @@ class EncodedSample:
     truth_range: tuple[int, int] | None
 
 
+@contextmanager
+def _naming(record: FunctionRecord) -> Iterator[None]:
+    """A DataError raised inside names the record, as a class error does."""
+    try:
+        yield
+    except DataError as exc:
+        raise DataError(f"record {record.id!r}: {exc}") from exc
+
+
 def prepare_sample(record: FunctionRecord, vocab: Vocabulary, num_classes: int,
                    stream: TokenStream | None = None) -> EncodedSample:
-    """Encode a record; ``stream`` is its token stream, when already made."""
-    graph = build_graph(stream if stream is not None
-                        else tokenize(record.source))
-    ids, operator = model_inputs(graph, vocab)
+    """Encode a record; ``stream`` is its token stream, when already made.
+    A source that cannot be lexed or graphed is a DataError naming it."""
+    with _naming(record):
+        ids, operator = model_inputs(
+            stream if stream is not None else tokenize(record.source), vocab)
     return EncodedSample(
         ids=ids, operator=operator,
         label=class_index(record, num_classes),
@@ -427,7 +438,10 @@ def _prepare(records: Sequence[FunctionRecord], split: DatasetSplit,
     val_records = select(records, split.val)
     if not train_records:
         raise TrainingError("empty train split")
-    streams = [tokenize(r.source) for r in train_records]
+    streams = []
+    for record in train_records:
+        with _naming(record):
+            streams.append(tokenize(record.source))
     vocab = build_vocab(streams, min_count=min_count)
     samples = [_for_training(prepare_sample(r, vocab, num_classes, s))
                for r, s in zip(train_records, streams)]
@@ -534,8 +548,7 @@ def _train(helpers: _Helpers, model: VulnModel, state: np.ndarray,
             val_loss = float(np.mean([
                 _sample_loss(logits, loc, s, cfg)[0]
                 for s, (logits, loc) in zip(val_samples, val_heads)]))
-            report = _metrics(val_samples, val_heads,
-                              model.config.num_classes)
+            report = _metrics(model, val_samples, val_heads)
             val_f1 = report.f1
             val_iou = report.mean_iou
         log.append({
@@ -575,15 +588,13 @@ def _heads(model: VulnModel, sample: EncodedSample
     return out.class_logits, out.loc_pred
 
 
-def evaluate_samples(model: VulnModel, samples: Sequence[EncodedSample],
-                     num_classes: int) -> MetricsReport:
-    return _metrics(samples, [_heads(model, s) for s in samples],
-                    num_classes)
+def evaluate_samples(model: VulnModel, samples: Sequence[EncodedSample]
+                     ) -> MetricsReport:
+    return _metrics(model, samples, [_heads(model, s) for s in samples])
 
 
-def _metrics(samples: Sequence[EncodedSample],
-             heads: Sequence[tuple[np.ndarray, tuple]],
-             num_classes: int) -> MetricsReport:
+def _metrics(model: VulnModel, samples: Sequence[EncodedSample],
+             heads: Sequence[tuple[np.ndarray, tuple]]) -> MetricsReport:
     """Classification and localization metrics of the samples, given
     each one's heads: its class logits and its predicted line range."""
     if not samples:
@@ -602,7 +613,7 @@ def _metrics(samples: Sequence[EncodedSample],
             vulnerable_ious.append(iou)
             if pred != 0:
                 tp_ious.append(iou)
-    report = classification_metrics(preds, truths, num_classes)
+    report = classification_metrics(preds, truths, model.config.num_classes)
     report.mean_iou = float(np.mean(tp_ious)) if tp_ious else None
     report.mean_iou_vulnerable = (
         float(np.mean(vulnerable_ious)) if vulnerable_ious else None)
@@ -617,9 +628,9 @@ def evaluate(model: VulnModel, records: Sequence[FunctionRecord],
     predicted vulnerable; ``mean_iou_vulnerable`` over all truly
     vulnerable records regardless of the predicted class.
     """
-    num_classes = model.config.num_classes
-    samples = [prepare_sample(r, vocab, num_classes) for r in records]
-    return evaluate_samples(model, samples, num_classes)
+    samples = [prepare_sample(r, vocab, model.config.num_classes)
+               for r in records]
+    return evaluate_samples(model, samples)
 
 
 def sweep_ensemble(records: Sequence[FunctionRecord], split: DatasetSplit,
@@ -647,7 +658,7 @@ def sweep_ensemble(records: Sequence[FunctionRecord], split: DatasetSplit,
     rows: list[dict] = []
     for cfg in configs:
         model = _fit(vocab, samples, val_samples, cfg, train_cfg).model
-        report = evaluate_samples(model, test_samples, cfg.num_classes)
+        report = evaluate_samples(model, test_samples)
         rows.append({
             "embed_weight": cfg.embed_weight,
             "graph_weight": cfg.graph_weight,

@@ -13,10 +13,11 @@ import pytest
 import vulngraph
 from vulngraph.attribution import attribute_tokens
 from vulngraph.corpus import split
-from vulngraph.lexer import Vocabulary, build_vocab, tokenize
+from vulngraph.lexer import Vocabulary, build_vocab, closers, tokenize
 from vulngraph.model import ModelConfig, VulnModel
 from vulngraph.objectives import FocalConfig
-from vulngraph.semgraph import build_graph, model_inputs
+from vulngraph.semgraph import (control_edges, data_edges, model_inputs,
+                                poacher_edges, sequential_edges)
 from vulngraph.synth import PlantedTruth, make_toy_corpus
 from vulngraph.tensor import Matrix, SparseOperator
 from vulngraph.runfiles import TrainConfig
@@ -35,6 +36,19 @@ LONG_SOURCE = ("int fill(char *buf, int n) {\n"
 #: call, so its operator row holds 252 entries, far past the padded width.
 HUB_SOURCE = ("void hub(void) {\n    memcpy("
               + ", ".join(f"a{i}" for i in range(250)) + ");\n}")
+
+#: ``g`` on lines 1-5, then ``f`` on lines 7-10, whose condition on line 8
+#: never closes: the file lexes, and ``f`` cannot be graphed.
+UNGRAPHABLE_FILE = ("int g(int x) {\n    int y = x + 1;\n    y = y * 2;\n"
+                    "    return y;\n}\n\nint f(int x) {\n    if (x {\n"
+                    "        return 1;\n    } return 0; }\n")
+
+#: A record source that cannot be lexed and one that cannot be graphed,
+#: each with the error it gives in its own line numbering.
+UNLEXABLE_SOURCE = ('int f(void) {\n    puts("open);\n}',
+                    "line 2: unterminated string literal")
+UNGRAPHABLE_SOURCE = ("int f(int x) {\n    if (x { return 1; }\n}",
+                      "unbalanced parentheses after 'if' on line 2")
 
 
 def backward_batch(model, batch, cfg):
@@ -69,23 +83,34 @@ def run_python(script: str, *args) -> subprocess.CompletedProcess:
         capture_output=True, text=True, env=env, timeout=120)
 
 
-def dense_counts(graph) -> np.ndarray:
-    """The graph's edge multiplicities in an n x n array, symmetrized by
-    the elementwise max with the transpose and given self-loops."""
-    n = graph.stream.content_len
+def families(stream) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """The stream's four edge families, each as its (src, dst) arrays."""
+    parens = closers(stream.tokens, "(", ")")
+    return {"sequential": sequential_edges(stream),
+            "control": control_edges(stream, parens),
+            "data": data_edges(stream),
+            "poacher": poacher_edges(stream, parens)}
+
+
+def dense_counts(stream) -> np.ndarray:
+    """The edge multiplicities of the stream's four families in an n x n
+    array, symmetrized by the elementwise max with the transpose and
+    given self-loops."""
+    n = stream.content_len
     counts = np.zeros((n, n))
-    for src, dst in zip(graph.src, graph.dst):
-        counts[src, dst] += 1.0
+    for edges in families(stream).values():
+        for src, dst in zip(*edges):
+            counts[src, dst] += 1.0
     counts = np.maximum(counts, counts.T)
     counts[np.arange(n), np.arange(n)] += 1.0
     return counts
 
 
-def dense_adjacency(graph) -> np.ndarray:
-    """The graph's operator built densely from its edges, as it once was:
-    ``dense_counts`` with each row divided by its sum. The oracle of
-    ``build_graph``'s sparse operator."""
-    counts = dense_counts(graph)
+def dense_adjacency(stream) -> np.ndarray:
+    """The stream's graph operator built densely from the edge families,
+    as it once was: ``dense_counts`` with each row divided by its sum.
+    The oracle of ``build_graph``'s sparse operator."""
+    counts = dense_counts(stream)
     return counts / counts.sum(axis=1, keepdims=True)
 
 
@@ -164,13 +189,12 @@ def tiny_model_inputs(source: str, seed: int = 0, num_classes: int = 5,
                       embed_dim: int = 10, gcn_dim: int = 8):
     """A fresh model plus the model inputs of one snippet."""
     stream = tokenize(source)
-    vocab = build_vocab([source])
-    graph = build_graph(stream)
-    ids, operator = model_inputs(graph, vocab)
+    vocab = build_vocab([stream])
+    ids, operator = model_inputs(stream, vocab)
     config = ModelConfig(vocab_size=len(vocab), embed_dim=embed_dim,
                          gcn_dim=gcn_dim, num_classes=num_classes)
     model = VulnModel(config, seed=seed)
-    return model, stream, graph, vocab, ids, operator
+    return model, stream, vocab, ids, operator
 
 
 def poison(model, damage):
@@ -182,9 +206,9 @@ def poison(model, damage):
         model.gcn_weights[0].data[...] = 1e308
 
 
-def attribute(model, stream, graph, vocab):
+def attribute(model, stream, vocab):
     """``attribute_tokens`` on the stream's inputs and base forward."""
-    inputs = model_inputs(graph, vocab)
+    inputs = model_inputs(stream, vocab)
     return attribute_tokens(model, stream, model.forward(*inputs))
 
 

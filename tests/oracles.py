@@ -217,7 +217,7 @@ def occluded_by_forward_loop(model, base, target, payload) -> np.ndarray:
                      for position in payload])
 
 
-def shapley_oracle(model, stream, graph, vocab) -> np.ndarray:
+def shapley_oracle(model, stream, vocab) -> np.ndarray:
     """Exact Shapley value per payload token (test-scale only).
 
     The coalition value is the predicted class's probability with the
@@ -230,7 +230,7 @@ def shapley_oracle(model, stream, graph, vocab) -> np.ndarray:
         raise AttributionError(
             f"oracle enumerates 2^n coalitions; {n} payload tokens exceed "
             f"the cap of {ORACLE_MAX_TOKENS}")
-    inputs = model_inputs(graph, vocab)
+    inputs = model_inputs(stream, vocab)
     target = int(np.argmax(model.forward(*inputs).probabilities))
 
     values: dict[int, float] = {}

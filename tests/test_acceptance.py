@@ -20,8 +20,8 @@ from vulngraph.semgraph import build_graph
 from vulngraph.synth import make_toy_corpus
 from vulngraph.runfiles import TrainConfig, save_checkpoint
 from vulngraph.trainer import evaluate, prepare_sample, sweep_ensemble
-from conftest import (attribute, dense_adjacency, dense_counts, fuzz_snippet,
-                      spearman, tiny_model_inputs, to_dense)
+from conftest import (attribute, dense_adjacency, dense_counts, families,
+                      fuzz_snippet, spearman, tiny_model_inputs, to_dense)
 from oracles import backward_node, grad_check, shapley_oracle
 
 
@@ -35,7 +35,7 @@ def test_criterion_1_gradient_audit():
     started = time.time()
     worst = 0.0
     for seed in range(5):
-        model, _, _, _, ids, operator = tiny_model_inputs(
+        model, _, _, ids, operator = tiny_model_inputs(
             "int f(){int a;return a+1;}", seed=seed, num_classes=11,
             embed_dim=8, gcn_dim=6)
         assert len(ids) == 16
@@ -97,7 +97,7 @@ def test_criterion_4_residual_identity_and_fusion_endpoints():
     residual_ok = True
     for seed in range(3):
         source = fuzz_snippet(random.Random(seed))
-        model, _, _, _, ids, operator = tiny_model_inputs(
+        model, _, _, ids, operator = tiny_model_inputs(
             source, seed=seed)
         for w in model.gcn_weights:
             w.data[...] = 0.0
@@ -124,11 +124,11 @@ def test_criterion_5_attribution_soundness():
     correlations = []
     for seed in range(20):
         source = snippets[seed % len(snippets)]
-        model, stream, graph, vocab, ids, operator = tiny_model_inputs(
+        model, stream, vocab, ids, operator = tiny_model_inputs(
             source, seed=seed)
         payload = list(range(1, stream.content_len - 1))
         assert len(payload) <= 10
-        values = shapley_oracle(model, stream, graph, vocab)
+        values = shapley_oracle(model, stream, vocab)
         probabilities = model.forward(ids, operator).probabilities
         target = int(np.argmax(probabilities))
         full = probabilities[target]
@@ -137,7 +137,7 @@ def test_criterion_5_attribution_soundness():
         empty = model.forward(occluded, operator).probabilities[target]
         worst_efficiency = max(worst_efficiency,
                                abs(values.sum() - (full - empty)))
-        occlusion = attribute(model, stream, graph, vocab)
+        occlusion = attribute(model, stream, vocab)
         window = slice(1, stream.content_len - 1)
         correlations.append(spearman(occlusion.token_scores[window],
                                      values[window]))
@@ -146,12 +146,11 @@ def test_criterion_5_attribution_soundness():
     # linear surrogate: occlusion must recover the coefficients exactly
     from test_attribution import AdditiveStub
     stream = tokenize("a = b + c;")
-    vocab = build_vocab(["a = b + c;"])
-    graph = build_graph(stream)
+    vocab = build_vocab([stream])
     coefficients = {i: 0.01 * (i + 1)
                     for i in range(1, stream.content_len - 1)}
     stub = AdditiveStub(stream, coefficients)
-    recovered = attribute(stub, stream, graph, vocab)
+    recovered = attribute(stub, stream, vocab)
     linear_ok = all(
         abs(recovered.token_scores[i] - coefficients[i]) < 1e-12
         for i in coefficients)
@@ -217,19 +216,20 @@ def test_criterion_8_graph_invariants():
     checked = 0
     for _ in range(200):
         stream = tokenize(fuzz_snippet(rng))
-        graph = build_graph(stream)
+        operator = build_graph(stream)
         active = stream.content_len
-        counts = dense_counts(graph)
+        counts = dense_counts(stream)
         assert np.array_equal(counts, counts.T), "counts not symmetric"
-        adjacency = to_dense(graph.operator)
+        adjacency = to_dense(operator)
         shape = (active, active)
-        assert graph.operator.n == active and adjacency.shape == shape, \
+        assert operator.n == active and adjacency.shape == shape, \
             "operator not content_len x content_len"
-        assert np.array_equal(adjacency, dense_adjacency(graph)), \
+        assert np.array_equal(adjacency, dense_adjacency(stream)), \
             "operator does not normalize the symmetric counts"
         row_sums = adjacency.sum(axis=1)
         assert np.all(np.abs(row_sums - 1.0) <= 1e-12), "rows not stochastic"
-        assert (graph.src < active).all() and (graph.dst < active).all(), \
+        assert all((src < active).all() and (dst < active).all()
+                   for src, dst in families(stream).values()), \
             "edge into PAD"
         checked += 1
     report(8, "graph invariants", checked == 200,

@@ -12,7 +12,7 @@ from vulngraph.errors import AttributionError
 from vulngraph.lexer import PAD_ID, STREAM_CAPACITY, build_vocab, lex, tokenize
 import vulngraph.model as model_module
 from vulngraph.model import ModelConfig, VulnModel
-from vulngraph.semgraph import build_graph, model_inputs
+from vulngraph.semgraph import model_inputs
 from conftest import (HUB_SOURCE, LONG_SOURCE, attribute, fuzz_snippet,
                       operator_from_dense, spearman, tiny_model_inputs)
 from oracles import ORACLE_MAX_TOKENS, occluded_by_forward_loop, shapley_oracle
@@ -53,53 +53,50 @@ class ForwardLoop:
 
 def stub_setup(source="a = b + c;"):
     stream = tokenize(source)
-    vocab = build_vocab([source])
-    graph = build_graph(stream)
-    return stream, vocab, graph
+    return stream, build_vocab([stream])
 
 
-def phi0(model, stream, graph, vocab):
+def phi0(model, stream, vocab):
     """``baseline`` on the stream's inputs and base forward."""
-    inputs = model_inputs(graph, vocab)
+    inputs = model_inputs(stream, vocab)
     return baseline(model, stream, model.forward(*inputs))
 
 
 class TestOcclusion:
     def test_constant_model_scores_zero(self):
-        model, stream, graph, vocab, *_ = tiny_model_inputs("a = b + 1;")
+        model, stream, vocab, *_ = tiny_model_inputs("a = b + 1;")
         for p in model.parameters():
             p.data[...] = 0.0
-        attribution = attribute(model, stream, graph, vocab)
+        attribution = attribute(model, stream, vocab)
         assert np.array_equal(attribution.token_scores,
                               np.zeros_like(attribution.token_scores))
-        assert phi0(model, stream, graph, vocab) == pytest.approx(
+        assert phi0(model, stream, vocab) == pytest.approx(
             1.0 / model.config.num_classes)
 
     def test_linear_surrogate_recovers_coefficients_exactly(self):
-        stream, vocab, graph = stub_setup()
+        stream, vocab = stub_setup()
         payload = range(1, stream.content_len - 1)
         weights = {i: 0.01 * (i + 1) for i in payload}
         stub = AdditiveStub(stream, weights)
-        attribution = attribute(stub, stream, graph, vocab)
+        attribution = attribute(stub, stream, vocab)
         for i in payload:
             assert attribution.token_scores[i] == pytest.approx(
                 weights[i], abs=1e-12)
-        assert phi0(stub, stream, graph, vocab) == pytest.approx(
+        assert phi0(stub, stream, vocab) == pytest.approx(
             stub.base, abs=1e-12)
 
     def test_special_positions_never_scored(self, toy_run):
         record = next(r for r in toy_run.records if r.is_vulnerable)
         stream = tokenize(record.source)
-        graph = build_graph(stream)
-        attribution = attribute(toy_run.model, stream, graph, toy_run.vocab)
+        attribution = attribute(toy_run.model, stream, toy_run.vocab)
         assert attribution.token_scores[0] == 0.0
         assert attribution.token_scores[stream.content_len - 1] == 0.0
         assert attribution.token_scores.shape == (stream.content_len,)
 
     def test_deterministic(self):
-        model, stream, graph, vocab, *_ = tiny_model_inputs("x = y; y = x;")
-        a = attribute(model, stream, graph, vocab)
-        b = attribute(model, stream, graph, vocab)
+        model, stream, vocab, *_ = tiny_model_inputs("x = y; y = x;")
+        a = attribute(model, stream, vocab)
+        b = attribute(model, stream, vocab)
         assert np.array_equal(a.token_scores, b.token_scores)
         assert a.line_scores == b.line_scores
 
@@ -107,7 +104,7 @@ class TestOcclusion:
 class TestIncrementalOcclusion:
     @staticmethod
     def model_for(sources, gcn_layers, num_classes, fusion):
-        vocab = build_vocab(sources)
+        vocab = build_vocab(map(tokenize, sources))
         config = ModelConfig(vocab_size=len(vocab), embed_dim=10, gcn_dim=8,
                              gcn_layers=gcn_layers, num_classes=num_classes,
                              embed_weight=fusion[0], graph_weight=fusion[1])
@@ -116,12 +113,11 @@ class TestIncrementalOcclusion:
     @staticmethod
     def assert_matches_loop(model, vocab, source):
         stream = tokenize(source)
-        graph = build_graph(stream)
-        fast = attribute(model, stream, graph, vocab)
-        loop = attribute(ForwardLoop(model), stream, graph, vocab)
+        fast = attribute(model, stream, vocab)
+        loop = attribute(ForwardLoop(model), stream, vocab)
         assert fast.target_class == loop.target_class
-        assert phi0(model, stream, graph, vocab) == phi0(
-            ForwardLoop(model), stream, graph, vocab)
+        assert phi0(model, stream, vocab) == phi0(
+            ForwardLoop(model), stream, vocab)
         np.testing.assert_allclose(fast.token_scores, loop.token_scores,
                                    rtol=0, atol=1e-12)
 
@@ -169,8 +165,7 @@ class TestIncrementalOcclusion:
         model, vocab = self.model_for([source], gcn_layers, 11, (0.5, 0.5))
         stream = tokenize(source)
         assert not stream.truncated
-        graph = build_graph(stream)
-        loop = attribute(ForwardLoop(model), stream, graph, vocab)
+        loop = attribute(ForwardLoop(model), stream, vocab)
         payload = stream.content_len - 2
         pooled_shifts = model_module._pooled_shifts
         chunks = []
@@ -183,13 +178,13 @@ class TestIncrementalOcclusion:
         for budget, expected_chunks in ((1, payload), (10**6, 1)):
             monkeypatch.setattr(model_module, "OCCLUSION_CHUNK_PAIRS", budget)
             chunks.clear()
-            fast = attribute(model, stream, graph, vocab)
+            fast = attribute(model, stream, vocab)
             assert len(chunks) == expected_chunks
             np.testing.assert_allclose(fast.token_scores, loop.token_scores,
                                        rtol=0, atol=1e-12)
 
     def test_matches_forward_without_self_loops(self):
-        model, stream, graph, vocab, ids, _ = tiny_model_inputs(
+        model, stream, vocab, ids, _ = tiny_model_inputs(
             "a = b + c; d = a;")
         n = ids.size
         rng = np.random.default_rng(5)
@@ -208,12 +203,12 @@ class TestIncrementalOcclusion:
 
     def test_hub_memory_is_bounded(self):
         """As one chunk this call peaks at about 520 MiB; chunked, at 4."""
-        vocab = build_vocab([HUB_SOURCE])
+        vocab = build_vocab([tokenize(HUB_SOURCE)])
         config = ModelConfig(vocab_size=len(vocab), embed_dim=16, gcn_dim=64,
                              gcn_layers=3)
         model = VulnModel(config, seed=1)
         stream = tokenize(HUB_SOURCE)
-        inputs = model_inputs(build_graph(stream), vocab)
+        inputs = model_inputs(stream, vocab)
         base = model.forward(*inputs)
         payload = range(1, stream.content_len - 1)
         tracemalloc.start()
@@ -237,14 +232,14 @@ class TestIncrementalOcclusion:
         monkeypatch.setattr(VulnModel, "forward", counting)
         for source in ("a = b;", LONG_SOURCE):
             stream = tokenize(source)
-            inputs = model_inputs(build_graph(stream), vocab)
+            inputs = model_inputs(stream, vocab)
             base = model.forward(*inputs)
             calls.clear()
             attribute_tokens(model, stream, base)
             assert len(calls) <= 1
 
     def test_non_finite_probability_is_attribution_error(self):
-        model, stream, graph, vocab, ids, operator = \
+        model, stream, vocab, ids, operator = \
             tiny_model_inputs("a = b;")
         base = model.forward(ids, operator)
         model.gcn_weights[0].data[0, 0] = np.nan
@@ -254,32 +249,32 @@ class TestIncrementalOcclusion:
 
 class TestShapleyOracle:
     def test_single_token_game(self):
-        stream, vocab, graph = stub_setup(";")
+        stream, vocab = stub_setup(";")
         assert stream.content_len == 3
         stub = AdditiveStub(stream, {1: 0.2})
-        values = shapley_oracle(stub, stream, graph, vocab)
+        values = shapley_oracle(stub, stream, vocab)
         assert values[1] == pytest.approx(0.2, abs=1e-12)
 
     def test_symmetric_tokens_get_equal_values(self):
-        model, stream, graph, vocab, *_ = tiny_model_inputs("w w;", seed=4)
+        model, stream, vocab, *_ = tiny_model_inputs("w w;", seed=4)
         # identical token text at two payload positions plus symmetric
         # handling: swap-invariance of the stub makes values equal
         stub = AdditiveStub(stream, {1: 0.05, 2: 0.05, 3: 0.01})
-        values = shapley_oracle(stub, stream, graph, vocab)
+        values = shapley_oracle(stub, stream, vocab)
         assert values[1] == pytest.approx(values[2], abs=1e-12)
 
     def test_additive_game_equals_marginals(self):
-        stream, vocab, graph = stub_setup("a = b;")
+        stream, vocab = stub_setup("a = b;")
         weights = {i: 0.02 * i for i in range(1, stream.content_len - 1)}
         stub = AdditiveStub(stream, weights)
-        values = shapley_oracle(stub, stream, graph, vocab)
-        occlusion = attribute(stub, stream, graph, vocab)
+        values = shapley_oracle(stub, stream, vocab)
+        occlusion = attribute(stub, stream, vocab)
         np.testing.assert_allclose(values, occlusion.token_scores, atol=1e-12)
 
     def test_efficiency_on_real_model(self):
-        model, stream, graph, vocab, ids, operator = tiny_model_inputs(
+        model, stream, vocab, ids, operator = tiny_model_inputs(
             "p->q = r;", seed=8)
-        values = shapley_oracle(model, stream, graph, vocab)
+        values = shapley_oracle(model, stream, vocab)
         probabilities = model.forward(ids, operator).probabilities
         target = int(np.argmax(probabilities))
         full = probabilities[target]
@@ -290,19 +285,19 @@ class TestShapleyOracle:
 
     def test_payload_cap(self):
         source = " ".join(f"x{i};" for i in range(10))  # 20 payload tokens
-        stream, vocab, graph = stub_setup(source)
+        stream, vocab = stub_setup(source)
         assert stream.content_len - 2 > ORACLE_MAX_TOKENS
         model, *_ = tiny_model_inputs("a;")
         with pytest.raises(AttributionError, match="cap"):
-            shapley_oracle(model, stream, graph, vocab)
+            shapley_oracle(model, stream, vocab)
 
     def test_rank_agreement_with_occlusion(self):
         correlations = []
         for seed in range(6):
-            model, stream, graph, vocab, *_ = tiny_model_inputs(
+            model, stream, vocab, *_ = tiny_model_inputs(
                 "buf[i] = c;", seed=seed)
-            occlusion = attribute(model, stream, graph, vocab)
-            oracle = shapley_oracle(model, stream, graph, vocab)
+            occlusion = attribute(model, stream, vocab)
+            oracle = shapley_oracle(model, stream, vocab)
             payload = slice(1, stream.content_len - 1)
             correlations.append(spearman(occlusion.token_scores[payload],
                                          oracle[payload]))
@@ -401,12 +396,12 @@ class TestNormalize:
 
 class TestDump:
     def test_dump_schema(self):
-        model, stream, graph, vocab, *_ = tiny_model_inputs("a = b;\nb = 1;")
-        attribution = attribute(model, stream, graph, vocab)
+        model, stream, vocab, *_ = tiny_model_inputs("a = b;\nb = 1;")
+        attribution = attribute(model, stream, vocab)
         rc = select_root_cause(attribution.line_scores,
                                predicted_start=3, line_count=2)
         payload = attribution_dump(attribution, rc,
-                                   phi0(model, stream, graph, vocab))
+                                   phi0(model, stream, vocab))
         assert set(payload) == {"token_scores", "line_scores", "root_cause",
                                 "phi0", "target_class"}
         assert isinstance(payload["token_scores"], list)

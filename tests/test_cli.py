@@ -14,7 +14,7 @@ import vulngraph.cli as cli
 from vulngraph import cpus
 from vulngraph.attribution import attribute_tokens
 from vulngraph.cli import main
-from vulngraph.corpus import load_dataset, save_dataset, select
+from vulngraph.corpus import load_dataset, save_dataset, select, split
 from vulngraph.lexer import tokenize
 from vulngraph.model import ModelConfig, VulnModel
 from vulngraph.scanner import scan
@@ -22,7 +22,8 @@ from vulngraph.synth import make_toy_corpus
 from vulngraph.tensor import Matrix
 from vulngraph.runfiles import load_checkpoint, save_checkpoint
 from vulngraph.trainer import evaluate_samples, prepare_sample
-from conftest import count_matrices, run_python
+from conftest import (UNGRAPHABLE_FILE, UNGRAPHABLE_SOURCE, UNLEXABLE_SOURCE,
+                      count_matrices, run_python)
 
 TINY_CONFIG = """\
 embed_dim=16
@@ -231,6 +232,33 @@ class TestExitCodes:
         assert labels[named[1]] == named[2]
         assert int(named[3]) >= 5
 
+    @pytest.mark.parametrize("command, part", [
+        ("train", "train"), ("train", "val"), ("eval", "test"),
+        ("sweep", "train"), ("sweep", "test")])
+    @pytest.mark.parametrize("source, error", [
+        UNLEXABLE_SOURCE, UNGRAPHABLE_SOURCE], ids=["lex", "graph"])
+    def test_record_that_cannot_be_lexed_or_graphed_is_named(
+            self, tmp_path, dataset, config, checkpoint, command, part,
+            source, error, capsys):
+        # the record of the split's part is made benign and unreadable;
+        # train records are tokenized ahead of the others, for the
+        # vocabulary
+        records = load_dataset(dataset)
+        bad_id = getattr(split(records, seed=3), part)[0]
+        save_dataset([dataclasses.replace(
+            r, source=source, cwe=None, vul_start=None, vul_end=None)
+            if r.id == bad_id else r for r in records], dataset)
+        args = {"train": ["--config", str(config), "--out",
+                          str(tmp_path / "out")],
+                "eval": ["--checkpoint", str(checkpoint)],
+                "sweep": ["--config", str(config),
+                          "--ratios", "0.5"]}[command]
+        assert main([command, *args, "--data", str(dataset)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == \
+            f"vulngraph: data error: record {bad_id!r}: {error}\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("setting", [
         "checkpoint_dir=runs", "sweep_mode=shared", "optimizer=sgd",
         "vocab_size=100000"])
@@ -405,6 +433,30 @@ class TestAnalyzeSurface:
         assert captured.out == ""
         assert captured.err == f"vulngraph: data error: {reason}\n"
 
+    def test_unanalyzable_function_gives_the_file_line(self, tmp_path,
+                                                       checkpoint, capsys):
+        source = tmp_path / "paren.c"
+        source.write_text(UNGRAPHABLE_FILE, encoding="utf-8")
+        assert main(["analyze", "--checkpoint", str(checkpoint), "--file",
+                     str(source), "--function", "f"]) == 0
+        out = capsys.readouterr().out
+        assert "Function:        paren.c:7:f\n" in out
+        assert "Error:           unbalanced parentheses after 'if' on " \
+            "line 8\n" in out
+        assert "   8 |     if (x {\n" in out
+
+    def test_attribute_of_an_ungraphable_function_names_it(
+            self, tmp_path, checkpoint, capsys):
+        source = tmp_path / "paren.c"
+        source.write_text(UNGRAPHABLE_FILE, encoding="utf-8")
+        assert main(["attribute", "--checkpoint", str(checkpoint), "--file",
+                     str(source)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "vulngraph: data error: function 'paren.c:7:f': unbalanced "
+            "parentheses after 'if' on line 8\n")
+
     def test_attribute_dumps_schema(self, tmp_path, checkpoint, toy_run,
                                     capsys):
         vuln = next(r for r in select(toy_run.records, toy_run.split.train)
@@ -523,7 +575,7 @@ class TestInferenceCost:
         monkeypatch.setattr(cpus, "usable_cpus", lambda: (2, can_fork))
         taped = count_calls(monkeypatch, "tensor", "from_op")
         matrices = count_matrices(monkeypatch, tmp_path)
-        evaluate_samples(toy_run.model, samples, 11)
+        evaluate_samples(toy_run.model, samples)
         # nor does any other production path build a tape value
         model, vocab = load_checkpoint(checkpoint)
         VulnModel(model.config, seed=1)

@@ -212,28 +212,28 @@ class TestCharacterLoopOracle:
 
 class TestVocabulary:
     def test_single_record_corpus(self):
-        vocab = build_vocab(["int f(){return 0;}"], min_count=1)
+        vocab = build_vocab([tokenize("int f(){return 0;}")], min_count=1)
         assert len(vocab) == 13  # nine distinct tokens + four reserved
         for text in ("int", "f", "(", ")", "{", "return", "0", ";", "}"):
             assert vocab.id_for(text) != UNK_ID
 
     def test_min_count_prunes_everything(self):
-        vocab = build_vocab(["int f(){return 0;}"], min_count=99)
+        vocab = build_vocab([tokenize("int f(){return 0;}")], min_count=99)
         assert len(vocab) == 4
 
     def test_equal_token_multisets_give_equal_vocabs(self):
-        a = build_vocab(["int a; int b;", "b = a;"])
-        b = build_vocab(["int a;", "int b; b = a;"])
+        a = build_vocab(map(tokenize, ["int a; int b;", "b = a;"]))
+        b = build_vocab(map(tokenize, ["int a;", "int b; b = a;"]))
         assert a.items() == b.items()
 
     def test_ordering_by_count_then_text(self):
-        vocab = build_vocab(["z z z a a b"])
+        vocab = build_vocab([tokenize("z z z a a b")])
         assert vocab.id_for("z") == 4
         assert vocab.id_for("a") == 5
         assert vocab.id_for("b") == 6
 
     def test_save_load_round_trip(self, tmp_path):
-        vocab = build_vocab(["int f(){return 0;}"])
+        vocab = build_vocab([tokenize("int f(){return 0;}")])
         path = tmp_path / "vocab.tsv"
         vocab.save(path)
         assert Vocabulary.load(path).items() == vocab.items()
@@ -245,7 +245,7 @@ class TestVocabulary:
         "a \x85 b;", "a \x1c\x1d\x1e\v b;", 's = "\u2029";',
     ])
     def test_round_trip_keeps_line_break_characters(self, tmp_path, source):
-        vocab = build_vocab([source])
+        vocab = build_vocab([tokenize(source)])
         vocab.save(tmp_path / "vocab.tsv")
         assert Vocabulary.load(tmp_path / "vocab.tsv").items() == vocab.items()
 
@@ -253,14 +253,14 @@ class TestVocabulary:
     @given(st.lists(st.one_of(st.text(), C_TEXT), min_size=1, max_size=3))
     def test_round_trip_on_arbitrary_text(self, tmp_path_factory, sources):
         sources = [s for s in sources if s and lexes(s) is not None]
-        vocab = build_vocab(sources)
+        vocab = build_vocab(map(tokenize, sources))
         path = tmp_path_factory.mktemp("vocab") / "vocab.tsv"
         vocab.save(path)
         assert Vocabulary.load(path).items() == vocab.items()
 
     def test_spliced_literal_encodes_as_unknown(self):
         source = 's = "a\\\nb";'
-        vocab = build_vocab([source])
+        vocab = build_vocab([tokenize(source)])
         literal = tokenize(source).payload()[2]
         assert "\n" in literal.text and vocab.id_for(literal.text) == UNK_ID
         assert encode(tokenize(source), vocab)[3] == UNK_ID
@@ -281,12 +281,12 @@ class TestEncode:
 
     def test_unknown_token_maps_to_unk(self):
         stream = tokenize("mystery_name;")
-        vocab = build_vocab(["other;"])
+        vocab = build_vocab([tokenize("other;")])
         ids = encode(stream, vocab)
         assert ids[1] == 3  # <UNK>
         assert ids[2] == vocab.id_for(";")
 
     def test_deterministic(self):
         source = "int f(){return 0;}"
-        vocab = build_vocab([source])
+        vocab = build_vocab([tokenize(source)])
         assert encode(tokenize(source), vocab) == encode(tokenize(source), vocab)

@@ -26,7 +26,7 @@ SOURCE = "int f(){int a;return a+1;}"
 
 def stream_ids(source=SOURCE):
     """The vocabulary and the ids of every stream position."""
-    vocab = build_vocab([source])
+    vocab = build_vocab([tokenize(source)])
     return vocab, np.asarray(encode(tokenize(source), vocab), dtype=np.int64)
 
 
@@ -73,14 +73,14 @@ class TestEmbed:
 
 class TestGcn:
     def test_residual_identity_with_zero_weights(self):
-        model, _, _, _, ids, operator = tiny_model_inputs(SOURCE)
+        model, _, _, ids, operator = tiny_model_inputs(SOURCE)
         for w in model.gcn_weights:
             w.data[...] = 0.0
         h_n, _ = model.gcn_forward(*embedded(model, ids), operator)
         assert np.array_equal(h_n, embedded_rows(model, ids))
 
     def test_identity_adjacency_acts_per_token(self):
-        model, _, _, _, ids, _ = tiny_model_inputs(SOURCE)
+        model, _, _, ids, _ = tiny_model_inputs(SOURCE)
         eye = operator_from_dense(np.eye(len(ids)))
         h_n, _ = model.gcn_forward(*embedded(model, ids), eye)
         # reference: H <- H + relu(H @ W) per layer, no cross-token mixing
@@ -92,15 +92,15 @@ class TestGcn:
     def test_deterministic_across_runs(self):
         out = []
         for _ in range(2):
-            model, _, _, _, ids, operator = tiny_model_inputs(
+            model, _, _, ids, operator = tiny_model_inputs(
                 SOURCE, seed=5)
             h, _ = model.gcn_forward(*embedded(model, ids), operator)
             out.append(h.copy())
         assert np.array_equal(out[0], out[1])
 
     def test_adjacency_shape_mismatch(self):
-        model, _, _, _, ids, _ = tiny_model_inputs(SOURCE)
-        shorter = build_graph(tokenize("a;")).operator
+        model, _, _, ids, _ = tiny_model_inputs(SOURCE)
+        shorter = build_graph(tokenize("a;"))
         with pytest.raises(ShapeError):
             model.gcn_forward(*embedded(model, ids), shorter)
 
@@ -133,7 +133,7 @@ class TestFuse:
 
 class TestHeads:
     def test_zero_weights_give_uniform_and_centered(self):
-        model, _, _, _, ids, operator = tiny_model_inputs(SOURCE)
+        model, _, _, ids, operator = tiny_model_inputs(SOURCE)
         for p in (model.cls_weight, model.cls_bias, model.loc_weight,
                   model.loc_bias):
             p.data[...] = 0.0
@@ -144,14 +144,14 @@ class TestHeads:
         assert out.loc_pred == (0.5, 0.5)
 
     def test_benign_is_class_zero(self):
-        model, _, _, _, ids, operator = tiny_model_inputs(SOURCE)
+        model, _, _, ids, operator = tiny_model_inputs(SOURCE)
         model.cls_bias.data[0, 0] = 50.0
         out = model.forward(ids, operator)
         assert out.predicted_class == 0
 
     def test_loc_pred_in_open_unit_interval(self):
         for seed in range(3):
-            model, _, _, _, ids, operator = tiny_model_inputs(
+            model, _, _, ids, operator = tiny_model_inputs(
                 SOURCE, seed=seed)
             out = model.forward(ids, operator)
             assert 0.0 < out.loc_pred[0] < 1.0
@@ -164,7 +164,7 @@ class TestPooledEmbedding:
         # sees the bag of tokens
         first = "a = b + c;"
         second = "c = b + a;"
-        vocab = build_vocab([first])
+        vocab = build_vocab([tokenize(first)])
         model = VulnModel(ModelConfig(vocab_size=len(vocab), embed_dim=8,
                                       gcn_dim=6), seed=0)
         pooled = []
@@ -176,7 +176,7 @@ class TestPooledEmbedding:
 
     def test_single_payload_token_is_its_projection(self):
         source = ";"
-        vocab = build_vocab([source])
+        vocab = build_vocab([tokenize(source)])
         model = VulnModel(ModelConfig(vocab_size=len(vocab), embed_dim=8,
                                       gcn_dim=6), seed=0)
         stream = tokenize(source)
@@ -188,8 +188,8 @@ class TestPooledEmbedding:
 
 class TestMasking:
     def test_pad_embedding_never_changes_outputs(self):
-        vocab = build_vocab([SOURCE])
-        inputs = model_inputs(build_graph(tokenize(SOURCE)), vocab)
+        vocab = build_vocab([tokenize(SOURCE)])
+        inputs = model_inputs(tokenize(SOURCE), vocab)
         model = VulnModel(ModelConfig(vocab_size=len(vocab), embed_dim=8,
                                       gcn_dim=6), seed=3)
         before = model.forward(*inputs)
@@ -201,7 +201,7 @@ class TestMasking:
 
 class TestGradients:
     def test_full_model_gradient_check(self):
-        model, _, _, _, ids, operator = tiny_model_inputs(
+        model, _, _, ids, operator = tiny_model_inputs(
             SOURCE, num_classes=11, embed_dim=8, gcn_dim=6)
         assert len(ids) == 16
         self.check(model, ids, operator)
@@ -211,7 +211,7 @@ class TestGradients:
         source = ("int f(int a, char *b) {\n" + "    a = a + 1;\n" * 16
                   + "    memcpy(" + ", ".join(["a"] * 12) + ");\n"
                   + "    return a;\n}")
-        model, _, graph, _, ids, operator = tiny_model_inputs(
+        model, _, _, ids, operator = tiny_model_inputs(
             source, num_classes=11, embed_dim=8, gcn_dim=6)
         assert operator.n > tensor.DENSE_ROWS
         assert np.diff(operator.start).max() > tensor.OPERATOR_WIDTH
@@ -245,7 +245,7 @@ class TestBackwardAgainstTape:
         # runs past the padded neighbour lists into the remainder
         sources = [fuzz_snippet(random.Random(gcn_layers)), LONG_SOURCE,
                    HUB_SOURCE]
-        vocab = build_vocab(sources)
+        vocab = build_vocab(map(tokenize, sources))
         model = VulnModel(ModelConfig(
             vocab_size=len(vocab), embed_dim=16, gcn_dim=12,
             gcn_layers=gcn_layers, num_classes=num_classes,
@@ -255,7 +255,7 @@ class TestBackwardAgainstTape:
         cfg = TrainConfig(w_cls=0.7, w_loc=1.3, focal=FocalConfig(0.3, 1.5))
         shapes = []
         for k, source in enumerate(sources):
-            ids, operator = model_inputs(build_graph(tokenize(source)), vocab)
+            ids, operator = model_inputs(tokenize(source), vocab)
             shapes.append((ids.size, np.diff(operator.start).max()))
             sample = EncodedSample(
                 ids=ids, operator=operator, label=(0, 1, num_classes - 1)[k],
@@ -322,7 +322,7 @@ class TestTapeFreeForward:
 
     @staticmethod
     def model_for(sources, gcn_layers, num_classes, fusion):
-        vocab = build_vocab(sources)
+        vocab = build_vocab(map(tokenize, sources))
         config = ModelConfig(vocab_size=len(vocab), embed_dim=10, gcn_dim=8,
                              gcn_layers=gcn_layers, num_classes=num_classes,
                              embed_weight=fusion[0], graph_weight=fusion[1])
@@ -337,20 +337,20 @@ class TestTapeFreeForward:
         model, vocab = self.model_for(sources, gcn_layers, num_classes,
                                       fusion)
         for source in sources:
-            inputs = model_inputs(build_graph(tokenize(source)), vocab)
+            inputs = model_inputs(tokenize(source), vocab)
             self.check(model, *inputs, rng)
 
     def test_bit_equal_on_truncated_function(self):
         assert tokenize(LONG_SOURCE).truncated
         model, vocab = self.model_for([LONG_SOURCE], 3, 11, (0.5, 0.5))
-        inputs = model_inputs(build_graph(tokenize(LONG_SOURCE)), vocab)
+        inputs = model_inputs(tokenize(LONG_SOURCE), vocab)
         assert len(inputs[0]) == STREAM_CAPACITY
         self.check(model, *inputs, random.Random(0))
 
     def test_shape_errors(self):
-        model, _, _, _, ids, _ = tiny_model_inputs(SOURCE)
+        model, _, _, ids, _ = tiny_model_inputs(SOURCE)
         with pytest.raises(ShapeError):
-            model.forward(ids, build_graph(tokenize("a;")).operator)
+            model.forward(ids, build_graph(tokenize("a;")))
         with pytest.raises(ShapeError):
             model.forward(ids[:0], operator_from_dense(np.zeros((0, 0))))
 
@@ -398,19 +398,19 @@ class TestDistinctProjection:
                     for line in fuzz_snippet(rng).splitlines()[1:-2]]
             sources.append("int fn(int a, char *buf) {\n" + "\n".join(body)
                            + "\n    return a;\n}")
-        vocab = build_vocab(sources)
+        vocab = build_vocab(map(tokenize, sources))
         model = VulnModel(ModelConfig(vocab_size=len(vocab), embed_dim=16,
                                       gcn_dim=12), seed=4)
         samples, denses = [], []
         for k, source in enumerate(sources):
-            graph = build_graph(tokenize(source))
-            ids, operator = model_inputs(graph, vocab)
+            stream = tokenize(source)
+            ids, operator = model_inputs(stream, vocab)
             assert 4 * np.unique(ids).size < ids.size
             samples.append(EncodedSample(
                 ids=ids, operator=operator, label=3 * k,
                 line_count=source.count("\n") + 1,
                 truth_range=(2, 5) if k else None))
-            denses.append(dense_adjacency(graph))
+            denses.append(dense_adjacency(stream))
         return model, samples, denses
 
     def test_forward_matches_dense_oracle(self):
@@ -515,13 +515,13 @@ class TestFloat32Pass:
                       + "\n    return a;\n}")
             if 300 <= tokenize(source).content_len <= 510:
                 sources.append(source)
-        vocab = build_vocab(sources)
+        vocab = build_vocab(map(tokenize, sources))
         model = VulnModel(ModelConfig(vocab_size=len(vocab),
                                       embed_dim=embed_dim, gcn_dim=gcn_dim),
                           seed=6)
         samples = []
         for k, source in enumerate(sources):
-            ids, operator = model_inputs(build_graph(tokenize(source)), vocab)
+            ids, operator = model_inputs(tokenize(source), vocab)
             assert 300 <= ids.size <= 512
             samples.append(EncodedSample(
                 ids=ids, operator=operator, label=2 * k,
@@ -565,14 +565,14 @@ class TestFloat32Pass:
 class TestNonFiniteForward:
     @pytest.mark.parametrize("damage", ["nan", "overflow"])
     def test_forward_raises_gradient_error(self, damage):
-        model, _, _, _, ids, operator = tiny_model_inputs(SOURCE)
+        model, _, _, ids, operator = tiny_model_inputs(SOURCE)
         poison(model, damage)
         with pytest.raises(GradientError, match="non-finite"):
             model.forward(ids, operator)
 
     def test_nan_is_not_cut_by_relu(self):
         # a NaN passes through the relu, and the layer check must see it
-        model, _, _, _, ids, operator = tiny_model_inputs(SOURCE)
+        model, _, _, ids, operator = tiny_model_inputs(SOURCE)
         for w in model.gcn_weights:
             w.data[...] = -1.0
         model.gcn_weights[-1].data[0, 0] = np.nan
@@ -583,7 +583,7 @@ class TestNonFiniteForward:
         # every pre-activation overflows to -inf and every relu reads 0,
         # so H stays finite; the pass, training's path through it and the
         # tape must still raise
-        model, _, _, _, ids, _ = tiny_model_inputs(SOURCE)
+        model, _, _, ids, _ = tiny_model_inputs(SOURCE)
         model.embedding.data[...] = 1.0
         model.input_proj.data[...] = 1.0
         for w in model.gcn_weights:
@@ -638,7 +638,7 @@ class TestConfigAndCheckpoint:
                 ModelConfig(vocab_size=10, num_classes=num_classes)
 
     def test_npz_round_trip_reproduces_outputs(self, tmp_path):
-        model, _, _, _, ids, operator = tiny_model_inputs(SOURCE, seed=2)
+        model, _, _, ids, operator = tiny_model_inputs(SOURCE, seed=2)
         path = tmp_path / "m.npz"
         runfiles.save_params(path, model.parameters())
         restored = VulnModel(model.config, values=runfiles.load_params(path))
@@ -648,7 +648,7 @@ class TestConfigAndCheckpoint:
         assert a.loc_pred == b.loc_pred
 
     def test_binary_mode(self):
-        model, _, _, _, ids, operator = tiny_model_inputs(
+        model, _, _, ids, operator = tiny_model_inputs(
             SOURCE, num_classes=2)
         out = model.forward(ids, operator)
         assert out.class_logits.shape == (2,)

@@ -16,12 +16,13 @@ from hypothesis import given, settings, strategies as st
 from vulngraph.corpus import FunctionRecord, load_dataset, select
 from vulngraph.errors import ConfigError, DataError, LexError
 from vulngraph.lexer import closers, lex, tokenize
-from vulngraph import cpus, scanner
+from vulngraph import cpus, scanner, semgraph
 from vulngraph.model import VulnModel
 from vulngraph.scanner import (AnalysisReport, _chunk_size, analyze,
                                extract_functions, render_report, scan)
 from vulngraph.runfiles import save_checkpoint
-from conftest import poison, tiny_model_inputs
+from conftest import (UNGRAPHABLE_FILE, UNGRAPHABLE_SOURCE, UNLEXABLE_SOURCE,
+                      poison, tiny_model_inputs)
 
 TWO_FUNCTIONS = """\
 #include <stdio.h>
@@ -412,6 +413,20 @@ class TestAnalyze:
         assert shifted.vul_lines == (local.vul_lines[0] + 39,
                                      local.vul_lines[1] + 39)
 
+    @pytest.mark.parametrize("source, error", [
+        (UNLEXABLE_SOURCE[0], "line 41: unterminated string literal"),
+        (UNGRAPHABLE_SOURCE[0],
+         "unbalanced parentheses after 'if' on line 41")],
+        ids=["lex", "graph"])
+    def test_unanalyzable_error_gives_the_file_line(self, toy_run, source,
+                                                    error):
+        record = FunctionRecord(id="deep/src.c:40:f", source=source,
+                                language="c", file="deep/src.c",
+                                file_start_line=40)
+        report = analyze(record, toy_run.model, toy_run.vocab)
+        assert report.span == (40, 42)
+        assert report.error == error
+
     def test_unanalyzable_record_reports_error(self, toy_run):
         bad = replace(next(r for r in toy_run.records), id="bad",
                       source='int f() { char *s = "never closed;\n}')
@@ -560,7 +575,7 @@ class TestScan:
     def test_non_finite_model_gives_unanalyzable_report(self, tmp_path,
                                                          damage):
         source = "int f(){int a;return a+1;}"
-        model, _, _, vocab, *_ = tiny_model_inputs(source)
+        model, _, vocab, *_ = tiny_model_inputs(source)
         poison(model, damage)
         (tmp_path / "src").mkdir()
         (tmp_path / "src" / "f.c").write_text(source + "\n", encoding="utf-8")
@@ -578,16 +593,17 @@ class TestScan:
             (src / name).write_text(TWO_FUNCTIONS, encoding="utf-8")
         calls = []
 
-        def counted(name):
-            original = getattr(scanner, name)
+        def counted(module, name):
+            original = getattr(module, name)
 
             def counting(*args):
                 calls.append(name)
                 return original(*args)
             return counting
 
-        for name in ("lex", "tokenize", "build_graph"):
-            monkeypatch.setattr(scanner, name, counted(name))
+        for module, name in ((scanner, "lex"), (scanner, "tokenize"),
+                             (semgraph, "build_graph")):
+            monkeypatch.setattr(module, name, counted(module, name))
         summary = scan(src, toy_run.model, toy_run.vocab, tmp_path / "out")
         assert summary.n_functions == 4
         assert sorted(calls) == ["build_graph"] * 4 + ["lex"] * 2
@@ -709,6 +725,23 @@ class TestWorkers:
         assert b"one.c:1:f" in reports[f"one.c__L1{suffix}"]
         assert b"one.c:1:g" in reports[f"one.c__L1_2{suffix}"]
         assert b"one.c:1:g" not in reports[f"one.c__L1{suffix}"]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_unanalyzable_error_gives_the_file_line(self, tmp_path, toy_run,
+                                                    two_cpus, jobs):
+        src = tmp_path / "src"
+        src.mkdir()
+        (src / "paren.c").write_text(UNGRAPHABLE_FILE, encoding="utf-8")
+        (src / "two.c").write_text("int k(void) {\n    return 1;\n}\n",
+                                   encoding="utf-8")
+        error = "unbalanced parentheses after 'if' on line 8"
+        written = scan_bytes(src, toy_run, tmp_path / "json", jobs=jobs)
+        report = json.loads(written["paren.c__L7.json"])
+        assert (report["span"], report["error"]) == ([7, 10], error)
+        text = scan_bytes(src, toy_run, tmp_path / "text", fmt="text",
+                          jobs=jobs)["paren.c__L7.txt"].decode()
+        assert f"Error:           {error}\n" in text
+        assert "   7 | int f(int x) {\n" in text
 
     @pytest.mark.parametrize("n_files, workers, size", [
         (6, 2, 3), (96, 2, 4), (7, 2, 4), (1, 1, 1)])

@@ -5,11 +5,11 @@ import pytest
 
 from vulngraph.errors import GraphBuildError
 from vulngraph.lexer import STREAM_CAPACITY, closers, tokenize
-from vulngraph.semgraph import (EdgeKind, build_graph, control_edges,
-                                data_edges, poacher_edges, sequential_edges)
+from vulngraph.semgraph import (build_graph, control_edges, data_edges,
+                                poacher_edges, sequential_edges)
 from vulngraph.tensor import DENSE_ROWS, OPERATOR_WIDTH
-from conftest import (HUB_SOURCE, LONG_SOURCE, dense_adjacency, fuzz_snippet,
-                      to_dense)
+from conftest import (HUB_SOURCE, LONG_SOURCE, dense_adjacency, families,
+                      fuzz_snippet, to_dense)
 
 
 def payload_index(stream, text, occurrence=0):
@@ -120,8 +120,7 @@ class TestPoacher:
 
 class TestBuildGraph:
     def test_two_token_active_block(self):
-        graph = build_graph(tokenize("/*x*/"))
-        dense = to_dense(graph.operator)
+        dense = to_dense(build_graph(tokenize("/*x*/")))
         assert dense.shape == (2, 2)
         np.testing.assert_allclose(dense.sum(axis=1), [1.0, 1.0])
 
@@ -130,24 +129,25 @@ class TestBuildGraph:
         # symmetrized count of (r, c)
         rng = random.Random(3)
         for _ in range(10):
-            dense = to_dense(build_graph(tokenize(fuzz_snippet(rng))).operator)
+            dense = to_dense(build_graph(tokenize(fuzz_snippet(rng))))
             counts = dense / np.diag(dense)[:, None]
             np.testing.assert_allclose(counts, np.rint(counts), atol=1e-12)
             np.testing.assert_allclose(counts, counts.T, atol=1e-12)
 
     def test_row_sums_on_example(self):
-        graph = build_graph(tokenize("int f(){return 0;}"))
-        active = graph.stream.content_len
-        sums = to_dense(graph.operator).sum(axis=1)
+        stream = tokenize("int f(){return 0;}")
+        active = stream.content_len
+        sums = to_dense(build_graph(stream)).sum(axis=1)
         np.testing.assert_allclose(sums, np.ones(active), atol=1e-12)
 
     def test_pad_rows_and_columns_zero(self):
         # streams carry no padding: no rows or columns past the last token
-        graph = build_graph(tokenize("a=b;"))
-        active = graph.stream.content_len
+        stream = tokenize("a=b;")
+        operator = build_graph(stream)
+        active = stream.content_len
         assert active < STREAM_CAPACITY
-        assert graph.operator.n == active
-        assert graph.operator.cols.max() < active
+        assert operator.n == active
+        assert operator.cols.max() < active
 
     @pytest.mark.parametrize("source, active", [
         ("/* no tokens */", 2),
@@ -157,36 +157,36 @@ class TestBuildGraph:
     def test_operator_is_content_len_square(self, source, active):
         stream = tokenize(source)
         assert stream.content_len == active
-        graph = build_graph(stream)
-        assert graph.operator.n == active
-        assert to_dense(graph.operator).shape == (active, active)
+        operator = build_graph(stream)
+        assert operator.n == active
+        assert to_dense(operator).shape == (active, active)
 
     def test_self_loops_positive_on_diagonal(self):
-        graph = build_graph(tokenize("a=b;"))
-        assert (np.diag(to_dense(graph.operator)) > 0).all()
+        operator = build_graph(tokenize("a=b;"))
+        assert (np.diag(to_dense(operator)) > 0).all()
 
     def test_edges_never_touch_pad(self):
         rng = random.Random(9)
         for _ in range(20):
-            graph = build_graph(tokenize(fuzz_snippet(rng)))
-            active = graph.stream.content_len
-            assert (graph.src < active).all() and (graph.dst < active).all()
-            assert (graph.src != graph.dst).all()
+            stream = tokenize(fuzz_snippet(rng))
+            active = stream.content_len
+            for src, dst in families(stream).values():
+                assert (src < active).all() and (dst < active).all()
+                assert (src != dst).all()
 
     def test_deterministic_bit_identical(self):
         source = fuzz_snippet(random.Random(4))
-        a = build_graph(tokenize(source))
-        b = build_graph(tokenize(source))
-        for name in ("src", "dst", "kind"):
-            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        a, b = tokenize(source), tokenize(source)
+        for name, edges in families(a).items():
+            assert pairs(edges) == pairs(families(b)[name]), name
+        a, b = build_graph(a), build_graph(b)
         for name in ("start", "cols", "weights", "mirror"):
-            assert np.array_equal(getattr(a.operator, name),
-                                  getattr(b.operator, name)), name
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
     def test_monotone_composition(self):
         source = "if(a){strcpy(buf,src); buf[i]=0;} a=a+1;"
         stream = tokenize(source)
-        full_nonzero = to_dense(build_graph(stream).operator) != 0
+        full_nonzero = to_dense(build_graph(stream)) != 0
         assert np.all(np.diag(full_nonzero))
         for family in (sequential_edges, control, data_edges, poacher):
             for src, dst in pairs(family(stream)):
@@ -195,30 +195,19 @@ class TestBuildGraph:
 
     def test_family_toggles(self):
         stream = tokenize("if(a){strcpy(buf,src);} a=a+1;")
-        families = {EdgeKind.SEQUENTIAL: sequential_edges(stream),
-                    EdgeKind.CONTROL: control(stream),
-                    EdgeKind.DATA: data_edges(stream),
-                    EdgeKind.POACHER: poacher(stream)}
-        graph = build_graph(stream)
-        for kind, edges in families.items():
+        for edges in families(stream).values():
             assert pairs(edges)
-            # the graph tags each family's edges with its code
-            tagged = graph.kind == kind
-            assert pairs((graph.src[tagged], graph.dst[tagged])) == pairs(edges)
-        # the graph is the four families in this order
-        assert pairs((graph.src, graph.dst)) == [
-            edge for edges in families.values() for edge in pairs(edges)]
-        assert np.array_equal(np.diff(graph.kind) >= 0,
-                              np.ones(graph.kind.size - 1, dtype=bool))
+        # the graph is the four families' operator
+        assert np.array_equal(to_dense(build_graph(stream)),
+                              dense_adjacency(stream))
 
     def test_edges_are_stable(self):
-        graph = build_graph(tokenize("if(x){y=1;}"))
-        assert (graph.src[0], graph.dst[0]) == (0, 1)
-        assert EdgeKind(graph.kind[0]) is EdgeKind.SEQUENTIAL
-        assert (graph.kind == EdgeKind.CONTROL).any()
-        again = build_graph(tokenize("if(x){y=1;}"))
-        assert pairs((graph.src, graph.dst)) == pairs((again.src, again.dst))
-        assert np.array_equal(graph.kind, again.kind)
+        stream = tokenize("if(x){y=1;}")
+        assert pairs(sequential_edges(stream))[0] == (0, 1)
+        assert pairs(control(stream))
+        again = tokenize("if(x){y=1;}")
+        for name, edges in families(stream).items():
+            assert pairs(edges) == pairs(families(again)[name]), name
 
     def test_truncated_stream_builds_without_error(self):
         # the final 'while (' condition is cut off by the capacity limit
@@ -226,8 +215,7 @@ class TestBuildGraph:
         source = "void f() {\n" + body + "\nwhile (x0 > 0) { x1 = 2; }\n}"
         stream = tokenize(source)
         assert stream.truncated
-        graph = build_graph(stream)
-        assert graph.operator.n == STREAM_CAPACITY
+        assert build_graph(stream).n == STREAM_CAPACITY
 
     def test_truncated_stream_keeps_edges_of_unclosed_brackets(self):
         # the window ends inside "if (" and "memcpy(": neither closes in it
@@ -235,20 +223,15 @@ class TestBuildGraph:
                   + " + ".join(f"n{i}" for i in range(300)) + ")) n = 1;\n}")
         stream = tokenize(source)
         assert stream.truncated
-        graph = build_graph(stream)
-
-        def family(kind):
-            tagged = graph.kind == kind
-            return pairs((graph.src[tagged], graph.dst[tagged]))
-
+        build_graph(stream)
         # the closed condition links past its ")", the unclosed one links
         # nowhere
-        assert family(EdgeKind.CONTROL) == [
+        assert pairs(control(stream)) == [
             (payload_index(stream, "if"), payload_index(stream, "n", 2))]
         # the unclosed call reaches every identifier to the window's end
         call = payload_index(stream, "memcpy")
         last = stream.content_len - 2
-        assert family(EdgeKind.POACHER) == [
+        assert pairs(poacher(stream)) == [
             (call, j) for j in range(call + 2, last + 1)
             if stream.tokens[j].text.startswith(("dst", "n"))]
         assert stream.tokens[last].text.startswith("n")
@@ -265,20 +248,20 @@ class TestSparseOperator:
 
     def test_entries_bit_equal_to_dense_oracle(self):
         for source in self.sources():
-            graph = build_graph(tokenize(source))
-            dense = dense_adjacency(graph)
-            assert np.array_equal(to_dense(graph.operator), dense)
+            stream = tokenize(source)
+            operator = build_graph(stream)
+            dense = dense_adjacency(stream)
+            assert np.array_equal(to_dense(operator), dense)
             # the mirrored entries are the transpose's
-            operator = graph.operator
             rows = np.repeat(np.arange(operator.n), np.diff(operator.start))
             assert np.array_equal(operator.mirror, dense[operator.cols, rows])
 
     def test_sources_reach_both_product_paths(self):
-        sizes = [build_graph(tokenize(source)).operator.n
+        sizes = [build_graph(tokenize(source)).n
                  for source in self.sources()]
         # short functions multiply densely, long ones by padded lists
         assert min(sizes) <= DENSE_ROWS < STREAM_CAPACITY == sizes[-2]
-        hub = build_graph(tokenize(HUB_SOURCE)).operator
+        hub = build_graph(tokenize(HUB_SOURCE))
         assert hub.n > DENSE_ROWS
         # the memcpy row holds more entries than a padded list does
         assert np.diff(hub.start).max() > 250 > OPERATOR_WIDTH
@@ -286,12 +269,13 @@ class TestSparseOperator:
     def test_products_match_dense(self):
         rng = np.random.default_rng(2)
         for source in self.sources():
-            graph = build_graph(tokenize(source))
-            dense = dense_adjacency(graph)
+            stream = tokenize(source)
+            operator = build_graph(stream)
+            dense = dense_adjacency(stream)
             for width in (1, 7, 48):
                 x = rng.normal(size=(dense.shape[0], width))
-                np.testing.assert_allclose(graph.operator.apply(x), dense @ x,
+                np.testing.assert_allclose(operator.apply(x), dense @ x,
                                            rtol=0, atol=1e-12)
                 np.testing.assert_allclose(
-                    graph.operator.apply_transposed(x), dense.T @ x,
+                    operator.apply_transposed(x), dense.T @ x,
                     rtol=0, atol=1e-12)

@@ -369,7 +369,7 @@ class TestDtypes:
 
     @pytest.fixture(scope="class")
     def operators(self):
-        operators = {name: build_graph(tokenize(source)).operator
+        operators = {name: build_graph(tokenize(source))
                      for name, source in (("dense", SHORT_SOURCE),
                                           ("ell", LONG_SOURCE),
                                           ("ell-rest", HUB_SOURCE))}

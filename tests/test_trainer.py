@@ -282,9 +282,10 @@ class TestPrepareSample:
 
     def test_holds_no_n_squared_array(self):
         record = FunctionRecord(id="long", language="c", source=LONG_SOURCE)
-        graph = build_graph(tokenize(LONG_SOURCE))
-        sample = prepare_sample(record, build_vocab([LONG_SOURCE]), 11)
-        n = graph.stream.content_len
+        stream = tokenize(LONG_SOURCE)
+        graph = build_graph(stream)
+        sample = prepare_sample(record, build_vocab([stream]), 11)
+        n = stream.content_len
         assert n == sample.operator.n == 512
 
         def arrays(value):
@@ -420,11 +421,11 @@ class TestTrain:
         # a tape that holds every node, value and gradient until the walk
         # ends peaks near 17 of them, and the forward pass with the
         # backward over its arrays, held until the sample's turn, near 6
-        vocab = build_vocab([LONG_SOURCE])
+        vocab = build_vocab([tokenize(LONG_SOURCE)])
         model = VulnModel(ModelConfig(vocab_size=len(vocab), embed_dim=16,
                                       gcn_dim=128), seed=1)
         sample = EncodedSample(
-            *model_inputs(build_graph(tokenize(LONG_SOURCE)), vocab),
+            *model_inputs(tokenize(LONG_SOURCE), vocab),
             label=3, line_count=LONG_SOURCE.count("\n") + 1,
             truth_range=(2, 5))
         array_bytes = sample.ids.size * 128 * 8
@@ -446,7 +447,8 @@ class TestTrain:
         used = select(records, ds.train) + select(records, ds.val)
         assert sorted(tokenized) == sorted(r.source for r in used)
         assert result.vocab.items() == \
-            build_vocab(select(records, ds.train)).items()
+            build_vocab(tokenize(r.source)
+                        for r in select(records, ds.train)).items()
 
     def test_validation_records_no_tape(self, monkeypatch, tmp_path,
                                         use_cpus):
@@ -639,7 +641,7 @@ class TestCheckpoint:
         ckpt = tmp_path / "nowhere"
         if name is not None:
             records, _ = tiny_corpus()
-            vocab = build_vocab(records)
+            vocab = build_vocab(tokenize(r.source) for r in records)
             model = VulnModel(ModelConfig(vocab_size=len(vocab), **TINY_MODEL))
             save_checkpoint(ckpt, model, vocab)
             # in the earlier format, so its extra keys cannot mask damage
