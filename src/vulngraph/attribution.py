@@ -3,9 +3,9 @@
 A token's score is the drop in the predicted class's probability when
 that token is occluded, i.e. its id is replaced by the ``<PAD>`` id,
 which no stream holds (occlusion with singleton subsets). Scores are
-summed per source line; the root cause is the highest-scoring line
-strictly before the predicted vulnerable range, never the declaration
-line.
+summed per source line, in the stream's lines; the root cause is the
+highest-scoring line strictly before the predicted vulnerable range,
+never the function's first line, its declaration.
 
 Occlusion is computed incrementally by the model's
 ``occluded_probabilities``: it starts from the caller's base pass, and
@@ -111,14 +111,15 @@ def aggregate_lines(token_scores: np.ndarray,
 
 
 def select_root_cause(line_scores: Mapping[int, float], predicted_start: int,
-                      line_count: int) -> RootCause:
+                      span: tuple[int, int]) -> RootCause:
     """Highest-scoring line strictly before the predicted vulnerable range.
 
-    Line 1 (the declaration) is never admissible. When no line before
-    ``predicted_start`` exists or none scores positive, falls back to the
-    best line anywhere in [2, line_count] and flags it.
+    ``span``'s first line (the declaration) is never admissible. When no
+    line before ``predicted_start`` exists or none scores positive,
+    falls back to the best line anywhere else in ``span`` and flags it.
     """
-    if line_count < 2:
+    first, last = span
+    if last <= first:
         raise AttributionError(
             "single-line functions have no admissible root-cause line")
     if not line_scores:
@@ -129,12 +130,12 @@ def select_root_cause(line_scores: Mapping[int, float], predicted_start: int,
         return line, candidates[line]
 
     primary = {l: s for l, s in line_scores.items()
-               if 2 <= l < predicted_start}
+               if first < l < predicted_start}
     if primary:
         line, score = best(primary)
         if score > 0.0:
             return RootCause(line=line, score=score, fallback_used=False)
-    fallback = {l: s for l, s in line_scores.items() if 2 <= l <= line_count}
+    fallback = {l: s for l, s in line_scores.items() if first < l <= last}
     if not fallback:
         raise AttributionError(
             "no admissible root-cause line (all tokens on the declaration line)")
@@ -146,8 +147,8 @@ def select_root_cause(line_scores: Mapping[int, float], predicted_start: int,
 class Localization:
     """Predicted vulnerable lines and the root cause before them.
 
-    Lines are 1-based within the function. ``root_cause`` is None when
-    no line is admissible, and ``problem`` then says why.
+    Lines are those of the span localized over. ``root_cause`` is None
+    when no line is admissible, and ``problem`` then says why.
     """
 
     vul_lines: tuple[int, int]
@@ -156,11 +157,13 @@ class Localization:
 
 
 def localize(loc_pred: tuple[float, float], line_scores: Mapping[int, float],
-             line_count: int) -> Localization:
-    """Denormalize the predicted range and pick the root cause before it."""
-    start, end = denormalize_lines(loc_pred, line_count)
+             span: tuple[int, int]) -> Localization:
+    """Denormalize the predicted range over ``span``, the function's first
+    and last line, and pick the root cause before it."""
+    start, end = (span[0] - 1 + line for line in
+                  denormalize_lines(loc_pred, span[1] - span[0] + 1))
     try:
-        root = select_root_cause(line_scores, start, line_count)
+        root = select_root_cause(line_scores, start, span)
     except AttributionError as exc:
         return Localization((start, end), None, str(exc))
     return Localization((start, end), root)

@@ -200,16 +200,14 @@ def _cmd_attribute(args) -> int:
     for record, stream in _functions_from_file(args.file, args.function):
         try:
             inputs = model_inputs(stream, vocab)
-        except SourceError as exc:  # a line of the file, as in reports
-            raise DataError(f"function {record.id!r}: "
-                            f"{exc.shifted(record.file_start_line - 1)}"
-                            ) from exc
+        except SourceError as exc:  # in file lines, as in reports
+            raise DataError(f"function {record.id!r}: {exc}") from exc
         output = model.forward(*inputs)
         attribution = attribute_tokens(model, stream, output)
         root_cause = None
         if output.predicted_class != 0:
             root_cause = localize(output.loc_pred, attribution.line_scores,
-                                  record.line_count).root_cause
+                                  record.span).root_cause
         payload = attribution_dump(attribution, root_cause,
                                    baseline(model, stream, output))
         payload["function_id"] = record.id

@@ -68,6 +68,12 @@ class FunctionRecord:
     def line_count(self) -> int:
         return line_count(self.source)
 
+    @property
+    def span(self) -> tuple[int, int]:
+        """First and last line in its file; from 1 if not cut from one."""
+        first = self.file_start_line or 1
+        return first, first + self.line_count - 1
+
     def validate(self) -> None:
         """Check the record invariants, raising DataError on violation."""
         for name, (kind, nullable) in _FIELD_TYPES.items():

@@ -18,17 +18,14 @@ class DataError(VulnGraphError):
 
 
 class SourceError(DataError):
-    """Bad source text, found on the line that the message names."""
+    """Bad source text, found on the line that the message names: a
+    line of the text as it was lexed, a file's line for a file's lex."""
 
     template = "line {line}: {message}"
 
     def __init__(self, message: str, line: int):
         super().__init__(self.template.format(message=message, line=line))
-        self.message, self.line = message, line
-
-    def shifted(self, offset: int) -> "SourceError":
-        """The error ``offset`` lines down: a function's line in its file."""
-        return type(self)(self.message, self.line + offset)
+        self.line = line
 
 
 class LexError(SourceError):

@@ -3,10 +3,10 @@
 A function becomes <BOS>, at most 510 payload tokens and <EOS>, with no
 padding. Lexing stops at the 511th payload token, which only marks the
 stream truncated: text after it is never lexed, so it cannot raise.
-Every payload token remembers the 1-based source line of its first
-character; localization and root cause depend on that map being exact,
-which is why this is a deterministic lexer rather than a sub-word
-tokenizer.
+Every payload token remembers the source line of its first character,
+counted from the text's first line; localization and root cause depend
+on that map being exact, which is why this is a deterministic lexer
+rather than a sub-word tokenizer.
 
 Preprocessor directives are lexed as ordinary tokens ('#' is
 punctuation, directive words are identifiers); comments are skipped,
@@ -156,11 +156,11 @@ def lex(source: str) -> list[Token]:
     return list(_lex_tokens(source))
 
 
-def _lex_tokens(source: str) -> Iterator[Token]:
-    """The tokens of ``lex``, produced lazily so a caller can stop early."""
+def _lex_tokens(source: str, line: int = 1) -> Iterator[Token]:
+    """The tokens of ``lex``, produced lazily so a caller can stop early;
+    ``source`` starts on ``line``."""
     match = _TOKEN.match
     make = tuple.__new__  # Token's fields without its __new__ call
-    line = 1
     pos = 0
     n = len(source)
     while pos < n:
@@ -206,15 +206,16 @@ def closers(tokens: Sequence[Token], open_text: str,
     return found
 
 
-def tokenize(source: str) -> TokenStream:
+def tokenize(source: str, first_line: int = 1) -> TokenStream:
     """Lex a function into a stream of at most 512 tokens.
 
-    Lexing stops after ``MAX_PAYLOAD + 1`` tokens, the last only marking
-    the stream truncated; reports propagate the flag.
+    Token lines and a LexError count from ``first_line``, the source's
+    first line. Lexing stops after ``MAX_PAYLOAD + 1`` tokens, the last
+    only marking the stream truncated; reports propagate the flag.
     """
     if not source:
         raise DataError("cannot tokenize empty source")
-    return TokenStream.of(_lex_tokens(source))
+    return TokenStream.of(_lex_tokens(source, first_line))
 
 
 class Vocabulary:
@@ -256,6 +257,7 @@ class Vocabulary:
         except (OSError, UnicodeDecodeError) as exc:
             raise DataError(f"cannot read vocabulary {path}: {exc}") from exc
         entries: list[str] = []
+        seen = {name for name, _ in RESERVED}
         for lineno, line in enumerate(text.split("\n"), start=1):
             if not line:
                 continue
@@ -276,6 +278,10 @@ class Vocabulary:
                         f"{expected!r}, got {text!r}"
                     )
                 continue
+            if text in seen:
+                raise DataError(
+                    f"{path}:{lineno}: duplicate vocabulary entry {text!r}")
+            seen.add(text)
             entries.append((idx, text))
         entries.sort()
         for pos, (idx, _) in enumerate(entries):

@@ -6,7 +6,7 @@ Matching runs over lexer tokens, so braces inside string or character
 literals cannot confuse it. K&R-style definitions and macro-generated
 functions are known misses of this approach. Each file is lexed once:
 a function's token stream is the file's tokens on the function's lines,
-renumbered from its first line, and is not lexed again for analysis.
+which keep their file lines, and is not lexed again for analysis.
 
 A scan's unit of work is one file: extraction, analysis and rendering
 of its reports, in a forked worker when ``scan`` runs with ``jobs`` > 1.
@@ -31,8 +31,7 @@ from typing import Iterator, NamedTuple, Sequence
 from . import cpus
 from .attribution import attribute_tokens, localize, normalize_scores
 from .corpus import FunctionRecord, class_label, normalize_newlines
-from .errors import (ConfigError, DataError, LexError, SourceError,
-                     VulnGraphError)
+from .errors import ConfigError, DataError, LexError, VulnGraphError
 from .lexer import (Token, TokenKind, TokenStream, Vocabulary, closers, lex,
                     tokenize)
 from .model import VulnModel
@@ -148,8 +147,9 @@ def _functions_in_file(text: str, rel_path: str
     """The file's functions, each streamed from the one lex of ``text``.
 
     A function's stream holds the file's tokens on the function's lines,
-    renumbered from 1. That is ``tokenize(record.source)`` unless a
-    comment or literal crosses the function's first or last line.
+    with their file lines. That is ``tokenize(record.source,
+    record.span[0])`` unless a comment or literal crosses the function's
+    first or last line.
     """
     tokens = lex(text)
     lines = text.split("\n")
@@ -185,10 +185,7 @@ def _functions_in_file(text: str, rel_path: str
                 )
                 first = bisect_left(tokens, start_line, hi=start, key=_line)
                 last = bisect_right(tokens, end_line, lo=end, key=_line)
-                offset = start_line - 1
-                found.append((record, TokenStream.of(
-                    Token(text, kind, line - offset)
-                    for text, kind, line in tokens[first:last])))
+                found.append((record, TokenStream.of(tokens[first:last])))
                 i = end + 1
                 continue
         if tok.text == "{":
@@ -224,15 +221,9 @@ def _declaration_start(tokens: Sequence[Token], name_pos: int,
     return start
 
 
-def _span(record: FunctionRecord) -> tuple[int, int]:
-    """First and last line of the function in file coordinates."""
-    first = record.file_start_line or 1
-    return first, first + record.line_count - 1
-
-
 def _unanalyzable(record: FunctionRecord, error: str) -> AnalysisReport:
     return AnalysisReport(
-        function_id=record.id, file=record.file, span=_span(record),
+        function_id=record.id, file=record.file, span=record.span,
         predicted_cwe="none", confidence=0.0,
         description="unanalyzable", error=error)
 
@@ -241,21 +232,19 @@ def analyze(record: FunctionRecord, model: VulnModel, vocab: Vocabulary,
             stream: TokenStream | None = None) -> AnalysisReport:
     """Run the full pipeline on one function.
 
-    ``stream`` is the record's token stream, when already made; else the
-    source is tokenized here. A function that cannot be lexed or graphed
-    gets a report marked unanalyzable instead of raising, so a single
-    pathological function cannot stop a scan; its error gives the line
-    in file coordinates, as the span does.
+    ``stream`` is the record's token stream, in file lines, when already
+    made; else it is tokenized here from ``record.span[0]``. A function
+    that cannot be lexed or graphed gets a report marked unanalyzable
+    instead of raising, so a single pathological function cannot stop a
+    scan; its error gives the line in file coordinates, as the span does.
     """
-    span = _span(record)
-    offset = span[0] - 1
+    span = record.span
     try:
         if stream is None:
-            stream = tokenize(record.source)
+            stream = tokenize(record.source, span[0])
         inputs = model_inputs(stream, vocab)
     except DataError as exc:
-        return _unanalyzable(record, str(
-            exc.shifted(offset) if isinstance(exc, SourceError) else exc))
+        return _unanalyzable(record, str(exc))
 
     output = model.forward(*inputs)
     probabilities = output.probabilities
@@ -273,18 +262,14 @@ def analyze(record: FunctionRecord, model: VulnModel, vocab: Vocabulary,
         return report
 
     attribution = attribute_tokens(model, stream, output)
-    where = localize(output.loc_pred, attribution.line_scores,
-                     record.line_count)
-    local_start, local_end = where.vul_lines
-    report.vul_lines = (offset + local_start, offset + local_end)
+    where = localize(output.loc_pred, attribution.line_scores, span)
+    report.vul_lines = where.vul_lines
     if attribution.line_scores:  # empty for a source without tokens
-        normalized = normalize_scores(attribution.line_scores)
-        report.line_attributions = {offset + line: score
-                                    for line, score in normalized.items()}
+        report.line_attributions = normalize_scores(attribution.line_scores)
     if where.root_cause is None:
         report.warnings.append(f"root cause unavailable: {where.problem}")
         return report
-    report.root_cause_line = offset + where.root_cause.line
+    report.root_cause_line = where.root_cause.line
     if where.root_cause.fallback_used:
         report.warnings.append(
             "no positively-scored line before the predicted range; "
@@ -296,7 +281,7 @@ def analyze(record: FunctionRecord, model: VulnModel, vocab: Vocabulary,
 class ScanSummary:
     n_files: int
     n_functions: int
-    counts: dict[str, int]
+    counts: dict[str, int]  # per predicted class, and "unanalyzable"
     skipped: list[str]  # files left out, as in ``extract_functions``
 
     def to_table(self) -> str:
@@ -337,9 +322,10 @@ def scan(root: str | Path, model: VulnModel, vocab: Vocabulary,
     """Analyze every function under ``root`` and write one report each.
 
     Reports land in ``out`` ordered by (path, start line), together with
-    summary.json counting functions per predicted class and listing the
-    files that extraction skipped. Each source file is one task: its
-    functions are cut from one lex of the file, analyzed and rendered.
+    summary.json counting functions per predicted class or as
+    "unanalyzable", and listing the files that extraction skipped. Each
+    source file is one task: its functions are cut from one lex of the
+    file, analyzed and rendered.
     ``jobs`` > 1 runs the tasks in worker processes started by fork, at
     most one per usable CPU; where fork is unavailable the scan warns
     and runs serially. This process writes every report, logs every
@@ -367,8 +353,7 @@ def scan(root: str | Path, model: VulnModel, vocab: Vocabulary,
         n_files += bool(reports)
         n_functions += len(reports)
         for report in reports:
-            counts[report.predicted_cwe] = \
-                counts.get(report.predicted_cwe, 0) + 1
+            counts[report.counted_as] = counts.get(report.counted_as, 0) + 1
             (out / report.name).write_text(report.text, encoding="utf-8")
 
     summary = ScanSummary(n_files=n_files, n_functions=n_functions,
@@ -385,7 +370,7 @@ class _Rendered(NamedTuple):
 
     name: str  # file name in the output directory
     text: str
-    predicted_cwe: str
+    counted_as: str  # the predicted class, or "unanalyzable"
 
 
 def _scan_file(path: Path, rel_path: str, model: VulnModel,
@@ -411,7 +396,9 @@ def _scan_file(path: Path, rel_path: str, model: VulnModel,
         starts[line] += 1
         rank = "" if starts[line] == 1 else f"_{starts[line]}"
         name = f"{_report_base(rel_path)}__L{line}{rank}{_SUFFIXES[fmt]}"
-        reports.append(_Rendered(name, text, report.predicted_cwe))
+        reports.append(_Rendered(
+            name, text,
+            "unanalyzable" if report.unanalyzable else report.predicted_cwe))
     return reports, reason
 
 
@@ -491,8 +478,8 @@ def _scan_in_workers(files: list[tuple[Path, str]], workers: int,
         raise VulnGraphError(f"a scan worker process died: {exc}") from exc
 
 
-def render_report(report: AnalysisReport, source: str | None = None) -> str:
-    """Human-readable report: four labeled blocks plus a marked excerpt."""
+def render_report(report: AnalysisReport, source: str) -> str:
+    """Human-readable report: four labeled blocks plus the marked source."""
     lines = [
         f"Function:        {report.function_id}",
         f"Classification:  {report.predicted_cwe}"
@@ -512,10 +499,9 @@ def render_report(report: AnalysisReport, source: str | None = None) -> str:
         lines.append(f"Warning:         {warning}")
     if report.error:
         lines.append(f"Error:           {report.error}")
-    if source is not None:
-        lines.append("")
-        for i, text in enumerate(source.split("\n")):
-            file_line = report.span[0] + i
-            marker = ">>>" if file_line == report.root_cause_line else "   "
-            lines.append(f"{marker} {file_line:4d} | {text}")
+    lines.append("")
+    for i, text in enumerate(source.split("\n")):
+        file_line = report.span[0] + i
+        marker = ">>>" if file_line == report.root_cause_line else "   "
+        lines.append(f"{marker} {file_line:4d} | {text}")
     return "\n".join(lines) + "\n"

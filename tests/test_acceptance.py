@@ -176,7 +176,7 @@ def test_criterion_6_overfit_sanity(toy_run):
                                                record.line_count)
         attribution = attribute_tokens(toy_run.model, stream, out)
         root = select_root_cause(attribution.line_scores, predicted_start,
-                                 record.line_count)
+                                 record.span)
         hits += root.line == toy_run.truth[record.id].root_line
     root_rate = hits / len(vulnerable)
 

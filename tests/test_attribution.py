@@ -328,50 +328,73 @@ class TestAggregation:
 class TestRootCause:
     def test_argmax_before_predicted_start(self):
         rc = select_root_cause({2: 0.1, 3: 0.9, 4: 0.2}, predicted_start=4,
-                               line_count=5)
+                               span=(1, 5))
         assert rc.line == 3
         assert not rc.fallback_used
 
     def test_empty_candidate_set_falls_back(self):
         rc = select_root_cause({2: 0.4, 3: 0.1}, predicted_start=2,
-                               line_count=4)
+                               span=(1, 4))
         assert rc.fallback_used
         assert rc.line == 2
 
     def test_nonpositive_candidates_fall_back(self):
         rc = select_root_cause({2: -0.5, 3: -0.1, 5: 0.9}, predicted_start=4,
-                               line_count=6)
+                               span=(1, 6))
         assert rc.fallback_used
         assert rc.line == 5
 
     def test_declaration_line_never_selected(self):
         rc = select_root_cause({1: 99.0, 2: 0.1, 3: 0.05}, predicted_start=4,
-                               line_count=4)
+                               span=(1, 4))
         assert rc.line == 2
 
     def test_ties_pick_smallest_line(self):
         rc = select_root_cause({2: 0.5, 3: 0.5}, predicted_start=5,
-                               line_count=5)
+                               span=(1, 5))
         assert rc.line == 2
 
     def test_single_line_function_rejected(self):
         with pytest.raises(AttributionError):
-            select_root_cause({1: 1.0}, predicted_start=1, line_count=1)
+            select_root_cause({1: 1.0}, predicted_start=1, span=(1, 1))
 
     def test_only_declaration_tokens_rejected(self):
         with pytest.raises(AttributionError, match="declaration"):
-            select_root_cause({1: 1.0}, predicted_start=2, line_count=3)
+            select_root_cause({1: 1.0}, predicted_start=2, span=(1, 3))
+
+    @pytest.mark.parametrize("scores, predicted_start, line", [
+        ({40: 99.0, 41: 0.1, 42: 0.05}, 43, 41),
+        ({40: 99.0, 41: -1.0, 43: 0.2}, 41, 43),
+        ({40: 99.0, 41: 0.1}, 40, 41),
+    ], ids=["before-range", "fallback", "range-at-first-line"])
+    def test_span_first_line_never_selected(self, scores, predicted_start,
+                                            line):
+        """Past a file's line 1 the declaration is the span's first line,
+        and no other line is it."""
+        rc = select_root_cause(scores, predicted_start, span=(40, 43))
+        assert rc.line == line
+
+    def test_only_span_first_line_tokens_rejected(self):
+        with pytest.raises(AttributionError, match="declaration"):
+            select_root_cause({40: 1.0, 44: 2.0}, predicted_start=42,
+                              span=(40, 43))
 
 
 class TestLocalize:
     def test_range_and_root_cause(self):
-        where = localize((0.5 / 4, 2.5 / 4), {2: 0.4, 3: 0.1}, line_count=4)
+        where = localize((0.5 / 4, 2.5 / 4), {2: 0.4, 3: 0.1}, span=(1, 4))
         assert where.vul_lines == (1, 3)
         assert where.root_cause.line == 2
         assert where.problem is None
 
+    def test_range_over_a_span_past_line_1(self):
+        where = localize((0.5 / 4, 2.5 / 4), {41: 0.4, 42: 0.1},
+                         span=(40, 43))
+        assert where.vul_lines == (40, 42)
+        assert where.root_cause.line == 41
+
     def test_unavailable_root_cause_says_why(self):
-        where = localize((0.5, 0.5), {1: 1.0}, line_count=1)
+        where = localize((0.5, 0.5), {1: 1.0}, span=(1, 1))
         assert where.vul_lines == (1, 1)
         assert where.root_cause is None
         assert "single-line" in where.problem
@@ -399,7 +422,7 @@ class TestDump:
         model, stream, vocab, *_ = tiny_model_inputs("a = b;\nb = 1;")
         attribution = attribute(model, stream, vocab)
         rc = select_root_cause(attribution.line_scores,
-                               predicted_start=3, line_count=2)
+                               predicted_start=3, span=(1, 2))
         payload = attribution_dump(attribution, rc,
                                    phi0(model, stream, vocab))
         assert set(payload) == {"token_scores", "line_scores", "root_cause",

@@ -17,7 +17,7 @@ from vulngraph.cli import main
 from vulngraph.corpus import load_dataset, save_dataset, select, split
 from vulngraph.lexer import tokenize
 from vulngraph.model import ModelConfig, VulnModel
-from vulngraph.scanner import scan
+from vulngraph.scanner import analyze, file_functions, scan
 from vulngraph.synth import make_toy_corpus
 from vulngraph.tensor import Matrix
 from vulngraph.runfiles import load_checkpoint, save_checkpoint
@@ -469,6 +469,39 @@ class TestAnalyzeSurface:
         assert len(dumps) == 1
         for key in ("token_scores", "line_scores", "root_cause", "phi0"):
             assert key in dumps[0]
+
+    def test_attribute_dump_agrees_with_reports_past_line_1(
+            self, tmp_path, checkpoint, toy_run, capsys):
+        """A dump gives its lines in the file's lines, as reports do."""
+        train = select(toy_run.records, toy_run.split.train)
+        benign = next(r for r in train if not r.is_vulnerable)
+        vuln = next(r for r in train if r.is_vulnerable)
+        src = tmp_path / "tree"
+        src.mkdir()
+        (src / "two.c").write_text(f"{benign.source}\n\n{vuln.source}\n",
+                                   encoding="utf-8")
+        assert main(["attribute", "--checkpoint", str(checkpoint), "--file",
+                     str(src / "two.c")]) == 0
+        dumps = json.loads(capsys.readouterr().out)
+        assert main(["scan", "--checkpoint", str(checkpoint), "--root",
+                     str(src), "--out", str(tmp_path / "reports")]) == 0
+        found, _ = file_functions(src / "two.c", "two.c")
+        assert [dump["function_id"] for dump in dumps] \
+            == [record.id for record, _ in found]
+        dump, (record, stream) = dumps[1], found[1]
+        first = record.file_start_line
+        last = first + record.line_count - 1
+        assert first == benign.line_count + 2
+        assert dump["root_cause"] is not None
+        scanned = json.loads((tmp_path / "reports" / f"two.c__L{first}.json"
+                              ).read_text(encoding="utf-8"))
+        for report in (analyze(record, toy_run.model, toy_run.vocab, stream),
+                       analyze(record, toy_run.model, toy_run.vocab)):
+            assert report.to_json_dict() == scanned
+        assert dump["root_cause"]["line"] == scanned["root_cause_line"]
+        assert sorted(dump["line_scores"]) \
+            == sorted(scanned["line_attributions"])
+        assert all(first <= int(line) <= last for line in dump["line_scores"])
 
     def test_scan_command(self, tmp_path, checkpoint, toy_run, capsys):
         src = tmp_path / "tree"

@@ -133,6 +133,12 @@ class TestTokenize:
             tokenize(source)
         assert err.value.line == line
 
+    def test_lines_count_from_the_first_line(self):
+        stream = tokenize("int f() {\n  return 0;\n}", first_line=40)
+        assert [t.line for t in stream.payload()] == [40] * 5 + [41] * 3 + [42]
+        with pytest.raises(LexError, match="^line 41: unterminated string"):
+            tokenize('a;\nb = "open;', first_line=40)
+
     def test_empty_source_rejected(self):
         with pytest.raises(DataError):
             tokenize("")

@@ -269,6 +269,12 @@ def lines_of(stream) -> list[tuple[str, int]]:
     return [(tok.text, tok.line) for tok in stream.payload()]
 
 
+def from_line(tokens: list[tuple[str, int]], first: int
+              ) -> list[tuple[str, int]]:
+    """(text, line) pairs numbered from 1, numbered from ``first``."""
+    return [(text, line + first - 1) for text, line in tokens]
+
+
 #: One function's body statements; none crosses a line that holds the
 #: function's first or last token.
 STATEMENTS = st.sampled_from([
@@ -300,9 +306,10 @@ def source_files(draw):
 
 class TestStreamsFromTheFileLex:
     """A function's stream is cut from its file's one lex: the tokens on
-    the function's lines, renumbered from 1. Where a comment or literal
-    crosses the function's first or last line, that differs from
-    ``tokenize(record.source)``, the re-lex of the function's lines."""
+    the function's lines, with their file lines. Where a comment or
+    literal crosses the function's first or last line, that differs from
+    ``tokenize(record.source, record.span[0])``, the re-lex of the
+    function's lines."""
 
     @pytest.mark.parametrize("above, first", [
         ("/* note\n   ends */ ", []),
@@ -312,13 +319,13 @@ class TestStreamsFromTheFileLex:
         record, stream = cut_one(
             tmp_path, above + "int f(void) {\n    return 0;\n}\n")
         assert record.file_start_line == 2
-        assert lines_of(stream) == first + F_TOKENS
+        assert lines_of(stream) == from_line(first + F_TOKENS, 2)
         if first:  # the re-lex opens a string at the closing quote
             with pytest.raises(LexError, match="unterminated string"):
-                tokenize(record.source)
+                tokenize(record.source, record.span[0])
         else:  # the re-lex reads the comment's tail as code
-            assert lines_of(tokenize(record.source)) == [
-                ("ends", 1), ("*", 1), ("/", 1)] + F_TOKENS
+            assert lines_of(tokenize(record.source, record.span[0])) == \
+                from_line([("ends", 1), ("*", 1), ("/", 1)] + F_TOKENS, 2)
 
     def test_spliced_line_comment_above_the_first_line(self, tmp_path):
         """A backslash-newline carries a // comment over the whole next
@@ -328,8 +335,9 @@ class TestStreamsFromTheFileLex:
             tmp_path, "// note \\\nint g(void) {\nint f(void) {\n"
                       "    return 0;\n}\n")
         assert record.id == "f.c:3:f"
-        assert lines_of(stream) == lines_of(tokenize(record.source)) \
-            == F_TOKENS
+        assert lines_of(stream) \
+            == lines_of(tokenize(record.source, record.span[0])) \
+            == from_line(F_TOKENS, 3)
 
     @pytest.mark.parametrize("after, last", [
         (" /* trailing\n   comment */", []),
@@ -357,7 +365,8 @@ class TestStreamsFromTheFileLex:
             found, _ = scanner.file_functions(path, "gen.c")
         assert len(found) == text.count("static int f")
         for record, stream in found:
-            assert stream == tokenize(record.source), record.id
+            assert stream == tokenize(record.source, record.span[0]), \
+                record.id
 
 
 class TestAnalyze:
@@ -474,6 +483,31 @@ class TestScan:
         assert summary.counts == {"none": 3}
         assert summary.n_functions == 3
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_unanalyzable_function_counted_apart(self, tmp_path, toy_run,
+                                                 jobs):
+        """Its report still reads "none", but the summary does not count
+        a function it could not analyze as benign."""
+        benign = next(r for r in select(toy_run.records, toy_run.split.train)
+                      if not r.is_vulnerable)
+        src = tmp_path / "src"
+        src.mkdir()
+        (src / "ok.c").write_text(benign.source + "\n", encoding="utf-8")
+        (src / "paren.c").write_text(UNGRAPHABLE_SOURCE[0] + "\n",
+                                     encoding="utf-8")
+        summary = scan(src, toy_run.model, toy_run.vocab, tmp_path / "out",
+                       jobs=jobs)
+        assert summary.counts == {"none": 1, "unanalyzable": 1}
+        out = tmp_path / "out"
+        assert json.loads((out / "summary.json").read_text(
+            encoding="utf-8"))["counts"] == summary.counts
+        assert "unanalyzable      1\n" in (out / "summary.txt").read_text(
+            encoding="utf-8")
+        report = json.loads((out / "paren.c__L1.json").read_text(
+            encoding="utf-8"))
+        assert (report["predicted_cwe"], report["description"]) \
+            == ("none", "unanalyzable")
+
     def test_reports_parse_and_satisfy_invariants(self, tmp_path, toy_run):
         train = select(toy_run.records, toy_run.split.train)
         chosen = [r for r in train if r.is_vulnerable][:2] + \
@@ -580,7 +614,7 @@ class TestScan:
         (tmp_path / "src").mkdir()
         (tmp_path / "src" / "f.c").write_text(source + "\n", encoding="utf-8")
         summary = scan(tmp_path / "src", model, vocab, tmp_path / "out")
-        assert summary.counts == {"none": 1}
+        assert summary.counts == {"unanalyzable": 1}
         report = json.loads((tmp_path / "out" / "f.c__L1.json").read_text(
             encoding="utf-8"))
         assert report["description"] == "unanalyzable"

@@ -609,6 +609,9 @@ class TestCheckpoint:
         pytest.param("vocab.tsv",
                      edit_lines(lambda lines: lines + ["<UNK>\t-1"]),
                      "malformed vocabulary line", id="negative-reserved-id"),
+        pytest.param("vocab.tsv", edit_lines(lambda lines: lines[:5] + [
+            lines[4].rsplit("\t", 1)[0] + "\t5"] + lines[6:]),
+            r"vocab\.tsv:6: duplicate vocabulary entry", id="duplicate-entry"),
         pytest.param("config.txt", edit_lines(lambda lines: [
             l for l in lines if not l.startswith("embed_weight=")]),
             "missing keys embed_weight", id="no-model-key"),
