@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Subcommands: train, eval, analyze, scan, attribute, sweep. Exit codes:
-0 success, 1 usage error, 2 data error, 3 internal error.
+Subcommands: train, eval, analyze, scan, attribute, sweep. ``analyze``
+and ``attribute`` print renderings of ``scanner.file_analyses``. Exit
+codes: 0 success, 1 usage error, 2 data error, 3 internal error.
 """
 
 from __future__ import annotations
@@ -14,17 +15,13 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .attribution import (attribute_tokens, attribution_dump, baseline,
-                          localize)
 from .corpus import load_dataset, split
-from .errors import ConfigError, DataError, SourceError, VulnGraphError
+from .errors import ConfigError, DataError, VulnGraphError
 from .lexer import RESERVED
 from .model import ModelConfig
 from .runfiles import (TrainConfig, load_checkpoint, parse_run_config,
                        save_checkpoint, write_log)
-from .scanner import (SOURCE_EXTENSIONS, analyze, file_functions,
-                      render_report, scan)
-from .semgraph import model_inputs
+from .scanner import file_analyses, render_report, scan
 from .trainer import evaluate, format_sweep_table, sweep_ensemble, train
 
 EXIT_OK = 0
@@ -120,27 +117,6 @@ def _load_configs(path: str) -> tuple[ModelConfig, TrainConfig]:
             TrainConfig(**train_kwargs))
 
 
-def _functions_from_file(path: str, function: str | None):
-    """(record, token stream) of each function in the file, or of the
-    one named ``function``. A file that ``scan`` would skip is a
-    DataError that gives the reason."""
-    source_path = Path(path)
-    if not source_path.is_file():
-        raise DataError(f"no such file: {path}")
-    found, reason = (file_functions(source_path, source_path.name)
-                     if source_path.suffix in SOURCE_EXTENSIONS else ([], None))
-    if reason is not None:
-        raise DataError(reason)
-    if function is not None:
-        found = [(record, stream) for record, stream in found
-                 if record.id.endswith(f":{function}")]
-        if not found:
-            raise DataError(f"no function named {function!r} in {path}")
-    if not found:
-        raise DataError(f"no function definitions found in {path}")
-    return found
-
-
 def _output_dir(path: str) -> Path:
     """``--out`` as a directory that can be made, checked before any work:
     no file may stand at it or at one of its parents."""
@@ -180,9 +156,8 @@ def _cmd_eval(args) -> int:
 
 def _cmd_analyze(args) -> int:
     model, vocab = load_checkpoint(args.checkpoint)
-    for record, stream in _functions_from_file(args.file, args.function):
-        report = analyze(record, model, vocab, stream)
-        print(render_report(report, record.source))
+    for analysis in file_analyses(args.file, model, vocab, args.function):
+        print(render_report(analysis.report(), analysis.record.source))
     return EXIT_OK
 
 
@@ -196,22 +171,8 @@ def _cmd_scan(args) -> int:
 
 def _cmd_attribute(args) -> int:
     model, vocab = load_checkpoint(args.checkpoint)
-    dumps = []
-    for record, stream in _functions_from_file(args.file, args.function):
-        try:
-            inputs = model_inputs(stream, vocab)
-        except SourceError as exc:  # in file lines, as in reports
-            raise DataError(f"function {record.id!r}: {exc}") from exc
-        output = model.forward(*inputs)
-        attribution = attribute_tokens(model, stream, output)
-        root_cause = None
-        if output.predicted_class != 0:
-            root_cause = localize(output.loc_pred, attribution.line_scores,
-                                  record.span).root_cause
-        payload = attribution_dump(attribution, root_cause,
-                                   baseline(model, stream, output))
-        payload["function_id"] = record.id
-        dumps.append(payload)
+    dumps = [analysis.dump() for analysis
+             in file_analyses(args.file, model, vocab, args.function)]
     print(json.dumps(dumps, indent=2, sort_keys=True))
     return EXIT_OK
 

@@ -17,25 +17,17 @@ class DataError(VulnGraphError):
     """Invalid dataset content: malformed records, bad labels, bad files."""
 
 
-class SourceError(DataError):
-    """Bad source text, found on the line that the message names: a
-    line of the text as it was lexed, a file's line for a file's lex."""
-
-    template = "line {line}: {message}"
+class LexError(DataError):
+    """Source text could not be lexed, on the line that the message
+    names: a file's line for a file's lex."""
 
     def __init__(self, message: str, line: int):
-        super().__init__(self.template.format(message=message, line=line))
+        super().__init__(f"line {line}: {message}")
         self.line = line
 
 
-class LexError(SourceError):
-    """Source text could not be lexed."""
-
-
-class GraphBuildError(SourceError):
+class GraphBuildError(DataError):
     """Token graph construction failed (e.g. unbalanced parentheses)."""
-
-    template = "{message} on line {line}"
 
 
 class ShapeError(VulnGraphError):

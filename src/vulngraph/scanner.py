@@ -6,15 +6,17 @@ Matching runs over lexer tokens, so braces inside string or character
 literals cannot confuse it. K&R-style definitions and macro-generated
 functions are known misses of this approach. Each file is lexed once:
 a function's token stream is the file's tokens on the function's lines,
-which keep their file lines, and is not lexed again for analysis.
+which keep their file lines. Only this module makes the streams it
+analyzes.
 
 A scan's unit of work is one file: extraction, analysis and rendering
 of its reports, in a forked worker when ``scan`` runs with ``jobs`` > 1.
 The scanning process only writes what the tasks return, in file order.
 
-Every analyzed function yields a report with the four developer-facing
-outputs: the predicted class, its static description, the vulnerable
-line range, and the root-cause line, all in file coordinates.
+A function's ``Analysis`` is rendered as a report or an ``attribute``
+dump. A report gives the four developer-facing outputs: the predicted
+class, its static description, the vulnerable line range, and the
+root-cause line, all in file coordinates, as a dump's lines are.
 """
 
 from __future__ import annotations
@@ -24,17 +26,20 @@ import logging
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterator, NamedTuple, Sequence
 
 from . import cpus
-from .attribution import attribute_tokens, localize, normalize_scores
+from .attribution import (Attribution, Localization, attribute_tokens,
+                          attribution_dump, baseline, localize,
+                          normalize_scores)
 from .corpus import FunctionRecord, class_label, normalize_newlines
 from .errors import ConfigError, DataError, LexError, VulnGraphError
 from .lexer import (Token, TokenKind, TokenStream, Vocabulary, closers, lex,
                     tokenize)
-from .model import VulnModel
+from .model import ForwardOutput, VulnModel
 from .semgraph import model_inputs
 
 logger = logging.getLogger(__name__)
@@ -221,60 +226,121 @@ def _declaration_start(tokens: Sequence[Token], name_pos: int,
     return start
 
 
-def _unanalyzable(record: FunctionRecord, error: str) -> AnalysisReport:
-    return AnalysisReport(
-        function_id=record.id, file=record.file, span=record.span,
-        predicted_cwe="none", confidence=0.0,
-        description="unanalyzable", error=error)
+@dataclass(eq=False)
+class Analysis:
+    """One function's forward pass, and its attribution and localization
+    once asked for: a report asks only for a vulnerable prediction's, a
+    dump always. A function that cannot be lexed or graphed has no pass,
+    and ``error`` says why, in file lines."""
+
+    record: FunctionRecord
+    model: VulnModel
+    stream: TokenStream | None = None
+    output: ForwardOutput | None = None
+    error: str | None = None
+
+    @cached_property
+    def attribution(self) -> Attribution:
+        return attribute_tokens(self.model, self.stream, self.output)
+
+    @cached_property
+    def localization(self) -> Localization | None:
+        """None for a benign prediction."""
+        return (localize(self.output.loc_pred, self.attribution.line_scores,
+                         self.record.span)
+                if self.output.predicted_class else None)
+
+    def report(self) -> AnalysisReport:
+        """The developer-facing report; marked unanalyzable on ``error``."""
+        record, output = self.record, self.output
+        report = AnalysisReport(
+            function_id=record.id, file=record.file, span=record.span,
+            predicted_cwe="none", confidence=0.0, description="unanalyzable",
+            error=self.error)
+        if self.error is not None:
+            return report
+        predicted = output.predicted_class
+        report.predicted_cwe, report.description = class_label(
+            predicted, self.model.config.num_classes)
+        report.confidence = float(output.probabilities[predicted])
+        report.truncated = self.stream.truncated
+        if report.truncated:
+            report.warnings.append(
+                "function exceeded the 512-token window; lines beyond it "
+                "cannot be localized")
+        where = self.localization
+        if where is None:
+            return report
+        report.vul_lines = where.vul_lines
+        line_scores = self.attribution.line_scores
+        if line_scores:  # empty for a source without tokens
+            report.line_attributions = normalize_scores(line_scores)
+        if where.root_cause is None:
+            report.warnings.append(f"root cause unavailable: {where.problem}")
+            return report
+        report.root_cause_line = where.root_cause.line
+        if where.root_cause.fallback_used:
+            report.warnings.append(
+                "no positively-scored line before the predicted range; "
+                "root cause fell back to the best line overall")
+        return report
+
+    def dump(self) -> dict:
+        """The ``attribute`` dump, with the report's root cause; a
+        DataError naming the function on ``error``."""
+        if self.error is not None:
+            raise DataError(f"function {self.record.id!r}: {self.error}")
+        where = self.localization
+        dump = attribution_dump(
+            self.attribution, None if where is None else where.root_cause,
+            baseline(self.model, self.stream, self.output))
+        dump["function_id"] = self.record.id
+        return dump
 
 
-def analyze(record: FunctionRecord, model: VulnModel, vocab: Vocabulary,
-            stream: TokenStream | None = None) -> AnalysisReport:
-    """Run the full pipeline on one function.
-
-    ``stream`` is the record's token stream, in file lines, when already
-    made; else it is tokenized here from ``record.span[0]``. A function
-    that cannot be lexed or graphed gets a report marked unanalyzable
-    instead of raising, so a single pathological function cannot stop a
-    scan; its error gives the line in file coordinates, as the span does.
-    """
-    span = record.span
+def _analysis(record: FunctionRecord, model: VulnModel, vocab: Vocabulary,
+              stream: TokenStream | None = None) -> Analysis:
+    """From the stream cut from the record's file, or else from its source
+    tokenized at its first line."""
     try:
         if stream is None:
-            stream = tokenize(record.source, span[0])
+            stream = tokenize(record.source, record.span[0])
         inputs = model_inputs(stream, vocab)
     except DataError as exc:
-        return _unanalyzable(record, str(exc))
+        return Analysis(record, model, error=str(exc))
+    return Analysis(record, model, stream, model.forward(*inputs))
 
-    output = model.forward(*inputs)
-    probabilities = output.probabilities
-    predicted = output.predicted_class
-    label, description = class_label(predicted, model.config.num_classes)
-    report = AnalysisReport(
-        function_id=record.id, file=record.file, span=span,
-        predicted_cwe=label, confidence=float(probabilities[predicted]),
-        description=description, truncated=stream.truncated)
-    if stream.truncated:
-        report.warnings.append(
-            "function exceeded the 512-token window; lines beyond it "
-            "cannot be localized")
-    if predicted == 0:
-        return report
 
-    attribution = attribute_tokens(model, stream, output)
-    where = localize(output.loc_pred, attribution.line_scores, span)
-    report.vul_lines = where.vul_lines
-    if attribution.line_scores:  # empty for a source without tokens
-        report.line_attributions = normalize_scores(attribution.line_scores)
-    if where.root_cause is None:
-        report.warnings.append(f"root cause unavailable: {where.problem}")
-        return report
-    report.root_cause_line = where.root_cause.line
-    if where.root_cause.fallback_used:
-        report.warnings.append(
-            "no positively-scored line before the predicted range; "
-            "root cause fell back to the best line overall")
-    return report
+def analyze(record: FunctionRecord, model: VulnModel,
+            vocab: Vocabulary) -> AnalysisReport:
+    """The report of one function, tokenized from ``record.span[0]``, so
+    in file lines; unanalyzable rather than raising for a function that
+    cannot be lexed or graphed."""
+    return _analysis(record, model, vocab).report()
+
+
+def file_analyses(path: str | Path, model: VulnModel, vocab: Vocabulary,
+                  function: str | None = None) -> Iterator[Analysis]:
+    """The analysis of each function of one file, or of the one named
+    ``function``, each computed as it is taken. Ids name the file by its
+    base name. A missing file, a file that ``scan`` skips and a file
+    without such a function are a DataError before any analysis."""
+    source_path = Path(path)
+    if not source_path.is_file():
+        raise DataError(f"no such file: {path}")
+    found, reason = (file_functions(source_path, source_path.name)
+                     if source_path.suffix in SOURCE_EXTENSIONS else ([], None))
+    if reason is not None:
+        raise DataError(reason)
+    if function is not None:
+        found = [(record, stream) for record, stream in found
+                 if record.id.endswith(f":{function}")]
+        if not found:
+            raise DataError(f"no function named {function!r} in {path}")
+    if not found:
+        raise DataError(f"no function definitions found in {path}")
+    return (_analysis(record, model, vocab, stream)
+            for record, stream in found)
 
 
 @dataclass
@@ -345,7 +411,10 @@ def scan(root: str | Path, model: VulnModel, vocab: Vocabulary,
     counts: dict[str, int] = {}
     skipped: list[str] = []
     n_files = n_functions = 0
-    results = _scan_files(files, model, vocab, fmt, jobs)
+    workers = _worker_count(jobs, len(files)) if jobs > 1 else 1
+    results = (_scan_in_workers(files, workers, model, vocab, fmt)
+               if workers > 1 else
+               (_scan_file(*file, model, vocab, fmt) for file in files))
     for (_, rel_path), (reports, reason) in zip(files, results, strict=True):
         if reason is not None:
             logger.warning("skipping %s", reason)
@@ -386,12 +455,13 @@ def _scan_file(path: Path, rel_path: str, model: VulnModel,
     reports = []
     starts: Counter[int] = Counter()
     for record, stream in found:
-        report = _run(record, model, vocab, stream)
-        if fmt == "json":
-            text = json.dumps(report.to_json_dict(), indent=2,
-                              sort_keys=True) + "\n"
-        else:
-            text = render_report(report, record.source)
+        try:
+            report = _analysis(record, model, vocab, stream).report()
+        except Exception as exc:  # crash isolation: report, keep scanning
+            report = Analysis(record, model,
+                              error=f"{type(exc).__name__}: {exc}").report()
+        text = (json.dumps(report.to_json_dict(), indent=2, sort_keys=True)
+                + "\n" if fmt == "json" else render_report(report, record.source))
         line = report.span[0]
         starts[line] += 1
         rank = "" if starts[line] == 1 else f"_{starts[line]}"
@@ -400,26 +470,6 @@ def _scan_file(path: Path, rel_path: str, model: VulnModel,
             name, text,
             "unanalyzable" if report.unanalyzable else report.predicted_cwe))
     return reports, reason
-
-
-def _run(record: FunctionRecord, model: VulnModel, vocab: Vocabulary,
-         stream: TokenStream) -> AnalysisReport:
-    """``analyze`` with crash isolation: an exception becomes the report."""
-    try:
-        return analyze(record, model, vocab, stream)
-    except Exception as exc:  # crash isolation: report, keep scanning
-        return _unanalyzable(record, f"{type(exc).__name__}: {exc}")
-
-
-def _scan_files(files: list[tuple[Path, str]], model: VulnModel,
-                vocab: Vocabulary, fmt: str, jobs: int
-                ) -> Iterator[tuple[list[_Rendered], str | None]]:
-    """``_scan_file`` of each file, in file order."""
-    workers = _worker_count(jobs, len(files)) if jobs > 1 else 1
-    if workers > 1:
-        return _scan_in_workers(files, workers, model, vocab, fmt)
-    return (_scan_file(path, rel_path, model, vocab, fmt)
-            for path, rel_path in files)
 
 
 #: (model, vocab, fmt) of a scan worker, set once by ``_init_worker``.
@@ -480,28 +530,19 @@ def _scan_in_workers(files: list[tuple[Path, str]], workers: int,
 
 def render_report(report: AnalysisReport, source: str) -> str:
     """Human-readable report: four labeled blocks plus the marked source."""
+    vul_lines, root = report.vul_lines, report.root_cause_line
     lines = [
         f"Function:        {report.function_id}",
         f"Classification:  {report.predicted_cwe}"
         f" (confidence {report.confidence:.2f})",
-    ]
-    if report.vul_lines is not None:
-        lines.append(f"Vulnerable Line(s): {report.vul_lines[0]}"
-                     f"-{report.vul_lines[1]}")
-    else:
-        lines.append("Vulnerable Line(s): none")
-    lines.append(f"Description:     {report.description}")
-    if report.root_cause_line is not None:
-        lines.append(f"Root Cause:      line {report.root_cause_line}")
-    else:
-        lines.append("Root Cause:      none")
-    for warning in report.warnings:
-        lines.append(f"Warning:         {warning}")
+        "Vulnerable Line(s): "
+        + ("none" if vul_lines is None else f"{vul_lines[0]}-{vul_lines[1]}"),
+        f"Description:     {report.description}",
+        "Root Cause:      " + ("none" if root is None else f"line {root}"),
+        *(f"Warning:         {warning}" for warning in report.warnings)]
     if report.error:
         lines.append(f"Error:           {report.error}")
     lines.append("")
-    for i, text in enumerate(source.split("\n")):
-        file_line = report.span[0] + i
-        marker = ">>>" if file_line == report.root_cause_line else "   "
-        lines.append(f"{marker} {file_line:4d} | {text}")
+    for line, text in enumerate(source.split("\n"), report.span[0]):
+        lines.append(f"{'>>>' if line == root else '   '} {line:4d} | {text}")
     return "\n".join(lines) + "\n"

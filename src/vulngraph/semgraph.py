@@ -107,8 +107,8 @@ def control_edges(stream: TokenStream, parens: dict[int, int]) -> Edges:
             if close is None:
                 if stream.truncated:
                     continue
-                raise GraphBuildError(
-                    f"unbalanced parentheses after {tok.text!r}", tok.line)
+                raise GraphBuildError(f"unbalanced parentheses after "
+                                      f"{tok.text!r} on line {tok.line}")
             target = close + 1
         elif tok.text in _JUMP_STATEMENTS:
             semi = _find_text(tokens, i + 1, ";", last_payload + 1)

@@ -14,7 +14,8 @@ import vulngraph.cli as cli
 from vulngraph import cpus
 from vulngraph.attribution import attribute_tokens
 from vulngraph.cli import main
-from vulngraph.corpus import load_dataset, save_dataset, select, split
+from vulngraph.corpus import (class_label, load_dataset, save_dataset,
+                              select, split)
 from vulngraph.lexer import tokenize
 from vulngraph.model import ModelConfig, VulnModel
 from vulngraph.scanner import analyze, file_functions, scan
@@ -123,6 +124,28 @@ class TestExitCodes:
         assert done.returncode == 2, done.stderr
         assert done.stderr.startswith("vulngraph: data error: ")
         assert done.stderr.count("\n") == 1, done.stderr
+
+    def test_huge_gcn_layers_is_one_data_error_line(self, tmp_path,
+                                                     checkpoint):
+        """Checked against the arrays before anything is sized by it;
+        run under a 1.5 GB address-space cap, in a child process."""
+        config = checkpoint / "config.txt"
+        config.write_text(re.sub(
+            r"(?m)^gcn_layers=.*$", "gcn_layers=1000000000000",
+            config.read_text(encoding="utf-8")), encoding="utf-8")
+        source = tmp_path / "two.c"
+        source.write_text(TWO_FUNCTIONS, encoding="utf-8")
+        done = run_python("""\
+            import resource, sys
+            from vulngraph import cli
+            cap = 1536 << 20
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+            sys.exit(cli.main(sys.argv[1:]))
+            """, "analyze", "--checkpoint", checkpoint, "--file", source)
+        assert (done.returncode, done.stdout) == (2, ""), done.stderr
+        assert done.stderr == (
+            f"vulngraph: data error: {checkpoint / 'params.npz'} has 2 graph "
+            f"layers, config.txt says gcn_layers=1000000000000\n")
 
     def test_config_error_is_one(self, tmp_path, dataset, capsys):
         bad = tmp_path / "bad.cfg"
@@ -315,11 +338,13 @@ class TestExitCodes:
                  str(tmp_path / "tree")])
         calls = count_calls(monkeypatch, module, work)
         assert main([command, *args, "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert err == (f"vulngraph: config error: cannot make --out {out}: "
-                       f"{blocker} is not a directory\n")
+        captured = capsys.readouterr()
+        assert captured.err == (f"vulngraph: config error: cannot make --out "
+                                f"{out}: {blocker} is not a directory\n")
+        assert captured.out == ""
         assert calls == []
         assert blocker.read_text(encoding="utf-8") == "keep\n"
+        assert list(tmp_path.rglob("log.jsonl")) == []
 
 
 class TestTrainEval:
@@ -472,7 +497,9 @@ class TestAnalyzeSurface:
 
     def test_attribute_dump_agrees_with_reports_past_line_1(
             self, tmp_path, checkpoint, toy_run, capsys):
-        """A dump gives its lines in the file's lines, as reports do."""
+        """A dump and a report of each function of a file give the same
+        class, root cause and lines, in the file's lines; where the report
+        is unanalyzable, ``attribute`` fails with the report's error."""
         train = select(toy_run.records, toy_run.split.train)
         benign = next(r for r in train if not r.is_vulnerable)
         vuln = next(r for r in train if r.is_vulnerable)
@@ -480,28 +507,47 @@ class TestAnalyzeSurface:
         src.mkdir()
         (src / "two.c").write_text(f"{benign.source}\n\n{vuln.source}\n",
                                    encoding="utf-8")
+        (src / "paren.c").write_text(UNGRAPHABLE_FILE, encoding="utf-8")
+        assert main(["scan", "--checkpoint", str(checkpoint), "--root",
+                     str(src), "--out", str(tmp_path / "reports")]) == 0
+        capsys.readouterr()
         assert main(["attribute", "--checkpoint", str(checkpoint), "--file",
                      str(src / "two.c")]) == 0
         dumps = json.loads(capsys.readouterr().out)
-        assert main(["scan", "--checkpoint", str(checkpoint), "--root",
-                     str(src), "--out", str(tmp_path / "reports")]) == 0
         found, _ = file_functions(src / "two.c", "two.c")
         assert [dump["function_id"] for dump in dumps] \
             == [record.id for record, _ in found]
-        dump, (record, stream) = dumps[1], found[1]
-        first = record.file_start_line
-        last = first + record.line_count - 1
-        assert first == benign.line_count + 2
-        assert dump["root_cause"] is not None
-        scanned = json.loads((tmp_path / "reports" / f"two.c__L{first}.json"
+        assert found[1][0].file_start_line == benign.line_count + 2
+        classes = set()
+        for dump, (record, _) in zip(dumps, found):
+            first, last = record.span
+            scanned = json.loads((tmp_path / "reports" / f"two.c__L{first}"
+                                  ".json").read_text(encoding="utf-8"))
+            assert analyze(record, toy_run.model,
+                           toy_run.vocab).to_json_dict() == scanned
+            label = class_label(dump["target_class"],
+                                toy_run.model.config.num_classes)[0]
+            assert label == scanned["predicted_cwe"]
+            classes.add(label == "none")
+            if label == "none":
+                assert dump["root_cause"] is None
+                assert scanned["root_cause_line"] is None
+            else:
+                assert dump["root_cause"]["line"] \
+                    == scanned["root_cause_line"]
+                assert sorted(dump["line_scores"]) \
+                    == sorted(scanned["line_attributions"])
+            assert all(first <= int(line) <= last
+                       for line in dump["line_scores"])
+        assert classes == {True, False}  # a benign and a vulnerable one
+        assert main(["attribute", "--checkpoint", str(checkpoint), "--file",
+                     str(src / "paren.c")]) == 2
+        scanned = json.loads((tmp_path / "reports" / "paren.c__L7.json"
                               ).read_text(encoding="utf-8"))
-        for report in (analyze(record, toy_run.model, toy_run.vocab, stream),
-                       analyze(record, toy_run.model, toy_run.vocab)):
-            assert report.to_json_dict() == scanned
-        assert dump["root_cause"]["line"] == scanned["root_cause_line"]
-        assert sorted(dump["line_scores"]) \
-            == sorted(scanned["line_attributions"])
-        assert all(first <= int(line) <= last for line in dump["line_scores"])
+        assert scanned["error"]
+        assert capsys.readouterr().err == (
+            f"vulngraph: data error: function 'paren.c:7:f': "
+            f"{scanned['error']}\n")
 
     def test_scan_command(self, tmp_path, checkpoint, toy_run, capsys):
         src = tmp_path / "tree"
