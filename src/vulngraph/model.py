@@ -234,6 +234,14 @@ class VulnModel:
         arrays; the parameters hold those arrays themselves, not copies,
         in their dtype."""
         self.config = config
+        if values is not None:  # before anything is sized by gcn_layers
+            layers = 0
+            while f"gcn_{layers}" in values:
+                layers += 1
+            if config.gcn_layers > layers:
+                raise DataError(f"checkpoint has {layers} graph layers, "
+                                f"config.txt says gcn_layers="
+                                f"{config.gcn_layers}")
         shapes = _parameter_shapes(config)
         if values is None:  # weights drawn in ``shapes`` order, zero biases
             rng = np.random.default_rng(seed)

@@ -111,10 +111,6 @@ def load_checkpoint(path: str | Path) -> tuple[VulnModel, Vocabulary]:
             f"{path / 'vocab.tsv'} has {len(vocab)} entries, config.txt "
             f"says vocab_size={config.vocab_size}")
     values = load_params(path / "params.npz")
-    layers = sum(name.startswith("gcn_") for name in values)
-    if config.gcn_layers > layers:  # before the model lists every layer
-        raise DataError(f"{path / 'params.npz'} has {layers} graph layers, "
-                        f"config.txt says gcn_layers={config.gcn_layers}")
     return VulnModel(config, values=values), vocab
 
 

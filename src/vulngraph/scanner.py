@@ -6,8 +6,8 @@ Matching runs over lexer tokens, so braces inside string or character
 literals cannot confuse it. K&R-style definitions and macro-generated
 functions are known misses of this approach. Each file is lexed once:
 a function's token stream is the file's tokens on the function's lines,
-which keep their file lines. Only this module makes the streams it
-analyzes.
+which keep their file lines. ``analyze`` refuses a stream with a token
+outside its function's lines.
 
 A scan's unit of work is one file: extraction, analysis and rendering
 of its reports, in a forked worker when ``scan`` runs with ``jobs`` > 1.
@@ -311,12 +311,25 @@ def _analysis(record: FunctionRecord, model: VulnModel, vocab: Vocabulary,
     return Analysis(record, model, stream, model.forward(*inputs))
 
 
-def analyze(record: FunctionRecord, model: VulnModel,
-            vocab: Vocabulary) -> AnalysisReport:
-    """The report of one function, tokenized from ``record.span[0]``, so
-    in file lines; unanalyzable rather than raising for a function that
-    cannot be lexed or graphed."""
-    return _analysis(record, model, vocab).report()
+def analyze(record: FunctionRecord, model: VulnModel, vocab: Vocabulary,
+            stream: TokenStream | None = None) -> AnalysisReport:
+    """Run the full pipeline on one function.
+
+    ``stream`` is the record's stream as ``file_functions`` cut it, when
+    already made; else the source is tokenized here from
+    ``record.span[0]``. A stream with a token outside the span is a
+    DataError, as its lines would not be the function's. A function that
+    cannot be lexed or graphed gets a report marked unanalyzable instead
+    of raising, so a single pathological function cannot stop a scan;
+    its error gives the line in file coordinates, as the span does.
+    """
+    first, last = record.span
+    payload = () if stream is None else stream.payload()
+    if payload and not first <= payload[0].line <= payload[-1].line <= last:
+        raise DataError(
+            f"function {record.id!r} is on lines {first}-{last}, its stream "
+            f"on lines {payload[0].line}-{payload[-1].line}")
+    return _analysis(record, model, vocab, stream).report()
 
 
 def file_analyses(path: str | Path, model: VulnModel, vocab: Vocabulary,
@@ -411,10 +424,7 @@ def scan(root: str | Path, model: VulnModel, vocab: Vocabulary,
     counts: dict[str, int] = {}
     skipped: list[str] = []
     n_files = n_functions = 0
-    workers = _worker_count(jobs, len(files)) if jobs > 1 else 1
-    results = (_scan_in_workers(files, workers, model, vocab, fmt)
-               if workers > 1 else
-               (_scan_file(*file, model, vocab, fmt) for file in files))
+    results = _scan_files(files, model, vocab, fmt, jobs)
     for (_, rel_path), (reports, reason) in zip(files, results, strict=True):
         if reason is not None:
             logger.warning("skipping %s", reason)
@@ -456,12 +466,15 @@ def _scan_file(path: Path, rel_path: str, model: VulnModel,
     starts: Counter[int] = Counter()
     for record, stream in found:
         try:
-            report = _analysis(record, model, vocab, stream).report()
+            report = analyze(record, model, vocab, stream)
         except Exception as exc:  # crash isolation: report, keep scanning
             report = Analysis(record, model,
                               error=f"{type(exc).__name__}: {exc}").report()
-        text = (json.dumps(report.to_json_dict(), indent=2, sort_keys=True)
-                + "\n" if fmt == "json" else render_report(report, record.source))
+        if fmt == "json":
+            text = json.dumps(report.to_json_dict(), indent=2,
+                              sort_keys=True) + "\n"
+        else:
+            text = render_report(report, record.source)
         line = report.span[0]
         starts[line] += 1
         rank = "" if starts[line] == 1 else f"_{starts[line]}"
@@ -470,6 +483,17 @@ def _scan_file(path: Path, rel_path: str, model: VulnModel,
             name, text,
             "unanalyzable" if report.unanalyzable else report.predicted_cwe))
     return reports, reason
+
+
+def _scan_files(files: list[tuple[Path, str]], model: VulnModel,
+                vocab: Vocabulary, fmt: str, jobs: int
+                ) -> Iterator[tuple[list[_Rendered], str | None]]:
+    """``_scan_file`` of each file, in file order."""
+    workers = _worker_count(jobs, len(files)) if jobs > 1 else 1
+    if workers > 1:
+        return _scan_in_workers(files, workers, model, vocab, fmt)
+    return (_scan_file(path, rel_path, model, vocab, fmt)
+            for path, rel_path in files)
 
 
 #: (model, vocab, fmt) of a scan worker, set once by ``_init_worker``.
@@ -530,19 +554,28 @@ def _scan_in_workers(files: list[tuple[Path, str]], workers: int,
 
 def render_report(report: AnalysisReport, source: str) -> str:
     """Human-readable report: four labeled blocks plus the marked source."""
-    vul_lines, root = report.vul_lines, report.root_cause_line
     lines = [
         f"Function:        {report.function_id}",
         f"Classification:  {report.predicted_cwe}"
         f" (confidence {report.confidence:.2f})",
-        "Vulnerable Line(s): "
-        + ("none" if vul_lines is None else f"{vul_lines[0]}-{vul_lines[1]}"),
-        f"Description:     {report.description}",
-        "Root Cause:      " + ("none" if root is None else f"line {root}"),
-        *(f"Warning:         {warning}" for warning in report.warnings)]
+    ]
+    if report.vul_lines is not None:
+        lines.append(f"Vulnerable Line(s): {report.vul_lines[0]}"
+                     f"-{report.vul_lines[1]}")
+    else:
+        lines.append("Vulnerable Line(s): none")
+    lines.append(f"Description:     {report.description}")
+    if report.root_cause_line is not None:
+        lines.append(f"Root Cause:      line {report.root_cause_line}")
+    else:
+        lines.append("Root Cause:      none")
+    for warning in report.warnings:
+        lines.append(f"Warning:         {warning}")
     if report.error:
         lines.append(f"Error:           {report.error}")
     lines.append("")
-    for line, text in enumerate(source.split("\n"), report.span[0]):
-        lines.append(f"{'>>>' if line == root else '   '} {line:4d} | {text}")
+    for i, text in enumerate(source.split("\n")):
+        file_line = report.span[0] + i
+        marker = ">>>" if file_line == report.root_cause_line else "   "
+        lines.append(f"{marker} {file_line:4d} | {text}")
     return "\n".join(lines) + "\n"

@@ -144,8 +144,8 @@ class TestExitCodes:
             """, "analyze", "--checkpoint", checkpoint, "--file", source)
         assert (done.returncode, done.stdout) == (2, ""), done.stderr
         assert done.stderr == (
-            f"vulngraph: data error: {checkpoint / 'params.npz'} has 2 graph "
-            f"layers, config.txt says gcn_layers=1000000000000\n")
+            "vulngraph: data error: checkpoint has 2 graph layers, "
+            "config.txt says gcn_layers=1000000000000\n")
 
     def test_config_error_is_one(self, tmp_path, dataset, capsys):
         bad = tmp_path / "bad.cfg"
@@ -518,13 +518,16 @@ class TestAnalyzeSurface:
         assert [dump["function_id"] for dump in dumps] \
             == [record.id for record, _ in found]
         assert found[1][0].file_start_line == benign.line_count + 2
+        assert dumps[1]["root_cause"] is not None
         classes = set()
-        for dump, (record, _) in zip(dumps, found):
+        for dump, (record, stream) in zip(dumps, found):
             first, last = record.span
             scanned = json.loads((tmp_path / "reports" / f"two.c__L{first}"
                                   ".json").read_text(encoding="utf-8"))
-            assert analyze(record, toy_run.model,
-                           toy_run.vocab).to_json_dict() == scanned
+            for report in (analyze(record, toy_run.model, toy_run.vocab,
+                                   stream),
+                           analyze(record, toy_run.model, toy_run.vocab)):
+                assert report.to_json_dict() == scanned
             label = class_label(dump["target_class"],
                                 toy_run.model.config.num_classes)[0]
             assert label == scanned["predicted_cwe"]

@@ -353,9 +353,8 @@ class TestStreamsFromTheFileLex:
         with pytest.raises(LexError, match="line 3: unterminated"):
             tokenize(record.source)
         assert analyze(record, toy_run.model, toy_run.vocab).unanalyzable
-        [cut] = scanner.file_analyses(tmp_path / "f.c", toy_run.model,
-                                      toy_run.vocab)
-        assert cut.stream == stream and not cut.report().unanalyzable
+        assert not analyze(record, toy_run.model, toy_run.vocab,
+                           stream).unanalyzable
 
     @settings(max_examples=200, deadline=None)
     @given(text=source_files())
@@ -423,22 +422,25 @@ class TestAnalyze:
         assert shifted.vul_lines == (local.vul_lines[0] + 39,
                                      local.vul_lines[1] + 39)
 
-    def test_a_stream_in_the_wrong_lines_cannot_be_passed(
+    def test_a_stream_in_the_wrong_lines_is_refused(
             self, tmp_path, toy_run, vulnerable_model):
         """A stream tokenized from line 1 for a function past line 1 would
-        put its attributions outside the span; analyze takes no stream."""
+        put its attributions outside the span."""
         path = tmp_path / "two.c"
         path.write_text("int f(void) {\n    return 0;\n}\n"
                         "int g(char *p) {\n    char b[4];\n"
                         "    strcpy(b, p);\n    return b[0];\n}\n",
                         encoding="utf-8")
-        [_, (record, _)], _ = scanner.file_functions(path, "two.c")
+        [_, (record, stream)], _ = scanner.file_functions(path, "two.c")
         first, last = record.span
         assert first == 4
-        with pytest.raises(TypeError):
+        with pytest.raises(DataError, match=(
+                r"^function 'two.c:4:g' is on lines 4-8, its stream on "
+                r"lines 1-5$")):
             analyze(record, vulnerable_model, toy_run.vocab,
                     tokenize(record.source))
-        report = analyze(record, vulnerable_model, toy_run.vocab)
+        report = analyze(record, vulnerable_model, toy_run.vocab, stream)
+        assert report == analyze(record, vulnerable_model, toy_run.vocab)
         assert report.line_attributions
         assert all(first <= line <= last for line in report.line_attributions)
         assert first < report.root_cause_line <= last
@@ -698,14 +700,14 @@ class TestWorkers:
     def test_raising_function_is_unanalyzable_in_a_worker(
             self, tmp_path, toy_run, src, two_cpus, monkeypatch):
         serial = scan_bytes(src, toy_run, tmp_path / "o1", jobs=1)
-        analyze_one = scanner._analysis
+        analyze_one = scanner.analyze
 
         def failing(record, *args):
             if record.file == "f2.c":
                 raise RuntimeError(f"boom in process {os.getpid()}")
             return analyze_one(record, *args)
 
-        monkeypatch.setattr(scanner, "_analysis", failing)
+        monkeypatch.setattr(scanner, "analyze", failing)
         parallel = scan_bytes(src, toy_run, tmp_path / "o2", jobs=2)
         assert parallel.keys() == serial.keys()
         failed = next(name for name in parallel if name.startswith("f2.c"))
@@ -725,7 +727,7 @@ class TestWorkers:
             import os, sys
             from vulngraph import cli, cpus, scanner
             cpus.usable_cpus = lambda: (2, True)
-            scanner._analysis = lambda *args: os._exit(7)
+            scanner.analyze = lambda *args: os._exit(7)
             sys.exit(cli.main(sys.argv[1:]))
             """)
         package_root = Path(scanner.__file__).parents[1]
