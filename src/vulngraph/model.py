@@ -87,6 +87,14 @@ class ModelConfig:
                               f"got {self.num_classes}")
         _check_fusion(self.embed_weight, self.graph_weight)
 
+    @property
+    def parameter_count(self) -> int:
+        """How many values the parameters hold, counted without sizing
+        anything by the config."""
+        gcn, classes = self.gcn_dim, self.num_classes
+        return ((self.vocab_size + gcn) * self.embed_dim
+                + self.gcn_layers * gcn * gcn + (gcn + 1) * (classes + 2))
+
 
 def _check_fusion(embed_weight: float, graph_weight: float) -> None:
     if not (embed_weight >= 0.0 and graph_weight >= 0.0):  # NaN fails too

@@ -48,7 +48,7 @@ import numpy as np
 
 from . import cpus
 from .corpus import DatasetSplit, FunctionRecord, class_index, select
-from .errors import DataError, GradientError, TrainingError
+from .errors import ConfigError, DataError, GradientError, TrainingError
 from .lexer import TokenStream, Vocabulary, build_vocab, tokenize
 from .model import (ModelConfig, VulnModel, denormalize_lines,
                     normalize_line_range)
@@ -150,13 +150,20 @@ def _naming(record: FunctionRecord) -> Iterator[None]:
         raise DataError(f"record {record.id!r}: {exc}") from exc
 
 
-def prepare_sample(record: FunctionRecord, vocab: Vocabulary, num_classes: int,
-                   stream: TokenStream | None = None) -> EncodedSample:
-    """Encode a record; ``stream`` is its token stream, when already made.
-    A source that cannot be lexed or graphed is a DataError naming it."""
+def prepare_sample(record: FunctionRecord, vocab: Vocabulary,
+                   num_classes: int) -> EncodedSample:
+    """Encode a record. A source that cannot be lexed or graphed is a
+    DataError naming it."""
     with _naming(record):
-        ids, operator = model_inputs(
-            stream if stream is not None else tokenize(record.source), vocab)
+        stream = tokenize(record.source)
+    return _encode(record, stream, vocab, num_classes)
+
+
+def _encode(record: FunctionRecord, stream: TokenStream, vocab: Vocabulary,
+            num_classes: int) -> EncodedSample:
+    """``prepare_sample`` of a record whose own stream is already made."""
+    with _naming(record):
+        ids, operator = model_inputs(stream, vocab)
     return EncodedSample(
         ids=ids, operator=operator,
         label=class_index(record, num_classes),
@@ -443,7 +450,7 @@ def _prepare(records: Sequence[FunctionRecord], split: DatasetSplit,
         with _naming(record):
             streams.append(tokenize(record.source))
     vocab = build_vocab(streams, min_count=min_count)
-    samples = [_for_training(prepare_sample(r, vocab, num_classes, s))
+    samples = [_for_training(_encode(r, s, vocab, num_classes))
                for r, s in zip(train_records, streams)]
     val_samples = [_for_training(prepare_sample(r, vocab, num_classes))
                    for r in val_records]
@@ -467,11 +474,28 @@ def train(records: Sequence[FunctionRecord], split: DatasetSplit,
     return _fit(vocab, samples, val_samples, model_cfg, train_cfg)
 
 
+def _check_fits(cfg: ModelConfig) -> None:
+    """A ConfigError where the float64 parameters alone would outgrow the
+    machine's physical memory; where the platform does not report that
+    memory, nothing is checked."""
+    try:
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, OSError, ValueError):
+        return
+    size = 8 * cfg.parameter_count
+    if size > memory:
+        raise ConfigError(
+            f"embed_dim={cfg.embed_dim}, gcn_dim={cfg.gcn_dim} and "
+            f"gcn_layers={cfg.gcn_layers} make {size} bytes of parameters, "
+            f"more than the machine's {memory} bytes of memory")
+
+
 def _fit(vocab: Vocabulary, samples: Sequence[EncodedSample],
          val_samples: Sequence[EncodedSample], model_cfg: ModelConfig,
          train_cfg: TrainConfig) -> TrainResult:
     """A model trained on ``samples`` at the vocabulary's size."""
     model_cfg = replace(model_cfg, vocab_size=len(vocab))
+    _check_fits(model_cfg)
     model = VulnModel(model_cfg, seed=train_cfg.seed)
     state = _share(model.parameters())
     heads = _shared((len(val_samples), model_cfg.num_classes + 2))

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import vulngraph
+from vulngraph import cpus
 from vulngraph.attribution import attribute_tokens
 from vulngraph.corpus import split
 from vulngraph.lexer import Vocabulary, build_vocab, closers, tokenize
@@ -22,6 +23,10 @@ from vulngraph.synth import PlantedTruth, make_toy_corpus
 from vulngraph.tensor import Matrix, SparseOperator
 from vulngraph.runfiles import TrainConfig
 from vulngraph.trainer import _backward_batch, _Helpers, train
+
+#: The benchmark's desk checkpoint, which tests only read.
+DESK_CHECKPOINT = Path(__file__).resolve().parents[1] / "perfbench" / \
+    "fixture" / "desk"
 
 DESK_MODEL = dict(embed_dim=64, gcn_dim=48, gcn_layers=2, num_classes=11)
 DESK_TRAIN = dict(epochs=200, learning_rate=1e-3, batch_size=8, seed=7)
@@ -81,6 +86,29 @@ def run_python(script: str, *args) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, "-c", textwrap.dedent(script), *map(str, args)],
         capture_output=True, text=True, env=env, timeout=120)
+
+
+def run_cli(*args, setup: str = "") -> subprocess.CompletedProcess:
+    """``vulngraph`` with ``args`` in a fresh interpreter, run after the
+    statements of ``setup``, which may patch the package."""
+    return run_python(textwrap.dedent(setup) + "import sys\n"
+                      "from vulngraph import cli\n"
+                      "sys.exit(cli.main(sys.argv[1:]))\n", *args)
+
+
+def cpus_setup(count: int) -> str:
+    """A ``run_cli`` setup that lets the run use ``count`` CPUs."""
+    return ("from vulngraph import cpus\nusable = cpus.usable_cpus\n"
+            f"cpus.usable_cpus = lambda: ({count}, usable()[1])\n")
+
+
+def crlf_file() -> bytes:
+    """The first four functions of the toy corpus of seed 1 with CRLF line
+    ends. The desk checkpoint predicts those at lines 9 and 25
+    vulnerable."""
+    return "".join(record.source + "\n"
+                   for record in make_toy_corpus(seed=1)[0][:4]
+                   ).replace("\n", "\r\n").encode()
 
 
 def families(stream) -> dict[str, tuple[np.ndarray, np.ndarray]]:
@@ -210,6 +238,19 @@ def attribute(model, stream, vocab):
     """``attribute_tokens`` on the stream's inputs and base forward."""
     inputs = model_inputs(stream, vocab)
     return attribute_tokens(model, stream, model.forward(*inputs))
+
+
+@pytest.fixture()
+def use_cpus(monkeypatch):
+    """Set how many CPUs scans and training may use, two until set, so
+    that their forked paths run on a one-core host too; whether the
+    platform can fork is unchanged."""
+    usable = cpus.usable_cpus
+
+    def use(count):
+        monkeypatch.setattr(cpus, "usable_cpus", lambda: (count, usable()[1]))
+    use(2)
+    return use
 
 
 @dataclass

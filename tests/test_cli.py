@@ -5,13 +5,11 @@ import logging
 import multiprocessing
 import re
 import sys
-import warnings
 
 import numpy as np
 import pytest
 
 import vulngraph.cli as cli
-from vulngraph import cpus
 from vulngraph.attribution import attribute_tokens
 from vulngraph.cli import main
 from vulngraph.corpus import (class_label, load_dataset, save_dataset,
@@ -23,8 +21,9 @@ from vulngraph.synth import make_toy_corpus
 from vulngraph.tensor import Matrix
 from vulngraph.runfiles import load_checkpoint, save_checkpoint
 from vulngraph.trainer import evaluate_samples, prepare_sample
-from conftest import (UNGRAPHABLE_FILE, UNGRAPHABLE_SOURCE, UNLEXABLE_SOURCE,
-                      count_matrices, run_python)
+from conftest import (DESK_CHECKPOINT, UNGRAPHABLE_FILE, UNGRAPHABLE_SOURCE,
+                      UNLEXABLE_SOURCE, count_matrices, cpus_setup, crlf_file,
+                      run_cli, run_python)
 
 TINY_CONFIG = """\
 embed_dim=16
@@ -44,6 +43,13 @@ def tiny_config(settings: str) -> str:
     return "".join(line + "\n" for line in TINY_CONFIG.splitlines()
                    if line.partition("=")[0] not in given) + settings
 
+
+#: A ``run_cli`` setup that caps the run's address space at 1.5 GB.
+MEMORY_CAP = """\
+    import resource
+    cap = 1536 << 20
+    resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+    """
 
 TWO_FUNCTIONS = ("int aa(void) {\n    return 1;\n}\n"
                  "int bb(char *p) {\n    strcpy(p, \"x\");\n    return 2;\n}\n")
@@ -117,10 +123,7 @@ class TestExitCodes:
             entries = {key: archive[key] for key in archive.files}
         entries[name] = convert(entries[name])
         np.savez(path, **entries)
-        done = run_python(
-            "import sys; from vulngraph import cli; "
-            "sys.exit(cli.main(sys.argv[1:]))",
-            "eval", "--checkpoint", checkpoint, "--data", dataset)
+        done = run_cli("eval", "--checkpoint", checkpoint, "--data", dataset)
         assert done.returncode == 2, done.stderr
         assert done.stderr.startswith("vulngraph: data error: ")
         assert done.stderr.count("\n") == 1, done.stderr
@@ -135,13 +138,8 @@ class TestExitCodes:
             config.read_text(encoding="utf-8")), encoding="utf-8")
         source = tmp_path / "two.c"
         source.write_text(TWO_FUNCTIONS, encoding="utf-8")
-        done = run_python("""\
-            import resource, sys
-            from vulngraph import cli
-            cap = 1536 << 20
-            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
-            sys.exit(cli.main(sys.argv[1:]))
-            """, "analyze", "--checkpoint", checkpoint, "--file", source)
+        done = run_cli("analyze", "--checkpoint", checkpoint, "--file", source,
+                       setup=MEMORY_CAP)
         assert (done.returncode, done.stdout) == (2, ""), done.stderr
         assert done.stderr == (
             "vulngraph: data error: checkpoint has 2 graph layers, "
@@ -159,9 +157,9 @@ class TestExitCodes:
         bad.write_text(TINY_CONFIG + "epochs=1\n", encoding="utf-8")
         assert main(["train", "--config", str(bad), "--data", str(dataset),
                      "--out", str(tmp_path / "out")]) == 1
-        assert capsys.readouterr().err == (
+        assert capsys.readouterr() == ("", (
             "vulngraph: config error: config line 8: key 'epochs' already "
-            "given on line 4\n")
+            "given on line 4\n"))
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("name, command, code", [
@@ -227,7 +225,11 @@ class TestExitCodes:
         bad.write_text(tiny_config(setting + "\n"), encoding="utf-8")
         assert main(["train", "--config", str(bad), "--data", str(dataset),
                      "--out", str(tmp_path / "out")]) == 1
-        assert capsys.readouterr().err.startswith("vulngraph: config error: ")
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("vulngraph: config error: ")
+        assert captured.err.count("\n") == 1, captured.err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["train", "eval", "sweep"])
     def test_label_past_the_class_count_names_the_record(
@@ -277,9 +279,8 @@ class TestExitCodes:
                 "sweep": ["--config", str(config),
                           "--ratios", "0.5"]}[command]
         assert main([command, *args, "--data", str(dataset)]) == 2
-        captured = capsys.readouterr()
-        assert captured.err == \
-            f"vulngraph: data error: record {bad_id!r}: {error}\n"
+        assert capsys.readouterr() == (
+            "", f"vulngraph: data error: record {bad_id!r}: {error}\n")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("setting", [
@@ -291,31 +292,56 @@ class TestExitCodes:
         bad.write_text(tiny_config(setting + "\n"), encoding="utf-8")
         assert main(["train", "--config", str(bad), "--data", str(dataset),
                      "--out", str(tmp_path / "out")]) == 1
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == ""
         assert err.startswith("vulngraph: config error: ")
+        assert err.count("\n") == 1, err
         assert setting.partition("=")[0] in err
         assert not (tmp_path / "out").exists()
         assert not (tmp_path / "runs").exists()
 
-    @pytest.mark.parametrize("settings", [
-        "learning_rate=1e300\n",
+    @pytest.mark.parametrize("settings, error", [
+        ("learning_rate=1e300\n", "non-finite values"),
         # one batch per epoch: only the validation pass sees the overflow
-        "learning_rate=1e300\nepochs=1\nbatch_size=64\n",
+        ("learning_rate=1e300\nepochs=1\nbatch_size=64\n",
+         "non-finite values in validation"),
         # finite in float64, past float32's range: the passes overflow
-        "learning_rate=1e39\n"])
+        ("learning_rate=1e39\n", "non-finite values in forward pass")],
+        ids=["learning_rate=1e300\n",
+             "learning_rate=1e300\nepochs=1\nbatch_size=64\n",
+             "learning_rate=1e39\n"])
     def test_diverging_run_exits_three_on_one_line(self, tmp_path, dataset,
-                                                    settings, capsys):
+                                                    settings, error):
+        """In one process and with a forked helper alike: no numpy warning
+        reaches stderr ahead of the error."""
         diverging = tmp_path / "diverging.cfg"
         diverging.write_text(tiny_config(settings), encoding="utf-8")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code = main(["train", "--config", str(diverging), "--data",
-                         str(dataset), "--out", str(tmp_path / "out")])
-        assert code == 3
-        assert [str(w.message) for w in caught] == []
-        err = capsys.readouterr().err
-        assert err.startswith("vulngraph: error: non-finite values")
-        assert len(err.splitlines()) == 1
+        for processes in (1, 2):
+            done = run_cli("train", "--config", diverging, "--data", dataset,
+                           "--out", tmp_path / "out",
+                           setup=cpus_setup(processes))
+            assert done.returncode == 3, done.stderr
+            assert done.stderr.startswith(f"vulngraph: error: {error}")
+            assert len(done.stderr.splitlines()) == 1, done.stderr
+
+    @pytest.mark.parametrize("setting", ["gcn_layers=1000000000000",
+                                         "embed_dim=1000000000000"])
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    def test_huge_model_setting_is_one_config_error_line(
+            self, tmp_path, dataset, command, setting):
+        """Checked before anything is sized by it; run under a 1.5 GB
+        address-space cap, in a child process."""
+        huge = tmp_path / "huge.cfg"
+        huge.write_text(tiny_config(setting + "\n"), encoding="utf-8")
+        target = {"train": ["--out", tmp_path / "out"],
+                  "sweep": ["--ratios", "0.5"]}[command]
+        done = run_cli(command, "--config", huge, "--data", dataset, *target,
+                       setup=MEMORY_CAP)
+        assert (done.returncode, done.stdout) == (1, ""), done.stderr
+        assert done.stderr.startswith("vulngraph: config error: ")
+        assert setting in done.stderr
+        assert len(done.stderr.splitlines()) == 1, done.stderr
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("under", [False, True],
                              ids=["file", "under-file"])
@@ -508,41 +534,12 @@ class TestAnalyzeSurface:
         (src / "two.c").write_text(f"{benign.source}\n\n{vuln.source}\n",
                                    encoding="utf-8")
         (src / "paren.c").write_text(UNGRAPHABLE_FILE, encoding="utf-8")
-        assert main(["scan", "--checkpoint", str(checkpoint), "--root",
-                     str(src), "--out", str(tmp_path / "reports")]) == 0
-        capsys.readouterr()
-        assert main(["attribute", "--checkpoint", str(checkpoint), "--file",
-                     str(src / "two.c")]) == 0
-        dumps = json.loads(capsys.readouterr().out)
-        found, _ = file_functions(src / "two.c", "two.c")
-        assert [dump["function_id"] for dump in dumps] \
-            == [record.id for record, _ in found]
-        assert found[1][0].file_start_line == benign.line_count + 2
-        assert dumps[1]["root_cause"] is not None
-        classes = set()
-        for dump, (record, stream) in zip(dumps, found):
-            first, last = record.span
-            scanned = json.loads((tmp_path / "reports" / f"two.c__L{first}"
-                                  ".json").read_text(encoding="utf-8"))
-            for report in (analyze(record, toy_run.model, toy_run.vocab,
-                                   stream),
-                           analyze(record, toy_run.model, toy_run.vocab)):
-                assert report.to_json_dict() == scanned
-            label = class_label(dump["target_class"],
-                                toy_run.model.config.num_classes)[0]
-            assert label == scanned["predicted_cwe"]
-            classes.add(label == "none")
-            if label == "none":
-                assert dump["root_cause"] is None
-                assert scanned["root_cause_line"] is None
-            else:
-                assert dump["root_cause"]["line"] \
-                    == scanned["root_cause_line"]
-                assert sorted(dump["line_scores"]) \
-                    == sorted(scanned["line_attributions"])
-            assert all(first <= int(line) <= last
-                       for line in dump["line_scores"])
-        assert classes == {True, False}  # a benign and a vulnerable one
+        rooted = dumps_against_reports(checkpoint, src / "two.c",
+                                       tmp_path / "reports", capsys)
+        assert rooted[1][0] == benign.line_count + 2
+        assert rooted[1][2] is not None
+        # a benign and a vulnerable one
+        assert {line is None for *_, line in rooted} == {True, False}
         assert main(["attribute", "--checkpoint", str(checkpoint), "--file",
                      str(src / "paren.c")]) == 2
         scanned = json.loads((tmp_path / "reports" / "paren.c__L7.json"
@@ -551,6 +548,13 @@ class TestAnalyzeSurface:
         assert capsys.readouterr().err == (
             f"vulngraph: data error: function 'paren.c:7:f': "
             f"{scanned['error']}\n")
+        (tmp_path / "crlf").mkdir()
+        (tmp_path / "crlf" / "crlf.c").write_bytes(crlf_file())
+        rooted = dumps_against_reports(DESK_CHECKPOINT,
+                                       tmp_path / "crlf" / "crlf.c",
+                                       tmp_path / "crlf-reports", capsys)
+        assert [r for r in rooted if r[2] is not None] == [
+            (9, "CWE-476", 13), (25, "CWE-119", 27)]
 
     def test_scan_command(self, tmp_path, checkpoint, toy_run, capsys):
         src = tmp_path / "tree"
@@ -584,6 +588,43 @@ class TestAnalyzeSurface:
         assert main(scan) == 0
         assert jobs == [2, 1]
         assert cli._build_parser() is cli._build_parser()
+
+
+def dumps_against_reports(checkpoint, path, out, capsys):
+    """Scan the tree of ``path`` into ``out`` and attribute the file
+    ``path``, both with ``checkpoint``; check each function's dump against
+    its report and against ``analyze``, and return each function's first
+    line, class and root-cause line."""
+    model, vocab = load_checkpoint(checkpoint)
+    assert main(["scan", "--checkpoint", str(checkpoint), "--root",
+                 str(path.parent), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["attribute", "--checkpoint", str(checkpoint), "--file",
+                 str(path)]) == 0
+    dumps = json.loads(capsys.readouterr().out)
+    found, _ = file_functions(path, path.name)
+    assert [dump["function_id"] for dump in dumps] \
+        == [record.id for record, _ in found]
+    rooted = []
+    for dump, (record, stream) in zip(dumps, found):
+        first, last = record.span
+        scanned = json.loads((out / f"{path.name}__L{first}.json").read_text(
+            encoding="utf-8"))
+        for report in (analyze(record, model, vocab, stream),
+                       analyze(record, model, vocab)):
+            assert report.to_json_dict() == scanned
+        label = class_label(dump["target_class"], model.config.num_classes)[0]
+        assert label == scanned["predicted_cwe"]
+        if label == "none":
+            assert dump["root_cause"] is None
+            assert scanned["root_cause_line"] is None
+        else:
+            assert dump["root_cause"]["line"] == scanned["root_cause_line"]
+            assert sorted(dump["line_scores"]) \
+                == sorted(scanned["line_attributions"])
+        assert all(first <= int(line) <= last for line in dump["line_scores"])
+        rooted.append((first, label, scanned["root_cause_line"]))
+    return rooted
 
 
 def count_forwards(monkeypatch):
@@ -644,7 +685,7 @@ class TestInferenceCost:
         assert taped == []
 
     def test_no_tape_in_evaluation(self, toy_run, checkpoint, tmp_path,
-                                   monkeypatch):
+                                   monkeypatch, use_cpus):
         samples = [prepare_sample(r, toy_run.vocab, 11)
                    for r in toy_run.records[:6]]
         vulnerable = [r for r in toy_run.records if r.is_vulnerable][:2]
@@ -653,8 +694,6 @@ class TestInferenceCost:
         for i, record in enumerate(vulnerable + benign):
             (tmp_path / "src" / f"f{i}.c").write_text(record.source + "\n",
                                                       encoding="utf-8")
-        can_fork = cpus.usable_cpus()[1]
-        monkeypatch.setattr(cpus, "usable_cpus", lambda: (2, can_fork))
         taped = count_calls(monkeypatch, "tensor", "from_op")
         matrices = count_matrices(monkeypatch, tmp_path)
         evaluate_samples(toy_run.model, samples)
@@ -697,10 +736,14 @@ class TestSweepCommand:
         out = capsys.readouterr().out
         assert "Embed" in out and "F1" in out
         assert len(out.strip().splitlines()) == 4  # header + rule + 2 rows
+        assert [row.split()[:2] for row in out.splitlines()[2:]] == [
+            ["1.00", "0.00"], ["0.00", "1.00"]]
 
     def test_bad_ratios_usage_error(self, dataset, config, capsys):
-        assert main(["sweep", "--config", str(config), "--data", str(dataset),
-                     "--ratios", "abc"]) == 1
+        for ratios in ("abc", "0.5,1.5"):  # a bad weight, then a bad ratio
+            assert main(["sweep", "--config", str(config), "--data",
+                         str(dataset), "--ratios", ratios]) == 1
+            assert capsys.readouterr().out == ""
 
 
 def has_mallopt():

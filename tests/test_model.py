@@ -627,6 +627,12 @@ class TestConfigAndCheckpoint:
         assert ModelConfig(**_typed(settings, _MODEL_KEYS)) == cfg
         assert _training_settings(settings) == {}
 
+    def test_parameter_count_is_the_parameters_size(self):
+        cfg = ModelConfig(vocab_size=99, embed_dim=32, gcn_dim=16,
+                          gcn_layers=3, num_classes=2)
+        assert cfg.parameter_count == sum(
+            p.data.size for p in VulnModel(cfg).parameters())
+
     def test_invalid_configs(self):
         with pytest.raises(ConfigError):
             ModelConfig(vocab_size=10, gcn_layers=0)

@@ -2,13 +2,12 @@ import json
 import logging
 import multiprocessing
 import os
-import subprocess
-import sys
+import re
 import tempfile
-import textwrap
 import time
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,13 +15,16 @@ from hypothesis import given, settings, strategies as st
 from vulngraph.corpus import FunctionRecord, load_dataset, select
 from vulngraph.errors import ConfigError, DataError, LexError
 from vulngraph.lexer import closers, lex, tokenize
-from vulngraph import cpus, scanner, semgraph
+from vulngraph import scanner, semgraph
+from vulngraph.cli import main
 from vulngraph.model import VulnModel
 from vulngraph.scanner import (AnalysisReport, _chunk_size, analyze,
                                extract_functions, render_report, scan)
-from vulngraph.runfiles import save_checkpoint
-from conftest import (UNGRAPHABLE_FILE, UNGRAPHABLE_SOURCE, UNLEXABLE_SOURCE,
-                      poison, tiny_model_inputs)
+from vulngraph.runfiles import load_checkpoint, save_checkpoint
+from vulngraph.synth import make_toy_corpus
+from conftest import (DESK_CHECKPOINT, HUB_SOURCE, UNGRAPHABLE_FILE,
+                      UNGRAPHABLE_SOURCE, UNLEXABLE_SOURCE, crlf_file,
+                      poison, run_cli, tiny_model_inputs)
 
 TWO_FUNCTIONS = """\
 #include <stdio.h>
@@ -61,16 +63,36 @@ C_PIECES = ["{", "}", "(", ")", ";", ",", "=", "+", "*", "->", "[", "]",
             "f", "buf[i]", "malloc(", "free(", "/*", "*/", "//", '"', "'",
             "\\", "#define X 1", "#include <a.h>", "0x1F", " ", "\n", "\t"]
 
+#: One function of 510 tokens, the window's whole payload.
+FILL_510 = ("int fill(char *buf, int n) {\n"
+            + "".join(f"    buf[{i}] = n + {i} * buf[n];\n" for i in range(35))
+            + "    n = -1;\n    return n;\n}\n")
+
+#: Edge cases of lexing and extraction: names and numbers that start with
+#: a non-ASCII character, an unterminated string that makes the scan skip
+#: its file, comments that cross a function's first or last line, two
+#: functions on one line, and a function that cannot be graphed.
+EDGE_FILES = {
+    "names.c": "static int \u00e9mettre(int \u00f1) {\n"
+               "    int \u03b4 = \u00f1 * \u00b2 + .\u0663;\n"
+               "    return \u03b4 + \u06635 + \u00b5x;\n}\n\n"
+               "int compte(char *s, int n) {\n"
+               "    int gr\u00f6\u00dfe = 0;\n"
+               "    while (gr\u00f6\u00dfe < n && s[gr\u00f6\u00dfe]) {\n"
+               "        gr\u00f6\u00dfe++;\n    }\n"
+               "    return gr\u00f6\u00dfe \u00bd n;\n}\n",
+    "open.c": 'int f(void) {\n    return puts("open);\n}\n',
+    "bounds.c": "/* opens above\n   and closes on the first line */ "
+                "int first(char *s) {\n    return s[0];\n}\n"
+                "int last(char *s) {\n    return s[1];\n} /* opens after\n"
+                "   the closing brace */\n",
+    "one.c": "int f(int a) { return a + 1; } int g(char *p) { char b[4]; "
+             "strcpy(b, p); return b[0]; }\n",
+    "paren.c": UNGRAPHABLE_FILE,
+}
+
 SOURCES = st.text() | st.lists(st.sampled_from(C_PIECES) | st.text(max_size=3),
                                max_size=80).map("".join)
-
-
-@pytest.fixture()
-def two_cpus(monkeypatch):
-    """Cap worker scans at two processes, and fork them on one core too;
-    whether the platform can fork is unchanged."""
-    usable = cpus.usable_cpus
-    monkeypatch.setattr(cpus, "usable_cpus", lambda: (2, usable()[1]))
 
 
 def write_tree(root: Path, records) -> Path:
@@ -93,11 +115,40 @@ def summary_skips(src: Path, toy_run, out: Path) -> list[list[str]]:
     return skips
 
 
-def scan_bytes(src: Path, toy_run, out: Path, **kwargs) -> dict[str, bytes]:
-    """Every file a scan of ``src`` writes, by name."""
-    scan(src, toy_run.model, toy_run.vocab, out, **kwargs)
+def scan_bytes(src: Path, run, out: Path, **kwargs) -> dict[str, bytes]:
+    """Every file that a scan of ``src`` with ``run``'s model and
+    vocabulary writes, by name."""
+    scan(src, run.model, run.vocab, out, **kwargs)
     return {p.name: p.read_bytes() for p in sorted(out.glob("*"))
             if p.is_file()}
+
+
+@pytest.fixture(scope="module")
+def desk():
+    """The desk checkpoint's model and vocabulary."""
+    model, vocab = load_checkpoint(DESK_CHECKPOINT)
+    return SimpleNamespace(model=model, vocab=vocab)
+
+
+@pytest.fixture(scope="module")
+def desk_trees(tmp_path_factory):
+    """Trees for the desk checkpoint: 96 and 32 toy files of one function,
+    which fill chunks of 4 files; a 250-argument hub and ``FILL_510``, one
+    file for each worker; and ``EDGE_FILES`` with ``crlf_file``."""
+    root = tmp_path_factory.mktemp("desk")
+    trees = {"toy-96": {}, "edge": dict(EDGE_FILES),
+             "hub": {"hub.c": HUB_SOURCE + "\n", "long.c": FILL_510}}
+    for seed in range(3):
+        for i, record in enumerate(make_toy_corpus(seed=seed)[0]):
+            trees["toy-96"][f"s{seed}_{i:02d}.c"] = record.source + "\n"
+    trees["toy-32"] = {name: text for name, text in trees["toy-96"].items()
+                       if name.startswith("s0_")}
+    for tree, files in trees.items():
+        (root / tree).mkdir()
+        for name, text in files.items():
+            (root / tree / name).write_text(text, encoding="utf-8")
+    (root / "edge" / "crlf.c").write_bytes(crlf_file())
+    return root
 
 
 @pytest.fixture(scope="module")
@@ -176,7 +227,7 @@ class TestExtract:
         assert [r.id for r in records] == ["m.c:2:real"]
 
     def test_unbalanced_file_skipped_not_fatal(self, tmp_path, toy_run,
-                                               two_cpus):
+                                               use_cpus):
         src = tmp_path / "src"
         (src / "sub").mkdir(parents=True)
         (src / "broken.c").write_text("int f() { int x = 1;\n",
@@ -194,7 +245,7 @@ class TestExtract:
         assert summary_skips(src, toy_run, tmp_path / "out") == [skipped] * 2
 
     def test_unlexable_file_skipped_not_fatal(self, tmp_path, toy_run,
-                                              two_cpus, caplog):
+                                              use_cpus, caplog):
         src = tmp_path / "src"
         src.mkdir()
         (src / "bad.c").write_text('int f() { char *s = "open;\n}\n',
@@ -558,7 +609,7 @@ class TestScan:
         assert scan_bytes(src, toy_run, tmp_path / "out1") == \
             scan_bytes(src, toy_run, tmp_path / "out2")
 
-    def test_worker_counts_agree(self, tmp_path, toy_run, two_cpus):
+    def test_worker_counts_agree(self, tmp_path, toy_run, use_cpus):
         train = select(toy_run.records, toy_run.split.train)
         src = write_tree(tmp_path, train[:4])
         assert scan_bytes(src, toy_run, tmp_path / "o1", jobs=1) == \
@@ -665,16 +716,40 @@ class TestScan:
         assert summary.n_functions == 4
         assert sorted(calls) == ["build_graph"] * 4 + ["lex"] * 2
 
-    def test_report_name_clash_is_data_error(self, tmp_path, toy_run):
+    def test_report_name_clash_is_data_error(self, tmp_path, toy_run,
+                                             capsys):
         src = tmp_path / "src"
         (src / "a").mkdir(parents=True)
         for rel in ("a/b.c", "a__b.c"):
             (src / rel).write_text("int f(void) {\n    return 0;\n}\n",
                                    encoding="utf-8")
-        with pytest.raises(DataError, match=r"^a/b\.c and a__b\.c would both "
-                           r"write reports named a__b\.c__L<line>$"):
+        message = ("a/b.c and a__b.c would both write reports named "
+                   "a__b.c__L<line>")
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
             scan(src, toy_run.model, toy_run.vocab, tmp_path / "out")
         assert not (tmp_path / "out").exists()
+        assert main(["scan", "--checkpoint", str(DESK_CHECKPOINT), "--root",
+                     str(src), "--out", str(tmp_path / "out"),
+                     "--jobs", "2"]) == 2
+        assert capsys.readouterr().err == f"vulngraph: data error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_edge_tree_skips_only_the_unlexable_file(self, tmp_path, desk,
+                                                     desk_trees, caplog):
+        for fmt in ("json", "text"):
+            with caplog.at_level(logging.WARNING, logger="vulngraph.scanner"):
+                scan(desk_trees / "edge", desk.model, desk.vocab,
+                     tmp_path / fmt, fmt=fmt)
+            assert json.loads((tmp_path / fmt / "summary.json").read_text(
+                encoding="utf-8"))["skipped"] == ["open.c"]
+        assert [r.getMessage() for r in caplog.records] == [
+            "skipping unlexable file open.c: line 2: unterminated string "
+            "literal"] * 2
+        for name in ("bounds.c__L2", "bounds.c__L5", "one.c__L1",
+                     "one.c__L1_2"):
+            report = json.loads((tmp_path / "json" / f"{name}.json"
+                                 ).read_text(encoding="utf-8"))
+            assert report["error"] is None, name
 
     def test_unknown_format_rejected(self, tmp_path, toy_run):
         with pytest.raises(DataError):
@@ -698,7 +773,7 @@ class TestWorkers:
                           + [r for r in train if not r.is_vulnerable][:3])
 
     def test_raising_function_is_unanalyzable_in_a_worker(
-            self, tmp_path, toy_run, src, two_cpus, monkeypatch):
+            self, tmp_path, toy_run, src, use_cpus, monkeypatch):
         serial = scan_bytes(src, toy_run, tmp_path / "o1", jobs=1)
         analyze_one = scanner.analyze
 
@@ -723,28 +798,20 @@ class TestWorkers:
                                                        toy_run, src):
         checkpoint = tmp_path / "ckpt"
         save_checkpoint(checkpoint, toy_run.model, toy_run.vocab)
-        script = textwrap.dedent("""\
-            import os, sys
-            from vulngraph import cli, cpus, scanner
+        done = run_cli("scan", "--checkpoint", checkpoint, "--root", src,
+                       "--out", tmp_path / "out", "--jobs", "2", setup="""\
+            import os
+            from vulngraph import cpus, scanner
             cpus.usable_cpus = lambda: (2, True)
             scanner.analyze = lambda *args: os._exit(7)
-            sys.exit(cli.main(sys.argv[1:]))
             """)
-        package_root = Path(scanner.__file__).parents[1]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [str(package_root), os.environ.get("PYTHONPATH")])))
-        done = subprocess.run(
-            [sys.executable, "-c", script, "scan", "--checkpoint",
-             str(checkpoint), "--root", str(src), "--out",
-             str(tmp_path / "out"), "--jobs", "2"],
-            capture_output=True, text=True, env=env, timeout=120)
         assert done.returncode == 3, done.stderr
         assert done.stderr.startswith("vulngraph: error: a scan worker "
                                       "process died")
         assert len(done.stderr.splitlines()) == 1, done.stderr
 
     def test_without_fork_scans_serially(self, tmp_path, toy_run, src,
-                                         two_cpus, monkeypatch, caplog):
+                                         use_cpus, monkeypatch, caplog):
         serial = scan_bytes(src, toy_run, tmp_path / "o1", jobs=1)
         monkeypatch.setattr(multiprocessing, "get_all_start_methods",
                             lambda: ["spawn"])
@@ -755,14 +822,14 @@ class TestWorkers:
             "scan --jobs needs the fork start method, which this platform "
             "lacks; analyzing serially"]
 
-    def test_text_format_agrees(self, tmp_path, toy_run, src, two_cpus):
+    def test_text_format_agrees(self, tmp_path, toy_run, src, use_cpus):
         assert scan_bytes(src, toy_run, tmp_path / "o1", fmt="text",
                           jobs=1) == \
             scan_bytes(src, toy_run, tmp_path / "o2", fmt="text", jobs=2)
 
     @pytest.mark.parametrize("fmt", ["json", "text"])
     def test_functions_sharing_a_start_line_each_get_a_report(
-            self, tmp_path, toy_run, two_cpus, fmt):
+            self, tmp_path, toy_run, use_cpus, fmt):
         src = tmp_path / "src"
         src.mkdir()
         (src / "one.c").write_text(
@@ -785,7 +852,7 @@ class TestWorkers:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_unanalyzable_error_gives_the_file_line(self, tmp_path, toy_run,
-                                                    two_cpus, jobs):
+                                                    use_cpus, jobs):
         src = tmp_path / "src"
         src.mkdir()
         (src / "paren.c").write_text(UNGRAPHABLE_FILE, encoding="utf-8")
@@ -800,13 +867,31 @@ class TestWorkers:
         assert f"Error:           {error}\n" in text
         assert "   7 | int f(int x) {\n" in text
 
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    @pytest.mark.parametrize("tree", ["toy-96", "toy-32", "hub", "edge"])
+    def test_desk_reports_agree(self, tmp_path, desk, desk_trees, use_cpus,
+                                caplog, tree, fmt):
+        """The hub and the 510-token function take the operator's padded
+        lists and remainder rows into the workers, and the edge tree the
+        lexer's and the extraction's edge cases."""
+        written, logged = [], []
+        for jobs in (1, 2):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="vulngraph.scanner"):
+                written.append(scan_bytes(desk_trees / tree, desk,
+                                          tmp_path / str(jobs), fmt=fmt,
+                                          jobs=jobs))
+            logged.append([r.getMessage() for r in caplog.records])
+        assert written[0] == written[1]
+        assert logged[0] == logged[1]
+
     @pytest.mark.parametrize("n_files, workers, size", [
         (6, 2, 3), (96, 2, 4), (7, 2, 4), (1, 1, 1)])
     def test_chunk_size_spreads_small_trees(self, n_files, workers, size):
         assert _chunk_size(n_files, workers) == size
 
     def test_warnings_reach_the_log_in_path_order(self, tmp_path, toy_run,
-                                                  two_cpus, caplog):
+                                                  use_cpus, caplog):
         src = tmp_path / "src"
         (src / "sub").mkdir(parents=True)
         (src / "fine.c").write_text("int g(void) {\n    return 0;\n}\n",

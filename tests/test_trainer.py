@@ -2,7 +2,6 @@ import dataclasses
 import math
 import os
 import pickle
-import textwrap
 import time
 import tracemalloc
 import weakref
@@ -12,7 +11,7 @@ import pytest
 
 import vulngraph.lexer as lexer_module
 import vulngraph.trainer as trainer_module
-from vulngraph import cli, cpus, tensor
+from vulngraph import cli, tensor
 from vulngraph.corpus import (FunctionRecord, class_index, save_dataset,
                               select, split)
 from vulngraph.errors import (ConfigError, DataError, GradientError,
@@ -31,7 +30,7 @@ from vulngraph.trainer import (EncodedSample, evaluate, prepare_sample,
                                format_sweep_table)
 
 from conftest import (DESK_MODEL, LONG_SOURCE, backward_batch,
-                      count_matrices, run_python)
+                      count_matrices, cpus_setup, run_cli, run_python)
 from oracles import tape_sample_loss, zero_grad
 
 TINY_MODEL = dict(embed_dim=16, gcn_dim=12, num_classes=11)
@@ -135,18 +134,6 @@ def tiny_train_cfg(**overrides):
                 focal=FocalConfig(alpha=0.25, delta=2.0))
     base.update(overrides)
     return TrainConfig(**base)
-
-
-@pytest.fixture()
-def use_cpus(monkeypatch):
-    """Set how many CPUs training may use, so that the forked path runs
-    on a one-core host too; whether the platform can fork is unchanged."""
-    usable = cpus.usable_cpus
-
-    def use(count):
-        monkeypatch.setattr(cpus, "usable_cpus",
-                            lambda: (count, usable()[1]))
-    return use
 
 
 def oracle_batch():
@@ -712,19 +699,21 @@ class TestSweep:
         assert (tokenized, passes) == ([], [])
 
 
-#: The desk-width run configuration of ``TestForkedTraining``.
-DESK_RUN = "".join(f"{key}={value}\n" for key, value in dict(
-    DESK_MODEL, epochs=3, learning_rate=1e-3, seed=2).items())
+def desk_run(**settings) -> str:
+    """The desk-width run configuration of ``TestForkedTraining``, with
+    ``settings`` in place of its own."""
+    return "".join(f"{key}={value}\n" for key, value in {
+        **DESK_MODEL, "epochs": 3, "learning_rate": 1e-3, "seed": 2,
+        **settings}.items())
 
 
-def train_outputs(tmp_path, name, batch_size):
+def train_outputs(tmp_path, name, settings):
     """log.jsonl bytes and each parameter's bytes of a ``vulngraph train``
-    run over the tiny corpus, at desk width."""
+    run over the tiny corpus, at ``desk_run(**settings)``."""
     data, config = tmp_path / "data.jsonl", tmp_path / f"{name}.cfg"
     if not data.exists():
         save_dataset(tiny_corpus()[0], data)
-    config.write_text(DESK_RUN + f"batch_size={batch_size}\n",
-                      encoding="utf-8")
+    config.write_text(desk_run(**settings), encoding="utf-8")
     out = tmp_path / name
     assert cli.main(["train", "--config", str(config), "--data", str(data),
                      "--out", str(out)]) == 0
@@ -756,16 +745,18 @@ class TestForkedTraining:
     gives the one-process results bit for bit. More processes than this
     host's cores is part of the point."""
 
-    @pytest.mark.parametrize("batch_size", [8, 5, 1],
-                             ids=["uneven-last", "last-of-one", "one"])
-    def test_outputs_equal_one_process(self, tmp_path, use_cpus,
-                                       batch_size):
+    @pytest.mark.parametrize("settings", [
+        dict(batch_size=8), dict(batch_size=5), dict(batch_size=1),
+        # float32 passes through the BLAS kernels of the benchmark's shapes
+        dict(embed_dim=768, gcn_dim=512, epochs=1, batch_size=8)],
+        ids=["uneven-last", "last-of-one", "one", "paper"])
+    def test_outputs_equal_one_process(self, tmp_path, use_cpus, settings):
         use_cpus(1)
-        serial = train_outputs(tmp_path, "p1", batch_size)
+        serial = train_outputs(tmp_path, "p1", settings)
         for processes in (2, 3):
             use_cpus(processes)
             assert train_outputs(tmp_path, f"p{processes}",
-                                 batch_size) == serial, processes
+                                 settings) == serial, processes
         no_child_left()
 
     def test_sweep_rows_equal_one_process(self, use_cpus):
@@ -928,10 +919,11 @@ class TestForkedTraining:
     def test_dead_helper_exits_three_without_traceback(self, tmp_path):
         data, config = tmp_path / "data.jsonl", tmp_path / "run.cfg"
         save_dataset(tiny_corpus()[0], data)
-        config.write_text(DESK_RUN + "batch_size=8\n", encoding="utf-8")
-        script = textwrap.dedent("""\
-            import os, sys
-            from vulngraph import cli, cpus
+        config.write_text(desk_run(batch_size=8), encoding="utf-8")
+        done = run_cli("train", "--config", config, "--data", data, "--out",
+                       tmp_path / "out", setup="""\
+            import os
+            from vulngraph import cpus
             from vulngraph.model import VulnModel
             cpus.usable_cpus = lambda: (2, True)
             parent, forward = os.getpid(), VulnModel.forward
@@ -942,10 +934,7 @@ class TestForkedTraining:
                 return forward(self, *args)
 
             VulnModel.forward = dying
-            sys.exit(cli.main(sys.argv[1:]))
             """)
-        done = run_python(script, "train", "--config", config, "--data",
-                          data, "--out", tmp_path / "out")
         assert done.returncode == 3, done.stderr
         assert done.stderr == ("vulngraph: error: a training worker "
                                "process died: exit code 7\n")
@@ -957,20 +946,13 @@ class TestForkedTraining:
         no numpy warning, forked and in one process alike."""
         data, config = tmp_path / "data.jsonl", tmp_path / "run.cfg"
         save_dataset(tiny_corpus()[0], data)
-        config.write_text("".join(f"{key}={value}\n" for key, value in dict(
-            DESK_MODEL, epochs=3, learning_rate=1e39, seed=2,
-            batch_size=8).items()), encoding="utf-8")
-        script = """\
-            import sys
-            from vulngraph import cli, cpus
-            usable = cpus.usable_cpus
-            cpus.usable_cpus = lambda: (int(sys.argv[1]), usable()[1])
-            sys.exit(cli.main(sys.argv[2:]))
-            """
+        config.write_text(desk_run(learning_rate=1e39, batch_size=8),
+                          encoding="utf-8")
         errors = []
         for processes in (1, 2):
-            done = run_python(script, processes, "train", "--config", config,
-                              "--data", data, "--out", tmp_path / "out")
+            done = run_cli("train", "--config", config, "--data", data,
+                           "--out", tmp_path / "out",
+                           setup=cpus_setup(processes))
             assert done.returncode == 3, done.stderr
             errors.append(done.stderr)
         assert errors[1] == errors[0]
@@ -988,6 +970,23 @@ class TestForkedTraining:
             "print(sorted({'mmap', 'multiprocessing'} & set(sys.modules)))")
         assert done.stdout == "[]\n", done.stderr
 
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                        reason="the platform sets no CPU affinity")
+    def test_usable_cpus_are_the_affinity(self):
+        """As ``taskset`` sets it: a process held to k CPUs uses k."""
+        done = run_python("""\
+            import os
+            from vulngraph import cpus
+            allowed = sorted(os.sched_getaffinity(0))
+            for count in (1, len(allowed)):
+                os.sched_setaffinity(0, allowed[:count])
+                print(count, cpus.usable_cpus()[0])
+            """)
+        assert done.returncode == 0, done.stderr
+        counts = [line.split() for line in done.stdout.splitlines()]
+        assert len(counts) == 2
+        assert all(held == usable for held, usable in counts), counts
+
     @pytest.mark.parametrize("processes", [1, 2])
     def test_outputs_equal_without_the_allocator_policy(self, tmp_path,
                                                         processes):
@@ -995,22 +994,16 @@ class TestForkedTraining:
         that step replaced by a no-op writes the same bytes."""
         data, config = tmp_path / "data.jsonl", tmp_path / "run.cfg"
         save_dataset(tiny_corpus()[0], data)
-        config.write_text(DESK_RUN + "batch_size=8\n", encoding="utf-8")
-        script = """\
-            import sys
-            from vulngraph import cli, cpus
-            processes, policy = int(sys.argv[1]), sys.argv[2]
-            usable = cpus.usable_cpus
-            cpus.usable_cpus = lambda: (processes, usable()[1])
-            if policy == "off":
-                cli._keep_freed_memory = lambda: None
-            sys.exit(cli.main(sys.argv[3:]))
-            """
+        config.write_text(desk_run(batch_size=8), encoding="utf-8")
         outputs = []
         for policy in ("on", "off"):
+            setup = cpus_setup(processes)
+            if policy == "off":
+                setup += ("from vulngraph import cli\n"
+                          "cli._keep_freed_memory = lambda: None\n")
             out = tmp_path / policy
-            done = run_python(script, processes, policy, "train", "--config",
-                              config, "--data", data, "--out", out)
+            done = run_cli("train", "--config", config, "--data", data,
+                           "--out", out, setup=setup)
             assert done.returncode == 0, done.stderr
             outputs.append(written_outputs(out))
         assert outputs[0] == outputs[1]
