@@ -137,7 +137,9 @@ def file_functions(path: Path, rel_path: str
     literal``; for any other file the reason is None.
     """
     try:
-        text = path.read_text(encoding="utf-8", errors="replace")
+        # newline="" keeps CR, so that normalize_newlines is the one rule
+        with path.open(encoding="utf-8", errors="replace", newline="") as f:
+            text = f.read()
         return _functions_in_file(normalize_newlines(text), rel_path), None
     except OSError as exc:
         return [], f"unreadable file {rel_path}: {exc}"

@@ -4,7 +4,10 @@ that is the gradient oracle.
 A ``Parameter`` is a named array and the gradient buffer that training
 adds into. The graph operator is a ``SparseOperator``: the model's
 forward pass applies it and its hand-written backward its transpose, in
-plain numpy.
+plain numpy. Its products and ``segment_sum``, which adds its remainder
+and the model's gradients by row, hold their input and output and one
+block of scratch: a product gathers ``PRODUCT_BLOCK_BYTES`` of rows at a
+time, and a segment sum indexes ``SEGMENT_BLOCK`` columns at a time.
 
 The tape is ``Matrix`` and the primitive ops built on ``from_op``: each
 op returns a Matrix that remembers its inputs and a closure that pushes
@@ -197,6 +200,13 @@ DENSE_ROWS = 96
 #: function's product takes one call; a long one runs in row blocks whose
 #: gathered rows stay cache-sized.
 PRODUCT_BLOCK_BYTES = 2**18
+#: Columns that one ``np.bincount`` of ``segment_sum`` adds, so its flat
+#: index and float64 weights hold n x 64 entries, not n x width. On a
+#: 2-core host, a 512 x 512 float32 input summed into 70 segments took
+#: 0.63-0.76 ms against 2.1-2.5 ms as one call over all columns (300 x
+#: 512: 0.39-0.44 against 0.49-0.59 ms), and traced 0.80 MiB against 4.27
+#: MiB. Of blocks of 16 to 256 columns, 64 was about the fastest.
+SEGMENT_BLOCK = 64
 
 
 class SparseOperator:
@@ -311,11 +321,31 @@ def segment_sum(values: np.ndarray, segments: np.ndarray,
     Row s of the result adds the rows with segment s in their order, from
     zero, as ``np.add.at`` into zeros does, in float64; the sums are
     returned in the values' dtype.
+
+    One ``np.bincount`` adds ``SEGMENT_BLOCK`` columns at a time, over one
+    block-sized flat index, so neither that index nor bincount's float64
+    copy of the values grows with the width. Each (segment, column) sum
+    still adds the same rows in the same order, so blocking keeps its
+    bits. An input no wider than a block takes one call.
     """
     width = values.shape[1]
-    flat = (segments[:, None] * width + np.arange(width)).ravel()
-    return np.bincount(flat, weights=values.ravel(), minlength=count * width
-                       ).reshape(count, width).astype(values.dtype, copy=False)
+    block = min(width, SEGMENT_BLOCK)
+    flat = (segments[:, None] * block + np.arange(block)).ravel()
+    if block == width:
+        return np.bincount(flat, weights=values.ravel(),
+                           minlength=count * width
+                           ).reshape(count, width).astype(values.dtype,
+                                                          copy=False)
+    out = np.empty((count, width), dtype=values.dtype)
+    for lo in range(0, width, block):
+        part = values[:, lo:lo + block]
+        if part.shape[1] < block:  # the last, narrower block
+            flat = (segments[:, None] * part.shape[1]
+                    + np.arange(part.shape[1])).ravel()
+        out[:, lo:lo + block] = np.bincount(
+            flat, weights=part.ravel(), minlength=count * part.shape[1]
+        ).reshape(count, part.shape[1])
+    return out
 
 
 def backward(loss: Matrix) -> None:

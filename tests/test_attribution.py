@@ -13,6 +13,7 @@ from vulngraph.lexer import PAD_ID, STREAM_CAPACITY, build_vocab, lex, tokenize
 import vulngraph.model as model_module
 from vulngraph.model import ModelConfig, VulnModel
 from vulngraph.semgraph import model_inputs
+from vulngraph.tensor import SEGMENT_BLOCK
 from conftest import (HUB_SOURCE, LONG_SOURCE, attribute, fuzz_snippet,
                       operator_from_dense, spearman, tiny_model_inputs)
 from oracles import ORACLE_MAX_TOKENS, occluded_by_forward_loop, shapley_oracle
@@ -103,9 +104,10 @@ class TestOcclusion:
 
 class TestIncrementalOcclusion:
     @staticmethod
-    def model_for(sources, gcn_layers, num_classes, fusion):
+    def model_for(sources, gcn_layers, num_classes, fusion, gcn_dim=8):
         vocab = build_vocab(map(tokenize, sources))
-        config = ModelConfig(vocab_size=len(vocab), embed_dim=10, gcn_dim=8,
+        config = ModelConfig(vocab_size=len(vocab), embed_dim=10,
+                             gcn_dim=gcn_dim,
                              gcn_layers=gcn_layers, num_classes=num_classes,
                              embed_weight=fusion[0], graph_weight=fusion[1])
         return VulnModel(config, seed=gcn_layers + num_classes), vocab
@@ -151,6 +153,13 @@ class TestIncrementalOcclusion:
                                       (0.5, 0.5))
         stream = tokenize(HUB_SOURCE)
         assert not stream.truncated and stream.content_len > 500
+        self.assert_matches_loop(model, vocab, HUB_SOURCE)
+
+    def test_matches_forward_loop_on_hub_past_one_segment_block(self):
+        # the changed rows' segment sums add more than one block of columns
+        assert 80 > SEGMENT_BLOCK
+        model, vocab = self.model_for([HUB_SOURCE], 2, 11, (0.5, 0.5),
+                                      gcn_dim=80)
         self.assert_matches_loop(model, vocab, HUB_SOURCE)
 
     @pytest.mark.parametrize("gcn_layers", [1, 2, 3])

@@ -240,6 +240,16 @@ class TestBackwardAgainstTape:
     @pytest.mark.parametrize("num_classes", [2, 11])
     @pytest.mark.parametrize("gcn_layers", [1, 2, 3])
     def test_bit_equal_to_tape(self, gcn_layers, num_classes, fusion):
+        self.assert_bit_equal(gcn_layers, num_classes, fusion, gcn_dim=12)
+
+    def test_bit_equal_to_tape_past_one_segment_block(self):
+        # backward's segment sums and the tape's gather push add more
+        # than one block of columns
+        assert 80 > tensor.SEGMENT_BLOCK
+        self.assert_bit_equal(2, 11, (0.5, 0.5), gcn_dim=80)
+
+    @staticmethod
+    def assert_bit_equal(gcn_layers, num_classes, fusion, gcn_dim):
         rng = np.random.default_rng(gcn_layers * 100 + num_classes)
         # a dense operator, the 512-position window and a hub row that
         # runs past the padded neighbour lists into the remainder
@@ -247,7 +257,7 @@ class TestBackwardAgainstTape:
                    HUB_SOURCE]
         vocab = build_vocab(map(tokenize, sources))
         model = VulnModel(ModelConfig(
-            vocab_size=len(vocab), embed_dim=16, gcn_dim=12,
+            vocab_size=len(vocab), embed_dim=16, gcn_dim=gcn_dim,
             gcn_layers=gcn_layers, num_classes=num_classes,
             embed_weight=fusion[0], graph_weight=fusion[1]), seed=gcn_layers)
         for p in model.parameters():

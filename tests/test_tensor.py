@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 import weakref
 
@@ -11,6 +12,23 @@ from vulngraph.semgraph import build_graph
 from vulngraph.tensor import DENSE_ROWS, Matrix, Parameter, from_op
 from conftest import HUB_SOURCE, LONG_SOURCE, operator_from_dense
 from oracles import grad_check, mean_all, mul, sum_all, zero_grad
+
+#: Column counts of ``segment_sum`` inputs: one block of
+#: ``tensor.SEGMENT_BLOCK`` (64) columns or less, and past it, ending in
+#: a full or a narrower block.
+SEGMENT_WIDTHS = [1, 5, 63, 64, 65, 129, 512]
+
+
+def segment_case(seed, width, dtype=np.float64):
+    """40 rows in unsorted, repeated segments of 7, of which no row names
+    segment 3, and their sums by ``np.add.at`` into float64 zeros."""
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=(40, width)).astype(dtype)
+    segments = rng.integers(0, 6, size=40)
+    segments[segments == 3] = 6
+    expected = np.zeros((7, width))
+    np.add.at(expected, segments, values)
+    return values, segments, expected
 
 
 class TestOps:
@@ -329,12 +347,9 @@ class TestGradientOwnership:
         counts = np.bincount(ids, minlength=3)[:, None] * np.ones((1, 2))
         np.testing.assert_array_equal(grad, x.data.T @ (counts + 1.0 / 3.0))
 
-    def test_segment_sum_equals_add_at_into_zeros(self):
-        rng = np.random.default_rng(7)
-        values = rng.normal(size=(40, 5))
-        segments = rng.integers(0, 6, size=40)
-        expected = np.zeros((7, 5))
-        np.add.at(expected, segments, values)
+    @pytest.mark.parametrize("width", SEGMENT_WIDTHS)
+    def test_segment_sum_equals_add_at_into_zeros(self, width):
+        values, segments, expected = segment_case(7, width)
         assert np.array_equal(tensor.segment_sum(values, segments, 7),
                               expected)
 
@@ -406,13 +421,23 @@ class TestDtypes:
         assert np.array_equal(product,
                               float64_product(operator, x, transposed))
 
-    def test_segment_sum_of_float32_is_float32(self):
+    @pytest.mark.parametrize("width", SEGMENT_WIDTHS)
+    def test_segment_sum_of_float32_is_float32(self, width):
         # it adds in float64 and rounds each sum once
-        rng = np.random.default_rng(5)
-        values = rng.normal(size=(40, 5)).astype(np.float32)
-        segments = rng.integers(0, 6, size=40)
-        expected = np.zeros((7, 5))
-        np.add.at(expected, segments, values)
+        values, segments, expected = segment_case(5, width, np.float32)
         sums = tensor.segment_sum(values, segments, 7)
         assert sums.dtype == np.float32
         assert np.array_equal(sums, expected.astype(np.float32))
+
+    def test_segment_sum_memory_is_block_sized(self):
+        # one bincount over all 512 columns traced 4.3 MiB
+        rng = np.random.default_rng(6)
+        values = rng.normal(size=(512, 512)).astype(np.float32)
+        segments = rng.integers(0, 70, size=512)
+        tracemalloc.start()
+        try:
+            tensor.segment_sum(values, segments, 70)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2**20
