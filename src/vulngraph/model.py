@@ -54,7 +54,7 @@ function length. ``denormalize_lines`` inverts that mapping.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -236,11 +236,14 @@ class VulnModel:
     """Residual graph-convolutional classifier/localizer over token graphs."""
 
     def __init__(self, config: ModelConfig, seed: int = 0,
-                 values: dict[str, np.ndarray] | None = None):
-        """Parameters drawn from ``seed`` in float64, or else taken from
-        ``values`` by name, which must hold exactly the config's finite
-        arrays; the parameters hold those arrays themselves, not copies,
-        in their dtype."""
+                 values: dict[str, np.ndarray] | None = None,
+                 grads: dict[str, np.ndarray] | None = None):
+        """Parameters drawn by ``initial_values`` from ``seed``, or else
+        taken from ``values`` by name, which must hold exactly the
+        config's finite arrays; the parameters hold those arrays
+        themselves, not copies, in their dtype. ``grads``, by name, are
+        the arrays that the parameters' gradients add into; without it
+        each parameter gets zeros."""
         self.config = config
         if values is not None:  # before anything is sized by gcn_layers
             layers = 0
@@ -251,18 +254,15 @@ class VulnModel:
                                 f"config.txt says gcn_layers="
                                 f"{config.gcn_layers}")
         shapes = _parameter_shapes(config)
-        if values is None:  # weights drawn in ``shapes`` order, zero biases
-            rng = np.random.default_rng(seed)
-            values = {name: (
-                tensor.embedding_init(*shape, rng) if name == "embedding"
-                else np.zeros(shape) if name.endswith("_bias")
-                else tensor.glorot_uniform(*shape, rng))
-                for name, shape in shapes.items()}
+        if values is None:
+            values = dict(initial_values(config, seed))
         else:
             _check_values(shapes, values)
         (self.embedding, self.input_proj, *self.gcn_weights, self.cls_weight,
          self.cls_bias, self.loc_weight, self.loc_bias) = [
-            Parameter(values[name], name) for name in shapes]
+            Parameter(values[name], name,
+                      None if grads is None else grads[name])
+            for name in shapes]
 
     def parameters(self) -> list[Parameter]:
         return [self.embedding, self.input_proj, *self.gcn_weights,
@@ -509,6 +509,18 @@ def _parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, int]]:
                for layer in range(config.gcn_layers)},
             "cls_weight": (gcn, classes), "cls_bias": (1, classes),
             "loc_weight": (gcn, 2), "loc_bias": (1, 2)}
+
+
+def initial_values(config: ModelConfig, seed: int
+                   ) -> Iterator[tuple[str, np.ndarray]]:
+    """Each parameter's name and float64 values, drawn from ``seed`` one
+    parameter at a time in ``VulnModel.parameters`` order: the embedding
+    normal, the other weights Glorot-uniform, the biases zero."""
+    rng = np.random.default_rng(seed)
+    for name, shape in _parameter_shapes(config).items():
+        yield name, (tensor.embedding_init(*shape, rng) if name == "embedding"
+                     else np.zeros(shape) if name.endswith("_bias")
+                     else tensor.glorot_uniform(*shape, rng))
 
 
 def _check_values(shapes: dict[str, tuple[int, int]],

