@@ -31,10 +31,11 @@ and ``heads``, is the one pass that scan, attribution, validation and
 training run: plain numpy, each layer checked for non-finite values. Its
 output carries its inputs (the ids, their distinct-id split and the
 operator), P and each layer's pre-activation A_hat @ (H_l @ W_l), so
-that ``backward``, which gives each parameter's gradient, and
-``occluded_probabilities`` extend that pass and no other. The
-parameters are plain arrays. ``forward_nodes`` runs the same layers on
-the primitive ops of the ``tensor`` tape, with no caller here: it is the
+that ``backward``, which hands each parameter's gradient by name to
+whoever sums it, and ``occluded_probabilities`` extend that pass and no
+other. The parameters are plain arrays by name, ``params``: the model
+holds no gradient. ``forward_nodes`` runs the same layers on the
+primitive ops of the ``tensor`` tape, with no caller here: it is the
 oracle that tests compare both passes with, bit for bit. Every array
 of a pass is in the parameters' dtype: float64, or float32 for the
 copies that training runs.
@@ -63,7 +64,7 @@ from .errors import (AttributionError, ConfigError, DataError, GradientError,
                      ShapeError)
 from . import tensor
 from .lexer import PAD_ID
-from .tensor import Matrix, Parameter, SparseOperator, leaf
+from .tensor import Matrix, SparseOperator, leaf
 
 
 @dataclass(frozen=True)
@@ -194,12 +195,15 @@ def fuse(pooled_embed: np.ndarray, pooled_graph: np.ndarray,
 
 @dataclass
 class Forward:
-    """Live tape nodes from one ``forward_nodes`` pass."""
+    """Live tape nodes from one ``forward_nodes`` pass, and its leaves by
+    parameter name, which hold the parameters' gradients once
+    ``tensor.backward`` has run."""
 
     class_logits: Matrix
     loc_pred: Matrix
     pooled_embed: Matrix
     pooled_graph: Matrix
+    leaves: dict[str, Matrix]
 
 
 @dataclass(frozen=True)
@@ -236,14 +240,12 @@ class VulnModel:
     """Residual graph-convolutional classifier/localizer over token graphs."""
 
     def __init__(self, config: ModelConfig, seed: int = 0,
-                 values: dict[str, np.ndarray] | None = None,
-                 grads: dict[str, np.ndarray] | None = None):
+                 values: dict[str, np.ndarray] | None = None):
         """Parameters drawn by ``initial_values`` from ``seed``, or else
         taken from ``values`` by name, which must hold exactly the
-        config's finite arrays; the parameters hold those arrays
-        themselves, not copies, in their dtype. ``grads``, by name, are
-        the arrays that the parameters' gradients add into; without it
-        each parameter gets zeros."""
+        config's finite arrays. A float32 array is kept as it is, and
+        anything else as float64, so the parameters are the given arrays
+        themselves wherever those are float32 or float64."""
         self.config = config
         if values is not None:  # before anything is sized by gcn_layers
             layers = 0
@@ -253,20 +255,16 @@ class VulnModel:
                 raise DataError(f"checkpoint has {layers} graph layers, "
                                 f"config.txt says gcn_layers="
                                 f"{config.gcn_layers}")
-        shapes = _parameter_shapes(config)
+        shapes = parameter_shapes(config)
         if values is None:
             values = dict(initial_values(config, seed))
         else:
             _check_values(shapes, values)
-        (self.embedding, self.input_proj, *self.gcn_weights, self.cls_weight,
-         self.cls_bias, self.loc_weight, self.loc_bias) = [
-            Parameter(values[name], name,
-                      None if grads is None else grads[name])
-            for name in shapes]
-
-    def parameters(self) -> list[Parameter]:
-        return [self.embedding, self.input_proj, *self.gcn_weights,
-                self.cls_weight, self.cls_bias, self.loc_weight, self.loc_bias]
+        #: Each parameter's array by name, in ``parameter_shapes`` order.
+        self.params = {
+            name: (values[name] if values[name].dtype == np.float32
+                   else values[name].astype(np.float64, copy=False))
+            for name in shapes}
 
     # -- forward pieces ------------------------------------------------------
 
@@ -280,8 +278,8 @@ class VulnModel:
         the stream's rows H0 are ``P[inverse]``.
         """
         distinct, inverse = self._distinct(ids)
-        return (self.embedding.data[distinct] @ self.input_proj.data,
-                distinct, inverse)
+        return (self.params["embedding"][distinct]
+                @ self.params["input_proj"], distinct, inverse)
 
     def _distinct(self, ids: Sequence[int] | np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray]:
@@ -309,9 +307,10 @@ class VulnModel:
         _require_finite("input projection", projected)
         h = projected[inverse]
         mixed_per_layer = []
-        for layer, weight in enumerate(self.gcn_weights):
-            mixed = operator.apply((projected @ weight.data)[inverse]
-                                   if layer == 0 else h @ weight.data)
+        for layer in range(self.config.gcn_layers):
+            weight = self.params[f"gcn_{layer}"]
+            mixed = operator.apply((projected @ weight)[inverse]
+                                   if layer == 0 else h @ weight)
             mixed_per_layer.append(mixed)
             h = _sum_into(np.maximum(mixed, 0.0), h)  # H + relu(mixed)
             # the relu would hide a -inf in ``mixed``
@@ -327,9 +326,9 @@ class VulnModel:
 
     def heads(self, fused: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Class logits (index 0 = benign) and sigmoid line fractions."""
-        class_logits = fused @ self.cls_weight.data + self.cls_bias.data
-        loc_pred = tensor.logistic(
-            fused @ self.loc_weight.data + self.loc_bias.data)
+        p = self.params
+        class_logits = fused @ p["cls_weight"] + p["cls_bias"]
+        loc_pred = tensor.logistic(fused @ p["loc_weight"] + p["loc_bias"])
         _require_finite("heads", class_logits, loc_pred)
         return class_logits, loc_pred
 
@@ -363,10 +362,10 @@ class VulnModel:
 
     def backward(self, out: ForwardOutput, class_grad: np.ndarray,
                  loc_grad: np.ndarray | None,
-                 add: Callable[[Parameter, object, np.ndarray], None]) -> None:
-        """Call ``add(parameter, index, contribution)`` per parameter,
-        heads first: adding each contribution into
-        ``parameter.grad[index]`` adds one sample's gradient. The
+                 add: Callable[[str, object, np.ndarray], None]) -> None:
+        """Call ``add(name, index, contribution)`` per parameter, heads
+        first: adding each contribution at ``index`` into a sum of the
+        named parameter's shape adds one sample's gradient. The
         embedding's index is the distinct ids.
 
         ``out`` is this model's ``forward``, whose inputs it reads;
@@ -380,21 +379,22 @@ class VulnModel:
         and every contribution is in it.
         """
         distinct, inverse, operator = out._distinct, out._inverse, out.operator
+        p = self.params
         embed_w, graph_w = self.config.embed_weight, self.config.graph_weight
         fused = fuse(out.pooled_embed, out.pooled_graph, embed_w,
                      graph_w).reshape(1, -1)
         dtype = fused.dtype  # the pass's
         g = class_grad.reshape(1, -1).astype(dtype, copy=False)
-        add(self.cls_bias, ..., g)
-        add(self.cls_weight, ..., fused.T @ g)
-        g_fused = g @ self.cls_weight.data.T
+        add("cls_bias", ..., g)
+        add("cls_weight", ..., fused.T @ g)
+        g_fused = g @ p["cls_weight"].T
         if loc_grad is not None:
             loc = np.array([out.loc_pred])
             g = (loc_grad.reshape(1, -1) * loc * (1.0 - loc)).astype(
                 dtype, copy=False)
-            add(self.loc_bias, ..., g)
-            add(self.loc_weight, ..., fused.T @ g)
-            g_fused = g_fused + g @ self.loc_weight.data.T
+            add("loc_bias", ..., g)
+            add("loc_weight", ..., fused.T @ g)
+            g_fused = g_fused + g @ p["loc_weight"].T
 
         g = np.broadcast_to(g_fused * graph_w / inverse.size,
                             (inverse.size, fused.shape[1]))
@@ -402,25 +402,23 @@ class VulnModel:
         for mixed in out._mixed[:-1]:
             inputs.append(_sum_into(np.maximum(mixed, 0.0), inputs[-1]
                                     if inputs else out._projected[inverse]))
-        for layer in range(len(self.gcn_weights) - 1, 0, -1):
-            weight = self.gcn_weights[layer]
+        for layer in range(self.config.gcn_layers - 1, 0, -1):
             back = operator.apply_transposed(g * (out._mixed[layer] > 0))
-            add(weight, ..., inputs.pop().T @ back)
-            g = _sum_into(back @ weight.data.T, g)
+            add(f"gcn_{layer}", ..., inputs.pop().T @ back)
+            g = _sum_into(back @ p[f"gcn_{layer}"].T, g)
             del back  # before the next layer's product
         # layer 1 multiplied the distinct rows, gathered per position
-        weight = self.gcn_weights[0]
         back = tensor.segment_sum(
             operator.apply_transposed(g * (out._mixed[0] > 0)), inverse,
             distinct.size)
-        add(weight, ..., out._projected.T @ back)
+        add("gcn_0", ..., out._projected.T @ back)
         g_projected = tensor.segment_sum(
             g + g_fused * embed_w / inverse.size, inverse, distinct.size)
         del g
-        g_projected += back @ weight.data.T
-        rows = self.embedding.data[distinct]
-        add(self.input_proj, ..., rows.T @ g_projected)
-        add(self.embedding, distinct, g_projected @ self.input_proj.data.T)
+        g_projected += back @ p["gcn_0"].T
+        rows = p["embedding"][distinct]
+        add("input_proj", ..., rows.T @ g_projected)
+        add("embedding", distinct, g_projected @ p["input_proj"].T)
 
     @np.errstate(over="ignore", invalid="ignore")
     def forward_nodes(self, ids: np.ndarray,
@@ -431,12 +429,14 @@ class VulnModel:
         rows in layer 1, gathered per position. A non-finite value raises
         GradientError where the tape wraps it."""
         distinct, inverse = self._distinct(ids)
+        leaves = {name: leaf(values) for name, values in self.params.items()}
         projected = tensor.matmul(
-            tensor.gather_rows(leaf(self.embedding), distinct),
-            leaf(self.input_proj))
+            tensor.gather_rows(leaves["embedding"], distinct),
+            leaves["input_proj"])
         h = h0 = tensor.gather_rows(projected, inverse)
-        for layer, weight in enumerate(self.gcn_weights):
-            rows = tensor.matmul(projected if layer == 0 else h, leaf(weight))
+        for layer in range(self.config.gcn_layers):
+            rows = tensor.matmul(projected if layer == 0 else h,
+                                 leaves[f"gcn_{layer}"])
             if layer == 0:
                 rows = tensor.gather_rows(rows, inverse)
             h = tensor.add(h, tensor.relu(tensor.apply(operator, rows)))
@@ -446,10 +446,11 @@ class VulnModel:
             tensor.scale(pooled_embed, self.config.embed_weight),
             tensor.scale(pooled_graph, self.config.graph_weight))
         class_logits = tensor.add(
-            tensor.matmul(fused, leaf(self.cls_weight)), leaf(self.cls_bias))
+            tensor.matmul(fused, leaves["cls_weight"]), leaves["cls_bias"])
         loc_pred = tensor.sigmoid(tensor.add(
-            tensor.matmul(fused, leaf(self.loc_weight)), leaf(self.loc_bias)))
-        return Forward(class_logits, loc_pred, pooled_embed, pooled_graph)
+            tensor.matmul(fused, leaves["loc_weight"]), leaves["loc_bias"]))
+        return Forward(class_logits, loc_pred, pooled_embed, pooled_graph,
+                       leaves)
 
     @np.errstate(over="ignore", invalid="ignore")
     def occluded_probabilities(self, base: ForwardOutput, target: int,
@@ -475,10 +476,11 @@ class VulnModel:
         readers = operator.start, operator.cols, operator.mirror
 
         positions = np.asarray(positions, dtype=np.int64)
-        input_deltas = (self.embedding.data[PAD_ID] @ self.input_proj.data
+        params = self.params
+        input_deltas = (params["embedding"][PAD_ID] @ params["input_proj"]
                         - base._projected[inverse[positions]])
-        layers = [(weight.data, mixed, np.maximum(mixed, 0.0))
-                  for weight, mixed in zip(self.gcn_weights, base._mixed)]
+        layers = [(params[f"gcn_{layer}"], mixed, np.maximum(mixed, 0.0))
+                  for layer, mixed in enumerate(base._mixed)]
         graph_shifts = np.empty_like(input_deltas)
         work = np.cumsum(_walk_counts(readers, len(layers))[positions])
         starts = np.flatnonzero(np.diff(work // OCCLUSION_CHUNK_PAIRS,
@@ -490,7 +492,7 @@ class VulnModel:
         embed_w, graph_w = self.config.embed_weight, self.config.graph_weight
         fused = (embed_w * (base.pooled_embed + input_deltas / n)
                  + graph_w * (base.pooled_graph + graph_shifts / n))
-        logits = fused @ self.cls_weight.data + self.cls_bias.data
+        logits = fused @ params["cls_weight"] + params["cls_bias"]
         e = np.exp(logits - logits.max(axis=1, keepdims=True))
         probabilities = e[:, target] / e.sum(axis=1)
         if not np.isfinite(probabilities).all():
@@ -500,8 +502,8 @@ class VulnModel:
         return probabilities
 
 
-def _parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, int]]:
-    """Each parameter's shape by name, in ``VulnModel.parameters`` order."""
+def parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, int]]:
+    """Each parameter's shape by name, in ``VulnModel.params`` order."""
     gcn, classes = config.gcn_dim, config.num_classes
     return {"embedding": (config.vocab_size, config.embed_dim),
             "input_proj": (config.embed_dim, gcn),
@@ -514,10 +516,10 @@ def _parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, int]]:
 def initial_values(config: ModelConfig, seed: int
                    ) -> Iterator[tuple[str, np.ndarray]]:
     """Each parameter's name and float64 values, drawn from ``seed`` one
-    parameter at a time in ``VulnModel.parameters`` order: the embedding
+    parameter at a time in ``VulnModel.params`` order: the embedding
     normal, the other weights Glorot-uniform, the biases zero."""
     rng = np.random.default_rng(seed)
-    for name, shape in _parameter_shapes(config).items():
+    for name, shape in parameter_shapes(config).items():
         yield name, (tensor.embedding_init(*shape, rng) if name == "embedding"
                      else np.zeros(shape) if name.endswith("_bias")
                      else tensor.glorot_uniform(*shape, rng))

@@ -17,15 +17,14 @@ import zipfile
 import zlib
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence, get_type_hints
+from typing import Mapping, Sequence, get_type_hints
 
 import numpy as np
 
-from .errors import ConfigError, DataError, GradientError
+from .errors import ConfigError, DataError
 from .lexer import Vocabulary
 from .model import ModelConfig, VulnModel
 from .objectives import FocalConfig
-from .tensor import Parameter
 
 CHECKPOINT_FORMAT_VERSION = 1
 
@@ -75,7 +74,7 @@ def save_checkpoint(path: str | Path, model: VulnModel, vocab: Vocabulary,
     """
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
-    save_params(path / "params.npz", model.parameters())
+    save_params(path / "params.npz", model.params)
     vocab.save(path / "vocab.tsv")
     (path / "config.txt").write_text(config_text(model.config, train_cfg),
                                      encoding="utf-8")
@@ -114,14 +113,10 @@ def load_checkpoint(path: str | Path) -> tuple[VulnModel, Vocabulary]:
     return VulnModel(config, values=values), vocab
 
 
-def save_params(path: str | Path, params: Iterable[Parameter]) -> None:
-    """Write parameters to an .npz container; round-trips bit-exactly."""
-    arrays = {"__format_version__": np.array([CHECKPOINT_FORMAT_VERSION])}
-    for p in params:
-        if p.name in arrays:
-            raise GradientError(f"duplicate parameter name {p.name!r}")
-        arrays[p.name] = p.data
-    np.savez(path, **arrays)
+def save_params(path: str | Path, params: Mapping[str, np.ndarray]) -> None:
+    """Write arrays by name to an .npz container; round-trips bit-exactly."""
+    np.savez(path, __format_version__=np.array([CHECKPOINT_FORMAT_VERSION]),
+             **params)
 
 
 def load_params(path: str | Path) -> dict[str, np.ndarray]:

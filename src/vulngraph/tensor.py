@@ -1,24 +1,24 @@
-"""Parameters, the sparse graph operator, and the reverse-mode tape
-that is the gradient oracle.
+"""The sparse graph operator, and the reverse-mode tape that is the
+gradient oracle.
 
-A ``Parameter`` is a named array and the gradient buffer that training
-adds into. The graph operator is a ``SparseOperator``: the model's
-forward pass applies it and its hand-written backward its transpose, in
-plain numpy. Its products and ``segment_sum``, which adds its remainder
-and the model's gradients by row, hold their input and output and one
-block of scratch: a product gathers ``PRODUCT_BLOCK_BYTES`` of rows at a
-time, and a segment sum indexes ``SEGMENT_BLOCK`` columns at a time.
+The graph operator is a ``SparseOperator``: the model's forward pass
+applies it and its hand-written backward its transpose, in plain numpy.
+Its products and ``segment_sum``, which adds its remainder and the
+model's gradients by row, hold their input and output and one block of
+scratch: a product gathers ``PRODUCT_BLOCK_BYTES`` of rows at a time,
+and a segment sum indexes ``SEGMENT_BLOCK`` columns at a time.
 
 The tape is ``Matrix`` and the primitive ops built on ``from_op``: each
 op returns a Matrix that remembers its inputs and a closure that pushes
 a gradient back to them; ``backward`` on a 1x1 loss walks that history
 in reverse topological order and frees each node once it has pushed.
-``leaf`` puts a parameter on the tape. Nothing in the package calls it:
-``VulnModel.forward_nodes`` keeps it as the reference that tests check
-the numpy passes against. Shapes are never broadcast, and mismatches
-raise ShapeError naming both shapes. A node copies the first gradient
-pushed to it and adds any later one in place, so no op writes into an
-array that another node or a view also holds.
+``leaf`` puts a parameter's array on the tape, and the leaf keeps its
+gradient. Nothing in the package calls it: ``VulnModel.forward_nodes``
+keeps it as the reference that tests check the numpy passes against.
+Shapes are never broadcast, and mismatches raise ShapeError naming both
+shapes. A node copies the first gradient pushed to it and adds any later
+one in place, so no op writes into an array that another node or a view
+also holds.
 """
 
 from __future__ import annotations
@@ -329,18 +329,13 @@ def segment_sum(values: np.ndarray, segments: np.ndarray,
     block-sized flat index, so neither that index nor bincount's float64
     copy of the values grows with the width. Each (segment, column) sum
     still adds the same rows in the same order, so blocking keeps its
-    bits. An input no wider than a block takes one call.
+    bits.
     """
     width = values.shape[1]
     block = min(width, SEGMENT_BLOCK)
     flat = (segments[:, None] * block + np.arange(block)).ravel()
-    if block == width:
-        return np.bincount(flat, weights=values.ravel(),
-                           minlength=count * width
-                           ).reshape(count, width).astype(values.dtype,
-                                                          copy=False)
     out = np.empty((count, width), dtype=values.dtype)
-    for lo in range(0, width, block):
+    for lo in range(0, width, SEGMENT_BLOCK):
         part = values[:, lo:lo + block]
         if part.shape[1] < block:  # the last, narrower block
             flat = (segments[:, None] * part.shape[1]
@@ -393,29 +388,10 @@ def backward(loss: Matrix) -> None:
             node._push, node._parents, node.grad = None, (), None
 
 
-class Parameter:
-    """A named, trainable array and the gradient buffer that training
-    adds into. A float32 array is kept as it is, anything else becomes
-    float64; training's float32 copies add into float64 buffers."""
-
-    __slots__ = ("name", "data", "grad")
-
-    def __init__(self, data, name: str, grad: np.ndarray | None = None):
-        """``grad`` is the buffer to add into, zeros of ``data``'s shape
-        where it is not given."""
-        self.name = name
-        data = np.asarray(data)
-        self.data = (data if data.dtype == np.float32
-                     else data.astype(np.float64, copy=False))
-        self.grad = np.zeros_like(self.data) if grad is None else grad
-
-
-def leaf(p: Parameter) -> Matrix:
-    """``p`` on the tape: a Matrix over ``p.data`` whose gradient adds
-    into ``p.grad`` in place."""
-    node = Matrix(p.data, wants_grad=True)
-    node.grad = p.grad
-    return node
+def leaf(values: np.ndarray) -> Matrix:
+    """A parameter's array on the tape: a Matrix over ``values`` whose
+    gradient, once ``backward`` has run, is the parameter's."""
+    return Matrix(values, wants_grad=True)
 
 
 # -- initialization ----------------------------------------------------------

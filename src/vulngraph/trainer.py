@@ -10,12 +10,14 @@ parameter trajectory bit for bit.
 A batch's loss is the mean of its samples' losses. Each sample runs
 ``VulnModel.forward``, the pass inference runs; the numpy objectives give
 its loss and gradients, and ``VulnModel.backward``, from that pass's
-output alone, each parameter's contribution, held until the sample's
-turn, then added in sample order into the parameter's plain gradient
-array and freed, so that one sample's arrays are alive at a time; Adam
-then steps once per batch. Validation runs the same ``forward``, and
-its loss and metrics both read that output. A fusion-ratio sweep
-prepares the samples once and trains one model per ratio from them.
+output alone, each parameter's contribution by name, held until the
+sample's turn, then added in sample order into that parameter's
+gradient sum and freed, so that one sample's arrays are alive at a time;
+Adam then steps once per batch. The model holds only its values: the
+gradient sums and Adam's moments are the trainer's. Validation runs the
+same ``forward``, and its loss and metrics both read that output. A
+fusion-ratio sweep prepares the samples once and trains one model per
+ratio from them.
 
 The passes run in float32 (``COMPUTE_DTYPE``), on float32 operators and
 a private float32 copy of the values that each process refreshes after
@@ -32,12 +34,13 @@ after sample j - 1's, to hand in its result. A batch sample adds its
 contributions and writes its loss; a validation sample writes its heads
 into a shared row, which process 0 reads in order. Each process steps
 Adam on its own slice of the parameters. These are drawn, one at a
-time, straight into memory shared before the fork, which also holds
-their gradient sums and Adam's moments, so no process holds another
-float64 copy of them. The gradients are added in sample order and the
-update is elementwise, so the log and the parameters are the same bit
-for bit at any CPU count. Where the platform cannot fork, training runs
-in one process.
+time, straight into one mapping shared before the fork; their gradient
+sums and Adam's moments lie in a second one, so no process holds
+another float64 copy of them, and the trained model keeps only the
+first. The gradients are added in sample order and the update is
+elementwise, so the log and the parameters are the same bit for bit at
+any CPU count. Where the platform cannot fork, training runs in one
+process.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ from .corpus import DatasetSplit, FunctionRecord, class_index, select
 from .errors import ConfigError, DataError, GradientError, TrainingError
 from .lexer import TokenStream, Vocabulary, build_vocab, tokenize
 from .model import (ModelConfig, VulnModel, denormalize_lines,
-                    initial_values, normalize_line_range)
+                    initial_values, normalize_line_range, parameter_shapes)
 from .objectives import (MetricsReport, classification_metrics, focal_loss,
                          iou_1d, mse_loss)
 from .runfiles import TrainConfig
@@ -62,7 +65,7 @@ from .runfiles import TrainConfig
 # here, and perfbench changes only with the benchmark itself.
 from .runfiles import load_checkpoint, save_checkpoint  # noqa: F401
 from .semgraph import model_inputs
-from .tensor import Parameter, SparseOperator
+from .tensor import SparseOperator
 
 
 #: The dtype of training's passes and of its samples' operators. It is
@@ -82,17 +85,19 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 class Adam:
     """Adaptive update (``ADAM_BETA1``, ``ADAM_BETA2``, ``ADAM_EPS``) of
-    the ``part`` slice of the flat parameter vector laid out by
+    the ``part`` slice of the flat parameter vector ``values`` laid out by
     ``_shared_model``.
 
-    ``state`` holds four rows over that vector: the values, the
-    gradients and the two moments. The update is elementwise, so the
-    bits do not depend on where the slices break: each training process
-    steps its own slice, and one process steps the whole vector.
+    ``state`` holds three rows over that vector: the gradient sums and
+    the two moments. The update is elementwise, so the bits do not
+    depend on where the slices break: each training process steps its
+    own slice, and one process steps the whole vector.
     """
 
-    def __init__(self, state: np.ndarray, lr: float, part: slice = slice(None)):
-        self.values, self.grads, self.m, self.v = state[:, part]
+    def __init__(self, values: np.ndarray, state: np.ndarray, lr: float,
+                 part: slice = slice(None)):
+        self.values = values[part]
+        self.grads, self.m, self.v = state[:, part]
         self.lr = lr
         self.t = 0
         self._scratch = np.empty((2, min(ADAM_BLOCK, self.values.size)))
@@ -198,14 +203,15 @@ def _sample_loss(class_logits: np.ndarray, loc_pred: tuple[float, float],
 
 
 def _backward_batch(model: VulnModel, batch: Sequence[EncodedSample],
-                    cfg: TrainConfig, helpers: _Helpers) -> float:
-    """Add the gradients of the batch's mean loss; return that loss.
+                    cfg: TrainConfig, helpers: _Helpers,
+                    grads: dict[str, np.ndarray]) -> float:
+    """Add the gradients of the batch's mean loss into ``grads``, the
+    sums by parameter name; return that loss.
 
     Every process of ``helpers`` calls this on the same batch. Each
     sample's loss, scaled by 1/len(batch), is differentiated right after
     its own forward pass, into contributions held until the sample's
-    turn, when they are added to the parameters' gradients after every
-    earlier sample's.
+    turn, when they are added to the sums after every earlier sample's.
     """
     scale = 1.0 / len(batch)
 
@@ -219,8 +225,8 @@ def _backward_batch(model: VulnModel, batch: Sequence[EncodedSample],
 
     def hand_in(j: int, result: tuple[float, list[tuple]]) -> None:
         value, held = result
-        for contribution in held:
-            _add(*contribution)
+        for name, index, contribution in held:
+            grads[name][index] += contribution
         helpers.losses[j] = value
 
     helpers.take_turns(len(batch), work, hand_in)
@@ -228,10 +234,6 @@ def _backward_batch(model: VulnModel, batch: Sequence[EncodedSample],
     for value in helpers.losses[:len(batch)].tolist():
         total += value
     return total * scale
-
-
-def _add(parameter: Parameter, index, contribution) -> None:
-    parameter.grad[index] += contribution
 
 
 def _processes(batch_size: int) -> int:
@@ -255,13 +257,14 @@ class _Helpers:
     their own copy of this object, as process ``rank``, and then exit.
 
     Whatever ``run`` needs, the parameters and the samples included,
-    they inherit: the parameters live in ``_shared_model``'s mapping, so
-    every write is seen by all. The processes pace each other through
-    semaphores: ``take_turns`` orders the results of a batch's or of
-    validation's samples, and ``meet`` is a barrier. The batch's sample
-    losses and the first failed sample sit in shared arrays. A helper
-    sends process 0 only its exception, through its own pipe. With one
-    process nothing is forked, and no call waits.
+    they inherit: the parameters, their gradient sums and Adam's moments
+    live in ``_shared`` mappings, so every write is seen by all. The
+    processes pace each other through semaphores: ``take_turns`` orders
+    the results of a batch's or of validation's samples, and ``meet`` is
+    a barrier. The batch's sample losses and the first failed sample sit
+    in shared arrays. A helper sends process 0 only its exception,
+    through its own pipe. With one process nothing is forked, and no call
+    waits.
     """
 
     def __init__(self, processes: int, batch_size: int,
@@ -397,25 +400,30 @@ def _shared(shape, dtype=np.float64) -> np.ndarray:
 
 def _shared_model(config: ModelConfig, seed: int
                   ) -> tuple[VulnModel, np.ndarray]:
-    """``VulnModel(config, seed)`` with its values and gradients in
-    ``_shared`` memory, and that memory.
+    """``VulnModel(config, seed)`` with its values in one ``_shared``
+    mapping, and that mapping's flat vector.
 
-    The memory is four rows over the flat parameter vector: the values,
-    the gradients, and Adam's two moments, all zero but the values. It
-    is sized from ``config.parameter_count``, and ``initial_values``
-    draws into it one parameter at a time, so that no copy of all the
-    values or gradients is made.
+    The vector is sized from ``config.parameter_count``, and
+    ``initial_values`` draws into it one parameter at a time, so that no
+    copy of all the values is made.
     """
-    state = _shared((4, config.parameter_count))
-    values, grads, start = {}, {}, 0
+    flat = _shared(config.parameter_count)
+    values = _views(flat, parameter_shapes(config))
     for name, drawn in initial_values(config, seed):
-        value, grad = state[:2, start:start + drawn.size]
-        value[...] = drawn.ravel()
-        values[name], grads[name] = (value.reshape(drawn.shape),
-                                     grad.reshape(drawn.shape))
-        start += drawn.size
+        values[name][...] = drawn
         del drawn  # before the next parameter's draw
-    return VulnModel(config, values=values, grads=grads), state
+    return VulnModel(config, values=values), flat
+
+
+def _views(flat: np.ndarray, shapes: dict[str, tuple[int, ...]]
+           ) -> dict[str, np.ndarray]:
+    """``flat`` cut, in order, into views of ``shapes`` by their names."""
+    views, start = {}, 0
+    for name, shape in shapes.items():
+        size = int(np.prod(shape))
+        views[name] = flat[start:start + size].reshape(shape)
+        start += size
+    return views
 
 
 def _helper(helpers: _Helpers, rank: int, link,
@@ -436,7 +444,8 @@ def _helper(helpers: _Helpers, rank: int, link,
 
 
 def _diagnostics(model: VulnModel, epoch: int, batch_idx: int) -> str:
-    norms = {p.name: float(np.linalg.norm(p.data)) for p in model.parameters()}
+    norms = {name: float(np.linalg.norm(values))
+             for name, values in model.params.items()}
     return (f"epoch {epoch}, batch {batch_idx}, parameter norms: "
             + ", ".join(f"{k}={v:.3g}" for k, v in norms.items()))
 
@@ -486,20 +495,24 @@ def train(records: Sequence[FunctionRecord], split: DatasetSplit,
     return _fit(vocab, samples, val_samples, model_cfg, train_cfg)
 
 
-def _check_fits(cfg: ModelConfig) -> None:
-    """A ConfigError where the float64 parameters alone would outgrow the
-    machine's physical memory; where the platform does not report that
-    memory, nothing is checked."""
+def _check_fits(cfg: ModelConfig, processes: int) -> None:
+    """A ConfigError where what training holds for the parameters would
+    outgrow the machine's physical memory: per parameter, the float64
+    value, gradient sum and two moments that it maps, and a
+    ``COMPUTE_DTYPE`` copy in each of ``processes``. Where the platform
+    does not report that memory, nothing is checked."""
     try:
         memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, OSError, ValueError):
         return
-    size = 8 * cfg.parameter_count
+    size = (4 * 8 + processes * np.dtype(COMPUTE_DTYPE).itemsize
+            ) * cfg.parameter_count
     if size > memory:
         raise ConfigError(
             f"embed_dim={cfg.embed_dim}, gcn_dim={cfg.gcn_dim} and "
-            f"gcn_layers={cfg.gcn_layers} make {size} bytes of parameters, "
-            f"more than the machine's {memory} bytes of memory")
+            f"gcn_layers={cfg.gcn_layers} make training hold {size} bytes "
+            f"for the parameters, more than the machine's {memory} bytes "
+            f"of memory")
 
 
 def _fit(vocab: Vocabulary, samples: Sequence[EncodedSample],
@@ -507,28 +520,32 @@ def _fit(vocab: Vocabulary, samples: Sequence[EncodedSample],
          train_cfg: TrainConfig) -> TrainResult:
     """A model trained on ``samples`` at the vocabulary's size."""
     model_cfg = replace(model_cfg, vocab_size=len(vocab))
-    _check_fits(model_cfg)
-    model, state = _shared_model(model_cfg, train_cfg.seed)
+    batch_size = min(train_cfg.batch_size, len(samples))
+    processes = _processes(batch_size)
+    _check_fits(model_cfg, processes)
+    model, values = _shared_model(model_cfg, train_cfg.seed)
+    state = _shared((3, values.size))
     heads = _shared((len(val_samples), model_cfg.num_classes + 2))
 
     def run(helpers: _Helpers) -> list[dict]:
-        return _train(helpers, model, state, heads, samples, val_samples,
-                      train_cfg)
+        return _train(helpers, model, values, state, heads, samples,
+                      val_samples, train_cfg)
 
-    batch_size = min(train_cfg.batch_size, len(samples))
-    with _Helpers(_processes(batch_size), batch_size, run) as helpers:
+    with _Helpers(processes, batch_size, run) as helpers:
         log = run(helpers)
     return TrainResult(model=model, vocab=vocab, log=log)
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _train(helpers: _Helpers, model: VulnModel, state: np.ndarray,
-           heads: np.ndarray, samples: Sequence[EncodedSample],
+def _train(helpers: _Helpers, model: VulnModel, values: np.ndarray,
+           state: np.ndarray, heads: np.ndarray,
+           samples: Sequence[EncodedSample],
            val_samples: Sequence[EncodedSample],
            cfg: TrainConfig) -> list[dict]:
     """The epoch loop that every training process runs; the log, which
-    only process 0 fills. ``heads`` has a shared row per validation
-    sample.
+    only process 0 fills. ``values`` is the flat vector of the model's
+    values and ``state`` Adam's three rows over it; ``heads`` has a
+    shared row per validation sample.
 
     The passes run on this process's ``COMPUTE_DTYPE`` copy of the
     values, refreshed after each step.
@@ -537,13 +554,13 @@ def _train(helpers: _Helpers, model: VulnModel, state: np.ndarray,
     float32's range: it ends in non-finite values, which ``forward`` and
     the loss check reject, and training stops with a TrainingError.
     """
-    optimizer = Adam(state, cfg.learning_rate, helpers.part(state.shape[1]))
+    optimizer = Adam(values, state, cfg.learning_rate,
+                     helpers.part(values.size))
+    grads = _views(state[0], parameter_shapes(model.config))
     compute = VulnModel(  # whose contributions add into the float64 sums
-        model.config,
-        values={p.name: p.data.astype(COMPUTE_DTYPE)
-                for p in model.parameters()},
-        grads={p.name: p.grad for p in model.parameters()})
-    pairs = list(zip(compute.parameters(), model.parameters()))
+        model.config, values={name: master.astype(COMPUTE_DTYPE)
+                              for name, master in model.params.items()})
+    pairs = list(zip(compute.params.values(), model.params.values()))
     rng = np.random.default_rng(cfg.seed)
     log: list[dict] = []
     order = np.arange(len(samples))
@@ -554,7 +571,7 @@ def _train(helpers: _Helpers, model: VulnModel, state: np.ndarray,
                 range(0, len(order), cfg.batch_size)):
             batch = [samples[i] for i in order[start:start + cfg.batch_size]]
             try:
-                value = _backward_batch(compute, batch, cfg, helpers)
+                value = _backward_batch(compute, batch, cfg, helpers, grads)
             except GradientError as exc:
                 # Overflow inside the forward pass surfaces here: it
                 # rejects non-finite values eagerly.
@@ -567,7 +584,7 @@ def _train(helpers: _Helpers, model: VulnModel, state: np.ndarray,
             optimizer.step()
             helpers.meet()
             for ours, master in pairs:
-                ours.data[...] = master.data
+                ours[...] = master
             epoch_losses.append(value)
 
         val_loss = val_f1 = val_iou = None
@@ -693,8 +710,10 @@ def sweep_ensemble(records: Sequence[FunctionRecord], split: DatasetSplit,
 
     rows: list[dict] = []
     for cfg in configs:
-        model = _fit(vocab, samples, val_samples, cfg, train_cfg).model
-        report = evaluate_samples(model, test_samples)
+        # no earlier ratio's model stays bound while the next one trains
+        report = evaluate_samples(
+            _fit(vocab, samples, val_samples, cfg, train_cfg).model,
+            test_samples)
         rows.append({
             "embed_weight": cfg.embed_weight,
             "graph_weight": cfg.graph_weight,

@@ -56,9 +56,15 @@ UNGRAPHABLE_SOURCE = ("int f(int x) {\n    if (x { return 1; }\n}",
                       "unbalanced parentheses after 'if' on line 2")
 
 
-def backward_batch(model, batch, cfg):
-    """``trainer._backward_batch`` run in this process alone."""
-    return _backward_batch(model, batch, cfg, _Helpers(1, len(batch)))
+def backward_batch(model, batch, cfg, grads=None):
+    """``trainer._backward_batch`` run in this process alone: the batch's
+    mean loss, and its gradients by parameter name, added into ``grads``
+    or else into float64 zeros."""
+    if grads is None:
+        grads = {name: np.zeros(values.shape)
+                 for name, values in model.params.items()}
+    value = _backward_batch(model, batch, cfg, _Helpers(1, len(batch)), grads)
+    return value, grads
 
 
 def count_matrices(monkeypatch, tmp_path):
@@ -225,13 +231,19 @@ def tiny_model_inputs(source: str, seed: int = 0, num_classes: int = 5,
     return model, stream, vocab, ids, operator
 
 
+def gcn_weights(model) -> list[np.ndarray]:
+    """The model's graph layers' weights, first layer first."""
+    return [model.params[f"gcn_{layer}"]
+            for layer in range(model.config.gcn_layers)]
+
+
 def poison(model, damage):
     """A NaN weight, or weights whose products overflow to inf."""
     if damage == "nan":
-        model.gcn_weights[0].data[0, 0] = np.nan
+        model.params["gcn_0"][0, 0] = np.nan
     else:
-        model.input_proj.data[...] = 1e308
-        model.gcn_weights[0].data[...] = 1e308
+        model.params["input_proj"][...] = 1e308
+        model.params["gcn_0"][...] = 1e308
 
 
 def attribute(model, stream, vocab):

@@ -8,7 +8,7 @@ backpropagate through any op without a model loss.
 ``VulnModel.backward``. ``loss_node`` and ``backward_node`` put a numpy
 loss and its gradient on the tape, so that ``grad_check`` audits them by
 finite differences against the gradients that the tape or ``backward``
-adds into the parameters.
+leaves on the parameters' leaf nodes.
 
 ``occluded_by_forward_loop`` runs one full forward per occluded token:
 the oracle of ``VulnModel.occluded_probabilities``. ``shapley_oracle``
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -32,8 +32,7 @@ from vulngraph.errors import AttributionError, GradientError
 from vulngraph.model import normalize_line_range
 from vulngraph.objectives import focal_loss, mse_loss
 from vulngraph.semgraph import model_inputs
-from vulngraph.tensor import Matrix, Parameter, from_op
-from vulngraph.trainer import _add
+from vulngraph.tensor import Matrix, from_op
 
 
 def sum_all(a: Matrix) -> Matrix:
@@ -104,24 +103,27 @@ def tape_sample_loss(class_logits: Matrix, loc_pred: Matrix, sample,
 
 
 def backward_node(model, ids, operator, true_class, loc_target,
-                  cfg) -> Matrix:
+                  cfg) -> tuple[Matrix, dict[str, Matrix]]:
     """Focal plus squared-error loss of ``model.forward`` as a 1x1 node
-    whose push is ``model.backward``, adding into the parameters'
-    gradients."""
+    whose push is ``model.backward``, and a leaf per parameter, by name,
+    into whose gradient that push adds."""
     out = model.forward(ids, operator)
     value, class_grad = focal_loss(out.class_logits, true_class, cfg)
     loc_value, loc_grad = mse_loss(out.loc_pred, loc_target)
+    leaves = {name: tensor.leaf(values)
+              for name, values in model.params.items()}
+
+    def add(name: str, index, contribution: np.ndarray) -> None:
+        node = leaves[name]
+        if node.grad is None:
+            node.grad = np.zeros(node.shape)
+        node.grad[index] += contribution
 
     def push(g: np.ndarray) -> None:
-        model.backward(out, g[0, 0] * class_grad, g[0, 0] * loc_grad, _add)
+        model.backward(out, g[0, 0] * class_grad, g[0, 0] * loc_grad, add)
 
-    return from_op(np.array([[value + loc_value]]),
-                   [tensor.leaf(p) for p in model.parameters()], push)
-
-
-def zero_grad(params: Sequence[Parameter]) -> None:
-    for p in params:
-        p.grad[...] = 0.0
+    return from_op(np.array([[value + loc_value]]), list(leaves.values()),
+                   push), leaves
 
 
 @dataclass
@@ -139,33 +141,35 @@ class GradCheckReport:
         return self.max_rel_error < self.tol
 
 
-def grad_check(f: Callable[[], Matrix], params: Sequence[Parameter],
+def grad_check(f: Callable[[], tuple[Matrix, dict[str, Matrix]]],
+               params: dict[str, np.ndarray],
                h: float = 1e-5, tol: float = 1e-4,
                max_coords_per_param: int | None = None,
                rng: np.random.Generator | None = None) -> GradCheckReport:
     """Compare analytic gradients of ``f()`` against central differences.
 
-    ``f`` rebuilds the loss from the parameters' current values on every
-    call, and ``tensor.backward`` on it adds the analytic gradients into
-    the parameters' buffers. Coordinates where the two one-sided slopes
-    disagree are treated as sitting within ``h`` of a kink (e.g. relu at
-    0) and skipped rather than failed; the report counts them.
+    ``f`` rebuilds the loss from the current values of ``params``, the
+    arrays by name, on every call, and returns it with a leaf node per
+    name; ``tensor.backward`` on the loss leaves the analytic gradients
+    on those leaves (none: zero). Coordinates where the two one-sided
+    slopes disagree are treated as sitting within ``h`` of a kink (e.g.
+    relu at 0) and skipped rather than failed; the report counts them.
     """
-    zero_grad(params)
-    loss = f()
+    loss, leaves = f()
     base = loss.item()
     if not math.isfinite(base):
         raise GradientError("grad_check: loss is not finite")
     tensor.backward(loss)
-    analytic = {p.name: p.grad.copy() for p in params}
+    analytic = {name: np.zeros(values.shape) if leaves[name].grad is None
+                else leaves[name].grad for name, values in params.items()}
 
-    def eval_at(p: Parameter, i: int, j: int, value: float) -> float:
-        original = p.data[i, j]
-        p.data[i, j] = value
+    def eval_at(values: np.ndarray, i: int, j: int, value: float) -> float:
+        original = values[i, j]
+        values[i, j] = value
         try:
-            out = f().item()
+            out = f()[0].item()
         finally:
-            p.data[i, j] = original
+            values[i, j] = original
         if not math.isfinite(out):
             raise GradientError("grad_check: perturbed loss is not finite")
         return out
@@ -174,8 +178,8 @@ def grad_check(f: Callable[[], Matrix], params: Sequence[Parameter],
     checked = 0
     skipped = 0
     per_param: dict[str, float] = {}
-    for p in params:
-        rows, cols = p.data.shape
+    for name, values in params.items():
+        rows, cols = values.shape
         coords = [(i, j) for i in range(rows) for j in range(cols)]
         if max_coords_per_param is not None and len(coords) > max_coords_per_param:
             picker = rng or np.random.default_rng(0)
@@ -184,9 +188,9 @@ def grad_check(f: Callable[[], Matrix], params: Sequence[Parameter],
             coords = [coords[int(c)] for c in sorted(chosen)]
         worst = 0.0
         for i, j in coords:
-            theta = p.data[i, j]
-            f_plus = eval_at(p, i, j, theta + h)
-            f_minus = eval_at(p, i, j, theta - h)
+            theta = values[i, j]
+            f_plus = eval_at(values, i, j, theta + h)
+            f_minus = eval_at(values, i, j, theta - h)
             slope_plus = (f_plus - base) / h
             slope_minus = (base - f_minus) / h
             if abs(slope_plus - slope_minus) > 1e-2 * max(
@@ -194,11 +198,11 @@ def grad_check(f: Callable[[], Matrix], params: Sequence[Parameter],
                 skipped += 1  # within h of a kink
                 continue
             fd = (f_plus - f_minus) / (2.0 * h)
-            a = analytic[p.name][i, j]
+            a = analytic[name][i, j]
             rel = abs(a - fd) / max(abs(a), abs(fd), 1e-8)
             worst = max(worst, rel)
             checked += 1
-        per_param[p.name] = worst
+        per_param[name] = worst
         max_rel = max(max_rel, worst)
     return GradCheckReport(max_rel_error=max_rel, tol=tol, n_checked=checked,
                            n_skipped=skipped, per_param=per_param)

@@ -21,7 +21,8 @@ from vulngraph.synth import make_toy_corpus
 from vulngraph.runfiles import TrainConfig, save_checkpoint
 from vulngraph.trainer import evaluate, prepare_sample, sweep_ensemble
 from conftest import (attribute, dense_adjacency, dense_counts, families,
-                      fuzz_snippet, spearman, tiny_model_inputs, to_dense)
+                      fuzz_snippet, gcn_weights, spearman, tiny_model_inputs,
+                      to_dense)
 from oracles import backward_node, grad_check, shapley_oracle
 
 
@@ -46,7 +47,7 @@ def test_criterion_1_gradient_audit():
             return backward_node(model, ids, operator, target, (0.25, 0.75),
                                  cfg)
 
-        check = grad_check(f, model.parameters(), h=1e-5, tol=1e-4,
+        check = grad_check(f, model.params, h=1e-5, tol=1e-4,
                            max_coords_per_param=25,
                            rng=np.random.default_rng(seed))
         worst = max(worst, check.max_rel_error)
@@ -99,8 +100,8 @@ def test_criterion_4_residual_identity_and_fusion_endpoints():
         source = fuzz_snippet(random.Random(seed))
         model, _, _, ids, operator = tiny_model_inputs(
             source, seed=seed)
-        for w in model.gcn_weights:
-            w.data[...] = 0.0
+        for w in gcn_weights(model):
+            w[...] = 0.0
         projected, _, inverse = model.embed(ids)
         h_n, _ = model.gcn_forward(projected, inverse, operator)
         residual_ok &= np.array_equal(h_n, projected[inverse])

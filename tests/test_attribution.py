@@ -66,8 +66,8 @@ def phi0(model, stream, vocab):
 class TestOcclusion:
     def test_constant_model_scores_zero(self):
         model, stream, vocab, *_ = tiny_model_inputs("a = b + 1;")
-        for p in model.parameters():
-            p.data[...] = 0.0
+        for values in model.params.values():
+            values[...] = 0.0
         attribution = attribute(model, stream, vocab)
         assert np.array_equal(attribution.token_scores,
                               np.zeros_like(attribution.token_scores))
@@ -251,7 +251,7 @@ class TestIncrementalOcclusion:
         model, stream, vocab, ids, operator = \
             tiny_model_inputs("a = b;")
         base = model.forward(ids, operator)
-        model.gcn_weights[0].data[0, 0] = np.nan
+        model.params["gcn_0"][0, 0] = np.nan
         with pytest.raises(AttributionError, match="not finite"):
             model.occluded_probabilities(base, 0, [1, 2])
 

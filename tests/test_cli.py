@@ -23,7 +23,7 @@ from vulngraph.runfiles import load_checkpoint, save_checkpoint
 from vulngraph.trainer import evaluate_samples, prepare_sample
 from conftest import (DESK_CHECKPOINT, UNGRAPHABLE_FILE, UNGRAPHABLE_SOURCE,
                       UNLEXABLE_SOURCE, count_matrices, cpus_setup, crlf_file,
-                      run_cli, run_python)
+                      poison, run_cli, run_python)
 
 TINY_CONFIG = """\
 embed_dim=16
@@ -721,8 +721,7 @@ class TestInferenceCost:
     def test_overflowing_weights_exit_three(self, vulnerable_file, checkpoint,
                                             capsys):
         model, vocab = load_checkpoint(checkpoint)
-        model.input_proj.data[...] = 1e308
-        model.gcn_weights[0].data[...] = 1e308
+        poison(model, "overflow")
         save_checkpoint(checkpoint, model, vocab)
         assert main(["analyze", "--checkpoint", str(checkpoint), "--file",
                      str(vulnerable_file)]) == 3

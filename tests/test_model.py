@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -16,10 +17,11 @@ from vulngraph.objectives import FocalConfig
 from vulngraph.runfiles import (_MODEL_KEYS, TrainConfig, _settings,
                                 _training_settings, _typed, config_text)
 from vulngraph.trainer import EncodedSample, _sample_loss
-from conftest import (HUB_SOURCE, LONG_SOURCE, backward_batch,
-                      dense_adjacency, fuzz_snippet, operator_from_dense,
-                      poison, tiny_model_inputs)
-from oracles import backward_node, grad_check, tape_sample_loss, zero_grad
+from conftest import (DESK_CHECKPOINT, HUB_SOURCE, LONG_SOURCE,
+                      backward_batch, dense_adjacency, fuzz_snippet,
+                      gcn_weights, operator_from_dense, poison,
+                      tiny_model_inputs)
+from oracles import backward_node, grad_check, tape_sample_loss
 
 SOURCE = "int f(){int a;return a+1;}"
 
@@ -74,8 +76,8 @@ class TestEmbed:
 class TestGcn:
     def test_residual_identity_with_zero_weights(self):
         model, _, _, ids, operator = tiny_model_inputs(SOURCE)
-        for w in model.gcn_weights:
-            w.data[...] = 0.0
+        for w in gcn_weights(model):
+            w[...] = 0.0
         h_n, _ = model.gcn_forward(*embedded(model, ids), operator)
         assert np.array_equal(h_n, embedded_rows(model, ids))
 
@@ -85,8 +87,8 @@ class TestGcn:
         h_n, _ = model.gcn_forward(*embedded(model, ids), eye)
         # reference: H <- H + relu(H @ W) per layer, no cross-token mixing
         ref = embedded_rows(model, ids)
-        for w in model.gcn_weights:
-            ref = ref + np.maximum(ref @ w.data, 0.0)
+        for w in gcn_weights(model):
+            ref = ref + np.maximum(ref @ w, 0.0)
         np.testing.assert_allclose(h_n, ref, atol=1e-12)
 
     def test_deterministic_across_runs(self):
@@ -134,9 +136,8 @@ class TestFuse:
 class TestHeads:
     def test_zero_weights_give_uniform_and_centered(self):
         model, _, _, ids, operator = tiny_model_inputs(SOURCE)
-        for p in (model.cls_weight, model.cls_bias, model.loc_weight,
-                  model.loc_bias):
-            p.data[...] = 0.0
+        for name in ("cls_weight", "cls_bias", "loc_weight", "loc_bias"):
+            model.params[name][...] = 0.0
         out = model.forward(ids, operator)
         np.testing.assert_allclose(
             out.probabilities, np.full(model.config.num_classes,
@@ -145,7 +146,7 @@ class TestHeads:
 
     def test_benign_is_class_zero(self):
         model, _, _, ids, operator = tiny_model_inputs(SOURCE)
-        model.cls_bias.data[0, 0] = 50.0
+        model.params["cls_bias"][0, 0] = 50.0
         out = model.forward(ids, operator)
         assert out.predicted_class == 0
 
@@ -182,7 +183,8 @@ class TestPooledEmbedding:
         stream = tokenize(source)
         ids = np.asarray(encode(stream, vocab))
         pooled = model.pooled_embedding(*embedded(model, ids[1:2]))
-        expected = model.embedding.data[ids[1:2]] @ model.input_proj.data
+        expected = (model.params["embedding"][ids[1:2]]
+                    @ model.params["input_proj"])
         np.testing.assert_allclose(pooled, expected[0], atol=1e-15)
 
 
@@ -193,7 +195,7 @@ class TestMasking:
         model = VulnModel(ModelConfig(vocab_size=len(vocab), embed_dim=8,
                                       gcn_dim=6), seed=3)
         before = model.forward(*inputs)
-        model.embedding.data[0, :] += 100.0  # the <PAD> row
+        model.params["embedding"][0, :] += 100.0  # the <PAD> row
         after = model.forward(*inputs)
         np.testing.assert_array_equal(before.class_logits, after.class_logits)
         assert before.loc_pred == after.loc_pred
@@ -225,9 +227,9 @@ class TestGradients:
         def f():
             return backward_node(model, ids, operator, 3, (0.3, 0.7), cfg)
 
-        report = grad_check(f, model.parameters(), tol=1e-4,
-                                   max_coords_per_param=30,
-                                   rng=np.random.default_rng(0))
+        report = grad_check(f, model.params, tol=1e-4,
+                            max_coords_per_param=30,
+                            rng=np.random.default_rng(0))
         assert report.passed, report
 
 
@@ -260,8 +262,8 @@ class TestBackwardAgainstTape:
             vocab_size=len(vocab), embed_dim=16, gcn_dim=gcn_dim,
             gcn_layers=gcn_layers, num_classes=num_classes,
             embed_weight=fusion[0], graph_weight=fusion[1]), seed=gcn_layers)
-        for p in model.parameters():
-            p.data[...] += rng.normal(scale=0.1, size=p.data.shape)
+        for values in model.params.values():
+            values[...] += rng.normal(scale=0.1, size=values.shape)
         cfg = TrainConfig(w_cls=0.7, w_loc=1.3, focal=FocalConfig(0.3, 1.5))
         shapes = []
         for k, source in enumerate(sources):
@@ -271,30 +273,31 @@ class TestBackwardAgainstTape:
                 ids=ids, operator=operator, label=(0, 1, num_classes - 1)[k],
                 line_count=source.count("\n") + 1,
                 truth_range=None if k == 0 else (2, 3))
-            earlier = [rng.normal(size=p.data.shape)
-                       for p in model.parameters()]
-            for p, grad in zip(model.parameters(), earlier):
-                p.grad[...] = grad
+            earlier = {name: rng.normal(size=values.shape)
+                       for name, values in model.params.items()}
             nodes = model.forward_nodes(ids, operator)
+            for name, node in nodes.leaves.items():
+                node.grad = earlier[name].copy()
             loss = tape_sample_loss(nodes.class_logits, nodes.loc_pred,
                                     sample, cfg)
             tensor.backward(tensor.scale(loss, 1.0 / 3.0))
-            expected = [p.grad.tobytes() for p in model.parameters()]
-            for p, grad in zip(model.parameters(), earlier):
-                p.grad[...] = grad
+            expected = {name: node.grad.tobytes()
+                        for name, node in nodes.leaves.items()}
+            sums = {name: grad.copy() for name, grad in earlier.items()}
             out = model.forward(ids, operator)
             value, class_grad, loc_grad = _sample_loss(
                 out.class_logits, out.loc_pred, sample, cfg, 1.0 / 3.0)
             held = []
             model.backward(out, class_grad, loc_grad,
                            lambda *c: held.append(c))
-            for parameter, index, contribution in held:
-                parameter.grad[index] += contribution
+            for name, index, contribution in held:
+                sums[name][index] += contribution
             assert value == loss.item()
-            for p, grad in zip(model.parameters(), expected):
-                assert p.grad.tobytes() == grad, (source[:20], p.name)
+            assert sums.keys() == expected.keys()
+            for name, grad in sums.items():
+                assert grad.tobytes() == expected[name], (source[:20], name)
             # a held embedding contribution is one row per distinct id
-            assert held[-1][0] is model.embedding
+            assert held[-1][0] == "embedding"
             assert held[-1][2].shape == (np.unique(ids).size, 16)
         (short, _), (long, _), (_, hub_row) = shapes
         assert short <= tensor.DENSE_ROWS and long == 512
@@ -372,25 +375,27 @@ def dense_tape(model, ids, adjacency):
     Every position's embedding row is projected by W_in, each layer
     multiplies the dense n x n ``adjacency`` with H and then with W_l,
     and the pooled embedding is the rows' mean, projected. Returns the
-    nodes that ``forward`` reports, by field name.
+    nodes that ``forward`` reports, by field name, and the leaves by
+    parameter name.
     """
-    rows = tensor.gather_rows(leaf(model.embedding), ids)
+    leaves = {name: leaf(values) for name, values in model.params.items()}
+    rows = tensor.gather_rows(leaves["embedding"], ids)
     operator = Matrix(adjacency)
-    h = tensor.matmul(rows, leaf(model.input_proj))
-    for weight in model.gcn_weights:
-        mixed = tensor.matmul(tensor.matmul(operator, h), leaf(weight))
+    h = tensor.matmul(rows, leaves["input_proj"])
+    for layer in range(model.config.gcn_layers):
+        mixed = tensor.matmul(tensor.matmul(operator, h),
+                              leaves[f"gcn_{layer}"])
         h = tensor.add(h, tensor.relu(mixed))
     pooled_graph = tensor.mean_rows(h)
-    pooled_embed = tensor.matmul(tensor.mean_rows(rows),
-                                 leaf(model.input_proj))
+    pooled_embed = tensor.matmul(tensor.mean_rows(rows), leaves["input_proj"])
     fused = tensor.add(tensor.scale(pooled_embed, model.config.embed_weight),
                        tensor.scale(pooled_graph, model.config.graph_weight))
-    class_logits = tensor.add(tensor.matmul(fused, leaf(model.cls_weight)),
-                              leaf(model.cls_bias))
+    class_logits = tensor.add(tensor.matmul(fused, leaves["cls_weight"]),
+                              leaves["cls_bias"])
     loc_pred = tensor.sigmoid(tensor.add(
-        tensor.matmul(fused, leaf(model.loc_weight)), leaf(model.loc_bias)))
+        tensor.matmul(fused, leaves["loc_weight"]), leaves["loc_bias"]))
     return {"class_logits": class_logits, "loc_pred": loc_pred,
-            "pooled_embed": pooled_embed, "pooled_graph": pooled_graph}
+            "pooled_embed": pooled_embed, "pooled_graph": pooled_graph}, leaves
 
 
 class TestDistinctProjection:
@@ -427,7 +432,7 @@ class TestDistinctProjection:
         model, samples, denses = self.long_samples()
         for sample, adjacency in zip(samples, denses):
             out = model.forward(sample.ids, sample.operator)
-            dense = dense_tape(model, sample.ids, adjacency)
+            dense, _ = dense_tape(model, sample.ids, adjacency)
             for name, node in dense.items():
                 np.testing.assert_allclose(np.asarray(getattr(out, name)),
                                            node.data[0], rtol=1e-12,
@@ -436,33 +441,37 @@ class TestDistinctProjection:
     def test_batch_gradients_match_dense_oracle(self):
         model, samples, denses = self.long_samples()
         cfg = TrainConfig()
-        backward_batch(model, samples, cfg)
-        distinct = {p.name: p.grad.copy() for p in model.parameters()}
-        zero_grad(model.parameters())
+        _, distinct = backward_batch(model, samples, cfg)
+        # every sample's leaves add into one sum per parameter
+        sums = {name: np.zeros(values.shape)
+                for name, values in model.params.items()}
         for sample, adjacency in zip(samples, denses):
-            dense = dense_tape(model, sample.ids, adjacency)
+            dense, leaves = dense_tape(model, sample.ids, adjacency)
+            for name, node in leaves.items():
+                node.grad = sums[name]
             loss = tape_sample_loss(dense["class_logits"], dense["loc_pred"],
                                     sample, cfg)
             tensor.backward(tensor.scale(loss, 1.0 / len(samples)))
-        for p in model.parameters():
+        for name, grad in sums.items():
             # relative to the gradient's scale: an entry that sums terms of
             # both signs keeps only the absolute rounding of those terms
-            scale = np.abs(p.grad).max()
-            assert scale > 0.0, p.name
-            np.testing.assert_allclose(distinct[p.name], p.grad, rtol=1e-12,
-                                       atol=1e-12 * scale, err_msg=p.name)
+            scale = np.abs(grad).max()
+            assert scale > 0.0, name
+            np.testing.assert_allclose(distinct[name], grad, rtol=1e-12,
+                                       atol=1e-12 * scale, err_msg=name)
 
     def test_projection_runs_over_distinct_ids(self, monkeypatch):
         """W_in and W_1 multiply the distinct rows; W_2 multiplies all n."""
         model, samples, _ = self.long_samples()
         matmul = tensor.matmul
-        weights = [model.input_proj, *model.gcn_weights]
+        weights = {name: model.params[name]
+                   for name in ("input_proj", "gcn_0", "gcn_1")}
         left_rows = []
 
         def recording(a, b):
-            for weight in weights:
-                if b.data is weight.data:
-                    left_rows.append((weight.name, a.rows))
+            for name, weight in weights.items():
+                if b.data is weight:
+                    left_rows.append((name, a.rows))
             return matmul(a, b)
 
         monkeypatch.setattr(tensor, "matmul", recording)
@@ -487,19 +496,21 @@ def fill_source(lines):
 def float32_copy(model):
     """``model`` with its values cast to float32, as training runs it."""
     return VulnModel(model.config, values={
-        p.name: p.data.astype(np.float32) for p in model.parameters()})
+        name: values.astype(np.float32)
+        for name, values in model.params.items()})
 
 
 def sample_gradients(model, sample):
     """Each parameter's gradient of the sample's loss, with backward's
     contributions added into float64 zeros as training adds them, and
     each contribution's dtype."""
-    grads = {p.name: np.zeros(p.data.shape) for p in model.parameters()}
+    grads = {name: np.zeros(values.shape)
+             for name, values in model.params.items()}
     dtypes = {}
 
-    def add(parameter, index, contribution):
-        dtypes[parameter.name] = contribution.dtype
-        grads[parameter.name][index] += contribution
+    def add(name, index, contribution):
+        dtypes[name] = contribution.dtype
+        grads[name][index] += contribution
 
     out = model.forward(sample.ids, sample.operator)
     _, class_grad, loc_grad = _sample_loss(out.class_logits, out.loc_pred,
@@ -550,8 +561,8 @@ class TestFloat32Pass:
                       out._projected, *out._mixed]
             assert {a.dtype for a in arrays} == {np.dtype(np.float32)}
             _, dtypes = sample_gradients(single, sample)
-            names = [p.name for p in model.parameters()
-                     if sample.truth_range or not p.name.startswith("loc_")]
+            names = [name for name in model.params
+                     if sample.truth_range or not name.startswith("loc_")]
             assert dtypes == dict.fromkeys(names, np.dtype(np.float32))
 
     @pytest.mark.parametrize("embed_dim, gcn_dim", [(64, 48), (768, 512)],
@@ -583,9 +594,9 @@ class TestNonFiniteForward:
     def test_nan_is_not_cut_by_relu(self):
         # a NaN passes through the relu, and the layer check must see it
         model, _, _, ids, operator = tiny_model_inputs(SOURCE)
-        for w in model.gcn_weights:
-            w.data[...] = -1.0
-        model.gcn_weights[-1].data[0, 0] = np.nan
+        for w in gcn_weights(model):
+            w[...] = -1.0
+        gcn_weights(model)[-1][0, 0] = np.nan
         with pytest.raises(GradientError, match="gcn_1"):
             model.forward(ids, operator)
 
@@ -594,10 +605,10 @@ class TestNonFiniteForward:
         # so H stays finite; the pass, training's path through it and the
         # tape must still raise
         model, _, _, ids, _ = tiny_model_inputs(SOURCE)
-        model.embedding.data[...] = 1.0
-        model.input_proj.data[...] = 1.0
-        for w in model.gcn_weights:
-            w.data[...] = -1.0
+        model.params["embedding"][...] = 1.0
+        model.params["input_proj"][...] = 1.0
+        for w in gcn_weights(model):
+            w[...] = -1.0
         huge = operator_from_dense(np.full((ids.size, ids.size), 1e308))
         with pytest.raises(GradientError, match="gcn_0"):
             model.forward(ids, huge)
@@ -641,7 +652,7 @@ class TestConfigAndCheckpoint:
         cfg = ModelConfig(vocab_size=99, embed_dim=32, gcn_dim=16,
                           gcn_layers=3, num_classes=2)
         assert cfg.parameter_count == sum(
-            p.data.size for p in VulnModel(cfg).parameters())
+            values.size for values in VulnModel(cfg).params.values())
 
     def test_invalid_configs(self):
         with pytest.raises(ConfigError):
@@ -653,10 +664,32 @@ class TestConfigAndCheckpoint:
             with pytest.raises(ConfigError, match=message):
                 ModelConfig(vocab_size=10, num_classes=num_classes)
 
+    def test_model_allocates_nothing_beyond_its_values(self):
+        # a model holds no gradient: with a zero one per parameter, the
+        # desk checkpoint's model traced 121,236 bytes for its 119,272
+        # bytes of values, and loading the checkpoint 259,453
+        runfiles.load_checkpoint(DESK_CHECKPOINT)  # warm caches
+        tracemalloc.start()
+        try:
+            model, _ = runfiles.load_checkpoint(DESK_CHECKPOINT)
+            loaded = tracemalloc.get_traced_memory()[0]
+            values = dict(model.params)
+            before = tracemalloc.get_traced_memory()[0]
+            again = VulnModel(model.config, values=values)
+            given = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        value_bytes = sum(a.nbytes for a in values.values())
+        assert value_bytes == 8 * model.config.parameter_count
+        assert all(again.params[name] is a for name, a in values.items())
+        assert given < 0.05 * value_bytes, given
+        # the values, and the vocabulary and the archive's bookkeeping
+        assert loaded < 1.5 * value_bytes, loaded / value_bytes
+
     def test_npz_round_trip_reproduces_outputs(self, tmp_path):
         model, _, _, ids, operator = tiny_model_inputs(SOURCE, seed=2)
         path = tmp_path / "m.npz"
-        runfiles.save_params(path, model.parameters())
+        runfiles.save_params(path, model.params)
         restored = VulnModel(model.config, values=runfiles.load_params(path))
         a = model.forward(ids, operator)
         b = restored.forward(ids, operator)

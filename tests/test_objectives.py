@@ -7,7 +7,6 @@ from vulngraph import tensor
 from vulngraph.errors import ConfigError, DataError, ShapeError
 from vulngraph.objectives import (FocalConfig, classification_metrics,
                                   focal_loss, iou_1d, mse_loss)
-from vulngraph.tensor import Parameter
 from oracles import grad_check, loss_node
 
 
@@ -75,13 +74,14 @@ class TestFocalLoss:
     def test_gradient_check(self):
         for delta in (0.0, 1.0, 2.0):
             cfg = FocalConfig(alpha=0.25, delta=delta)
-            logits = Parameter(np.array([[0.3, -0.8, 1.4, 0.0]]), "logits")
+            logits = np.array([[0.3, -0.8, 1.4, 0.0]])
 
             def f():
-                return loss_node(*focal_loss(logits.data[0], 2, cfg),
-                                 tensor.leaf(logits))
+                node = tensor.leaf(logits)
+                return (loss_node(*focal_loss(logits[0], 2, cfg), node),
+                        {"logits": node})
 
-            report = grad_check(f, [logits], tol=1e-4)
+            report = grad_check(f, {"logits": logits}, tol=1e-4)
             assert report.passed, (delta, report)
 
     def test_invalid_target(self):
@@ -113,13 +113,14 @@ class TestMseLoss:
         assert mse_loss(a, b)[0] == pytest.approx(mse_loss(b, a)[0])
 
     def test_gradient_check(self):
-        pred = Parameter(np.array([[0.2, 0.8]]), "pred")
+        pred = np.array([[0.2, 0.8]])
 
         def f():
-            return loss_node(*mse_loss(pred.data[0], (0.5, 0.1)),
-                             tensor.leaf(pred))
+            node = tensor.leaf(pred)
+            return (loss_node(*mse_loss(pred[0], (0.5, 0.1)), node),
+                    {"pred": node})
 
-        assert grad_check(f, [pred], tol=1e-6).passed
+        assert grad_check(f, {"pred": pred}, tol=1e-6).passed
 
 
 def brute_force_iou(pred, truth):

@@ -155,8 +155,8 @@ def desk_trees(tmp_path_factory):
 def vulnerable_model(toy_run):
     """The toy model biased so that every function is predicted vulnerable."""
     model = VulnModel(toy_run.model.config, values={
-        p.name: p.data.copy() for p in toy_run.model.parameters()})
-    model.cls_bias.data[0, 3] += 1e3
+        name: values.copy() for name, values in toy_run.model.params.items()})
+    model.params["cls_bias"][0, 3] += 1e3
     return model
 
 

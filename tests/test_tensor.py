@@ -9,14 +9,14 @@ from vulngraph import runfiles, tensor
 from vulngraph.errors import DataError, GradientError, ShapeError
 from vulngraph.lexer import tokenize
 from vulngraph.semgraph import build_graph
-from vulngraph.tensor import DENSE_ROWS, Matrix, Parameter, from_op
+from vulngraph.tensor import DENSE_ROWS, Matrix, from_op, leaf
 from conftest import HUB_SOURCE, LONG_SOURCE, operator_from_dense
-from oracles import grad_check, mean_all, mul, sum_all, zero_grad
+from oracles import grad_check, mean_all, mul, sum_all
 
-#: Column counts of ``segment_sum`` inputs: one block of
+#: Column counts of ``segment_sum`` inputs: none, one block of
 #: ``tensor.SEGMENT_BLOCK`` (64) columns or less, and past it, ending in
 #: a full or a narrower block.
-SEGMENT_WIDTHS = [1, 5, 63, 64, 65, 129, 512]
+SEGMENT_WIDTHS = [0, 1, 5, 63, 64, 65, 129, 512]
 
 
 def segment_case(seed, width, dtype=np.float64):
@@ -63,8 +63,8 @@ class TestOps:
         rng = np.random.default_rng(8)
         dense = rng.uniform(0.5, 1.0, size=(5, 5))
         outer = rng.normal(size=(5, 3))
-        w = Parameter(rng.normal(size=(5, 3)), "w")
-        product = tensor.apply(operator_from_dense(dense), tensor.leaf(w))
+        w = leaf(rng.normal(size=(5, 3)))
+        product = tensor.apply(operator_from_dense(dense), w)
         np.testing.assert_allclose(product.data, dense @ w.data, rtol=1e-14)
         tensor.backward(sum_all(mul(product, Matrix(outer))))
         np.testing.assert_allclose(w.grad, dense.T @ outer, rtol=1e-14)
@@ -78,23 +78,23 @@ class TestOps:
 
 class TestBackward:
     def test_linear_loss_broadcasts_input(self):
-        w = Parameter(np.ones((3, 4)), "w")
+        w = leaf(np.ones((3, 4)))
         x = Matrix(np.array([[1.0], [2.0], [3.0], [4.0]]))
-        loss = sum_all(tensor.matmul(tensor.leaf(w), x))
+        loss = sum_all(tensor.matmul(w, x))
         tensor.backward(loss)
         np.testing.assert_array_equal(
             w.grad, np.tile(np.array([1.0, 2.0, 3.0, 4.0]), (3, 1)))
 
     def test_unused_parameter_keeps_zero_grad(self):
-        used = Parameter(np.ones((2, 2)), "used")
-        unused = Parameter(np.ones((2, 2)), "unused")
-        loss = sum_all(tensor.leaf(used))
+        # a leaf that nothing pushes to has no gradient: zero
+        used, unused = leaf(np.ones((2, 2))), leaf(np.ones((2, 2)))
+        loss = sum_all(used)
         tensor.backward(loss)
-        np.testing.assert_array_equal(unused.grad, np.zeros((2, 2)))
+        np.testing.assert_array_equal(used.grad, np.ones((2, 2)))
+        assert unused.grad is None
 
     def test_backward_twice_raises(self):
-        w = Parameter(np.ones((2, 2)), "w")
-        loss = sum_all(tensor.leaf(w))
+        loss = sum_all(leaf(np.ones((2, 2))))
         tensor.backward(loss)
         with pytest.raises(GradientError, match="already"):
             tensor.backward(loss)
@@ -103,45 +103,48 @@ class TestBackward:
         # ``middle`` pushes before ``first``; by then nothing holds it, so
         # its value, which only the node holds, is gone too (a Matrix has
         # slots and no weak references)
-        w = Parameter(np.ones((2, 2)), "w")
-        node = tensor.leaf(w)
+        node = leaf(np.ones((2, 2)))
         reachable = []
 
         def push(g):
             reachable.append(middle_ref() is not None)
             node._accumulate(2.0 * g)
 
-        first = from_op(2.0 * w.data, (node,), push)
+        first = from_op(2.0 * node.data, (node,), push)
         middle = tensor.scale(first, 3.0)
         middle_ref = weakref.ref(middle.data)
         loss = sum_all(middle)
         del first, middle
         tensor.backward(loss)
         assert reachable == [False]
-        np.testing.assert_array_equal(w.grad, np.full((2, 2), 6.0))
+        np.testing.assert_array_equal(node.grad, np.full((2, 2), 6.0))
 
     def test_grads_accumulate_until_zeroed(self):
-        w = Parameter(np.ones((1, 2)), "w")
+        # a leaf's gradient adds every loss's, in place, until it is reset
+        w = leaf(np.ones((1, 2)))
         for expected in (1.0, 2.0):
-            tensor.backward(sum_all(tensor.leaf(w)))
+            tensor.backward(sum_all(w))
             np.testing.assert_array_equal(w.grad, np.full((1, 2), expected))
-        zero_grad([w])
-        np.testing.assert_array_equal(w.grad, np.zeros((1, 2)))
+        held = w.grad
+        w.grad[...] = 0.0
+        tensor.backward(sum_all(w))
+        assert w.grad is held
+        np.testing.assert_array_equal(w.grad, np.ones((1, 2)))
 
     def test_three_layer_composition_matches_finite_differences(self):
         rng = np.random.default_rng(42)
-        w1 = Parameter(rng.normal(size=(4, 5)), "w1")
-        w2 = Parameter(rng.normal(size=(5, 4)), "w2")
-        w3 = Parameter(rng.normal(size=(4, 2)), "w3")
+        params = {"w1": rng.normal(size=(4, 5)), "w2": rng.normal(size=(5, 4)),
+                  "w3": rng.normal(size=(4, 2))}
         x = Matrix(rng.normal(size=(3, 4)))
 
         def f():
-            h = tensor.relu(tensor.matmul(x, tensor.leaf(w1)))
-            h = tensor.relu(tensor.matmul(h, tensor.leaf(w2)))
-            out = tensor.sigmoid(tensor.matmul(h, tensor.leaf(w3)))
-            return mean_all(mul(out, out))
+            leaves = {name: leaf(values) for name, values in params.items()}
+            h = tensor.relu(tensor.matmul(x, leaves["w1"]))
+            h = tensor.relu(tensor.matmul(h, leaves["w2"]))
+            out = tensor.sigmoid(tensor.matmul(h, leaves["w3"]))
+            return mean_all(mul(out, out)), leaves
 
-        report = grad_check(f, [w1, w2, w3], h=1e-5, tol=1e-4)
+        report = grad_check(f, params, h=1e-5, tol=1e-4)
         assert report.passed, report
         assert report.max_rel_error < 1e-4
 
@@ -155,31 +158,35 @@ class TestBackward:
 
 class TestGradCheck:
     def test_quadratic_closed_form(self):
-        theta = Parameter(np.array([[1.0, 2.0]]), "theta")
+        theta = np.array([[1.0, 2.0]])
 
         def f():
-            return sum_all(mul(tensor.leaf(theta), tensor.leaf(theta)))
+            node = leaf(theta)
+            return sum_all(mul(node, node)), {"theta": node}
 
-        loss = f()
+        loss, leaves = f()
         tensor.backward(loss)
-        np.testing.assert_array_equal(theta.grad, [[2.0, 4.0]])
-        report = grad_check(f, [theta], h=1e-5)
+        np.testing.assert_array_equal(leaves["theta"].grad, [[2.0, 4.0]])
+        report = grad_check(f, {"theta": theta}, h=1e-5)
         assert report.max_rel_error < 1e-8
 
     def test_constant_function(self):
-        theta = Parameter(np.ones((2, 2)), "theta")
+        theta = leaf(np.ones((2, 2)))
         constant = Matrix([[5.0]])
-        report = grad_check(lambda: tensor.scale(constant, 1.0), [theta])
+        report = grad_check(lambda: (tensor.scale(constant, 1.0),
+                                     {"theta": theta}),
+                            {"theta": theta.data})
         assert report.max_rel_error == 0.0
-        np.testing.assert_array_equal(theta.grad, np.zeros((2, 2)))
+        assert theta.grad is None
 
     def test_relu_kink_is_skipped(self):
-        theta = Parameter(np.array([[0.0, 1.0]]), "theta")
+        theta = np.array([[0.0, 1.0]])
 
         def f():
-            return sum_all(tensor.relu(tensor.leaf(theta)))
+            node = leaf(theta)
+            return sum_all(tensor.relu(node)), {"theta": node}
 
-        report = grad_check(f, [theta], h=1e-5)
+        report = grad_check(f, {"theta": theta}, h=1e-5)
         assert report.n_skipped == 1  # the coordinate sitting on the kink
         assert report.n_checked == 1
         assert report.passed
@@ -188,31 +195,33 @@ class TestGradCheck:
         for seed in range(4):
             rng = np.random.default_rng(seed)
             rows, inner, cols = rng.integers(2, 9, size=3)
-            w = Parameter(rng.normal(size=(rows, inner)), "w")
-            b = Parameter(rng.normal(size=(1, cols)), "b")
-            v = Parameter(rng.normal(size=(inner, cols)), "v")
+            params = {"w": rng.normal(size=(rows, inner)),
+                      "b": rng.normal(size=(1, cols)),
+                      "v": rng.normal(size=(inner, cols))}
             x = Matrix(rng.normal(size=(1, rows)))
 
             def f():
-                h = tensor.sigmoid(tensor.matmul(x, tensor.leaf(w)))
-                out = tensor.add(tensor.matmul(h, tensor.leaf(v)),
-                                 tensor.leaf(b))
-                return mean_all(mul(out, out))
+                leaves = {name: leaf(values)
+                          for name, values in params.items()}
+                h = tensor.sigmoid(tensor.matmul(x, leaves["w"]))
+                out = tensor.add(tensor.matmul(h, leaves["v"]), leaves["b"])
+                return mean_all(mul(out, out)), leaves
 
-            report = grad_check(f, [w, b, v], tol=1e-4)
+            report = grad_check(f, params, tol=1e-4)
             assert report.passed, (seed, report)
 
     def test_sampled_coordinates_are_deterministic(self):
         rng = np.random.default_rng(0)
-        w = Parameter(rng.normal(size=(8, 8)), "w")
+        w = rng.normal(size=(8, 8))
 
         def f():
-            return mean_all(mul(tensor.leaf(w), tensor.leaf(w)))
+            node = leaf(w)
+            return mean_all(mul(node, node)), {"w": node}
 
-        r1 = grad_check(f, [w], max_coords_per_param=10,
-                               rng=np.random.default_rng(3))
-        r2 = grad_check(f, [w], max_coords_per_param=10,
-                               rng=np.random.default_rng(3))
+        r1 = grad_check(f, {"w": w}, max_coords_per_param=10,
+                        rng=np.random.default_rng(3))
+        r2 = grad_check(f, {"w": w}, max_coords_per_param=10,
+                        rng=np.random.default_rng(3))
         assert r1.n_checked == r2.n_checked == 10
         assert r1.max_rel_error == r2.max_rel_error
 
@@ -220,14 +229,15 @@ class TestGradCheck:
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(1)
-        params = [Parameter(rng.normal(size=(3, 5)) * 1e-7, "a"),
-                  Parameter(rng.normal(size=(2, 2)) * 1e9, "b")]
+        params = {"a": rng.normal(size=(3, 5)) * 1e-7,
+                  "b": rng.normal(size=(2, 2)) * 1e9}
         path = tmp_path / "params.npz"
         runfiles.save_params(path, params)
         loaded = runfiles.load_params(path)
-        for p in params:
-            assert np.array_equal(loaded[p.name], p.data)
-            assert loaded[p.name].dtype == np.float64
+        assert loaded.keys() == params.keys()
+        for name, values in params.items():
+            assert np.array_equal(loaded[name], values)
+            assert loaded[name].dtype == np.float64
 
     @pytest.mark.parametrize("entries, message", [
         pytest.param(dict(a=np.array(["1.5", "2"])), "not real numbers",
@@ -250,31 +260,28 @@ class TestCheckpoint:
             with pytest.raises(DataError, match=message):
                 runfiles.load_params(path)
 
-    def test_duplicate_names_rejected(self, tmp_path):
-        params = [Parameter(np.zeros((1, 1)), "x"),
-                  Parameter(np.zeros((1, 1)), "x")]
-        with pytest.raises(GradientError, match="duplicate"):
-            runfiles.save_params(tmp_path / "p.npz", params)
-
 
 class TestGradientOwnership:
     """A node copies the first gradient pushed to it and adds later ones
     in place, so no op writes into an array that another node or a view
-    also holds; a parameter's leaf adds into the parameter's buffer."""
+    also holds; a leaf given a gradient adds into that array."""
 
     @staticmethod
-    def backward_keeps_buffers(loss, params):
-        buffers = [p.grad for p in params]
+    def backward_keeps_buffers(loss, leaves):
+        """Each leaf's gradient of ``loss``, added into preset zeros that
+        stay the leaf's."""
+        buffers = [np.zeros(node.shape) for node in leaves]
+        for node, buffer in zip(leaves, buffers):
+            node.grad = buffer
         tensor.backward(loss)
-        assert all(p.grad is buffer for p, buffer in zip(params, buffers))
-        grads = [p.grad.copy() for p in params]
-        zero_grad(params)
-        return grads
+        assert all(node.grad is buffer
+                   for node, buffer in zip(leaves, buffers))
+        return buffers
 
     def test_add_of_a_node_to_itself(self):
         x = Matrix([[1.0, -2.0], [3.0, 0.5]])
-        w = Parameter([[2.0, 1.0], [-1.0, 4.0]], "w")
-        h = tensor.matmul(x, tensor.leaf(w))
+        w = leaf(np.array([[2.0, 1.0], [-1.0, 4.0]]))
+        h = tensor.matmul(x, w)
         (grad,) = self.backward_keeps_buffers(
             sum_all(tensor.add(h, h)), [w])
         np.testing.assert_array_equal(grad, 2.0 * x.data.T @ np.ones((2, 2)))
@@ -283,48 +290,51 @@ class TestGradientOwnership:
         # add pushes one array to a and b; each is then read once more
         rng = np.random.default_rng(5)
         x = Matrix(rng.normal(size=(3, 4)))
-        w1 = Parameter(rng.normal(size=(4, 2)), "w1")
-        w2 = Parameter(rng.normal(size=(4, 2)), "w2")
+        params = {"w1": rng.normal(size=(4, 2)), "w2": rng.normal(size=(4, 2))}
 
         def f():
-            a = tensor.matmul(x, tensor.leaf(w1))
-            b = tensor.matmul(x, tensor.leaf(w2))
+            leaves = {name: leaf(values) for name, values in params.items()}
+            a = tensor.matmul(x, leaves["w1"])
+            b = tensor.matmul(x, leaves["w2"])
             squares = tensor.add(mul(a, a), mul(b, b))
-            return sum_all(tensor.add(tensor.add(a, b), squares))
+            return sum_all(tensor.add(tensor.add(a, b), squares)), leaves
 
-        a = x.data @ w1.data
-        b = x.data @ w2.data
-        grads = self.backward_keeps_buffers(f(), [w1, w2])
+        a = x.data @ params["w1"]
+        b = x.data @ params["w2"]
+        loss, leaves = f()
+        grads = self.backward_keeps_buffers(loss, list(leaves.values()))
         np.testing.assert_allclose(grads[0], x.data.T @ (1.0 + 2.0 * a),
                                    rtol=1e-13)
         np.testing.assert_allclose(grads[1], x.data.T @ (1.0 + 2.0 * b),
                                    rtol=1e-13)
-        report = grad_check(f, [w1, w2])
+        report = grad_check(f, params)
         assert report.passed, report
 
     def test_residual_node_read_by_two_ops(self):
         rng = np.random.default_rng(6)
         x = Matrix(rng.normal(size=(5, 3)))
         operator = Matrix(rng.uniform(size=(5, 5)))
-        w_in = Parameter(rng.normal(size=(3, 4)), "w_in")
-        w = Parameter(rng.normal(size=(4, 4)), "w")
+        params = {"w_in": rng.normal(size=(3, 4)),
+                  "w": rng.normal(size=(4, 4))}
 
         def f():
-            h = tensor.matmul(x, tensor.leaf(w_in))
-            mixed = tensor.matmul(tensor.matmul(operator, h), tensor.leaf(w))
+            leaves = {name: leaf(values) for name, values in params.items()}
+            h = tensor.matmul(x, leaves["w_in"])
+            mixed = tensor.matmul(tensor.matmul(operator, h), leaves["w"])
             out = tensor.add(h, tensor.relu(mixed))
-            return mean_all(mul(out, out))
+            return mean_all(mul(out, out)), leaves
 
-        self.backward_keeps_buffers(f(), [w_in, w])
-        report = grad_check(f, [w_in, w])
+        loss, leaves = f()
+        self.backward_keeps_buffers(loss, list(leaves.values()))
+        report = grad_check(f, params)
         assert report.passed, report
         assert report.n_checked > 20
 
     @pytest.mark.parametrize("view_first", [True, False])
     def test_mean_rows_view_then_another_gradient(self, view_first):
         x = Matrix([[1.0, 2.0], [0.5, -1.0], [3.0, 1.0]])
-        w = Parameter([[1.0, -1.0, 2.0], [0.5, 1.5, -2.0]], "w")
-        h = tensor.matmul(x, tensor.leaf(w))
+        w = leaf(np.array([[1.0, -1.0, 2.0], [0.5, 1.5, -2.0]]))
+        h = tensor.matmul(x, w)
         terms = [sum_all(tensor.mean_rows(h)),
                  sum_all(mul(h, h))]
         if not view_first:
@@ -336,8 +346,8 @@ class TestGradientOwnership:
     @pytest.mark.parametrize("gather_first", [True, False])
     def test_gather_rows_into_a_received_gradient(self, gather_first):
         x = Matrix([[1.0, 2.0], [0.5, -1.0], [3.0, 1.0]])
-        w = Parameter([[1.0, -1.0], [0.5, 1.5]], "w")
-        table = tensor.matmul(x, tensor.leaf(w))
+        w = leaf(np.array([[1.0, -1.0], [0.5, 1.5]]))
+        table = tensor.matmul(x, w)
         ids = np.array([2, 0, 2, 2])
         terms = [sum_all(tensor.gather_rows(table, ids)),
                  sum_all(tensor.mean_rows(table))]

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import mmap
 import os
 import pickle
 import time
@@ -17,7 +18,7 @@ from vulngraph.corpus import (FunctionRecord, class_index, save_dataset,
 from vulngraph.errors import (ConfigError, DataError, GradientError,
                               TrainingError)
 from vulngraph.lexer import build_vocab, tokenize
-from vulngraph.model import ModelConfig, VulnModel
+from vulngraph.model import ModelConfig, VulnModel, parameter_shapes
 from vulngraph.objectives import FocalConfig
 from vulngraph.semgraph import build_graph, model_inputs
 from vulngraph.synth import make_toy_corpus
@@ -31,7 +32,7 @@ from vulngraph.trainer import (EncodedSample, evaluate, prepare_sample,
 
 from conftest import (DESK_MODEL, LONG_SOURCE, backward_batch,
                       count_matrices, cpus_setup, run_cli, run_python)
-from oracles import tape_sample_loss, zero_grad
+from oracles import tape_sample_loss
 
 TINY_MODEL = dict(embed_dim=16, gcn_dim=12, num_classes=11)
 
@@ -87,18 +88,24 @@ def truncate(path):
 
 
 def one_tape_batch_loss(model, batch, cfg):
-    """The batch's mean loss on one tape over every sample.
+    """The batch's mean loss on one tape over every sample, and the sums
+    by parameter name, zeros until ``tensor.backward`` runs, that every
+    sample's leaves add their gradients into.
 
     The oracle for ``_backward_batch``, which differentiates one sample at
     a time without a tape.
     """
+    sums = {name: np.zeros(values.shape)
+            for name, values in model.params.items()}
     total = None
     for sample in batch:
         nodes = model.forward_nodes(sample.ids, sample.operator)
+        for name, node in nodes.leaves.items():
+            node.grad = sums[name]
         loss = tape_sample_loss(nodes.class_logits, nodes.loc_pred, sample,
                                 cfg)
         total = loss if total is None else tensor.add(total, loss)
-    return tensor.scale(total, 1.0 / len(batch))
+    return tensor.scale(total, 1.0 / len(batch)), sums
 
 
 def count_tokenized(monkeypatch):
@@ -151,13 +158,17 @@ def oracle_batch():
 
 
 def one_tape_gradients(model, batch, cfg):
-    """The oracle's batch loss and every parameter's gradient."""
-    zero_grad(model.parameters())
-    loss = one_tape_batch_loss(model, batch, cfg)
+    """The oracle's batch loss and every parameter's gradient by name."""
+    loss, sums = one_tape_batch_loss(model, batch, cfg)
     tensor.backward(loss)
-    expected = [p.grad.copy() for p in model.parameters()]
-    zero_grad(model.parameters())
-    return loss.item(), expected
+    return loss.item(), sums
+
+
+def assert_same_params(a, b):
+    """The two models' parameters have the same names and bits."""
+    assert a.params.keys() == b.params.keys()
+    for name, values in a.params.items():
+        assert np.array_equal(values, b.params[name]), name
 
 
 def no_child_left():
@@ -190,17 +201,18 @@ class TestLabelIndex:
             class_index(record, 11)
 
 
-def adam_oracle_step(params, m, v, t, lr, beta1=0.9, beta2=0.999,
+def adam_oracle_step(values, grads, m, v, t, lr, beta1=0.9, beta2=0.999,
                      eps=1e-8):
-    """The Adam update as whole-array expressions, one temporary per
-    term: the oracle of the in-place ``Adam.step``."""
-    for i, p in enumerate(params):
-        g = p.grad
+    """The Adam update of ``values`` by ``grads``, arrays by name, as
+    whole-array expressions, one temporary per term: the oracle of the
+    in-place ``Adam.step``."""
+    for i, (name, p) in enumerate(values.items()):
+        g = grads[name]
         m[i] = beta1 * m[i] + (1 - beta1) * g
         v[i] = beta2 * v[i] + (1 - beta2) * g * g
         m_hat = m[i] / (1 - beta1 ** t)
         v_hat = v[i] / (1 - beta2 ** t)
-        p.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        p -= lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
 #: ``TestAdam``'s model, whose 137 parameters lie at embedding 0-28,
@@ -225,58 +237,107 @@ class TestAdam:
         monkeypatch.setattr(trainer_module, "ADAM_BLOCK", 20)
         for bounds in ADAM_SLICINGS:
             rng = np.random.default_rng(5)
-            model, state = trainer_module._shared_model(ADAM_MODEL, seed=5)
-            fast = model.parameters()
-            slow = [tensor.Parameter(p.data.copy(), p.name) for p in fast]
-            shapes = [p.data.shape for p in fast]
-            assert state.shape == (4, bounds[-1])
+            model, values = trainer_module._shared_model(ADAM_MODEL, seed=5)
+            state = trainer_module._shared((3, values.size))
+            fast = model.params
+            grads = trainer_module._views(
+                state[0], parameter_shapes(ADAM_MODEL))
+            slow = {name: a.copy() for name, a in fast.items()}
+            slow_grads = {name: np.zeros(a.shape) for name, a in fast.items()}
+            shapes = [a.shape for a in fast.values()]
+            assert values.shape == (bounds[-1],)
             optimizers = [
-                trainer_module.Adam(state, lr=0.01, part=slice(lo, hi))
+                trainer_module.Adam(values, state, lr=0.01,
+                                    part=slice(lo, hi))
                 for lo, hi in zip(bounds, bounds[1:])]
             m = [np.zeros(s) for s in shapes]
             v = [np.zeros(s) for s in shapes]
             for t in range(1, 6):
-                for a, b in zip(fast, slow):
-                    grad = (rng.normal(size=a.data.shape)
+                for name, a in fast.items():
+                    grad = (rng.normal(size=a.shape)
                             * 10.0 ** rng.integers(-8, 3))
-                    grad[rng.random(a.data.shape) < 0.3] = 0.0
-                    a.grad[...] = grad
-                    b.grad[...] = grad
+                    grad[rng.random(a.shape) < 0.3] = 0.0
+                    grads[name][...] = grad
+                    slow_grads[name][...] = grad
                 for optimizer in optimizers:
                     optimizer.step()
-                adam_oracle_step(slow, m, v, t, lr=0.01)
-                for a, b in zip(fast, slow):
-                    assert np.array_equal(a.data, b.data), (bounds, t, a.name)
-                    assert not a.grad.any(), (bounds, t, a.name)
-                for mine, theirs in zip(state[2:], (m, v)):
+                adam_oracle_step(slow, slow_grads, m, v, t, lr=0.01)
+                for name, a in fast.items():
+                    assert np.array_equal(a, slow[name]), (bounds, t, name)
+                    assert not grads[name].any(), (bounds, t, name)
+                for mine, theirs in zip(state[1:], (m, v)):
                     flat = np.concatenate([x.ravel() for x in theirs])
                     assert np.array_equal(mine, flat), (bounds, t)
 
     def test_empty_slice_steps_nothing(self):
         # a process gets an empty slice when the flat vector has fewer
         # elements than there are training processes
-        state = np.arange(60.0).reshape(4, 15)
-        optimizer = trainer_module.Adam(state, 0.01, part=slice(3, 3))
+        values = np.arange(15.0)
+        state = np.arange(45.0).reshape(3, 15)
+        optimizer = trainer_module.Adam(values, state, 0.01, part=slice(3, 3))
         optimizer.step()
-        assert np.array_equal(state, np.arange(60.0).reshape(4, 15))
+        assert np.array_equal(values, np.arange(15.0))
+        assert np.array_equal(state, np.arange(45.0).reshape(3, 15))
 
 
 class TestSharedState:
     def test_values_are_the_models_drawn_bit_for_bit(self):
         config = ModelConfig(vocab_size=30, embed_dim=16, gcn_dim=12,
                              gcn_layers=3, num_classes=5)
-        model, state = trainer_module._shared_model(config, seed=3)
+        model, values = trainer_module._shared_model(config, seed=3)
         drawn = VulnModel(config, seed=3)
-        assert state.shape == (4, config.parameter_count)
-        assert state[0].tobytes() == np.concatenate(
-            [p.data.ravel() for p in drawn.parameters()]).tobytes()
-        assert not state[1:].any()
-        for ours, theirs in zip(model.parameters(), drawn.parameters(),
-                                strict=True):
-            assert ours.name == theirs.name
-            assert ours.data.shape == theirs.data.shape
-            assert np.shares_memory(ours.data, state[0]), ours.name
-            assert np.shares_memory(ours.grad, state[1]), ours.name
+        assert values.shape == (config.parameter_count,)
+        assert values.tobytes() == np.concatenate(
+            [a.ravel() for a in drawn.params.values()]).tobytes()
+        assert model.params.keys() == drawn.params.keys()
+        for name, ours in model.params.items():
+            assert ours.shape == drawn.params[name].shape
+            assert np.shares_memory(ours, values), name
+
+    def test_trained_model_keeps_only_its_values(self):
+        # the gradient sums and Adam's moments lie in a mapping of their
+        # own, which the returned model does not reach: at embed 8 and
+        # gcn 6 it kept 29,792 bytes mapped for 7,448 bytes of values
+        records, _ = make_toy_corpus(0)
+        cfg = ModelConfig(vocab_size=4, embed_dim=8, gcn_dim=6)
+        model = train(records, split(records, seed=7), cfg,
+                      tiny_train_cfg(epochs=1)).model
+        mappings = []
+        for values in model.params.values():
+            while isinstance(values, np.ndarray):
+                values = values.base
+            mappings.append(values.obj)  # a memoryview of the mapping
+        assert isinstance(mappings[0], mmap.mmap)
+        assert all(mapping is mappings[0] for mapping in mappings)
+        assert len(mappings[0]) == 8 * model.config.parameter_count
+
+    def test_memory_check_counts_what_training_maps(self, monkeypatch,
+                                                    use_cpus):
+        # two processes hold 40 bytes a parameter: the float64 values,
+        # gradient sums and two moments, and a float32 copy in each
+        use_cpus(2)
+        records, ds = tiny_corpus()
+        cfg = ModelConfig(vocab_size=4, **TINY_MODEL)
+        vocab = build_vocab(tokenize(r.source)
+                            for r in select(records, ds.train))
+        count = dataclasses.replace(cfg, vocab_size=len(vocab)
+                                    ).parameter_count
+        sysconf, pages = os.sysconf, {"SC_PAGE_SIZE": 1}
+        monkeypatch.setattr(os, "sysconf", lambda name: pages.get(
+            name) or sysconf(name))
+        shared = trainer_module._shared
+
+        def unmapped(*args):
+            raise AssertionError("training mapped memory before the check")
+
+        monkeypatch.setattr(trainer_module, "_shared", unmapped)
+        # more than the float64 values alone, which the check once counted
+        pages["SC_PHYS_PAGES"] = 16 * count
+        with pytest.raises(ConfigError, match="training hold"):
+            train(records, ds, cfg, tiny_train_cfg(epochs=1))
+        monkeypatch.setattr(trainer_module, "_shared", shared)
+        pages["SC_PHYS_PAGES"] = 40 * count
+        train(records, ds, cfg, tiny_train_cfg(epochs=1))
 
     def test_training_holds_no_heap_copy_of_the_parameters(self, use_cpus):
         # at these widths the parameters outweigh a tiny sample's arrays:
@@ -336,10 +397,8 @@ class TestTrain:
         cfg = ModelConfig(vocab_size=4, **TINY_MODEL)
         result = train(records, ds, cfg, tiny_train_cfg(
             epochs=2, learning_rate=0.0))
-        reference = VulnModel(result.model.config, seed=2)
-        for trained, fresh in zip(result.model.parameters(),
-                                  reference.parameters()):
-            assert np.array_equal(trained.data, fresh.data), trained.name
+        assert_same_params(result.model,
+                           VulnModel(result.model.config, seed=2))
 
     def test_deterministic_for_fixed_seed(self):
         records, ds = tiny_corpus()
@@ -348,8 +407,7 @@ class TestTrain:
         b = train(records, ds, cfg, tiny_train_cfg())
         assert [e["train_loss"] for e in a.log] == [
             e["train_loss"] for e in b.log]
-        for pa, pb in zip(a.model.parameters(), b.model.parameters()):
-            assert np.array_equal(pa.data, pb.data)
+        assert_same_params(a.model, b.model)
 
     def test_batch_past_the_split_trains_as_the_whole_split(self):
         records, ds = tiny_corpus()
@@ -358,8 +416,7 @@ class TestTrain:
                       tiny_train_cfg(batch_size=len(ds.train)))
         huge = train(records, ds, cfg, tiny_train_cfg(batch_size=10**20))
         assert huge.log == whole.log
-        for pa, pb in zip(whole.model.parameters(), huge.model.parameters()):
-            assert np.array_equal(pa.data, pb.data), pa.name
+        assert_same_params(whole.model, huge.model)
 
     def test_loss_decreases_on_toy_corpus(self, toy_run):
         assert toy_run.log[-1]["train_loss"] < toy_run.log[0]["train_loss"]
@@ -376,7 +433,8 @@ class TestTrain:
         forward, dtypes = VulnModel.forward, set()
 
         def recording(self, ids, operator):
-            dtypes.add((self.embedding.data.dtype, operator.weights.dtype))
+            dtypes.add((self.params["embedding"].dtype,
+                        operator.weights.dtype))
             return forward(self, ids, operator)
 
         monkeypatch.setattr(VulnModel, "forward", recording)
@@ -386,7 +444,7 @@ class TestTrain:
             dtypes.clear()
             result = train(records, ds, cfg, tiny_train_cfg(epochs=2))
             assert dtypes == {(np.dtype(dtype), np.dtype(dtype))}
-            assert {p.data.dtype for p in result.model.parameters()} == {
+            assert {a.dtype for a in result.model.params.values()} == {
                 np.dtype(np.float64)}
             logs[dtype] = result.log
         for e64, e32 in zip(logs[np.float64], logs[np.float32]):
@@ -402,13 +460,12 @@ class TestTrain:
         result = train(records, ds, cfg, tiny_train_cfg(epochs=1))
         model, vocab = result.model, result.vocab
         samples = [prepare_sample(r, vocab, 11) for r in benign]
-        zero_grad(model.parameters())
-        backward_batch(model, samples, tiny_train_cfg())
-        assert np.array_equal(model.loc_weight.grad,
-                              np.zeros_like(model.loc_weight.grad))
-        assert np.array_equal(model.loc_bias.grad,
-                              np.zeros_like(model.loc_bias.grad))
-        assert np.abs(model.cls_weight.grad).sum() > 0
+        _, grads = backward_batch(model, samples, tiny_train_cfg())
+        assert np.array_equal(grads["loc_weight"],
+                              np.zeros_like(grads["loc_weight"]))
+        assert np.array_equal(grads["loc_bias"],
+                              np.zeros_like(grads["loc_bias"]))
+        assert np.abs(grads["cls_weight"]).sum() > 0
 
     def test_divergence_aborts_with_diagnostics(self):
         records, ds = tiny_corpus()
@@ -421,11 +478,12 @@ class TestTrain:
     def test_batch_gradients_equal_one_tape_oracle(self):
         model, batch = oracle_batch()
         loss, expected = one_tape_gradients(model, batch, tiny_train_cfg())
-        value = backward_batch(model, batch, tiny_train_cfg())
+        value, grads = backward_batch(model, batch, tiny_train_cfg())
         assert value == loss
-        for p, grad in zip(model.parameters(), expected):
-            assert np.array_equal(p.grad, grad), p.name
-        assert np.abs(model.loc_weight.grad).sum() > 0
+        assert grads.keys() == expected.keys()
+        for name, grad in expected.items():
+            assert np.array_equal(grads[name], grad), name
+        assert np.abs(grads["loc_weight"]).sum() > 0
 
     def test_batch_keeps_one_tape_alive(self):
         records, ds = tiny_corpus()
@@ -456,13 +514,15 @@ class TestTrain:
             label=3, line_count=LONG_SOURCE.count("\n") + 1,
             truth_range=(2, 5))
         array_bytes = sample.ids.size * 128 * 8
+        grads = {name: np.zeros(values.shape)
+                 for name, values in model.params.items()}
         tracemalloc.start()
         try:
-            backward_batch(model, [sample], TrainConfig())
+            backward_batch(model, [sample], TrainConfig(), grads)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert np.abs(model.gcn_weights[0].grad).sum() > 0
+        assert np.abs(grads["gcn_0"]).sum() > 0
         assert sample.ids.size == 512
         assert peak < 10 * array_bytes, peak / array_bytes
 
@@ -590,8 +650,7 @@ class TestCheckpoint:
         model, vocab = load_checkpoint(tmp_path / "ckpt")
         after = evaluate(model, records, vocab)
         assert before.to_json() == after.to_json()
-        for pa, pb in zip(toy_run.model.parameters(), model.parameters()):
-            assert np.array_equal(pa.data, pb.data)
+        assert_same_params(toy_run.model, model)
 
     def test_config_txt_bytes(self, tmp_path):
         vocab = build_vocab([tokenize("int f(){return 0;}")])
@@ -618,8 +677,7 @@ class TestCheckpoint:
         model, vocab = load_checkpoint(ckpt)
         assert model.config == toy_run.model.config
         assert vocab.items() == toy_run.vocab.items()
-        for pa, pb in zip(toy_run.model.parameters(), model.parameters()):
-            assert np.array_equal(pa.data, pb.data)
+        assert_same_params(toy_run.model, model)
         assert evaluate(model, records, vocab).to_json() == evaluate(
             toy_run.model, records, toy_run.vocab).to_json()
 
@@ -811,20 +869,23 @@ class TestForkedTraining:
 
     @pytest.mark.parametrize("processes", [2, 3])
     def test_batch_gradients_equal_one_tape_oracle(self, processes):
-        trained, batch = oracle_batch()
-        loss, expected = one_tape_gradients(trained, batch, tiny_train_cfg())
-        model, _ = trainer_module._shared_model(trained.config, seed=0)
-        for ours, theirs in zip(model.parameters(), trained.parameters()):
-            ours.data[...] = theirs.data
+        model, batch = oracle_batch()
+        loss, expected = one_tape_gradients(model, batch, tiny_train_cfg())
+        # the sums that every process adds into
+        grads = trainer_module._views(
+            trainer_module._shared(model.config.parameter_count),
+            parameter_shapes(model.config))
 
         def run(helpers):
-            return _backward_batch(model, batch, tiny_train_cfg(), helpers)
+            return _backward_batch(model, batch, tiny_train_cfg(), helpers,
+                                   grads)
 
         with trainer_module._Helpers(processes, len(batch), run) as helpers:
             value = run(helpers)
         assert value == loss
-        for p, grad in zip(model.parameters(), expected):
-            assert np.array_equal(p.grad, grad), p.name
+        assert grads.keys() == expected.keys()
+        for name, grad in expected.items():
+            assert np.array_equal(grads[name], grad), name
         no_child_left()
 
     def test_each_result_is_freed_before_the_next_work(self):
