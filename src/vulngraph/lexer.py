@@ -290,12 +290,13 @@ class Vocabulary:
         return cls([text for _, text in entries])
 
 
-def build_vocab(streams: Iterable[TokenStream],
-                min_count: int = 1) -> Vocabulary:
-    """Count payload tokens over a corpus's token streams and keep those
+def build_vocab(streams: Iterable[TokenStream] = (), min_count: int = 1,
+                counts: Counter[str] | None = None) -> Vocabulary:
+    """Count payload tokens over a corpus's token streams, added to
+    ``counts`` where a caller has counted some already, and keep those
     seen often enough; tokens below ``min_count`` or holding a newline
     (spliced literals) fall back to <UNK> at encode time."""
-    counts: Counter[str] = Counter()
+    counts = Counter() if counts is None else counts
     for stream in streams:
         for token in stream.payload():
             counts[token.text] += 1

@@ -268,11 +268,6 @@ class SparseOperator:
         self._rest_segments = np.repeat(np.arange(self._rest_rows.size),
                                         count[self._rest_rows] - width)
 
-    def astype(self, dtype) -> SparseOperator:
-        """This operator with its entries in ``dtype``."""
-        return SparseOperator(self.start, self.cols, self.weights.astype(dtype),
-                              self.mirror.astype(dtype))
-
     def apply(self, x: np.ndarray) -> np.ndarray:
         """The product A @ x."""
         if self._dense is not None:
@@ -329,11 +324,16 @@ def segment_sum(values: np.ndarray, segments: np.ndarray,
     block-sized flat index, so neither that index nor bincount's float64
     copy of the values grows with the width. Each (segment, column) sum
     still adds the same rows in the same order, so blocking keeps its
-    bits.
+    bits. Where one block is the whole width, bincount's sums are the
+    result, cast at most once.
     """
     width = values.shape[1]
     block = min(width, SEGMENT_BLOCK)
     flat = (segments[:, None] * block + np.arange(block)).ravel()
+    if block == width:
+        return np.bincount(flat, weights=values.ravel(),
+                           minlength=count * width).reshape(
+            count, width).astype(values.dtype, copy=False)
     out = np.empty((count, width), dtype=values.dtype)
     for lo in range(0, width, SEGMENT_BLOCK):
         part = values[:, lo:lo + block]

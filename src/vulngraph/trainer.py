@@ -19,6 +19,14 @@ same ``forward``, and its loss and metrics both read that output. A
 fusion-ratio sweep prepares the samples once and trains one model per
 ratio from them.
 
+A prepared sample, an ``EncodedSample``, holds O(n + entries) bytes: its
+ids and its operator's row lists at the narrowest index dtypes, and its
+entries in the passes' dtype. Each pass builds the padded lists that its
+products run on, and they go with the pass. The train records are
+prepared one at a time, each tokenized and graphed once: only its token
+counts and provisional indices outlive its stream, and the vocabulary
+built from the counts then turns the indices into ids.
+
 The passes run in float32 (``COMPUTE_DTYPE``), on float32 operators and
 a private float32 copy of the values that each process refreshes after
 every step. The values, the gradient sums, Adam's moments and the
@@ -46,6 +54,7 @@ process.
 from __future__ import annotations
 
 import os
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Sequence
@@ -55,7 +64,7 @@ import numpy as np
 from . import cpus
 from .corpus import DatasetSplit, FunctionRecord, class_index, select
 from .errors import ConfigError, DataError, GradientError, TrainingError
-from .lexer import TokenStream, Vocabulary, build_vocab, tokenize
+from .lexer import Vocabulary, build_vocab, tokenize
 from .model import (ModelConfig, VulnModel, denormalize_lines,
                     initial_values, normalize_line_range, parameter_shapes)
 from .objectives import (MetricsReport, classification_metrics, focal_loss,
@@ -64,7 +73,7 @@ from .runfiles import TrainConfig
 # perfbench's fixture script, set-up probe and traced targets name these
 # here, and perfbench changes only with the benchmark itself.
 from .runfiles import load_checkpoint, save_checkpoint  # noqa: F401
-from .semgraph import model_inputs
+from .semgraph import build_graph, model_inputs
 from .tensor import SparseOperator
 
 
@@ -138,18 +147,47 @@ class Adam:
 
 @dataclass(frozen=True)
 class EncodedSample:
-    """A record made model-ready: its stream's n ids and their operator.
+    """A record made model-ready, stored in O(n + entries) bytes: its
+    stream's n ids, int32, and its graph operator's lists, ``start`` int32
+    and ``cols`` int16 (n is at most ``STREAM_CAPACITY``), with ``weights``
+    and ``mirror`` in the dtype of the passes that run it.
 
-    The operator is the graph's ``SparseOperator``, which holds O(n)
-    entries: a sample holds no n x n array, except the dense copy of at
-    most ``tensor.DENSE_ROWS`` rows that a short function's operator keeps.
+    ``operator`` builds the padded lists that products run on, or the
+    dense copy of a short function's operator, for one pass, so that only
+    the sample being run holds them.
     """
 
     ids: np.ndarray
-    operator: SparseOperator
+    start: np.ndarray
+    cols: np.ndarray
+    weights: np.ndarray
+    mirror: np.ndarray
     label: int
     line_count: int
     truth_range: tuple[int, int] | None
+
+    @classmethod
+    def of(cls, ids: np.ndarray, operator: SparseOperator, dtype, label: int,
+           line_count: int, truth_range: tuple[int, int] | None
+           ) -> EncodedSample:
+        """The stored form of ``ids`` and ``operator``, its entries in
+        ``dtype``."""
+        return cls(ids.astype(np.int32, copy=False),
+                   operator.start.astype(np.int32, copy=False),
+                   operator.cols.astype(np.int16, copy=False),
+                   operator.weights.astype(dtype, copy=False),
+                   operator.mirror.astype(dtype, copy=False),
+                   label, line_count, truth_range)
+
+    def operator(self) -> SparseOperator:
+        """The sample's operator, its padded lists built anew."""
+        return SparseOperator(self.start, self.cols, self.weights, self.mirror)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the sample's arrays."""
+        return sum(a.nbytes for a in (self.ids, self.start, self.cols,
+                                      self.weights, self.mirror))
 
 
 @contextmanager
@@ -162,26 +200,21 @@ def _naming(record: FunctionRecord) -> Iterator[None]:
 
 
 def prepare_sample(record: FunctionRecord, vocab: Vocabulary,
-                   num_classes: int) -> EncodedSample:
-    """Encode a record. A source that cannot be lexed or graphed is a
-    DataError naming it."""
+                   num_classes: int, dtype=np.float64) -> EncodedSample:
+    """Encode a record, its operator's entries in ``dtype``. A source that
+    cannot be lexed or graphed is a DataError naming it."""
     with _naming(record):
-        stream = tokenize(record.source)
-    return _encode(record, stream, vocab, num_classes)
+        ids, operator = model_inputs(tokenize(record.source), vocab)
+    return _stored(record, ids, operator, num_classes, dtype)
 
 
-def _encode(record: FunctionRecord, stream: TokenStream, vocab: Vocabulary,
-            num_classes: int) -> EncodedSample:
-    """``prepare_sample`` of a record whose own stream is already made."""
-    with _naming(record):
-        ids, operator = model_inputs(stream, vocab)
-    return EncodedSample(
-        ids=ids, operator=operator,
-        label=class_index(record, num_classes),
-        line_count=record.line_count,
-        truth_range=((record.vul_start, record.vul_end)
-                     if record.is_vulnerable else None),
-    )
+def _stored(record: FunctionRecord, ids: np.ndarray,
+            operator: SparseOperator, num_classes: int,
+            dtype) -> EncodedSample:
+    return EncodedSample.of(
+        ids, operator, dtype, class_index(record, num_classes),
+        record.line_count, ((record.vul_start, record.vul_end)
+                            if record.is_vulnerable else None))
 
 
 def _sample_loss(class_logits: np.ndarray, loc_pred: tuple[float, float],
@@ -217,7 +250,7 @@ def _backward_batch(model: VulnModel, batch: Sequence[EncodedSample],
 
     def work(j: int) -> tuple[float, list[tuple]]:
         sample, held = batch[j], []
-        out = model.forward(sample.ids, sample.operator)
+        out = model.forward(sample.ids, sample.operator())
         value, class_grad, loc_grad = _sample_loss(
             out.class_logits, out.loc_pred, sample, cfg, scale)
         model.backward(out, class_grad, loc_grad, lambda *c: held.append(c))
@@ -461,25 +494,38 @@ def _prepare(records: Sequence[FunctionRecord], split: DatasetSplit,
              num_classes: int, min_count: int
              ) -> tuple[Vocabulary, list[EncodedSample], list[EncodedSample]]:
     """The train split's vocabulary, and the train and val samples,
-    their operators in ``COMPUTE_DTYPE``."""
+    their entries in ``COMPUTE_DTYPE``.
+
+    One record's stream is alive at a time: each train record is
+    tokenized and graphed, and its sample holds each token's provisional
+    index, in order of first sight, until the vocabulary is built from the
+    payload counts; one lookup then turns those indices into ids.
+    """
     train_records = select(records, split.train)
     val_records = select(records, split.val)
     if not train_records:
         raise TrainingError("empty train split")
-    streams = []
+    index: dict[str, int] = {}
+    counts: Counter[str] = Counter()
+    samples = []
     for record in train_records:
         with _naming(record):
-            streams.append(tokenize(record.source))
-    vocab = build_vocab(streams, min_count=min_count)
-    samples = [_for_training(_encode(r, s, vocab, num_classes))
-               for r, s in zip(train_records, streams)]
-    val_samples = [_for_training(prepare_sample(r, vocab, num_classes))
+            stream = tokenize(record.source)
+            operator = build_graph(stream)
+        counts.update(token.text for token in stream.payload())
+        provisional = np.fromiter(
+            (index.setdefault(token.text, len(index))
+             for token in stream.tokens), np.int32, stream.content_len)
+        samples.append(_stored(record, provisional, operator, num_classes,
+                               COMPUTE_DTYPE))
+        del stream, operator  # before the next record's
+    vocab = build_vocab(counts=counts, min_count=min_count)
+    lookup = np.array([vocab.id_for(text) for text in index], np.int32)
+    for sample in samples:
+        sample.ids[...] = lookup[sample.ids]
+    val_samples = [prepare_sample(r, vocab, num_classes, COMPUTE_DTYPE)
                    for r in val_records]
     return vocab, samples, val_samples
-
-
-def _for_training(sample: EncodedSample) -> EncodedSample:
-    return replace(sample, operator=sample.operator.astype(COMPUTE_DTYPE))
 
 
 def train(records: Sequence[FunctionRecord], split: DatasetSplit,
@@ -495,24 +541,28 @@ def train(records: Sequence[FunctionRecord], split: DatasetSplit,
     return _fit(vocab, samples, val_samples, model_cfg, train_cfg)
 
 
-def _check_fits(cfg: ModelConfig, processes: int) -> None:
-    """A ConfigError where what training holds for the parameters would
-    outgrow the machine's physical memory: per parameter, the float64
-    value, gradient sum and two moments that it maps, and a
-    ``COMPUTE_DTYPE`` copy in each of ``processes``. Where the platform
-    does not report that memory, nothing is checked."""
+def _check_fits(cfg: ModelConfig, processes: int, min_count: int,
+                sample_bytes: int) -> None:
+    """A ConfigError where what training holds would outgrow the
+    machine's physical memory: per parameter, the float64 value, gradient
+    sum and two moments that it maps, and a ``COMPUTE_DTYPE`` copy in each
+    of ``processes``; and the ``sample_bytes`` of the prepared samples,
+    which the processes share. Where the platform does not report that
+    memory, nothing is checked."""
     try:
         memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, OSError, ValueError):
         return
     size = (4 * 8 + processes * np.dtype(COMPUTE_DTYPE).itemsize
             ) * cfg.parameter_count
-    if size > memory:
+    if size + sample_bytes > memory:
         raise ConfigError(
-            f"embed_dim={cfg.embed_dim}, gcn_dim={cfg.gcn_dim} and "
-            f"gcn_layers={cfg.gcn_layers} make training hold {size} bytes "
-            f"for the parameters, more than the machine's {memory} bytes "
-            f"of memory")
+            f"vocab_size={cfg.vocab_size} (the reserved ids and the train "
+            f"split's tokens seen min_count={min_count} times), embed_dim="
+            f"{cfg.embed_dim}, gcn_dim={cfg.gcn_dim} and gcn_layers="
+            f"{cfg.gcn_layers} make training hold {size} bytes for the "
+            f"parameters and {sample_bytes} for the samples, more than the "
+            f"machine's {memory} bytes of memory")
 
 
 def _fit(vocab: Vocabulary, samples: Sequence[EncodedSample],
@@ -522,7 +572,8 @@ def _fit(vocab: Vocabulary, samples: Sequence[EncodedSample],
     model_cfg = replace(model_cfg, vocab_size=len(vocab))
     batch_size = min(train_cfg.batch_size, len(samples))
     processes = _processes(batch_size)
-    _check_fits(model_cfg, processes)
+    _check_fits(model_cfg, processes, train_cfg.min_count,
+                sum(s.nbytes for s in (*samples, *val_samples)))
     model, values = _shared_model(model_cfg, train_cfg.seed)
     state = _shared((3, values.size))
     heads = _shared((len(val_samples), model_cfg.num_classes + 2))
@@ -637,7 +688,7 @@ def _heads(model: VulnModel, sample: EncodedSample
            ) -> tuple[np.ndarray, tuple[float, float]]:
     """The sample's class logits and line fractions: its forward pass
     keeps nothing else."""
-    out = model.forward(sample.ids, sample.operator)
+    out = model.forward(sample.ids, sample.operator())
     return out.class_logits, out.loc_pred
 
 

@@ -171,7 +171,7 @@ def test_criterion_6_overfit_sanity(toy_run):
     for record in vulnerable:
         stream = tokenize(record.source)
         sample = prepare_sample(record, toy_run.vocab, 11)
-        inputs = (sample.ids, sample.operator)
+        inputs = (sample.ids, sample.operator())
         out = toy_run.model.forward(*inputs)
         predicted_start, _ = denormalize_lines(out.loc_pred,
                                                record.line_count)

@@ -700,14 +700,14 @@ class TestInferenceCost:
         # nor does any other production path build a tape value
         model, vocab = load_checkpoint(checkpoint)
         VulnModel(model.config, seed=1)
-        out = model.forward(samples[0].ids, samples[0].operator)
+        out = model.forward(samples[0].ids, samples[0].operator())
         model.backward(out, np.ones(11), np.ones(2), lambda *c: None)
         attribute_tokens(model, tokenize(toy_run.records[0].source), out)
         summary = scan(tmp_path / "src", model, vocab, tmp_path / "reports",
                        jobs=2)
         assert summary.n_functions == 4 > summary.counts.get("none", 0)
         assert (taped, matrices()) == ([], 0)
-        toy_run.model.forward_nodes(samples[0].ids, samples[0].operator)
+        toy_run.model.forward_nodes(samples[0].ids, samples[0].operator())
         assert taped  # the oracle still builds the tape
         # and the count sees a forked process's values
         built = matrices()

@@ -269,8 +269,8 @@ class TestBackwardAgainstTape:
         for k, source in enumerate(sources):
             ids, operator = model_inputs(tokenize(source), vocab)
             shapes.append((ids.size, np.diff(operator.start).max()))
-            sample = EncodedSample(
-                ids=ids, operator=operator, label=(0, 1, num_classes - 1)[k],
+            sample = EncodedSample.of(
+                ids, operator, np.float64, label=(0, 1, num_classes - 1)[k],
                 line_count=source.count("\n") + 1,
                 truth_range=None if k == 0 else (2, 3))
             earlier = {name: rng.normal(size=values.shape)
@@ -421,8 +421,8 @@ class TestDistinctProjection:
             stream = tokenize(source)
             ids, operator = model_inputs(stream, vocab)
             assert 4 * np.unique(ids).size < ids.size
-            samples.append(EncodedSample(
-                ids=ids, operator=operator, label=3 * k,
+            samples.append(EncodedSample.of(
+                ids, operator, np.float64, label=3 * k,
                 line_count=source.count("\n") + 1,
                 truth_range=(2, 5) if k else None))
             denses.append(dense_adjacency(stream))
@@ -431,7 +431,7 @@ class TestDistinctProjection:
     def test_forward_matches_dense_oracle(self):
         model, samples, denses = self.long_samples()
         for sample, adjacency in zip(samples, denses):
-            out = model.forward(sample.ids, sample.operator)
+            out = model.forward(sample.ids, sample.operator())
             dense, _ = dense_tape(model, sample.ids, adjacency)
             for name, node in dense.items():
                 np.testing.assert_allclose(np.asarray(getattr(out, name)),
@@ -477,7 +477,7 @@ class TestDistinctProjection:
         monkeypatch.setattr(tensor, "matmul", recording)
         for sample in samples:
             left_rows.clear()
-            model.forward_nodes(sample.ids, sample.operator)
+            model.forward_nodes(sample.ids, sample.operator())
             distinct = np.unique(sample.ids).size
             assert left_rows == [("input_proj", distinct),
                                  ("gcn_0", distinct),
@@ -500,6 +500,13 @@ def float32_copy(model):
         for name, values in model.params.items()})
 
 
+def float32_sample(sample):
+    """``sample`` with its entries cast to float32, as training stores
+    them."""
+    return replace(sample, weights=sample.weights.astype(np.float32),
+                   mirror=sample.mirror.astype(np.float32))
+
+
 def sample_gradients(model, sample):
     """Each parameter's gradient of the sample's loss, with backward's
     contributions added into float64 zeros as training adds them, and
@@ -512,7 +519,7 @@ def sample_gradients(model, sample):
         dtypes[name] = contribution.dtype
         grads[name][index] += contribution
 
-    out = model.forward(sample.ids, sample.operator)
+    out = model.forward(sample.ids, sample.operator())
     _, class_grad, loc_grad = _sample_loss(out.class_logits, out.loc_pred,
                                            sample, TrainConfig())
     model.backward(out, class_grad, loc_grad, add)
@@ -544,8 +551,8 @@ class TestFloat32Pass:
         for k, source in enumerate(sources):
             ids, operator = model_inputs(tokenize(source), vocab)
             assert 300 <= ids.size <= 512
-            samples.append(EncodedSample(
-                ids=ids, operator=operator, label=2 * k,
+            samples.append(EncodedSample.of(
+                ids, operator, np.float64, label=2 * k,
                 line_count=source.count("\n") + 1,
                 truth_range=(2, 4) if k else None))
         return model, samples
@@ -554,9 +561,8 @@ class TestFloat32Pass:
         model, samples = self.long_samples(64, 48)
         single = float32_copy(model)
         for sample in samples:
-            sample = replace(sample,
-                             operator=sample.operator.astype(np.float32))
-            out = single.forward(sample.ids, sample.operator)
+            sample = float32_sample(sample)
+            out = single.forward(sample.ids, sample.operator())
             arrays = [out.class_logits, out.pooled_embed, out.pooled_graph,
                       out._projected, *out._mixed]
             assert {a.dtype for a in arrays} == {np.dtype(np.float32)}
@@ -576,8 +582,7 @@ class TestFloat32Pass:
         single = float32_copy(model)
         for k, sample in enumerate(samples):
             expected, _ = sample_gradients(model, sample)
-            got, _ = sample_gradients(single, replace(
-                sample, operator=sample.operator.astype(np.float32)))
+            got, _ = sample_gradients(single, float32_sample(sample))
             for name, g64 in expected.items():
                 error = np.linalg.norm(got[name] - g64)
                 assert error <= 1e-2 * np.linalg.norm(g64), (k, name, error)
@@ -612,8 +617,8 @@ class TestNonFiniteForward:
         huge = operator_from_dense(np.full((ids.size, ids.size), 1e308))
         with pytest.raises(GradientError, match="gcn_0"):
             model.forward(ids, huge)
-        sample = EncodedSample(ids=ids, operator=huge, label=1, line_count=1,
-                               truth_range=(1, 1))
+        sample = EncodedSample.of(ids, huge, np.float64, label=1,
+                                  line_count=1, truth_range=(1, 1))
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(GradientError, match="gcn_0"):
                 backward_batch(model, [sample], TrainConfig())

@@ -9,7 +9,7 @@ from vulngraph import runfiles, tensor
 from vulngraph.errors import DataError, GradientError, ShapeError
 from vulngraph.lexer import tokenize
 from vulngraph.semgraph import build_graph
-from vulngraph.tensor import DENSE_ROWS, Matrix, from_op, leaf
+from vulngraph.tensor import DENSE_ROWS, Matrix, SparseOperator, from_op, leaf
 from conftest import HUB_SOURCE, LONG_SOURCE, operator_from_dense
 from oracles import grad_check, mean_all, mul, sum_all
 
@@ -411,7 +411,9 @@ class TestDtypes:
     def test_float32_in_float32_out(self, operators, path, transposed):
         operator = operators[path]
         x = np.random.default_rng(3).normal(size=(operator.n, 7))
-        single = operator.astype(np.float32)
+        single = SparseOperator(operator.start, operator.cols,
+                                operator.weights.astype(np.float32),
+                                operator.mirror.astype(np.float32))
         product = (single.apply_transposed if transposed else single.apply)(
             x.astype(np.float32))
         assert product.dtype == np.float32
@@ -451,3 +453,17 @@ class TestDtypes:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * 2**20
+
+    def test_one_block_holds_its_sums_once(self):
+        # 4096 segments of 64 float64 columns are 2 MiB of sums; a result
+        # that bincount's sums are copied into holds them twice
+        rng = np.random.default_rng(7)
+        values = rng.normal(size=(256, tensor.SEGMENT_BLOCK))
+        segments = rng.integers(0, 4096, size=256)
+        tracemalloc.start()
+        try:
+            sums = tensor.segment_sum(values, segments, 4096)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * sums.nbytes, peak / sums.nbytes

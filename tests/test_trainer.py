@@ -3,6 +3,7 @@ import math
 import mmap
 import os
 import pickle
+import random
 import time
 import tracemalloc
 import weakref
@@ -13,11 +14,11 @@ import pytest
 import vulngraph.lexer as lexer_module
 import vulngraph.trainer as trainer_module
 from vulngraph import cli, tensor
-from vulngraph.corpus import (FunctionRecord, class_index, save_dataset,
-                              select, split)
+from vulngraph.corpus import (DatasetSplit, FunctionRecord, class_index,
+                              save_dataset, select, split)
 from vulngraph.errors import (ConfigError, DataError, GradientError,
                               TrainingError)
-from vulngraph.lexer import build_vocab, tokenize
+from vulngraph.lexer import UNK_ID, build_vocab, encode, tokenize
 from vulngraph.model import ModelConfig, VulnModel, parameter_shapes
 from vulngraph.objectives import FocalConfig
 from vulngraph.semgraph import build_graph, model_inputs
@@ -30,8 +31,9 @@ from vulngraph.trainer import (EncodedSample, evaluate, prepare_sample,
                                sweep_ensemble, train, _backward_batch,
                                format_sweep_table)
 
-from conftest import (DESK_MODEL, LONG_SOURCE, backward_batch,
-                      count_matrices, cpus_setup, run_cli, run_python)
+from conftest import (DESK_MODEL, HUB_SOURCE, LONG_SOURCE, backward_batch,
+                      count_matrices, cpus_setup, fuzz_snippet, run_cli,
+                      run_python)
 from oracles import tape_sample_loss
 
 TINY_MODEL = dict(embed_dim=16, gcn_dim=12, num_classes=11)
@@ -99,7 +101,7 @@ def one_tape_batch_loss(model, batch, cfg):
             for name, values in model.params.items()}
     total = None
     for sample in batch:
-        nodes = model.forward_nodes(sample.ids, sample.operator)
+        nodes = model.forward_nodes(sample.ids, sample.operator())
         for name, node in nodes.leaves.items():
             node.grad = sums[name]
         loss = tape_sample_loss(nodes.class_logits, nodes.loc_pred, sample,
@@ -314,14 +316,16 @@ class TestSharedState:
     def test_memory_check_counts_what_training_maps(self, monkeypatch,
                                                     use_cpus):
         # two processes hold 40 bytes a parameter: the float64 values,
-        # gradient sums and two moments, and a float32 copy in each
+        # gradient sums and two moments, and a float32 copy in each; and
+        # they share the prepared samples
         use_cpus(2)
         records, ds = tiny_corpus()
         cfg = ModelConfig(vocab_size=4, **TINY_MODEL)
-        vocab = build_vocab(tokenize(r.source)
-                            for r in select(records, ds.train))
+        vocab, samples, val_samples = trainer_module._prepare(
+            records, ds, 11, 1)
         count = dataclasses.replace(cfg, vocab_size=len(vocab)
                                     ).parameter_count
+        held = sum(s.nbytes for s in samples + val_samples)
         sysconf, pages = os.sysconf, {"SC_PAGE_SIZE": 1}
         monkeypatch.setattr(os, "sysconf", lambda name: pages.get(
             name) or sysconf(name))
@@ -336,8 +340,34 @@ class TestSharedState:
         with pytest.raises(ConfigError, match="training hold"):
             train(records, ds, cfg, tiny_train_cfg(epochs=1))
         monkeypatch.setattr(trainer_module, "_shared", shared)
-        pages["SC_PHYS_PAGES"] = 40 * count
+        pages["SC_PHYS_PAGES"] = 40 * count + held - 1
+        with pytest.raises(ConfigError, match=f"and {held} for the samples"):
+            train(records, ds, cfg, tiny_train_cfg(epochs=1))
+        pages["SC_PHYS_PAGES"] += 1
         train(records, ds, cfg, tiny_train_cfg(epochs=1))
+
+    def test_memory_check_names_the_vocabulary(self, monkeypatch):
+        # at paper widths the vocabulary drives the count: the system
+        # headers' 188,796 tokens seen once, or 16,401 seen five times;
+        # nothing is allocated
+        memory = 4 * 2**30
+        monkeypatch.setattr(os, "sysconf", lambda name: {
+            "SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": memory // 4096}[name])
+        with pytest.raises(ConfigError) as caught:
+            trainer_module._check_fits(ModelConfig(vocab_size=188_800), 2, 1,
+                                       10**6)
+        assert str(caught.value).startswith(
+            "vocab_size=188800 (the reserved ids and the train split's "
+            "tokens seen min_count=1 times), embed_dim=768, gcn_dim=512 "
+            "and gcn_layers=2 make training hold ")
+        assert str(caught.value).endswith(
+            f" and 1000000 for the samples, more than the machine's "
+            f"{memory} bytes of memory")
+        cfg = ModelConfig(vocab_size=16_405)
+        samples = memory - 40 * cfg.parameter_count
+        trainer_module._check_fits(cfg, 2, 5, samples)
+        with pytest.raises(ConfigError, match="min_count=5 times"):
+            trainer_module._check_fits(cfg, 2, 5, samples + 1)
 
     def test_training_holds_no_heap_copy_of_the_parameters(self, use_cpus):
         # at these widths the parameters outweigh a tiny sample's arrays:
@@ -366,7 +396,7 @@ class TestPrepareSample:
             "void f() {\n" + "x = 1;\n" * 200 + 'y = "never closed;\n}'))
         sample = prepare_sample(record, build_vocab([]), 11)
         assert sample.ids.shape == (512,)
-        assert sample.operator.n == 512
+        assert sample.operator().n == 512
 
     def test_holds_no_n_squared_array(self):
         record = FunctionRecord(id="long", language="c", source=LONG_SOURCE)
@@ -374,7 +404,7 @@ class TestPrepareSample:
         graph = build_graph(stream)
         sample = prepare_sample(record, build_vocab([stream]), 11)
         n = stream.content_len
-        assert n == sample.operator.n == 512
+        assert n == sample.operator().n == 512
 
         def arrays(value):
             if isinstance(value, np.ndarray):
@@ -389,6 +419,108 @@ class TestPrepareSample:
         held = [*arrays(graph), *arrays(sample)]
         assert len(held) > 10
         assert max(a.size for a in held) < n * n // 16
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_passes_equal_the_graphs_operator_bit_for_bit(self, dtype):
+        # a dense operator, the 512-position window on padded lists, and a
+        # hub row that runs past them into the remainder
+        sources = {"dense": "int f(int a) {\n    return a + 1;\n}",
+                   "ell": LONG_SOURCE, "ell-rest": HUB_SOURCE}
+        vocab = build_vocab(map(tokenize, sources.values()))
+        drawn = VulnModel(ModelConfig(vocab_size=len(vocab), **TINY_MODEL),
+                          seed=3)
+        model = VulnModel(drawn.config, values={
+            name: values.astype(dtype) for name, values in drawn.params.items()})
+        rng = np.random.default_rng(5)
+        for path, source in sources.items():
+            ids, graph = model_inputs(tokenize(source), vocab)
+            graph = tensor.SparseOperator(graph.start, graph.cols,
+                                          graph.weights.astype(dtype),
+                                          graph.mirror.astype(dtype))
+            sample = prepare_sample(FunctionRecord(
+                id=path, language="c", source=source), vocab, 11, dtype)
+            built = sample.operator()
+            assert (built._dense is not None) == (path == "dense")
+            if path != "dense":
+                assert (built._rest_rows.size > 0) == (path == "ell-rest")
+            heads_grads = rng.normal(size=11), rng.normal(size=2)
+            passes = []
+            for pass_ids, operator in ((ids, graph), (sample.ids, built)):
+                out, held = model.forward(pass_ids, operator), []
+                model.backward(out, *heads_grads, lambda *c: held.append(c))
+                passes.append((out, held))
+            (expected, expected_held), (out, held) = passes
+            for name in ("class_logits", "pooled_embed", "pooled_graph"):
+                assert (getattr(out, name).tobytes()
+                        == getattr(expected, name).tobytes()), (path, name)
+            assert out.loc_pred == expected.loc_pred
+            assert len(held) == len(expected_held) == 8
+            for (name, index, got), (want_name, want_index, want) in zip(
+                    held, expected_held):
+                assert name == want_name
+                assert (index is ...) == (want_index is ...), name
+                assert index is ... or np.array_equal(index, want_index)
+                assert got.dtype == want.dtype == dtype, (path, name)
+                assert got.tobytes() == want.tobytes(), (path, name)
+
+    def test_prepare_equals_build_vocab_and_encode(self):
+        # at min_count 2 a name seen once is unknown, and so is a spliced
+        # literal seen in every record, whose text holds a newline
+        records = [FunctionRecord(id=f"r{k}", language="c", source=(
+            f"int f{k}(int a) {{\n    puts(\"one \\\n two\");\n"
+            f"    return a + {k % 3};\n}}")) for k in range(10)]
+        ds = DatasetSplit(train=tuple(r.id for r in records[:7]),
+                          val=tuple(r.id for r in records[7:]), test=(),
+                          seed=0)
+        vocab, samples, val_samples = trainer_module._prepare(records, ds,
+                                                              11, 2)
+        streams = [tokenize(r.source) for r in records]
+        expected = build_vocab(streams[:7], min_count=2)
+        assert vocab.items() == expected.items()
+        assert "f0" not in dict(expected.items())
+        spliced = next(t.text for t in streams[0].payload() if "\n" in t.text)
+        assert sum(t.text == spliced for s in streams[:7]
+                   for t in s.payload()) == 7
+        for sample, stream in zip(samples + val_samples, streams):
+            assert sample.ids.dtype == np.int32
+            assert sample.ids.tolist() == encode(stream, expected)
+            assert UNK_ID in sample.ids.tolist()
+
+    def test_samples_hold_their_entries_and_one_stream_at_a_time(self):
+        # 100 generated functions of about 400 positions and 1,500
+        # operator entries. A sample stores about 18 KB of arrays, where
+        # int64 lists with a padded copy held about 63 KB; and _prepare
+        # holds one record's stream and graph at a time, where it held
+        # every train record's stream, about 40 KB each, until the
+        # vocabulary was built.
+        rng = random.Random(3)
+        records = []
+        for k in range(100):
+            body = []
+            while len(body) < 48:
+                body += fuzz_snippet(rng).splitlines()[1:-2]
+            records.append(FunctionRecord(id=f"r{k}", language="c", source=(
+                f"int fn{k}(int a, char *buf) {{\n" + "\n".join(body)
+                + "\n    return a;\n}")))
+        ds = DatasetSplit(train=tuple(r.id for r in records), val=(),
+                          test=(), seed=0)
+        tracemalloc.start()
+        try:
+            stream = tokenize(records[0].source)
+            stream_bytes = tracemalloc.get_traced_memory()[0]
+            del stream
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            _, samples, _ = trainer_module._prepare(records, ds, 11, 1)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        held, peak = held - before, peak - before
+        assert 380 < np.mean([s.ids.size for s in samples]) < 440
+        assert held / len(samples) <= 24_000, held / len(samples)
+        # one stream, and the graph built from it with its padded lists:
+        # about 7 streams' bytes here, and 101 where every stream was held
+        assert peak < held + 10 * stream_bytes, (peak - held) / stream_bytes
 
 
 class TestTrain:
@@ -509,8 +641,8 @@ class TestTrain:
         vocab = build_vocab([tokenize(LONG_SOURCE)])
         model = VulnModel(ModelConfig(vocab_size=len(vocab), embed_dim=16,
                                       gcn_dim=128), seed=1)
-        sample = EncodedSample(
-            *model_inputs(tokenize(LONG_SOURCE), vocab),
+        sample = EncodedSample.of(
+            *model_inputs(tokenize(LONG_SOURCE), vocab), np.float64,
             label=3, line_count=LONG_SOURCE.count("\n") + 1,
             truth_range=(2, 5))
         array_bytes = sample.ids.size * 128 * 8
